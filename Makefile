@@ -113,11 +113,12 @@ serve:
 # records wall-clock and speedups in BENCH_ibsim.json, and exits non-zero
 # if any gated ratio regresses more than 20% against its recorded
 # baseline. Also runs the bulk-replay microbenchmarks (trace compaction,
-# per-ref vs FetchRun replay, columnar encode/decode).
+# per-ref vs FetchRun replay, columnar encode/decode) and the Figure 5 cell
+# on the per-reference loop vs the line-event kernel.
 bench:
 	$(GO) run ./cmd/ibscheck -bench-only -n 200000
-	$(GO) test -run='^$$' -bench='CompactAppend|FetchPerRef|FetchRun|Columnar' -benchmem \
-		./internal/trace ./internal/fetch
+	$(GO) test -run='^$$' -bench='CompactAppend|FetchPerRef|FetchRun|Columnar|Physical' -benchmem \
+		./internal/trace ./internal/fetch ./internal/experiments
 
 # Go microbenchmarks (cache hot path, sweep engine, generators).
 microbench:

@@ -104,6 +104,7 @@ func RunAll(opt Options) ([]Result, error) {
 		ParallelVsSerial,
 		SweepVsPerConfig,
 		FanoutVsPerConfig,
+		Figure5VsPerConfig,
 		TraceRoundTrip,
 		ColumnarReplay,
 		SamplingBounds,

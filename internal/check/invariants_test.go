@@ -125,7 +125,7 @@ func TestRunAll(t *testing.T) {
 	opt := testOpt(t)
 	rs, err := RunAll(opt)
 	requireAllPass(t, rs, err)
-	if len(rs) != 22 {
-		t.Errorf("RunAll returned %d results, want 22", len(rs))
+	if len(rs) != 23 {
+		t.Errorf("RunAll returned %d results, want 23", len(rs))
 	}
 }

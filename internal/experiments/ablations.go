@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"ibsim/internal/cache"
@@ -93,7 +94,8 @@ type PagePolicyResult struct {
 }
 
 // AblationPagePolicy measures each policy on verilog in a 64-KB
-// direct-mapped physically-indexed cache.
+// direct-mapped physically-indexed cache, one physically-indexed simulation
+// per (policy, trial) through mapPhysical.
 func AblationPagePolicy(opt Options) (*PagePolicyResult, error) {
 	opt = opt.withDefaults()
 	const sizeKB = 64
@@ -101,32 +103,35 @@ func AblationPagePolicy(opt Options) (*PagePolicyResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	refs, err := synth.InstrTrace(p, opt.Seed, opt.Instructions)
+	colors := sizeKB * 1024 / physPageSize
+	per, err := mapPhysical([]synth.Profile{p}, opt, 32, func(ctx context.Context, p synth.Profile, sim physSim) ([]PagePolicyRow, error) {
+		var rows []PagePolicyRow
+		for _, pol := range []vm.Policy{vm.RandomAlloc, vm.Sequential, vm.PageColoring, vm.BinHopping} {
+			var sample stats.Sample
+			for trial := 0; trial < opt.Trials; trial++ {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
+				mapper, err := vm.NewMapper(vm.Config{PageSize: physPageSize, Policy: pol, Colors: colors, Seed: p.Seed})
+				if err != nil {
+					return nil, err
+				}
+				mapper.ResetTrial(uint64(trial))
+				c := cache.MustNew(cache.Config{Size: sizeKB * 1024, LineSize: 32, Assoc: 1})
+				sim(mapper, c)
+				st := c.Stats()
+				sample.Add(100 * float64(st.Misses) / float64(st.Accesses))
+			}
+			rows = append(rows, PagePolicyRow{
+				Policy: pol, MeanMPI: sample.Mean(), StdDev: sample.StdDev(),
+			})
+		}
+		return rows, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	res := &PagePolicyResult{Workload: p.Name, SizeKB: sizeKB}
-	colors := sizeKB * 1024 / 4096
-	for _, pol := range []vm.Policy{vm.RandomAlloc, vm.Sequential, vm.PageColoring, vm.BinHopping} {
-		var sample stats.Sample
-		for trial := 0; trial < opt.Trials; trial++ {
-			mapper, err := vm.NewMapper(vm.Config{Policy: pol, Colors: colors, Seed: p.Seed})
-			if err != nil {
-				return nil, err
-			}
-			mapper.ResetTrial(uint64(trial))
-			c := cache.MustNew(cache.Config{Size: sizeKB * 1024, LineSize: 32, Assoc: 1})
-			for _, r := range refs {
-				c.Access(mapper.Translate(r.Addr, r.Domain))
-			}
-			st := c.Stats()
-			sample.Add(100 * float64(st.Misses) / float64(st.Accesses))
-		}
-		res.Rows = append(res.Rows, PagePolicyRow{
-			Policy: pol, MeanMPI: sample.Mean(), StdDev: sample.StdDev(),
-		})
-	}
-	return res, nil
+	return &PagePolicyResult{Workload: p.Name, SizeKB: sizeKB, Rows: per[0]}, nil
 }
 
 // Render prints the policy table.

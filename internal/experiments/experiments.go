@@ -49,17 +49,20 @@ type Options struct {
 	Workers int
 	// PerConfig forces the accelerated experiments onto their original
 	// one-full-simulation-per-configuration paths: Figures 1, 3, and 4 fall
-	// back from the single-pass sweep engine (internal/sweep), and Tables
-	// 5-8 plus Figures 6/7 fall back from the fan-out replay driver
-	// (internal/replay) to per-engine fetch.Run over the expanded trace.
+	// back from the single-pass sweep engine (internal/sweep); Tables 5-8
+	// plus Figures 6/7 fall back from the fan-out replay driver
+	// (internal/replay) to per-engine fetch.Run over the expanded trace; and
+	// Figure 5 plus the pagepolicy ablation fall back from the line-event
+	// kernel (physical.go) to one Translate and one Access per reference.
 	// Every pair of paths renders byte-identical output — internal/check's
-	// sweep and fanout differentials enforce that — so PerConfig exists as
-	// the trusted reference executor, not as a semantic switch.
+	// sweep, fanout and figure5-physical differentials enforce that — so
+	// PerConfig exists as the trusted reference executor, not as a semantic
+	// switch.
 	PerConfig bool
 	// Context, when non-nil, cancels the experiment: in-flight workers
-	// observe cancellation at their next trace acquisition or sweep
-	// checkpoint and the run returns ctx.Err(). Nil means Background (run to
-	// completion).
+	// observe cancellation at their next trace acquisition, sweep
+	// checkpoint or physically-indexed cell, and the run returns ctx.Err().
+	// Nil means Background (run to completion).
 	Context context.Context
 	// Timeout, when positive, bounds one experiment's wall-clock time.
 	// Orchestrators (cmd/ibstables) derive a per-exhibit deadline context

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -545,7 +546,9 @@ type Figure5Result struct {
 func figure5Workloads() []string { return []string{"verilog", "gs", "eqntott", "espresso"} }
 
 // Figure5 runs the variability experiment. The miss penalty is the
-// DECstation's 6 cycles, matching the Tapeworm measurement platform.
+// DECstation's 6 cycles, matching the Tapeworm measurement platform. Each
+// (size, assoc, trial) cell is one physically-indexed simulation through
+// mapPhysical; cancellation is checked between cells.
 func Figure5(opt Options) (*Figure5Result, error) {
 	opt = opt.withDefaults()
 	sizesKB := []int{4, 8, 16, 32, 64, 128, 256, 512, 1024}
@@ -560,21 +563,27 @@ func Figure5(opt Options) (*Figure5Result, error) {
 		}
 		profiles = append(profiles, p)
 	}
-	per, err := mapTraces(profiles, opt, func(p synth.Profile, refs []trace.Ref) ([]Figure5Point, error) {
+	per, err := mapPhysical(profiles, opt, 32, func(ctx context.Context, p synth.Profile, sim physSim) ([]Figure5Point, error) {
 		var points []Figure5Point
 		for _, kb := range sizesKB {
 			for _, a := range assocs {
 				var sample stats.Sample
+				// One cache per geometry, emptied for each trial: up to 1 MB
+				// of tags per allocation otherwise dominates the exhibit's
+				// garbage.
+				c := cache.MustNew(cache.Config{Size: kb * 1024, LineSize: 32, Assoc: a})
 				for trial := 0; trial < opt.Trials; trial++ {
+					if err := ctx.Err(); err != nil {
+						return nil, err
+					}
 					mapper := vm.MustNewMapper(vm.Config{
-						Policy: vm.RandomAlloc,
-						Seed:   p.Seed*1000 + uint64(kb)*10 + uint64(a),
+						PageSize: physPageSize,
+						Policy:   vm.RandomAlloc,
+						Seed:     p.Seed*1000 + uint64(kb)*10 + uint64(a),
 					})
 					mapper.ResetTrial(uint64(trial))
-					c := cache.MustNew(cache.Config{Size: kb * 1024, LineSize: 32, Assoc: a})
-					for _, r := range refs {
-						c.Access(mapper.Translate(r.Addr, r.Domain))
-					}
+					c.Reset()
+					sim(mapper, c)
 					st := c.Stats()
 					mpi := float64(st.Misses) / float64(st.Accesses)
 					sample.Add(mpi * missPenalty)

@@ -172,14 +172,7 @@ func Table4(opt Options) (*Table4Result, error) {
 	opt = opt.withDefaults()
 	res := &Table4Result{}
 	cfg := BaseL1()
-	for _, p := range synth.IBSMach() {
-		var row Table4Row
-		row.OS = "Mach 3.0"
-		row.Workload = p.Name
-		refs, err := synth.InstrTrace(p, opt.Seed, opt.Instructions)
-		if err != nil {
-			return nil, err
-		}
+	rows, err := mapTraces(synth.IBSMach(), opt, func(p synth.Profile, refs []trace.Ref) (Table4Row, error) {
 		c := cache.MustNew(cfg)
 		var counts trace.Counts
 		for _, r := range refs {
@@ -187,11 +180,20 @@ func Table4(opt Options) (*Table4Result, error) {
 			counts.Observe(r)
 		}
 		st := c.Stats()
-		row.MPI = 100 * float64(st.Misses) / float64(st.Accesses)
-		row.User = counts.DomainFraction(trace.User)
-		row.Kernel = counts.DomainFraction(trace.Kernel)
-		row.BSD = counts.DomainFraction(trace.BSDServer)
-		row.X = counts.DomainFraction(trace.XServer)
+		return Table4Row{
+			OS:       "Mach 3.0",
+			Workload: p.Name,
+			MPI:      100 * float64(st.Misses) / float64(st.Accesses),
+			User:     counts.DomainFraction(trace.User),
+			Kernel:   counts.DomainFraction(trace.Kernel),
+			BSD:      counts.DomainFraction(trace.BSDServer),
+			X:        counts.DomainFraction(trace.XServer),
+		}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, row := range rows {
 		res.Rows = append(res.Rows, row)
 		res.MachAvg += row.MPI / 8
 	}
