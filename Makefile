@@ -113,12 +113,13 @@ serve:
 # records wall-clock and speedups in BENCH_ibsim.json, and exits non-zero
 # if any gated ratio regresses more than 20% against its recorded
 # baseline. Also runs the bulk-replay microbenchmarks (trace compaction,
-# per-ref vs FetchRun replay, columnar encode/decode) and the Figure 5 cell
-# on the per-reference loop vs the line-event kernel.
+# per-ref vs FetchRun replay, columnar encode/decode), the Figure 5 cell
+# on the per-reference loop vs the line-event kernel, the R2000 TLB over a
+# recorded gcc stream, and one Table 1/3 DECstation 3100 row.
 bench:
 	$(GO) run ./cmd/ibscheck -bench-only -n 200000
-	$(GO) test -run='^$$' -bench='CompactAppend|FetchPerRef|FetchRun|Columnar|Physical' -benchmem \
-		./internal/trace ./internal/fetch ./internal/experiments
+	$(GO) test -run='^$$' -bench='CompactAppend|FetchPerRef|FetchRun|Columnar|Physical|TLBAccess|DECstationRow' -benchmem \
+		./internal/trace ./internal/fetch ./internal/tlb ./internal/experiments
 
 # Go microbenchmarks (cache hot path, sweep engine, generators).
 microbench:

@@ -49,8 +49,11 @@ type System struct {
 	tlbStall     int64
 	wbStall      int64
 
-	// Write buffer: completion times of in-flight writes, oldest first.
+	// Write buffer: a ring of WriteBufferDepth completion times of
+	// in-flight writes; wbLen of them, oldest at wbHead.
 	wb      []int64
+	wbHead  int
+	wbLen   int
 	lastEnd int64
 
 	// Execution-time split.
@@ -71,7 +74,7 @@ func NewSystem() *System {
 		tlb: tlb.MustNew(tlb.Config{
 			Entries: m.TLBEntries, PageSize: m.PageSize, Assoc: 0,
 		}),
-		wb: make([]int64, 0, m.WriteBufferDepth),
+		wb: make([]int64, m.WriteBufferDepth),
 	}
 }
 
@@ -121,22 +124,36 @@ func (s *System) lookupTLB(r trace.Ref) {
 func (s *System) store() {
 	now := s.now()
 	// Retire completed writes.
-	for len(s.wb) > 0 && s.wb[0] <= now {
-		s.wb = s.wb[1:]
+	for s.wbLen > 0 && s.wb[s.wbHead] <= now {
+		s.popWrite()
 	}
-	if len(s.wb) >= s.m.WriteBufferDepth {
+	if s.wbLen == len(s.wb) {
 		// Buffer full: stall until the oldest write retires.
-		wait := s.wb[0] - now
-		s.wbStall += wait
-		now = s.wb[0]
-		s.wb = s.wb[1:]
+		oldest := s.wb[s.wbHead]
+		s.wbStall += oldest - now
+		now = oldest
+		s.popWrite()
 	}
 	start := now
 	if s.lastEnd > start {
 		start = s.lastEnd
 	}
 	s.lastEnd = start + int64(s.m.WriteCycles)
-	s.wb = append(s.wb, s.lastEnd)
+	tail := s.wbHead + s.wbLen
+	if tail >= len(s.wb) {
+		tail -= len(s.wb)
+	}
+	s.wb[tail] = s.lastEnd
+	s.wbLen++
+}
+
+// popWrite retires the oldest buffered write.
+func (s *System) popWrite() {
+	s.wbHead++
+	if s.wbHead == len(s.wb) {
+		s.wbHead = 0
+	}
+	s.wbLen--
 }
 
 // ProcessAll drains a source through the system.

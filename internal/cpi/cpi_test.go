@@ -165,3 +165,21 @@ func TestSuiteShapes(t *testing.T) {
 		t.Errorf("degenerate total: %+v", ibs)
 	}
 }
+
+// TestProcessDoesNotAllocate: the write buffer is a fixed ring, so an
+// instruction followed by a store burst longer than the buffer allocates
+// nothing.
+func TestProcessDoesNotAllocate(t *testing.T) {
+	s := NewSystem()
+	var addr uint64
+	allocs := testing.AllocsPerRun(100, func() {
+		addr += 4
+		s.Process(trace.Ref{Addr: addr, Kind: trace.IFetch})
+		for i := 0; i < 6; i++ {
+			s.Process(trace.Ref{Addr: 0x100000 + addr + uint64(i)*4, Kind: trace.DWrite})
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Process allocated %.1f times per instruction and store burst", allocs)
+	}
+}

@@ -61,8 +61,9 @@ type Options struct {
 	PerConfig bool
 	// Context, when non-nil, cancels the experiment: in-flight workers
 	// observe cancellation at their next trace acquisition, sweep
-	// checkpoint or physically-indexed cell, and the run returns ctx.Err().
-	// Nil means Background (run to completion).
+	// checkpoint, physically-indexed cell or, in the DECstation 3100 rows
+	// of Tables 1 and 3, block of 65,536 instructions, and the run returns
+	// ctx.Err(). Nil means Background (run to completion).
 	Context context.Context
 	// Timeout, when positive, bounds one experiment's wall-clock time.
 	// Orchestrators (cmd/ibstables) derive a per-exhibit deadline context
@@ -231,11 +232,12 @@ func mapBanks(profiles []synth.Profile, opt Options, mk func() ([]fetch.Engine, 
 // mapProfiles runs worker over profiles concurrently (bounded by
 // opt.workers) and returns results in profile order. Unlike mapTraces, the
 // worker generates its own reference stream — used by whole-system
-// experiments that need interleaved data references.
-func mapProfiles[T any](profiles []synth.Profile, opt Options, worker func(p synth.Profile) (T, error)) ([]T, error) {
+// experiments that need interleaved data references. The worker gets the
+// runner's context and should check it as it goes.
+func mapProfiles[T any](profiles []synth.Profile, opt Options, worker func(ctx context.Context, p synth.Profile) (T, error)) ([]T, error) {
 	return mapOrdered(opt.ctx(), len(profiles), opt.workers(), profileName(profiles),
-		func(_ context.Context, i int) (T, error) {
-			return worker(profiles[i])
+		func(ctx context.Context, i int) (T, error) {
+			return worker(ctx, profiles[i])
 		})
 }
 
@@ -326,7 +328,7 @@ func mapOrdered[T any](ctx context.Context, n, workers int, nameOf func(int) str
 func PanicIsolationSelfTest(opt Options) error {
 	profiles := ibsProfiles()
 	victim := profiles[len(profiles)/2].Name
-	_, err := mapProfiles(profiles, opt.withDefaults(), func(p synth.Profile) (int, error) {
+	_, err := mapProfiles(profiles, opt.withDefaults(), func(_ context.Context, p synth.Profile) (int, error) {
 		if p.Name == victim {
 			panic(fmt.Sprintf("injected fault in %s", p.Name))
 		}

@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"ibsim/internal/synth"
 )
 
 // testOpt keeps integration runs quick; shape assertions below are robust at
@@ -34,6 +37,25 @@ func TestTable1Shape(t *testing.T) {
 	}
 	if !strings.Contains(res.Render(), "specfp92") {
 		t.Error("render missing rows")
+	}
+}
+
+var rowSink Table1Row
+
+// BenchmarkDECstationRow times one Table 1/3 row: gcc's generator feeding
+// 500k instructions, data references included, through the DECstation 3100
+// model.
+func BenchmarkDECstationRow(b *testing.B) {
+	p, err := synth.Lookup("gcc")
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := Options{Instructions: 500_000}.withDefaults()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if rowSink, err = decstationRow(context.Background(), p, opt); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

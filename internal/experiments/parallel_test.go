@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"ibsim/internal/cache"
@@ -56,8 +57,8 @@ func TestMapTracesMatchesSerial(t *testing.T) {
 func TestMapProfilesMatchesSerial(t *testing.T) {
 	profiles := specProfiles()
 	opt := Options{Instructions: 20_000}
-	worker := func(p synth.Profile) (Table1Row, error) {
-		return decstationRow(p, opt)
+	worker := func(ctx context.Context, p synth.Profile) (Table1Row, error) {
+		return decstationRow(ctx, p, opt)
 	}
 
 	serialOpt := opt

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -109,5 +110,49 @@ func TestContextPlumbingPreservesOutput(t *testing.T) {
 	}
 	if plain.Render() != withCtx.Render() {
 		t.Fatal("context-carrying run rendered different output")
+	}
+}
+
+// With a deadline far shorter than one DECstation 3100 row, Tables 1 and 3
+// return context.DeadlineExceeded long before that row would finish: the
+// rows check the context every decstationCheckEvery instructions rather
+// than only between workloads.
+func TestDECstationDeadlineStopsWithinRow(t *testing.T) {
+	if testing.Short() {
+		t.Skip("times full DECstation rows")
+	}
+	opt := Options{Instructions: 2_000_000, Workers: 2}.withDefaults()
+	// The fastest warm run of a SPEC and an IBS row sets the scale.
+	row := time.Duration(math.MaxInt64)
+	for _, p := range []synth.Profile{synth.SPECSuites()[2], synth.IBSMach()[0]} {
+		for i := 0; i < 2; i++ {
+			start := time.Now()
+			if _, err := decstationRow(context.Background(), p, opt); err != nil {
+				t.Fatal(err)
+			}
+			row = min(row, time.Since(start))
+		}
+	}
+	for _, ex := range []struct {
+		name string
+		run  func(Options) error
+	}{
+		{"table1", func(o Options) error { _, err := Table1(o); return err }},
+		{"table3", func(o Options) error { _, err := Table3(o); return err }},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), row/20)
+		o := opt
+		o.Context = ctx
+		start := time.Now()
+		err := ex.run(o)
+		took := time.Since(start)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s: err = %v, want context.DeadlineExceeded", ex.name, err)
+		}
+		t.Logf("%s: one row %v, %v deadline returned after %v", ex.name, row, row/20, took)
+		if took > row/2 {
+			t.Fatalf("%s: returned after %v with a %v deadline; one row takes about %v", ex.name, took, row/20, row)
+		}
 	}
 }

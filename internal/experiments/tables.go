@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"ibsim/internal/cache"
@@ -31,8 +32,8 @@ type Table1Result struct {
 // model.
 func Table1(opt Options) (*Table1Result, error) {
 	opt = opt.withDefaults()
-	rows, err := mapProfiles(synth.SPECSuites(), opt, func(p synth.Profile) (Table1Row, error) {
-		return decstationRow(p, opt)
+	rows, err := mapProfiles(synth.SPECSuites(), opt, func(ctx context.Context, p synth.Profile) (Table1Row, error) {
+		return decstationRow(ctx, p, opt)
 	})
 	if err != nil {
 		return nil, err
@@ -40,17 +41,28 @@ func Table1(opt Options) (*Table1Result, error) {
 	return &Table1Result{Rows: rows}, nil
 }
 
+// decstationCheckEvery is how many instructions decstationRow simulates
+// between cancellation checks: a few milliseconds of work, so a deadline
+// stops a row long before it would finish.
+const decstationCheckEvery = 1 << 16
+
 // decstationRow runs one workload (with data references) through the
-// DECstation 3100 system model.
-func decstationRow(p synth.Profile, opt Options) (Table1Row, error) {
+// DECstation 3100 system model, returning ctx.Err() once ctx is done.
+func decstationRow(ctx context.Context, p synth.Profile, opt Options) (Table1Row, error) {
 	g, err := synth.NewGenerator(p, opt.Seed)
 	if err != nil {
 		return Table1Row{}, err
 	}
 	s := cpi.NewSystem()
 	for s.Instructions() < opt.Instructions {
-		r, _ := g.Next()
-		s.Process(r)
+		if err := ctx.Err(); err != nil {
+			return Table1Row{}, err
+		}
+		end := min(s.Instructions()+decstationCheckEvery, opt.Instructions)
+		for s.Instructions() < end {
+			r, _ := g.Next()
+			s.Process(r)
+		}
 	}
 	return Table1Row{
 		Suite:      p.Name,
@@ -92,42 +104,44 @@ type Table3Result struct {
 }
 
 // Table3 simulates IBS under both OS models and the SPEC92 suites on the
-// DECstation 3100 model.
+// DECstation 3100 model. All 18 workloads run as one map, so no worker
+// idles at a suite boundary; each suite's row averages its workloads in
+// suite order.
 func Table3(opt Options) (*Table3Result, error) {
 	opt = opt.withDefaults()
+	spec := synth.SPECSuites()
+	suites := []struct {
+		name     string
+		profiles []synth.Profile
+	}{
+		{"IBS (Mach 3.0)", synth.IBSMach()},
+		{"IBS (Ultrix 3.1)", synth.IBSUltrix()},
+		{"SPECint92", spec[2:3]},
+		{"SPECfp92", spec[3:4]},
+	}
+	var profiles []synth.Profile
+	for _, su := range suites {
+		profiles = append(profiles, su.profiles...)
+	}
+	perRows, err := mapProfiles(profiles, opt, func(ctx context.Context, p synth.Profile) (Table1Row, error) {
+		return decstationRow(ctx, p, opt)
+	})
+	if err != nil {
+		return nil, err
+	}
 	res := &Table3Result{}
-	suite := func(name string, profiles []synth.Profile) error {
-		var row Table3Row
-		row.Suite = name
-		n := float64(len(profiles))
-		perRows, err := mapProfiles(profiles, opt, func(p synth.Profile) (Table1Row, error) {
-			return decstationRow(p, opt)
-		})
-		if err != nil {
-			return err
-		}
-		for _, r := range perRows {
+	for _, su := range suites {
+		row := Table3Row{Suite: su.name}
+		n := float64(len(su.profiles))
+		for _, r := range perRows[:len(su.profiles)] {
 			row.UserShare += r.UserShare / n
 			row.OSShare += r.OSShare / n
 			row.Instr += r.Components.Instr / n
 			row.Data += r.Components.Data / n
 			row.Write += r.Components.Write / n
 		}
+		perRows = perRows[len(su.profiles):]
 		res.Rows = append(res.Rows, row)
-		return nil
-	}
-	if err := suite("IBS (Mach 3.0)", synth.IBSMach()); err != nil {
-		return nil, err
-	}
-	if err := suite("IBS (Ultrix 3.1)", synth.IBSUltrix()); err != nil {
-		return nil, err
-	}
-	suites := synth.SPECSuites()
-	if err := suite("SPECint92", []synth.Profile{suites[2]}); err != nil {
-		return nil, err
-	}
-	if err := suite("SPECfp92", []synth.Profile{suites[3]}); err != nil {
-		return nil, err
 	}
 	return res, nil
 }

@@ -15,6 +15,15 @@ import (
 // SPEC benchmarks.
 type zipf struct {
 	cum []float64 // cum[r] = P(rank <= r); cum[n-1] == 1
+	// guide[k] is the first rank r whose bucket(cum[r]) >= k, where
+	// bucket(x) = int(x*n) and n = len(cum); guide[n+1] = n-1. A draw f in
+	// bucket k has its rank in [guide[k], guide[k+1]]: every rank below
+	// guide[k] sits in a lower bucket, so its cum is below f, and
+	// guide[k+1] sits in a higher bucket (or is the last rank), so its cum
+	// is at least f. bucket is monotone in x under float rounding, so the
+	// bounds hold exactly, not only in real arithmetic.
+	guide []int32
+	scale float64 // float64(n)
 }
 
 // zipfCache memoizes inverse-CDF tables by (n, s). The table is a pure
@@ -57,8 +66,28 @@ func buildZipf(n int, s float64) *zipf {
 		cum[r] *= inv
 	}
 	cum[n-1] = 1 // guard against rounding
-	return &zipf{cum: cum}
+	return zipfFromCDF(cum)
 }
+
+// zipfFromCDF builds the sampler's guide table over cum, which must end
+// at 1.
+func zipfFromCDF(cum []float64) *zipf {
+	n := len(cum)
+	z := &zipf{cum: cum, guide: make([]int32, n+2), scale: float64(n)}
+	r := 0
+	for k := 0; k <= n; k++ {
+		// Terminates: bucket(cum[n-1]) = bucket(1) = n >= k.
+		for z.bucket(cum[r]) < k {
+			r++
+		}
+		z.guide[k] = int32(r)
+	}
+	z.guide[n+1] = int32(n - 1)
+	return z
+}
+
+// bucket maps a cumulative probability to its guide-table slot.
+func (z *zipf) bucket(x float64) int { return int(x * z.scale) }
 
 // invPow computes x^(-s) for x >= 1, s > 0 using exp/ln via the math
 // library-free square-and-multiply in xrand would be overkill here; the
@@ -109,12 +138,16 @@ func sqrt(u float64) float64 {
 }
 
 // draw samples a rank.
-func (z *zipf) draw(rng *xrand.Source) int {
-	f := rng.Float64()
-	// Binary search for the first cum[r] >= f.
-	lo, hi := 0, len(z.cum)-1
+func (z *zipf) draw(rng *xrand.Source) int { return z.rank(rng.Float64()) }
+
+// rank returns the first rank r with cum[r] >= f, for f in [0, 1): a binary
+// search confined to the guide table's bounds for f's bucket, which hold at
+// most a few ranks for all but the head of the distribution.
+func (z *zipf) rank(f float64) int {
+	k := z.bucket(f)
+	lo, hi := int(z.guide[k]), int(z.guide[k+1])
 	for lo < hi {
-		mid := (lo + hi) / 2
+		mid := int(uint(lo+hi) >> 1)
 		if z.cum[mid] < f {
 			lo = mid + 1
 		} else {

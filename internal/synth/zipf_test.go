@@ -99,3 +99,66 @@ func TestZipfDegenerate(t *testing.T) {
 		t.Fatal("single-rank draw != 0")
 	}
 }
+
+// searchRank is the plain binary search over the whole CDF that the guide
+// table narrows: the first rank r with cum[r] >= f.
+func searchRank(cum []float64, f float64) int {
+	lo, hi := 0, len(cum)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if cum[mid] < f {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// TestZipfGuideMatchesSearch requires the guide-table rank to equal the
+// full binary search's for random draws and for f exactly at, one ulp below
+// and one ulp above every bucket boundary k/n and every CDF value. The
+// hand-built CDF puts a rank one ulp below 5/6, where 6*f rounds up to 5:
+// a table built from the exact boundaries k/n would start that draw's
+// search past its rank.
+func TestZipfGuideMatchesSearch(t *testing.T) {
+	var zs []*zipf
+	for _, sh := range []struct {
+		n int
+		s float64
+	}{
+		{1, 1}, {2, 1.2}, {3, 2.6}, {7, 0.5}, {50, 1.5}, {64, 1.5}, {100, 1.0},
+		{780, 1.3}, {1000, 2.4}, {1024, 1.8}, {3000, 1.05}, {16384, 1.8},
+	} {
+		zs = append(zs, newZipf(sh.n, sh.s))
+	}
+	zs = append(zs, zipfFromCDF([]float64{0.1, 0.3, 0.5, 0.7, math.Nextafter(5.0/6, 0), 1}))
+	rng := xrand.New(11)
+	for _, z := range zs {
+		n := len(z.cum)
+		check := func(f float64) {
+			if f < 0 || f >= 1 {
+				return
+			}
+			if got, want := z.rank(f), searchRank(z.cum, f); got != want {
+				t.Fatalf("n=%d f=%v: rank %d, binary search %d", n, f, got, want)
+			}
+		}
+		for k := 0; k <= n; k++ {
+			b := float64(k) / float64(n)
+			check(b)
+			check(math.Nextafter(b, 0))
+			check(math.Nextafter(b, 1))
+		}
+		for _, c := range z.cum {
+			check(c)
+			check(math.Nextafter(c, 0))
+			check(math.Nextafter(c, 1))
+		}
+		check(0)
+		check(math.Nextafter(1, 0))
+		for i := 0; i < 20000; i++ {
+			check(rng.Float64())
+		}
+	}
+}

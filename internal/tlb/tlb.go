@@ -74,15 +74,29 @@ type entry struct {
 // TLB is a translation lookaside buffer model. Entries are tagged with the
 // protection domain (an ASID stand-in), so domain switches do not require
 // flushes but mappings are not shared across domains.
+//
+// Lookups go through a small table of slot hints indexed by a hash of
+// (vpn, domain). A mapping lives in at most one slot, so a hinted slot that
+// is valid and holds the vpn and domain is the hit a scan would find; any
+// other hint (never written, overwritten by a colliding key, or left behind
+// by an eviction, FlushDomain or Reset) fails that check and the lookup
+// falls back to scanning the set. Hints therefore change only the cost of a
+// lookup, never its outcome.
 type TLB struct {
 	cfg       Config
 	pageShift uint
 	sets      int
 	entries   []entry
+	hints     []int32 // slot index last seen holding the key; a guess
+	hintShift uint    // 64 - log2(len(hints))
 	clock     uint64
 	rng       *xrand.Source
 	stats     Stats
 }
+
+// hintsPerEntry sizes the hint table relative to the TLB, keeping hash
+// collisions between resident mappings rare.
+const hintsPerEntry = 4
 
 // New validates cfg and returns an empty TLB.
 func New(cfg Config) (*TLB, error) {
@@ -110,6 +124,13 @@ func New(cfg Config) (*TLB, error) {
 	for p := cfg.PageSize; p > 1; p >>= 1 {
 		t.pageShift++
 	}
+	nh := 1
+	t.hintShift = 64
+	for nh < hintsPerEntry*cfg.Entries {
+		nh <<= 1
+		t.hintShift--
+	}
+	t.hints = make([]int32, nh)
 	if cfg.Replacement == Random {
 		t.rng = xrand.New(cfg.Seed ^ 0x7e5b)
 	}
@@ -146,38 +167,51 @@ func (t *TLB) Access(addr uint64, d trace.Domain) bool {
 	t.stats.Accesses++
 	t.clock++
 	vpn := addr >> t.pageShift
-	set := int(vpn) & (t.sets - 1)
-	base := set * t.cfg.Assoc
-	free := -1
-	for i := 0; i < t.cfg.Assoc; i++ {
-		e := &t.entries[base+i]
-		if e.valid && e.tag == vpn && e.domain == d {
+	h := int(((vpn<<2 ^ uint64(d)) * 0x9e3779b97f4a7c15) >> t.hintShift)
+	if e := &t.entries[t.hints[h]]; e.valid && e.tag == vpn && e.domain == d {
+		t.stats.Hits++
+		if t.cfg.Replacement == LRU {
+			e.stamp = t.clock
+		}
+		return true
+	}
+	// One pass over the set finds the mapping, or else the first free slot
+	// and the least-recently-stamped one (lowest index on ties).
+	assoc := t.cfg.Assoc
+	base := (int(vpn) & (t.sets - 1)) * assoc
+	set := t.entries[base : base+assoc]
+	free, oldest := -1, 0
+	for i := range set {
+		e := &set[i]
+		if !e.valid {
+			if free < 0 {
+				free = i
+			}
+			continue
+		}
+		if e.tag == vpn && e.domain == d {
 			t.stats.Hits++
 			if t.cfg.Replacement == LRU {
 				e.stamp = t.clock
 			}
+			t.hints[h] = int32(base + i)
 			return true
 		}
-		if !e.valid && free < 0 {
-			free = base + i
+		if e.stamp < set[oldest].stamp {
+			oldest = i
 		}
 	}
 	t.stats.Misses++
 	victim := free
 	if victim < 0 {
-		switch t.cfg.Replacement {
-		case Random:
-			victim = base + t.rng.Intn(t.cfg.Assoc)
-		default:
-			victim = base
-			for i := 1; i < t.cfg.Assoc; i++ {
-				if t.entries[base+i].stamp < t.entries[victim].stamp {
-					victim = base + i
-				}
-			}
+		if t.cfg.Replacement == Random {
+			victim = t.rng.Intn(assoc)
+		} else {
+			victim = oldest
 		}
 	}
-	t.entries[victim] = entry{tag: vpn, domain: d, valid: true, stamp: t.clock}
+	set[victim] = entry{tag: vpn, domain: d, valid: true, stamp: t.clock}
+	t.hints[h] = int32(base + victim)
 	return false
 }
 

@@ -4,7 +4,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ibsim/internal/synth"
 	"ibsim/internal/trace"
+	"ibsim/internal/xrand"
 )
 
 func TestConfigValidation(t *testing.T) {
@@ -216,4 +218,153 @@ func TestTLBProperties(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// refTLB is the reference model for TLB: a plain linear scan. Every access
+// scans its whole set for the mapping, and a miss in a full set scans it
+// again for the least-recently-stamped victim.
+type refTLB struct {
+	cfg     Config
+	shift   uint
+	sets    int
+	entries []entry
+	clock   uint64
+	rng     *xrand.Source
+	stats   Stats
+}
+
+func newRefTLB(cfg Config) *refTLB {
+	n := MustNew(cfg).Config()
+	r := &refTLB{cfg: n, sets: n.Entries / n.Assoc, entries: make([]entry, n.Entries)}
+	for p := n.PageSize; p > 1; p >>= 1 {
+		r.shift++
+	}
+	if n.Replacement == Random {
+		r.rng = xrand.New(n.Seed ^ 0x7e5b)
+	}
+	return r
+}
+
+func (t *refTLB) Reset() {
+	for i := range t.entries {
+		t.entries[i] = entry{}
+	}
+	t.stats = Stats{}
+	t.clock = 0
+}
+
+func (t *refTLB) FlushDomain(d trace.Domain) int {
+	n := 0
+	for i := range t.entries {
+		if t.entries[i].valid && t.entries[i].domain == d {
+			t.entries[i] = entry{}
+			n++
+		}
+	}
+	return n
+}
+
+func (t *refTLB) Access(addr uint64, d trace.Domain) bool {
+	t.stats.Accesses++
+	t.clock++
+	vpn := addr >> t.shift
+	set := int(vpn) & (t.sets - 1)
+	base := set * t.cfg.Assoc
+	free := -1
+	for i := 0; i < t.cfg.Assoc; i++ {
+		e := &t.entries[base+i]
+		if e.valid && e.tag == vpn && e.domain == d {
+			t.stats.Hits++
+			if t.cfg.Replacement == LRU {
+				e.stamp = t.clock
+			}
+			return true
+		}
+		if !e.valid && free < 0 {
+			free = base + i
+		}
+	}
+	t.stats.Misses++
+	victim := free
+	if victim < 0 {
+		switch t.cfg.Replacement {
+		case Random:
+			victim = base + t.rng.Intn(t.cfg.Assoc)
+		default:
+			victim = base
+			for i := 1; i < t.cfg.Assoc; i++ {
+				if t.entries[base+i].stamp < t.entries[victim].stamp {
+					victim = base + i
+				}
+			}
+		}
+	}
+	t.entries[victim] = entry{tag: vpn, domain: d, valid: true, stamp: t.clock}
+	return false
+}
+
+// TestAccessMatchesReference drives the TLB and the linear-scan reference
+// with the same random streams — four domains sharing one small vpn pool,
+// so mappings collide across domains and evictions are frequent, with
+// FlushDomain and Reset interleaved — and requires the same hit or miss on
+// every access, the same FlushDomain counts and the same final Stats.
+func TestAccessMatchesReference(t *testing.T) {
+	rng := xrand.New(1)
+	for _, pol := range []Replacement{LRU, FIFO, Random} {
+		for _, entries := range []int{4, 8, 16, 64, 256} {
+			for _, assoc := range []int{1, 2, 4, 0} {
+				if assoc > entries {
+					continue
+				}
+				cfg := Config{Entries: entries, PageSize: 4096, Assoc: assoc, Replacement: pol, Seed: rng.Uint64()}
+				got, want := MustNew(cfg), newRefTLB(cfg)
+				pages := 1 + entries/2 + rng.Intn(2*entries)
+				for i := 0; i < 20000; i++ {
+					switch op := rng.Intn(1000); {
+					case op == 0:
+						got.Reset()
+						want.Reset()
+					case op < 4:
+						d := trace.Domain(rng.Intn(trace.NumDomains))
+						if g, w := got.FlushDomain(d), want.FlushDomain(d); g != w {
+							t.Fatalf("%+v: access %d: FlushDomain(%v) = %d, reference %d", cfg, i, d, g, w)
+						}
+					default:
+						addr := uint64(rng.Intn(pages))<<12 | uint64(rng.Intn(4096))
+						d := trace.Domain(rng.Intn(trace.NumDomains))
+						if g, w := got.Access(addr, d), want.Access(addr, d); g != w {
+							t.Fatalf("%+v: access %d (%#x, %v): hit %v, reference %v", cfg, i, addr, d, g, w)
+						}
+					}
+				}
+				if got.Stats() != want.stats {
+					t.Fatalf("%+v: stats %+v, reference %+v", cfg, got.Stats(), want.stats)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkTLBAccess times the R2000 TLB over a recorded full gcc stream
+// (instruction fetches and data references, 500k instructions) — the
+// translations the DECstation 3100 model performs for one workload.
+func BenchmarkTLBAccess(b *testing.B) {
+	p, err := synth.Lookup("gcc")
+	if err != nil {
+		b.Fatal(err)
+	}
+	refs, err := synth.Trace(p, 0, 500_000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tl := MustNew(R2000())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tl.Reset()
+		for _, r := range refs {
+			tl.Access(r.Addr, r.Domain)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(refs)), "ns/access")
 }

@@ -44,18 +44,14 @@ func New(seed uint64) *Source {
 }
 
 // Uint64 returns the next 64 uniformly distributed bits (xoshiro256**).
+// The step is written over local copies of the state words because that
+// form fits the compiler's inlining budget, so Float64 and the samplers
+// built on it run without a call per draw.
 func (s *Source) Uint64() uint64 {
-	result := bits.RotateLeft64(s.s[1]*5, 7) * 9
-	t := s.s[1] << 17
-
-	s.s[2] ^= s.s[0]
-	s.s[3] ^= s.s[1]
-	s.s[1] ^= s.s[2]
-	s.s[0] ^= s.s[3]
-	s.s[2] ^= t
-	s.s[3] = bits.RotateLeft64(s.s[3], 45)
-
-	return result
+	s0, s1 := s.s[0], s.s[1]
+	s2, s3 := s.s[2]^s0, s.s[3]^s1
+	s.s = [4]uint64{s0 ^ s3, s1 ^ s2, s2 ^ s1<<17, bits.RotateLeft64(s3, 45)}
+	return bits.RotateLeft64(s1*5, 7) * 9
 }
 
 // Intn returns a uniformly distributed int in [0, n). It panics if n <= 0.
