@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race check check-sampling bench-columnar bench-seek chaos crash cluster cluster-smoke serve bench microbench vet cover tables extensions calibration examples clean
+.PHONY: all build test test-short race check check-sampling check-columnar check-seek chaos crash cluster cluster-smoke serve bench microbench vet cover tables extensions calibration examples clean
 
 all: build vet test race check
 
@@ -31,31 +31,29 @@ check: vet
 	$(GO) run ./cmd/ibscheck -n 200000
 
 # Sampled-simulation verification: CI95 calibration of the set- and
-# time-sampled engines against exact sweeps, the warm-unbiasedness and
-# cold-bias statistical properties, the sampled-vs-exact speedup gate, and
-# the sampling property/engine tests under the race detector. (Flags must
-# precede the stage name: the Go flag parser stops at the first positional.)
+# time-sampled engines against exact sweeps (including the full 1-64KB grid's
+# accuracy and CI-hit floors), the warm-unbiasedness and cold-bias
+# statistical properties, and the sampling property/engine tests under the
+# race detector. (Flags must precede the stage name: the Go flag parser stops
+# at the first positional.)
 check-sampling:
 	$(GO) run ./cmd/ibscheck -o "" -n 200000 sampling-bounds
 	$(GO) test -race -run 'Sampl' ./internal/sampling ./internal/sweep \
 		./internal/replay ./internal/check ./internal/server
 
-# Columnar (IBSTRACE/v3) verification: the block-replay and block-sweep
-# differentials (mmap + ReaderAt modes vs in-memory, bit-exact) plus the
-# zero-copy replay benchmark gate — a trace 10x the store's hard RAM budget
-# must replay from disk with flat RSS at near-parity throughput. (Flags must
-# precede the stage name: the Go flag parser stops at the first positional.)
-bench-columnar:
+# Columnar (IBSTRACE/v3) verification: the block-replay, block-parallel and
+# block-sweep differentials — the one replay driver and the one sweep kernel
+# over the mmap and ReaderAt access modes and the in-memory runs, each
+# bit-exact against the []Ref oracle. (Flags must precede the stage name: the
+# Go flag parser stops at the first positional.)
+check-columnar:
 	$(GO) run ./cmd/ibscheck -o "" -n 200000 columnar-replay
 
 # Checkpoint-seek verification: the seek-sampled differential (RunSeek /
-# SampledSeek bit-identical to the run-materialized sampled paths), the
-# parallel-spill byte-identity differential, and the seek-vs-stream speedup
-# gate — a skip-mode sampled sweep at 1/16 window coverage on an over-budget
-# store must beat full streaming regeneration by the pinned ratio. (Flags
-# must precede the stage name: the Go flag parser stops at the first
-# positional.)
-bench-seek:
+# SampledSeek bit-identical to the in-memory sampled paths and the []Ref
+# oracle) and the parallel-spill byte-identity differential. (Flags must
+# precede the stage name: the Go flag parser stops at the first positional.)
+check-seek:
 	$(GO) run ./cmd/ibscheck -o "" -n 200000 seek
 
 # Seeded fault-injection (chaos) suite under the race detector: trace-codec
@@ -107,15 +105,14 @@ cluster-smoke:
 serve:
 	$(GO) run ./cmd/ibsimd
 
-# Benchmark-regression run: times the pinned stages plus the Figure 3+4
-# sweep-vs-per-config and Tables 5-8 + Figures 6/7 fanout-vs-per-config
-# comparisons and the columnar zero-copy replay gate at the golden scale,
-# records wall-clock and speedups in BENCH_ibsim.json, and exits non-zero
-# if any gated ratio regresses more than 20% against its recorded
-# baseline. Also runs the bulk-replay microbenchmarks (trace compaction,
-# per-ref vs FetchRun replay, columnar encode/decode), the Figure 5 cell
-# on the per-reference loop vs the line-event kernel, the R2000 TLB over a
-# recorded gcc stream, and one Table 1/3 DECstation 3100 row.
+# Benchmark-regression run: times the pinned stages at the golden scale,
+# compares their CPI/MPI against the committed goldens, and records the
+# wall-clock in BENCH_ibsim.json. Also runs the bulk-replay microbenchmarks
+# (trace compaction, per-ref vs FetchRun replay, columnar encode/decode), the
+# Figure 5 cell on the per-reference loop vs the line-event kernel, the R2000
+# TLB over a recorded gcc stream, and one Table 1/3 DECstation 3100 row.
+# Layer-by-layer timings with noise estimates come from the benchmark's
+# ledger: bash ibsbench/run.sh --workload serve-hot --seconds 10 --trace 1.
 bench:
 	$(GO) run ./cmd/ibscheck -bench-only -n 200000
 	$(GO) test -run='^$$' -bench='CompactAppend|FetchPerRef|FetchRun|Columnar|Physical|TLBAccess|DECstationRow' -benchmem \

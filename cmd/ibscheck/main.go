@@ -11,9 +11,9 @@
 //	ibscheck -print-golden         # emit the golden.go literal for this run
 //	ibscheck -faults               # chaos mode: seeded fault-injection suite
 //	ibscheck -faults -match '^chaos/crash-'   # only the crash-consistency scenarios
-//	ibscheck sampling-bounds       # only the sampling checks + bench
-//	ibscheck columnar-replay       # only the columnar checks + bench
-//	ibscheck seek                  # only the checkpoint-seek checks + bench
+//	ibscheck sampling-bounds       # only the sampling checks
+//	ibscheck columnar-replay       # only the columnar differentials
+//	ibscheck seek                  # only the checkpoint-seek differentials
 //
 // The exit status is 0 only when every check passes and every tracked stage
 // is within golden tolerance.
@@ -45,11 +45,6 @@ func run(args []string) int {
 	benchOnly := fs.Bool("bench-only", false, "skip invariant/differential checks, run only the bench stages")
 	faults := fs.Bool("faults", false, "run only the seeded fault-injection (chaos) suite")
 	match := fs.String("match", "", "regexp filtering chaos scenario names (with -faults)")
-	noFigures := fs.Bool("no-figures", false, "skip the Figure 3+4 sweep-vs-per-config benchmark")
-	noTables := fs.Bool("no-tables", false, "skip the Tables 5-8 + Figures 6/7 fanout-vs-per-config benchmark")
-	noSampling := fs.Bool("no-sampling", false, "skip the sampled-vs-exact sweep benchmark")
-	noColumnar := fs.Bool("no-columnar", false, "skip the columnar block-replay benchmark")
-	noSeek := fs.Bool("no-seek", false, "skip the checkpoint-seek streaming benchmark")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	if err := fs.Parse(args); err != nil {
@@ -87,47 +82,15 @@ func run(args []string) int {
 	opt := check.Options{Instructions: *n, Seed: *seed, ChaosFilter: *match}
 	start := time.Now()
 
-	if fs.Arg(0) == "sampling-bounds" {
-		return runSamplingBounds(opt, *out, start)
-	}
-	if fs.Arg(0) == "columnar-replay" {
-		return runColumnarReplay(opt, *out, start)
-	}
-	if fs.Arg(0) == "seek" {
-		return runSeek(opt, *out, start)
+	if stage, ok := focusedStages[fs.Arg(0)]; ok {
+		return runChecks(opt, *out, start, stage.what, stage.checks...)
 	}
 	if fs.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "ibscheck: unknown stage %q (did you mean sampling-bounds, columnar-replay, or seek?)\n", fs.Arg(0))
 		return 2
 	}
-
 	if *faults {
-		results, err := check.RunChaos(opt)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ibscheck: harness failure: %v\n", err)
-			return 2
-		}
-		for _, r := range results {
-			fmt.Printf("%-4s %-42s %s (%.2fs)\n", verdict(r.Passed), r.Name, r.Detail, r.Seconds)
-		}
-		report := check.Report{
-			Schema:       "ibsim-bench/v1",
-			Instructions: *n,
-			Seed:         *seed,
-			Checks:       results,
-			Passed:       check.AllPassed(results),
-			TotalSeconds: time.Since(start).Seconds(),
-		}
-		if err := writeReport(*out, report); err != nil {
-			fmt.Fprintf(os.Stderr, "ibscheck: %v\n", err)
-			return 2
-		}
-		if !report.Passed {
-			fmt.Println("FAIL")
-			return 1
-		}
-		fmt.Printf("PASS (%d fault scenarios, %.2fs)\n", len(results), report.TotalSeconds)
-		return 0
+		return runChecks(opt, *out, start, "fault scenarios", check.RunChaos)
 	}
 
 	var results []check.Result
@@ -158,66 +121,6 @@ func run(args []string) int {
 		stagesOK = stagesOK && s.Passed
 	}
 
-	var figures *check.FigureBench
-	if !*noFigures {
-		figures, err = check.RunFigureBench(opt)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ibscheck: %v\n", err)
-			return 2
-		}
-		fmt.Printf("%-4s bench/%-36s %s (%.2fs)\n", verdict(figures.Passed), "figure34-sweep", figures.Detail,
-			figures.PerConfigSeconds+figures.SweepSeconds)
-		stagesOK = stagesOK && figures.Passed
-	}
-
-	var tables *check.TablesBench
-	if !*noTables {
-		tables, err = check.RunTablesBench(opt)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ibscheck: %v\n", err)
-			return 2
-		}
-		fmt.Printf("%-4s bench/%-36s %s (%.2fs)\n", verdict(tables.Passed), "tables-fanout", tables.Detail,
-			tables.PerConfigSeconds+tables.FanoutSeconds)
-		stagesOK = stagesOK && tables.Passed
-	}
-
-	var samp *check.SamplingBench
-	if !*noSampling {
-		samp, err = check.RunSamplingBench(opt)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ibscheck: %v\n", err)
-			return 2
-		}
-		fmt.Printf("%-4s bench/%-36s %s (%.2fs)\n", verdict(samp.Passed), "sampling-sweep", samp.Detail,
-			samp.ExactSeconds+samp.SampledSeconds)
-		stagesOK = stagesOK && samp.Passed
-	}
-
-	var col *check.ColumnarBench
-	if !*noColumnar {
-		col, err = check.RunColumnarBench(opt)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ibscheck: %v\n", err)
-			return 2
-		}
-		fmt.Printf("%-4s bench/%-36s %s (%.2fs)\n", verdict(col.Passed), "columnar-replay", col.Detail,
-			col.InMemorySeconds+col.BlockSeconds)
-		stagesOK = stagesOK && col.Passed
-	}
-
-	var seek *check.SeekBench
-	if !*noSeek {
-		seek, err = check.RunSeekBench(opt)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ibscheck: %v\n", err)
-			return 2
-		}
-		fmt.Printf("%-4s bench/%-36s %s (%.2fs)\n", verdict(seek.Passed), "checkpoint-seek", seek.Detail,
-			seek.StreamSeconds+seek.SeekSeconds)
-		stagesOK = stagesOK && seek.Passed
-	}
-
 	report := check.Report{
 		Schema:       "ibsim-bench/v1",
 		Instructions: *n,
@@ -225,11 +128,6 @@ func run(args []string) int {
 		GoldenScale:  *n == check.PinnedInstructions && *seed == 0,
 		Checks:       results,
 		Stages:       stages,
-		Figure34:     figures,
-		Tables:       tables,
-		Sampling:     samp,
-		Columnar:     col,
-		Seek:         seek,
 		Passed:       check.AllPassed(results) && stagesOK,
 		TotalSeconds: time.Since(start).Seconds(),
 	}
@@ -245,97 +143,23 @@ func run(args []string) int {
 	return 0
 }
 
-// runColumnarReplay is the `ibscheck columnar-replay` stage: only the
-// columnar differential checks and the block-replay benchmark, for a fast CI
-// gate on the on-disk format (`make bench-columnar`).
-func runColumnarReplay(opt check.Options, out string, start time.Time) int {
-	results, err := check.ColumnarReplay(opt)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ibscheck: harness failure: %v\n", err)
-		return 2
-	}
-	for _, r := range results {
-		fmt.Printf("%-4s %-42s %s (%.2fs)\n", verdict(r.Passed), r.Name, r.Detail, r.Seconds)
-	}
-	col, err := check.RunColumnarBench(opt)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ibscheck: %v\n", err)
-		return 2
-	}
-	fmt.Printf("%-4s bench/%-36s %s (%.2fs)\n", verdict(col.Passed), "columnar-replay", col.Detail,
-		col.InMemorySeconds+col.BlockSeconds)
-	report := check.Report{
-		Schema:       "ibsim-bench/v1",
-		Instructions: opt.Instructions,
-		Seed:         opt.Seed,
-		GoldenScale:  opt.Instructions == check.PinnedInstructions && opt.Seed == 0,
-		Checks:       results,
-		Columnar:     col,
-		Passed:       check.AllPassed(results) && col.Passed,
-		TotalSeconds: time.Since(start).Seconds(),
-	}
-	if err := writeReport(out, report); err != nil {
-		fmt.Fprintf(os.Stderr, "ibscheck: %v\n", err)
-		return 2
-	}
-	if !report.Passed {
-		fmt.Println("FAIL")
-		return 1
-	}
-	fmt.Printf("PASS (%d columnar checks, %.2fs)\n", len(results), report.TotalSeconds)
-	return 0
+// focusedStages are the runs selected by a positional argument: one
+// family of checks each, for a fast CI target (flags must precede the stage
+// name: the flag parser stops at the first positional).
+var focusedStages = map[string]struct {
+	what   string
+	checks []func(check.Options) ([]check.Result, error)
+}{
+	"sampling-bounds": {"sampling checks", []func(check.Options) ([]check.Result, error){check.SamplingBounds, check.SamplingProperties}},
+	"columnar-replay": {"columnar checks", []func(check.Options) ([]check.Result, error){check.ColumnarReplay}},
+	"seek":            {"seek checks", []func(check.Options) ([]check.Result, error){check.SeekChecks}},
 }
 
-// runSeek is the `ibscheck seek` stage: only the checkpoint-seek
-// differential checks and the seek-vs-stream benchmark, for a fast CI gate
-// on the seekable-generator machinery (`make bench-seek`).
-func runSeek(opt check.Options, out string, start time.Time) int {
-	results, err := check.SeekChecks(opt)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ibscheck: harness failure: %v\n", err)
-		return 2
-	}
-	for _, r := range results {
-		fmt.Printf("%-4s %-42s %s (%.2fs)\n", verdict(r.Passed), r.Name, r.Detail, r.Seconds)
-	}
-	seek, err := check.RunSeekBench(opt)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ibscheck: %v\n", err)
-		return 2
-	}
-	fmt.Printf("%-4s bench/%-36s %s (%.2fs)\n", verdict(seek.Passed), "checkpoint-seek", seek.Detail,
-		seek.StreamSeconds+seek.SeekSeconds)
-	report := check.Report{
-		Schema:       "ibsim-bench/v1",
-		Instructions: opt.Instructions,
-		Seed:         opt.Seed,
-		GoldenScale:  opt.Instructions == check.PinnedInstructions && opt.Seed == 0,
-		Checks:       results,
-		Seek:         seek,
-		Passed:       check.AllPassed(results) && seek.Passed,
-		TotalSeconds: time.Since(start).Seconds(),
-	}
-	if err := writeReport(out, report); err != nil {
-		fmt.Fprintf(os.Stderr, "ibscheck: %v\n", err)
-		return 2
-	}
-	if !report.Passed {
-		fmt.Println("FAIL")
-		return 1
-	}
-	fmt.Printf("PASS (%d seek checks, %.2fs)\n", len(results), report.TotalSeconds)
-	return 0
-}
-
-// runSamplingBounds is the `ibscheck sampling-bounds` stage: only the
-// sampling calibration checks and the sampled-sweep benchmark, for a fast CI
-// gate on the speed/fidelity dial.
-func runSamplingBounds(opt check.Options, out string, start time.Time) int {
+// runChecks runs check families, prints each verdict and writes the report:
+// the focused stages and the -faults chaos suite.
+func runChecks(opt check.Options, out string, start time.Time, what string, fns ...func(check.Options) ([]check.Result, error)) int {
 	var results []check.Result
-	for _, fn := range []func(check.Options) ([]check.Result, error){
-		check.SamplingBounds,
-		check.SamplingProperties,
-	} {
+	for _, fn := range fns {
 		rs, err := fn(opt)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ibscheck: harness failure: %v\n", err)
@@ -346,21 +170,12 @@ func runSamplingBounds(opt check.Options, out string, start time.Time) int {
 	for _, r := range results {
 		fmt.Printf("%-4s %-42s %s (%.2fs)\n", verdict(r.Passed), r.Name, r.Detail, r.Seconds)
 	}
-	samp, err := check.RunSamplingBench(opt)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ibscheck: %v\n", err)
-		return 2
-	}
-	fmt.Printf("%-4s bench/%-36s %s (%.2fs)\n", verdict(samp.Passed), "sampling-sweep", samp.Detail,
-		samp.ExactSeconds+samp.SampledSeconds)
 	report := check.Report{
 		Schema:       "ibsim-bench/v1",
 		Instructions: opt.Instructions,
 		Seed:         opt.Seed,
-		GoldenScale:  opt.Instructions == check.PinnedInstructions && opt.Seed == 0,
 		Checks:       results,
-		Sampling:     samp,
-		Passed:       check.AllPassed(results) && samp.Passed,
+		Passed:       check.AllPassed(results),
 		TotalSeconds: time.Since(start).Seconds(),
 	}
 	if err := writeReport(out, report); err != nil {
@@ -371,7 +186,7 @@ func runSamplingBounds(opt check.Options, out string, start time.Time) int {
 		fmt.Println("FAIL")
 		return 1
 	}
-	fmt.Printf("PASS (%d sampling checks, %.2fs)\n", len(results), report.TotalSeconds)
+	fmt.Printf("PASS (%d %s, %.2fs)\n", len(results), what, report.TotalSeconds)
 	return 0
 }
 

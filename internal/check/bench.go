@@ -49,24 +49,6 @@ type Report struct {
 	Checks []Result `json:"checks"`
 	// Stages holds the timed benchmark stages.
 	Stages []Stage `json:"stages"`
-	// Figure34 records the Figure 3+4 sweep-engine benchmark: wall-clock of
-	// both execution paths, the speedup, and the regression verdict.
-	Figure34 *FigureBench `json:"figure34,omitempty"`
-	// Tables records the Tables 5-8 + Figures 6/7 fan-out replay benchmark,
-	// in the same both-paths form as Figure34.
-	Tables *TablesBench `json:"tables,omitempty"`
-	// Sampling records the sampled-sweep benchmark: exact vs 1/16
-	// set-sampled grid sweep, with speedup, accuracy, and CI-calibration
-	// verdicts.
-	Sampling *SamplingBench `json:"sampling,omitempty"`
-	// Columnar records the zero-copy block-replay benchmark: a trace 10x the
-	// RAM budget replayed from its on-disk columnar file, with identity,
-	// flat-RSS, and relative-throughput verdicts.
-	Columnar *ColumnarBench `json:"columnar,omitempty"`
-	// Seek records the checkpoint-seek streaming benchmark: full streaming
-	// regeneration vs checkpoint seek at 1/16 window coverage on an
-	// over-budget store, with speedup and bit-identity verdicts.
-	Seek *SeekBench `json:"seek,omitempty"`
 	// Passed is the run's overall verdict.
 	Passed bool `json:"passed"`
 	// TotalSeconds is the whole run's wall-clock time.

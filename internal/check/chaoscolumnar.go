@@ -154,7 +154,7 @@ func chaosReplayBounds(bs trace.BlockSource) string {
 		return err.Error()
 	}
 	engines := []fetch.Engine{blocking, bypass, stream}
-	results, err := replay.Blocks(context.Background(), bs, engines)
+	results, err := replay.BlocksParallel(context.Background(), bs, engines, 1)
 	if err != nil {
 		return err.Error()
 	}

@@ -44,11 +44,12 @@ func columnarBank() ([]fetch.Engine, error) {
 }
 
 // ColumnarReplay is the columnar-format differential: a workload's trace is
-// written to an on-disk IBSTRACE/v3 columnar file and replayed block by
-// block — through the fan-out replay driver and the sweep engine — and every
-// result must be bit-identical to the in-memory path over the same trace.
-// Both the mmap and the ReaderAt (sequential fallback) access modes are
-// exercised, so the zero-copy path can never drift from the portable one.
+// written to an on-disk IBSTRACE/v3 columnar file and read block by block —
+// through the one replay driver and the one sweep kernel — and every result
+// must be bit-identical to the []Ref oracle (per-engine fetch.Run, per-cell
+// cache.Cache) over the same trace, as must the in-memory runs. Both the
+// mmap and the ReaderAt (sequential fallback) access modes are exercised, so
+// the zero-copy path can never drift from the portable one.
 func ColumnarReplay(opt Options) ([]Result, error) {
 	opt = opt.withDefaults()
 	p := opt.Workloads[0]
@@ -73,15 +74,35 @@ func ColumnarReplay(opt Options) ([]Result, error) {
 	if err := f.Close(); err != nil {
 		return nil, err
 	}
-
 	cf, err := trace.OpenColumnar(path)
 	if err != nil {
 		return nil, err
 	}
 	defer cf.Close()
+	rf, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer rf.Close()
+	seq, err := trace.NewColumnarReaderAt(rf, cf.Size())
+	if err != nil {
+		return nil, err
+	}
 	mode := "sequential"
 	if cf.Mapped() {
 		mode = "mmap"
+	}
+	sources := []struct {
+		name string
+		open func() trace.RunReader
+	}{
+		{"in-memory", func() trace.RunReader { return trace.NewRunReader(runs) }},
+		{mode, func() trace.RunReader { return trace.NewBlockReader(cf) }},
+		{"ReaderAt", func() trace.RunReader { return trace.NewBlockReader(seq) }},
+	}
+	want, err := replayOracle(refs, replay.SamplePlan{})
+	if err != nil {
+		return nil, err
 	}
 
 	var harnessErr error
@@ -95,61 +116,23 @@ func ColumnarReplay(opt Options) ([]Result, error) {
 		if cf.Refs() != int64(len(refs)) {
 			return fail(name, "columnar file indexes %d refs, trace has %d", cf.Refs(), len(refs))
 		}
-		memBank, err := columnarBank()
-		if err != nil {
-			harnessErr = err
-			return fail(name, "building bank: %v", err)
-		}
-		want, err := replay.Replay(ctx, runs, memBank)
-		if err != nil {
-			return fail(name, "in-memory replay: %v", err)
-		}
-		blkBank, err := columnarBank()
-		if err != nil {
-			harnessErr = err
-			return fail(name, "building bank: %v", err)
-		}
-		got, err := replay.Blocks(ctx, cf, blkBank)
-		if err != nil {
-			return fail(name, "block replay (%s): %v", mode, err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				return fail(name, "engine %d diverges over %s blocks: %+v vs %+v", i, mode, got[i], want[i])
+		for _, src := range sources {
+			bank, err := columnarBank()
+			if err != nil {
+				harnessErr = err
+				return fail(name, "building bank: %v", err)
+			}
+			got, err := replay.Run(ctx, src.open(), bank, replay.SamplePlan{})
+			if err != nil {
+				return fail(name, "%s replay: %v", src.name, err)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					return fail(name, "engine %d diverges from fetch.Run over %s: %+v vs %+v", i, src.name, got[i], want[i])
+				}
 			}
 		}
-
-		// The non-mapped ReaderAt path must agree byte for byte too.
-		rf, err := os.Open(path)
-		if err != nil {
-			harnessErr = err
-			return fail(name, "reopening fixture: %v", err)
-		}
-		defer rf.Close()
-		fi, err := rf.Stat()
-		if err != nil {
-			harnessErr = err
-			return fail(name, "stat fixture: %v", err)
-		}
-		seq, err := trace.NewColumnarReaderAt(rf, fi.Size())
-		if err != nil {
-			return fail(name, "ReaderAt open: %v", err)
-		}
-		seqBank, err := columnarBank()
-		if err != nil {
-			harnessErr = err
-			return fail(name, "building bank: %v", err)
-		}
-		seqGot, err := replay.Blocks(ctx, seq, seqBank)
-		if err != nil {
-			return fail(name, "block replay (ReaderAt): %v", err)
-		}
-		for i := range want {
-			if seqGot[i] != want[i] {
-				return fail(name, "engine %d diverges on the ReaderAt path: %+v vs %+v", i, seqGot[i], want[i])
-			}
-		}
-		return pass(name, "%s: %d engines x %d blocks (%s + ReaderAt) == in-memory replay, bit-exact",
+		return pass(name, "%s: %d engines x %d blocks (%s + ReaderAt) and in-memory runs == per-engine fetch.Run, bit-exact",
 			p.Name, len(want), cf.NumBlocks(), mode)
 	}))
 	if harnessErr != nil {
@@ -158,32 +141,23 @@ func ColumnarReplay(opt Options) ([]Result, error) {
 
 	out = append(out, timed(func() Result {
 		const name = "differential/blocks-parallel"
-		serialBank, err := columnarBank()
-		if err != nil {
-			harnessErr = err
-			return fail(name, "building bank: %v", err)
-		}
-		want, err := replay.Blocks(ctx, cf, serialBank)
-		if err != nil {
-			return fail(name, "serial block replay: %v", err)
-		}
-		for _, workers := range []int{2, 3, 8} {
-			parBank, err := columnarBank()
+		for _, workers := range []int{1, 2, 3, 8} {
+			bank, err := columnarBank()
 			if err != nil {
 				harnessErr = err
 				return fail(name, "building bank: %v", err)
 			}
-			got, err := replay.BlocksParallel(ctx, cf, parBank, workers)
+			got, err := replay.BlocksParallel(ctx, cf, bank, workers)
 			if err != nil {
-				return fail(name, "parallel block replay (workers=%d): %v", workers, err)
+				return fail(name, "block replay (workers=%d): %v", workers, err)
 			}
 			for i := range want {
-				if got[i] != want[i] {
-					return fail(name, "workers=%d engine %d diverges: %+v vs %+v", workers, i, got[i], want[i])
+				if got[i] != want[i].Measured {
+					return fail(name, "workers=%d engine %d diverges from fetch.Run: %+v vs %+v", workers, i, got[i], want[i].Measured)
 				}
 			}
 		}
-		return pass(name, "%s: block-parallel fan-out == serial over %d blocks at 3 worker counts, bit-exact",
+		return pass(name, "%s: block-parallel fan-out over %d blocks at 4 worker counts == per-engine fetch.Run, bit-exact",
 			p.Name, cf.NumBlocks())
 	}))
 	if harnessErr != nil {
@@ -195,32 +169,33 @@ func ColumnarReplay(opt Options) ([]Result, error) {
 		cells := []sweep.Cell{
 			{Sets: 128, Assoc: 1}, {Sets: 256, Assoc: 2}, {Sets: 512, Assoc: 1}, {Sets: 1024, Assoc: 4},
 		}
-		pass1 := sweep.Pass{LineSize: 32, Cells: cells, CountDistinct: true}
-		want, err := pass1.Run(refs)
-		if err != nil {
-			return fail(name, "in-memory sweep: %v", err)
+		for _, sp := range []sweep.SampledPass{
+			{LineSize: 32, Cells: cells},
+			{LineSize: 32, Cells: cells, Window: 2000, Period: 8000},
+		} {
+			misses, measured, err := sweepOracle(sp, refs)
+			if err != nil {
+				harnessErr = err
+				return fail(name, "oracle: %v", err)
+			}
+			var first *sweep.SampledMatrix
+			for _, src := range sources {
+				got, err := sp.Sweep(src.open())
+				if err != nil {
+					return fail(name, "%s sweep: %v", src.name, err)
+				}
+				if !sweepMatches(got, misses, measured) {
+					return fail(name, "%s sweep (window %d/%d) diverges from per-cell cache.Cache: %v vs %v",
+						src.name, sp.Window, sp.Period, got.Misses, misses)
+				}
+				if first == nil {
+					first = got
+				} else if !reflect.DeepEqual(got, first) {
+					return fail(name, "%s sweep (window %d/%d) estimates diverge from in-memory", src.name, sp.Window, sp.Period)
+				}
+			}
 		}
-		got, err := pass1.RunBlocks(cf)
-		if err != nil {
-			return fail(name, "block sweep (%s): %v", mode, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			return fail(name, "block sweep matrix diverges from in-memory over %s", mode)
-		}
-
-		sp := sweep.SampledPass{LineSize: 32, Cells: cells, Window: 2000, Period: 8000}
-		sWant, err := sp.Run(runs)
-		if err != nil {
-			return fail(name, "in-memory sampled sweep: %v", err)
-		}
-		sGot, err := sp.RunBlocks(cf)
-		if err != nil {
-			return fail(name, "block sampled sweep: %v", err)
-		}
-		if !reflect.DeepEqual(sGot, sWant) {
-			return fail(name, "sampled block sweep diverges from in-memory")
-		}
-		return pass(name, "%s: exact + sampled sweeps over %d blocks == in-memory, bit-exact",
+		return pass(name, "%s: exact + sampled sweeps over %d blocks and in-memory runs == per-cell cache.Cache, bit-exact",
 			p.Name, cf.NumBlocks())
 	}))
 	return out, harnessErr

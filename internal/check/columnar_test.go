@@ -1,10 +1,19 @@
 package check
 
 import (
+	"bytes"
+	"context"
+	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
+	"ibsim/internal/replay"
 	"ibsim/internal/synth"
+	"ibsim/internal/trace"
 )
 
 // The columnar differentials must hold at a sub-golden scale that still
@@ -44,30 +53,103 @@ func TestChaosColumnarSalvage(t *testing.T) {
 	}
 }
 
-// The bench must prove the whole contract off golden scale: the capped
-// store rejects the in-memory tiers, results are identical, and heap growth
-// during the disk replay stays under the budget the trace exceeds tenfold.
-func TestRunColumnarBench(t *testing.T) {
-	cb, err := RunColumnarBench(Options{Instructions: 120_000})
+// The columnar tier's contract: a store capped at a tenth of a trace's
+// expanded size rejects both in-memory tiers but admits the columnar file;
+// replaying that file block by block is bit-identical to the in-memory
+// replay; and heap growth during the disk replay stays under the budget the
+// trace exceeds tenfold.
+func TestColumnarTierContract(t *testing.T) {
+	const n = 120_000
+	opt := Options{Instructions: n}.withDefaults()
+	p := opt.Workloads[0]
+	ctx := context.Background()
+	budget := int64(n * 16 / 10) // the store charges 16 bytes per materialized ref
+	capped := synth.NewStoreLimits(0, budget)
+	defer capped.Purge()
+	if _, release, err := capped.Instr(p, opt.Seed, n); !errors.Is(err, synth.ErrOverBudget) {
+		if err == nil {
+			release()
+		}
+		t.Fatalf("capped store admitted the refs: %v", err)
+	}
+	if _, release, err := capped.RunsOnly(ctx, p, opt.Seed, n); !errors.Is(err, synth.ErrOverBudget) {
+		if err == nil {
+			release()
+		}
+		t.Fatalf("capped store admitted the runs: %v", err)
+	}
+	cf, release, err := capped.Columnar(ctx, p, opt.Seed, n)
 	if err != nil {
-		t.Fatalf("harness failure: %v", err)
+		t.Fatalf("columnar tier under budget %d: %v", budget, err)
 	}
-	if !cb.OverBudget {
-		t.Error("capped store admitted the in-memory tiers; budget not binding")
+	defer release()
+	if cf.Size() > budget {
+		t.Fatalf("spilled file %d bytes exceeds budget %d", cf.Size(), budget)
 	}
-	if !cb.Identical {
-		t.Error("block and in-memory results differ")
+
+	// Re-block the trace so the block loop and the heap probe run dozens of
+	// times.
+	refs, err := synth.InstrTrace(p, opt.Seed, n)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !cb.FlatRSS {
-		t.Errorf("heap grew %d bytes, budget %d", cb.HeapGrowthBytes, cb.BudgetBytes)
+	runs := trace.Compact(refs)
+	path := filepath.Join(t.TempDir(), "tier.ibsc")
+	var buf bytes.Buffer
+	if _, err := trace.EncodeColumnarSize(&buf, runs, 2048); err != nil {
+		t.Fatal(err)
 	}
-	if cb.TraceBytes != 10*cb.BudgetBytes {
-		t.Errorf("trace %d bytes is not 10x the %d budget", cb.TraceBytes, cb.BudgetBytes)
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if cb.Blocks < 8 {
-		t.Errorf("bench file spans only %d blocks", cb.Blocks)
+	refs, buf = nil, bytes.Buffer{}
+	bf, err := trace.OpenColumnar(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !cb.Passed {
-		t.Errorf("bench failed off golden scale: %s", cb.Detail)
+	defer bf.Close()
+	if bf.NumBlocks() < 8 {
+		t.Fatalf("file spans only %d blocks", bf.NumBlocks())
 	}
+
+	memBank, err := columnarBank()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := replay.Replay(ctx, runs, memBank)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bank, err := columnarBank()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	probe := &memProbe{BlockSource: bf, peak: ms.HeapInuse}
+	got, err := replay.BlocksParallel(ctx, probe, bank, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("block replay %+v != in-memory %+v", got, want)
+	}
+	if growth := int64(probe.peak - ms.HeapInuse); growth >= budget {
+		t.Fatalf("heap grew %d bytes replaying from disk, budget %d", growth, budget)
+	}
+}
+
+// memProbe wraps a BlockSource, sampling HeapInuse before every block read
+// to catch the replay's peak residency.
+type memProbe struct {
+	trace.BlockSource
+	peak uint64
+}
+
+func (p *memProbe) BlockRuns(i int, dst []trace.Run) ([]trace.Run, error) {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	p.peak = max(p.peak, ms.HeapInuse)
+	return p.BlockSource.BlockRuns(i, dst)
 }

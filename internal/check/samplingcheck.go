@@ -40,12 +40,43 @@ const (
 	// 0.8 and P(X > 3) < 1%; more than 3 misses means the intervals are
 	// mis-calibrated, not unlucky.
 	samplingBoundsAllowance = 3
+	// samplingMeanRelErrMax caps the full grid's suite-mean relative MPI
+	// error under 1/16 set sampling as a sanity bound: the dial trades
+	// fidelity for speed, but the answers must stay in the right
+	// neighborhood. It measures ~14% in practice (per-set miss distributions
+	// are skewed and the smallest cells sample a single set); the interval
+	// floor below is the real fidelity contract.
+	samplingMeanRelErrMax = 0.25
+	// samplingCIHitFraction is the minimum fraction of the grid's cells
+	// whose exact MPI must land inside the sampled 95% interval. Nominal
+	// calibration is 95%; the floor sits at 90% so the check flags
+	// mis-calibration, not one unlucky cell.
+	samplingCIHitFraction = 0.9
 )
+
+// samplingGrid is the full capacity x associativity grid the set-sampling
+// floors are scored on: 1KB-64KB at a 32-byte line, 1/2/4-way, every cell
+// with at least samplingSetMod sets (8 distinct set counts, 16-2048).
+func samplingGrid() []sweep.Cell {
+	var cells []sweep.Cell
+	for size := 1 << 10; size <= 64<<10; size <<= 1 {
+		lines := size / 32
+		for _, assoc := range []int{1, 2, 4} {
+			if sets := lines / assoc; sets >= samplingSetMod {
+				cells = append(cells, sweep.Cell{Sets: sets, Assoc: assoc})
+			}
+		}
+	}
+	return cells
+}
 
 // SamplingBounds runs sampled sweeps (set sampling at 1/16, warm time
 // sampling at 1/16 coverage) against the exact sweep on every workload and
 // both cache sizes, and fails a mode whose 95% intervals miss the exact MPI
-// more often than the nominal rate allows.
+// more often than the nominal rate allows. The set mode is also scored over
+// the full 1KB-64KB grid: its suite-mean relative error must stay within
+// samplingMeanRelErrMax and its intervals must cover the exact MPI at no
+// fewer than samplingCIHitFraction of the cells.
 func SamplingBounds(opt Options) ([]Result, error) {
 	opt = opt.withDefaults()
 	start := time.Now()
@@ -67,6 +98,9 @@ func SamplingBounds(opt Options) ([]Result, error) {
 		{name: "sampling/bounds-set"},
 		{name: "sampling/bounds-time-warm"},
 	}
+	grid := samplingGrid()
+	var gridHits, gridPoints, gridNRel int
+	var gridSumRel float64
 	for _, p := range opt.Workloads {
 		refs, runs, release, err := synth.DefaultStore.InstrRuns(context.Background(), p, opt.Seed, opt.Instructions)
 		if err != nil {
@@ -86,9 +120,31 @@ func SamplingBounds(opt Options) ([]Result, error) {
 				LineSize: 32, Cells: cells, Window: window, Period: samplingPeriodMul * window, Warm: true,
 			}.Run(runs)
 		}
+		var gridExact *sweep.Matrix
+		var gridSampled *sweep.SampledMatrix
+		if err == nil {
+			gridExact, err = sweep.Pass{LineSize: 32, Cells: grid}.Run(refs)
+		}
+		if err == nil {
+			gridSampled, err = sweep.SampledPass{
+				LineSize: 32, Cells: grid, SetMod: samplingSetMod, SetMatch: samplingSetMatch,
+			}.Run(runs)
+		}
 		release()
 		if err != nil {
 			return nil, fmt.Errorf("check: sampling bounds: sampled sweep %s: %w", p.Name, err)
+		}
+		for ci := range grid {
+			exactMPI := float64(gridExact.Misses[ci]) / float64(gridExact.Accesses)
+			est := gridSampled.Estimates[ci]
+			gridPoints++
+			if est.Contains(exactMPI) {
+				gridHits++
+			}
+			if exactMPI > 0 {
+				gridSumRel += math.Abs(est.MPI-exactMPI) / exactMPI
+				gridNRel++
+			}
 		}
 		for mi, sm := range sampled {
 			sc := scores[mi]
@@ -114,8 +170,13 @@ func SamplingBounds(opt Options) ([]Result, error) {
 	// The two modes share one set of exact sweeps, so the wall-clock is
 	// split evenly between their Results.
 	perMode := time.Since(start).Seconds() / float64(len(scores))
+	gridMeanRel := 0.0
+	if gridNRel > 0 {
+		gridMeanRel = gridSumRel / float64(gridNRel)
+	}
+	gridFloor := int(math.Ceil(samplingCIHitFraction * float64(gridPoints)))
 	var out []Result
-	for _, sc := range scores {
+	for mi, sc := range scores {
 		meanRel := 0.0
 		if sc.nRel > 0 {
 			meanRel = sc.sumRel / float64(sc.nRel)
@@ -123,8 +184,14 @@ func SamplingBounds(opt Options) ([]Result, error) {
 		misses := sc.points - sc.hits
 		detail := fmt.Sprintf("exact MPI inside CI95 at %d/%d points (allowance %d), mean |rel err| %.2f%%, worst %.2f%% (%s)",
 			sc.hits, sc.points, samplingBoundsAllowance, 100*meanRel, 100*sc.worstEr, sc.worst)
+		ok := misses <= samplingBoundsAllowance
+		if mi == 0 {
+			detail += fmt.Sprintf("; 1-64KB grid: CI hits %d/%d (floor %d), mean |rel err| %.2f%% (cap %.0f%%)",
+				gridHits, gridPoints, gridFloor, 100*gridMeanRel, 100*samplingMeanRelErrMax)
+			ok = ok && gridHits >= gridFloor && gridMeanRel <= samplingMeanRelErrMax
+		}
 		r := pass(sc.name, "%s", detail)
-		if misses > samplingBoundsAllowance {
+		if !ok {
 			r = fail(sc.name, "%s", detail)
 		}
 		r.Seconds = perMode

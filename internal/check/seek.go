@@ -6,6 +6,7 @@ import (
 	"os"
 	"reflect"
 
+	"ibsim/internal/fetch"
 	"ibsim/internal/replay"
 	"ibsim/internal/sweep"
 	"ibsim/internal/synth"
@@ -17,20 +18,21 @@ import (
 //
 //   - differential/seek-sampled: a skip-mode time-sampled sweep and replay
 //     executed by seeking a checkpointed source from window start to window
-//     start (sweep.SampledPass.RunSeek, replay.SampledSeek) must be
-//     bit-identical to the run-materialized sampled paths over the same
-//     trace — estimates, confidence intervals, cluster counts, everything.
+//     start (sweep.SampledPass.RunSeek, replay.SampledSeek) must match the
+//     []Ref oracle — per-cell cache.Cache and per-engine fetch.Run under the
+//     same windows — and the in-memory sampled paths bit for bit, estimates
+//     and confidence intervals included.
 //   - differential/parallel-spill: the store's parallel columnar spill
 //     (scout/worker/merger over checkpoint-aligned chunks) must produce an
 //     IBSTRACE/v3 file byte-identical to the sequential spill of the same
-//     (profile, seed, n).
+//     (profile, seed, n), and replaying it must match the oracle.
 
 const (
 	// seekCheckEvery is the checkpoint interval the differentials record
 	// at: small enough that the fixture traces span many checkpoints.
 	seekCheckEvery = 2048
 	// seekCheckWindow/seekCheckPeriod is the skip-mode schedule — 1/16
-	// coverage, the same operating point the bench-seek gate times.
+	// coverage, the service's automatic sampling operating point.
 	seekCheckWindow = 1024
 	seekCheckPeriod = 16 * seekCheckWindow
 )
@@ -86,6 +88,14 @@ func SeekChecks(opt Options) ([]Result, error) {
 		if err != nil {
 			return fail(name, "materialized sampled sweep: %v", err)
 		}
+		misses, measured, err := sweepOracle(sp, refs)
+		if err != nil {
+			harnessErr = err
+			return fail(name, "oracle: %v", err)
+		}
+		if !sweepMatches(want, misses, measured) {
+			return fail(name, "materialized sampled sweep diverges from per-cell cache.Cache: %v vs %v", want.Misses, misses)
+		}
 		src, release, err := store.SeekSource(p, opt.Seed, n)
 		if err != nil {
 			return fail(name, "opening seek source: %v", err)
@@ -96,18 +106,26 @@ func SeekChecks(opt Options) ([]Result, error) {
 			return fail(name, "seeking sampled sweep: %v", err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			return fail(name, "seek-sampled sweep diverges from Run over the compacted trace")
+			return fail(name, "seek-sampled sweep diverges from the materialized sampled sweep")
 		}
 
 		plan := replay.SamplePlan{Window: seekCheckWindow, Period: seekCheckPeriod}
-		wantBank, err := columnarBank()
+		wantR, err := replayOracle(refs, plan)
+		if err != nil {
+			harnessErr = err
+			return fail(name, "oracle: %v", err)
+		}
+		memBank, err := columnarBank()
 		if err != nil {
 			harnessErr = err
 			return fail(name, "building bank: %v", err)
 		}
-		wantR, err := replay.Sampled(ctx, runs, wantBank, plan)
+		memR, err := replay.Sampled(ctx, runs, memBank, plan)
 		if err != nil {
 			return fail(name, "materialized sampled replay: %v", err)
+		}
+		if !reflect.DeepEqual(memR, wantR) {
+			return fail(name, "materialized sampled replay diverges from per-engine fetch.Run")
 		}
 		gotBank, err := columnarBank()
 		if err != nil {
@@ -132,12 +150,13 @@ func SeekChecks(opt Options) ([]Result, error) {
 		if st.Checkpoints == 0 {
 			return fail(name, "store recorded no checkpoints; the seek path degenerated to sequential generation")
 		}
-		return pass(name, "seek ≡ materialized at %.1f%% coverage: %d/%d instructions measured, %d checkpoints (%d bytes) indexed",
+		return pass(name, "seek ≡ materialized ≡ oracle at %.1f%% coverage: %d/%d instructions measured, %d checkpoints (%d bytes) indexed",
 			100*want.Coverage(), want.SampledInstructions, want.TotalInstructions, st.Checkpoints, st.CheckpointBytes)
 	}))
 
 	out = append(out, timed(func() Result {
 		const name = "differential/parallel-spill"
+		var replayed []fetch.Result
 		spill := func(workers int) ([]byte, int64, error) {
 			st := synth.NewStore(0)
 			st.SetCheckpointEvery(seekCheckEvery)
@@ -151,6 +170,15 @@ func SeekChecks(opt Options) ([]Result, error) {
 			data, err := os.ReadFile(cf.Path())
 			if err != nil {
 				return nil, 0, err
+			}
+			if workers > 1 {
+				bank, err := columnarBank()
+				if err != nil {
+					return nil, 0, err
+				}
+				if replayed, err = replay.BlocksParallel(ctx, cf, bank, 2); err != nil {
+					return nil, 0, err
+				}
 			}
 			return data, cf.Refs(), nil
 		}
@@ -176,7 +204,17 @@ func SeekChecks(opt Options) ([]Result, error) {
 			return fail(name, "parallel spill file diverges from sequential at byte %d (%d vs %d bytes total)",
 				i, len(par), len(seq))
 		}
-		return pass(name, "%d-worker spill byte-identical to sequential: %d bytes, %d instructions",
+		want, err := replayOracle(refs, replay.SamplePlan{})
+		if err != nil {
+			harnessErr = err
+			return fail(name, "oracle: %v", err)
+		}
+		for i := range want {
+			if replayed[i] != want[i].Measured {
+				return fail(name, "engine %d over the parallel spill diverges from fetch.Run: %+v vs %+v", i, replayed[i], want[i].Measured)
+			}
+		}
+		return pass(name, "%d-worker spill byte-identical to sequential (%d bytes, %d instructions), replay == per-engine fetch.Run",
 			seekSpillWorkers, len(seq), seqRefs)
 	}))
 

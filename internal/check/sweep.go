@@ -46,7 +46,7 @@ func SweepVsPerConfig(opt Options) ([]Result, error) {
 					Assoc: 1 << rng.Intn(4),
 				})
 			}
-			m, err := sweep.Run(lineSize, grid, refs)
+			m, err := sweep.Pass{LineSize: lineSize, Cells: grid}.Run(refs)
 			if err != nil {
 				release()
 				harnessErr = err

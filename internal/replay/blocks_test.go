@@ -24,9 +24,9 @@ func columnarSource(t testing.TB, runs []trace.Run, blockBytes int) *trace.Colum
 	return cf
 }
 
-// Blocks over a multi-block columnar trace must be bit-identical to Replay
-// over the materialized runs, across the whole mixed bank including the
-// analytically derived cells.
+// An exact replay over a multi-block columnar trace, read through its block
+// index, must be bit-identical to Replay over the materialized runs, across
+// the whole mixed bank including the analytically derived cells.
 func TestBlocksMatchesReplay(t *testing.T) {
 	runs := trace.Compact(testTrace(21, 80000))
 	want, err := Replay(context.Background(), runs, bank(t))
@@ -38,42 +38,44 @@ func TestBlocksMatchesReplay(t *testing.T) {
 	if cf.NumBlocks() < 8 {
 		t.Fatalf("only %d blocks; trace too small to exercise block iteration", cf.NumBlocks())
 	}
-	got, err := Blocks(context.Background(), cf, bank(t))
+	got, err := Run(context.Background(), trace.NewBlockReader(cf), bank(t), SamplePlan{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("engine %d: blocks %+v != replay %+v", i, got[i], want[i])
+		if got[i].Measured != want[i] {
+			t.Errorf("engine %d: blocks %+v != replay %+v", i, got[i].Measured, want[i])
 		}
 	}
 
 	// The in-memory reference BlockSource must agree too.
 	rb := trace.NewRunsBlocks(runs, 7)
-	got2, err := Blocks(context.Background(), rb, bank(t))
+	got2, err := Run(context.Background(), trace.NewBlockReader(rb), bank(t), SamplePlan{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {
-		if got2[i] != want[i] {
-			t.Errorf("engine %d: runs-blocks %+v != replay %+v", i, got2[i], want[i])
+		if got2[i].Measured != want[i] {
+			t.Errorf("engine %d: runs-blocks %+v != replay %+v", i, got2[i].Measured, want[i])
 		}
 	}
 }
 
+// A cancelled context stops a block replay with ctx.Err().
 func TestBlocksCancel(t *testing.T) {
 	runs := trace.Compact(testTrace(3, 20000))
 	cf := columnarSource(t, runs, 512)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Blocks(ctx, cf, bank(t)); err != context.Canceled {
+	if _, err := BlocksParallel(ctx, cf, bank(t), 1); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
-// SampledBlocks must reproduce Sampled bit for bit — Measured counters and
-// every Estimate field — for every plan shape: warm time, skip time (the
-// seeking path), degenerate full-coverage, and set sampling.
+// A sampled replay over a block source must reproduce Sampled bit for bit
+// — Measured counters and every Estimate field — for every plan shape: warm
+// time, skip time (the seeking path), degenerate full-coverage, and set
+// sampling.
 func TestSampledBlocksMatchesSampled(t *testing.T) {
 	runs := trace.Compact(testTrace(22, 120000))
 	cf := columnarSource(t, runs, 512)
@@ -93,7 +95,7 @@ func TestSampledBlocksMatchesSampled(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := SampledBlocks(context.Background(), cf, bank(t), plan)
+			got, err := Run(context.Background(), trace.NewBlockReader(cf), bank(t), plan)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,74 +108,24 @@ func TestSampledBlocksMatchesSampled(t *testing.T) {
 	}
 }
 
+// A sampled replay over a block source validates its plan.
 func TestSampledBlocksRejectsBadPlan(t *testing.T) {
 	cf := columnarSource(t, trace.Compact(testTrace(1, 100)), 512)
-	if _, err := SampledBlocks(context.Background(), cf, bank(t), SamplePlan{}); err == nil {
-		t.Fatal("empty plan accepted")
+	bad := SamplePlan{Window: 400, Period: 100}
+	if _, err := Run(context.Background(), trace.NewBlockReader(cf), bank(t), bad); err == nil {
+		t.Fatal("window > period accepted")
 	}
 }
 
-// blockCursor.walk must reconstruct exactly the instructions of [pos, pos+n)
-// for arbitrary positions, including across block boundaries, backward
-// seeks, and clipping at the trace end.
-func TestBlockCursorWalk(t *testing.T) {
-	runs := trace.Compact(testTrace(23, 30000))
-	cf := columnarSource(t, runs, 512)
-
-	// Expand the trace once as the oracle.
-	var addrs []uint64
-	for _, r := range runs {
-		a := r.Start
-		for j := int64(0); j < r.Len; j++ {
-			addrs = append(addrs, a)
-			a += trace.InstrBytes
-		}
-	}
-
-	cur := newBlockCursor(cf)
-	if cur.total() != int64(len(addrs)) {
-		t.Fatalf("total %d, want %d", cur.total(), len(addrs))
-	}
-	windows := []struct{ pos, n int64 }{
-		{0, 1}, {0, 100}, {500, 3000}, {int64(len(addrs)) - 10, 100},
-		{int64(len(addrs)), 50}, {7, 1}, {2, 9000}, // backward seek after a long walk
-		{int64(len(addrs)) / 2, 1},
-	}
-	for _, w := range windows {
-		var got []uint64
-		err := cur.walk(w.pos, w.n, func(start uint64, cnt int64) {
-			for j := int64(0); j < cnt; j++ {
-				got = append(got, start+uint64(j)*trace.InstrBytes)
-			}
-		})
-		if err != nil {
-			t.Fatalf("walk(%d,%d): %v", w.pos, w.n, err)
-		}
-		end := w.pos + w.n
-		if end > int64(len(addrs)) {
-			end = int64(len(addrs))
-		}
-		want := addrs[w.pos:end]
-		if len(got) != len(want) {
-			t.Fatalf("walk(%d,%d) yielded %d instructions, want %d", w.pos, w.n, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("walk(%d,%d) instruction %d = %#x, want %#x", w.pos, w.n, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// A trace much larger than one block must replay through Blocks without the
-// driver ever materializing it: spot-check via a single blocking engine
-// against fetch.Run on the expanded refs.
+// A trace much larger than one block must replay block by block without the
+// driver ever materializing it: spot-check the bank against fetch.Run on
+// the expanded refs.
 func TestBlocksPerEngineExact(t *testing.T) {
 	refs := testTrace(24, 60000)
 	runs := trace.Compact(refs)
 	cf := columnarSource(t, runs, 1024)
 	engines := bank(t)
-	got, err := Blocks(context.Background(), cf, engines)
+	got, err := BlocksParallel(context.Background(), cf, engines, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 	"ibsim/internal/trace"
 )
 
-// BlocksParallel must be bit-identical to the serial Blocks path for every
+// BlocksParallel must be bit-identical to the serial block replay for every
 // worker count, including degenerate ones, across the mixed bank with its
 // analytically derived cells.
 func TestBlocksParallelMatchesSerial(t *testing.T) {
@@ -20,7 +20,7 @@ func TestBlocksParallelMatchesSerial(t *testing.T) {
 	if cf.NumBlocks() < 8 {
 		t.Fatalf("only %d blocks; fixture too small", cf.NumBlocks())
 	}
-	want, err := Blocks(context.Background(), cf, bank(t))
+	want, err := Run(context.Background(), trace.NewBlockReader(cf), bank(t), SamplePlan{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,8 +30,8 @@ func TestBlocksParallelMatchesSerial(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("workers=%d engine %d: parallel %+v != serial %+v", workers, i, got[i], want[i])
+			if got[i] != want[i].Measured {
+				t.Errorf("workers=%d engine %d: parallel %+v != serial %+v", workers, i, got[i], want[i].Measured)
 			}
 		}
 	}

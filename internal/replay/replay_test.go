@@ -84,26 +84,8 @@ func TestReplayMatchesPerConfig(t *testing.T) {
 	}
 }
 
-// Refs is Replay after compaction.
-func TestRefsConvenience(t *testing.T) {
-	refs := testTrace(2, 20000)
-	got, err := Refs(context.Background(), refs, bank(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Replay(context.Background(), trace.Compact(refs), bank(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("engine %d: %+v != %+v", i, got[i], want[i])
-		}
-	}
-}
-
 // An engine without a bulk path still replays correctly (per-instruction
-// expansion inside replayOne).
+// fetches inside the driver loop).
 type plainEngine struct{ inner *fetch.Blocking }
 
 func (p *plainEngine) Fetch(addr uint64)    { p.inner.Fetch(addr) }

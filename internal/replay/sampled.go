@@ -20,16 +20,19 @@ import (
 //     instructions are measured. Warm feeds the skipped spans too — engine
 //     state stays current ("functional warming", unbiased, the default for
 //     the service tier) — while !Warm skips them entirely for maximum speed
-//     at a stale-state bias. Each window is one variance cluster. Valid for
-//     EVERY engine type: timing, stream buffers, prefetchers.
+//     at a stale-state bias; a source that can seek (a block index, a
+//     checkpointed generator) then never even reads the gaps. Each window
+//     is one variance cluster. Valid for EVERY engine type: timing, stream
+//     buffers, prefetchers.
 //
 //   - Set sampling (SetMod/SetMatch at LineSize): only the lines of one
-//     address congruence class are replayed, grouped into setClusters
-//     subgroups fed in order. Exact within the subset only for prefetch-free
-//     blocking engines whose line size equals LineSize and whose set count
-//     is at least SetMod*setClusters (per-set access order is preserved);
+//     address congruence class are replayed, in trace order, each line's
+//     counter delta credited to one of setClusters subgroups for variance
+//     estimation. Every engine sees exactly the sampled lines' fetches, so
+//     prefetch-free blocking engines whose line size equals LineSize and
+//     whose set count is at least SetMod are exact within the subset;
 //     engines with cross-set behavior (stream buffers, next-line prefetch)
-//     see a distorted stream and get an approximation. The sweep engine is
+//     see a thinned stream and get an approximation. The sweep engine is
 //     the first-class home of set sampling — here it exists for
 //     blocking-bank studies.
 type SamplePlan struct {
@@ -48,12 +51,16 @@ type SamplePlan struct {
 	LineSize int
 }
 
-// setClusters is the number of congruence subgroups a set-sampled replay is
-// split into for variance estimation (one Result snapshot per subgroup).
+// setClusters is the number of congruence subgroups a set-sampled replay's
+// variance is estimated over.
 const setClusters = 8
 
 // timeMode reports whether the plan uses time sampling.
 func (p SamplePlan) timeMode() bool { return p.Window > 0 || p.Period > 0 }
+
+// windowed reports whether the plan measures windows with gaps between
+// them; Window == Period measures everything as one trace-wide cluster.
+func (p SamplePlan) windowed() bool { return p.timeMode() && p.Window < p.Period }
 
 // Validate checks the plan.
 func (p SamplePlan) Validate() error {
@@ -96,33 +103,27 @@ type SampledResult struct {
 	Estimate sampling.Estimate
 }
 
-// Sampled replays the trace sample through every engine in the bank and
-// returns per-engine estimates in bank order. Engines are mutated (fed the
-// sample); as with Replay, pass freshly built engines.
+// Sampled replays the sample of an in-memory trace through every engine in
+// the bank and returns per-engine estimates in bank order. Engines are
+// mutated (fed the sample); as with Replay, pass freshly built engines.
 func Sampled(ctx context.Context, runs []trace.Run, engines []fetch.Engine, plan SamplePlan) ([]SampledResult, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
-	results := make([]SampledResult, len(engines))
-	if plan.timeMode() {
-		for i, e := range engines {
-			r, err := sampledTime(ctx, runs, e, plan)
-			if err != nil {
-				return nil, err
-			}
-			results[i] = r
-		}
-		return results, nil
+	return Run(ctx, trace.NewRunReader(runs), engines, plan)
+}
+
+// SampledSeek replays the measured windows of a skip-mode time-sampling
+// plan through every engine in the bank, seeking a checkpointed source
+// directly between window starts: O(sampled refs + windows · checkpoint
+// interval) instead of O(n). Warm and set plans must walk every
+// instruction, so they are refused. Results are identical to Sampled over
+// the same trace.
+func SampledSeek(ctx context.Context, src trace.Seeker, engines []fetch.Engine, plan SamplePlan) ([]SampledResult, error) {
+	if plan.Period <= plan.Window || plan.Warm {
+		return nil, fmt.Errorf("replay: SampledSeek needs skip-mode time sampling (window < period, not warm)")
 	}
-	subs, total := setSubruns(runs, plan)
-	for i, e := range engines {
-		r, err := sampledSet(ctx, subs, total, e, plan)
-		if err != nil {
-			return nil, err
-		}
-		results[i] = r
-	}
-	return results, nil
+	return Run(ctx, trace.NewSeekReader(src), engines, plan)
 }
 
 // resultDelta subtracts two counter snapshots.
@@ -157,118 +158,22 @@ func feedSpan(e fetch.Engine, re fetch.RunEngine, start uint64, n int64) {
 	}
 }
 
-// timeSampler is the time-sampling state machine for one engine, carried
-// across arbitrarily chunked feeds: sampledTime pushes the whole run slice
-// through it at once, SampledBlocks pushes one block at a time, and both
-// produce identical results because all the state — window phase, open
-// snapshot, cluster list — lives here rather than in a loop frame.
-type timeSampler struct {
-	e    fetch.Engine
-	re   fetch.RunEngine
-	plan SamplePlan
-
-	measured fetch.Result
-	clusters []sampling.Cluster
-	prev     fetch.Result
-	inWindow bool
-	pos      int64 // absolute instruction position
-	ri       int   // runs consumed, for context-poll cadence
-}
-
-func newTimeSampler(e fetch.Engine, plan SamplePlan) *timeSampler {
-	re, _ := e.(fetch.RunEngine)
-	return &timeSampler{e: e, re: re, plan: plan}
-}
-
-func (s *timeSampler) closeWindow() {
-	if !s.inWindow {
-		return
-	}
-	d := resultDelta(s.e.Result(), s.prev)
-	s.measured = resultAdd(s.measured, d)
-	s.clusters = append(s.clusters, sampling.Cluster{Instructions: d.Instructions, Misses: d.Misses})
-	s.inWindow = false
-}
-
-// feed advances the sampler over the next chunk of the trace.
-func (s *timeSampler) feed(ctx context.Context, runs []trace.Run) error {
-	for _, r := range runs {
-		if s.ri&(runChunk-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		s.ri++
-		for off := int64(0); off < r.Len; {
-			phase := (s.pos + off) % s.plan.Period
-			if phase < s.plan.Window {
-				seg := s.plan.Window - phase
-				if rem := r.Len - off; seg > rem {
-					seg = rem
-				}
-				if !s.inWindow {
-					s.prev = s.e.Result()
-					s.inWindow = true
-				}
-				feedSpan(s.e, s.re, r.Start+uint64(off)*trace.InstrBytes, seg)
-				off += seg
-			} else {
-				s.closeWindow()
-				seg := s.plan.Period - phase
-				if rem := r.Len - off; seg > rem {
-					seg = rem
-				}
-				if s.plan.Warm {
-					feedSpan(s.e, s.re, r.Start+uint64(off)*trace.InstrBytes, seg)
-				}
-				off += seg
-			}
-		}
-		s.pos += r.Len
-	}
-	return nil
-}
-
-// finish closes any open window and assembles the result.
-func (s *timeSampler) finish() SampledResult {
-	s.closeWindow()
-	res := SampledResult{Measured: s.measured}
-	f := float64(0)
-	if s.pos > 0 {
-		f = float64(s.measured.Instructions) / float64(s.pos)
-	}
-	res.Estimate = sampling.EstimateFrom(s.clusters, s.pos, f)
-	return res
-}
-
-// sampledTime replays one engine under a time plan: measured windows are
-// delimited by Result snapshots, each window one variance cluster.
-func sampledTime(ctx context.Context, runs []trace.Run, e fetch.Engine, plan SamplePlan) (SampledResult, error) {
-	s := newTimeSampler(e, plan)
-	if err := s.feed(ctx, runs); err != nil {
-		return SampledResult{}, err
-	}
-	return s.finish(), nil
-}
-
-// setFilter incrementally filters a trace down to the sampled congruence
-// class, split into setClusters subgroups by the line-address bits just
-// above the modulus. Runs arrive in any chunking (a materialized slice, or
-// block by block from a BlockSource) and the subgroup lists come out
-// identical — the streaming core shared by Sampled and SampledBlocks.
+// setFilter cuts runs down to the sampled congruence class, one piece per
+// touched line, tagging each piece with its variance subgroup (the
+// line-address bits just above the modulus).
 type setFilter struct {
-	subs     [][]trace.Run
 	shift    uint
 	modShift uint
 	ipl      int64
 	mod      uint64
 	match    uint64
-	total    int64
+	pieces   []trace.Run
+	groups   []uint8
+	total    int64 // instructions cut so far, sampled or not
 }
 
 func newSetFilter(plan SamplePlan) *setFilter {
 	f := &setFilter{
-		subs:  make([][]trace.Run, setClusters),
 		ipl:   int64(plan.LineSize / trace.InstrBytes),
 		mod:   uint64(plan.SetMod),
 		match: uint64(plan.SetMatch),
@@ -282,65 +187,26 @@ func newSetFilter(plan SamplePlan) *setFilter {
 	return f
 }
 
-// add filters one run into the subgroups.
-func (f *setFilter) add(r trace.Run) {
-	f.total += r.Len
-	first := r.Start >> f.shift
-	headOff := int64(r.Start/trace.InstrBytes) & (f.ipl - 1)
-	head := f.ipl - headOff
-	if head > r.Len {
-		head = r.Len
-	}
-	nlines := int64(1)
-	if rem := r.Len - head; rem > 0 {
-		nlines += (rem + f.ipl - 1) / f.ipl
-	}
-	for i := int64((f.match - first) & (f.mod - 1)); i < nlines; i += int64(f.mod) {
-		l := first + uint64(i)
-		var start uint64
-		var cnt int64
-		if i == 0 {
-			start, cnt = r.Start, head
-		} else {
-			off := head + (i-1)*f.ipl
-			start = r.Start + uint64(off)*trace.InstrBytes
-			cnt = r.Len - off
-			if cnt > f.ipl {
-				cnt = f.ipl
-			}
-		}
-		g := (l >> f.modShift) & (setClusters - 1)
-		f.subs[g] = append(f.subs[g], trace.Run{Start: start, Len: cnt, Domain: r.Domain})
-	}
-}
-
-// setSubruns filters the trace down to the sampled congruence class once
-// (shared by every engine in the bank). Returns the subgroup run lists and
-// the total instruction count of the unfiltered trace.
-func setSubruns(runs []trace.Run, plan SamplePlan) ([][]trace.Run, int64) {
-	f := newSetFilter(plan)
+// cut replaces the filter's pieces with the sampled lines of runs.
+func (f *setFilter) cut(runs []trace.Run) {
+	f.pieces, f.groups = f.pieces[:0], f.groups[:0]
 	for _, r := range runs {
-		f.add(r)
-	}
-	return f.subs, f.total
-}
-
-// sampledSet replays the pre-filtered subgroups through one engine, one
-// Result snapshot per subgroup.
-func sampledSet(ctx context.Context, subs [][]trace.Run, total int64, e fetch.Engine, plan SamplePlan) (SampledResult, error) {
-	var res SampledResult
-	clusters := make([]sampling.Cluster, 0, len(subs))
-	var prev fetch.Result
-	for _, sub := range subs {
-		if err := replayOne(ctx, sub, e); err != nil {
-			return SampledResult{}, err
+		f.total += r.Len
+		first := r.Start >> f.shift
+		head := min(f.ipl-int64(r.Start/trace.InstrBytes)&(f.ipl-1), r.Len)
+		nlines := int64(1)
+		if rem := r.Len - head; rem > 0 {
+			nlines += (rem + f.ipl - 1) / f.ipl
 		}
-		cur := e.Result()
-		d := resultDelta(cur, prev)
-		prev = cur
-		clusters = append(clusters, sampling.Cluster{Instructions: d.Instructions, Misses: d.Misses})
+		for i := int64((f.match - first) & (f.mod - 1)); i < nlines; i += int64(f.mod) {
+			start, cnt := r.Start, head
+			if i > 0 {
+				off := head + (i-1)*f.ipl
+				start = r.Start + uint64(off)*trace.InstrBytes
+				cnt = min(r.Len-off, f.ipl)
+			}
+			f.pieces = append(f.pieces, trace.Run{Start: start, Len: cnt, Domain: r.Domain})
+			f.groups = append(f.groups, uint8((first+uint64(i))>>f.modShift&(setClusters-1)))
+		}
 	}
-	res.Measured = e.Result()
-	res.Estimate = sampling.EstimateFrom(clusters, total, 1/float64(plan.SetMod))
-	return res, nil
 }

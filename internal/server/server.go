@@ -575,9 +575,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, ErrorDetail{Status: http.StatusBadRequest, Kind: "bad-request", Message: err.Error()})
 		return
 	}
-	if req.LineSize <= 0 || req.LineSize&(req.LineSize-1) != 0 {
+	if req.LineSize < trace.InstrBytes || req.LineSize&(req.LineSize-1) != 0 {
 		s.writeError(w, ErrorDetail{Status: http.StatusBadRequest, Kind: "bad-request",
-			Message: fmt.Sprintf("line_size %d must be a positive power of two", req.LineSize)})
+			Message: fmt.Sprintf("line_size %d must be a power of two >= the %d-byte instruction size", req.LineSize, trace.InstrBytes)})
 		return
 	}
 	if len(req.Cells) == 0 || len(req.Cells) > s.cfg.MaxCells {
@@ -750,7 +750,7 @@ func (s *Server) sampledSweep(ctx context.Context, p sweep.Pass, prof synth.Prof
 	}
 	defer release()
 	s.mColumnar.Add(1)
-	return sp.RunBlocks(cf)
+	return sp.Sweep(trace.NewBlockReader(cf))
 }
 
 // sweepMatrix answers one sweep through the degradation ladder. A request
@@ -848,14 +848,19 @@ func (s *Server) seekSampledSweep(ctx context.Context, p sweep.Pass, prof synth.
 }
 
 // streamedSweep is the last rung: an exact pass over streaming regeneration
-// in O(1) memory.
+// from the store's checkpointed seekable source, in O(1) memory.
 func (s *Server) streamedSweep(ctx context.Context, p sweep.Pass, prof synth.Profile, seed uint64, n int64) (*sweep.Matrix, error) {
-	src, release, err := s.store.Source(prof, seed, n)
+	src, release, err := s.store.SeekSource(prof, seed, n)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	return p.RunSource(&ctxSource{src: src, ctx: ctx})
+	sm, err := sweep.SampledPass{LineSize: p.LineSize, Cells: p.Cells, CountDistinct: p.CountDistinct, Ctx: ctx}.
+		Sweep(trace.NewSeekReader(src))
+	if err != nil {
+		return nil, err
+	}
+	return &sm.Matrix, nil
 }
 
 // --- /v1/replay ---------------------------------------------------------
@@ -979,7 +984,7 @@ func (s *Server) sampledReplay(ctx context.Context, prof synth.Profile, seed uin
 	}
 	defer release()
 	s.mColumnar.Add(1)
-	return replay.SampledBlocks(ctx, cf, engines, plan)
+	return replay.Run(ctx, trace.NewBlockReader(cf), engines, plan)
 }
 
 // replayBank fans the trace out through the engines, down the same
@@ -989,7 +994,7 @@ func (s *Server) sampledReplay(ctx context.Context, prof synth.Profile, seed uin
 // memoized run-compacted trace, then the automatic sampling tier (skip-mode
 // time sampling, degraded, intervals attached), then the columnar-disk tier
 // (EXACT block-granular fan-out from the on-disk columnar trace), and
-// finally one streaming regeneration per engine.
+// finally one streaming regeneration for the whole bank.
 func (s *Server) replayBank(ctx context.Context, prof synth.Profile, seed uint64, n int64, engines []fetch.Engine, spec *SamplingSpec) (results []fetch.Result, sampled []replay.SampledResult, degraded bool, reason string, err error) {
 	if spec != nil {
 		sampled, err = s.sampledReplay(ctx, prof, seed, n, engines, *spec, true)
@@ -1076,20 +1081,21 @@ func (s *Server) columnarReplay(ctx context.Context, prof synth.Profile, seed ui
 }
 
 // streamedReplay is the replay path's last rung: one exact streaming
-// regeneration per engine in O(1) memory.
+// regeneration for the whole bank, from the store's checkpointed seekable
+// source, in O(1) memory.
 func (s *Server) streamedReplay(ctx context.Context, prof synth.Profile, seed uint64, n int64, engines []fetch.Engine) ([]fetch.Result, error) {
-	results := make([]fetch.Result, len(engines))
-	for i, e := range engines {
-		src, release, err := s.store.Source(prof, seed, n)
-		if err != nil {
-			return nil, err
-		}
-		res, rerr := fetch.RunSource(e, &ctxSource{src: src, ctx: ctx})
-		release()
-		if rerr != nil {
-			return nil, rerr
-		}
-		results[i] = res
+	src, release, err := s.store.SeekSource(prof, seed, n)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	sampled, err := replay.Run(ctx, trace.NewSeekReader(src), engines, replay.SamplePlan{})
+	if err != nil {
+		return nil, err
+	}
+	results := make([]fetch.Result, len(sampled))
+	for i, r := range sampled {
+		results[i] = r.Measured
 	}
 	return results, nil
 }
@@ -1210,33 +1216,4 @@ func joinReasons(reasons ...string) string {
 		out += r
 	}
 	return out
-}
-
-// ctxSource wraps a trace.Source with periodic context polling so a
-// streaming replay honors cancellation mid-trace.
-type ctxSource struct {
-	src trace.Source
-	ctx context.Context
-	n   int64
-	err error
-}
-
-// Next implements trace.Source.
-func (c *ctxSource) Next() (trace.Ref, bool) {
-	if c.n&0xffff == 0 {
-		if err := c.ctx.Err(); err != nil {
-			c.err = err
-			return trace.Ref{}, false
-		}
-	}
-	c.n++
-	return c.src.Next()
-}
-
-// Err implements trace.Source: a context error dominates the stream's own.
-func (c *ctxSource) Err() error {
-	if c.err != nil {
-		return c.err
-	}
-	return c.src.Err()
 }

@@ -274,6 +274,33 @@ func TestBadRequestsAreStructured400s(t *testing.T) {
 
 // A request with a deadline inside the degrade window answers at reduced
 // fidelity and says so, instead of burning its whole budget and timing out.
+// Line sizes below one instruction are a structured 400 on every path —
+// explicit set or time sampling, the automatic sampling tier of an
+// over-budget store, and the exact pass — not an internal error from the
+// kernel, which settles whole instructions per line.
+func TestSubInstructionLineSizeRejected(t *testing.T) {
+	_, ts := testServer(t, nil)
+	_, tight := testServer(t, func(c *Config) { c.Store = synth.NewStoreLimits(1<<26, 1<<19) })
+	for _, line := range []int{1, 2} {
+		for name, tc := range map[string]struct {
+			url  string
+			spec *SamplingSpec
+		}{
+			"set":   {ts.URL, &SamplingSpec{Set: 16}},
+			"time":  {ts.URL, &SamplingSpec{Window: 2000, Period: 8000}},
+			"exact": {ts.URL, nil},
+			"auto":  {tight.URL, nil},
+		} {
+			req := SweepRequest{Workload: "eqntott", Instructions: 100_000, LineSize: line,
+				Cells: []CellSpec{{Sets: 256, Assoc: 1}}, Sampling: tc.spec}
+			code, raw := postJSON(t, tc.url+"/v1/sweep", req, nil)
+			if code != 400 || errKind(t, raw) != "bad-request" {
+				t.Errorf("line %d %s: code %d: %s, want a bad-request 400", line, name, code, raw)
+			}
+		}
+	}
+}
+
 func TestNearDeadlineDegrades(t *testing.T) {
 	_, ts := testServer(t, func(c *Config) { c.DegradeWindow = 10 * time.Second })
 	req := SweepRequest{

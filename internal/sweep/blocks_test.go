@@ -65,9 +65,10 @@ func TestRunBlocksCancel(t *testing.T) {
 	}
 }
 
-// SampledPass.RunBlocks must be bit-identical to SampledPass.Run — matrices,
-// estimates, clusters — for every sampling shape, including the set-only
-// fast path fed one block at a time.
+// A sampled pass over a block source, read through its block index, must
+// be bit-identical to Run over the in-memory runs — matrices, estimates,
+// clusters — for every sampling shape, including the set-only fast path fed
+// one block at a time.
 func TestSampledRunBlocksMatchesRun(t *testing.T) {
 	refs := testRefs(t, 200_000)
 	runs := trace.Compact(refs)
@@ -90,7 +91,7 @@ func TestSampledRunBlocksMatchesRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := p.RunBlocks(cf)
+			got, err := p.Sweep(trace.NewBlockReader(cf))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,10 +102,11 @@ func TestSampledRunBlocksMatchesRun(t *testing.T) {
 	}
 }
 
+// A sampled pass over a block source validates like any other.
 func TestSampledRunBlocksRejectsBadPass(t *testing.T) {
 	cf := columnarOf(t, trace.Compact(testRefs(t, 100)), 512)
 	p := SampledPass{LineSize: 3, Cells: sweepCells()}
-	if _, err := p.RunBlocks(cf); err == nil {
+	if _, err := p.Sweep(trace.NewBlockReader(cf)); err == nil {
 		t.Fatal("invalid line size accepted")
 	}
 }

@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"ibsim/internal/sampling"
 	"ibsim/internal/trace"
@@ -31,11 +32,16 @@ import (
 //     trap-driven-tool bias internal/sampling quantifies. Each window is one
 //     cluster.
 //
+// With neither dimension enabled (or Window == Period) the pass measures
+// everything and its counts are the exact sweep's: Pass is this schedule.
+//
 // The engine processes runs at line granularity: within one sequential run a
 // line's first access is the only one that can change stack state (addresses
 // strictly increase, so accesses between a line's first and last touch all
 // hit it at distance 1), so each touched line costs one stack operation
-// regardless of how many instructions it holds.
+// regardless of how many instructions it holds. The same property makes the
+// kernel blind to how a run is cut into spans, which is what lets one loop
+// read any trace.RunReader.
 type SampledPass struct {
 	// LineSize is the line size in bytes shared by every cell; a power of
 	// two >= trace.InstrBytes.
@@ -65,21 +71,18 @@ type SampledPass struct {
 
 // SampledMatrix is the result of one sampled sweep.
 type SampledMatrix struct {
-	// LineSize is the pass's line size in bytes.
-	LineSize int
+	// Matrix holds the measured counts: Accesses is the measured
+	// instruction count (equal to SampledInstructions), Misses each cell's
+	// measured misses within the sampled sets/windows — NOT extrapolated —
+	// and Distinct the distinct measured lines (0 unless CountDistinct).
+	// For an unsampled pass it is exactly the exact sweep's matrix.
+	Matrix
 	// TotalInstructions is the full trace length the estimates extrapolate
 	// to; SampledInstructions is how many were actually measured.
 	TotalInstructions   int64
 	SampledInstructions int64
-	// Distinct counts distinct measured lines (0 unless CountDistinct).
-	Distinct int64
-	// Cells echoes the grid, parallel to Misses and Estimates.
-	Cells []Cell
-	// Misses holds each cell's measured miss count (within the sampled
-	// sets/windows — NOT extrapolated).
-	Misses []int64
 	// Estimates holds each cell's extrapolated MPI estimate with its 95%
-	// confidence interval.
+	// confidence interval, parallel to Cells.
 	Estimates []sampling.Estimate
 }
 
@@ -96,14 +99,17 @@ func (m *SampledMatrix) Coverage() float64 {
 // instructions of latency at worst).
 const sampledRunCheckMask = 1<<12 - 1
 
-// sampledState carries the hot-loop state of one sampled pass.
+// sampledState carries the hot-loop state of one pass.
 type sampledState struct {
-	m      *Matrix // Accesses = measured instructions, Misses = measured misses
-	groups []*group
-	seen   *lineSet
-	shift  uint
-	ipl    int64 // instructions per line (power of two)
-	iplSh  uint  // log2(ipl): div/mod by ipl as shifts in the per-run path
+	p          SampledPass
+	timeSample bool    // Window < Period: windows cluster the estimate
+	total      int64   // instructions read so far
+	m          *Matrix // Accesses = measured instructions, Misses = measured misses
+	groups     []*group
+	seen       *lineSet
+	shift      uint
+	ipl        int64 // instructions per line (power of two)
+	iplSh      uint  // log2(ipl): div/mod by ipl as shifts in the per-run path
 
 	// Set sampling (mod > 1): lines ≡ match (mod mod). Only sets congruent
 	// to match are ever touched, so stacks are allocated compactly — one row
@@ -125,129 +131,154 @@ type sampledState struct {
 	kMiss      [][]int64 // [cell][k]
 
 	// Per-window clustering (time sampling).
-	winCluster  bool
 	winClusters [][]sampling.Cluster // [cell][window]
 	winPrev     []int64              // per-cell miss snapshot at window open
 	winInstr    int64
-	curWin      int64
 }
 
-// Run executes the sampled pass over a run-compacted trace.
+// Sweep runs the pass over any run source — in-memory runs, a block-indexed
+// file, a checkpointed generator — walking its schedule: the whole trace
+// once, or per time window the measured span plus (Warm) the gap. It is the
+// package's one driver; every other entry point adapts a trace form to it.
+func (p SampledPass) Sweep(src trace.RunReader) (*SampledMatrix, error) {
+	st, err := p.prepare()
+	if err != nil {
+		return nil, err
+	}
+	total, err := st.walk(src)
+	if err != nil {
+		return nil, err
+	}
+	return st.assemble(total), nil
+}
+
+// Run executes the sampled pass over an in-memory run-compacted trace.
 func (p SampledPass) Run(runs []trace.Run) (*SampledMatrix, error) {
-	st, timeSample, err := p.prepare()
-	if err != nil {
-		return nil, err
-	}
-	if !timeSample && st.mod > 1 {
-		// Set-only sampling is the service's fast path: run it through the
-		// specialized loop (no per-run call, hot fields in registers).
-		total, err := st.runSetOnly(runs, p.Ctx)
-		if err != nil {
-			return nil, err
-		}
-		return p.assemble(st, total), nil
-	}
-	pos, err := p.feed(st, runs, 0, timeSample)
-	if err != nil {
-		return nil, err
-	}
-	st.closeWindow()
-	return p.assemble(st, pos), nil
+	return p.Sweep(trace.NewRunReader(runs))
 }
 
-// feed advances the pass over the next chunk of runs, which begins at
-// absolute instruction position pos, and returns the advanced position. All
-// sampling state (window clusters, curWin, stacks) lives in st, so feeding
-// the trace as one slice or block by block produces identical matrices —
-// this is the shared core of Run and RunBlocks.
-func (p SampledPass) feed(st *sampledState, runs []trace.Run, pos int64, timeSample bool) (int64, error) {
-	for ri, r := range runs {
-		if p.Ctx != nil && ri&sampledRunCheckMask == 0 {
-			if err := p.Ctx.Err(); err != nil {
+// RunSeek executes a skip-mode time-sampled pass over a seekable source
+// (synth.SeekSource over a checkpointed generator), generating only the
+// measured windows: O(sampled refs + windows · checkpoint interval) instead
+// of O(n). It requires Window < Period and Warm == false — warm mode and
+// set-only sampling must walk every instruction, so seeking could skip
+// nothing. Set sampling composed with skip-mode time sampling is fine.
+func (p SampledPass) RunSeek(src trace.Seeker) (*SampledMatrix, error) {
+	if p.Period <= p.Window || p.Warm {
+		return nil, fmt.Errorf("sweep: RunSeek needs skip-mode time sampling (window < period, not warm)")
+	}
+	return p.Sweep(trace.NewSeekReader(src))
+}
+
+// walk reads the pass's schedule from src and returns the trace length.
+// Windows are [w·Period, w·Period+Window), each closed into one cluster per
+// cell as soon as it has been read.
+func (st *sampledState) walk(src trace.RunReader) (int64, error) {
+	if !st.timeSample {
+		if err := src.ReadRuns(0, math.MaxInt64, st.measure); err != nil {
+			return 0, err
+		}
+		return st.total, nil
+	}
+	total := src.Total()
+	p := st.p
+	measure, warm := st.measure, st.warm
+	for start := int64(0); start < total; start += p.Period {
+		if err := src.ReadRuns(start, p.Window, measure); err != nil {
+			return 0, err
+		}
+		st.closeWindow()
+		if p.Warm {
+			if err := src.ReadRuns(start+p.Window, p.Period-p.Window, warm); err != nil {
 				return 0, err
 			}
 		}
-		if !timeSample {
-			st.span(r.Start, r.Len, true)
-			pos += r.Len
-			continue
+		if start > total-p.Period {
+			break // the next window start would overflow int64
 		}
-		for off := int64(0); off < r.Len; {
-			phase := (pos + off) % p.Period
-			if phase < p.Window {
-				seg := p.Window - phase
-				if rem := r.Len - off; seg > rem {
-					seg = rem
-				}
-				if win := (pos + off) / p.Period; win != st.curWin {
-					st.closeWindow()
-					st.curWin = win
-				}
-				st.span(r.Start+uint64(off)*trace.InstrBytes, seg, true)
-				off += seg
-			} else {
-				seg := p.Period - phase
-				if rem := r.Len - off; seg > rem {
-					seg = rem
-				}
-				if p.Warm {
-					st.span(r.Start+uint64(off)*trace.InstrBytes, seg, false)
-				}
-				off += seg
-			}
-		}
-		pos += r.Len
 	}
-	return pos, nil
+	return total, nil
 }
 
-// prepare validates the sampled pass and builds its state.
-func (p SampledPass) prepare() (*sampledState, bool, error) {
-	if p.LineSize < trace.InstrBytes {
-		return nil, false, fmt.Errorf("sweep: sampled pass line size %d must be >= the %d-byte instruction size", p.LineSize, trace.InstrBytes)
+// measure settles measured runs — through the set-only loop when set
+// sampling is the only dimension, else span by span — counting the
+// instructions they hold into st.total.
+func (st *sampledState) measure(runs []trace.Run) error {
+	if st.mod > 1 && !st.timeSample {
+		return st.runSetOnly(runs)
 	}
-	m, groups, seen, shift, err := Pass{
-		LineSize:      p.LineSize,
-		Cells:         p.Cells,
-		CountDistinct: p.CountDistinct,
-	}.prepareCore()
+	return st.spans(runs, true)
+}
+
+// warm advances stack state over an unmeasured gap.
+func (st *sampledState) warm(runs []trace.Run) error { return st.spans(runs, false) }
+
+// spans settles runs one span each, polling the context every few thousand
+// runs.
+func (st *sampledState) spans(runs []trace.Run, measured bool) error {
+	var n int64
+	for ri, r := range runs {
+		if ri&sampledRunCheckMask == 0 {
+			if err := st.poll(); err != nil {
+				return err
+			}
+		}
+		n += r.Len
+		st.span(r.Start, r.Len, measured)
+	}
+	st.total += n
+	return nil
+}
+
+// poll returns the pass context's error, if any.
+func (st *sampledState) poll() error {
+	if st.p.Ctx == nil {
+		return nil
+	}
+	return st.p.Ctx.Err()
+}
+
+// prepare validates the pass and builds its state.
+func (p SampledPass) prepare() (*sampledState, error) {
+	m, groups, seen, shift, err := prepareGrid(p.LineSize, p.Cells, p.CountDistinct)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if p.SetMod > 1 {
 		if p.SetMod&(p.SetMod-1) != 0 {
-			return nil, false, fmt.Errorf("sweep: set-sampling modulus %d must be a power of two", p.SetMod)
+			return nil, fmt.Errorf("sweep: set-sampling modulus %d must be a power of two", p.SetMod)
 		}
 		if p.SetMatch < 0 || p.SetMatch >= p.SetMod {
-			return nil, false, fmt.Errorf("sweep: set-sampling match %d outside [0,%d)", p.SetMatch, p.SetMod)
+			return nil, fmt.Errorf("sweep: set-sampling match %d outside [0,%d)", p.SetMatch, p.SetMod)
 		}
 		for i, c := range p.Cells {
 			if c.Sets < p.SetMod {
-				return nil, false, fmt.Errorf("sweep: cell %d has %d sets < set-sampling modulus %d (sampled lines would not cover whole sets)", i, c.Sets, p.SetMod)
+				return nil, fmt.Errorf("sweep: cell %d has %d sets < set-sampling modulus %d (sampled lines would not cover whole sets)", i, c.Sets, p.SetMod)
 			}
 		}
 	} else if p.SetMatch != 0 {
-		return nil, false, fmt.Errorf("sweep: set-sampling match %d without a modulus", p.SetMatch)
+		return nil, fmt.Errorf("sweep: set-sampling match %d without a modulus", p.SetMatch)
 	}
 	timeSample := p.Period > 0 || p.Window > 0
 	if timeSample {
 		if p.Window <= 0 {
-			return nil, false, fmt.Errorf("sweep: sampling window %d must be positive", p.Window)
+			return nil, fmt.Errorf("sweep: sampling window %d must be positive", p.Window)
 		}
 		if p.Period < p.Window {
-			return nil, false, fmt.Errorf("sweep: sampling period %d < window %d", p.Period, p.Window)
+			return nil, fmt.Errorf("sweep: sampling period %d < window %d", p.Period, p.Window)
 		}
 		// Window == Period measures everything: no windows to cluster by.
 		timeSample = p.Window < p.Period
 	}
 
 	st := &sampledState{
-		m:      m,
-		groups: groups,
-		seen:   seen,
-		shift:  shift,
-		ipl:    int64(p.LineSize / trace.InstrBytes),
-		curWin: -1,
+		p:          p,
+		timeSample: timeSample,
+		m:          m,
+		groups:     groups,
+		seen:       seen,
+		shift:      shift,
+		ipl:        int64(p.LineSize / trace.InstrBytes),
 	}
 	for v := st.ipl; v > 1; v >>= 1 {
 		st.iplSh++
@@ -266,7 +297,6 @@ func (p SampledPass) prepare() (*sampledState, bool, error) {
 	}
 	switch {
 	case timeSample:
-		st.winCluster = true
 		st.winClusters = make([][]sampling.Cluster, len(p.Cells))
 		st.winPrev = make([]int64, len(p.Cells))
 	case st.mod > 1:
@@ -284,7 +314,7 @@ func (p SampledPass) prepare() (*sampledState, bool, error) {
 			}
 		}
 	}
-	return st, timeSample, nil
+	return st, nil
 }
 
 // runSetOnly is the set-sampling-only hot loop: every instruction is
@@ -292,17 +322,17 @@ func (p SampledPass) prepare() (*sampledState, bool, error) {
 // class within each run — typically zero or one lines. Equivalent to calling
 // span(r.Start, r.Len, true) per run; specialized so the per-run cost stays
 // a few nanoseconds (the whole point of the ~SetMod× speedup).
-func (st *sampledState) runSetOnly(runs []trace.Run, ctx context.Context) (int64, error) {
-	var pos int64
+func (st *sampledState) runSetOnly(runs []trace.Run) error {
+	var n int64
 	shift, ipl, iplSh := st.shift, st.ipl, st.iplSh
 	mod1, match := st.mod-1, st.match
 	for ri, r := range runs {
-		if ctx != nil && ri&sampledRunCheckMask == 0 {
-			if err := ctx.Err(); err != nil {
-				return 0, err
+		if ri&sampledRunCheckMask == 0 {
+			if err := st.poll(); err != nil {
+				return err
 			}
 		}
-		pos += r.Len
+		n += r.Len
 		first := r.Start >> shift
 		delta := int64((match - first) & mod1)
 		if delta > (r.Len>>iplSh)+1 {
@@ -322,7 +352,8 @@ func (st *sampledState) runSetOnly(runs []trace.Run, ctx context.Context) (int64
 			st.touch(first+uint64(i), st.lineCnt(i, r.Len, head), true)
 		}
 	}
-	return pos, nil
+	st.total += n
+	return nil
 }
 
 // span processes n sequential instructions starting at start, at line
@@ -424,11 +455,9 @@ func (st *sampledState) touch(la uint64, cnt int64, measured bool) {
 	}
 }
 
-// closeWindow flushes the open measurement window into one cluster per cell.
+// closeWindow flushes the measurement window just read into one cluster per
+// cell.
 func (st *sampledState) closeWindow() {
-	if !st.winCluster || st.curWin < 0 {
-		return
-	}
 	if st.winInstr > 0 {
 		for i := range st.winClusters {
 			st.winClusters[i] = append(st.winClusters[i], sampling.Cluster{
@@ -442,14 +471,11 @@ func (st *sampledState) closeWindow() {
 }
 
 // assemble builds the result matrix with per-cell estimates.
-func (p SampledPass) assemble(st *sampledState, total int64) *SampledMatrix {
+func (st *sampledState) assemble(total int64) *SampledMatrix {
 	sm := &SampledMatrix{
-		LineSize:            st.m.LineSize,
+		Matrix:              *st.m,
 		TotalInstructions:   total,
 		SampledInstructions: st.m.Accesses,
-		Distinct:            st.m.Distinct,
-		Cells:               st.m.Cells,
-		Misses:              st.m.Misses,
 		Estimates:           make([]sampling.Estimate, len(st.m.Cells)),
 	}
 	cellGroup := make([]int, len(sm.Cells))
@@ -459,7 +485,7 @@ func (p SampledPass) assemble(st *sampledState, total int64) *SampledMatrix {
 		}
 	}
 	switch {
-	case st.winCluster:
+	case st.timeSample:
 		// The sampled fraction of the population: instruction coverage
 		// (which already folds in any set sampling — skipped lines are
 		// never counted as measured).

@@ -11,12 +11,19 @@
 // line, inclusive — is at most A (Mattson's inclusion property applied
 // within each set). The engine therefore maintains, for every distinct set
 // count in the grid, an array of per-set recency stacks truncated at the
-// largest associativity any grid cell needs; one position scan per
-// reference per set count settles hit/miss for every associativity at that
-// set count simultaneously.
+// largest associativity any grid cell needs; one position scan per touched
+// line per set count settles hit/miss for every associativity at that set
+// count simultaneously.
 //
-// Complexity: O(refs · Σ_S Amax(S)) worst case with tiny constants (the
-// common case — a re-reference to the most recent line of its set — is a
+// The kernel is line-granular: it reads the trace as sequential runs (Section
+// 4's observation that instruction fetch is sequential), and within a run
+// only a line's first access can change stack state, so each touched line
+// costs one stack operation however many instructions it holds. Every pass —
+// exact, warm or skip time sampling, set sampling — is a schedule the same
+// loop walks over a trace.RunReader (sampled.go).
+//
+// Complexity: O(lines touched · Σ_S Amax(S)) worst case with tiny constants
+// (the common case — a re-touch of the most recent line of its set — is a
 // single compare), versus O(configs · refs) full cache simulations for the
 // per-config path. Space is O(Σ_S S·Amax(S)) words, independent of trace
 // length. The miss counts are bit-identical to replaying each
@@ -49,8 +56,8 @@ func (c Cell) Size(lineSize int) int { return c.Sets * c.Assoc * lineSize }
 type Matrix struct {
 	// LineSize is the pass's line size in bytes.
 	LineSize int
-	// Accesses is the number of references processed (every cell's
-	// hit+miss total).
+	// Accesses is the number of instruction fetches processed (every
+	// cell's hit+miss total).
 	Accesses int64
 	// Distinct is the number of distinct lines touched — the compulsory
 	// (first-touch) miss count, included in every cell's Misses. Counted
@@ -81,33 +88,64 @@ func (m *Matrix) MissesFor(sizeBytes, assoc int) (int64, bool) {
 	return 0, false
 }
 
-// Pass configures one sweep over a trace.
+// Pass configures one exact sweep over a trace.
 type Pass struct {
 	// LineSize is the line size in bytes shared by every cell; a power of
-	// two.
+	// two >= trace.InstrBytes (the kernel settles whole instructions per
+	// line).
 	LineSize int
 	// Cells is the capacity × associativity grid.
 	Cells []Cell
 	// CountDistinct additionally counts distinct lines (compulsory
-	// misses) into Matrix.Distinct; it costs one hash-set probe per
-	// reference, so it is off unless a Three-Cs style decomposition needs
-	// it.
+	// misses) into Matrix.Distinct; it costs one hash-set probe per touched
+	// line, so it is off unless a Three-Cs style decomposition needs it.
 	CountDistinct bool
-	// Ctx, when non-nil, lets a long pass be cancelled: Run polls it every
-	// cancelCheckMask+1 references and returns ctx.Err() promptly instead
-	// of finishing the trace. Nil runs to completion.
+	// Ctx, when non-nil, lets a long pass be cancelled: the kernel polls it
+	// every few thousand runs and returns ctx.Err() promptly instead of
+	// finishing the trace. Nil runs to completion.
 	Ctx context.Context
 }
 
-// cancelCheckMask sets the cancellation polling stride (every 64K refs —
-// microseconds of work, so cancellation latency stays negligible while the
-// hot loop pays one masked compare per reference).
-const cancelCheckMask = 1<<16 - 1
+// refChunk bounds how many references Run compacts at a time, so the pass
+// never holds more than one chunk's runs.
+const refChunk = 1 << 12
 
-// Run is the common case: a miss matrix for cells at lineSize, without
-// first-touch counting.
-func Run(lineSize int, cells []Cell, refs []trace.Ref) (*Matrix, error) {
-	return Pass{LineSize: lineSize, Cells: cells}.Run(refs)
+// Run executes the pass over a reference trace and returns the miss matrix.
+// Only instruction fetches count, per the paper's Section 5 method ("we only
+// consider instruction references"); the trace is run-compacted chunk by
+// chunk and settled by the line-granular kernel.
+func (p Pass) Run(refs []trace.Ref) (*Matrix, error) {
+	st, err := p.sampled().prepare()
+	if err != nil {
+		return nil, err
+	}
+	runs := make([]trace.Run, 0, refChunk/4) // IBS traces average ~7 instructions per run
+	for len(refs) > 0 {
+		chunk := refs[:min(len(refs), refChunk)]
+		refs = refs[len(chunk):]
+		runs = trace.CompactAppend(runs[:0], chunk)
+		if err := st.measure(runs); err != nil {
+			return nil, err
+		}
+	}
+	return st.m, nil
+}
+
+// RunBlocks executes the pass over a block-granular trace (a columnar file
+// via mmap, or any block-sliced trace) one block at a time: live memory is
+// one decoded block plus the O(grid) stacks, independent of trace length.
+func (p Pass) RunBlocks(bs trace.BlockSource) (*Matrix, error) {
+	sm, err := p.sampled().Sweep(trace.NewBlockReader(bs))
+	if err != nil {
+		return nil, err
+	}
+	return &sm.Matrix, nil
+}
+
+// sampled returns the pass as an unsampled SampledPass: the kernel's exact
+// schedule.
+func (p Pass) sampled() SampledPass {
+	return SampledPass{LineSize: p.LineSize, Cells: p.Cells, CountDistinct: p.CountDistinct, Ctx: p.Ctx}
 }
 
 // groupCell is one grid cell's slot within its set-count group.
@@ -125,127 +163,27 @@ type group struct {
 	cells []groupCell
 }
 
-// Run executes the pass and returns the miss matrix.
-func (p Pass) Run(refs []trace.Ref) (*Matrix, error) {
-	m, groups, seen, shift, err := p.prepare()
-	if err != nil {
-		return nil, err
+// prepareGrid validates the line size and grid and builds the result matrix,
+// the per-set-count groups (stacks unallocated: the caller lays them out),
+// the optional first-touch set, and the line-size shift.
+func prepareGrid(lineSize int, cells []Cell, countDistinct bool) (*Matrix, []*group, *lineSet, uint, error) {
+	if lineSize < trace.InstrBytes {
+		return nil, nil, nil, 0, fmt.Errorf("sweep: line size %d must be >= the %d-byte instruction size", lineSize, trace.InstrBytes)
 	}
-	for ri, r := range refs {
-		if p.Ctx != nil && ri&cancelCheckMask == 0 {
-			if err := p.Ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		la := r.Addr >> shift
-		key := la + 1
-		if seen != nil && seen.add(key) {
-			m.Distinct++
-		}
-		for _, g := range groups {
-			base := int(la&g.mask) * g.amax
-			st := g.stack[base : base+g.amax]
-			if st[0] == key {
-				// Stack distance 1: a hit at every associativity.
-				continue
-			}
-			pos := -1
-			for i := 1; i < g.amax; i++ {
-				if st[i] == key {
-					pos = i
-					break
-				}
-			}
-			if pos < 0 {
-				// Distance beyond the deepest tracked associativity (or a
-				// first touch): a miss in every cell of the group.
-				for _, c := range g.cells {
-					m.Misses[c.out]++
-				}
-				copy(st[1:], st[:g.amax-1])
-			} else {
-				// Stack distance pos+1: cells shallower than that miss.
-				for _, c := range g.cells {
-					if c.assoc <= pos {
-						m.Misses[c.out]++
-					}
-				}
-				copy(st[1:pos+1], st[:pos])
-			}
-			st[0] = key
-		}
-		m.Accesses++
+	if lineSize&(lineSize-1) != 0 {
+		return nil, nil, nil, 0, fmt.Errorf("sweep: line size %d must be a positive power of two", lineSize)
 	}
-	return m, nil
-}
-
-// RunSource executes the pass over a streaming trace.Source in O(grid)
-// memory — no materialized ref slice — and returns the same miss matrix Run
-// produces over the equivalent slice (only instruction fetches are
-// counted). It is the degraded-mode path for traces too large for the synth
-// store's hard budget: the service layer pairs it with synth.Store.Source's
-// streaming regeneration. A source that stops with a non-nil Err fails the
-// pass with that error; the partial matrix is discarded.
-func (p Pass) RunSource(src trace.Source) (*Matrix, error) {
-	m, groups, seen, shift, err := p.prepare()
-	if err != nil {
-		return nil, err
-	}
-	var ri int64
-	for {
-		if p.Ctx != nil && ri&cancelCheckMask == 0 {
-			if err := p.Ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		r, ok := src.Next()
-		if !ok {
-			if err := src.Err(); err != nil {
-				return nil, err
-			}
-			return m, nil
-		}
-		ri++
-		if r.Kind != trace.IFetch {
-			continue
-		}
-		p.step(m, groups, seen, shift, r.Addr)
-	}
-}
-
-// prepare validates the pass and builds the per-set-count groups, the
-// optional first-touch set, and the line-size shift shared by Run and
-// RunSource.
-func (p Pass) prepare() (*Matrix, []*group, *lineSet, uint, error) {
-	m, groups, seen, shift, err := p.prepareCore()
-	if err != nil {
-		return nil, nil, nil, 0, err
-	}
-	for _, g := range groups {
-		// Stacks are row-major per set; key 0 marks an empty slot, so line
-		// addresses are stored offset by one.
-		g.stack = make([]uint64, (int(g.mask)+1)*g.amax)
-	}
-	return m, groups, seen, shift, nil
-}
-
-// prepareCore is prepare without the stack allocation, for passes (the
-// sampled sweep) that lay stacks out differently.
-func (p Pass) prepareCore() (*Matrix, []*group, *lineSet, uint, error) {
-	if p.LineSize <= 0 || p.LineSize&(p.LineSize-1) != 0 {
-		return nil, nil, nil, 0, fmt.Errorf("sweep: line size %d must be a positive power of two", p.LineSize)
-	}
-	if len(p.Cells) == 0 {
+	if len(cells) == 0 {
 		return nil, nil, nil, 0, fmt.Errorf("sweep: empty cell grid")
 	}
 	m := &Matrix{
-		LineSize: p.LineSize,
-		Cells:    append([]Cell(nil), p.Cells...),
-		Misses:   make([]int64, len(p.Cells)),
+		LineSize: lineSize,
+		Cells:    append([]Cell(nil), cells...),
+		Misses:   make([]int64, len(cells)),
 	}
 	bySets := make(map[int]*group)
 	var groups []*group
-	for i, c := range p.Cells {
+	for i, c := range cells {
 		if c.Sets <= 0 || c.Sets&(c.Sets-1) != 0 {
 			return nil, nil, nil, 0, fmt.Errorf("sweep: cell %d: set count %d must be a positive power of two", i, c.Sets)
 		}
@@ -264,54 +202,14 @@ func (p Pass) prepareCore() (*Matrix, []*group, *lineSet, uint, error) {
 		g.cells = append(g.cells, groupCell{assoc: c.Assoc, out: i})
 	}
 	var seen *lineSet
-	if p.CountDistinct {
+	if countDistinct {
 		seen = newLineSet()
 	}
 	var shift uint
-	for v := p.LineSize; v > 1; v >>= 1 {
+	for v := lineSize; v > 1; v >>= 1 {
 		shift++
 	}
 	return m, groups, seen, shift, nil
-}
-
-// step settles one instruction fetch for every grid cell — the shared
-// per-reference body of RunSource (Run keeps its own inlined copy: the
-// materialized path is the benchmarked hot loop).
-func (p Pass) step(m *Matrix, groups []*group, seen *lineSet, shift uint, addr uint64) {
-	la := addr >> shift
-	key := la + 1
-	if seen != nil && seen.add(key) {
-		m.Distinct++
-	}
-	for _, g := range groups {
-		base := int(la&g.mask) * g.amax
-		st := g.stack[base : base+g.amax]
-		if st[0] == key {
-			continue
-		}
-		pos := -1
-		for i := 1; i < g.amax; i++ {
-			if st[i] == key {
-				pos = i
-				break
-			}
-		}
-		if pos < 0 {
-			for _, c := range g.cells {
-				m.Misses[c.out]++
-			}
-			copy(st[1:], st[:g.amax-1])
-		} else {
-			for _, c := range g.cells {
-				if c.assoc <= pos {
-					m.Misses[c.out]++
-				}
-			}
-			copy(st[1:pos+1], st[:pos])
-		}
-		st[0] = key
-	}
-	m.Accesses++
 }
 
 // lineSet is a minimal open-addressing hash set over non-zero uint64 keys,

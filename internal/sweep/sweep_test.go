@@ -47,7 +47,7 @@ func TestMatrixMatchesPerConfigReplay(t *testing.T) {
 				cells = append(cells, Cell{Sets: lines / a, Assoc: a})
 			}
 		}
-		m, err := Run(lineSize, cells, refs)
+		m, err := Pass{LineSize: lineSize, Cells: cells}.Run(refs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func TestFullyAssociativeCell(t *testing.T) {
 	refs := testRefs(t, 50_000)
 	const lineSize = 32
 	lines := 2048 / lineSize
-	m, err := Run(lineSize, []Cell{{Sets: 1, Assoc: lines}}, refs)
+	m, err := Pass{LineSize: lineSize, Cells: []Cell{{Sets: 1, Assoc: lines}}}.Run(refs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestCountDistinct(t *testing.T) {
 func TestMissesFor(t *testing.T) {
 	refs := testRefs(t, 10_000)
 	cells := []Cell{{Sets: 256, Assoc: 1}, {Sets: 128, Assoc: 8}}
-	m, err := Run(32, cells, refs)
+	m, err := Pass{LineSize: 32, Cells: cells}.Run(refs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,6 +125,8 @@ func TestRunValidation(t *testing.T) {
 	}{
 		{"line not power of two", Pass{LineSize: 24, Cells: []Cell{{Sets: 4, Assoc: 1}}}},
 		{"zero line", Pass{LineSize: 0, Cells: []Cell{{Sets: 4, Assoc: 1}}}},
+		{"line below one instruction", Pass{LineSize: 2, Cells: []Cell{{Sets: 4, Assoc: 1}}}},
+		{"one-byte line", Pass{LineSize: 1, Cells: []Cell{{Sets: 4, Assoc: 1}}}},
 		{"no cells", Pass{LineSize: 32}},
 		{"sets not power of two", Pass{LineSize: 32, Cells: []Cell{{Sets: 3, Assoc: 1}}}},
 		{"zero assoc", Pass{LineSize: 32, Cells: []Cell{{Sets: 4, Assoc: 0}}}},
@@ -158,7 +160,7 @@ func TestRandomizedGrids(t *testing.T) {
 			assoc := 1 << rng.Intn(4)
 			cells = append(cells, Cell{Sets: sets, Assoc: assoc})
 		}
-		m, err := Run(lineSize, cells, refs)
+		m, err := Pass{LineSize: lineSize, Cells: cells}.Run(refs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +190,7 @@ func BenchmarkSweepFigure3Grid(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(64, cells, refs); err != nil {
+		if _, err := (Pass{LineSize: 64, Cells: cells}.Run(refs)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -206,7 +208,7 @@ func TestRunHonorsContext(t *testing.T) {
 		t.Fatalf("cancelled pass: err = %v, want context.Canceled", err)
 	}
 
-	want, err := Run(32, cells, refs)
+	want, err := Pass{LineSize: 32, Cells: cells}.Run(refs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,8 +223,9 @@ func TestRunHonorsContext(t *testing.T) {
 	}
 }
 
-// RunSource must agree exactly with Run on the same stream: the streaming
-// path is the degraded-mode fallback and may not change any number.
+// An exact pass streamed from a checkpointed generator must agree exactly
+// with Run over the materialized refs: the streaming path is the
+// degraded-mode fallback and may not change any number.
 func TestRunSourceMatchesRun(t *testing.T) {
 	refs := testRefs(t, 150_000)
 	p := Pass{
@@ -234,10 +237,11 @@ func TestRunSourceMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := p.RunSource(trace.NewSliceSource(refs))
+	sm, err := p.sampled().Sweep(trace.NewSeekReader(seekSource(t, "gs", 0, 150_000, 4096)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := sm.Matrix
 	if got.Accesses != want.Accesses || got.Distinct != want.Distinct {
 		t.Fatalf("totals differ: %d/%d vs %d/%d", got.Accesses, got.Distinct, want.Accesses, want.Distinct)
 	}
@@ -248,7 +252,7 @@ func TestRunSourceMatchesRun(t *testing.T) {
 	}
 }
 
-// errAfterSource fails the stream after n refs.
+// errAfterSource is a Seeker whose stream fails after n refs.
 type errAfterSource struct {
 	refs []trace.Ref
 	n    int
@@ -272,37 +276,44 @@ func (s *errAfterSource) Err() error {
 	return nil
 }
 
-// A source error must abort RunSource with that error, not a silent
+func (s *errAfterSource) SeekTo(i int64) error { s.i = int(i); return nil }
+func (s *errAfterSource) Pos() int64           { return int64(s.i) }
+func (s *errAfterSource) Total() int64         { return int64(len(s.refs)) }
+
+// A run source's error must abort the pass with that error, not a silent
 // partial matrix.
 func TestRunSourcePropagatesSourceError(t *testing.T) {
 	refs := testRefs(t, 10_000)
 	boom := errors.New("sweep test: injected stream failure")
-	p := Pass{LineSize: 32, Cells: []Cell{{Sets: 64, Assoc: 1}}}
-	_, err := p.RunSource(&errAfterSource{refs: refs, n: 5_000, err: boom})
+	p := SampledPass{LineSize: 32, Cells: []Cell{{Sets: 64, Assoc: 1}}}
+	_, err := p.Sweep(trace.NewSeekReader(&errAfterSource{refs: refs, n: 5_000, err: boom}))
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want injected cause", err)
 	}
 }
 
-// Cancellation mid-stream aborts RunSource with the context's error.
+// Cancellation mid-stream aborts a pass over a run source with the
+// context's error.
 func TestRunSourceCancellation(t *testing.T) {
 	refs := testRefs(t, 400_000)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	p := Pass{LineSize: 32, Cells: []Cell{{Sets: 64, Assoc: 1}}, Ctx: ctx}
-	if _, err := p.RunSource(trace.NewSliceSource(refs)); !errors.Is(err, context.Canceled) {
+	p := SampledPass{LineSize: 32, Cells: []Cell{{Sets: 64, Assoc: 1}}, Ctx: ctx}
+	if _, err := p.Sweep(trace.NewSeekReader(&errAfterSource{refs: refs, n: len(refs)})); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
-// RunSource applies the same validation as Run.
+// A pass over a run source applies the same validation as Run.
 func TestRunSourceValidation(t *testing.T) {
-	p := Pass{LineSize: 33, Cells: []Cell{{Sets: 64, Assoc: 1}}}
-	if _, err := p.RunSource(trace.NewSliceSource(nil)); err == nil {
-		t.Fatal("line size 33 accepted")
-	}
-	p = Pass{LineSize: 32}
-	if _, err := p.RunSource(trace.NewSliceSource(nil)); err == nil {
-		t.Fatal("empty grid accepted")
+	src := trace.NewRunReader(nil)
+	for _, p := range []SampledPass{
+		{LineSize: 33, Cells: []Cell{{Sets: 64, Assoc: 1}}},
+		{LineSize: 2, Cells: []Cell{{Sets: 64, Assoc: 1}}},
+		{LineSize: 32},
+	} {
+		if _, err := p.Sweep(src); err == nil {
+			t.Fatalf("pass %+v accepted", p)
+		}
 	}
 }

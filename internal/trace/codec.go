@@ -46,18 +46,6 @@ const Version uint16 = 1
 // the reader where the records end).
 const FlagChecksum uint16 = 1 << 0
 
-// FlagRuns marks a run-length-compacted instruction trace: each record is a
-// whole sequential Run (tag byte | uvarint start-delta | uvarint length)
-// instead of a single reference, and the header count counts runs. The
-// Reader expands run records transparently, so Decode/DecodeSalvage consume
-// both formats identically; DecodeRuns reads the runs themselves.
-const FlagRuns uint16 = 1 << 1
-
-// maxRunLen bounds a single run record's declared length: far beyond any
-// real trace, so a damaged or hostile length cannot force the expanding
-// reader into an absurd amount of work.
-const maxRunLen = 1 << 40
-
 var (
 	// ErrBadMagic reports a file that is not an ibsim trace.
 	ErrBadMagic = errors.New("trace: bad magic (not an IBSTRACE file)")
@@ -92,7 +80,6 @@ type Writer struct {
 	count  uint64
 	sum    uint32 // CRC-32 (IEEE) of the record bytes written so far
 	buf    [binary.MaxVarintLen64 + 1]byte
-	runs   bool // run-length mode: PutRun records only (FlagRuns header)
 	err    error
 	closed bool
 }
@@ -102,18 +89,6 @@ type Writer struct {
 // delimits the stream) and returns a Writer.
 func NewWriter(w io.Writer) (*Writer, error) {
 	return newWriterHeader(w, 0, 0)
-}
-
-// NewRunWriter writes a run-length trace header (FlagRuns) and returns a
-// Writer accepting PutRun records only. Use EncodeRunsSeeker for a
-// self-describing, checksummed file.
-func NewRunWriter(w io.Writer) (*Writer, error) {
-	tw, err := newWriterHeader(w, 0, FlagRuns)
-	if err != nil {
-		return nil, err
-	}
-	tw.runs = true
-	return tw, nil
 }
 
 func newWriterHeader(w io.Writer, count uint64, flags uint16) (*Writer, error) {
@@ -136,10 +111,6 @@ func (w *Writer) Put(r Ref) error {
 	}
 	if w.closed {
 		return ErrWriterClosed
-	}
-	if w.runs {
-		w.err = fmt.Errorf("trace: Put on a run-length writer (use PutRun)")
-		return w.err
 	}
 	if r.Kind > DWrite {
 		w.err = fmt.Errorf("trace: invalid kind %d", r.Kind)
@@ -167,60 +138,6 @@ func (w *Writer) Put(r Ref) error {
 		return err
 	}
 	w.sum = crc32.Update(w.sum, crc32.IEEETable, w.buf[:1+n])
-	w.count++
-	return nil
-}
-
-// PutRun writes one run-length record (run-length writers only). The
-// start-address delta is encoded against the previous run's start in the
-// same domain, mirroring Put's per-(kind, domain) delta chain.
-func (w *Writer) PutRun(r Run) error {
-	if w.err != nil {
-		return w.err
-	}
-	if w.closed {
-		return ErrWriterClosed
-	}
-	if !w.runs {
-		w.err = fmt.Errorf("trace: PutRun on a per-reference writer (use NewRunWriter)")
-		return w.err
-	}
-	if r.Domain >= NumDomains {
-		w.err = fmt.Errorf("trace: invalid domain %d", r.Domain)
-		return w.err
-	}
-	if r.Len <= 0 || r.Len > maxRunLen {
-		w.err = fmt.Errorf("trace: invalid run length %d", r.Len)
-		return w.err
-	}
-	if r.End() <= r.Start && r.End() != 0 { // End()==0: run ends exactly at the top
-		w.err = fmt.Errorf("trace: run at %#x wraps the address space", r.Start)
-		return w.err
-	}
-	prev := w.last[IFetch][r.Domain]
-	w.last[IFetch][r.Domain] = r.Start
-
-	var delta uint64
-	tag := byte(IFetch)<<3 | byte(r.Domain)<<1
-	if r.Start >= prev {
-		delta = r.Start - prev
-	} else {
-		delta = prev - r.Start
-		tag |= 1
-	}
-	w.buf[0] = tag
-	n := 1 + binary.PutUvarint(w.buf[1:], delta)
-	if _, err := w.w.Write(w.buf[:n]); err != nil {
-		w.err = err
-		return err
-	}
-	w.sum = crc32.Update(w.sum, crc32.IEEETable, w.buf[:n])
-	n = binary.PutUvarint(w.buf[:], uint64(r.Len))
-	if _, err := w.w.Write(w.buf[:n]); err != nil {
-		w.err = err
-		return err
-	}
-	w.sum = crc32.Update(w.sum, crc32.IEEETable, w.buf[:n])
 	w.count++
 	return nil
 }
@@ -262,13 +179,7 @@ type Reader struct {
 	checksum bool
 	// verified reports that the trailer has been read and checked.
 	verified bool
-	// runs reports a run-length stream (FlagRuns); Next expands its run
-	// records into per-instruction refs via the pend* cursor below.
-	runs       bool
-	pendAddr   uint64
-	pendLen    int64
-	pendDomain Domain
-	err        error
+	err      error
 }
 
 // NewReader validates the header of r and returns a Reader.
@@ -285,7 +196,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 		return nil, fmt.Errorf("%w: %d", ErrBadVersion, v)
 	}
 	flags := binary.LittleEndian.Uint16(hdr[10:12])
-	if flags&^(FlagChecksum|FlagRuns) != 0 {
+	if flags&^FlagChecksum != 0 {
 		return nil, fmt.Errorf("%w: unknown flags 0x%04x", ErrBadVersion, flags)
 	}
 	count := binary.LittleEndian.Uint64(hdr[12:20])
@@ -294,35 +205,13 @@ func NewReader(r io.Reader) (*Reader, error) {
 		remain:   count,
 		counted:  count > 0,
 		checksum: flags&FlagChecksum != 0 && count > 0,
-		runs:     flags&FlagRuns != 0,
 	}, nil
 }
 
-// Runs reports whether the stream is run-length-compacted (FlagRuns). Next
-// works either way; NextRun only on a run-length stream.
-func (r *Reader) Runs() bool { return r.runs }
-
-// Next implements Source. On a run-length stream it expands each run record
-// into its per-instruction references, so consumers see the identical stream
-// either representation encodes.
+// Next implements Source.
 func (r *Reader) Next() (Ref, bool) {
 	if r.err != nil {
 		return Ref{}, false
-	}
-	if r.runs {
-		if r.pendLen == 0 {
-			run, ok := r.readRun()
-			if !ok {
-				return Ref{}, false
-			}
-			r.pendAddr = run.Start
-			r.pendLen = run.Len
-			r.pendDomain = run.Domain
-		}
-		ref := Ref{Addr: r.pendAddr, Kind: IFetch, Domain: r.pendDomain}
-		r.pendAddr += InstrBytes
-		r.pendLen--
-		return ref, true
 	}
 	if r.counted && r.remain == 0 {
 		r.verify()
@@ -379,101 +268,6 @@ func (r *Reader) Next() (Ref, bool) {
 		r.remain--
 	}
 	return Ref{Addr: addr, Kind: kind, Domain: domain}, true
-}
-
-// NextRun reads the next run record from a run-length stream; it fails on a
-// per-reference stream, and after a Next call left a run partially expanded
-// (mixing the two views mid-run would silently drop instructions).
-func (r *Reader) NextRun() (Run, bool) {
-	if r.err != nil {
-		return Run{}, false
-	}
-	if !r.runs {
-		r.err = fmt.Errorf("trace: NextRun on a per-reference stream")
-		return Run{}, false
-	}
-	if r.pendLen > 0 {
-		r.err = fmt.Errorf("trace: NextRun mid-expansion (mixed with Next)")
-		return Run{}, false
-	}
-	return r.readRun()
-}
-
-// readRun decodes one run record, applying the same truncation/corruption
-// classification as the per-reference path.
-func (r *Reader) readRun() (Run, bool) {
-	if r.counted && r.remain == 0 {
-		r.verify()
-		return Run{}, false
-	}
-	tag, err := r.r.ReadByte()
-	if err != nil {
-		if err == io.EOF {
-			if r.counted && r.remain > 0 {
-				r.err = fmt.Errorf("%w: %d runs missing", ErrTruncated, r.remain)
-			}
-		} else {
-			r.err = err
-		}
-		return Run{}, false
-	}
-	if Kind(tag>>3) != IFetch || tag&0x60 != 0 {
-		r.err = fmt.Errorf("%w: invalid run tag 0x%02x", ErrCorrupt, tag)
-		return Run{}, false
-	}
-	domain := Domain(tag >> 1 & 0x3)
-	delta, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		r.classifyVarintErr(err, "run cut mid-delta")
-		return Run{}, false
-	}
-	length, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		r.classifyVarintErr(err, "run cut mid-length")
-		return Run{}, false
-	}
-	if r.checksum {
-		r.buf[0] = tag
-		n := binary.PutUvarint(r.buf[1:], delta)
-		r.sum = crc32.Update(r.sum, crc32.IEEETable, r.buf[:1+n])
-		n = binary.PutUvarint(r.buf[:], length)
-		r.sum = crc32.Update(r.sum, crc32.IEEETable, r.buf[:n])
-	}
-	if length == 0 || length > maxRunLen {
-		r.err = fmt.Errorf("%w: invalid run length %d", ErrCorrupt, length)
-		return Run{}, false
-	}
-	prev := r.last[IFetch][domain]
-	var start uint64
-	if tag&1 == 0 {
-		start = prev + delta
-	} else {
-		start = prev - delta
-	}
-	r.last[IFetch][domain] = start
-	run := Run{Start: start, Len: int64(length), Domain: domain}
-	if run.End() <= run.Start && run.End() != 0 { // End()==0: run ends exactly at the top
-		r.err = fmt.Errorf("%w: run at %#x wraps the address space", ErrCorrupt, start)
-		return Run{}, false
-	}
-	if r.counted {
-		r.remain--
-	}
-	return run, true
-}
-
-// classifyVarintErr records a failed varint read with the shared
-// truncation/corruption classification.
-func (r *Reader) classifyVarintErr(err error, what string) {
-	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		if r.counted {
-			r.err = fmt.Errorf("%w: %s, %d records missing", ErrTruncated, what, r.remain)
-		} else {
-			r.err = fmt.Errorf("%w: %s", ErrCorrupt, what)
-		}
-	} else {
-		r.err = fmt.Errorf("%w: %s: %w", ErrCorrupt, what, err)
-	}
 }
 
 // verify reads and checks the CRC-32 trailer once all declared records have
@@ -537,12 +331,13 @@ func EncodeSeeker(ws io.WriteSeeker, src Source) (uint64, error) {
 	if err := tw.Close(); err != nil {
 		return tw.Count(), err
 	}
-	return finishSeeker(ws, tw, FlagChecksum)
+	return finishSeeker(ws, tw)
 }
 
-// finishSeeker appends the CRC-32 trailer and patches the header flags and
-// record count, completing a self-describing file written through tw.
-func finishSeeker(ws io.WriteSeeker, tw *Writer, flags uint16) (uint64, error) {
+// finishSeeker appends the CRC-32 trailer and patches the header's checksum
+// flag and record count, completing a self-describing file written through
+// tw.
+func finishSeeker(ws io.WriteSeeker, tw *Writer) (uint64, error) {
 	n := tw.Count()
 	if n == 0 {
 		// An empty trace has no record region for a count to delimit, so a
@@ -559,7 +354,7 @@ func finishSeeker(ws io.WriteSeeker, tw *Writer, flags uint16) (uint64, error) {
 		return n, fmt.Errorf("trace: seeking to patch header: %w", err)
 	}
 	var patch [10]byte
-	binary.LittleEndian.PutUint16(patch[0:2], flags)
+	binary.LittleEndian.PutUint16(patch[0:2], FlagChecksum)
 	binary.LittleEndian.PutUint64(patch[2:10], n)
 	if _, err := ws.Write(patch[:]); err != nil {
 		return n, fmt.Errorf("trace: patching header: %w", err)
@@ -568,41 +363,6 @@ func finishSeeker(ws io.WriteSeeker, tw *Writer, flags uint16) (uint64, error) {
 		return n, err
 	}
 	return n, nil
-}
-
-// EncodeRuns writes a compacted trace to w in run-length format (streaming
-// mode: zero header count, no checksum trailer), returning the number of run
-// records written.
-func EncodeRuns(w io.Writer, runs []Run) (uint64, error) {
-	tw, err := NewRunWriter(w)
-	if err != nil {
-		return 0, err
-	}
-	for _, r := range runs {
-		if err := tw.PutRun(r); err != nil {
-			return tw.Count(), err
-		}
-	}
-	return tw.Count(), tw.Close()
-}
-
-// EncodeRunsSeeker writes a compacted trace as a self-describing, checksummed
-// run-length file: CRC-32 trailer plus a header carrying FlagRuns|FlagChecksum
-// and the run count.
-func EncodeRunsSeeker(ws io.WriteSeeker, runs []Run) (uint64, error) {
-	tw, err := NewRunWriter(ws)
-	if err != nil {
-		return 0, err
-	}
-	for _, r := range runs {
-		if err := tw.PutRun(r); err != nil {
-			return tw.Count(), err
-		}
-	}
-	if err := tw.Close(); err != nil {
-		return tw.Count(), err
-	}
-	return finishSeeker(ws, tw, FlagRuns|FlagChecksum)
 }
 
 // Decode reads an entire trace stream into memory.
@@ -647,54 +407,4 @@ func DecodeSalvage(r io.Reader) (refs []Ref, complete bool, err error) {
 		return refs, false, err
 	}
 	return refs, true, nil
-}
-
-// decodeRuns drains the reader as compacted runs. A run-length stream's
-// records are returned directly; a per-reference stream is decoded and
-// compacted, so callers get runs regardless of the on-disk representation.
-func (r *Reader) decodeRuns() ([]Run, error) {
-	if !r.runs {
-		refs := make([]Ref, 0, r.preallocHint())
-		for {
-			ref, ok := r.Next()
-			if !ok {
-				break
-			}
-			refs = append(refs, ref)
-		}
-		return Compact(refs), r.Err()
-	}
-	out := make([]Run, 0, r.preallocHint())
-	for {
-		run, ok := r.NextRun()
-		if !ok {
-			return out, r.Err()
-		}
-		out = append(out, run)
-	}
-}
-
-// DecodeRuns reads an entire trace stream into memory as compacted runs,
-// whichever representation it was written in.
-func DecodeRuns(r io.Reader) ([]Run, error) {
-	tr, err := NewReader(r)
-	if err != nil {
-		return nil, err
-	}
-	return tr.decodeRuns()
-}
-
-// DecodeRunsSalvage is DecodeRuns with DecodeSalvage's contract: the runs
-// decoded (or compacted from refs decoded) before the first error, a
-// completeness flag, and the typed error classification when damaged.
-func DecodeRunsSalvage(r io.Reader) (runs []Run, complete bool, err error) {
-	tr, err := NewReader(r)
-	if err != nil {
-		return nil, false, err
-	}
-	runs, err = tr.decodeRuns()
-	if err != nil {
-		return runs, false, err
-	}
-	return runs, true, nil
 }

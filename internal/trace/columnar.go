@@ -11,10 +11,9 @@ import (
 // The columnar trace format (IBSTRACE/v3).
 //
 // The record-by-record codec (version 1) decodes a trace through one varint
-// cursor; run-length compaction (FlagRuns) shrank the stream but consumers
-// still pay a sequential decode of the whole file before simulating. The
-// columnar format restructures a run-compacted trace for the opposite access
-// pattern: fixed-size blocks (~1 MB) of column segments that engines iterate
+// cursor, so consumers pay a sequential decode of the whole file before
+// simulating. The columnar format restructures a run-compacted trace for the
+// opposite access pattern: fixed-size blocks (~1 MB) of column segments that engines iterate
 // zero-copy via mmap — or through plain sequential reads — with O(1) memory,
 // so a trace ten or a thousand times the RAM budget replays at disk
 // bandwidth. It is the on-disk shape of the same observation the paper makes
@@ -49,10 +48,16 @@ import (
 const ColumnarVersion uint16 = 3
 
 // FlagColumnar marks a columnar (version 3) trace file. It lives in the same
-// header flags field as FlagChecksum/FlagRuns but only ever appears with
-// version 3, so version-1 readers reject columnar files by version before
-// they would reject the flag.
+// header flags field as FlagChecksum but only ever appears with version 3, so
+// version-1 readers reject columnar files by version before they would
+// reject the flag. Bit 1 is unassigned: version-1 readers refuse a header
+// carrying it with ErrBadVersion.
 const FlagColumnar uint16 = 1 << 2
+
+// maxRunLen bounds a single run's length: far beyond any real trace, so a
+// damaged or hostile length cannot force a consumer into an absurd amount
+// of work.
+const maxRunLen = 1 << 40
 
 // DefaultBlockBytes is the target block payload size: large enough that
 // per-block overheads (frame, index entry, decode setup) vanish, small

@@ -2,10 +2,11 @@ package trace
 
 import "fmt"
 
-// Adapters between the block-granular view (BlockSource) and the existing
-// run/reference streaming interfaces, so every consumer — the sweep engine,
-// the replay fan-out, Count, the v1 codec — can run off a columnar file, and
-// every in-memory []Run can masquerade as blocks for differential testing.
+// Adapters between the block-granular view (BlockSource) and the other trace
+// forms: an in-memory []Run sliced into blocks for differential testing, and
+// a per-reference Source over any BlockSource for Count and the v1 codec.
+// (The sweep kernel and the replay driver read blocks through
+// NewBlockReader.)
 
 // RunsBlocks adapts an in-memory run-compacted trace to BlockSource by
 // slicing it into fixed run-count blocks. It performs no encoding — BlockRuns
@@ -71,18 +72,16 @@ func (b *RunsBlocks) block(i int) []Run {
 	return b.runs[i*b.per : min(len(b.runs), (i+1)*b.per)]
 }
 
-// BlockRunSource streams a BlockSource as a sequential run iterator and as a
-// per-reference Source, decoding one block at a time into a reused buffer —
-// O(block) memory however large the trace. Like Reader, the two views must
-// not be mixed mid-run.
+// BlockRunSource streams a BlockSource as a per-reference Source, decoding
+// one block at a time into a reused buffer — O(block) memory however large
+// the trace.
 type BlockRunSource struct {
-	bs   BlockSource
-	i    int   // next block to decode
-	buf  []Run // decoded current block
-	j    int   // next run within buf
-	off  int64 // per-ref cursor within buf[j-1] (Next view)
-	pend Run   // run being expanded by Next
-	err  error
+	bs  BlockSource
+	i   int   // next block to decode
+	buf []Run // decoded current block
+	j   int   // current run within buf
+	off int64 // next instruction within buf[j]
+	err error
 }
 
 // NewBlockRunSource returns a streaming view over bs from the first block.
@@ -90,50 +89,25 @@ func NewBlockRunSource(bs BlockSource) *BlockRunSource {
 	return &BlockRunSource{bs: bs}
 }
 
-// NextRun yields the next run, decoding blocks on demand.
-func (s *BlockRunSource) NextRun() (Run, bool) {
-	if s.err == nil && s.off != 0 {
-		s.err = fmt.Errorf("trace: NextRun mid-expansion (mixed with Next)")
-		return Run{}, false
-	}
-	return s.nextRunRaw()
-}
-
 // Next implements Source, expanding runs to per-instruction references.
 func (s *BlockRunSource) Next() (Ref, bool) {
-	if s.off == 0 {
-		run, ok := s.nextRunRaw()
-		if !ok {
+	for s.j >= len(s.buf) {
+		if s.err != nil || s.i >= s.bs.NumBlocks() {
 			return Ref{}, false
 		}
-		s.pend = run
+		if s.buf, s.err = s.bs.BlockRuns(s.i, s.buf); s.err != nil {
+			return Ref{}, false
+		}
+		s.i++
+		s.j, s.off = 0, 0
 	}
-	ref := Ref{Addr: s.pend.Start + uint64(s.off)*InstrBytes, Kind: IFetch, Domain: s.pend.Domain}
-	if s.off++; s.off == s.pend.Len {
+	r := s.buf[s.j]
+	ref := Ref{Addr: r.Start + uint64(s.off)*InstrBytes, Kind: IFetch, Domain: r.Domain}
+	if s.off++; s.off == r.Len {
+		s.j++
 		s.off = 0
 	}
 	return ref, true
-}
-
-// nextRunRaw is NextRun without the mixed-view guard (Next's internal use).
-func (s *BlockRunSource) nextRunRaw() (Run, bool) {
-	if s.err != nil {
-		return Run{}, false
-	}
-	for s.j >= len(s.buf) {
-		if s.i >= s.bs.NumBlocks() {
-			return Run{}, false
-		}
-		s.buf, s.err = s.bs.BlockRuns(s.i, s.buf)
-		if s.err != nil {
-			return Run{}, false
-		}
-		s.i++
-		s.j = 0
-	}
-	r := s.buf[s.j]
-	s.j++
-	return r, true
 }
 
 // Err implements Source: the first decode error, if any.

@@ -250,7 +250,7 @@ func TestColumnarHeaderErrors(t *testing.T) {
 	})
 	t.Run("v1-file-rejected", func(t *testing.T) {
 		var buf bytes.Buffer
-		if _, err := EncodeRuns(&buf, runs); err != nil {
+		if _, err := Encode(&buf, NewSliceSource(Expand(runs))); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := NewColumnarBytes(buf.Bytes()); !errors.Is(err, ErrBadVersion) {
@@ -447,44 +447,21 @@ func TestBlockRunSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := NewBlockRunSource(f)
-	for i, want := range runs {
-		got, ok := src.NextRun()
-		if !ok {
-			t.Fatalf("NextRun ended at %d, want %d runs (err %v)", i, len(runs), src.Err())
-		}
-		if got != want {
-			t.Fatalf("run %d = %+v, want %+v", i, got, want)
-		}
-	}
-	if _, ok := src.NextRun(); ok || src.Err() != nil {
-		t.Fatalf("NextRun past end: ok or err %v", src.Err())
-	}
-
-	// Per-ref view matches the expanded trace.
-	src.Reset()
 	want := Expand(runs)
-	for i, w := range want {
-		got, ok := src.Next()
-		if !ok {
-			t.Fatalf("Next ended at %d/%d (err %v)", i, len(want), src.Err())
+	for pass := 0; pass < 2; pass++ { // the second pass checks Reset
+		for i, w := range want {
+			got, ok := src.Next()
+			if !ok {
+				t.Fatalf("Next ended at %d/%d (err %v)", i, len(want), src.Err())
+			}
+			if got != w {
+				t.Fatalf("ref %d = %+v, want %+v", i, got, w)
+			}
 		}
-		if got != w {
-			t.Fatalf("ref %d = %+v, want %+v", i, got, w)
+		if _, ok := src.Next(); ok || src.Err() != nil {
+			t.Fatalf("Next past end: ok or err %v", src.Err())
 		}
-	}
-	if _, ok := src.Next(); ok || src.Err() != nil {
-		t.Fatalf("Next past end: ok or err %v", src.Err())
-	}
-
-	// Mixing NextRun into a half-expanded run is an error.
-	src.Reset()
-	if _, ok := src.Next(); !ok {
-		t.Fatal("Next failed")
-	}
-	if runs[0].Len > 1 {
-		if _, ok := src.NextRun(); ok || src.Err() == nil {
-			t.Fatal("NextRun mid-expansion did not fail")
-		}
+		src.Reset()
 	}
 }
 

@@ -161,143 +161,6 @@ func FuzzSalvage(f *testing.F) {
 	})
 }
 
-// corpusRuns is the reference run sequence the run-length corpus mutates.
-var corpusRuns = []Run{
-	{Start: 0x400000, Len: 12, Domain: User},
-	{Start: 0x80001000, Len: 3, Domain: Kernel},
-	{Start: 0x400040, Len: 200, Domain: User},
-	{Start: 0x30000f00, Len: 1, Domain: BSDServer},
-}
-
-// encodeValidRuns returns the counted, checksummed encoding of runs.
-func encodeValidRuns(t testing.TB, runs []Run) []byte {
-	t.Helper()
-	var buf seekBuffer
-	if _, err := EncodeRunsSeeker(&buf, runs); err != nil {
-		t.Fatal(err)
-	}
-	return buf.buf
-}
-
-// FuzzDecodeRuns feeds arbitrary record bodies behind a well-formed
-// run-length (FlagRuns) header: DecodeRuns either succeeds — delivering
-// exactly the declared record count when one is declared — or fails with a
-// typed ErrCorrupt/ErrTruncated, and never panics.
-func FuzzDecodeRuns(f *testing.F) {
-	valid := encodeValidRuns(f, corpusRuns)
-	body := valid[headerSize:]
-
-	f.Add(uint64(len(corpusRuns)), body)               // intact (with trailer)
-	f.Add(uint64(len(corpusRuns)), body[:len(body)-1]) // damaged trailer
-	f.Add(uint64(len(corpusRuns)+2), body)             // count overstates records
-	f.Add(uint64(1), []byte{0x00})                     // record with missing fields
-	f.Add(uint64(0), []byte{})                         // empty streaming body
-	f.Add(uint64(1)<<62, body)                         // absurd count: must not pre-allocate
-
-	f.Fuzz(func(t *testing.T, count uint64, recs []byte) {
-		data := make([]byte, headerSize+len(recs))
-		copy(data, Magic)
-		binary.LittleEndian.PutUint16(data[8:10], Version)
-		binary.LittleEndian.PutUint16(data[10:12], FlagRuns)
-		binary.LittleEndian.PutUint64(data[12:20], count)
-		copy(data[headerSize:], recs)
-
-		runs, err := DecodeRuns(bytes.NewReader(data))
-		if err != nil {
-			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrTruncated) {
-				t.Fatalf("decode error is not typed ErrCorrupt/ErrTruncated: %v", err)
-			}
-			return
-		}
-		if count > 0 && uint64(len(runs)) != count {
-			t.Fatalf("decode succeeded with %d runs, header declared %d", len(runs), count)
-		}
-		for i, r := range runs {
-			if r.Len <= 0 {
-				t.Fatalf("decoded run %d has non-positive length %d", i, r.Len)
-			}
-			if r.Domain >= NumDomains {
-				t.Fatalf("decoded run %d has invalid domain %d", i, r.Domain)
-			}
-		}
-	})
-}
-
-// FuzzRunsSalvage feeds arbitrary bytes to DecodeRunsSalvage: no panic, a
-// complete result has no error, an incomplete result carries a typed
-// error, and the salvaged prefix of a counted run stream never exceeds the
-// declared record count — salvage can never "recover" more runs than were
-// written.
-func FuzzRunsSalvage(f *testing.F) {
-	valid := encodeValidRuns(f, corpusRuns)
-	f.Add(valid)
-	f.Add(valid[:len(valid)-3])
-	f.Add(valid[:headerSize+1])
-	f.Add([]byte("IBSTRACE"))
-	f.Add([]byte{})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		runs, complete, err := DecodeRunsSalvage(bytes.NewReader(data))
-		if complete && err != nil {
-			t.Fatalf("complete salvage returned error %v", err)
-		}
-		if !complete && err == nil && len(data) >= headerSize {
-			t.Fatal("incomplete salvage without error")
-		}
-		if len(data) >= headerSize && string(data[:8]) == string(Magic) {
-			flags := binary.LittleEndian.Uint16(data[10:12])
-			count := binary.LittleEndian.Uint64(data[12:20])
-			if flags&FlagRuns != 0 && count > 0 && uint64(len(runs)) > count {
-				t.Fatalf("salvaged %d runs, header declared %d", len(runs), count)
-			}
-		}
-	})
-}
-
-// FuzzRunsRoundTrip checks that any encodable run sequence survives
-// EncodeRuns → DecodeRuns bit-exactly, via both the streaming and the
-// counted/checksummed paths.
-func FuzzRunsRoundTrip(f *testing.F) {
-	f.Add(uint64(0x400000), int64(12), uint8(0), uint64(0x80001000), int64(1), uint8(2))
-	f.Add(uint64(0), int64(1), uint8(0), ^uint64(0)-4096, int64(3), uint8(1))
-	f.Fuzz(func(t *testing.T, s1 uint64, l1 int64, d1 uint8, s2 uint64, l2 int64, d2 uint8) {
-		clamp := func(l int64) int64 {
-			if l < 1 {
-				return 1
-			}
-			if l > maxRunLen {
-				return maxRunLen
-			}
-			return l
-		}
-		in := []Run{
-			{Start: s1, Len: clamp(l1), Domain: Domain(d1 % uint8(NumDomains))},
-			{Start: s2, Len: clamp(l2), Domain: Domain(d2 % uint8(NumDomains))},
-		}
-
-		var buf bytes.Buffer
-		if _, err := EncodeRuns(&buf, in); err != nil {
-			t.Fatalf("streaming encode: %v", err)
-		}
-		out, err := DecodeRuns(&buf)
-		if err != nil {
-			t.Fatalf("streaming decode: %v", err)
-		}
-		if len(out) != len(in) || out[0] != in[0] || out[1] != in[1] {
-			t.Fatalf("streaming round trip mismatch: %v vs %v", out, in)
-		}
-
-		counted := encodeValidRuns(t, in)
-		out, err = DecodeRuns(bytes.NewReader(counted))
-		if err != nil {
-			t.Fatalf("counted decode: %v", err)
-		}
-		if len(out) != len(in) || out[0] != in[0] || out[1] != in[1] {
-			t.Fatalf("counted round trip mismatch: %v vs %v", out, in)
-		}
-	})
-}
-
 // FuzzRoundTrip checks that any encodable ref sequence survives a round
 // trip.
 func FuzzRoundTrip(f *testing.F) {

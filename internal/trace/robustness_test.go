@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"runtime"
@@ -260,6 +261,21 @@ func TestUnknownFlagsRejected(t *testing.T) {
 	_, err := NewReader(bytes.NewReader(mut))
 	if !errors.Is(err, ErrBadVersion) {
 		t.Fatalf("unknown flags: %v, want ErrBadVersion", err)
+	}
+}
+
+// A header carrying flag bit 1 — the run-length record format, which
+// IBSTRACE/v3 replaced — is refused with the typed version error rather
+// than decoded as per-reference records.
+func TestRunFlagRejected(t *testing.T) {
+	data := encodeChecksummed(t, seqRefs(4))
+	mut := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint16(mut[10:12], FlagChecksum|1<<1)
+	if _, err := NewReader(bytes.NewReader(mut)); !errors.Is(err, ErrBadVersion) {
+		t.Fatalf("run-flag header: %v, want ErrBadVersion", err)
+	}
+	if _, err := Decode(bytes.NewReader(mut)); !errors.Is(err, ErrBadVersion) {
+		t.Fatalf("Decode of a run-flag file: %v, want ErrBadVersion", err)
 	}
 }
 

@@ -169,42 +169,6 @@ func Expand(runs []Run) []Ref {
 	return dst
 }
 
-// RunSource adapts a compacted []Run back to a per-reference Source, so
-// run-compacted traces plug into every streaming consumer (fetch.RunSource,
-// Count, the codec's Encode). It never fails.
-type RunSource struct {
-	runs []Run
-	i    int
-	off  int64
-}
-
-// NewRunSource returns a Source yielding the expanded instruction stream of
-// runs in order.
-func NewRunSource(runs []Run) *RunSource {
-	return &RunSource{runs: runs}
-}
-
-// Next implements Source.
-func (s *RunSource) Next() (Ref, bool) {
-	for s.i < len(s.runs) {
-		r := s.runs[s.i]
-		if s.off < r.Len {
-			ref := Ref{Addr: r.Start + uint64(s.off)*InstrBytes, Kind: IFetch, Domain: r.Domain}
-			s.off++
-			return ref, true
-		}
-		s.i++
-		s.off = 0
-	}
-	return Ref{}, false
-}
-
-// Err implements Source; a RunSource never fails.
-func (s *RunSource) Err() error { return nil }
-
-// Reset rewinds the source to the beginning.
-func (s *RunSource) Reset() { s.i, s.off = 0, 0 }
-
 // RunStats summarizes a compacted trace's sequentiality — the numbers
 // ibstrace prints so a trace's amenability to bulk replay is inspectable.
 type RunStats struct {

@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"bytes"
-	"errors"
 	"testing"
 
 	"ibsim/internal/xrand"
@@ -165,33 +163,6 @@ func TestCompactorEmpty(t *testing.T) {
 	}
 }
 
-func TestRunSourceMatchesExpand(t *testing.T) {
-	rng := xrand.New(7)
-	refs := randomInstrTrace(rng, 3000)
-	runs := Compact(refs)
-	want := Expand(runs)
-	src := NewRunSource(runs)
-	for i, w := range want {
-		got, ok := src.Next()
-		if !ok {
-			t.Fatalf("source ended at %d, want %d refs", i, len(want))
-		}
-		if got != w {
-			t.Fatalf("ref %d: got %+v, want %+v", i, got, w)
-		}
-	}
-	if _, ok := src.Next(); ok {
-		t.Fatal("source yielded past the end")
-	}
-	if src.Err() != nil {
-		t.Fatalf("Err: %v", src.Err())
-	}
-	src.Reset()
-	if got, ok := src.Next(); !ok || got != want[0] {
-		t.Fatalf("after Reset: got %+v ok=%v", got, ok)
-	}
-}
-
 func TestSummarizeRuns(t *testing.T) {
 	runs := []Run{
 		{Start: 0, Len: 1},
@@ -239,252 +210,5 @@ func BenchmarkCompactAppend(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dst = CompactAppend(dst[:0], refs)
-	}
-}
-
-// --- run-length codec ---
-
-func testRuns(t *testing.T, n int) []Run {
-	t.Helper()
-	rng := xrand.New(uint64(n))
-	runs := Compact(randomInstrTrace(rng, n))
-	if len(runs) < 2 {
-		t.Fatalf("degenerate test trace: %d runs", len(runs))
-	}
-	return runs
-}
-
-func TestRunCodecRoundTrip(t *testing.T) {
-	runs := testRuns(t, 5000)
-	var buf bytes.Buffer
-	n, err := EncodeRuns(&buf, runs)
-	if err != nil || n != uint64(len(runs)) {
-		t.Fatalf("EncodeRuns: n=%d err=%v", n, err)
-	}
-	got, err := DecodeRuns(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("DecodeRuns: %v", err)
-	}
-	if len(got) != len(runs) {
-		t.Fatalf("got %d runs, want %d", len(got), len(runs))
-	}
-	for i := range runs {
-		if got[i] != runs[i] {
-			t.Fatalf("run %d: got %+v, want %+v", i, got[i], runs[i])
-		}
-	}
-}
-
-// Decode expands a run-length stream transparently: per-ref consumers see the
-// identical instruction stream.
-func TestRunCodecTransparentExpansion(t *testing.T) {
-	runs := testRuns(t, 5000)
-	var buf bytes.Buffer
-	if _, err := EncodeRuns(&buf, runs); err != nil {
-		t.Fatal(err)
-	}
-	refs, err := Decode(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	want := Expand(runs)
-	if len(refs) != len(want) {
-		t.Fatalf("expanded to %d refs, want %d", len(refs), len(want))
-	}
-	for i := range want {
-		if refs[i] != want[i] {
-			t.Fatalf("ref %d: got %+v, want %+v", i, refs[i], want[i])
-		}
-	}
-}
-
-func TestRunCodecSeekerSelfDescribing(t *testing.T) {
-	runs := testRuns(t, 3000)
-	var f seekBuffer
-	n, err := EncodeRunsSeeker(&f, runs)
-	if err != nil || n != uint64(len(runs)) {
-		t.Fatalf("EncodeRunsSeeker: n=%d err=%v", n, err)
-	}
-	tr, err := NewReader(bytes.NewReader(f.buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tr.Runs() {
-		t.Fatal("reader does not report a run-length stream")
-	}
-	// Both views must verify the checksum trailer at end of stream.
-	got, complete, err := DecodeRunsSalvage(bytes.NewReader(f.buf))
-	if err != nil || !complete {
-		t.Fatalf("DecodeRunsSalvage: complete=%v err=%v", complete, err)
-	}
-	if len(got) != len(runs) {
-		t.Fatalf("got %d runs, want %d", len(got), len(runs))
-	}
-	refs, complete, err := DecodeSalvage(bytes.NewReader(f.buf))
-	if err != nil || !complete {
-		t.Fatalf("DecodeSalvage on run file: complete=%v err=%v", complete, err)
-	}
-	if want := Expand(runs); len(refs) != len(want) {
-		t.Fatalf("salvaged %d refs, want %d", len(refs), len(want))
-	}
-}
-
-// DecodeRuns on a per-reference file compacts it, so callers are agnostic to
-// the on-disk representation.
-func TestDecodeRunsFromRefFile(t *testing.T) {
-	rng := xrand.New(17)
-	refs := randomInstrTrace(rng, 4000)
-	var buf bytes.Buffer
-	if _, err := Encode(&buf, NewSliceSource(refs)); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeRuns(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("DecodeRuns: %v", err)
-	}
-	want := Compact(refs)
-	if len(got) != len(want) {
-		t.Fatalf("got %d runs, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("run %d: got %+v, want %+v", i, got[i], want[i])
-		}
-	}
-}
-
-// Truncated run files salvage the valid prefix with a typed error, through
-// both the run view and the expanding per-ref view.
-func TestRunCodecSalvageTruncation(t *testing.T) {
-	runs := testRuns(t, 3000)
-	var f seekBuffer
-	if _, err := EncodeRunsSeeker(&f, runs); err != nil {
-		t.Fatal(err)
-	}
-	cut := f.buf[:len(f.buf)*2/3]
-
-	got, complete, err := DecodeRunsSalvage(bytes.NewReader(cut))
-	if complete || !errors.Is(err, ErrTruncated) {
-		t.Fatalf("run salvage: complete=%v err=%v, want ErrTruncated", complete, err)
-	}
-	if len(got) == 0 || len(got) >= len(runs) {
-		t.Fatalf("salvaged %d of %d runs", len(got), len(runs))
-	}
-	for i := range got {
-		if got[i] != runs[i] {
-			t.Fatalf("salvaged run %d: got %+v, want %+v", i, got[i], runs[i])
-		}
-	}
-
-	refs, complete, err := DecodeSalvage(bytes.NewReader(cut))
-	if complete || !errors.Is(err, ErrTruncated) {
-		t.Fatalf("ref salvage: complete=%v err=%v, want ErrTruncated", complete, err)
-	}
-	want := Expand(runs)
-	for i := range refs {
-		if refs[i] != want[i] {
-			t.Fatalf("salvaged ref %d: got %+v, want %+v", i, refs[i], want[i])
-		}
-	}
-}
-
-// A bit flip in a run record's length varint is caught by the checksum even
-// when it stays structurally decodable.
-func TestRunCodecChecksumCatchesBitFlip(t *testing.T) {
-	runs := testRuns(t, 2000)
-	var f seekBuffer
-	if _, err := EncodeRunsSeeker(&f, runs); err != nil {
-		t.Fatal(err)
-	}
-	for bit := 0; bit < 8; bit++ {
-		mut := append([]byte(nil), f.buf...)
-		mut[headerSize+3] ^= 1 << bit
-		_, complete, err := DecodeRunsSalvage(bytes.NewReader(mut))
-		if complete && err == nil {
-			t.Fatalf("bit %d flip went undetected", bit)
-		}
-	}
-}
-
-func TestRunWriterRejectsInvalidRuns(t *testing.T) {
-	cases := []Run{
-		{Start: 0x1000, Len: 0},                     // empty
-		{Start: 0x1000, Len: -3},                    // negative
-		{Start: 0x1000, Len: maxRunLen + 1},         // absurd
-		{Start: 0x1000, Len: 1, Domain: NumDomains}, // bad domain
-		{Start: ^uint64(0) - InstrBytes, Len: 2},    // wraps
-	}
-	for i, r := range cases {
-		w, err := NewRunWriter(&bytes.Buffer{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.PutRun(r); err == nil {
-			t.Errorf("case %d: PutRun(%+v) accepted", i, r)
-		}
-	}
-}
-
-func TestCodecModeGuards(t *testing.T) {
-	rw, err := NewRunWriter(&bytes.Buffer{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rw.Put(Ref{Addr: 4, Kind: IFetch}); err == nil {
-		t.Error("Put accepted on a run-length writer")
-	}
-	w, err := NewWriter(&bytes.Buffer{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.PutRun(Run{Start: 4, Len: 1}); err == nil {
-		t.Error("PutRun accepted on a per-reference writer")
-	}
-
-	// NextRun on a per-reference stream fails rather than misreads.
-	var buf bytes.Buffer
-	if _, err := Encode(&buf, NewSliceSource(seqRefs(4))); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := tr.NextRun(); ok || tr.Err() == nil {
-		t.Error("NextRun succeeded on a per-reference stream")
-	}
-
-	// NextRun mid-expansion fails: the partially consumed run is unrecoverable.
-	var rbuf bytes.Buffer
-	if _, err := EncodeRuns(&rbuf, []Run{{Start: 0x1000, Len: 5}}); err != nil {
-		t.Fatal(err)
-	}
-	tr2, err := NewReader(bytes.NewReader(rbuf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := tr2.Next(); !ok {
-		t.Fatal("Next failed on run stream")
-	}
-	if _, ok := tr2.NextRun(); ok || tr2.Err() == nil {
-		t.Error("NextRun succeeded mid-expansion")
-	}
-}
-
-// A corrupt zero run length is rejected as ErrCorrupt, and an enormous
-// declared length cannot force unbounded expansion work.
-func TestRunCodecHostileLength(t *testing.T) {
-	var buf bytes.Buffer
-	if _, err := EncodeRuns(&buf, []Run{{Start: 0x1000, Len: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	// Record layout: tag | uvarint(delta=0x1000) | uvarint(len=1). The length
-	// byte is the last; zero it.
-	mut := append([]byte(nil), data...)
-	mut[len(mut)-1] = 0
-	_, err := DecodeRuns(bytes.NewReader(mut))
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("zero-length run: %v, want ErrCorrupt", err)
 	}
 }
