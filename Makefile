@@ -110,13 +110,14 @@ serve:
 # wall-clock in BENCH_ibsim.json. Also runs the bulk-replay microbenchmarks
 # (trace compaction, per-ref vs FetchRun replay, columnar encode/decode), the
 # Figure 5 cell on the per-reference loop vs the line-event kernel, the R2000
-# TLB over a recorded gcc stream, and one Table 1/3 DECstation 3100 row.
+# TLB over a recorded gcc stream, one Table 1/3 DECstation 3100 row, and the
+# Table 8 and serve-hot replay banks over a 1M-instruction workload.
 # Layer-by-layer timings with noise estimates come from the benchmark's
 # ledger: bash ibsbench/run.sh --workload serve-hot --seconds 10 --trace 1.
 bench:
 	$(GO) run ./cmd/ibscheck -bench-only -n 200000
-	$(GO) test -run='^$$' -bench='CompactAppend|FetchPerRef|FetchRun|Columnar|Physical|TLBAccess|DECstationRow' -benchmem \
-		./internal/trace ./internal/fetch ./internal/tlb ./internal/experiments
+	$(GO) test -run='^$$' -bench='CompactAppend|FetchPerRef|FetchRun|Columnar|Physical|TLBAccess|DECstationRow|ReplayBank' -benchmem \
+		./internal/trace ./internal/fetch ./internal/tlb ./internal/experiments ./internal/replay
 
 # Go microbenchmarks (cache hot path, sweep engine, generators).
 microbench:

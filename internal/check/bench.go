@@ -90,10 +90,13 @@ func benchStages() []benchStage {
 	}
 }
 
-// stageGenerate times suite generation and warms the shared trace store:
-// every later stage (and any experiment run in the same process) acquires
-// these traces instead of regenerating them. It reports no CPI/MPI.
+// stageGenerate times a cold suite generation and warms the shared trace
+// store: every later stage (and any experiment run in the same process)
+// acquires these traces instead of regenerating them. The checks that run
+// before the stages warm the same store, so the stage purges it first —
+// otherwise it would time memo hits. It reports no CPI/MPI.
 func stageGenerate(opt Options) (stageValues, error) {
+	synth.DefaultStore.Purge()
 	for _, p := range opt.Workloads {
 		_, release, err := synth.DefaultStore.Instr(p, opt.Seed, opt.Instructions)
 		if err != nil {

@@ -3,6 +3,8 @@ package check
 import (
 	"strings"
 	"testing"
+
+	"ibsim/internal/synth"
 )
 
 // TestRunBenchOffGoldenScale verifies stages run, are timed, and skip value
@@ -26,6 +28,28 @@ func TestRunBenchOffGoldenScale(t *testing.T) {
 			!strings.Contains(s.Detail, "off golden scale") {
 			t.Errorf("stage %s compared goldens off scale: %s", s.Name, s.Detail)
 		}
+	}
+}
+
+// The generation stage times generation, not memo hits: from a warm store
+// it still misses once per workload.
+func TestGenerateStageMissesWarmStore(t *testing.T) {
+	opt := Options{Instructions: 20_000, Workloads: synth.IBSMach()[:3]}.withDefaults()
+	for _, p := range opt.Workloads {
+		_, release, err := synth.DefaultStore.Instr(p, opt.Seed, opt.Instructions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		release()
+	}
+	before := synth.DefaultStore.Stats()
+	if _, err := stageGenerate(opt); err != nil {
+		t.Fatal(err)
+	}
+	after := synth.DefaultStore.Stats()
+	if misses := after.Misses - before.Misses; misses != int64(len(opt.Workloads)) {
+		t.Fatalf("stage missed the store %d times for %d workloads (hits %d)",
+			misses, len(opt.Workloads), after.Hits-before.Hits)
 	}
 }
 

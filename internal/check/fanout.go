@@ -64,10 +64,11 @@ func fanoutExhibits() []struct {
 // FanoutVsPerConfig verifies the fan-out replay driver against the trusted
 // per-configuration path: Tables 5-8 and Figures 6/7 rendered via the
 // default path (memoized run-compacted traces fanned out through
-// replay.Replay, with bulk FetchRun and analytic dedup) must be
-// byte-identical to the Options.PerConfig reference path (one fetch.Run
-// over the expanded trace per engine per workload). This is the guarantee
-// that lets the single-pass path replace the per-config one everywhere.
+// replay.Replay, with bulk FetchRuns and one L1 pass per content class)
+// must be byte-identical to the Options.PerConfig reference path (one
+// fetch.Run over the expanded trace per engine per workload). This is the
+// guarantee that lets the single-pass path replace the per-config one
+// everywhere.
 func FanoutVsPerConfig(opt Options) ([]Result, error) {
 	opt = opt.withDefaults()
 	var harnessErr error

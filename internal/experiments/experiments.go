@@ -194,8 +194,8 @@ func mapTraces[T any](profiles []synth.Profile, opt Options, worker func(p synth
 // 5-8 and Figures 6/7. mk builds a fresh bank per profile (engines are
 // stateful). The default path acquires the memoized run-compacted trace
 // (synth.DefaultStore.InstrRuns) and fans it out through replay.Replay —
-// bulk FetchRun per engine plus analytic dedup of same-geometry blocking
-// engines; opt.PerConfig selects the reference path, one fetch.Run over the
+// bulk FetchRuns and one L1 pass per content class, each member timed from
+// it; opt.PerConfig selects the reference path, one fetch.Run over the
 // expanded trace per engine. Both paths produce bit-identical Results
 // (pinned by internal/check's fanout differential).
 func mapBanks(profiles []synth.Profile, opt Options, mk func() ([]fetch.Engine, error)) ([][]fetch.Result, error) {

@@ -9,12 +9,12 @@ import (
 
 // TestMapBanksMatchesPerConfig is the differential property test for the
 // fan-out runner: mapBanks on the default path (memoized run-compacted
-// trace, replay.Replay with bulk FetchRun and analytic dedup) must return
-// Results bit-identical to the PerConfig reference path (one fetch.Run over
-// the expanded trace per engine). The bank deliberately mixes dedup
-// candidates (three blocking engines sharing BaseL1 behind different
-// links), a prefetching engine, a sector cache, a bypass engine, and a
-// stream buffer.
+// trace, replay.Replay with bulk FetchRuns and one L1 pass per content
+// class) must return Results bit-identical to the PerConfig reference path
+// (one fetch.Run over the expanded trace per engine). The bank deliberately
+// mixes class members (three blocking engines sharing BaseL1 behind
+// different links; a prefetching engine whose class a bypass engine leads;
+// a stream buffer), and a sector cache, which runs whole.
 func TestMapBanksMatchesPerConfig(t *testing.T) {
 	profiles := ibsProfiles()[:3]
 	opt := Options{Instructions: 40_000}

@@ -655,9 +655,9 @@ type Figure6Result struct {
 }
 
 // Figure6 runs the sweep: one bank of 35 blocking engines per workload in
-// (bandwidth, line) order. Every engine in the bank is prefetch-free, so the
-// fan-out driver's analytic dedup collapses the five bandwidths sharing each
-// line size into one simulated replay — 7 per workload instead of 35.
+// (bandwidth, line) order. The five bandwidths sharing each line size form
+// one content class, so the fan-out driver runs one L1 pass per line size —
+// 7 per workload instead of 35.
 func Figure6(opt Options) (*Figure6Result, error) {
 	opt = opt.withDefaults()
 	bws := []int{4, 8, 16, 32, 64}
@@ -776,10 +776,11 @@ type Figure7Result struct {
 }
 
 // Figure7 runs the ladder: one bank of nine engines per workload — the two
-// L2 contributions, the five L1 rungs, and the two baselines. Four of the
-// nine are analytic blocking engines sharing a geometry with another bank
-// member (the two L2s; the two baselines and the 32-B rung), so the fan-out
-// driver simulates six replays per workload instead of nine.
+// L2 contributions, the five L1 rungs, and the two baselines. They form
+// five content classes (the two L2s; the two baselines and the 32-B rung;
+// the 64-B rung; the prefetching and bypassing rungs, which fill the same
+// four 16-B lines per miss; the stream buffer), so the fan-out driver runs
+// five L1 passes per workload instead of nine.
 func Figure7(opt Options) (*Figure7Result, error) {
 	opt = opt.withDefaults()
 	res := &Figure7Result{}

@@ -254,8 +254,8 @@ type Table5Result struct {
 // Table5 computes the baseline CPIinstr values: an 8-KB direct-mapped L1
 // backed directly by each baseline memory system. Each suite replays once
 // through a two-engine bank (economy, high-performance); the two engines
-// share the L1 geometry, so the fan-out driver simulates one and derives
-// the other analytically.
+// form one content class, so the fan-out driver runs one L1 pass and times
+// both from its miss count.
 func Table5(opt Options) (*Table5Result, error) {
 	opt = opt.withDefaults()
 	res := &Table5Result{}
@@ -333,52 +333,61 @@ var table6Cells = map[[2]int]bool{
 // engine.
 func Table6(opt Options) (*Table6Result, error) {
 	opt = opt.withDefaults()
-	grid, err := runGrid(opt, []int{16, 32, 64}, []int{0, 1, 2, 3},
-		func(lineSize, depth int) (fetch.Engine, error) {
-			return fetch.NewBlocking(baseL1WithLine(lineSize), memsys.L1L2Link(), depth)
-		})
+	grids, err := runGrids(opt, []int{16, 32, 64}, []int{0, 1, 2, 3}, newBlockingCell)
 	if err != nil {
 		return nil, err
 	}
-	return &Table6Result{Grid: grid}, nil
+	return &Table6Result{Grid: grids[0]}, nil
 }
 
-// runGrid evaluates an engine factory across a line-size × depth grid: one
-// replay per workload through a bank holding every grid cell's engine, in
-// (depth, line) order.
-func runGrid(opt Options, lineSizes, depths []int, mk func(lineSize, depth int) (fetch.Engine, error)) (prefetchGrid, error) {
-	grid := prefetchGrid{LineSizes: lineSizes, Depths: depths}
-	grid.CPI = make([][]float64, len(depths))
-	for i := range grid.CPI {
-		grid.CPI[i] = make([]float64, len(lineSizes))
+// newBlockingCell builds a prefetch-grid cell's blocking engine.
+func newBlockingCell(lineSize, depth int) (fetch.Engine, error) {
+	return fetch.NewBlocking(baseL1WithLine(lineSize), memsys.L1L2Link(), depth)
+}
+
+// runGrids evaluates engine factories across one line-size × depth grid:
+// one replay per workload through a bank holding every factory's engine for
+// every grid cell, factory by factory in (depth, line) order. It returns
+// one grid per factory.
+func runGrids(opt Options, lineSizes, depths []int, mks ...func(lineSize, depth int) (fetch.Engine, error)) ([]prefetchGrid, error) {
+	grids := make([]prefetchGrid, len(mks))
+	for g := range grids {
+		grids[g] = prefetchGrid{LineSizes: lineSizes, Depths: depths, CPI: make([][]float64, len(depths))}
+		for i := range grids[g].CPI {
+			grids[g].CPI[i] = make([]float64, len(lineSizes))
+		}
 	}
 	profiles := ibsProfiles()
 	per, err := mapBanks(profiles, opt, func() ([]fetch.Engine, error) {
-		engines := make([]fetch.Engine, 0, len(depths)*len(lineSizes))
-		for _, d := range depths {
-			for _, l := range lineSizes {
-				e, err := mk(l, d)
-				if err != nil {
-					return nil, err
+		engines := make([]fetch.Engine, 0, len(mks)*len(depths)*len(lineSizes))
+		for _, mk := range mks {
+			for _, d := range depths {
+				for _, l := range lineSizes {
+					e, err := mk(l, d)
+					if err != nil {
+						return nil, err
+					}
+					engines = append(engines, e)
 				}
-				engines = append(engines, e)
 			}
 		}
 		return engines, nil
 	})
 	if err != nil {
-		return grid, err
+		return nil, err
 	}
 	for _, bank := range per {
 		k := 0
-		for di := range depths {
-			for li := range lineSizes {
-				grid.CPI[di][li] += bank[k].CPIinstr() / float64(len(profiles))
-				k++
+		for g := range grids {
+			for di := range depths {
+				for li := range lineSizes {
+					grids[g].CPI[di][li] += bank[k].CPIinstr() / float64(len(profiles))
+					k++
+				}
 			}
 		}
 	}
-	return grid, nil
+	return grids, nil
 }
 
 // render prints a prefetch grid with the paper's "—" cells.
@@ -423,24 +432,20 @@ var table7BypassCells = map[[2]int]bool{
 	{3, 16}: true,
 }
 
-// Table7 runs the prefetch grid with and without bypass buffers.
+// Table7 runs the prefetch grid with and without bypass buffers, as one
+// 24-engine bank per workload: Bypass(g, N) caches exactly the lines
+// Blocking(g, N) does, so each bypass engine leads its content class and
+// the no-bypass half derives from its misses — 12 L1 passes, not 24.
 func Table7(opt Options) (*Table7Result, error) {
 	opt = opt.withDefaults()
-	no, err := runGrid(opt, []int{16, 32, 64}, []int{0, 1, 2, 3},
-		func(lineSize, depth int) (fetch.Engine, error) {
-			return fetch.NewBlocking(baseL1WithLine(lineSize), memsys.L1L2Link(), depth)
-		})
-	if err != nil {
-		return nil, err
-	}
-	by, err := runGrid(opt, []int{16, 32, 64}, []int{0, 1, 2, 3},
+	grids, err := runGrids(opt, []int{16, 32, 64}, []int{0, 1, 2, 3}, newBlockingCell,
 		func(lineSize, depth int) (fetch.Engine, error) {
 			return fetch.NewBypass(baseL1WithLine(lineSize), memsys.L1L2Link(), depth)
 		})
 	if err != nil {
 		return nil, err
 	}
-	return &Table7Result{NoBypass: no, Bypass: by}, nil
+	return &Table7Result{NoBypass: grids[0], Bypass: grids[1]}, nil
 }
 
 // Render prints both halves of the table.
@@ -466,7 +471,9 @@ type Table8Result struct {
 
 // Table8 runs the pipelined stream-buffer engine; the L1 line size equals
 // the L1–L2 bandwidth (16 or 32 bytes), letting the memory system accept a
-// request every cycle.
+// request every cycle. A stream engine fills exactly the line it misses on
+// at every depth, so the bank's 12 engines form two content classes: two
+// L1 passes per workload, each timing its six depths from one miss log.
 func Table8(opt Options) (*Table8Result, error) {
 	opt = opt.withDefaults()
 	depths := []int{0, 1, 3, 6, 12, 18}

@@ -56,17 +56,21 @@ func RunCompact(e Engine, runs []trace.Run) Result {
 // then the first missing instruction takes the full Fetch path (fills,
 // prefetches, stalls) and the loop resumes behind it. Instructions are
 // credited before each Fetch so engines whose miss timing reads
-// now = Instructions + StallCycles (Stream, MultiStream) observe exactly the
+// now = Instructions + StallCycles (MultiStream) observe exactly the
 // per-instruction clock. The loop also self-heals when Fetch's side effects
 // evict the line it just filled (prefetch wrap-around in a tiny cache):
 // TouchRun absorbs nothing and the next instruction simply refetches.
 
 // FetchRun implements RunEngine.
 func (b *Blocking) FetchRun(start uint64, n int64) {
+	if b.subBlock == 0 {
+		b.f.FetchRun(start, n)
+		return
+	}
 	addr := start
 	for n > 0 {
-		t := b.l1.TouchRun(addr, n, trace.InstrBytes)
-		b.res.Instructions += t
+		t := b.f.l1.TouchRun(addr, n, trace.InstrBytes)
+		b.f.res.Instructions += t
 		addr += uint64(t) * trace.InstrBytes
 		if n -= t; n == 0 {
 			return
@@ -79,18 +83,8 @@ func (b *Blocking) FetchRun(start uint64, n int64) {
 
 // FetchRun implements RunEngine.
 func (s *Stream) FetchRun(start uint64, n int64) {
-	addr := start
-	for n > 0 {
-		t := s.l1.TouchRun(addr, n, trace.InstrBytes)
-		s.res.Instructions += t
-		addr += uint64(t) * trace.InstrBytes
-		if n -= t; n == 0 {
-			return
-		}
-		s.Fetch(addr)
-		addr += trace.InstrBytes
-		n--
-	}
+	s.f.FetchRun(start, n)
+	s.time()
 }
 
 // FetchRun implements RunEngine.
@@ -179,34 +173,11 @@ func (b *Bypass) FetchRun(start uint64, n int64) {
 // measurable fraction of the replay. Checking cache.DM4 once per batch and
 // calling TouchRunDM4 directly removes both.
 
-// FetchRuns implements RunEngine. Beyond the DM4 dispatch hoist, the
-// blocking engine's miss path is fused: TouchRunDM4 stopping short proves
-// the next address misses, so the fill goes through cache.MissFillDM4
-// (skipping Fetch's redundant Lookup and FillEvict probes), and the
-// miss stall — a constant for a given engine — is computed once.
+// FetchRuns implements RunEngine: the Filter's fused pass, whose misses
+// all stall the same constant.
 func (b *Blocking) FetchRuns(runs []trace.Run) {
-	if b.l1.DM4() {
-		stall := int64(b.link.FillCycles(int(b.lineSize) * (1 + b.prefetch)))
-		for _, r := range runs {
-			addr, n := r.Start, r.Len
-			for n > 0 {
-				t := b.l1.TouchRunDM4(addr, n)
-				b.res.Instructions += t
-				addr += uint64(t) * trace.InstrBytes
-				if n -= t; n == 0 {
-					break
-				}
-				b.res.Instructions++
-				b.res.Misses++
-				b.res.StallCycles += stall
-				b.l1.MissFillDM4(addr)
-				for i := 1; i <= b.prefetch; i++ {
-					b.l1.Fill((addr &^ (b.lineSize - 1)) + uint64(i)*b.lineSize)
-				}
-				addr += trace.InstrBytes
-				n--
-			}
-		}
+	if b.subBlock == 0 {
+		b.f.FetchRuns(runs)
 		return
 	}
 	for _, r := range runs {
@@ -214,52 +185,18 @@ func (b *Blocking) FetchRuns(runs []trace.Run) {
 	}
 }
 
-// FetchRuns implements RunEngine. Like the blocking engine's, the stream
-// engine's miss path is fused: TouchRunDM4 stopping short proves the next
-// address misses the L1, so both outcomes — stream-buffer hit and miss in
-// both structures — skip Fetch's redundant Lookup and move the line in with
-// cache.MissFillDM4 (the L1 fill and its miss accounting in one step), with
-// the full-miss stall hoisted to a constant.
+// streamBatch bounds the runs the stream engine's Filter takes between
+// timing its logged misses, so the log stays one batch long.
+const streamBatch = 256
+
+// FetchRuns implements RunEngine: the Filter's fused pass, its misses timed
+// batch by batch.
 func (s *Stream) FetchRuns(runs []trace.Run) {
-	if s.l1.DM4() {
-		missStall := int64(s.link.FillCycles(int(s.lineSize)))
-		for _, r := range runs {
-			addr, n := r.Start, r.Len
-			for n > 0 {
-				t := s.l1.TouchRunDM4(addr, n)
-				s.res.Instructions += t
-				addr += uint64(t) * trace.InstrBytes
-				if n -= t; n == 0 {
-					break
-				}
-				s.res.Instructions++
-				now := s.now()
-				la := addr &^ (s.lineSize - 1)
-				if arrive, ok := s.avail[la]; ok {
-					if arrive > now {
-						s.res.StallCycles += arrive - now
-					}
-					s.res.BufferHits++
-					s.l1.MissFillDM4(la)
-					delete(s.avail, la)
-				} else {
-					s.res.Misses++
-					s.res.StallCycles += missStall
-					now = s.now()
-					s.l1.MissFillDM4(la)
-					clear(s.avail)
-					for i := 1; i <= s.depth; i++ {
-						s.avail[la+uint64(i)*s.lineSize] = now + int64(i)
-					}
-				}
-				addr += trace.InstrBytes
-				n--
-			}
-		}
-		return
-	}
-	for _, r := range runs {
-		s.FetchRun(r.Start, r.Len)
+	for len(runs) > 0 {
+		batch := runs[:min(len(runs), streamBatch)]
+		runs = runs[len(batch):]
+		s.f.FetchRuns(batch)
+		s.time()
 	}
 }
 

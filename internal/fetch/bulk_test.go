@@ -119,11 +119,11 @@ func cloneEngine(t *testing.T, e Engine, cfg cache.Config, link memsys.Transfer)
 	case *Blocking:
 		c := cfg
 		c.SubBlock = int(v.subBlock)
-		out, err = NewBlocking(c, link, v.prefetch)
+		out, err = NewBlocking(c, link, v.f.extra)
 	case *Bypass:
 		out, err = NewBypass(cfg, link, v.prefetch)
 	case *Stream:
-		out, err = NewStream(cfg, link, v.depth)
+		out, err = NewStream(cfg, link, int(v.model.depth))
 	case *MultiStream:
 		out, err = NewMultiStream(cfg, link, v.ways, v.depth)
 	case *Victim:
@@ -160,8 +160,9 @@ func TestRunCompactFallback(t *testing.T) {
 }
 
 // An all-hit bulk replay must not allocate: it is the inner loop of the
-// fan-out driver. (A replay with misses may allocate in Stream's buffer map;
-// the warm, hit-dominated steady state is the case that matters.)
+// fan-out driver. (A replay with misses may grow a miss log or Stream's slot
+// bitset once; the warm, hit-dominated steady state is the case that
+// matters.)
 func TestFetchRunZeroAlloc(t *testing.T) {
 	cfg := cache.Config{Size: 8192, LineSize: 32, Assoc: 2}
 	// Footprint within the cache: after one warm replay everything hits.

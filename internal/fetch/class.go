@@ -1,0 +1,255 @@
+package fetch
+
+import (
+	"ibsim/internal/cache"
+	"ibsim/internal/memsys"
+	"ibsim/internal/trace"
+)
+
+// Content classes: filter once, time many.
+//
+// Many engines differ only in how they time an L1 miss, not in what their L1
+// holds. Blocking(g, N) and Bypass(g, N) both probe the L1 once per fetch
+// and, on a miss, fill the missing line and the N lines after it; Stream(g,
+// d) fills exactly the missing line on every L1 miss, whether or not its
+// buffer held it, at every depth. An engine's content class is that L1
+// behavior — geometry plus lines filled per miss — and engines of one class
+// hold identical L1 contents after any trace. A replay driver can therefore
+// run each class's L1 once and hand the class's misses to every member's
+// timing model (internal/replay does):
+//
+//   - Blocking(g, N) is a Filter — the class's bare L1 pass — plus a stall
+//     of FillCycles(line·(1+N)) per miss, so its Result follows from the
+//     class's miss count alone, for every N and link.
+//   - Stream(g, d) is a Filter plus a timing model that needs each miss's
+//     position and line (MissEvent); the model keeps O(1) state beside a
+//     bitset of consumed buffer slots.
+//   - Bypass(g, N) also waits on hits to words still in flight, so it cannot
+//     be split: it leads its class as a whole engine, logging its misses.
+//
+// Blocking and Stream expose the split through Split (class, own L1 pass,
+// timing); Bypass and Filter, which can run a class's pass, through Class
+// and MissLog.
+//
+// Sector geometries (offset-dependent partial fills), Victim, Hierarchy and
+// MultiStream have no class and always run whole.
+
+// Class is a content class: an L1 geometry plus the number of lines filled
+// per miss (the missing line and the ones after it). Classes are comparable,
+// so they key maps.
+type Class struct {
+	Geom  cache.Config
+	Lines int
+}
+
+// MissEvent is one L1 miss of a content class.
+type MissEvent struct {
+	// Index is the missing fetch's position among the instructions the
+	// class has fetched, counting from 0.
+	Index int64
+	// Line is the missing line's address: the fetch address with its line
+	// offset cleared.
+	Line uint64
+}
+
+// Timing is an engine's timing model: it turns its class's L1 activity into
+// the engine's Result. A model that needs every miss, not just the count,
+// also has a Misses([]MissEvent) method taking the class's misses in trace
+// order.
+type Timing interface {
+	// Result returns the engine's counters once its class has fetched
+	// instructions instructions, misses of which missed the L1.
+	Result(instructions, misses int64) Result
+}
+
+// MissLog collects a class's misses for its event timings. The consumer
+// drains Events (and truncates it) between batches, so the log holds one
+// batch at a time, never a whole trace.
+type MissLog struct {
+	On     bool
+	Events []MissEvent
+}
+
+func (l *MissLog) add(index int64, line uint64) {
+	if l.On {
+		l.Events = append(l.Events, MissEvent{Index: index, Line: line})
+	}
+}
+
+// Filter is a content class's bare L1 pass: one Lookup per fetch and, on a
+// miss, fills of the missing line and the lines after it. It times nothing —
+// its Result carries only Instructions and Misses — and can run its class's
+// pass in a shared replay.
+type Filter struct {
+	l1       *cache.Cache
+	lineSize uint64
+	extra    int // lines filled after the missing one
+	res      Result
+	log      MissLog
+}
+
+func newFilter(cfg cache.Config, lines int) (Filter, error) {
+	l1, err := cache.New(cfg)
+	if err != nil {
+		return Filter{}, err
+	}
+	return Filter{l1: l1, lineSize: uint64(cfg.LineSize), extra: lines - 1}, nil
+}
+
+// Fetch implements Engine.
+func (f *Filter) Fetch(addr uint64) {
+	f.res.Instructions++
+	if f.l1.Lookup(addr) {
+		return
+	}
+	f.res.Misses++
+	la := addr &^ (f.lineSize - 1)
+	f.log.add(f.res.Instructions-1, la)
+	for i := 0; i <= f.extra; i++ {
+		f.l1.Fill(la + uint64(i)*f.lineSize)
+	}
+}
+
+// Result implements Engine.
+func (f *Filter) Result() Result { return f.res }
+
+// Class reports the pass's content class; ok is false for sector
+// geometries, whose fills depend on the missing word's offset.
+func (f *Filter) Class() (Class, bool) {
+	return Class{Geom: f.l1.Config(), Lines: 1 + f.extra}, f.l1.Config().SubBlock == 0
+}
+
+// MissLog returns the pass's miss log.
+func (f *Filter) MissLog() *MissLog { return &f.log }
+
+// FetchRun implements RunEngine.
+func (f *Filter) FetchRun(start uint64, n int64) {
+	addr := start
+	for n > 0 {
+		t := f.l1.TouchRun(addr, n, trace.InstrBytes)
+		f.res.Instructions += t
+		addr += uint64(t) * trace.InstrBytes
+		if n -= t; n == 0 {
+			return
+		}
+		f.Fetch(addr)
+		addr += trace.InstrBytes
+		n--
+	}
+}
+
+// FetchRuns implements RunEngine. On direct-mapped L1s the miss path is
+// fused: TouchRunDM4 stopping short proves the next address misses, so the
+// demand fill goes through cache.MissFillDM4, skipping Fetch's redundant
+// Lookup and FillEvict probes.
+func (f *Filter) FetchRuns(runs []trace.Run) {
+	if !f.l1.DM4() {
+		for _, r := range runs {
+			f.FetchRun(r.Start, r.Len)
+		}
+		return
+	}
+	for _, r := range runs {
+		addr, n := r.Start, r.Len
+		for n > 0 {
+			t := f.l1.TouchRunDM4(addr, n)
+			f.res.Instructions += t
+			addr += uint64(t) * trace.InstrBytes
+			if n -= t; n == 0 {
+				break
+			}
+			la := addr &^ (f.lineSize - 1)
+			f.log.add(f.res.Instructions, la)
+			f.res.Instructions++
+			f.res.Misses++
+			f.l1.MissFillDM4(addr)
+			for i := 1; i <= f.extra; i++ {
+				f.l1.Fill(la + uint64(i)*f.lineSize)
+			}
+			addr += trace.InstrBytes
+			n--
+		}
+	}
+}
+
+// blockingTiming is the blocking engine's timing: every miss stalls for one
+// fill of the missing and prefetched lines.
+type blockingTiming struct{ stall int64 }
+
+// Result implements Timing.
+func (t blockingTiming) Result(instructions, misses int64) Result {
+	return Result{Instructions: instructions, Misses: misses, StallCycles: misses * t.stall}
+}
+
+// streamTiming is the stream buffer's timing model (see Stream). A miss in
+// both structures restarts the stream at its line; the stream then holds
+// slots 1..depth, slot k being the k-th line after the head, requested one
+// per cycle so that it arrives k cycles after the restart completed. An L1
+// miss on a slot line not yet consumed is a buffer hit. The state is the
+// head line, the completion cycle, and a bitset of consumed slots that grows
+// only as far as slots are consumed.
+type streamTiming struct {
+	lineShift uint
+	depth     uint64
+	missStall int64
+	window    uint64   // depth once a stream is live; 0 before the first miss
+	head      uint64   // line of the miss that started the stream
+	issued    int64    // cycle that miss completed; slot k arrives at issued+k
+	used      []uint64 // bit k-1: slot k consumed since the restart
+	dirty     int      // words of used that may hold set bits
+	res       Result   // Misses, BufferHits and StallCycles
+}
+
+func newStreamTiming(lineSize int, link memsys.Transfer, depth int) *streamTiming {
+	t := &streamTiming{depth: uint64(depth), missStall: int64(link.FillCycles(lineSize))}
+	for v := lineSize; v > 1; v >>= 1 {
+		t.lineShift++
+	}
+	return t
+}
+
+// Misses times a batch of the class's misses, in trace order.
+func (t *streamTiming) Misses(events []MissEvent) {
+	for _, ev := range events {
+		t.miss(ev.Index, ev.Line)
+	}
+}
+
+// miss times one L1 miss of the fetch at position index to line.
+func (t *streamTiming) miss(index int64, line uint64) {
+	now := index + 1 + t.res.StallCycles
+	// Unsigned arithmetic: a window that wraps the top of the address space
+	// still numbers its slots 1..depth.
+	if k := (line - t.head) >> t.lineShift; k-1 < t.window {
+		w, bit := int((k-1)>>6), uint64(1)<<((k-1)&63)
+		if w >= len(t.used) || t.used[w]&bit == 0 {
+			// Stream-buffer hit: wait for the line if it is still in flight;
+			// it moves to the I-cache (the class's fill).
+			if arrive := t.issued + int64(k); arrive > now {
+				t.res.StallCycles += arrive - now
+			}
+			t.res.BufferHits++
+			if w >= len(t.used) {
+				t.used = append(t.used, make([]uint64, w+1-len(t.used))...)
+			}
+			t.used[w] |= bit
+			t.dirty = max(t.dirty, w+1)
+			return
+		}
+	}
+	// Miss in both: pay the full latency, cancel the stream, restart it.
+	t.res.Misses++
+	t.res.StallCycles += t.missStall
+	t.issued = now + t.missStall
+	t.head = line
+	t.window = t.depth
+	clear(t.used[:t.dirty])
+	t.dirty = 0
+}
+
+// Result implements Timing.
+func (t *streamTiming) Result(instructions, _ int64) Result {
+	r := t.res
+	r.Instructions = instructions
+	return r
+}

@@ -99,11 +99,7 @@ func RunSource(e Engine, src trace.Source) (Result, error) {
 // equivalence with fetch.Run over a NewBlocking engine is pinned by tests
 // and by internal/check's sweep differential.
 func BlockingResult(instructions, misses int64, lineSize int, link memsys.Transfer) Result {
-	return Result{
-		Instructions: instructions,
-		Misses:       misses,
-		StallCycles:  misses * int64(link.FillCycles(lineSize)),
-	}
+	return blockingTiming{stall: int64(link.FillCycles(lineSize))}.Result(instructions, misses)
 }
 
 // Blocking is the baseline engine: on an L1 miss the processor stalls until
@@ -111,13 +107,14 @@ func BlockingResult(instructions, misses int64, lineSize int, link memsys.Transf
 // prefetch-on-miss is enabled — have been written into the cache (Table 6's
 // execution model: "the processor must stall until both the miss and the
 // prefetches are returned to the cache. Prefetches are not cancelled.").
+// Its L1 is a Filter, and every miss stalls the same FillCycles(line·(1+N)),
+// so its Result follows from the miss count.
 type Blocking struct {
-	l1       *cache.Cache
+	f        Filter
 	link     memsys.Transfer
-	prefetch int
-	lineSize uint64
+	stall    int64  // cycles per miss; 0 for sector caches
 	subBlock uint64 // non-zero for sector caches
-	res      Result
+	sector   int64  // sector caches: the partial-fill stalls so far
 }
 
 // NewBlocking builds a blocking engine with n prefetched lines (0 disables
@@ -132,62 +129,62 @@ func NewBlocking(cfg cache.Config, link memsys.Transfer, n int) (*Blocking, erro
 	if cfg.SubBlock != 0 && n != 0 {
 		return nil, fmt.Errorf("fetch: sector caches and prefetch-on-miss are mutually exclusive")
 	}
-	l1, err := cache.New(cfg)
+	f, err := newFilter(cfg, 1+n)
 	if err != nil {
 		return nil, err
 	}
-	return &Blocking{
-		l1: l1, link: link, prefetch: n,
-		lineSize: uint64(cfg.LineSize), subBlock: uint64(cfg.SubBlock),
-	}, nil
+	b := &Blocking{f: f, link: link, subBlock: uint64(cfg.SubBlock)}
+	if b.subBlock == 0 {
+		b.stall = int64(link.FillCycles(cfg.LineSize * (1 + n)))
+	}
+	return b, nil
 }
 
 // Fetch implements Engine.
 func (b *Blocking) Fetch(addr uint64) {
-	b.res.Instructions++
-	if b.l1.Lookup(addr) {
+	if b.subBlock == 0 {
+		b.f.Fetch(addr)
 		return
 	}
-	b.res.Misses++
-	if b.subBlock != 0 {
-		// Sector cache: only the missing sub-block and all subsequent
-		// sub-blocks in the line are transferred (the paper's sub-block
-		// refill policy); the stall covers just those bytes.
-		offset := (addr &^ (b.subBlock - 1)) & (b.lineSize - 1)
-		b.res.StallCycles += int64(b.link.FillCycles(int(b.lineSize - offset)))
-		b.l1.Fill(addr)
+	f := &b.f
+	f.res.Instructions++
+	if f.l1.Lookup(addr) {
 		return
 	}
-	total := int(b.lineSize) * (1 + b.prefetch)
-	b.res.StallCycles += int64(b.link.FillCycles(total))
-	base := addr &^ (b.lineSize - 1)
-	for i := 0; i <= b.prefetch; i++ {
-		b.l1.Fill(base + uint64(i)*b.lineSize)
-	}
+	f.res.Misses++
+	// Sector cache: only the missing sub-block and all subsequent sub-blocks
+	// in the line are transferred (the paper's sub-block refill policy); the
+	// stall covers just those bytes.
+	offset := (addr &^ (b.subBlock - 1)) & (f.lineSize - 1)
+	b.sector += int64(b.link.FillCycles(int(f.lineSize - offset)))
+	f.l1.Fill(addr)
 }
 
 // Result implements Engine.
-func (b *Blocking) Result() Result { return b.res }
+func (b *Blocking) Result() Result {
+	r := blockingTiming{stall: b.stall}.Result(b.f.res.Instructions, b.f.res.Misses)
+	r.StallCycles += b.sector
+	return r
+}
 
 // Cache exposes the underlying L1 for inspection in tests and reports.
-func (b *Blocking) Cache() *cache.Cache { return b.l1 }
+func (b *Blocking) Cache() *cache.Cache { return b.f.l1 }
 
-// AnalyticConfig reports whether this engine's Result is analytically
-// reconstructible from a miss count (see BlockingResult) and returns the
-// geometry and link needed to do so. Only the plain blocking engine
-// qualifies: prefetching changes cache contents and sector caches stall for
-// offset-dependent partial fills, so both disable the shortcut. The fan-out
-// driver (internal/replay) uses this to simulate one engine per geometry and
-// derive every same-geometry, different-link cell from it.
-func (b *Blocking) AnalyticConfig() (geom cache.Config, link memsys.Transfer, ok bool) {
-	return b.l1.Config(), b.link, b.prefetch == 0 && b.subBlock == 0
+// Split returns the engine's content class, its own L1 pass and its timing
+// over that pass; a shared replay may run any member's pass as the class's.
+// ok is false for sector caches, which have no class and run whole.
+func (b *Blocking) Split() (c Class, pass *Filter, t Timing, ok bool) {
+	c, ok = b.f.Class()
+	return c, &b.f, blockingTiming{stall: b.stall}, ok
 }
 
 // Bypass is the prefetch+bypass engine of Table 7: the missing line (and N
 // sequentially prefetched lines) stream into dual-ported bypass buffers, and
 // the processor resumes as soon as the missing *word* arrives. All fetched
 // lines are cached unconditionally (the paper found use-only caching of
-// prefetched lines hurts at small N and line sizes).
+// prefetched lines hurts at small N and line sizes), so its L1 is
+// Blocking(g, N)'s; but its hits can wait on words still in flight, so it
+// leads its content class rather than following it.
 type Bypass struct {
 	l1       *cache.Cache
 	link     memsys.Transfer
@@ -203,6 +200,7 @@ type Bypass struct {
 	busyUntil  int64
 
 	res Result
+	log MissLog
 }
 
 // NewBypass builds a bypass engine with n prefetched lines.
@@ -249,6 +247,7 @@ func (b *Bypass) Fetch(addr uint64) {
 		start = b.busyUntil
 	}
 	lineBase := addr &^ (b.lineSize - 1)
+	b.log.add(b.res.Instructions-1, lineBase)
 	arrive := start + int64(b.link.DeliveryCycle(int(addr-lineBase)))
 	b.res.StallCycles += arrive - now
 
@@ -268,6 +267,14 @@ func (b *Bypass) Result() Result { return b.res }
 // Cache exposes the underlying L1.
 func (b *Bypass) Cache() *cache.Cache { return b.l1 }
 
+// Class reports the engine's content class; ok is false for sector caches.
+func (b *Bypass) Class() (Class, bool) {
+	return Class{Geom: b.l1.Config(), Lines: 1 + b.prefetch}, b.l1.Config().SubBlock == 0
+}
+
+// MissLog returns the engine's miss log: the class's misses, while On.
+func (b *Bypass) MissLog() *MissLog { return &b.log }
+
 // Stream is the pipelined memory system with a stream buffer (Table 8,
 // following Jouppi): the L2 accepts a request every cycle; on a miss in both
 // the I-cache and the stream buffer the processor waits one full latency for
@@ -279,14 +286,13 @@ func (b *Bypass) Cache() *cache.Cache { return b.l1 }
 // why the paper's gains keep accruing out to 18 lines. A miss in both
 // structures cancels outstanding prefetches and restarts the stream at the
 // new address.
+//
+// Every L1 miss fills exactly the missing line, buffered or not, so the L1
+// is a one-line Filter at every depth, and the buffer is a timing model
+// over that Filter's misses (streamTiming).
 type Stream struct {
-	l1       *cache.Cache
-	link     memsys.Transfer
-	depth    int
-	lineSize uint64
-
-	avail map[uint64]int64 // buffered line → arrival cycle
-	res   Result
+	f     Filter // logs every miss for the model
+	model *streamTiming
 }
 
 // NewStream builds a pipelined stream-buffer engine holding depth lines
@@ -305,54 +311,38 @@ func NewStream(cfg cache.Config, link memsys.Transfer, depth int) (*Stream, erro
 		return nil, fmt.Errorf("fetch: stream engine needs line size (%d) <= 2x bandwidth (%d B/cyc)",
 			cfg.LineSize, link.BytesPerCycle)
 	}
-	l1, err := cache.New(cfg)
+	f, err := newFilter(cfg, 1)
 	if err != nil {
 		return nil, err
 	}
-	return &Stream{
-		l1: l1, link: link, depth: depth, lineSize: uint64(cfg.LineSize),
-		avail: make(map[uint64]int64),
-	}, nil
+	f.log.On = true
+	return &Stream{f: f, model: newStreamTiming(cfg.LineSize, link, depth)}, nil
 }
-
-func (s *Stream) now() int64 { return s.res.Instructions + s.res.StallCycles }
 
 // Fetch implements Engine.
 func (s *Stream) Fetch(addr uint64) {
-	s.res.Instructions++
-	if s.l1.Lookup(addr) {
-		return
-	}
-	now := s.now()
-	la := addr &^ (s.lineSize - 1)
-	if arrive, ok := s.avail[la]; ok {
-		// Stream-buffer hit: wait for arrival if the line is still in
-		// flight, then move it to the I-cache.
-		if arrive > now {
-			s.res.StallCycles += arrive - now
-		}
-		s.res.BufferHits++
-		s.l1.Fill(la)
-		delete(s.avail, la)
-		return
-	}
-	// Miss in both: pay the full latency, cancel the stream, restart it.
-	s.res.Misses++
-	s.res.StallCycles += int64(s.link.FillCycles(int(s.lineSize)))
-	now = s.now()
-	s.l1.Fill(la)
-	clear(s.avail)
-	for i := 1; i <= s.depth; i++ {
-		// Pipelined: one request per cycle; line i lands i cycles behind.
-		s.avail[la+uint64(i)*s.lineSize] = now + int64(i)
-	}
+	s.f.Fetch(addr)
+	s.time()
+}
+
+// time hands the Filter's logged misses to the model.
+func (s *Stream) time() {
+	s.model.Misses(s.f.log.Events)
+	s.f.log.Events = s.f.log.Events[:0]
 }
 
 // Result implements Engine.
-func (s *Stream) Result() Result { return s.res }
+func (s *Stream) Result() Result { return s.model.Result(s.f.res.Instructions, s.f.res.Misses) }
 
 // Cache exposes the underlying L1.
-func (s *Stream) Cache() *cache.Cache { return s.l1 }
+func (s *Stream) Cache() *cache.Cache { return s.f.l1 }
+
+// Split returns the engine's content class, its own L1 pass and its timing
+// model, which takes the pass's misses; see Blocking.Split.
+func (s *Stream) Split() (c Class, pass *Filter, t Timing, ok bool) {
+	c, ok = s.f.Class()
+	return c, &s.f, s.model, ok
+}
 
 // TwoLevel combines independently simulated L1 and L2 contributions into the
 // paper's "Total CPIinstr".

@@ -26,7 +26,7 @@ func columnarSource(t testing.TB, runs []trace.Run, blockBytes int) *trace.Colum
 
 // An exact replay over a multi-block columnar trace, read through its block
 // index, must be bit-identical to Replay over the materialized runs, across
-// the whole mixed bank including the analytically derived cells.
+// the whole mixed bank including the class followers.
 func TestBlocksMatchesReplay(t *testing.T) {
 	runs := trace.Compact(testTrace(21, 80000))
 	want, err := Replay(context.Background(), runs, bank(t))

@@ -70,8 +70,9 @@ func oracle(t *testing.T, refs []trace.Ref, plan SamplePlan) []SampledResult {
 }
 
 // Every trace source under every schedule must reproduce the per-engine
-// fetch.Run oracle across the mixed bank — the analytically derived cells
-// included — Measured counters and Estimate alike. The entry points that
+// fetch.Run oracle across the mixed bank — class followers timed from a
+// leader's counts or miss log included — Measured counters and Estimate
+// alike. The entry points that
 // adapt a trace form to the one driver are checked on the schedules they
 // accept: Replay, BlocksParallel at several worker counts, Sampled and
 // SampledSeek.

@@ -13,7 +13,7 @@ import (
 
 // BlocksParallel must be bit-identical to the serial block replay for every
 // worker count, including degenerate ones, across the mixed bank with its
-// analytically derived cells.
+// multi-member content classes.
 func TestBlocksParallelMatchesSerial(t *testing.T) {
 	runs := trace.Compact(testTrace(23, 80000))
 	cf := columnarSource(t, runs, 512)

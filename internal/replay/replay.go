@@ -2,33 +2,37 @@
 // fetch engines: it replays one workload's run-compacted instruction trace
 // through a whole bank of engine configurations, feeding every grid cell of
 // the paper's Tables 5-8 and Figures 6/7 from one pass over the trace per
-// engine — and often much less.
+// distinct L1 — filter once, time many.
 //
 // Two accelerations stack:
 //
-//  1. Bulk replay. Each engine consumes the trace as sequential runs via its
-//     FetchRun fast path (O(resident lines) per run instead of
+//  1. Bulk replay. Each simulated L1 consumes the trace as sequential runs
+//     via its FetchRuns fast path (O(resident lines) per run instead of
 //     O(instructions); see internal/fetch), which is where compaction pays.
 //
-//  2. Analytic dedup. Prefetch-free, non-sector blocking engines that share
-//     a cache geometry have identical miss streams — the memory link never
-//     influences cache contents — so the bank simulates one representative
-//     per geometry and reconstructs every other such engine's Result with
-//     fetch.BlockingResult (StallCycles = Misses x FillCycles). Figure 6's
-//     bandwidth sweep (5 links x 7 line sizes) collapses from 35 replays to
-//     7; the equivalence is exact (pinned by fetch's tests and the
-//     differential/fanout-tables check), so results stay byte-identical to
-//     the per-config path. Sampled replays dedup the same way: identical
-//     miss streams give identical window clusters.
+//  2. Content classes. Engines whose L1s perform the same operations — one
+//     geometry, the same lines filled per miss (fetch.Class) — hold the same
+//     L1 contents, whatever their link or timing. The bank simulates each
+//     class's L1 once: its leader is a member that cannot be split (a
+//     Bypass engine, whose hits wait on words in flight) or else one
+//     member's bare fetch.Filter pass. Every other member derives its
+//     Result from the leader's counts (Blocking: StallCycles = Misses ×
+//     FillCycles) or from the leader's logged misses (Stream), handed over
+//     one chunk of runs at a time. Figure 6's bandwidth sweep (5 links × 7
+//     line sizes) runs 7 L1 passes, Table 8's 12 stream engines 2, and
+//     Table 7's 24 engines 12; results are bit-identical to the per-config
+//     path (pinned by fetch's tests, this package's oracle tests and the
+//     differential/fanout-tables check). Sampled replays share passes the
+//     same way: each member snapshots its own counters around a window.
 //
 // There is one driver loop. It reads any trace.RunReader — in-memory runs,
 // a block-indexed columnar file, a checkpointed generator — block-major:
-// each chunk of runs the source hands out goes through every simulated
-// engine while it is hot. Exact, warm and skip time sampling and set
-// sampling are schedules that loop walks (SamplePlan), and partitioning the
-// bank over workers is its only parallelism. Results come back
-// positionally: results[i] is what fetch.Run(engines[i], refs) would have
-// produced on the expanded trace (or its sampled estimate).
+// each chunk of runs the source hands out goes through every simulated L1
+// while it is hot. Exact, warm and skip time sampling and set sampling are
+// schedules that loop walks (SamplePlan), and partitioning the classes over
+// workers is its only parallelism. Results come back positionally:
+// results[i] is what fetch.Run(engines[i], refs) would have produced on the
+// expanded trace (or its sampled estimate).
 package replay
 
 import (
@@ -36,7 +40,6 @@ import (
 	"math"
 	"sync"
 
-	"ibsim/internal/cache"
 	"ibsim/internal/fetch"
 	"ibsim/internal/sampling"
 	"ibsim/internal/trace"
@@ -57,11 +60,12 @@ func Replay(ctx context.Context, runs []trace.Run, engines []fetch.Engine) ([]fe
 
 // BlocksParallel replays the bank exactly over a block-granular trace (a
 // columnar file via mmap, or any block-sliced trace) with O(workers ×
-// block) live memory. The simulated engines are partitioned across up to
-// workers goroutines, each reading the blocks through its own decode buffer
-// (BlockSource implementations allow concurrent BlockRuns with distinct
-// buffers); an engine's state is sequential across blocks, so the bank is
-// the parallel axis. Results are identical to the serial replay.
+// block) live memory. The bank's content classes (and whole engines) are
+// partitioned across up to workers goroutines, each reading the blocks
+// through its own decode buffer (BlockSource implementations allow
+// concurrent BlockRuns with distinct buffers); an L1's state is sequential
+// across blocks, so the bank is the parallel axis. Results are identical to
+// the serial replay.
 func BlocksParallel(ctx context.Context, bs trace.BlockSource, engines []fetch.Engine, workers int) ([]fetch.Result, error) {
 	return exact(run(ctx, func() trace.RunReader { return trace.NewBlockReader(bs) }, engines, SamplePlan{}, workers))
 }
@@ -69,8 +73,9 @@ func BlocksParallel(ctx context.Context, bs trace.BlockSource, engines []fetch.E
 // Run replays the bank over any run source under plan — the package's one
 // driver, which every other entry point adapts a trace form to. The zero
 // plan replays exactly (each Measured is the engine's full Result, its
-// Estimate exhaustive); any other plan must Validate. Engines are mutated;
-// pass freshly built ones.
+// Estimate exhaustive); any other plan must Validate. Engines are mutated —
+// a class runs on one member's L1, so the others' own counters stay stale:
+// pass freshly built engines and read the returned results.
 func Run(ctx context.Context, src trace.RunReader, engines []fetch.Engine, plan SamplePlan) ([]SampledResult, error) {
 	return run(ctx, func() trace.RunReader { return src }, engines, plan, 1)
 }
@@ -87,24 +92,18 @@ func exact(res []SampledResult, err error) ([]fetch.Result, error) {
 	return out, nil
 }
 
-// run plans the bank's dedup, partitions the simulated engines strided over
-// up to workers goroutines (engine i to worker i%workers, so homogeneous
-// sweeps spread their heavy engines evenly), walks the schedule once per
-// worker over a source from open, and reconstructs the derived engines. The
-// first worker error cancels its siblings.
+// run plans the bank's content classes, partitions the lanes strided over
+// up to workers goroutines (lane k to worker k%workers, so homogeneous
+// sweeps spread their heavy classes evenly), and walks the schedule once per
+// worker over a source from open. The first worker error cancels its
+// siblings.
 func run(ctx context.Context, open func() trace.RunReader, engines []fetch.Engine, plan SamplePlan, workers int) ([]SampledResult, error) {
 	if plan != (SamplePlan{}) {
 		if err := plan.Validate(); err != nil {
 			return nil, err
 		}
 	}
-	repOf, derived := planBank(engines)
-	var lanes []*lane
-	for i, e := range engines {
-		if _, isDerived := repOf[i]; !isDerived {
-			lanes = append(lanes, newLane(i, e, plan))
-		}
-	}
+	lanes := planBank(engines, plan)
 	workers = max(1, min(workers, len(lanes)))
 	groups := make([][]*lane, workers)
 	for k, l := range lanes {
@@ -150,23 +149,19 @@ func run(ctx context.Context, open func() trace.RunReader, engines []fetch.Engin
 
 	results := make([]SampledResult, len(engines))
 	for _, l := range lanes {
-		results[l.idx] = l.result(plan, total)
-	}
-	for _, i := range derived {
-		rep := results[repOf[i]]
-		geom, link, _ := engines[i].(*fetch.Blocking).AnalyticConfig()
-		m := rep.Measured
-		results[i] = SampledResult{Measured: fetch.BlockingResult(m.Instructions, m.Misses, geom.LineSize, link), Estimate: rep.Estimate}
+		for _, m := range l.members {
+			results[m.idx] = l.final(m, plan, total)
+		}
 	}
 	return results, nil
 }
 
 // walk is the driver loop: it reads plan's schedule from src, hands each
 // chunk of runs to every lane in turn, and returns the trace length.
-// Windows are [w·Period, w·Period+Window); each lane snapshots its counters
-// around a window to measure one variance cluster. Whole-trace schedules
-// count the length as they go (an exact replay's engines count every
-// instruction) instead of asking the source first.
+// Windows are [w·Period, w·Period+Window); each member snapshots its
+// counters around a window to measure one variance cluster. Whole-trace
+// schedules count the length as they go (an exact replay's engines count
+// every instruction) instead of asking the source first.
 func walk(ctx context.Context, src trace.RunReader, lanes []*lane, plan SamplePlan) (int64, error) {
 	feed := func(runs []trace.Run) error {
 		for _, l := range lanes {
@@ -196,15 +191,19 @@ func walk(ctx context.Context, src trace.RunReader, lanes []*lane, plan SamplePl
 	total := src.Total()
 	for start := int64(0); start < total; start += plan.Period {
 		for _, l := range lanes {
-			l.prev = l.e.Result()
+			for _, m := range l.members {
+				m.prev = l.result(m)
+			}
 		}
 		if err := src.ReadRuns(start, plan.Window, feed); err != nil {
 			return 0, err
 		}
 		for _, l := range lanes {
-			d := resultDelta(l.e.Result(), l.prev)
-			l.measured = resultAdd(l.measured, d)
-			l.clusters = append(l.clusters, sampling.Cluster{Instructions: d.Instructions, Misses: d.Misses})
+			for _, m := range l.members {
+				d := resultDelta(l.result(m), m.prev)
+				m.measured = resultAdd(m.measured, d)
+				m.clusters = append(m.clusters, sampling.Cluster{Instructions: d.Instructions, Misses: d.Misses})
+			}
 		}
 		if plan.Warm {
 			if err := src.ReadRuns(start+plan.Window, plan.Period-plan.Window, feed); err != nil {
@@ -218,29 +217,123 @@ func walk(ctx context.Context, src trace.RunReader, lanes []*lane, plan SamplePl
 	return total, nil
 }
 
-// lane is one simulated engine's replay state: its bulk path and, under a
-// sampling plan, the measured counters and variance clusters so far.
+// splitter is an engine that splits into its content class's L1 pass and a
+// timing model over that pass (fetch.Blocking, fetch.Stream).
+type splitter interface {
+	Split() (c fetch.Class, pass *fetch.Filter, t fetch.Timing, ok bool)
+}
+
+// leader is an engine that cannot be split but can run its class's pass
+// whole: its Result's Instructions and Misses are the class's, and it logs
+// the class's misses while its MissLog is on (fetch.Bypass, fetch.Filter).
+type leader interface {
+	fetch.RunEngine
+	Class() (c fetch.Class, ok bool)
+	MissLog() *fetch.MissLog
+}
+
+// eventTiming is a timing model that needs every miss of its class, not
+// just the count (the stream buffer's).
+type eventTiming interface {
+	fetch.Timing
+	Misses(events []fetch.MissEvent)
+}
+
+// lane is one simulated L1 pass and the bank engines it answers for: either
+// an engine that runs whole, or a content class — its pass (a member's own
+// fetch.Filter, or a leader such as a Bypass engine) plus every member
+// timed from the pass's counts and logged misses.
 type lane struct {
-	idx      int // position in the bank
-	e        fetch.Engine
-	re       fetch.RunEngine // nil: per-instruction Fetch
-	prev     fetch.Result    // counters at the open window's start
+	e       fetch.Engine
+	re      fetch.RunEngine // nil: per-instruction Fetch
+	log     *fetch.MissLog  // non-nil when a member times individual misses
+	members []*member
+}
+
+// member is one bank engine's replay state: its timing over the lane and,
+// under a sampling plan, the measured counters and variance clusters so far.
+type member struct {
+	idx      int          // position in the bank
+	t        fetch.Timing // nil: the lane's engine is this member
+	et       eventTiming  // t, when it times individual misses
+	prev     fetch.Result // counters at the open window's start
 	measured fetch.Result
 	clusters []sampling.Cluster
 }
 
-func newLane(idx int, e fetch.Engine, plan SamplePlan) *lane {
-	l := &lane{idx: idx, e: e}
-	l.re, _ = e.(fetch.RunEngine)
-	if plan.SetMod > 1 {
-		l.clusters = make([]sampling.Cluster, setClusters)
+// planBank groups the bank into lanes, in order of each lane's first
+// member. Engines of one content class share a lane. A leader member (a
+// Bypass engine) runs the class's pass whole; otherwise the first member's
+// own Filter is the pass. Every splitter of the class is timed from the
+// pass; engines without a class, and any further leader of a class, run
+// whole.
+func planBank(engines []fetch.Engine, plan SamplePlan) []*lane {
+	var lanes []*lane
+	classes := make(map[fetch.Class]*lane)
+	led := make(map[*lane]bool) // class lanes whose pass is a leader member
+	join := func(c fetch.Class) *lane {
+		l := classes[c]
+		if l == nil {
+			l = &lane{}
+			classes[c] = l
+			lanes = append(lanes, l)
+		}
+		return l
 	}
-	return l
+	for i, e := range engines {
+		m := &member{idx: i}
+		if plan.SetMod > 1 {
+			m.clusters = make([]sampling.Cluster, setClusters)
+		}
+		var l *lane
+		if sp, ok := e.(splitter); ok {
+			if c, pass, t, ok := sp.Split(); ok {
+				l = join(c)
+				if l.e == nil {
+					l.e, l.re = pass, pass
+				}
+				m.t = t
+				m.et, _ = t.(eventTiming)
+			}
+		} else if ld, ok := e.(leader); ok {
+			if c, ok := ld.Class(); ok && !led[classes[c]] {
+				l = join(c)
+				l.e, l.re = ld, ld
+				led[l] = true
+			}
+		}
+		if l == nil {
+			l = &lane{e: e}
+			l.re, _ = e.(fetch.RunEngine)
+			lanes = append(lanes, l)
+		}
+		l.members = append(l.members, m)
+	}
+	for _, l := range classes {
+		for _, m := range l.members {
+			if m.et != nil {
+				l.log = l.e.(leader).MissLog()
+				l.log.On = true
+				break
+			}
+		}
+	}
+	return lanes
 }
 
-// feed replays runs through the engine with periodic context polls: bulk
+// result returns member m's counters so far.
+func (l *lane) result(m *member) fetch.Result {
+	r := l.e.Result()
+	if m.t != nil {
+		r = m.t.Result(r.Instructions, r.Misses)
+	}
+	return r
+}
+
+// feed replays runs through the lane with periodic context polls: bulk
 // engines take them in batches (one dynamic dispatch per batch), plain
-// engines instruction by instruction.
+// engines instruction by instruction. Each batch's logged misses go to the
+// event timings before the next batch.
 func (l *lane) feed(ctx context.Context, runs []trace.Run) error {
 	for start := 0; start < len(runs); start += runChunk {
 		if err := ctx.Err(); err != nil {
@@ -249,17 +342,32 @@ func (l *lane) feed(ctx context.Context, runs []trace.Run) error {
 		batch := runs[start:min(start+runChunk, len(runs))]
 		if l.re != nil {
 			l.re.FetchRuns(batch)
-			continue
+		} else {
+			for _, r := range batch {
+				feedSpan(l.e, nil, r.Start, r.Len)
+			}
 		}
-		for _, r := range batch {
-			feedSpan(l.e, nil, r.Start, r.Len)
-		}
+		l.time()
 	}
 	return nil
 }
 
-// feedSet replays the filter's sampled-class pieces, crediting each piece's
-// counter delta to its variance subgroup.
+// time hands the logged misses to the members' event timings and empties
+// the log.
+func (l *lane) time() {
+	if l.log == nil || len(l.log.Events) == 0 {
+		return
+	}
+	for _, m := range l.members {
+		if m.et != nil {
+			m.et.Misses(l.log.Events)
+		}
+	}
+	l.log.Events = l.log.Events[:0]
+}
+
+// feedSet replays the filter's sampled-class pieces, crediting each
+// member's per-piece counter delta to the piece's variance subgroup.
 func (l *lane) feedSet(ctx context.Context, f *setFilter) error {
 	for i, pc := range f.pieces {
 		if i&(runChunk-1) == 0 {
@@ -267,60 +375,34 @@ func (l *lane) feedSet(ctx context.Context, f *setFilter) error {
 				return err
 			}
 		}
-		prev := l.e.Result()
+		for _, m := range l.members {
+			m.prev = l.result(m)
+		}
 		feedSpan(l.e, l.re, pc.Start, pc.Len)
-		d := resultDelta(l.e.Result(), prev)
-		c := &l.clusters[f.groups[i]]
-		c.Instructions += d.Instructions
-		c.Misses += d.Misses
+		l.time()
+		for _, m := range l.members {
+			d := resultDelta(l.result(m), m.prev)
+			c := &m.clusters[f.groups[i]]
+			c.Instructions += d.Instructions
+			c.Misses += d.Misses
+		}
 	}
 	return nil
 }
 
-// result assembles the lane's outcome for a trace of total instructions.
-func (l *lane) result(plan SamplePlan, total int64) SampledResult {
+// final assembles member m's outcome for a trace of total instructions.
+func (l *lane) final(m *member, plan SamplePlan, total int64) SampledResult {
 	switch {
 	case plan.SetMod > 1:
-		return SampledResult{Measured: l.e.Result(), Estimate: sampling.EstimateFrom(l.clusters, total, 1/float64(plan.SetMod))}
+		return SampledResult{Measured: l.result(m), Estimate: sampling.EstimateFrom(m.clusters, total, 1/float64(plan.SetMod))}
 	case plan.windowed():
 		f := float64(0)
 		if total > 0 {
-			f = float64(l.measured.Instructions) / float64(total)
+			f = float64(m.measured.Instructions) / float64(total)
 		}
-		return SampledResult{Measured: l.measured, Estimate: sampling.EstimateFrom(l.clusters, total, f)}
+		return SampledResult{Measured: m.measured, Estimate: sampling.EstimateFrom(m.clusters, total, f)}
 	}
-	res := l.e.Result()
+	res := l.result(m)
 	return SampledResult{Measured: res, Estimate: sampling.EstimateFrom(
 		[]sampling.Cluster{{Instructions: res.Instructions, Misses: res.Misses}}, total, 1)}
-}
-
-// analyticKey groups engines whose miss behavior is fully determined by
-// cache geometry. cache.Config is comparable, so it can key a map directly.
-type analyticKey struct{ geom cache.Config }
-
-// planBank groups the analytic blocking engines by geometry: the first
-// engine of each group is its representative and is simulated for real;
-// repOf maps every other group member to it, and derived lists them in bank
-// order.
-func planBank(engines []fetch.Engine) (repOf map[int]int, derived []int) {
-	reps := make(map[analyticKey]int) // geometry -> representative engine index
-	repOf = make(map[int]int)
-	for i, e := range engines {
-		b, ok := e.(*fetch.Blocking)
-		if !ok {
-			continue
-		}
-		geom, _, analytic := b.AnalyticConfig()
-		if !analytic {
-			continue
-		}
-		key := analyticKey{geom: geom}
-		if rep, seen := reps[key]; seen {
-			derived = append(derived, i)
-			repOf[i] = rep
-		} else {
-			reps[key] = i
-		}
-	}
-	return repOf, derived
 }

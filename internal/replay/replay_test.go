@@ -3,6 +3,8 @@ package replay
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"ibsim/internal/cache"
@@ -28,38 +30,76 @@ func testTrace(seed uint64, n int) []trace.Ref {
 	return refs
 }
 
-// bank builds a mixed engine bank: a bandwidth sweep of analytic blocking
-// engines sharing one geometry (exercising the dedup), plus prefetching,
-// sector, bypass, and stream engines that must be simulated individually.
+// bank builds a mixed engine bank whose content classes have several
+// members: a bandwidth sweep of prefetch-free blocking engines led by a
+// Bypass(g, 0) that also carries a Stream(g, 4); Bypass(g, 3) leading
+// Blocking(g, 3); a leaderless class of stream engines at depths 0 to 65
+// beside blocking engines on two links; 2-way LRU and 4-way FIFO classes;
+// and engines that run whole — a sector cache, a lone Bypass(g, 2), and a
+// second Bypass in each associative 2-line class.
 func bank(t testing.TB) []fetch.Engine {
 	t.Helper()
-	base := cache.Config{Size: 16384, LineSize: 32, Assoc: 1}
 	var engines []fetch.Engine
-	for _, bw := range []int{4, 8, 16, 32} {
-		e, err := fetch.NewBlocking(base, memsys.Transfer{Latency: 6, BytesPerCycle: bw}, 0)
+	add := func(e fetch.Engine, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
 		engines = append(engines, e)
 	}
+	base := cache.Config{Size: 16384, LineSize: 32, Assoc: 1}
+	line16 := cache.Config{Size: 16384, LineSize: 16, Assoc: 1}
+	lru2 := cache.Config{Size: 8192, LineSize: 16, Assoc: 2}
+	fifo4 := cache.Config{Size: 4096, LineSize: 16, Assoc: 4, Replacement: cache.FIFO}
 	link := memsys.Transfer{Latency: 6, BytesPerCycle: 16}
-	pf, err := fetch.NewBlocking(base, link, 3)
-	if err != nil {
-		t.Fatal(err)
+	slow := memsys.Transfer{Latency: 30, BytesPerCycle: 8}
+	for _, bw := range []int{4, 8, 16, 32} {
+		add(fetch.NewBlocking(base, memsys.Transfer{Latency: 6, BytesPerCycle: bw}, 0))
 	}
-	sector, err := fetch.NewBlocking(cache.Config{Size: 16384, LineSize: 64, Assoc: 1, SubBlock: 16}, link, 0)
-	if err != nil {
-		t.Fatal(err)
+	add(fetch.NewBlocking(base, link, 3))
+	add(fetch.NewBlocking(cache.Config{Size: 16384, LineSize: 64, Assoc: 1, SubBlock: 16}, link, 0))
+	add(fetch.NewBypass(base, link, 2))
+	add(fetch.NewBypass(base, link, 3))
+	add(fetch.NewStream(base, link, 4))
+	add(fetch.NewBypass(base, slow, 0))
+	for _, d := range []int{0, 1, 6, 18, 65} {
+		add(fetch.NewStream(line16, link, d))
 	}
-	by, err := fetch.NewBypass(base, link, 2)
-	if err != nil {
-		t.Fatal(err)
+	add(fetch.NewBlocking(line16, link, 0))
+	add(fetch.NewBlocking(line16, slow, 0))
+	for _, g := range []cache.Config{lru2, fifo4} {
+		add(fetch.NewBlocking(g, slow, 0))
+		add(fetch.NewStream(g, link, 6))
+		add(fetch.NewBlocking(g, link, 1))
+		add(fetch.NewBypass(g, link, 1))
+		add(fetch.NewBypass(g, slow, 1))
 	}
-	st, err := fetch.NewStream(cache.Config{Size: 16384, LineSize: 16, Assoc: 1}, link, 6)
-	if err != nil {
-		t.Fatal(err)
+	return engines
+}
+
+// The bank's lanes: one per content class (its pass — a Bypass member or
+// else the first member's Filter — plus the members timed from it) and one
+// per engine that runs whole.
+func TestPlanBankClasses(t *testing.T) {
+	lanes := planBank(bank(t), SamplePlan{})
+	var leaders []string
+	members := 0
+	for _, l := range lanes {
+		leaders = append(leaders, fmt.Sprintf("%T/%d", l.e, len(l.members)))
+		members += len(l.members)
 	}
-	return append(engines, pf, sector, by, st)
+	// base/1 line (Bypass-led: 4 blocking + stream + bypass), base/4 lines
+	// (Bypass-led), sector (whole), base/3 lines (lone Bypass), line16/1
+	// (Filter: 5 streams + 2 blocking), and per associative geometry a
+	// 1-line Filter class (blocking + stream), a Bypass-led 2-line class,
+	// and its second Bypass running whole.
+	want := []string{
+		"*fetch.Bypass/6", "*fetch.Bypass/2", "*fetch.Blocking/1", "*fetch.Bypass/1", "*fetch.Filter/7",
+		"*fetch.Filter/2", "*fetch.Bypass/2", "*fetch.Bypass/1",
+		"*fetch.Filter/2", "*fetch.Bypass/2", "*fetch.Bypass/1",
+	}
+	if !reflect.DeepEqual(leaders, want) || members != len(bank(t)) {
+		t.Fatalf("lanes %v (%d members), want %v", leaders, members, want)
+	}
 }
 
 // The fan-out bank must reproduce, cell for cell, what per-config fetch.Run

@@ -190,18 +190,32 @@ type EngineSpec struct {
 	// Link is the L1-to-next-level transfer.
 	Link LinkSpec `json:"link"`
 	// PrefetchLines enables sequential prefetch-on-miss (blocking and
-	// bypass engines).
+	// bypass engines); at most the L1's line count (size / line_size).
 	PrefetchLines int `json:"prefetch_lines,omitempty"`
-	// Depth is the stream-buffer depth (stream engines; >= 1).
+	// Depth is the stream-buffer depth (stream engines; >= 1); at most the
+	// L1's line count.
 	Depth int `json:"depth,omitempty"`
 }
 
-// build constructs the configured engine.
+// build constructs the configured engine. Admission weighs a request by its
+// trace alone, so build bounds the two knobs whose per-miss cost grows with
+// their value: prefetch lines and stream depth beyond the L1's line count
+// buy nothing a smaller value would not, and a large enough prefetch count
+// overflows the fill-time arithmetic.
 func (e EngineSpec) build() (fetch.Engine, error) {
 	cfg := cache.Config{Size: e.Size, LineSize: e.LineSize, Assoc: e.Assoc}
 	link, err := e.Link.transfer()
 	if err != nil {
 		return nil, err
+	}
+	if e.LineSize > 0 {
+		lines := e.Size / e.LineSize
+		if e.PrefetchLines > lines {
+			return nil, fmt.Errorf("prefetch_lines %d exceeds the L1's %d lines", e.PrefetchLines, lines)
+		}
+		if e.Depth > lines {
+			return nil, fmt.Errorf("depth %d exceeds the L1's %d lines", e.Depth, lines)
+		}
 	}
 	switch strings.ToLower(e.Kind) {
 	case "", "blocking":

@@ -272,6 +272,36 @@ func TestBadRequestsAreStructured400s(t *testing.T) {
 	}
 }
 
+// Prefetch lines and stream depth are bounded by the L1's line count: past
+// it a request is a structured 400, before admission weighs the trace; at
+// it the replay runs.
+func TestEngineKnobsBoundedByL1Lines(t *testing.T) {
+	_, ts := testServer(t, nil)
+	l1l2 := LinkSpec{Name: "l1l2"}
+	for _, tc := range []struct {
+		spec EngineSpec
+		code int
+	}{
+		{EngineSpec{Kind: "stream", Size: 8192, LineSize: 16, Assoc: 1, Link: l1l2, Depth: 1 << 21}, 400},
+		{EngineSpec{Kind: "stream", Size: 8192, LineSize: 16, Assoc: 1, Link: l1l2, Depth: 513}, 400},
+		{EngineSpec{Kind: "blocking", Size: 8192, LineSize: 32, Assoc: 1, Link: l1l2, PrefetchLines: 1 << 20}, 400},
+		{EngineSpec{Kind: "blocking", Size: 8192, LineSize: 32, Assoc: 1, Link: l1l2, PrefetchLines: 1 << 58}, 400},
+		{EngineSpec{Kind: "bypass", Size: 8192, LineSize: 32, Assoc: 1, Link: l1l2, PrefetchLines: 257}, 400},
+		{EngineSpec{Kind: "stream", Size: 8192, LineSize: 16, Assoc: 1, Link: l1l2, Depth: 512}, 200},
+		{EngineSpec{Kind: "blocking", Size: 8192, LineSize: 32, Assoc: 1, Link: l1l2, PrefetchLines: 256}, 200},
+	} {
+		req := ReplayRequest{Workload: "eqntott", Instructions: 20_000, Engines: []EngineSpec{tc.spec}}
+		code, raw := postJSON(t, ts.URL+"/v1/replay", req, nil)
+		if code != tc.code {
+			t.Errorf("%+v: code %d, want %d: %s", tc.spec, code, tc.code, raw)
+			continue
+		}
+		if code == 400 && errKind(t, raw) != "bad-request" {
+			t.Errorf("%+v: %s, want a bad-request", tc.spec, raw)
+		}
+	}
+}
+
 // A request with a deadline inside the degrade window answers at reduced
 // fidelity and says so, instead of burning its whole budget and timing out.
 // Line sizes below one instruction are a structured 400 on every path —

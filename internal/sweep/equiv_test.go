@@ -105,7 +105,13 @@ func TestSourcesMatchOracle(t *testing.T) {
 		{"columnar-readerat", func() trace.RunReader { return trace.NewBlockReader(readAt) }},
 		{"checkpointed-generator", func() trace.RunReader { return trace.NewSeekReader(seeker()) }},
 	}
-	cells := sampledGrid()
+	// Six set counts, listed out of order, with associativities 1-16: the
+	// kernel visits them coarsest first and stops at the first stack with
+	// the line on top, under every schedule.
+	cells := []Cell{
+		{Sets: 1024, Assoc: 1}, {Sets: 8, Assoc: 8}, {Sets: 256, Assoc: 4}, {Sets: 64, Assoc: 2},
+		{Sets: 32, Assoc: 1}, {Sets: 256, Assoc: 1}, {Sets: 16, Assoc: 16}, {Sets: 64, Assoc: 1},
+	}
 	schedules := []struct {
 		name string
 		pass SampledPass

@@ -399,6 +399,8 @@ func (st *sampledState) lineCnt(i, n, head int64) int64 {
 
 // touch settles cnt sequential accesses to line la for every grid cell: one
 // stack operation (the line's first access) plus cnt-1 distance-1 hits.
+// Groups run coarsest first, so the first group with la on top proves it on
+// top — a hit with no stack change — in every remaining group.
 func (st *sampledState) touch(la uint64, cnt int64, measured bool) {
 	key := la + 1
 	if measured && st.seen != nil && st.seen.add(key) {
@@ -415,7 +417,13 @@ func (st *sampledState) touch(la uint64, cnt int64, measured bool) {
 			}
 		}
 		if s[0] == key {
-			continue
+			if st.setCluster && measured {
+				// Set-cluster tallies still credit every group.
+				for gj, h := range st.groups[gi+1:] {
+					st.kInstr[gi+1+gj][(la&h.mask)>>st.kshift] += cnt
+				}
+			}
+			break
 		}
 		pos := -1
 		for i := 1; i < g.amax; i++ {

@@ -22,18 +22,23 @@
 // exact, warm or skip time sampling, set sampling — is a schedule the same
 // loop walks over a trace.RunReader (sampled.go).
 //
-// Complexity: O(lines touched · Σ_S Amax(S)) worst case with tiny constants
-// (the common case — a re-touch of the most recent line of its set — is a
-// single compare), versus O(configs · refs) full cache simulations for the
-// per-config path. Space is O(Σ_S S·Amax(S)) words, independent of trace
-// length. The miss counts are bit-identical to replaying each
-// configuration through cache.Cache / fetch.NewBlocking —
-// internal/check's sweep differential enforces exactly that.
+// Complexity: O(lines touched · Σ_S Amax(S)) worst case with tiny constants,
+// versus O(configs · refs) full cache simulations for the per-config path.
+// The common case — a re-touch of the most recent line of its set — is a
+// single compare for all set counts at once: set counts are visited
+// coarsest first, and a line on top of a coarser stack is on top of every
+// finer one (each finer set holds a subset of one coarser set's lines), so
+// the first top-of-stack hit settles the rest of the grid unchanged. Space
+// is O(Σ_S S·Amax(S)) words, independent of trace length. The miss counts
+// are bit-identical to replaying each configuration through cache.Cache /
+// fetch.NewBlocking — internal/check's sweep differential enforces exactly
+// that.
 package sweep
 
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"ibsim/internal/trace"
 )
@@ -201,6 +206,11 @@ func prepareGrid(lineSize int, cells []Cell, countDistinct bool) (*Matrix, []*gr
 		}
 		g.cells = append(g.cells, groupCell{assoc: c.Assoc, out: i})
 	}
+	// Coarsest set count first: with bit-selection indexing each finer set
+	// holds a subset of one coarser set's lines, so a line on top of its
+	// coarser stack is on top of every finer one too, and the kernel stops
+	// at the first group where it finds the line on top.
+	sort.Slice(groups, func(i, j int) bool { return groups[i].mask < groups[j].mask })
 	var seen *lineSet
 	if countDistinct {
 		seen = newLineSet()
