@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race check check-sampling check-columnar check-seek chaos crash cluster cluster-smoke serve bench microbench vet cover tables extensions calibration examples clean
+.PHONY: all build test test-short race check check-sampling check-columnar check-seek chaos crash serve bench microbench vet cover tables extensions calibration examples clean
 
 all: build vet test race check
 
@@ -61,45 +61,28 @@ check-seek:
 # (bit-flipped generator snapshots caught by CRC, seek self-heals by
 # regeneration), worker panic isolation, the
 # ibstables interrupt/resume test, the service admission/degradation tests,
-# the in-process server chaos scenarios (slow-loris, cancellation,
-# over-budget degradation, handler panic), and the cluster coordinator
-# scenarios (worker kill mid-sweep, hung-worker hedging, corrupt partial,
-# cache poisoning, all-workers-lost local fallback).
+# and the in-process server chaos scenarios (slow-loris, cancellation,
+# over-budget degradation, handler panic).
 chaos:
 	$(GO) test -race ./internal/fault ./internal/atomicio ./internal/manifest \
-		./internal/server ./internal/server/client ./internal/cluster ./cmd/ibsimd
+		./internal/server ./cmd/ibsimd
 	$(GO) test -race -run 'Chaos|Robustness|Resilience|Worker|Salvage|Interrupt|Timeout|Stress|Checkpoint|Seek' \
 		./internal/trace ./internal/check ./internal/experiments \
 		./internal/synth ./cmd/ibstables
 	$(GO) run -race ./cmd/ibscheck -faults -o ""
 
 # Crash-consistency torture under the race detector: power-fail every
-# persistence op (atomic artifact writes, columnar spill publication,
-# cluster shard checkpoints, the result cache, the exhibit manifest) in
-# three durability variants (lost / torn / flushed), verify every recovery,
-# plus the corruption property tests seeded from crashfs images and the
-# goroutine-leak brackets around server drain and coordinator shutdown.
-# The negative control (TestCrashTortureCatchesUnsafeWriter) proves the
-# harness itself catches unsafe writers.
+# persistence op (atomic artifact writes, columnar spill publication, the
+# exhibit manifest) in three durability variants (lost / torn / flushed),
+# verify every recovery, plus the corruption property tests seeded from
+# crashfs images and the goroutine-leak bracket around server drain. The
+# negative control (TestCrashTortureCatchesUnsafeWriter) proves the harness
+# itself catches unsafe writers.
 crash:
 	$(GO) test -race -run 'Crash|Leak' ./internal/crashfs ./internal/atomicio \
-		./internal/manifest ./internal/cluster ./internal/synth \
+		./internal/manifest ./internal/synth \
 		./internal/check ./internal/server
 	$(GO) run -race ./cmd/ibscheck -faults -match '^chaos/crash-' -o ""
-
-# Cluster scale-out demo: spawn 3 local ibsimd workers, run the same sweep
-# through 1 worker and through the pool, verify the merged miss matrix is
-# byte-identical, then serve the sweep again from the content-addressed
-# result cache without touching a worker.
-cluster:
-	$(GO) run ./cmd/ibsctl -mode demo -spawn 3
-
-# Cluster robustness smoke (the CI gate): 3 spawned workers, one killed
-# abruptly mid-sweep. The sweep must survive via re-scatter, merge
-# byte-identical to a single-process run, and the hot repeat must be a
-# pure cache hit that scatters no shards.
-cluster-smoke:
-	$(GO) run ./cmd/ibsctl -mode smoke -spawn 3
 
 # Run the simulation service on the default loopback address.
 serve:

@@ -38,7 +38,7 @@ func run(args []string) int {
 		maxTimeout  = fs.Duration("max-timeout", 5*time.Minute, "cap on client-requested deadlines")
 		drain       = fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain budget")
 		storeIdleMB = fs.Int64("store-idle-mb", 256, "trace store idle-cache budget, in MiB")
-		storeHardMB = fs.Int64("store-hard-mb", 0, "trace store hard per-trace budget, in MiB (0 = unlimited; over-budget requests degrade to streaming)")
+		storeHardMB = fs.Int64("store-hard-mb", 0, "trace store hard per-trace budget, in MiB (0 = unlimited; over-budget requests degrade to auto-sampled, then columnar-exact, then streamed)")
 		maxInstr    = fs.Int64("max-instructions", 8_000_000, "per-request instruction cap (larger asks are clamped and marked degraded)")
 		degradeWin  = fs.Duration("degrade-window", 250*time.Millisecond, "deadlines shorter than this get reduced-fidelity answers (0 disables)")
 		quiet       = fs.Bool("q", false, "suppress operational logging")

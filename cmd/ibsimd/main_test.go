@@ -1,8 +1,9 @@
 package main
 
 import (
-	"context"
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"os"
@@ -13,7 +14,6 @@ import (
 	"time"
 
 	"ibsim/internal/server"
-	"ibsim/internal/server/client"
 )
 
 // pickAddr grabs a free loopback address by binding and releasing it.
@@ -43,6 +43,28 @@ func simRequests(base string) float64 {
 	return n
 }
 
+// ready reports whether GET /readyz answers 200.
+func ready(base string) bool {
+	resp, err := http.Get(base + "/readyz")
+	if err != nil {
+		return false
+	}
+	resp.Body.Close()
+	return resp.StatusCode == http.StatusOK
+}
+
+// decodeOK decodes a 200 response into out; any other status is an error
+// carrying the structured body.
+func decodeOK(resp *http.Response, out any) error {
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		var eb server.ErrorBody
+		_ = json.NewDecoder(resp.Body).Decode(&eb) // detail only: the status already fails the call
+		return fmt.Errorf("status %d: %+v", resp.StatusCode, eb.Error)
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
+}
+
 // The daemon starts, serves, and drains cleanly on SIGTERM while a
 // request is in flight — the end-to-end shutdown contract.
 func TestDaemonServesAndDrainsOnSignal(t *testing.T) {
@@ -57,14 +79,15 @@ func TestDaemonServesAndDrainsOnSignal(t *testing.T) {
 	}()
 
 	base := "http://" + addr
-	c := client.New(base, client.WithRetries(8))
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	waitUntil(t, 10*time.Second, func() bool { return c.Ready(ctx) })
+	waitUntil(t, 10*time.Second, func() bool { return ready(base) })
 
 	// Normal traffic works.
-	resp, err := c.Exhibit(ctx, server.ExhibitRequest{Name: "table2"})
+	get, err := http.Get(base + "/v1/exhibit/table2")
 	if err != nil {
+		t.Fatal(err)
+	}
+	var resp server.ExhibitResponse
+	if err := decodeOK(get, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(resp.Text, "Table 2") {
@@ -77,14 +100,23 @@ func TestDaemonServesAndDrainsOnSignal(t *testing.T) {
 	before := simRequests(base)
 	var wg sync.WaitGroup
 	var sweepErr error
-	var sweepResp *server.SweepResponse
+	var sweepResp server.SweepResponse
+	body, err := json.Marshal(server.SweepRequest{
+		Workload: "eqntott", Instructions: 400_000, LineSize: 32,
+		Cells: []server.CellSpec{{Sets: 256, Assoc: 2}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		sweepResp, sweepErr = c.Sweep(ctx, server.SweepRequest{
-			Workload: "eqntott", Instructions: 400_000, LineSize: 32,
-			Cells: []server.CellSpec{{Sets: 256, Assoc: 2}},
-		})
+		post, err := http.Post(base+"/v1/sweep", "application/json", bytes.NewReader(body))
+		if err != nil {
+			sweepErr = err
+			return
+		}
+		sweepErr = decodeOK(post, &sweepResp)
 	}()
 	waitUntil(t, 10*time.Second, func() bool { return simRequests(base) > before })
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {

@@ -4,8 +4,7 @@
 // or the complete new one — never a torn intermediate — and an interrupt
 // (SIGINT mid-run, a crash, a full disk) can at worst leave a stray .tmp
 // file, not a corrupt artifact. The run-manifest checkpoints, the rendered
-// exhibit outputs, generated trace files, and the cluster checkpoints and
-// result cache all go through this package.
+// exhibit outputs and generated trace files all go through this package.
 //
 // Every write path has an FS-parameterized variant (WriteFileFS, WriteToFS,
 // SweepTempsFS) taking an internal/crashfs filesystem, so the

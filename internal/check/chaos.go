@@ -52,16 +52,9 @@ func RunChaos(opt Options) ([]Result, error) {
 		{"chaos/server-over-budget", func() Result { return chaosServerOverBudget(prof, opt.Seed) }},
 		{"chaos/server-sampling-tier", func() Result { return chaosServerSamplingTier(prof, opt.Seed) }},
 		{"chaos/server-panic", func() Result { return chaosServerPanic(prof, opt.Seed) }},
-		{"chaos/cluster-worker-kill", func() Result { return chaosClusterWorkerKill(prof, opt.Seed) }},
-		{"chaos/cluster-hung-worker", func() Result { return chaosClusterHungWorker(prof, opt.Seed) }},
-		{"chaos/cluster-corrupt-partial", func() Result { return chaosClusterCorruptPartial(prof, opt.Seed) }},
-		{"chaos/cluster-cache-poison", func() Result { return chaosClusterCachePoison(prof, opt.Seed) }},
-		{"chaos/cluster-all-workers-lost", func() Result { return chaosClusterAllWorkersLost(prof, opt.Seed) }},
 		{"chaos/crash-atomicio", chaosCrashAtomicio},
 		{"chaos/crash-manifest", chaosCrashManifest},
 		{"chaos/crash-spill", func() Result { return chaosCrashSpill(prof, opt.Seed) }},
-		{"chaos/crash-cluster-checkpoint", chaosCrashClusterCheckpoint},
-		{"chaos/crash-cluster-cache", chaosCrashClusterCache},
 	}
 	var filter *regexp.Regexp
 	if opt.ChaosFilter != "" {

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 
 	"ibsim/internal/atomicio"
-	"ibsim/internal/cluster"
 	"ibsim/internal/crashfs"
 	"ibsim/internal/manifest"
 	"ibsim/internal/synth"
@@ -17,14 +16,13 @@ import (
 
 // Crash-consistency torture scenarios (chaos/crash-*): every persistence
 // surface in the repo — atomicio writes, manifest checkpoints, columnar
-// spills, cluster shard checkpoints, the cluster result cache — is run
-// through crashfs.Torture, which power-fails the sequence at EVERY
-// durability-relevant op, materializes the post-crash disk under all three
-// durability variants (journal-replay loss, torn tails, fully flushed), and
-// restarts the owning subsystem against each image. The contract verified is
-// the same everywhere: the reader sees a complete old artifact or a complete
-// new one, resume recomputes only what is missing, corrupt partials are
-// rejected typed and self-heal, and temp debris is swept, never loaded.
+// spills — is run through crashfs.Torture, which power-fails the sequence at
+// EVERY durability-relevant op, materializes the post-crash disk under all
+// three durability variants (journal-replay loss, torn tails, fully flushed),
+// and restarts the owning subsystem against each image. The contract verified
+// is the same everywhere: the reader sees a complete old artifact or a
+// complete new one, resume recomputes only what is missing, corrupt partials
+// are rejected typed and self-heal, and temp debris is swept, never loaded.
 
 // crashInstr is the trace length the spill scenario generates per crash
 // point — small, because the sequence reruns once per (op, variant) pair.
@@ -191,39 +189,6 @@ func chaosCrashSpill(prof synth.Profile, seed uint64) Result {
 		return fail(name, "%v", err)
 	}
 	return pass(name, "%d crash points, %d images: orphans purged, regeneration clean", points, images)
-}
-
-// chaosCrashClusterCheckpoint power-fails every op of a shard-checkpoint
-// save (plan + sealed partial): a restarted coordinator must load exactly
-// what was saved or nothing, count and delete corrupt partials, and sweep
-// temp debris on open.
-func chaosCrashClusterCheckpoint() Result {
-	const name = "chaos/crash-cluster-checkpoint"
-	t := crashfs.Torture{
-		Write:  cluster.CrashCheckpointWrite,
-		Verify: func(img crashfs.Image) error { return cluster.CrashCheckpointVerify(img.Dir) },
-	}
-	points, images, err := t.Run()
-	if err != nil {
-		return fail(name, "%v", err)
-	}
-	return pass(name, "%d crash points, %d images: partials exact or rejected+deleted", points, images)
-}
-
-// chaosCrashClusterCache power-fails every op of a result-cache store: a
-// restarted coordinator must serve exactly the stored entry or recompute,
-// and a poisoned file is counted and deleted, never served.
-func chaosCrashClusterCache() Result {
-	const name = "chaos/crash-cluster-cache"
-	t := crashfs.Torture{
-		Write:  cluster.CrashCacheWrite,
-		Verify: func(img crashfs.Image) error { return cluster.CrashCacheVerify(img.Dir) },
-	}
-	points, images, err := t.Run()
-	if err != nil {
-		return fail(name, "%v", err)
-	}
-	return pass(name, "%d crash points, %d images: entries exact or poisoned+deleted", points, images)
 }
 
 // walkNoTemps fails if any atomicio temp file survives under root after the

@@ -15,10 +15,10 @@ type TB interface {
 
 // NoGoroutineLeak snapshots the live goroutine count and returns a function
 // that asserts the count has returned to (or below) the baseline — the
-// bracket to put around a server drain or a coordinator shutdown. Goroutines
-// wind down asynchronously after a close returns, so the assertion polls
-// briefly before declaring a leak; on failure it reports every live stack so
-// the leaked goroutine is identifiable from the test log.
+// bracket to put around a server drain. Goroutines wind down asynchronously
+// after a close returns, so the assertion polls briefly before declaring a
+// leak; on failure it reports every live stack so the leaked goroutine is
+// identifiable from the test log.
 func NoGoroutineLeak(t TB) func() {
 	t.Helper()
 	baseline := runtime.NumGoroutine()

@@ -51,9 +51,9 @@ type File interface {
 }
 
 // FS is the filesystem surface the persistence subsystems write through:
-// internal/atomicio, the synth columnar spill, the cluster checkpoints and
-// result cache, and the run manifest all take one, so a single fault
-// injector underneath them can power-fail any operation.
+// internal/atomicio, the synth columnar spill and the run manifest all take
+// one, so a single fault injector underneath them can power-fail any
+// operation.
 type FS interface {
 	// MkdirAll creates a directory path with all missing parents.
 	MkdirAll(path string, perm os.FileMode) error

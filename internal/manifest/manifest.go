@@ -3,16 +3,9 @@
 // is written atomically (temp file, fsync, rename) next to a MANIFEST.json
 // index keyed by the run parameters; outputs are content-addressed with
 // SHA-256 so a corrupted or hand-edited file is recomputed, never trusted.
-//
-// The same content-addressing primitives are exported for other durable
-// stores (the cluster result cache and shard checkpoints): Key derives a
-// stable SHA-256 identity from any parameter struct, and Seal/Unseal wrap a
-// payload in a digest envelope so tampering or torn writes are detected on
-// load instead of trusted.
 package manifest
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -177,60 +170,4 @@ func exhibitFile(name string) (string, error) {
 func digest(data []byte) string {
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])
-}
-
-// --- content addressing --------------------------------------------------
-
-// Key derives the content address of a parameter value: the hex SHA-256 of
-// its canonical JSON encoding, prefixed by kind so two stores keying
-// different request types can never collide on identical field sets.
-// Encoding goes through encoding/json, whose struct-field order is the
-// declaration order — deterministic for a fixed type — so the key is stable
-// across processes and across an encode/decode round trip of the value.
-// Values that cannot marshal (channels, cycles) yield a key derived from the
-// error string, which never matches a real key.
-func Key(kind string, params any) string {
-	data, err := json.Marshal(params)
-	if err != nil {
-		data = []byte("!unmarshalable:" + err.Error())
-	}
-	sum := sha256.Sum256(append(append([]byte(kind), 0), data...))
-	return hex.EncodeToString(sum[:])
-}
-
-// ErrSealBroken reports a sealed payload whose digest envelope does not
-// match its content — a torn write, bit rot, or deliberate tampering. The
-// caller must recompute, never trust the payload.
-var ErrSealBroken = errors.New("manifest: sealed payload digest mismatch")
-
-// sealMagic heads every sealed payload; the hex digest and a newline follow,
-// then the raw payload bytes.
-const sealMagic = "ibsim-seal/v1 "
-
-// Seal wraps payload in a SHA-256 digest envelope for durable storage.
-func Seal(payload []byte) []byte {
-	out := make([]byte, 0, len(sealMagic)+64+1+len(payload))
-	out = append(out, sealMagic...)
-	out = append(out, digest(payload)...)
-	out = append(out, '\n')
-	return append(out, payload...)
-}
-
-// Unseal verifies a sealed payload's digest envelope and returns the
-// payload. Any mismatch — wrong magic, malformed header, or a digest that
-// does not match the content — returns ErrSealBroken.
-func Unseal(data []byte) ([]byte, error) {
-	if !bytes.HasPrefix(data, []byte(sealMagic)) {
-		return nil, ErrSealBroken
-	}
-	rest := data[len(sealMagic):]
-	nl := bytes.IndexByte(rest, '\n')
-	if nl != 64 {
-		return nil, ErrSealBroken
-	}
-	want, payload := string(rest[:nl]), rest[nl+1:]
-	if digest(payload) != want {
-		return nil, ErrSealBroken
-	}
-	return payload, nil
 }

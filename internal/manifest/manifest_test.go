@@ -1,12 +1,8 @@
 package manifest
 
 import (
-	"encoding/json"
-	"errors"
-	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -110,206 +106,5 @@ func TestInvalidExhibitNameRejected(t *testing.T) {
 		if err := m.Put(name, "x"); err == nil || !strings.Contains(err.Error(), "invalid exhibit name") {
 			t.Fatalf("Put(%q) = %v, want invalid-name error", name, err)
 		}
-	}
-}
-
-// keyParams mirrors the shape of a cluster request key: nested sweep, replay,
-// and sampling parameters of every kind the wire types use.
-type keyParams struct {
-	Endpoint     string       `json:"endpoint"`
-	Workload     string       `json:"workload"`
-	Seed         uint64       `json:"seed"`
-	Instructions int64        `json:"instructions"`
-	LineSize     int          `json:"line_size"`
-	Distinct     bool         `json:"distinct"`
-	Cells        []keyCell    `json:"cells"`
-	Engines      []string     `json:"engines"`
-	Sampling     *keySampling `json:"sampling"`
-}
-
-type keyCell struct {
-	Sets  int `json:"sets"`
-	Assoc int `json:"assoc"`
-}
-
-type keySampling struct {
-	Set    int   `json:"set"`
-	Window int64 `json:"window"`
-	Period int64 `json:"period"`
-	Skip   bool  `json:"skip"`
-}
-
-// leafValues walks rv (addressable) and collects every settable scalar leaf
-// — struct fields, slice elements, and pointer targets — so the perturbation
-// test keeps covering new fields as params structs grow.
-func leafValues(rv reflect.Value) []reflect.Value {
-	var out []reflect.Value
-	switch rv.Kind() {
-	case reflect.Struct:
-		for i := 0; i < rv.NumField(); i++ {
-			out = append(out, leafValues(rv.Field(i))...)
-		}
-	case reflect.Slice:
-		for i := 0; i < rv.Len(); i++ {
-			out = append(out, leafValues(rv.Index(i))...)
-		}
-	case reflect.Pointer:
-		if !rv.IsNil() {
-			out = append(out, leafValues(rv.Elem())...)
-		}
-	default:
-		out = append(out, rv)
-	}
-	return out
-}
-
-// mutate changes one scalar leaf to a different value.
-func mutate(v reflect.Value) {
-	switch v.Kind() {
-	case reflect.String:
-		v.SetString(v.String() + "x")
-	case reflect.Bool:
-		v.SetBool(!v.Bool())
-	case reflect.Int, reflect.Int64:
-		v.SetInt(v.Int() + 1)
-	case reflect.Uint64:
-		v.SetUint(v.Uint() + 1)
-	default:
-		panic("mutate: unhandled kind " + v.Kind().String())
-	}
-}
-
-// deepCopy clones params through their JSON encoding — the same path Key
-// hashes — so a mutation can never alias the original.
-func deepCopy(t *testing.T, v keyParams) keyParams {
-	t.Helper()
-	raw, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out keyParams
-	if err := json.Unmarshal(raw, &out); err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-func baseKeyParams() keyParams {
-	return keyParams{
-		Endpoint:     "sweep",
-		Workload:     "mach_video",
-		Seed:         7,
-		Instructions: 2_000_000,
-		LineSize:     32,
-		Distinct:     true,
-		Cells:        []keyCell{{Sets: 64, Assoc: 1}, {Sets: 256, Assoc: 2}},
-		Engines:      []string{"blocking", "stream"},
-		Sampling:     &keySampling{Set: 16, Window: 1024, Period: 16384, Skip: true},
-	}
-}
-
-// TestKeySingleParameterPerturbation is the key-derivation collision
-// property: two parameter sets differing in any single sweep/replay/sampling
-// field must derive different keys, and the mutated key must be stable.
-func TestKeySingleParameterPerturbation(t *testing.T) {
-	base := baseKeyParams()
-	baseKey := Key("req", base)
-	probe := deepCopy(t, base)
-	nLeaves := len(leafValues(reflect.ValueOf(&probe).Elem()))
-	seen := map[string]int{baseKey: -1}
-	for i := 0; i < nLeaves; i++ {
-		cp := deepCopy(t, base)
-		leaf := leafValues(reflect.ValueOf(&cp).Elem())[i]
-		mutate(leaf)
-		k := Key("req", cp)
-		if prev, dup := seen[k]; dup {
-			t.Fatalf("leaf %d collides with perturbation %d (key %s)", i, prev, k)
-		}
-		seen[k] = i
-		if again := Key("req", cp); again != k {
-			t.Fatalf("leaf %d: key unstable across repeated derivation", i)
-		}
-	}
-	if len(seen) != nLeaves+1 {
-		t.Fatalf("expected %d distinct keys, got %d", nLeaves+1, len(seen))
-	}
-}
-
-// TestKeyStructuralSensitivity covers the perturbations scalar mutation
-// cannot express: dropping the sampling block, dropping or reordering grid
-// cells, and changing the key's kind prefix.
-func TestKeyStructuralSensitivity(t *testing.T) {
-	base := baseKeyParams()
-	variants := map[string]keyParams{}
-	noSampling := deepCopy(t, base)
-	noSampling.Sampling = nil
-	variants["nil sampling"] = noSampling
-	fewerCells := deepCopy(t, base)
-	fewerCells.Cells = fewerCells.Cells[:1]
-	variants["dropped cell"] = fewerCells
-	swapped := deepCopy(t, base)
-	swapped.Cells[0], swapped.Cells[1] = swapped.Cells[1], swapped.Cells[0]
-	variants["reordered cells"] = swapped
-
-	baseKey := Key("req", base)
-	seen := map[string]string{baseKey: "base"}
-	for name, v := range variants {
-		k := Key("req", v)
-		if prev, dup := seen[k]; dup {
-			t.Fatalf("%s collides with %s", name, prev)
-		}
-		seen[k] = name
-	}
-	if Key("other", base) == baseKey {
-		t.Fatal("kind prefix does not separate key spaces")
-	}
-}
-
-// TestKeyStableAcrossEncodeDecode: deriving the key from a value that has
-// been through a JSON round trip (the wire, the checkpoint file) must yield
-// the identical key.
-func TestKeyStableAcrossEncodeDecode(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 64; trial++ {
-		v := baseKeyParams()
-		v.Seed = rng.Uint64()
-		v.Instructions = rng.Int63n(1 << 40)
-		v.LineSize = 1 << rng.Intn(10)
-		v.Distinct = rng.Intn(2) == 0
-		if rng.Intn(3) == 0 {
-			v.Sampling = nil
-		} else {
-			v.Sampling.Window = rng.Int63n(1 << 30)
-		}
-		k := Key("req", v)
-		if k2 := Key("req", deepCopy(t, v)); k2 != k {
-			t.Fatalf("trial %d: key changed across encode/decode round trip: %s vs %s", trial, k, k2)
-		}
-	}
-}
-
-func TestSealRoundTripAndTamper(t *testing.T) {
-	payload := []byte(`{"cells":[1,2,3]}`)
-	sealed := Seal(payload)
-	got, err := Unseal(sealed)
-	if err != nil || string(got) != string(payload) {
-		t.Fatalf("Unseal(Seal(p)) = %q, %v", got, err)
-	}
-	for name, mut := range map[string][]byte{
-		"flipped payload bit": append(append([]byte(nil), sealed[:len(sealed)-1]...), sealed[len(sealed)-1]^1),
-		"flipped digest bit":  append([]byte{sealed[0] ^ 1}, sealed[1:]...),
-		"truncated":           sealed[:len(sealed)-2],
-		"empty":               nil,
-		"garbage":             []byte("not a sealed payload"),
-	} {
-		if _, err := Unseal(mut); !errors.Is(err, ErrSealBroken) {
-			t.Fatalf("%s: Unseal = %v, want ErrSealBroken", name, err)
-		}
-	}
-	// A digest-header flip inside the hex digest itself.
-	mid := append([]byte(nil), sealed...)
-	mid[len(sealMagic)+3] ^= 1
-	if _, err := Unseal(mid); !errors.Is(err, ErrSealBroken) {
-		t.Fatalf("digest tamper: Unseal = %v, want ErrSealBroken", err)
 	}
 }

@@ -12,8 +12,7 @@ import (
 	"ibsim/internal/memsys"
 )
 
-// The wire types of the v1 API, shared with the retrying client
-// (internal/server/client). All requests are JSON; all responses carry an
+// The wire types of the v1 API. All requests are JSON; all responses carry an
 // explicit Degraded marker so a reduced-fidelity answer can never be
 // mistaken for a full one.
 

@@ -22,13 +22,15 @@
 //     never dies with a request.
 //   - Graceful degradation, in tiers: requests beyond the server maxima are
 //     clamped; when the trace store cannot materialize the full trace the
-//     sweep/replay paths first engage sampled simulation over the
-//     run-compacted trace (reduced fidelity with explicit 95% confidence
-//     intervals — the "sampling" tier, also available on request via the
-//     sampling knob), and only when even the compacted trace is over budget
-//     fall back to streaming regeneration in O(1) memory; requests with
-//     near deadlines run at reduced scale. Every such answer carries an
-//     explicit "degraded": true marker.
+//     sweep/replay paths step down a fixed ladder — exact in memory, then
+//     automatic sampled simulation over the run-compacted trace (reduced
+//     fidelity with explicit 95% confidence intervals — the "sampling"
+//     tier, also available on request via the sampling knob), then an
+//     exact pass over the on-disk columnar trace, and only when even the
+//     columnar trace is over budget an exact pass over streaming
+//     regeneration in O(1) memory; requests with near deadlines run at
+//     reduced scale. Every such answer carries an explicit
+//     "degraded": true marker.
 //   - Graceful shutdown: Run drains in-flight requests on context
 //     cancellation (SIGTERM in cmd/ibsimd) before returning.
 package server
@@ -45,6 +47,7 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -62,7 +65,8 @@ import (
 type Config struct {
 	// Store supplies memoized traces; nil uses synth.DefaultStore. Give a
 	// hard-budgeted store (synth.NewStoreLimits) to bound materialized
-	// trace memory — requests over the budget degrade to streaming.
+	// trace memory — requests over the budget step down the degradation
+	// ladder: auto-sampled, then columnar-exact, then streamed.
 	Store *synth.Store
 	// MaxInflightBytes is the weighted-semaphore capacity: the summed
 	// trace-footprint estimate of concurrently admitted requests (default
@@ -575,6 +579,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, ErrorDetail{Status: http.StatusBadRequest, Kind: "bad-request", Message: err.Error()})
 		return
 	}
+	if err := checkScale(req.Instructions, req.TimeoutMillis); err != nil {
+		s.writeError(w, ErrorDetail{Status: http.StatusBadRequest, Kind: "bad-request", Message: err.Error()})
+		return
+	}
 	if req.LineSize < trace.InstrBytes || req.LineSize&(req.LineSize-1) != 0 {
 		s.writeError(w, ErrorDetail{Status: http.StatusBadRequest, Kind: "bad-request",
 			Message: fmt.Sprintf("line_size %d must be a power of two >= the %d-byte instruction size", req.LineSize, trace.InstrBytes)})
@@ -875,6 +883,10 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, ErrorDetail{Status: http.StatusBadRequest, Kind: "bad-request", Message: err.Error()})
 		return
 	}
+	if err := checkScale(req.Instructions, req.TimeoutMillis); err != nil {
+		s.writeError(w, ErrorDetail{Status: http.StatusBadRequest, Kind: "bad-request", Message: err.Error()})
+		return
+	}
 	if len(req.Engines) == 0 || len(req.Engines) > s.cfg.MaxEngines {
 		s.writeError(w, ErrorDetail{Status: http.StatusBadRequest, Kind: "bad-request",
 			Message: fmt.Sprintf("engines must name 1..%d configurations, got %d", s.cfg.MaxEngines, len(req.Engines))})
@@ -1122,8 +1134,8 @@ func (s *Server) handleExhibit(w http.ResponseWriter, r *http.Request) {
 	}
 	req.Trials = int(trials64)
 	var seed int64
-	if seed, err = queryInt(q.Get("seed")); err != nil || seed < 0 {
-		s.writeError(w, ErrorDetail{Status: http.StatusBadRequest, Kind: "bad-request", Message: "seed: must be a non-negative integer"})
+	if seed, err = queryInt(q.Get("seed")); err != nil {
+		s.writeError(w, ErrorDetail{Status: http.StatusBadRequest, Kind: "bad-request", Message: "seed: " + err.Error()})
 		return
 	}
 	req.Seed = uint64(seed)
@@ -1160,16 +1172,31 @@ func (s *Server) handleExhibit(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// queryInt parses an optional non-negative integer query parameter.
+// queryInt parses an optional non-negative decimal integer query parameter;
+// absent is 0. The whole value must parse: "1e6", "12abc", "0x10" and "-5"
+// are errors, never a prefix or a silent default.
 func queryInt(v string) (int64, error) {
 	if v == "" {
 		return 0, nil
 	}
-	var n int64
-	if _, err := fmt.Sscanf(v, "%d", &n); err != nil {
-		return 0, fmt.Errorf("must be an integer, got %q", v)
+	n, err := strconv.ParseInt(v, 10, 64)
+	if err != nil || n < 0 {
+		return 0, fmt.Errorf("must be a non-negative decimal integer, got %q", v)
 	}
 	return n, nil
+}
+
+// checkScale rejects negative scale fields of a JSON request body. Zero
+// means the server default; a negative value has no meaning and must not
+// run silently at the default either.
+func checkScale(instructions, timeoutMillis int64) error {
+	if instructions < 0 {
+		return fmt.Errorf("instructions must be non-negative, got %d", instructions)
+	}
+	if timeoutMillis < 0 {
+		return fmt.Errorf("timeout_ms must be non-negative, got %d", timeoutMillis)
+	}
+	return nil
 }
 
 // clampScale applies the degradation policy to a request's scale knobs and

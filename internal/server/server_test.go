@@ -244,16 +244,44 @@ func TestExhibitEndpoint(t *testing.T) {
 
 func TestBadRequestsAreStructured400s(t *testing.T) {
 	_, ts := testServer(t, nil)
-	cases := []SweepRequest{
-		{Workload: "nonesuch", LineSize: 32, Cells: []CellSpec{{Sets: 64, Assoc: 1}}},
-		{Workload: "eqntott", LineSize: 33, Cells: []CellSpec{{Sets: 64, Assoc: 1}}},
-		{Workload: "eqntott", LineSize: 32},
-		{Workload: "eqntott", LineSize: 32, Cells: []CellSpec{{Sets: 63, Assoc: 1}}},
+	cell := []CellSpec{{Sets: 64, Assoc: 1}}
+	bank := []EngineSpec{{Kind: "blocking", Size: 8192, LineSize: 32, Assoc: 1, Link: LinkSpec{Name: "economy"}}}
+	cases := []struct {
+		path string
+		body any // nil: GET
+	}{
+		{"/v1/sweep", SweepRequest{Workload: "nonesuch", LineSize: 32, Cells: cell}},
+		{"/v1/sweep", SweepRequest{Workload: "eqntott", LineSize: 33, Cells: cell}},
+		{"/v1/sweep", SweepRequest{Workload: "eqntott", LineSize: 32}},
+		{"/v1/sweep", SweepRequest{Workload: "eqntott", LineSize: 32, Cells: []CellSpec{{Sets: 63, Assoc: 1}}}},
+		// Negative scale fields never run silently at the default.
+		{"/v1/sweep", SweepRequest{Workload: "eqntott", Instructions: -1, LineSize: 32, Cells: cell}},
+		{"/v1/sweep", SweepRequest{Workload: "eqntott", LineSize: 32, Cells: cell, TimeoutMillis: -1}},
+		{"/v1/replay", ReplayRequest{Workload: "eqntott", Instructions: -1, Engines: bank}},
+		{"/v1/replay", ReplayRequest{Workload: "eqntott", Engines: bank, TimeoutMillis: -1}},
+		// Query integers parse whole, in decimal, and non-negative: no
+		// prefix parse ("1e6" as 1) and no silent default ("-5" as 2M).
+		{"/v1/exhibit/table2?n=1e6", nil},
+		{"/v1/exhibit/table2?n=12abc", nil},
+		{"/v1/exhibit/table2?n=0x10", nil},
+		{"/v1/exhibit/table2?n=-5", nil},
+		{"/v1/exhibit/table2?trials=-3", nil},
+		{"/v1/exhibit/table2?trials=2.5", nil},
+		{"/v1/exhibit/table2?seed=-1", nil},
+		{"/v1/exhibit/table2?seed=7x", nil},
+		{"/v1/exhibit/table2?timeout_ms=-1", nil},
+		{"/v1/exhibit/table2?timeout_ms=1s", nil},
 	}
-	for i, req := range cases {
-		code, raw := postJSON(t, ts.URL+"/v1/sweep", req, nil)
+	for i, c := range cases {
+		var code int
+		var raw []byte
+		if c.body == nil {
+			code, raw = getJSON(t, ts.URL+c.path, nil)
+		} else {
+			code, raw = postJSON(t, ts.URL+c.path, c.body, nil)
+		}
 		if code != 400 {
-			t.Errorf("case %d: code = %d, want 400: %s", i, code, raw)
+			t.Errorf("case %d (%s): code = %d, want 400: %s", i, c.path, code, raw)
 			continue
 		}
 		if kind := errKind(t, raw); kind != "bad-request" {
@@ -554,6 +582,8 @@ func TestGracefulDrainCompletesInflight(t *testing.T) {
 		},
 	}
 	s := New(cfg)
+	// Before Run starts the server is not serving: /readyz says draining.
+	assertDraining(t, s, "before Run")
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -588,6 +618,7 @@ func TestGracefulDrainCompletesInflight(t *testing.T) {
 	// ...then begin shutdown while it is in flight.
 	cancel()
 	waitFor(t, func() bool { return !s.Ready() })
+	assertDraining(t, s, "during drain")
 
 	// The in-flight request is NOT dropped: unblock it and it completes.
 	close(gate)
@@ -610,6 +641,21 @@ func TestGracefulDrainCompletesInflight(t *testing.T) {
 }
 
 // Exhibit requests with clamped trials report degradation explicitly.
+// assertDraining asks s's /readyz through its handler — during a drain
+// the listener is already closed — and requires the structured 503 with
+// kind "draining".
+func assertDraining(t *testing.T, s *Server, when string) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("/readyz %s = %d, want 503: %s", when, rec.Code, rec.Body)
+	}
+	if kind := errKind(t, rec.Body.Bytes()); kind != "draining" {
+		t.Fatalf("/readyz %s: kind = %q, want draining", when, kind)
+	}
+}
+
 func TestExhibitClampsTrials(t *testing.T) {
 	_, ts := testServer(t, func(c *Config) { c.MaxTrials = 2 })
 	var got ExhibitResponse

@@ -29,8 +29,7 @@ import (
 // In-flight chunks are bounded (workers+2), so peak memory stays O(workers ·
 // chunk) and the flat-RSS property of the spill tier is preserved. Note: on
 // a single-core host the pipeline cannot beat sequential wall-clock — the
-// win is real only with parallel hardware, the same honest caveat `make
-// cluster` prints.
+// win is real only with parallel hardware.
 
 // minSpillChunkInstrs is the smallest chunk the parallel spill dispatches;
 // chunks are rounded up to a whole number of checkpoint intervals at least
