@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"ibsim/internal/server"
+	"ibsim/internal/synth"
 )
 
 // pickAddr grabs a free loopback address by binding and releasing it.
@@ -151,6 +153,75 @@ func TestDaemonRejectsBadFlags(t *testing.T) {
 	}
 	if code := run([]string{"-no-such-flag"}); code != 1 {
 		t.Fatalf("exit = %d, want 1 for unknown flags", code)
+	}
+	// A bad value exits before the listener opens: on a usable address the
+	// daemon would otherwise serve until signalled.
+	exit := make(chan int, 1)
+	go func() { exit <- run([]string{"-addr", "127.0.0.1:0", "-q", "-store-hard-mb", "-1"}) }()
+	select {
+	case code := <-exit:
+		if code != 1 {
+			t.Fatalf("exit = %d, want 1 for a negative -store-hard-mb", code)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("daemon served with a negative -store-hard-mb instead of exiting 1")
+	}
+}
+
+// Every numeric flag rejects a value it cannot mean, naming the flag,
+// instead of silently serving with its default or with no budget at all.
+func TestParseFlagsRejectsBadValues(t *testing.T) {
+	for _, tc := range []struct{ flag, value string }{
+		{"store-hard-mb", "-1"},
+		{"store-hard-mb", "9000000000000"}, // wraps negative when shifted to bytes
+		{"store-idle-mb", "-1"},
+		{"store-idle-mb", "9000000000000"},
+		{"max-inflight-mb", "-1"},
+		{"max-inflight-mb", "9000000000000"},
+		{"max-queue", "-1"},
+		{"max-instructions", "-1"},
+		{"timeout", "-1s"},
+		{"max-timeout", "-1s"},
+		{"drain-timeout", "-1s"},
+		{"degrade-window", "-1s"},
+	} {
+		_, _, err := parseFlags([]string{"-" + tc.flag, tc.value})
+		if err == nil || !strings.Contains(err.Error(), "-"+tc.flag+" ") {
+			t.Errorf("-%s %s: err = %v, want an error naming the flag", tc.flag, tc.value, err)
+		}
+	}
+}
+
+// Zero keeps its documented meaning, and the MiB budgets reach the store
+// and the admission limiter as byte counts.
+func TestParseFlagsBudgets(t *testing.T) {
+	prof, err := synth.Lookup("eqntott")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 100_000 // 1.6 MB of refs: over a 1 MiB budget
+	for _, tc := range []struct {
+		hardMB     string
+		overBudget bool
+	}{{"0", false}, {"1", true}, {"2", false}} {
+		_, cfg, err := parseFlags([]string{"-q", "-store-hard-mb", tc.hardMB})
+		if err != nil {
+			t.Fatalf("-store-hard-mb %s: %v", tc.hardMB, err)
+		}
+		_, release, err := cfg.Store.Instr(prof, 0, n)
+		if got := errors.Is(err, synth.ErrOverBudget); got != tc.overBudget {
+			t.Errorf("-store-hard-mb %s: %d refs over budget = %v (err %v), want %v", tc.hardMB, n, got, err, tc.overBudget)
+		}
+		if err == nil {
+			release()
+		}
+	}
+	_, c, err := parseFlags([]string{"-q", "-max-inflight-mb", "3", "-max-queue", "0", "-degrade-window", "0", "-timeout", "0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.MaxInflightBytes != 3<<20 || c.MaxQueue >= 0 || c.DegradeWindow >= 0 || c.DefaultTimeout != 0 {
+		t.Errorf("config %+v: want 3 MiB capacity, no queue, no degrade window, the default timeout", c)
 	}
 }
 

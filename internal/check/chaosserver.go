@@ -279,13 +279,13 @@ func chaosServerPanic(prof synth.Profile, seed uint64) Result {
 	return pass(name, "handler panic isolated to a structured 500; daemon kept serving")
 }
 
-// chaosServerSamplingTier proves the degradation ladder's ORDER: a store
-// that cannot hold the ref trace but can hold its run compaction must answer
-// from the sampling tier (degraded, confidence intervals attached, estimates
-// near the exact answer), and only a store too small for even the runs may
-// fall to the streaming tier below it.
-func chaosServerSamplingTier(prof synth.Profile, seed uint64) Result {
-	const name = "chaos/server-sampling-tier"
+// chaosServerRunsTier proves the degradation ladder's ORDER: a store that
+// cannot hold the ref trace but can hold its run compaction must answer
+// exactly from the runs (not degraded, no sampling block, the same numbers
+// as an unlimited store), and only a store too small for even the runs may
+// fall to the streaming tier below it — still exactly.
+func chaosServerRunsTier(prof synth.Profile, seed uint64) Result {
+	const name = "chaos/server-runs-tier"
 	const n = 20_000
 	// Budgets bracketing the run compaction: refs need n*16 = 320 KB, the
 	// compacted runs a few tens of KB.
@@ -311,28 +311,22 @@ func chaosServerSamplingTier(prof synth.Profile, seed uint64) Result {
 		return fail(name, "healthy sweep = %d (err %v), want 200", code, err)
 	}
 
-	code, sresp, eb, err := postSweep(mid.base, body)
-	if err != nil || code != http.StatusOK || sresp == nil {
-		return fail(name, "mid-budget sweep = %d (%+v, err %v), want sampled 200", code, eb, err)
+	code, mresp, eb, err := postSweep(mid.base, body)
+	if err != nil || code != http.StatusOK || mresp == nil {
+		return fail(name, "mid-budget sweep = %d (%+v, err %v), want exact 200", code, eb, err)
 	}
 	switch {
-	case !sresp.Degraded:
-		return fail(name, "sampling-tier answer not marked degraded: %+v", sresp)
-	case sresp.Sampling == nil:
-		return fail(name, "mid-budget answer has no sampling block (reason %q) — tier skipped", sresp.DegradedReason)
-	case sresp.Sampling.CI95 <= 0 || sresp.Sampling.Coverage <= 0 || sresp.Sampling.Coverage >= 1:
-		return fail(name, "sampling block not populated: %+v", sresp.Sampling)
-	case !strings.Contains(sresp.DegradedReason, "sampled"):
-		return fail(name, "reason %q does not say the answer is sampled", sresp.DegradedReason)
+	case mresp.Degraded:
+		return fail(name, "mid-budget answer degraded (reason %q); the runs fit the budget", mresp.DegradedReason)
+	case mresp.Sampling != nil:
+		return fail(name, "mid-budget answer sampled (%+v); no sampling was asked for", mresp.Sampling)
+	case mresp.Accesses != exact.Accesses || len(mresp.Cells) != len(exact.Cells):
+		return fail(name, "mid-budget answer covers %d accesses in %d cells, healthy %d in %d",
+			mresp.Accesses, len(mresp.Cells), exact.Accesses, len(exact.Cells))
 	}
-	for i, c := range sresp.Cells {
-		exactMPI := float64(exact.Cells[i].Misses) / float64(exact.Accesses)
-		tol := 3 * c.CI95
-		if fl := 0.5 * exactMPI; tol < fl {
-			tol = fl
-		}
-		if d := c.MPI - exactMPI; d < -tol || d > tol {
-			return fail(name, "cell %d: sampled MPI %v vs exact %v beyond tolerance %v", i, c.MPI, exactMPI, tol)
+	for i := range exact.Cells {
+		if mresp.Cells[i] != exact.Cells[i] {
+			return fail(name, "mid-budget cell %d: %+v, healthy %+v", i, mresp.Cells[i], exact.Cells[i])
 		}
 	}
 
@@ -351,5 +345,5 @@ func chaosServerSamplingTier(prof synth.Profile, seed uint64) Result {
 			return fail(name, "streamed cell %d: %d misses, exact %d", i, tresp.Cells[i].Misses, exact.Cells[i].Misses)
 		}
 	}
-	return pass(name, "sampling tier engaged above streaming: sampled at coverage %.3f with CI95 %.2e, streamed exactly below it", sresp.Sampling.Coverage, sresp.Sampling.CI95)
+	return pass(name, "runs tier answered exactly within a budget below the refs (%d cells match); streamed exactly below it", len(exact.Cells))
 }

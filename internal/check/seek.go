@@ -32,7 +32,7 @@ const (
 	// at: small enough that the fixture traces span many checkpoints.
 	seekCheckEvery = 2048
 	// seekCheckWindow/seekCheckPeriod is the skip-mode schedule — 1/16
-	// coverage, the service's automatic sampling operating point.
+	// coverage, the serve-overbudget benchmark's explicit seek plan.
 	seekCheckWindow = 1024
 	seekCheckPeriod = 16 * seekCheckWindow
 )

@@ -188,43 +188,62 @@ func mapTraces[T any](profiles []synth.Profile, opt Options, worker func(p synth
 	return mapOrdered(opt.ctx(), len(profiles), opt.workers(), profileName(profiles), run)
 }
 
+// mapRuns is mapTraces over each profile's memoized run-compacted trace
+// (synth.DefaultStore.InstrRuns): the store compacts a trace once, and every
+// later pass over it — sweeps, replay banks, the line-event kernel — reads
+// the same runs instead of recompacting the references. The worker gets the
+// runner's context, which it should check as it goes.
+func mapRuns[T any](profiles []synth.Profile, opt Options, worker func(ctx context.Context, p synth.Profile, runs []trace.Run) (T, error)) ([]T, error) {
+	run := func(ctx context.Context, i int) (T, error) {
+		_, runs, release, err := synth.DefaultStore.InstrRuns(ctx, profiles[i], opt.Seed, opt.Instructions)
+		if err != nil {
+			var zero T
+			return zero, err
+		}
+		defer release()
+		return worker(ctx, profiles[i], runs)
+	}
+	return mapOrdered(opt.ctx(), len(profiles), opt.workers(), profileName(profiles), run)
+}
+
 // mapBanks replays every profile's instruction trace through a bank of
 // fetch engines and returns, in profile order, each profile's per-engine
 // Results in bank order — the one-pass-per-workload primitive behind Tables
 // 5-8 and Figures 6/7. mk builds a fresh bank per profile (engines are
-// stateful). The default path acquires the memoized run-compacted trace
-// (synth.DefaultStore.InstrRuns) and fans it out through replay.Replay —
-// bulk FetchRuns and one L1 pass per content class, each member timed from
-// it; opt.PerConfig selects the reference path, one fetch.Run over the
-// expanded trace per engine. Both paths produce bit-identical Results
-// (pinned by internal/check's fanout differential).
+// stateful). The default path fans the memoized run-compacted trace
+// (mapRuns) out through replay.Replay — bulk FetchRuns and one L1 pass per
+// content class, each member timed from it; opt.PerConfig selects the
+// reference path, one fetch.Run over the expanded trace per engine. Both
+// paths produce bit-identical Results (pinned by internal/check's fanout
+// differential).
 func mapBanks(profiles []synth.Profile, opt Options, mk func() ([]fetch.Engine, error)) ([][]fetch.Result, error) {
+	if !opt.PerConfig {
+		return mapRuns(profiles, opt, func(ctx context.Context, _ synth.Profile, runs []trace.Run) ([]fetch.Result, error) {
+			engines, err := mk()
+			if err != nil {
+				return nil, err
+			}
+			return replay.Replay(ctx, runs, engines)
+		})
+	}
 	run := func(ctx context.Context, i int) ([]fetch.Result, error) {
 		engines, err := mk()
 		if err != nil {
 			return nil, err
 		}
-		if opt.PerConfig {
-			refs, release, err := synth.DefaultStore.InstrCtx(ctx, profiles[i], opt.Seed, opt.Instructions)
-			if err != nil {
-				return nil, err
-			}
-			defer release()
-			results := make([]fetch.Result, len(engines))
-			for j, e := range engines {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				results[j] = fetch.Run(e, refs)
-			}
-			return results, nil
-		}
-		_, runs, release, err := synth.DefaultStore.InstrRuns(ctx, profiles[i], opt.Seed, opt.Instructions)
+		refs, release, err := synth.DefaultStore.InstrCtx(ctx, profiles[i], opt.Seed, opt.Instructions)
 		if err != nil {
 			return nil, err
 		}
 		defer release()
-		return replay.Replay(ctx, runs, engines)
+		results := make([]fetch.Result, len(engines))
+		for j, e := range engines {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			results[j] = fetch.Run(e, refs)
+		}
+		return results, nil
 	}
 	return mapOrdered(opt.ctx(), len(profiles), opt.workers(), profileName(profiles), run)
 }

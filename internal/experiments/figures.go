@@ -116,7 +116,7 @@ func figure1Sweep(opt Options) (*Figure1Result, error) {
 	sizes := figure1Sizes()
 	const lineSize = 32
 	return figure1Suites(func(profiles []synth.Profile) ([]Figure1Point, error) {
-		per, err := mapTraces(profiles, opt, func(p synth.Profile, refs []trace.Ref) ([]threec.Breakdown, error) {
+		per, err := mapRuns(profiles, opt, func(ctx context.Context, p synth.Profile, runs []trace.Run) ([]threec.Breakdown, error) {
 			cells := make([]sweep.Cell, 0, 2*len(sizes))
 			for _, kb := range sizes {
 				lines := kb * 1024 / lineSize
@@ -125,7 +125,7 @@ func figure1Sweep(opt Options) (*Figure1Result, error) {
 					sweep.Cell{Sets: lines, Assoc: 1},
 					sweep.Cell{Sets: lines / aref, Assoc: aref})
 			}
-			m, err := sweep.Pass{LineSize: lineSize, Cells: cells, CountDistinct: true, Ctx: opt.ctx()}.Run(refs)
+			m, err := sweep.SampledPass{LineSize: lineSize, Cells: cells, CountDistinct: true, Ctx: ctx}.Run(runs)
 			if err != nil {
 				return nil, err
 			}
@@ -301,9 +301,8 @@ func figure3PerConfig(profiles []synth.Profile, opt Options) ([]figure3PerProfil
 func figure3Sweep(profiles []synth.Profile, opt Options) ([]figure3PerProfile, error) {
 	sizesKB, lines := figure3Grid()
 	base := BaseL1()
-	return mapTraces(profiles, opt, func(p synth.Profile, refs []trace.Ref) (figure3PerProfile, error) {
+	return mapRuns(profiles, opt, func(ctx context.Context, p synth.Profile, runs []trace.Run) (figure3PerProfile, error) {
 		out := figure3PerProfile{cells: map[figure3Key][2]float64{}}
-		n := int64(len(refs))
 		for _, line := range lines {
 			cells := make([]sweep.Cell, 0, len(sizesKB)+1)
 			for _, kb := range sizesKB {
@@ -314,10 +313,11 @@ func figure3Sweep(profiles []synth.Profile, opt Options) ([]figure3PerProfile, e
 				// count serves all three baseline links.
 				cells = append(cells, sweep.Cell{Sets: base.Size / base.LineSize, Assoc: 1})
 			}
-			m, err := sweep.Pass{LineSize: line, Cells: cells, Ctx: opt.ctx()}.Run(refs)
+			m, err := sweep.SampledPass{LineSize: line, Cells: cells, Ctx: ctx}.Run(runs)
 			if err != nil {
 				return figure3PerProfile{}, err
 			}
+			n := m.Accesses
 			for i, kb := range sizesKB {
 				out.cells[figure3Key{kb, line}] = [2]float64{
 					fetch.BlockingResult(n, m.Misses[i], line, memsys.Economy().Memory).CPIinstr(),
@@ -480,25 +480,25 @@ func figure4PerConfig(profiles []synth.Profile, opt Options) ([]figure4PerProfil
 func figure4Sweep(profiles []synth.Profile, opt Options) ([]figure4PerProfile, error) {
 	assocs := figure4Assocs()
 	base := BaseL1()
-	return mapTraces(profiles, opt, func(p synth.Profile, refs []trace.Ref) (figure4PerProfile, error) {
+	return mapRuns(profiles, opt, func(ctx context.Context, p synth.Profile, runs []trace.Run) (figure4PerProfile, error) {
 		out := figure4PerProfile{byAssoc: make([][2]float64, len(assocs))}
-		n := int64(len(refs))
 		const l2Size, l2Line = 64 * 1024, 64
 		cells := make([]sweep.Cell, len(assocs))
 		for i, a := range assocs {
 			cells[i] = sweep.Cell{Sets: l2Size / l2Line / a, Assoc: a}
 		}
-		m, err := sweep.Pass{LineSize: l2Line, Cells: cells, Ctx: opt.ctx()}.Run(refs)
+		m, err := sweep.SampledPass{LineSize: l2Line, Cells: cells, Ctx: ctx}.Run(runs)
 		if err != nil {
 			return figure4PerProfile{}, err
 		}
+		n := m.Accesses
 		for i := range assocs {
 			out.byAssoc[i] = [2]float64{
 				fetch.BlockingResult(n, m.Misses[i], l2Line, memsys.Economy().Memory).CPIinstr(),
 				fetch.BlockingResult(n, m.Misses[i], l2Line, memsys.HighPerformance().Memory).CPIinstr(),
 			}
 		}
-		mb, err := sweep.Pass{LineSize: base.LineSize, Cells: []sweep.Cell{{Sets: base.Size / base.LineSize, Assoc: 1}}, Ctx: opt.ctx()}.Run(refs)
+		mb, err := sweep.SampledPass{LineSize: base.LineSize, Cells: []sweep.Cell{{Sets: base.Size / base.LineSize, Assoc: 1}}, Ctx: ctx}.Run(runs)
 		if err != nil {
 			return figure4PerProfile{}, err
 		}

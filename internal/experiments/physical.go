@@ -150,30 +150,25 @@ func perRefPhys(refs []trace.Ref) physSim {
 // and returns the results in profile order. The worker gets a physSim over
 // the profile's trace for physPageSize pages and lineSize-byte lines, and
 // the runner's context, which it should check between cells. The default
-// path compiles the memoized run-compacted trace
-// (synth.DefaultStore.InstrRuns) into a physTrace; opt.PerConfig selects the
-// per-reference loop over the expanded trace. Both paths yield bit-identical
-// cache statistics (pinned by internal/check's figure5-physical
-// differential).
+// path compiles the memoized run-compacted trace (mapRuns) into a
+// physTrace; opt.PerConfig selects the per-reference loop over the expanded
+// trace. Both paths yield bit-identical cache statistics (pinned by
+// internal/check's figure5-physical differential).
 func mapPhysical[T any](profiles []synth.Profile, opt Options, lineSize int, worker func(ctx context.Context, p synth.Profile, sim physSim) (T, error)) ([]T, error) {
+	if !opt.PerConfig {
+		return mapRuns(profiles, opt, func(ctx context.Context, p synth.Profile, runs []trace.Run) (T, error) {
+			return worker(ctx, p, compilePhys(runs, physPageSize, lineSize).replay)
+		})
+	}
 	run := func(ctx context.Context, i int) (T, error) {
 		p := profiles[i]
-		if opt.PerConfig {
-			refs, release, err := synth.DefaultStore.InstrCtx(ctx, p, opt.Seed, opt.Instructions)
-			if err != nil {
-				var zero T
-				return zero, err
-			}
-			defer release()
-			return worker(ctx, p, perRefPhys(refs))
-		}
-		_, runs, release, err := synth.DefaultStore.InstrRuns(ctx, p, opt.Seed, opt.Instructions)
+		refs, release, err := synth.DefaultStore.InstrCtx(ctx, p, opt.Seed, opt.Instructions)
 		if err != nil {
 			var zero T
 			return zero, err
 		}
 		defer release()
-		return worker(ctx, p, compilePhys(runs, physPageSize, lineSize).replay)
+		return worker(ctx, p, perRefPhys(refs))
 	}
 	return mapOrdered(opt.ctx(), len(profiles), opt.workers(), profileName(profiles), run)
 }

@@ -133,13 +133,14 @@ type SweepResponse struct {
 	Accesses     int64        `json:"accesses"`
 	Distinct     int64        `json:"distinct,omitempty"`
 	Cells        []CellResult `json:"cells"`
-	// Degraded marks a reduced-fidelity answer (clamped scale, an automatic
-	// sampling tier, or a streaming over-budget fallback); DegradedReason
-	// says why.
+	// Degraded marks an answer the server reduced or moved off RAM (clamped
+	// scale, or an exact pass over the on-disk columnar trace or streaming
+	// regeneration because the runs exceed the store's budget);
+	// DegradedReason says why.
 	Degraded       bool   `json:"degraded"`
 	DegradedReason string `json:"degraded_reason,omitempty"`
-	// Sampling is present when the answer was computed by sampled
-	// simulation (requested or engaged automatically).
+	// Sampling is present when the request asked for sampled simulation;
+	// the server never samples on its own.
 	Sampling       *SamplingInfo `json:"sampling,omitempty"`
 	ElapsedSeconds float64       `json:"elapsed_seconds"`
 }
@@ -264,8 +265,8 @@ type ReplayResponse struct {
 	Results        []EngineResult `json:"results"`
 	Degraded       bool           `json:"degraded"`
 	DegradedReason string         `json:"degraded_reason,omitempty"`
-	// Sampling is present when the answer was computed by sampled
-	// simulation (requested or engaged automatically).
+	// Sampling is present when the request asked for sampled simulation;
+	// the server never samples on its own.
 	Sampling       *SamplingInfo `json:"sampling,omitempty"`
 	ElapsedSeconds float64       `json:"elapsed_seconds"`
 }

@@ -21,15 +21,14 @@
 //     as *experiments.WorkerError) becomes a structured 500; the daemon
 //     never dies with a request.
 //   - Graceful degradation, in tiers: requests beyond the server maxima are
-//     clamped; when the trace store cannot materialize the full trace the
-//     sweep/replay paths step down a fixed ladder — exact in memory, then
-//     automatic sampled simulation over the run-compacted trace (reduced
-//     fidelity with explicit 95% confidence intervals — the "sampling"
-//     tier, also available on request via the sampling knob), then an
-//     exact pass over the on-disk columnar trace, and only when even the
-//     columnar trace is over budget an exact pass over streaming
-//     regeneration in O(1) memory; requests with near deadlines run at
-//     reduced scale. Every such answer carries an explicit
+//     clamped; exact sweeps and replays read the store's memoized
+//     run-compacted trace, and when even the runs exceed the store's hard
+//     budget they step down a fixed ladder — an exact pass over the on-disk
+//     columnar trace, then, only when the columnar trace is over budget too,
+//     an exact pass over streaming regeneration in O(1) memory. Sampled
+//     simulation (95% confidence intervals) runs only when a request asks
+//     for it through the sampling knob. Requests with near deadlines run at
+//     reduced scale. Every reduced or fallback answer carries an explicit
 //     "degraded": true marker.
 //   - Graceful shutdown: Run drains in-flight requests on context
 //     cancellation (SIGTERM in cmd/ibsimd) before returning.
@@ -65,8 +64,9 @@ import (
 type Config struct {
 	// Store supplies memoized traces; nil uses synth.DefaultStore. Give a
 	// hard-budgeted store (synth.NewStoreLimits) to bound materialized
-	// trace memory — requests over the budget step down the degradation
-	// ladder: auto-sampled, then columnar-exact, then streamed.
+	// trace memory: the budget is charged against the run compaction, and
+	// requests whose runs exceed it step down the degradation ladder —
+	// columnar-exact, then streamed.
 	Store *synth.Store
 	// MaxInflightBytes is the weighted-semaphore capacity: the summed
 	// trace-footprint estimate of concurrently admitted requests (default
@@ -194,7 +194,7 @@ type Server struct {
 	vars                                    *expvar.Map
 	mRequests, mAdmitted, mRejected, mDedup expvar.Int
 	mQueueTimeouts, mDegraded, mPanics      expvar.Int
-	mCanceled, mSampled, mColumnar, mSeek   expvar.Int
+	mCanceled, mColumnar, mSeek             expvar.Int
 }
 
 // New builds a Server from cfg.
@@ -216,7 +216,6 @@ func New(cfg Config) *Server {
 	s.vars.Set("degraded_total", &s.mDegraded)
 	s.vars.Set("panics_recovered_total", &s.mPanics)
 	s.vars.Set("canceled_total", &s.mCanceled)
-	s.vars.Set("sampling_tier_total", &s.mSampled)
 	s.vars.Set("columnar_tier_total", &s.mColumnar)
 	s.vars.Set("seek_tier_total", &s.mSeek)
 	s.vars.Set("inflight_bytes", expvar.Func(func() any { return s.limiter.Used() }))
@@ -626,8 +625,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	s.execute(w, r, "run:sweep", key, weight, timeout, func(ctx context.Context) runOutcome {
 		start := time.Now()
-		p := sweep.Pass{LineSize: req.LineSize, Cells: cells, CountDistinct: req.CountDistinct, Ctx: ctx}
-		m, sm, mode, degraded, why, err := s.sweepMatrix(ctx, p, prof, req.Seed, n, req.Sampling)
+		sp := sweep.SampledPass{LineSize: req.LineSize, Cells: cells, CountDistinct: req.CountDistinct, Ctx: ctx}
+		m, sm, degraded, why, err := s.sweepMatrix(ctx, sp, prof, req.Seed, n, req.Sampling)
 		if err != nil {
 			return runOutcome{err: s.errorFor(err)}
 		}
@@ -652,7 +651,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 				ci += est.CI95
 			}
 			resp.Sampling = &SamplingInfo{
-				Mode:                 mode,
+				Mode:                 req.Sampling.mode(),
 				Coverage:             sm.Coverage(),
 				CI95:                 ci / float64(len(sm.Cells)),
 				MeasuredInstructions: sm.SampledInstructions,
@@ -671,46 +670,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// The automatic sampling tier's policy knobs: 1/16 of the sets (halved until
-// the grid's smallest cell can cover whole sets), or — when the grid cannot
-// support set sampling at all — skip-mode time sampling at 1/16 coverage with
-// Instructions/256 windows. Skip (not warm) because warm replay still walks
-// the whole trace; only skipping buys the tier its speed.
-const (
-	autoSetMod    = 16
-	autoSetMatch  = 3
-	autoWindowDiv = 256
-	autoPeriodMul = 16
-	autoMinWindow = 64
-)
-
-// autoWindow sizes the automatic tier's measurement window.
-func autoWindow(n int64) int64 {
-	w := n / autoWindowDiv
-	if w < autoMinWindow {
-		w = autoMinWindow
-	}
-	return w
-}
-
-// autoSweepSpec picks the automatic sampling policy for a sweep grid.
-func autoSweepSpec(cells []sweep.Cell, n int64) SamplingSpec {
-	minSets := cells[0].Sets
-	for _, c := range cells[1:] {
-		if c.Sets < minSets {
-			minSets = c.Sets
-		}
-	}
-	mod := autoSetMod
-	for mod > minSets {
-		mod >>= 1
-	}
-	if mod > 1 {
-		return SamplingSpec{Set: mod}
-	}
-	w := autoWindow(n)
-	return SamplingSpec{Window: w, Period: autoPeriodMul * w, Skip: true}
-}
+// setMatch is the line-address congruence class an explicit set-sampling
+// request simulates (reduced mod the request's modulus).
+const setMatch = 3
 
 // seekable reports whether the spec is skip-mode time sampling with a real
 // gap between windows — the only shape the checkpoint-seek streaming tier
@@ -727,20 +689,15 @@ func (sp SamplingSpec) mode() string {
 	return "time"
 }
 
-// sampledSweep runs one sampled pass over the run-compacted trace. The
-// compacted trace is ~6x smaller than the ref trace, which is exactly why
-// this is the mid-tier: requests whose refs are over the store budget
-// usually still fit as runs. With spill set (explicit sampling requests),
-// runs over budget fall back to iterating the on-disk columnar trace block
-// by block — the sampling ask is still satisfied exactly as specified, just
-// at disk bandwidth instead of RAM. The automatic ladder passes spill=false:
-// when the runs are over budget it prefers the EXACT columnar tier over
-// sampling from disk.
-func (s *Server) sampledSweep(ctx context.Context, p sweep.Pass, prof synth.Profile, seed uint64, n int64, spec SamplingSpec, spill bool) (*sweep.SampledMatrix, error) {
-	sp := sweep.SampledPass{LineSize: p.LineSize, Cells: p.Cells, CountDistinct: p.CountDistinct, Ctx: ctx}
+// sampledSweep runs one explicitly requested sampled pass over the
+// memoized run-compacted trace. When the runs are over the store's budget it
+// falls back to iterating the on-disk columnar trace block by block: the
+// sampling ask is still satisfied exactly as specified, just at disk
+// bandwidth instead of RAM.
+func (s *Server) sampledSweep(ctx context.Context, sp sweep.SampledPass, prof synth.Profile, seed uint64, n int64, spec SamplingSpec) (*sweep.SampledMatrix, error) {
 	if spec.Set > 1 {
 		sp.SetMod = spec.Set
-		sp.SetMatch = autoSetMatch % spec.Set
+		sp.SetMatch = setMatch % spec.Set
 	} else {
 		sp.Window, sp.Period, sp.Warm = spec.Window, spec.Period, !spec.Skip
 	}
@@ -749,7 +706,7 @@ func (s *Server) sampledSweep(ctx context.Context, p sweep.Pass, prof synth.Prof
 		defer release()
 		return sp.Run(runs)
 	}
-	if !spill || !errors.Is(err, synth.ErrOverBudget) {
+	if !errors.Is(err, synth.ErrOverBudget) {
 		return nil, err
 	}
 	cf, release, err := s.store.Columnar(ctx, prof, seed, n)
@@ -761,82 +718,79 @@ func (s *Server) sampledSweep(ctx context.Context, p sweep.Pass, prof synth.Prof
 	return sp.Sweep(trace.NewBlockReader(cf))
 }
 
-// sweepMatrix answers one sweep through the degradation ladder. A request
-// carrying an explicit sampling spec runs sampled from the start (not
-// degraded: reduced fidelity was the ask; the sampled pass itself falls
-// back from RAM runs to the on-disk columnar trace). Otherwise: exact over
-// the materialized trace; if the store refuses, the sampling tier
-// (auto-policy sampled pass, explicit intervals, degraded); then the
-// columnar-disk tier (an EXACT answer iterated block by block from the
-// on-disk columnar trace at disk bandwidth); streaming regeneration only if
-// even the columnar file is over budget.
-func (s *Server) sweepMatrix(ctx context.Context, p sweep.Pass, prof synth.Profile, seed uint64, n int64, spec *SamplingSpec) (m *sweep.Matrix, sm *sweep.SampledMatrix, mode string, degraded bool, reason string, err error) {
+// sweepMatrix answers one sweep through the degradation ladder; sp is the
+// request's unsampled (exact) pass. A request carrying an explicit sampling
+// spec runs sampled from the start (not degraded: reduced fidelity was the
+// ask; the sampled pass itself falls back from RAM runs to the on-disk
+// columnar trace). Otherwise: exact over the memoized run-compacted trace;
+// if the store refuses the runs, the columnar-disk tier (an EXACT answer
+// iterated block by block from the on-disk columnar trace at disk
+// bandwidth); streaming regeneration only if even the columnar file is over
+// budget.
+func (s *Server) sweepMatrix(ctx context.Context, sp sweep.SampledPass, prof synth.Profile, seed uint64, n int64, spec *SamplingSpec) (m *sweep.Matrix, sm *sweep.SampledMatrix, degraded bool, reason string, err error) {
 	if spec != nil {
-		sm, err = s.sampledSweep(ctx, p, prof, seed, n, *spec, true)
+		sm, err = s.sampledSweep(ctx, sp, prof, seed, n, *spec)
 		if err == nil {
-			return nil, sm, spec.mode(), false, "", nil
+			return nil, sm, false, "", nil
 		}
 		if !errors.Is(err, synth.ErrOverBudget) {
-			return nil, nil, "", false, "", err
+			return nil, nil, false, "", err
 		}
 		if spec.seekable() {
 			// Skip-mode time sampling never looks at the skipped spans, so a
 			// checkpointed seekable source can serve the EXACT sampling ask
 			// in O(1) memory by jumping between measured windows.
-			sm, err = s.seekSampledSweep(ctx, p, prof, seed, n, *spec)
+			sm, err = s.seekSampledSweep(sp, prof, seed, n, *spec)
 			if err == nil {
 				s.mSeek.Add(1)
-				return nil, sm, spec.mode(), false, "", nil
+				return nil, sm, false, "", nil
 			}
 			if !errors.Is(err, synth.ErrOverBudget) {
-				return nil, nil, "", false, "", err
+				return nil, nil, false, "", err
 			}
 		}
-		m, err = s.streamedSweep(ctx, p, prof, seed, n)
-		return m, nil, "", true,
+		m, err = s.streamedSweep(sp, prof, seed, n)
+		return m, nil, true,
 			"sampling requested but even the columnar trace exceeds the store's hard budget; streamed an exact answer instead", err
 	}
-	refs, release, err := s.store.InstrCtx(ctx, prof, seed, n)
+	runs, release, err := s.store.RunsOnly(ctx, prof, seed, n)
 	if err == nil {
 		defer release()
-		m, err = p.Run(refs)
-		return m, nil, "", false, "", err
+		exact, err := sp.Run(runs)
+		if err != nil {
+			return nil, nil, false, "", err
+		}
+		return &exact.Matrix, nil, false, "", nil
 	}
 	if !errors.Is(err, synth.ErrOverBudget) {
-		return nil, nil, "", false, "", err
+		return nil, nil, false, "", err
 	}
-	auto := autoSweepSpec(p.Cells, n)
-	sm, err = s.sampledSweep(ctx, p, prof, seed, n, auto, false)
+	m, err = s.columnarSweep(ctx, sp, prof, seed, n)
 	if err == nil {
-		s.mSampled.Add(1)
-		return nil, sm, auto.mode(), true,
-			"trace exceeds the store's hard budget; answered by sampled simulation over the run-compacted trace (95% confidence intervals attached)", nil
-	}
-	if !errors.Is(err, synth.ErrOverBudget) {
-		return nil, nil, "", false, "", err
-	}
-	m, err = s.columnarSweep(ctx, p, prof, seed, n)
-	if err == nil {
-		return m, nil, "", true,
+		return m, nil, true,
 			"trace exceeds the store's hard RAM budget; answered exactly from the on-disk columnar trace", nil
 	}
 	if !errors.Is(err, synth.ErrOverBudget) {
-		return nil, nil, "", false, "", err
+		return nil, nil, false, "", err
 	}
-	m, err = s.streamedSweep(ctx, p, prof, seed, n)
-	return m, nil, "", true, "trace exceeds the store's hard budget; streamed without materializing", err
+	m, err = s.streamedSweep(sp, prof, seed, n)
+	return m, nil, true, "trace exceeds the store's hard budget; streamed without materializing", err
 }
 
 // columnarSweep is the columnar-disk rung: an exact pass iterated block by
 // block over the store's on-disk columnar trace in O(block) memory.
-func (s *Server) columnarSweep(ctx context.Context, p sweep.Pass, prof synth.Profile, seed uint64, n int64) (*sweep.Matrix, error) {
+func (s *Server) columnarSweep(ctx context.Context, sp sweep.SampledPass, prof synth.Profile, seed uint64, n int64) (*sweep.Matrix, error) {
 	cf, release, err := s.store.Columnar(ctx, prof, seed, n)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
 	s.mColumnar.Add(1)
-	return p.RunBlocks(cf)
+	sm, err := sp.Sweep(trace.NewBlockReader(cf))
+	if err != nil {
+		return nil, err
+	}
+	return &sm.Matrix, nil
 }
 
 // seekSampledSweep is the seek-streaming rung for explicit skip-mode time
@@ -844,9 +798,8 @@ func (s *Server) columnarSweep(ctx context.Context, p sweep.Pass, prof synth.Pro
 // pass runs over a checkpointed seekable source that jumps straight between
 // measured windows — the sampling ask is still honored exactly as
 // specified, generating only O(sampled refs) in O(1) memory.
-func (s *Server) seekSampledSweep(ctx context.Context, p sweep.Pass, prof synth.Profile, seed uint64, n int64, spec SamplingSpec) (*sweep.SampledMatrix, error) {
-	sp := sweep.SampledPass{LineSize: p.LineSize, Cells: p.Cells, CountDistinct: p.CountDistinct, Ctx: ctx,
-		Window: spec.Window, Period: spec.Period}
+func (s *Server) seekSampledSweep(sp sweep.SampledPass, prof synth.Profile, seed uint64, n int64, spec SamplingSpec) (*sweep.SampledMatrix, error) {
+	sp.Window, sp.Period = spec.Window, spec.Period
 	src, release, err := s.store.SeekSource(prof, seed, n)
 	if err != nil {
 		return nil, err
@@ -857,14 +810,13 @@ func (s *Server) seekSampledSweep(ctx context.Context, p sweep.Pass, prof synth.
 
 // streamedSweep is the last rung: an exact pass over streaming regeneration
 // from the store's checkpointed seekable source, in O(1) memory.
-func (s *Server) streamedSweep(ctx context.Context, p sweep.Pass, prof synth.Profile, seed uint64, n int64) (*sweep.Matrix, error) {
+func (s *Server) streamedSweep(sp sweep.SampledPass, prof synth.Profile, seed uint64, n int64) (*sweep.Matrix, error) {
 	src, release, err := s.store.SeekSource(prof, seed, n)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	sm, err := sweep.SampledPass{LineSize: p.LineSize, Cells: p.Cells, CountDistinct: p.CountDistinct, Ctx: ctx}.
-		Sweep(trace.NewSeekReader(src))
+	sm, err := sp.Sweep(trace.NewSeekReader(src))
 	if err != nil {
 		return nil, err
 	}
@@ -975,19 +927,19 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// sampledReplay fans a time-sampled trace through the bank over the
-// run-compacted trace. With spill set (explicit sampling requests), runs
-// over budget fall back to block-granular sampled replay over the on-disk
-// columnar trace — skip-mode plans then seek straight to each measured
-// window through the block index instead of decoding the gaps.
-func (s *Server) sampledReplay(ctx context.Context, prof synth.Profile, seed uint64, n int64, engines []fetch.Engine, spec SamplingSpec, spill bool) ([]replay.SampledResult, error) {
+// sampledReplay fans an explicitly requested time-sampled trace through the
+// bank over the memoized run-compacted trace. When the runs are over the
+// store's budget it falls back to block-granular sampled replay over the
+// on-disk columnar trace — skip-mode plans then seek straight to each
+// measured window through the block index instead of decoding the gaps.
+func (s *Server) sampledReplay(ctx context.Context, prof synth.Profile, seed uint64, n int64, engines []fetch.Engine, spec SamplingSpec) ([]replay.SampledResult, error) {
 	plan := replay.SamplePlan{Window: spec.Window, Period: spec.Period, Warm: !spec.Skip}
 	runs, release, err := s.store.RunsOnly(ctx, prof, seed, n)
 	if err == nil {
 		defer release()
 		return replay.Sampled(ctx, runs, engines, plan)
 	}
-	if !spill || !errors.Is(err, synth.ErrOverBudget) {
+	if !errors.Is(err, synth.ErrOverBudget) {
 		return nil, err
 	}
 	cf, release, err := s.store.Columnar(ctx, prof, seed, n)
@@ -1003,13 +955,12 @@ func (s *Server) sampledReplay(ctx context.Context, prof synth.Profile, seed uin
 // degradation ladder as sweepMatrix: an explicit sampling spec runs sampled
 // from the start (not degraded; the sampled replay itself falls back from
 // RAM runs to the on-disk columnar trace); otherwise exact over the
-// memoized run-compacted trace, then the automatic sampling tier (skip-mode
-// time sampling, degraded, intervals attached), then the columnar-disk tier
-// (EXACT block-granular fan-out from the on-disk columnar trace), and
-// finally one streaming regeneration for the whole bank.
+// memoized run-compacted trace, then the columnar-disk tier (EXACT
+// block-granular fan-out from the on-disk columnar trace), and finally one
+// streaming regeneration for the whole bank.
 func (s *Server) replayBank(ctx context.Context, prof synth.Profile, seed uint64, n int64, engines []fetch.Engine, spec *SamplingSpec) (results []fetch.Result, sampled []replay.SampledResult, degraded bool, reason string, err error) {
 	if spec != nil {
-		sampled, err = s.sampledReplay(ctx, prof, seed, n, engines, *spec, true)
+		sampled, err = s.sampledReplay(ctx, prof, seed, n, engines, *spec)
 		if err == nil {
 			return nil, sampled, false, "", nil
 		}
@@ -1032,22 +983,11 @@ func (s *Server) replayBank(ctx context.Context, prof synth.Profile, seed uint64
 		return results, nil, true,
 			"sampling requested but even the columnar trace exceeds the store's hard budget; replayed exactly from streaming regeneration", err
 	}
-	_, runs, release, err := s.store.InstrRuns(ctx, prof, seed, n)
+	runs, release, err := s.store.RunsOnly(ctx, prof, seed, n)
 	if err == nil {
 		defer release()
 		results, err = replay.Replay(ctx, runs, engines)
 		return results, nil, false, "", err
-	}
-	if !errors.Is(err, synth.ErrOverBudget) {
-		return nil, nil, false, "", err
-	}
-	w := autoWindow(n)
-	auto := SamplingSpec{Window: w, Period: autoPeriodMul * w, Skip: true}
-	sampled, err = s.sampledReplay(ctx, prof, seed, n, engines, auto, false)
-	if err == nil {
-		s.mSampled.Add(1)
-		return nil, sampled, true,
-			"trace exceeds the store's hard budget; answered by time-sampled replay over the run-compacted trace (95% confidence intervals attached)", nil
 	}
 	if !errors.Is(err, synth.ErrOverBudget) {
 		return nil, nil, false, "", err

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -333,9 +334,9 @@ func TestEngineKnobsBoundedByL1Lines(t *testing.T) {
 // A request with a deadline inside the degrade window answers at reduced
 // fidelity and says so, instead of burning its whole budget and timing out.
 // Line sizes below one instruction are a structured 400 on every path —
-// explicit set or time sampling, the automatic sampling tier of an
-// over-budget store, and the exact pass — not an internal error from the
-// kernel, which settles whole instructions per line.
+// explicit set or time sampling, the exact pass, and the exact pass of a
+// store whose budget admits the runs but not the refs — not an internal
+// error from the kernel, which settles whole instructions per line.
 func TestSubInstructionLineSizeRejected(t *testing.T) {
 	_, ts := testServer(t, nil)
 	_, tight := testServer(t, func(c *Config) { c.Store = synth.NewStoreLimits(1<<26, 1<<19) })
@@ -347,7 +348,7 @@ func TestSubInstructionLineSizeRejected(t *testing.T) {
 			"set":   {ts.URL, &SamplingSpec{Set: 16}},
 			"time":  {ts.URL, &SamplingSpec{Window: 2000, Period: 8000}},
 			"exact": {ts.URL, nil},
-			"auto":  {tight.URL, nil},
+			"runs":  {tight.URL, nil},
 		} {
 			req := SweepRequest{Workload: "eqntott", Instructions: 100_000, LineSize: line,
 				Cells: []CellSpec{{Sets: 256, Assoc: 1}}, Sampling: tc.spec}
@@ -668,7 +669,7 @@ func TestExhibitClampsTrials(t *testing.T) {
 	}
 }
 
-// --- sampling tier ------------------------------------------------------
+// --- sampling knob ------------------------------------------------------
 
 // The sampling knob: an explicit sampling spec returns estimates with
 // confidence intervals and a SamplingInfo block, NOT marked degraded —
@@ -785,18 +786,21 @@ func TestSamplingSpecValidation(t *testing.T) {
 	}
 }
 
-// The degradation ladder engages in order: a store that cannot hold the ref
-// trace but can hold its run compaction answers from the sampling tier
-// (degraded, intervals attached); only when even the runs are over budget
-// does the server fall to streaming regeneration.
+// Exact answers come from the run compaction: a store whose budget cannot
+// hold the ref trace but can hold its runs answers both endpoints exactly —
+// not degraded, no sampling block, the same numbers as an unlimited store —
+// and only a store too small for even the runs falls to streaming
+// regeneration. Sampling runs only when a request asks for it.
 func TestSamplingTierEngagesBeforeStreaming(t *testing.T) {
 	// eqntott at 100k: refs 1.6 MB, run compaction ~210 KB. 512 KiB sits
 	// between the two.
 	const midBudget, tinyBudget = 1 << 19, 1 << 10
-	run := func(t *testing.T, hardBudget int64) (*Server, SweepResponse, ReplayResponse) {
+	run := func(t *testing.T, hardBudget int64) (SweepResponse, ReplayResponse) {
 		t.Helper()
-		s, ts := testServer(t, func(c *Config) {
-			c.Store = synth.NewStoreLimits(1<<26, hardBudget)
+		_, ts := testServer(t, func(c *Config) {
+			if hardBudget > 0 {
+				c.Store = synth.NewStoreLimits(1<<26, hardBudget)
+			}
 		})
 		sreq := SweepRequest{Workload: "eqntott", Instructions: 100_000, LineSize: 32,
 			Cells: []CellSpec{{Sets: 256, Assoc: 1}, {Sets: 1024, Assoc: 1}}}
@@ -810,10 +814,12 @@ func TestSamplingTierEngagesBeforeStreaming(t *testing.T) {
 		if code, raw := postJSON(t, ts.URL+"/v1/replay", rreq, &rresp); code != 200 {
 			t.Fatalf("replay = %d: %s", code, raw)
 		}
-		return s, sresp, rresp
+		sresp.ElapsedSeconds, rresp.ElapsedSeconds = 0, 0
+		return sresp, rresp
 	}
 
-	s, midSweep, midReplay := run(t, midBudget)
+	wantSweep, wantReplay := run(t, 0) // unlimited store: the exact oracle
+	midSweep, midReplay := run(t, midBudget)
 	for name, resp := range map[string]struct {
 		degraded bool
 		reason   string
@@ -822,32 +828,21 @@ func TestSamplingTierEngagesBeforeStreaming(t *testing.T) {
 		"sweep":  {midSweep.Degraded, midSweep.DegradedReason, midSweep.Sampling},
 		"replay": {midReplay.Degraded, midReplay.DegradedReason, midReplay.Sampling},
 	} {
-		if !resp.degraded {
-			t.Errorf("%s: mid-budget store did not degrade", name)
+		if resp.degraded {
+			t.Errorf("%s: mid-budget store degraded (reason %q), want an exact answer from the runs", name, resp.reason)
 		}
-		if resp.sampling == nil {
-			t.Fatalf("%s: mid-budget answer has no sampling block (reason %q)", name, resp.reason)
-		}
-		if resp.sampling.CI95 <= 0 {
-			t.Errorf("%s: sampling tier CI95 %v, want > 0", name, resp.sampling.CI95)
-		}
-		if !strings.Contains(resp.reason, "sampled") {
-			t.Errorf("%s: reason %q does not say the answer is sampled", name, resp.reason)
+		if resp.sampling != nil {
+			t.Errorf("%s: mid-budget answer carries a sampling block %+v", name, resp.sampling)
 		}
 	}
-	if got := s.mSampled.Value(); got != 2 {
-		t.Errorf("sampling_tier_total = %d, want 2", got)
+	if !reflect.DeepEqual(midSweep, wantSweep) {
+		t.Errorf("mid-budget sweep %+v != unlimited %+v", midSweep, wantSweep)
 	}
-	// Sweeps pick set sampling when the grid supports it; replay banks use
-	// skip-mode time sampling (the only plan that is actually faster).
-	if midSweep.Sampling.Mode != "set" {
-		t.Errorf("auto sweep mode %q, want set", midSweep.Sampling.Mode)
-	}
-	if midReplay.Sampling.Mode != "time" {
-		t.Errorf("auto replay mode %q, want time", midReplay.Sampling.Mode)
+	if !reflect.DeepEqual(midReplay, wantReplay) {
+		t.Errorf("mid-budget replay %+v != unlimited %+v", midReplay, wantReplay)
 	}
 
-	_, tinySweep, tinyReplay := run(t, tinyBudget)
+	tinySweep, tinyReplay := run(t, tinyBudget)
 	if !tinySweep.Degraded || !tinyReplay.Degraded {
 		t.Fatal("tiny-budget store did not degrade")
 	}
@@ -860,6 +855,40 @@ func TestSamplingTierEngagesBeforeStreaming(t *testing.T) {
 		if !strings.Contains(reason, "stream") {
 			t.Errorf("%s: tiny-budget reason %q does not mention streaming", name, reason)
 		}
+	}
+	for i := range wantSweep.Cells {
+		if tinySweep.Cells[i].Misses != wantSweep.Cells[i].Misses {
+			t.Errorf("sweep cell %d: streamed %d != exact %d", i, tinySweep.Cells[i].Misses, wantSweep.Cells[i].Misses)
+		}
+	}
+	if tinyReplay.Results[0] != wantReplay.Results[0] {
+		t.Errorf("replay: streamed %+v != exact %+v", tinyReplay.Results[0], wantReplay.Results[0])
+	}
+}
+
+// A sweep and a replay of the same trace share one store entry holding
+// only the run compaction: the server never materializes the 16-byte
+// per-reference trace.
+func TestSweepAndReplayShareOneRunsEntry(t *testing.T) {
+	store := synth.NewStore(1 << 26)
+	_, ts := testServer(t, func(c *Config) { c.Store = store })
+	const n = 100_000
+	sreq := SweepRequest{Workload: "eqntott", Instructions: n, LineSize: 32,
+		Cells: []CellSpec{{Sets: 256, Assoc: 1}, {Sets: 1024, Assoc: 1}}}
+	if code, raw := postJSON(t, ts.URL+"/v1/sweep", sreq, nil); code != 200 {
+		t.Fatalf("sweep = %d: %s", code, raw)
+	}
+	rreq := ReplayRequest{Workload: "eqntott", Instructions: n,
+		Engines: []EngineSpec{{Size: 8192, LineSize: 32, Assoc: 1, Link: LinkSpec{Name: "economy"}}}}
+	if code, raw := postJSON(t, ts.URL+"/v1/replay", rreq, nil); code != 200 {
+		t.Fatalf("replay = %d: %s", code, raw)
+	}
+	st := store.Stats()
+	if st.Entries != 1 {
+		t.Errorf("store holds %d trace entries, want 1 shared by both endpoints", st.Entries)
+	}
+	if refs := synth.TraceBytes(n, false); st.IdleBytes >= refs {
+		t.Errorf("store keeps %d idle bytes, want fewer than the %d bytes of the ref trace", st.IdleBytes, refs)
 	}
 }
 

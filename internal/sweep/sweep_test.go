@@ -196,6 +196,57 @@ func BenchmarkSweepFigure3Grid(b *testing.B) {
 	}
 }
 
+// BenchmarkSweepServeGrid times the sweep grid ibsbench's serve-hot
+// workload posts to ibsimd (direct-mapped 4-256 KB plus 2/4/8-way at 8 and
+// 32 KB, 32-byte lines) over 1M verilog instructions, two ways: Pass.Run
+// over the references, which compacts them chunk by chunk on every pass,
+// and the zero-plan SampledPass over runs compacted once beforehand, as a
+// store memoizes them. The gap between the two is the compaction's share.
+func BenchmarkSweepServeGrid(b *testing.B) {
+	p, err := synth.Lookup("verilog")
+	if err != nil {
+		b.Fatal(err)
+	}
+	refs, err := synth.InstrTrace(p, 0, 1_000_000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	runs := trace.Compact(refs)
+	var cells []Cell
+	for kb := 4; kb <= 256; kb *= 2 {
+		cells = append(cells, Cell{Sets: kb * 1024 / 32, Assoc: 1})
+	}
+	for _, kb := range []int{8, 32} {
+		for _, a := range []int{2, 4, 8} {
+			cells = append(cells, Cell{Sets: kb * 1024 / 32 / a, Assoc: a})
+		}
+	}
+	refCells := float64(len(refs)) * float64(len(cells))
+	for _, tc := range []struct {
+		name string
+		pass func() (*Matrix, error)
+	}{
+		{"refs", func() (*Matrix, error) { return Pass{LineSize: 32, Cells: cells}.Run(refs) }},
+		{"runs", func() (*Matrix, error) {
+			sm, err := SampledPass{LineSize: 32, Cells: cells}.Run(runs)
+			if err != nil {
+				return nil, err
+			}
+			return &sm.Matrix, nil
+		}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := tc.pass(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/refCells, "ns/ref-cell")
+		})
+	}
+}
+
 // A cancelled pass context stops Run promptly with the context error; a
 // live context changes nothing about the result.
 func TestRunHonorsContext(t *testing.T) {

@@ -269,9 +269,10 @@ func (s *Store) InstrCtx(ctx context.Context, prof Profile, seed uint64, n int64
 // InstrRuns is InstrCtx returning, alongside the memoized trace, its
 // run-length compaction (trace.Compact), computed once per entry and shared
 // by every holder. Both slices are covered by the single release function
-// and MUST be treated as read-only. The fan-out replay driver
-// (internal/replay) is the intended consumer: several engine banks replay
-// the same workload without recompacting it.
+// and MUST be treated as read-only. The exhibit runners
+// (internal/experiments) are the intended consumer: their sweeps, replay
+// banks and line-event passes read the same runs without recompacting them,
+// while the per-reference reference paths read the refs of the same entry.
 func (s *Store) InstrRuns(ctx context.Context, prof Profile, seed uint64, n int64) ([]trace.Ref, []trace.Run, func(), error) {
 	// Worst case (no sequentiality at all) the compaction retains one run
 	// per ref, so budget for both slices up front.
@@ -302,12 +303,13 @@ func (s *Store) InstrRuns(ctx context.Context, prof Profile, seed uint64, n int6
 // RunsOnly returns prof's run-length-compacted instruction trace for
 // (seed, n) WITHOUT materializing the per-reference stream: generation
 // streams through an incremental trace.Compactor, so peak memory is O(runs)
-// — typically a few percent of the refs (instruction fetch is overwhelmingly
-// sequential). This is the sampling degradation tier's trace path: a request
-// whose refs exceed the hard budget usually still fits as runs. Unlike Instr,
-// the hard budget is enforced against the ACTUAL compacted size as it grows,
-// not a worst-case estimate; a pathologically non-sequential stream aborts
-// with ErrOverBudget mid-generation. The slice is shared and read-only; the
+// — about 3.3 bytes per instruction on the IBS traces against the refs' 16
+// (instruction fetch is overwhelmingly sequential). This is ibsimd's
+// in-memory trace path, exact and sampled alike: a request whose refs would
+// exceed the hard budget usually still fits as runs. Unlike Instr, the hard
+// budget is enforced against the ACTUAL compacted size as it grows, not a
+// worst-case estimate; a pathologically non-sequential stream aborts with
+// ErrOverBudget mid-generation. The slice is shared and read-only; the
 // release function must be called exactly once.
 func (s *Store) RunsOnly(ctx context.Context, prof Profile, seed uint64, n int64) ([]trace.Run, func(), error) {
 	if err := ctx.Err(); err != nil {
