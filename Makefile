@@ -51,8 +51,8 @@ check-columnar:
 
 # Checkpoint-seek verification: the seek-sampled differential (RunSeek /
 # SampledSeek bit-identical to the in-memory sampled paths and the []Ref
-# oracle) and the parallel-spill byte-identity differential. (Flags must
-# precede the stage name: the Go flag parser stops at the first positional.)
+# oracle). (Flags must precede the stage name: the Go flag parser stops at
+# the first positional.)
 check-seek:
 	$(GO) run ./cmd/ibscheck -o "" -n 200000 seek
 

@@ -13,7 +13,7 @@
 //	ibscheck -faults -match '^chaos/crash-'   # only the crash-consistency scenarios
 //	ibscheck sampling-bounds       # only the sampling checks
 //	ibscheck columnar-replay       # only the columnar differentials
-//	ibscheck seek                  # only the checkpoint-seek differentials
+//	ibscheck seek                  # only the checkpoint-seek differential
 //
 // The exit status is 0 only when every check passes and every tracked stage
 // is within golden tolerance.

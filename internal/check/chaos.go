@@ -2,9 +2,11 @@ package check
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"regexp"
 
 	"ibsim/internal/experiments"
@@ -227,40 +229,56 @@ func chaosWriteFault(refs []trace.Ref) Result {
 	return pass(name, "write fault surfaced once and stayed sticky")
 }
 
-// chaosOverBudget verifies the store's hard-budget contract: Instr fails
-// typed, Source degrades to streaming regeneration with identical refs.
+// chaosOverBudget verifies the store's hard-budget contract: with a budget
+// no trace form fits, the RAM tiers fail typed and Acquire steps down to
+// checkpointed regeneration, whose runs expand to exactly the refs the
+// materialized path yields.
 func chaosOverBudget(prof synth.Profile, seed uint64) Result {
 	const name = "chaos/over-budget-store"
 	const n = 5000
-	store := synth.NewStoreLimits(0, n/4*16) // budget fits n/4 refs at 16 B each
+	store := synth.NewStoreLimits(0, 64) // below even the columnar file's header and index
+	defer store.Purge()
+	ctx := context.Background()
 	if _, _, err := store.Instr(prof, seed, n); !errors.Is(err, synth.ErrOverBudget) {
 		return fail(name, "Instr over budget = %v, want ErrOverBudget", err)
 	}
-	src, release, err := store.Source(prof, seed, n)
-	if err != nil {
-		return fail(name, "Source fallback failed: %v", err)
+	if _, _, err := store.RunsOnly(ctx, prof, seed, n); !errors.Is(err, synth.ErrOverBudget) {
+		return fail(name, "RunsOnly over budget = %v, want ErrOverBudget", err)
 	}
-	got, err := trace.Collect(src)
-	release()
+	src, tier, release, err := store.Acquire(ctx, prof, seed, n)
 	if err != nil {
-		return fail(name, "streaming fallback errored: %v", err)
+		return fail(name, "Acquire over budget failed: %v", err)
+	}
+	var got []trace.Ref
+	err = src.ReadRuns(0, math.MaxInt64, func(runs []trace.Run) error {
+		for _, r := range runs {
+			got = r.AppendRefs(got)
+		}
+		return nil
+	})
+	release()
+	if tier != synth.TierSeek {
+		return fail(name, "Acquire over budget served the %v tier, want seek", tier)
+	}
+	if err != nil {
+		return fail(name, "seek tier errored: %v", err)
 	}
 	want, err := synth.InstrTrace(prof, seed, n)
 	if err != nil {
 		return fail(name, "reference generation failed: %v", err)
 	}
 	if len(got) != len(want) {
-		return fail(name, "fallback streamed %d refs, want %d", len(got), len(want))
+		return fail(name, "seek tier streamed %d refs, want %d", len(got), len(want))
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			return fail(name, "fallback ref %d differs from materialized path", i)
+			return fail(name, "seek tier ref %d differs from materialized path", i)
 		}
 	}
-	if st := store.Stats(); st.Fallbacks != 1 {
-		return fail(name, "Fallbacks = %d, want 1", st.Fallbacks)
+	if st := store.Stats(); st.Entries != 0 || st.SpillBytes != 0 {
+		return fail(name, "over-budget acquisitions left %d entries, %d spill bytes", st.Entries, st.SpillBytes)
 	}
-	return pass(name, "Instr fails typed, Source streams %d identical refs", len(want))
+	return pass(name, "RAM tiers fail typed, Acquire's seek tier streams %d identical refs", len(want))
 }
 
 // chaosCheckpointCorrupt flips a bit in every checkpoint at or below a seek

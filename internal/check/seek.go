@@ -1,35 +1,27 @@
 package check
 
 import (
-	"bytes"
 	"context"
-	"os"
 	"reflect"
 
-	"ibsim/internal/fetch"
 	"ibsim/internal/replay"
 	"ibsim/internal/sweep"
 	"ibsim/internal/synth"
 	"ibsim/internal/trace"
 )
 
-// Checkpoint-seek differentials: the two acceptance properties of the
-// seekable-generator machinery, pinned as first-class ibscheck checks.
-//
-//   - differential/seek-sampled: a skip-mode time-sampled sweep and replay
-//     executed by seeking a checkpointed source from window start to window
-//     start (sweep.SampledPass.RunSeek, replay.SampledSeek) must match the
-//     []Ref oracle — per-cell cache.Cache and per-engine fetch.Run under the
-//     same windows — and the in-memory sampled paths bit for bit, estimates
-//     and confidence intervals included.
-//   - differential/parallel-spill: the store's parallel columnar spill
-//     (scout/worker/merger over checkpoint-aligned chunks) must produce an
-//     IBSTRACE/v3 file byte-identical to the sequential spill of the same
-//     (profile, seed, n), and replaying it must match the oracle.
+// Checkpoint-seek differential: the acceptance property of the
+// seekable-generator machinery, pinned as a first-class ibscheck check.
+// differential/seek-sampled: a skip-mode time-sampled sweep and replay
+// executed by seeking a checkpointed source from window start to window
+// start (sweep.SampledPass.RunSeek, replay.SampledSeek) must match the []Ref
+// oracle — per-cell cache.Cache and per-engine fetch.Run under the same
+// windows — and the in-memory sampled paths bit for bit, estimates and
+// confidence intervals included.
 
 const (
-	// seekCheckEvery is the checkpoint interval the differentials record
-	// at: small enough that the fixture traces span many checkpoints.
+	// seekCheckEvery is the checkpoint interval the differential records
+	// at: small enough that the fixture trace spans many checkpoints.
 	seekCheckEvery = 2048
 	// seekCheckWindow/seekCheckPeriod is the skip-mode schedule — 1/16
 	// coverage, the serve-overbudget benchmark's explicit seek plan.
@@ -37,10 +29,7 @@ const (
 	seekCheckPeriod = 16 * seekCheckWindow
 )
 
-// seekSpillWorkers is the parallel spill's fan-out in the differential.
-const seekSpillWorkers = 4
-
-// SeekChecks runs the checkpoint-seek differentials.
+// SeekChecks runs the checkpoint-seek differential.
 func SeekChecks(opt Options) ([]Result, error) {
 	opt = opt.withDefaults()
 	p := opt.Workloads[0]
@@ -152,70 +141,6 @@ func SeekChecks(opt Options) ([]Result, error) {
 		}
 		return pass(name, "seek ≡ materialized ≡ oracle at %.1f%% coverage: %d/%d instructions measured, %d checkpoints (%d bytes) indexed",
 			100*want.Coverage(), want.SampledInstructions, want.TotalInstructions, st.Checkpoints, st.CheckpointBytes)
-	}))
-
-	out = append(out, timed(func() Result {
-		const name = "differential/parallel-spill"
-		var replayed []fetch.Result
-		spill := func(workers int) ([]byte, int64, error) {
-			st := synth.NewStore(0)
-			st.SetCheckpointEvery(seekCheckEvery)
-			st.SetSpillWorkers(workers)
-			defer st.Purge()
-			cf, release, err := st.Columnar(ctx, p, opt.Seed, n)
-			if err != nil {
-				return nil, 0, err
-			}
-			defer release()
-			data, err := os.ReadFile(cf.Path())
-			if err != nil {
-				return nil, 0, err
-			}
-			if workers > 1 {
-				bank, err := columnarBank()
-				if err != nil {
-					return nil, 0, err
-				}
-				if replayed, err = replay.BlocksParallel(ctx, cf, bank, 2); err != nil {
-					return nil, 0, err
-				}
-			}
-			return data, cf.Refs(), nil
-		}
-		seq, seqRefs, err := spill(1)
-		if err != nil {
-			return fail(name, "sequential spill: %v", err)
-		}
-		par, parRefs, err := spill(seekSpillWorkers)
-		if err != nil {
-			return fail(name, "parallel spill (%d workers): %v", seekSpillWorkers, err)
-		}
-		if seqRefs != int64(len(refs)) {
-			return fail(name, "sequential spill indexes %d refs, trace has %d", seqRefs, len(refs))
-		}
-		if parRefs != seqRefs {
-			return fail(name, "parallel spill indexes %d refs, sequential %d", parRefs, seqRefs)
-		}
-		if !bytes.Equal(seq, par) {
-			i := 0
-			for i < len(seq) && i < len(par) && seq[i] == par[i] {
-				i++
-			}
-			return fail(name, "parallel spill file diverges from sequential at byte %d (%d vs %d bytes total)",
-				i, len(par), len(seq))
-		}
-		want, err := replayOracle(refs, replay.SamplePlan{})
-		if err != nil {
-			harnessErr = err
-			return fail(name, "oracle: %v", err)
-		}
-		for i := range want {
-			if replayed[i] != want[i].Measured {
-				return fail(name, "engine %d over the parallel spill diverges from fetch.Run: %+v vs %+v", i, replayed[i], want[i].Measured)
-			}
-		}
-		return pass(name, "%d-worker spill byte-identical to sequential (%d bytes, %d instructions), replay == per-engine fetch.Run",
-			seekSpillWorkers, len(seq), seqRefs)
 	}))
 
 	return out, harnessErr

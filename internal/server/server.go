@@ -21,14 +21,17 @@
 //     as *experiments.WorkerError) becomes a structured 500; the daemon
 //     never dies with a request.
 //   - Graceful degradation, in tiers: requests beyond the server maxima are
-//     clamped; exact sweeps and replays read the store's memoized
-//     run-compacted trace, and when even the runs exceed the store's hard
-//     budget they step down a fixed ladder — an exact pass over the on-disk
-//     columnar trace, then, only when the columnar trace is over budget too,
-//     an exact pass over streaming regeneration in O(1) memory. Sampled
-//     simulation (95% confidence intervals) runs only when a request asks
-//     for it through the sampling knob. Requests with near deadlines run at
-//     reduced scale. Every reduced or fallback answer carries an explicit
+//     clamped, and requests with near deadlines run at reduced scale. Each
+//     sweep or replay is one synth.Store.Acquire call plus one pass: the
+//     store hands back the cheapest trace its hard budget admits — the
+//     memoized run compaction, else the on-disk columnar trace, else
+//     checkpointed regeneration in O(1) memory — and the sweep kernel or
+//     replay driver reads whichever it got. Every tier yields the same
+//     numbers, so an exact answer read from disk or regenerated is still
+//     exact, merely slower. Sampled simulation (95% confidence intervals)
+//     runs only when a request asks for it through the sampling knob, and
+//     is served as asked from any tier. Every reduced answer, and every
+//     exact answer the runs could not serve, carries an explicit
 //     "degraded": true marker.
 //   - Graceful shutdown: Run drains in-flight requests on context
 //     cancellation (SIGTERM in cmd/ibsimd) before returning.
@@ -44,7 +47,6 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"runtime"
 	"runtime/debug"
 	"strconv"
 	"sync/atomic"
@@ -64,9 +66,9 @@ import (
 type Config struct {
 	// Store supplies memoized traces; nil uses synth.DefaultStore. Give a
 	// hard-budgeted store (synth.NewStoreLimits) to bound materialized
-	// trace memory: the budget is charged against the run compaction, and
-	// requests whose runs exceed it step down the degradation ladder —
-	// columnar-exact, then streamed.
+	// trace memory: requests whose run compaction exceeds the budget are
+	// read from the columnar spill, and those whose spill exceeds it too
+	// from checkpointed regeneration (see Store.Acquire).
 	Store *synth.Store
 	// MaxInflightBytes is the weighted-semaphore capacity: the summed
 	// trace-footprint estimate of concurrently admitted requests (default
@@ -626,28 +628,41 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.execute(w, r, "run:sweep", key, weight, timeout, func(ctx context.Context) runOutcome {
 		start := time.Now()
 		sp := sweep.SampledPass{LineSize: req.LineSize, Cells: cells, CountDistinct: req.CountDistinct, Ctx: ctx}
-		m, sm, degraded, why, err := s.sweepMatrix(ctx, sp, prof, req.Seed, n, req.Sampling)
+		if spec := req.Sampling; spec != nil {
+			if spec.Set > 1 {
+				sp.SetMod, sp.SetMatch = spec.Set, setMatch%spec.Set
+			} else {
+				sp.Window, sp.Period, sp.Warm = spec.Window, spec.Period, !spec.Skip
+			}
+		}
+		src, why, release, err := s.acquire(ctx, prof, req.Seed, n, req.Sampling == nil)
 		if err != nil {
 			return runOutcome{err: s.errorFor(err)}
 		}
-		degraded = degraded || reason != ""
+		defer release()
+		sm, err := sp.Sweep(src)
+		if err != nil {
+			return runOutcome{err: s.errorFor(err)}
+		}
+		degraded := reason != "" || why != ""
 		resp := &SweepResponse{
 			Workload:       prof.Name,
 			Seed:           req.Seed,
 			Instructions:   n,
+			LineSize:       sm.LineSize,
+			Accesses:       sm.Accesses,
+			Distinct:       sm.Distinct,
+			Cells:          make([]CellResult, len(sm.Cells)),
 			Degraded:       degraded,
 			DegradedReason: joinReasons(reason, why),
 		}
-		if sm != nil {
-			resp.LineSize = sm.LineSize
-			resp.Accesses = sm.SampledInstructions
-			resp.Distinct = sm.Distinct
-			resp.Cells = make([]CellResult, len(sm.Cells))
+		for i, c := range sm.Cells {
+			resp.Cells[i] = CellResult{Sets: c.Sets, Assoc: c.Assoc, SizeBytes: c.Size(sm.LineSize), Misses: sm.Misses[i]}
+		}
+		if req.Sampling != nil {
 			var ci float64
-			for i, c := range sm.Cells {
-				est := sm.Estimates[i]
-				resp.Cells[i] = CellResult{Sets: c.Sets, Assoc: c.Assoc, SizeBytes: c.Size(sm.LineSize),
-					Misses: sm.Misses[i], MPI: est.MPI, CI95: est.CI95}
+			for i, est := range sm.Estimates {
+				resp.Cells[i].MPI, resp.Cells[i].CI95 = est.MPI, est.CI95
 				ci += est.CI95
 			}
 			resp.Sampling = &SamplingInfo{
@@ -655,14 +670,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 				Coverage:             sm.Coverage(),
 				CI95:                 ci / float64(len(sm.Cells)),
 				MeasuredInstructions: sm.SampledInstructions,
-			}
-		} else {
-			resp.LineSize = m.LineSize
-			resp.Accesses = m.Accesses
-			resp.Distinct = m.Distinct
-			resp.Cells = make([]CellResult, len(m.Cells))
-			for i, c := range m.Cells {
-				resp.Cells[i] = CellResult{Sets: c.Sets, Assoc: c.Assoc, SizeBytes: c.Size(m.LineSize), Misses: m.Misses[i]}
 			}
 		}
 		resp.ElapsedSeconds = time.Since(start).Seconds()
@@ -674,13 +681,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // request simulates (reduced mod the request's modulus).
 const setMatch = 3
 
-// seekable reports whether the spec is skip-mode time sampling with a real
-// gap between windows — the only shape the checkpoint-seek streaming tier
-// can serve, since it never generates the skipped spans at all.
-func (sp SamplingSpec) seekable() bool {
-	return sp.Set <= 1 && sp.Skip && sp.Window > 0 && sp.Window < sp.Period
-}
-
 // mode names the spec's sampling dimension for SamplingInfo.
 func (sp SamplingSpec) mode() string {
 	if sp.Set > 1 {
@@ -689,138 +689,33 @@ func (sp SamplingSpec) mode() string {
 	return "time"
 }
 
-// sampledSweep runs one explicitly requested sampled pass over the
-// memoized run-compacted trace. When the runs are over the store's budget it
-// falls back to iterating the on-disk columnar trace block by block: the
-// sampling ask is still satisfied exactly as specified, just at disk
-// bandwidth instead of RAM.
-func (s *Server) sampledSweep(ctx context.Context, sp sweep.SampledPass, prof synth.Profile, seed uint64, n int64, spec SamplingSpec) (*sweep.SampledMatrix, error) {
-	if spec.Set > 1 {
-		sp.SetMod = spec.Set
-		sp.SetMatch = setMatch % spec.Set
-	} else {
-		sp.Window, sp.Period, sp.Warm = spec.Window, spec.Period, !spec.Skip
-	}
-	runs, release, err := s.store.RunsOnly(ctx, prof, seed, n)
-	if err == nil {
-		defer release()
-		return sp.Run(runs)
-	}
-	if !errors.Is(err, synth.ErrOverBudget) {
-		return nil, err
-	}
-	cf, release, err := s.store.Columnar(ctx, prof, seed, n)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	s.mColumnar.Add(1)
-	return sp.Sweep(trace.NewBlockReader(cf))
+// tierReasons says why an exact answer the memoized runs could not serve is
+// degraded: it is still exact, but was read at disk bandwidth or
+// regenerated instead of read from RAM.
+var tierReasons = [...]string{
+	synth.TierColumnar: "trace exceeds the store's hard RAM budget; answered exactly from the on-disk columnar trace",
+	synth.TierSeek:     "trace exceeds the store's hard budget; streamed without materializing",
 }
 
-// sweepMatrix answers one sweep through the degradation ladder; sp is the
-// request's unsampled (exact) pass. A request carrying an explicit sampling
-// spec runs sampled from the start (not degraded: reduced fidelity was the
-// ask; the sampled pass itself falls back from RAM runs to the on-disk
-// columnar trace). Otherwise: exact over the memoized run-compacted trace;
-// if the store refuses the runs, the columnar-disk tier (an EXACT answer
-// iterated block by block from the on-disk columnar trace at disk
-// bandwidth); streaming regeneration only if even the columnar file is over
-// budget.
-func (s *Server) sweepMatrix(ctx context.Context, sp sweep.SampledPass, prof synth.Profile, seed uint64, n int64, spec *SamplingSpec) (m *sweep.Matrix, sm *sweep.SampledMatrix, degraded bool, reason string, err error) {
-	if spec != nil {
-		sm, err = s.sampledSweep(ctx, sp, prof, seed, n, *spec)
-		if err == nil {
-			return nil, sm, false, "", nil
-		}
-		if !errors.Is(err, synth.ErrOverBudget) {
-			return nil, nil, false, "", err
-		}
-		if spec.seekable() {
-			// Skip-mode time sampling never looks at the skipped spans, so a
-			// checkpointed seekable source can serve the EXACT sampling ask
-			// in O(1) memory by jumping between measured windows.
-			sm, err = s.seekSampledSweep(sp, prof, seed, n, *spec)
-			if err == nil {
-				s.mSeek.Add(1)
-				return nil, sm, false, "", nil
-			}
-			if !errors.Is(err, synth.ErrOverBudget) {
-				return nil, nil, false, "", err
-			}
-		}
-		m, err = s.streamedSweep(sp, prof, seed, n)
-		return m, nil, true,
-			"sampling requested but even the columnar trace exceeds the store's hard budget; streamed an exact answer instead", err
-	}
-	runs, release, err := s.store.RunsOnly(ctx, prof, seed, n)
-	if err == nil {
-		defer release()
-		exact, err := sp.Run(runs)
-		if err != nil {
-			return nil, nil, false, "", err
-		}
-		return &exact.Matrix, nil, false, "", nil
-	}
-	if !errors.Is(err, synth.ErrOverBudget) {
-		return nil, nil, false, "", err
-	}
-	m, err = s.columnarSweep(ctx, sp, prof, seed, n)
-	if err == nil {
-		return m, nil, true,
-			"trace exceeds the store's hard RAM budget; answered exactly from the on-disk columnar trace", nil
-	}
-	if !errors.Is(err, synth.ErrOverBudget) {
-		return nil, nil, false, "", err
-	}
-	m, err = s.streamedSweep(sp, prof, seed, n)
-	return m, nil, true, "trace exceeds the store's hard budget; streamed without materializing", err
-}
-
-// columnarSweep is the columnar-disk rung: an exact pass iterated block by
-// block over the store's on-disk columnar trace in O(block) memory.
-func (s *Server) columnarSweep(ctx context.Context, sp sweep.SampledPass, prof synth.Profile, seed uint64, n int64) (*sweep.Matrix, error) {
-	cf, release, err := s.store.Columnar(ctx, prof, seed, n)
+// acquire gets a request's trace from the store — whichever tier the hard
+// budget admits — and counts the tier. It returns the degradation reason
+// when exact is set and the runs did not serve it; a sampled answer is
+// served as asked from any tier, so its tier never degrades it.
+func (s *Server) acquire(ctx context.Context, prof synth.Profile, seed uint64, n int64, exact bool) (trace.RunReader, string, func(), error) {
+	src, tier, release, err := s.store.Acquire(ctx, prof, seed, n)
 	if err != nil {
-		return nil, err
+		return nil, "", nil, err
 	}
-	defer release()
-	s.mColumnar.Add(1)
-	sm, err := sp.Sweep(trace.NewBlockReader(cf))
-	if err != nil {
-		return nil, err
+	switch tier {
+	case synth.TierColumnar:
+		s.mColumnar.Add(1)
+	case synth.TierSeek:
+		s.mSeek.Add(1)
 	}
-	return &sm.Matrix, nil
-}
-
-// seekSampledSweep is the seek-streaming rung for explicit skip-mode time
-// sampling: when neither the runs nor the columnar file fit the budget, the
-// pass runs over a checkpointed seekable source that jumps straight between
-// measured windows — the sampling ask is still honored exactly as
-// specified, generating only O(sampled refs) in O(1) memory.
-func (s *Server) seekSampledSweep(sp sweep.SampledPass, prof synth.Profile, seed uint64, n int64, spec SamplingSpec) (*sweep.SampledMatrix, error) {
-	sp.Window, sp.Period = spec.Window, spec.Period
-	src, release, err := s.store.SeekSource(prof, seed, n)
-	if err != nil {
-		return nil, err
+	if !exact {
+		return src, "", release, nil
 	}
-	defer release()
-	return sp.RunSeek(src)
-}
-
-// streamedSweep is the last rung: an exact pass over streaming regeneration
-// from the store's checkpointed seekable source, in O(1) memory.
-func (s *Server) streamedSweep(sp sweep.SampledPass, prof synth.Profile, seed uint64, n int64) (*sweep.Matrix, error) {
-	src, release, err := s.store.SeekSource(prof, seed, n)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	sm, err := sp.Sweep(trace.NewSeekReader(src))
-	if err != nil {
-		return nil, err
-	}
-	return &sm.Matrix, nil
+	return src, tierReasons[tier], release, nil
 }
 
 // --- /v1/replay ---------------------------------------------------------
@@ -881,175 +776,54 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 			}
 			engines[i] = e
 		}
-		results, sampled, degraded, why, err := s.replayBank(ctx, prof, req.Seed, n, engines, req.Sampling)
+		var plan replay.SamplePlan
+		if spec := req.Sampling; spec != nil {
+			plan = replay.SamplePlan{Window: spec.Window, Period: spec.Period, Warm: !spec.Skip}
+		}
+		src, why, release, err := s.acquire(ctx, prof, req.Seed, n, req.Sampling == nil)
 		if err != nil {
 			return runOutcome{err: s.errorFor(err)}
 		}
-		degraded = degraded || reason != ""
+		defer release()
+		results, err := replay.Run(ctx, src, engines, plan)
+		if err != nil {
+			return runOutcome{err: s.errorFor(err)}
+		}
+		degraded := reason != "" || why != ""
 		resp := &ReplayResponse{
 			Workload:       prof.Name,
 			Seed:           req.Seed,
 			Instructions:   n,
+			Results:        make([]EngineResult, len(results)),
 			Degraded:       degraded,
 			DegradedReason: joinReasons(reason, why),
 		}
-		if sampled != nil {
-			resp.Results = make([]EngineResult, len(sampled))
+		for i, res := range results {
+			m := res.Measured
+			resp.Results[i] = EngineResult{
+				Instructions: m.Instructions, Misses: m.Misses, BufferHits: m.BufferHits,
+				StallCycles: m.StallCycles, CPI: m.CPIinstr(), MPI: m.MPI(),
+			}
+		}
+		if req.Sampling != nil {
 			var ci float64
-			for i, sr := range sampled {
-				resp.Results[i] = EngineResult{
-					Instructions: sr.Measured.Instructions, Misses: sr.Measured.Misses,
-					BufferHits: sr.Measured.BufferHits, StallCycles: sr.Measured.StallCycles,
-					CPI: sr.Measured.CPIinstr(), MPI: sr.Estimate.MPI, CI95: sr.Estimate.CI95,
-				}
-				ci += sr.Estimate.CI95
+			for i, res := range results {
+				resp.Results[i].MPI, resp.Results[i].CI95 = res.Estimate.MPI, res.Estimate.CI95
+				ci += res.Estimate.CI95
 			}
 			// Coverage and the measured instruction count are properties of
 			// the shared sample schedule, identical across the bank.
-			est := sampled[0].Estimate
+			est := results[0].Estimate
 			resp.Sampling = &SamplingInfo{
 				Mode:                 "time",
 				Coverage:             est.Coverage,
-				CI95:                 ci / float64(len(sampled)),
+				CI95:                 ci / float64(len(results)),
 				MeasuredInstructions: est.SampledInstructions,
-			}
-		} else {
-			resp.Results = make([]EngineResult, len(results))
-			for i, res := range results {
-				resp.Results[i] = EngineResult{
-					Instructions: res.Instructions, Misses: res.Misses, BufferHits: res.BufferHits,
-					StallCycles: res.StallCycles, CPI: res.CPIinstr(), MPI: res.MPI(),
-				}
 			}
 		}
 		resp.ElapsedSeconds = time.Since(start).Seconds()
 		return runOutcome{value: resp, degraded: degraded}
 	})
-}
-
-// sampledReplay fans an explicitly requested time-sampled trace through the
-// bank over the memoized run-compacted trace. When the runs are over the
-// store's budget it falls back to block-granular sampled replay over the
-// on-disk columnar trace — skip-mode plans then seek straight to each
-// measured window through the block index instead of decoding the gaps.
-func (s *Server) sampledReplay(ctx context.Context, prof synth.Profile, seed uint64, n int64, engines []fetch.Engine, spec SamplingSpec) ([]replay.SampledResult, error) {
-	plan := replay.SamplePlan{Window: spec.Window, Period: spec.Period, Warm: !spec.Skip}
-	runs, release, err := s.store.RunsOnly(ctx, prof, seed, n)
-	if err == nil {
-		defer release()
-		return replay.Sampled(ctx, runs, engines, plan)
-	}
-	if !errors.Is(err, synth.ErrOverBudget) {
-		return nil, err
-	}
-	cf, release, err := s.store.Columnar(ctx, prof, seed, n)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	s.mColumnar.Add(1)
-	return replay.Run(ctx, trace.NewBlockReader(cf), engines, plan)
-}
-
-// replayBank fans the trace out through the engines, down the same
-// degradation ladder as sweepMatrix: an explicit sampling spec runs sampled
-// from the start (not degraded; the sampled replay itself falls back from
-// RAM runs to the on-disk columnar trace); otherwise exact over the
-// memoized run-compacted trace, then the columnar-disk tier (EXACT
-// block-granular fan-out from the on-disk columnar trace), and finally one
-// streaming regeneration for the whole bank.
-func (s *Server) replayBank(ctx context.Context, prof synth.Profile, seed uint64, n int64, engines []fetch.Engine, spec *SamplingSpec) (results []fetch.Result, sampled []replay.SampledResult, degraded bool, reason string, err error) {
-	if spec != nil {
-		sampled, err = s.sampledReplay(ctx, prof, seed, n, engines, *spec)
-		if err == nil {
-			return nil, sampled, false, "", nil
-		}
-		if !errors.Is(err, synth.ErrOverBudget) {
-			return nil, nil, false, "", err
-		}
-		if spec.seekable() {
-			// Over-budget failures happen before any engine is fed, so the
-			// bank is still fresh for the seek-streaming rung.
-			sampled, err = s.seekSampledReplay(ctx, prof, seed, n, engines, *spec)
-			if err == nil {
-				s.mSeek.Add(1)
-				return nil, sampled, false, "", nil
-			}
-			if !errors.Is(err, synth.ErrOverBudget) {
-				return nil, nil, false, "", err
-			}
-		}
-		results, err = s.streamedReplay(ctx, prof, seed, n, engines)
-		return results, nil, true,
-			"sampling requested but even the columnar trace exceeds the store's hard budget; replayed exactly from streaming regeneration", err
-	}
-	runs, release, err := s.store.RunsOnly(ctx, prof, seed, n)
-	if err == nil {
-		defer release()
-		results, err = replay.Replay(ctx, runs, engines)
-		return results, nil, false, "", err
-	}
-	if !errors.Is(err, synth.ErrOverBudget) {
-		return nil, nil, false, "", err
-	}
-	results, err = s.columnarReplay(ctx, prof, seed, n, engines)
-	if err == nil {
-		return results, nil, true,
-			"trace exceeds the store's hard RAM budget; answered exactly from the on-disk columnar trace", nil
-	}
-	if !errors.Is(err, synth.ErrOverBudget) {
-		return nil, nil, false, "", err
-	}
-	results, err = s.streamedReplay(ctx, prof, seed, n, engines)
-	return results, nil, true, "trace exceeds the store's hard budget; replayed from streaming regeneration", err
-}
-
-// seekSampledReplay is the replay path's seek-streaming rung for explicit
-// skip-mode time sampling: a checkpointed seekable source feeds the bank
-// only the measured windows, honoring the sampling ask exactly in O(1)
-// memory when neither runs nor the columnar file fit the budget.
-func (s *Server) seekSampledReplay(ctx context.Context, prof synth.Profile, seed uint64, n int64, engines []fetch.Engine, spec SamplingSpec) ([]replay.SampledResult, error) {
-	src, release, err := s.store.SeekSource(prof, seed, n)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return replay.SampledSeek(ctx, src, engines, replay.SamplePlan{Window: spec.Window, Period: spec.Period})
-}
-
-// columnarReplay is the replay path's columnar-disk rung: an exact
-// block-granular fan-out over the store's on-disk columnar trace,
-// parallelized across the bank (replay.BlocksParallel partitions the
-// simulated engines over the CPUs; results stay bit-identical to the serial
-// path, pinned by the differential/blocks-parallel check).
-func (s *Server) columnarReplay(ctx context.Context, prof synth.Profile, seed uint64, n int64, engines []fetch.Engine) ([]fetch.Result, error) {
-	cf, release, err := s.store.Columnar(ctx, prof, seed, n)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	s.mColumnar.Add(1)
-	return replay.BlocksParallel(ctx, cf, engines, runtime.GOMAXPROCS(0))
-}
-
-// streamedReplay is the replay path's last rung: one exact streaming
-// regeneration for the whole bank, from the store's checkpointed seekable
-// source, in O(1) memory.
-func (s *Server) streamedReplay(ctx context.Context, prof synth.Profile, seed uint64, n int64, engines []fetch.Engine) ([]fetch.Result, error) {
-	src, release, err := s.store.SeekSource(prof, seed, n)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	sampled, err := replay.Run(ctx, trace.NewSeekReader(src), engines, replay.SamplePlan{})
-	if err != nil {
-		return nil, err
-	}
-	results := make([]fetch.Result, len(sampled))
-	for i, r := range sampled {
-		results[i] = r.Measured
-	}
-	return results, nil
 }
 
 // --- /v1/exhibit --------------------------------------------------------

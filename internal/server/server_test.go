@@ -9,7 +9,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -786,86 +785,6 @@ func TestSamplingSpecValidation(t *testing.T) {
 	}
 }
 
-// Exact answers come from the run compaction: a store whose budget cannot
-// hold the ref trace but can hold its runs answers both endpoints exactly —
-// not degraded, no sampling block, the same numbers as an unlimited store —
-// and only a store too small for even the runs falls to streaming
-// regeneration. Sampling runs only when a request asks for it.
-func TestSamplingTierEngagesBeforeStreaming(t *testing.T) {
-	// eqntott at 100k: refs 1.6 MB, run compaction ~210 KB. 512 KiB sits
-	// between the two.
-	const midBudget, tinyBudget = 1 << 19, 1 << 10
-	run := func(t *testing.T, hardBudget int64) (SweepResponse, ReplayResponse) {
-		t.Helper()
-		_, ts := testServer(t, func(c *Config) {
-			if hardBudget > 0 {
-				c.Store = synth.NewStoreLimits(1<<26, hardBudget)
-			}
-		})
-		sreq := SweepRequest{Workload: "eqntott", Instructions: 100_000, LineSize: 32,
-			Cells: []CellSpec{{Sets: 256, Assoc: 1}, {Sets: 1024, Assoc: 1}}}
-		var sresp SweepResponse
-		if code, raw := postJSON(t, ts.URL+"/v1/sweep", sreq, &sresp); code != 200 {
-			t.Fatalf("sweep = %d: %s", code, raw)
-		}
-		rreq := ReplayRequest{Workload: "eqntott", Instructions: 100_000,
-			Engines: []EngineSpec{{Size: 8192, LineSize: 32, Assoc: 1, Link: LinkSpec{Name: "economy"}}}}
-		var rresp ReplayResponse
-		if code, raw := postJSON(t, ts.URL+"/v1/replay", rreq, &rresp); code != 200 {
-			t.Fatalf("replay = %d: %s", code, raw)
-		}
-		sresp.ElapsedSeconds, rresp.ElapsedSeconds = 0, 0
-		return sresp, rresp
-	}
-
-	wantSweep, wantReplay := run(t, 0) // unlimited store: the exact oracle
-	midSweep, midReplay := run(t, midBudget)
-	for name, resp := range map[string]struct {
-		degraded bool
-		reason   string
-		sampling *SamplingInfo
-	}{
-		"sweep":  {midSweep.Degraded, midSweep.DegradedReason, midSweep.Sampling},
-		"replay": {midReplay.Degraded, midReplay.DegradedReason, midReplay.Sampling},
-	} {
-		if resp.degraded {
-			t.Errorf("%s: mid-budget store degraded (reason %q), want an exact answer from the runs", name, resp.reason)
-		}
-		if resp.sampling != nil {
-			t.Errorf("%s: mid-budget answer carries a sampling block %+v", name, resp.sampling)
-		}
-	}
-	if !reflect.DeepEqual(midSweep, wantSweep) {
-		t.Errorf("mid-budget sweep %+v != unlimited %+v", midSweep, wantSweep)
-	}
-	if !reflect.DeepEqual(midReplay, wantReplay) {
-		t.Errorf("mid-budget replay %+v != unlimited %+v", midReplay, wantReplay)
-	}
-
-	tinySweep, tinyReplay := run(t, tinyBudget)
-	if !tinySweep.Degraded || !tinyReplay.Degraded {
-		t.Fatal("tiny-budget store did not degrade")
-	}
-	if tinySweep.Sampling != nil || tinyReplay.Sampling != nil {
-		t.Error("tiny-budget store should stream exactly, not sample")
-	}
-	for name, reason := range map[string]string{
-		"sweep": tinySweep.DegradedReason, "replay": tinyReplay.DegradedReason,
-	} {
-		if !strings.Contains(reason, "stream") {
-			t.Errorf("%s: tiny-budget reason %q does not mention streaming", name, reason)
-		}
-	}
-	for i := range wantSweep.Cells {
-		if tinySweep.Cells[i].Misses != wantSweep.Cells[i].Misses {
-			t.Errorf("sweep cell %d: streamed %d != exact %d", i, tinySweep.Cells[i].Misses, wantSweep.Cells[i].Misses)
-		}
-	}
-	if tinyReplay.Results[0] != wantReplay.Results[0] {
-		t.Errorf("replay: streamed %+v != exact %+v", tinyReplay.Results[0], wantReplay.Results[0])
-	}
-}
-
 // A sweep and a replay of the same trace share one store entry holding
 // only the run compaction: the server never materializes the 16-byte
 // per-reference trace.
@@ -889,83 +808,5 @@ func TestSweepAndReplayShareOneRunsEntry(t *testing.T) {
 	}
 	if refs := synth.TraceBytes(n, false); st.IdleBytes >= refs {
 		t.Errorf("store keeps %d idle bytes, want fewer than the %d bytes of the ref trace", st.IdleBytes, refs)
-	}
-}
-
-// The columnar-disk tier sits between sampling and streaming: a store whose
-// budget rejects even the run compaction but admits the much smaller
-// columnar file answers EXACTLY from disk — same numbers as an unlimited
-// store, marked degraded with a columnar reason and no sampling block. An
-// explicit sampling request at the same budget is satisfied as asked
-// (sampled over the columnar blocks, not degraded).
-func TestColumnarTierEngagesBeforeStreaming(t *testing.T) {
-	// eqntott at 100k: refs 1.6 MB, run compaction ~210 KB, columnar file
-	// tens of KB. 128 KiB sits between the last two.
-	const colBudget = 1 << 17
-	sreq := SweepRequest{Workload: "eqntott", Instructions: 100_000, LineSize: 32,
-		Cells: []CellSpec{{Sets: 256, Assoc: 1}, {Sets: 1024, Assoc: 1}}}
-	rreq := ReplayRequest{Workload: "eqntott", Instructions: 100_000,
-		Engines: []EngineSpec{{Size: 8192, LineSize: 32, Assoc: 1, Link: LinkSpec{Name: "economy"}}}}
-
-	_, ref := testServer(t, nil) // unlimited store: the exact oracle
-	var wantSweep SweepResponse
-	if code, raw := postJSON(t, ref.URL+"/v1/sweep", sreq, &wantSweep); code != 200 {
-		t.Fatalf("reference sweep = %d: %s", code, raw)
-	}
-	var wantReplay ReplayResponse
-	if code, raw := postJSON(t, ref.URL+"/v1/replay", rreq, &wantReplay); code != 200 {
-		t.Fatalf("reference replay = %d: %s", code, raw)
-	}
-
-	s, ts := testServer(t, func(c *Config) {
-		c.Store = synth.NewStoreLimits(1<<26, colBudget)
-	})
-	var sresp SweepResponse
-	if code, raw := postJSON(t, ts.URL+"/v1/sweep", sreq, &sresp); code != 200 {
-		t.Fatalf("sweep = %d: %s", code, raw)
-	}
-	var rresp ReplayResponse
-	if code, raw := postJSON(t, ts.URL+"/v1/replay", rreq, &rresp); code != 200 {
-		t.Fatalf("replay = %d: %s", code, raw)
-	}
-
-	if !sresp.Degraded || !strings.Contains(sresp.DegradedReason, "columnar") {
-		t.Errorf("sweep: degraded=%v reason=%q, want columnar tier", sresp.Degraded, sresp.DegradedReason)
-	}
-	if sresp.Sampling != nil {
-		t.Error("sweep: columnar tier attached a sampling block to an exact answer")
-	}
-	for i := range wantSweep.Cells {
-		if sresp.Cells[i].Misses != wantSweep.Cells[i].Misses {
-			t.Errorf("sweep cell %d: columnar %d misses, exact %d", i, sresp.Cells[i].Misses, wantSweep.Cells[i].Misses)
-		}
-	}
-	if !rresp.Degraded || !strings.Contains(rresp.DegradedReason, "columnar") {
-		t.Errorf("replay: degraded=%v reason=%q, want columnar tier", rresp.Degraded, rresp.DegradedReason)
-	}
-	for i := range wantReplay.Results {
-		if rresp.Results[i] != wantReplay.Results[i] {
-			t.Errorf("replay engine %d: columnar %+v != exact %+v", i, rresp.Results[i], wantReplay.Results[i])
-		}
-	}
-	if got := s.mColumnar.Value(); got != 2 {
-		t.Errorf("columnar_tier_total = %d, want 2", got)
-	}
-
-	// An explicit sampling ask at the same budget is served sampled from the
-	// columnar blocks — honored, so not degraded.
-	rreq.Sampling = &SamplingSpec{Window: 1000, Period: 8000, Skip: true}
-	var sampled ReplayResponse
-	if code, raw := postJSON(t, ts.URL+"/v1/replay", rreq, &sampled); code != 200 {
-		t.Fatalf("sampled replay = %d: %s", code, raw)
-	}
-	if sampled.Degraded {
-		t.Errorf("explicit sampling over columnar marked degraded: %q", sampled.DegradedReason)
-	}
-	if sampled.Sampling == nil || sampled.Sampling.CI95 <= 0 {
-		t.Errorf("explicit sampling over columnar returned no intervals: %+v", sampled.Sampling)
-	}
-	if got := s.mColumnar.Value(); got != 3 {
-		t.Errorf("columnar_tier_total after sampled ask = %d, want 3", got)
 	}
 }

@@ -3,7 +3,6 @@ package synth
 import (
 	"bytes"
 	"context"
-	"os"
 	"sync"
 	"testing"
 
@@ -295,117 +294,6 @@ func TestStoreRunsOnlyPrefixResume(t *testing.T) {
 			t.Fatalf("run %d = %+v, want %+v", i, resumed[i], want[i])
 		}
 	}
-}
-
-// TestParallelSpillByteIdentical: the fan-out columnar spill must produce a
-// byte-identical file to the sequential spill, for trace lengths that are
-// and are not a whole number of chunks.
-func TestParallelSpillByteIdentical(t *testing.T) {
-	prof, err := Lookup("mpeg_play")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	for _, n := range []int64{100_000, 100_001} {
-		seq := NewStore(DefaultIdleBudget)
-		seq.SetCheckpointEvery(minCheckpointEvery)
-		cfS, relS, err := seq.Columnar(ctx, prof, 0, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantBytes, err := os.ReadFile(pathOf(t, seq, prof, 0, n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = cfS
-
-		par := NewStore(DefaultIdleBudget)
-		par.SetCheckpointEvery(minCheckpointEvery)
-		par.SetSpillWorkers(4)
-		cfP, relP, err := par.Columnar(ctx, prof, 0, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotBytes, err := os.ReadFile(pathOf(t, par, prof, 0, n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = cfP
-		if !bytes.Equal(gotBytes, wantBytes) {
-			t.Fatalf("n=%d: parallel spill differs from sequential (%d vs %d bytes)", n, len(gotBytes), len(wantBytes))
-		}
-		relS()
-		relP()
-		seq.Purge()
-		par.Purge()
-	}
-}
-
-// pathOf digs a columnar entry's backing path out of the store (test-only).
-func pathOf(t *testing.T, s *Store, prof Profile, seed uint64, n int64) string {
-	t.Helper()
-	key := storeKey{prof: prof, seed: seed, n: n, columnar: true}
-	key.prof.Data = DataProfile{}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[key]
-	if !ok {
-		t.Fatal("columnar entry not found")
-	}
-	return e.path
-}
-
-// TestParallelSpillWarmIndex: a second parallel spill over a warm checkpoint
-// index (the scout restores instead of regenerating) must still be
-// byte-identical.
-func TestParallelSpillWarmIndex(t *testing.T) {
-	prof, err := Lookup("gs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	const n = 80_000
-	s := NewStore(DefaultIdleBudget)
-	s.SetCheckpointEvery(minCheckpointEvery)
-	s.SetSpillWorkers(3)
-	_, rel, err := s.Columnar(ctx, prof, 0, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := os.ReadFile(pathOf(t, s, prof, 0, n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel()
-	s.Purge() // drops the file; the checkpoint index survives while... Purge drops idle entries too
-	// Purge also dropped the idle index, so re-warm it explicitly.
-	ix, done := s.Checkpoints(prof, 0)
-	ssrc, err := NewSeekSource(prof, 0, n, ix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		if _, ok := ssrc.Next(); !ok {
-			break
-		}
-	}
-	if ix.Len() == 0 {
-		t.Fatal("index not warmed")
-	}
-	_, rel2, err := s.Columnar(ctx, prof, 0, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := os.ReadFile(pathOf(t, s, prof, 0, n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first, second) {
-		t.Fatal("warm-index parallel spill differs from cold spill")
-	}
-	rel2()
-	done()
-	s.Purge()
 }
 
 // TestStoreSeekSourceConcurrent: many goroutines seeking and reading their

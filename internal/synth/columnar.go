@@ -37,53 +37,13 @@ const colSpillBuf = 1 << 16
 // after which the file handle must not be used. A trace whose columnar
 // encoding exceeds the hard budget fails with ErrOverBudget.
 func (s *Store) Columnar(ctx context.Context, prof Profile, seed uint64, n int64) (*trace.ColumnarFile, func(), error) {
-	if err := ctx.Err(); err != nil {
+	e, release, err := s.acquire(ctx, storeKey{prof: prof, seed: seed, n: n, kind: kindColumnar}, func() (payload, error) {
+		return s.writeColumnar(prof, seed, n)
+	})
+	if err != nil {
 		return nil, nil, err
 	}
-	key := storeKey{prof: prof, seed: seed, n: n, columnar: true}
-	key.prof.Data = DataProfile{}
-	s.mu.Lock()
-	e, ok := s.entries[key]
-	if ok {
-		s.stats.Hits++
-		if e.refcount == 0 {
-			s.idleBytes -= entryBytes(e)
-		}
-		e.refcount++
-		s.tick++
-		e.lastUse = s.tick
-		s.mu.Unlock()
-		select {
-		case <-e.ready:
-		case <-ctx.Done():
-			s.release(key, e)
-			return nil, nil, ctx.Err()
-		}
-		if e.err != nil {
-			s.release(key, e)
-			return nil, nil, e.err
-		}
-		return e.cf, s.releaseOnce(key, e), nil
-	}
-	s.stats.Misses++
-	e = &storeEntry{ready: make(chan struct{}), refcount: 1}
-	s.tick++
-	e.lastUse = s.tick
-	s.entries[key] = e
-	s.mu.Unlock()
-
-	e.cf, e.path, e.fileBytes, e.err = s.writeColumnar(prof, seed, n)
-	if e.err == nil {
-		s.mu.Lock()
-		s.stats.Spills++
-		s.mu.Unlock()
-	}
-	close(e.ready)
-	if e.err != nil {
-		s.release(key, e)
-		return nil, nil, e.err
-	}
-	return e.cf, s.releaseOnce(key, e), nil
+	return e.cf, release, nil
 }
 
 // spillDir returns the store's columnar spill directory, creating a
@@ -187,36 +147,34 @@ func (w *countWriter) Write(p []byte) (int, error) {
 // fly (same semantics as trace.Compact — the columnar blocks decode to
 // exactly the runs RunsOnly would return), and writes it block by block to
 // a fresh file in the spill directory, which it then opens for reading.
-// Generation goes through a store-attached seekable generator: the pass
-// registers checkpoints, resumes from any memoized runs-only prefix, and —
-// when SetSpillWorkers enabled it — fans chunks out across goroutines
-// (spill.go). Every path produces byte-identical files.
+// Generation goes through a store-attached seekable generator, so the pass
+// registers checkpoints and resumes from any memoized runs-only prefix.
 //
 // Publication is crash-safe: the encoding streams into an atomicio-style
 // temp file, is fsynced, and only then renamed to its published trace-*.ibsc
 // name — so a power failure at any instant leaves either sweepable temp
 // debris or a complete, CRC-valid published file, never a torn file under a
 // published name.
-func (s *Store) writeColumnar(prof Profile, seed uint64, n int64) (*trace.ColumnarFile, string, int64, error) {
+func (s *Store) writeColumnar(prof Profile, seed uint64, n int64) (payload, error) {
 	g, done, err := s.seekGen(prof, seed)
 	if err != nil {
-		return nil, "", 0, err
+		return payload{}, err
 	}
 	defer done()
 	dir, err := s.spillDir()
 	if err != nil {
-		return nil, "", 0, err
+		return payload{}, err
 	}
 	fsys := s.fs()
 	f, err := fsys.CreateTemp(dir, ".trace.ibsc.tmp-*")
 	if err != nil {
-		return nil, "", 0, fmt.Errorf("synth: creating columnar spill file: %w", err)
+		return payload{}, fmt.Errorf("synth: creating columnar spill file: %w", err)
 	}
 	tmp := f.Name()
-	fail := func(err error) (*trace.ColumnarFile, string, int64, error) {
+	fail := func(err error) (payload, error) {
 		f.Close()
 		fsys.Remove(tmp)
-		return nil, "", 0, err
+		return payload{}, err
 	}
 
 	cw := &countWriter{f: f}
@@ -225,15 +183,7 @@ func (s *Store) writeColumnar(prof Profile, seed uint64, n int64) (*trace.Column
 	if err != nil {
 		return fail(err)
 	}
-	s.mu.Lock()
-	workers := s.spillWorkers
-	s.mu.Unlock()
-	if workers > 1 && n >= 2*spillChunk(g) {
-		err = s.spillParallel(g, n, workers, w, cw)
-	} else {
-		err = s.spillSequential(g, prof, seed, n, w, cw)
-	}
-	if err != nil {
+	if err := s.spill(g, prof, seed, n, w, cw); err != nil {
 		return fail(err)
 	}
 	if err := w.Close(); err != nil {
@@ -258,13 +208,59 @@ func (s *Store) writeColumnar(prof Profile, seed uint64, n int64) (*trace.Column
 	s.mu.Unlock()
 	if err := fsys.Rename(tmp, path); err != nil {
 		fsys.Remove(tmp)
-		return nil, "", 0, fmt.Errorf("synth: publishing columnar spill: %w", err)
+		return payload{}, fmt.Errorf("synth: publishing columnar spill: %w", err)
 	}
 	fsys.SyncDir(dir) // best effort: persist the publish itself
 	cf, err := trace.OpenColumnar(path)
 	if err != nil {
 		fsys.Remove(path)
-		return nil, "", 0, fmt.Errorf("synth: reopening columnar spill: %w", err)
+		return payload{}, fmt.Errorf("synth: reopening columnar spill: %w", err)
 	}
-	return cf, path, cw.n, nil
+	s.mu.Lock()
+	s.stats.Spills++
+	s.mu.Unlock()
+	return payload{cf: cf, path: path, fileBytes: cw.n}, nil
+}
+
+// spill streams g through an inline run compaction into w, resuming from
+// the longest memoized runs-only prefix. The extension condition mirrors
+// trace.Compactor.Add exactly; only the open run is held.
+func (s *Store) spill(g *Generator, prof Profile, seed uint64, n int64, w *trace.ColumnarWriter, cw *countWriter) error {
+	var cur trace.Run
+	var next uint64
+	if prefix, start := s.runsPrefix(prof, seed, n); start > 0 {
+		for _, r := range prefix[:len(prefix)-1] {
+			if err := w.PutRun(r); err != nil {
+				return err
+			}
+		}
+		cur = prefix[len(prefix)-1]
+		next = cur.End()
+		if err := g.SeekTo(start); err != nil {
+			return err
+		}
+	}
+	for g.Instructions() < n {
+		r, _ := g.Next()
+		if cur.Len > 0 && r.Addr == next && r.Domain == cur.Domain && next != 0 {
+			cur.Len++
+			next += trace.InstrBytes
+		} else {
+			if cur.Len > 0 {
+				if err := w.PutRun(cur); err != nil {
+					return err
+				}
+			}
+			cur = trace.Run{Start: r.Addr, Len: 1, Domain: r.Domain}
+			next = r.Addr + trace.InstrBytes
+		}
+		if g.Instructions()&budgetCheckMask == 0 && s.hardBudget > 0 && cw.n > s.hardBudget {
+			return fmt.Errorf("%w: columnar encoding of %d instructions already exceeds %d bytes on disk",
+				ErrOverBudget, n, s.hardBudget)
+		}
+	}
+	if cur.Len > 0 {
+		return w.PutRun(cur)
+	}
+	return nil
 }

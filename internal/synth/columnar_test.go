@@ -150,7 +150,46 @@ func TestStoreColumnarEvictionDeletesFile(t *testing.T) {
 
 // storeKeyColumnar builds the columnar key the way Columnar does.
 func storeKeyColumnar(p Profile, seed uint64, n int64) storeKey {
-	k := storeKey{prof: p, seed: seed, n: n, columnar: true}
+	k := storeKey{prof: p, seed: seed, n: n, kind: kindColumnar}
 	k.prof.Data = DataProfile{}
 	return k
+}
+
+// Stats reads every entry's spill size while Columnar fills entries on
+// other goroutines, as ibsimd's /metrics does while requests spill. Under
+// -race the two must never touch an entry unsynchronized.
+func TestStoreStatsConcurrentWithSpills(t *testing.T) {
+	p, err := Lookup("gs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewStore(0) // every release evicts, deleting the file
+	defer s.Purge()
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				s.Stats()
+			}
+		}
+	}()
+	ctx := context.Background()
+	const spills = 200
+	for seed := uint64(0); seed < spills; seed++ {
+		_, release, err := s.Columnar(ctx, p, seed, 2_000)
+		if err != nil {
+			t.Error(err)
+			break
+		}
+		release()
+	}
+	close(stop)
+	<-done
+	if st := s.Stats(); st.Spills != spills || st.SpillBytes != 0 {
+		t.Errorf("stats after %d released spills = %+v, want %d spills and no bytes on disk", spills, st, spills)
+	}
 }

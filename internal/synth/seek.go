@@ -7,14 +7,13 @@ import (
 // Seekable streaming tier of the store.
 //
 // Every generation pass the store runs — materializing refs, streaming run
-// compaction, columnar spill, streaming fallback — attaches the store's
+// compaction, columnar spill, Acquire's seek tier — attaches the store's
 // per-(profile, seed) CheckpointIndex to its generator, so the pass leaves
 // behind a trail of restore points as a side effect. Later passes over the
 // same workload then position themselves in O(checkpoint interval) instead
 // of regenerating from instruction zero: skip-mode sampled sweeps jump
-// straight to window starts, RunsOnly and Columnar resume from the longest
-// memoized prefix, and the parallel columnar spill hands each goroutine a
-// boundary snapshot (see spill.go).
+// straight to window starts, and RunsOnly and Columnar resume from the
+// longest memoized prefix.
 
 // SeekSource is a seekable, instruction-only streaming source: exactly the
 // stream InstrSource yields, plus SeekTo. It implements trace.Seeker. A
@@ -74,7 +73,7 @@ var _ trace.Seeker = (*SeekSource)(nil)
 // not counted in Stats.Hits/Misses (the index is metadata about a trace, not
 // a trace).
 func (s *Store) Checkpoints(prof Profile, seed uint64) (*CheckpointIndex, func()) {
-	key := storeKey{prof: prof, seed: seed, ckpt: true}
+	key := storeKey{prof: prof, seed: seed, kind: kindCheckpoints}
 	key.prof.Data = DataProfile{}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -137,14 +136,14 @@ func (s *Store) SeekSource(prof Profile, seed uint64, n int64) (*SeekSource, fun
 // instruction count — the resume point for a longer compaction pass. Returns
 // (nil, 0) when no usable prefix is cached.
 func (s *Store) runsPrefix(prof Profile, seed uint64, n int64) ([]trace.Run, int64) {
-	want := storeKey{prof: prof, seed: seed, runsOnly: true}
+	want := storeKey{prof: prof, seed: seed, kind: kindRuns}
 	want.prof.Data = DataProfile{}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var best *storeEntry
 	var bestN int64
 	for k, e := range s.entries {
-		if !k.runsOnly || k.prof != want.prof || k.seed != want.seed || k.n > n || k.n <= bestN {
+		if k.kind != kindRuns || k.prof != want.prof || k.seed != want.seed || k.n > n || k.n <= bestN {
 			continue
 		}
 		select {

@@ -12,8 +12,8 @@ import (
 )
 
 // ErrOverBudget reports a request to materialize a trace larger than the
-// store's hard memory budget. Callers that can consume a stream should fall
-// back to Source, which regenerates over budget in O(1) memory.
+// store's hard memory budget. Callers that can consume a run reader should
+// use Acquire, which steps down to a tier the budget admits instead.
 var ErrOverBudget = errors.New("synth: trace exceeds store hard memory budget")
 
 // DefaultIdleBudget bounds the bytes the default Store keeps alive for
@@ -26,50 +26,57 @@ const DefaultIdleBudget = 1 << 30
 // trace is generated once per process instead of once per experiment.
 var DefaultStore = NewStore(DefaultIdleBudget)
 
-// storeKey identifies one materialized instruction trace. The full Profile
-// value (comparable: scalars and fixed-size arrays only) participates so
+// entryKind names the form a store entry holds. Each form has its own key
+// space, so a budget admitting one form never aliases an entry holding
+// another.
+type entryKind uint8
+
+const (
+	kindRefs        entryKind = iota // per-reference slice (Instr), plus runs once InstrRuns asks
+	kindRuns                         // run-length compaction only (RunsOnly)
+	kindColumnar                     // on-disk columnar file (Columnar, see columnar.go)
+	kindCheckpoints                  // checkpoint index for (prof, seed); n is always 0 (see seek.go)
+)
+
+// storeKey identifies one memoized trace form. The full Profile value
+// (comparable: scalars and fixed-size arrays only) participates so
 // same-named variants — e.g. the Mach and Ultrix builds of an IBS workload,
 // or a caller-tweaked profile — never alias each other's traces.
 type storeKey struct {
 	prof Profile
 	seed uint64
 	n    int64
-	// runsOnly marks entries holding only the run-length compaction (no
-	// per-reference slice) — RunsOnly's key space, disjoint from Instr's so
-	// a budget admitting the runs never aliases an entry holding the refs.
-	runsOnly bool
-	// columnar marks entries holding an on-disk columnar trace file
-	// (Columnar's key space — see columnar.go).
-	columnar bool
-	// ckpt marks entries holding a checkpoint index for (prof, seed) — the
-	// seekable-generation tier's key space (see seek.go). n is always 0: one
-	// index serves every trace length of the pair.
-	ckpt bool
+	kind entryKind
+}
+
+// payload is what filling an entry produces: the refs of a kindRefs entry,
+// the runs of a kindRuns entry, or a columnar entry's opened file cf, its
+// location path and its on-disk size fileBytes (what the budgets charge;
+// the live-memory cost is one mmap'd block).
+type payload struct {
+	refs      []trace.Ref
+	runs      []trace.Run
+	cf        *trace.ColumnarFile
+	path      string
+	fileBytes int64
 }
 
 // storeEntry is one memoized trace with its reference count.
 type storeEntry struct {
-	ready chan struct{} // closed once refs/err are set
-	refs  []trace.Ref
-	err   error
+	ready chan struct{} // closed once payload/err are published
+	payload
+	err error
 
-	// runs is the run-length compaction of refs, computed lazily by the
-	// first InstrRuns caller and shared (read-only) from then on. It is
-	// assigned under the store mutex so the idle-byte accounting, which
-	// reads len(runs) under the same mutex, never races the compaction.
+	// runsOnce guards the lazy compaction InstrRuns adds to a kindRefs
+	// entry. runs is assigned under the store mutex so the idle-byte
+	// accounting, which reads len(runs) under the same mutex, never races
+	// the compaction.
 	runsOnce sync.Once
-	runs     []trace.Run
 
-	// Columnar entries live on disk instead of in refs/runs: cf is the
-	// opened file, path its location, fileBytes its on-disk size (what the
-	// budgets charge — the live-memory cost is one mmap'd block).
-	cf        *trace.ColumnarFile
-	path      string
-	fileBytes int64
-
-	// ckix is the checkpoint index of a ckpt entry (see seek.go). Its bytes
-	// only change while some holder's generator appends to it, i.e. while
-	// refcount > 0, so the idle accounting at the 0-transition stays exact.
+	// ckix is the checkpoint index of a kindCheckpoints entry (see
+	// seek.go). Its bytes only change while some holder's generator appends
+	// to it, i.e. while refcount > 0, so the idle accounting at the
+	// 0-transition stays exact.
 	ckix *CheckpointIndex
 
 	refcount int
@@ -109,12 +116,9 @@ func (s *Store) dropEntry(e *storeEntry) {
 }
 
 // Stats reports store activity; Idle is the byte count held only by the
-// memoization cache (no outstanding handle). Fallbacks counts Source
-// requests served by streaming regeneration because materializing would
-// have exceeded the hard budget.
+// memoization cache (no outstanding handle).
 type Stats struct {
 	Hits, Misses, Evictions int64
-	Fallbacks               int64
 	// Spills counts columnar traces generated to disk (cache misses on the
 	// Columnar tier); SpillBytes is their current total on-disk footprint.
 	Spills     int64
@@ -152,10 +156,8 @@ type Store struct {
 	spillSeq   int64      // publication counter for trace-<seq>.ibsc names
 
 	// ckEvery is the recording interval for new checkpoint indexes
-	// (0 = DefaultCheckpointEvery); spillWorkers > 1 enables the parallel
-	// columnar spill path (see seek.go, spill.go).
-	ckEvery      int64
-	spillWorkers int
+	// (0 = DefaultCheckpointEvery; see seek.go).
+	ckEvery int64
 }
 
 // NewStore returns an empty store keeping at most idleBudget bytes of
@@ -166,9 +168,9 @@ func NewStore(idleBudget int64) *Store {
 }
 
 // NewStoreLimits returns a store with both an idle-cache budget and a hard
-// per-trace materialization budget: an Instr request whose trace would
+// per-trace materialization budget: a request whose trace form would
 // retain more than hardBudget bytes fails with ErrOverBudget instead of
-// attempting the allocation, and Source degrades to streaming regeneration.
+// attempting the allocation, and Acquire steps down to a cheaper form.
 // hardBudget 0 means unlimited.
 func NewStoreLimits(idleBudget, hardBudget int64) *Store {
 	return &Store{entries: make(map[storeKey]*storeEntry), idleBudget: idleBudget, hardBudget: hardBudget}
@@ -212,58 +214,23 @@ func (s *Store) Instr(prof Profile, seed uint64, n int64) ([]trace.Ref, func(), 
 // caller may still want it); an abandoned wait releases the caller's
 // reference, so it cannot leak the entry.
 func (s *Store) InstrCtx(ctx context.Context, prof Profile, seed uint64, n int64) ([]trace.Ref, func(), error) {
-	if err := ctx.Err(); err != nil {
+	e, release, err := s.instr(ctx, prof, seed, n)
+	if err != nil {
 		return nil, nil, err
 	}
+	return e.refs, release, nil
+}
+
+// instr acquires the kindRefs entry for (prof, seed, n).
+func (s *Store) instr(ctx context.Context, prof Profile, seed uint64, n int64) (*storeEntry, func(), error) {
 	if s.hardBudget > 0 && n*refBytes > s.hardBudget {
 		return nil, nil, fmt.Errorf("%w: %d refs need %d bytes, budget %d",
 			ErrOverBudget, n, n*refBytes, s.hardBudget)
 	}
-	key := storeKey{prof: prof, seed: seed, n: n}
-	// InstrTrace zeroes the data profile, so profiles differing only there
-	// yield the same instruction stream — normalize to share the entry.
-	key.prof.Data = DataProfile{}
-	s.mu.Lock()
-	e, ok := s.entries[key]
-	if ok {
-		s.stats.Hits++
-		if e.refcount == 0 {
-			// Leaving the idle cache: its bytes are accounted to the holder.
-			s.idleBytes -= entryBytes(e)
-		}
-		e.refcount++
-		s.tick++
-		e.lastUse = s.tick
-		s.mu.Unlock()
-		select {
-		case <-e.ready:
-		case <-ctx.Done():
-			// Safe: the generating caller holds its own reference until the
-			// entry is ready, so this decrement cannot free an unfinished
-			// entry out from under it.
-			s.release(key, e)
-			return nil, nil, ctx.Err()
-		}
-		if e.err != nil {
-			s.release(key, e)
-			return nil, nil, e.err
-		}
-		return e.refs, s.releaseOnce(key, e), nil
-	}
-	s.stats.Misses++
-	e = &storeEntry{ready: make(chan struct{}), refcount: 1}
-	s.tick++
-	e.lastUse = s.tick
-	s.entries[key] = e
-	s.mu.Unlock()
-
-	e.refs, e.err = s.instrTrace(prof, seed, n)
-	close(e.ready)
-	if e.err != nil {
-		s.release(key, e)
-		return nil, nil, e.err
-	}
-	return e.refs, s.releaseOnce(key, e), nil
+	return s.acquire(ctx, storeKey{prof: prof, seed: seed, n: n, kind: kindRefs}, func() (payload, error) {
+		refs, err := s.instrTrace(prof, seed, n)
+		return payload{refs: refs}, err
+	})
 }
 
 // InstrRuns is InstrCtx returning, alongside the memoized trace, its
@@ -280,80 +247,154 @@ func (s *Store) InstrRuns(ctx context.Context, prof Profile, seed uint64, n int6
 		return nil, nil, nil, fmt.Errorf("%w: %d refs with runs need up to %d bytes, budget %d",
 			ErrOverBudget, n, n*(refBytes+runBytes), s.hardBudget)
 	}
-	refs, release, err := s.InstrCtx(ctx, prof, seed, n)
+	e, release, err := s.instr(ctx, prof, seed, n)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	key := storeKey{prof: prof, seed: seed, n: n}
-	key.prof.Data = DataProfile{}
-	s.mu.Lock()
-	// The handle we hold pins the entry: it cannot be evicted or replaced
-	// while refcount > 0, so this lookup is exactly our entry.
-	e := s.entries[key]
-	s.mu.Unlock()
 	e.runsOnce.Do(func() {
-		runs := trace.Compact(refs)
+		runs := trace.Compact(e.refs)
 		s.mu.Lock()
 		e.runs = runs
 		s.mu.Unlock()
 	})
-	return refs, e.runs, release, nil
+	return e.refs, e.runs, release, nil
 }
 
 // RunsOnly returns prof's run-length-compacted instruction trace for
 // (seed, n) WITHOUT materializing the per-reference stream: generation
 // streams through an incremental trace.Compactor, so peak memory is O(runs)
 // — about 3.3 bytes per instruction on the IBS traces against the refs' 16
-// (instruction fetch is overwhelmingly sequential). This is ibsimd's
-// in-memory trace path, exact and sampled alike: a request whose refs would
-// exceed the hard budget usually still fits as runs. Unlike Instr, the hard
-// budget is enforced against the ACTUAL compacted size as it grows, not a
-// worst-case estimate; a pathologically non-sequential stream aborts with
-// ErrOverBudget mid-generation. The slice is shared and read-only; the
-// release function must be called exactly once.
+// (instruction fetch is overwhelmingly sequential). It is Acquire's first
+// tier: a request whose refs would exceed the hard budget usually still
+// fits as runs. Unlike Instr, the hard budget is enforced against the
+// ACTUAL compacted size as it grows, not a worst-case estimate; a
+// pathologically non-sequential stream aborts with ErrOverBudget
+// mid-generation. The slice is shared and read-only; the release function
+// must be called exactly once.
 func (s *Store) RunsOnly(ctx context.Context, prof Profile, seed uint64, n int64) ([]trace.Run, func(), error) {
+	e, release, err := s.acquire(ctx, storeKey{prof: prof, seed: seed, n: n, kind: kindRuns}, func() (payload, error) {
+		runs, err := s.compactStream(prof, seed, n)
+		return payload{runs: runs}, err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return e.runs, release, nil
+}
+
+// Tier names the form in which Acquire serves a trace, cheapest first.
+type Tier uint8
+
+const (
+	// TierRuns is the memoized run compaction in RAM (RunsOnly).
+	TierRuns Tier = iota
+	// TierColumnar is the on-disk columnar spill, read block by block
+	// (Columnar).
+	TierColumnar
+	// TierSeek is checkpointed regeneration in O(1) memory (SeekSource); it
+	// never fails the budget.
+	TierSeek
+)
+
+// String returns the tier's name.
+func (t Tier) String() string {
+	switch t {
+	case TierRuns:
+		return "runs"
+	case TierColumnar:
+		return "columnar"
+	case TierSeek:
+		return "seek"
+	}
+	return fmt.Sprintf("Tier(%d)", uint8(t))
+}
+
+// Acquire returns prof's instruction trace for (seed, n) as the cheapest
+// run reader the hard budget admits: the memoized run compaction, else the
+// on-disk columnar spill, else checkpointed regeneration. Every tier reads
+// exactly the instructions trace.Compact(InstrTrace(prof, seed, n)) holds,
+// so a consumer sees the tier only in what a read costs: a skip-mode
+// sampling schedule generates just its windows at the seek tier, while any
+// schedule that reads every instruction regenerates the whole trace there.
+// Only ErrOverBudget steps down; any other failure (ctx done, spill I/O) is
+// returned as is. The reader belongs to the caller (a RunReader is not safe
+// for concurrent use); the release function must be called exactly once,
+// after which the reader must not be used.
+func (s *Store) Acquire(ctx context.Context, prof Profile, seed uint64, n int64) (trace.RunReader, Tier, func(), error) {
+	runs, release, err := s.RunsOnly(ctx, prof, seed, n)
+	if err == nil {
+		return trace.NewRunReader(runs), TierRuns, release, nil
+	}
+	if !errors.Is(err, ErrOverBudget) {
+		return nil, 0, nil, err
+	}
+	cf, release, err := s.Columnar(ctx, prof, seed, n)
+	if err == nil {
+		return trace.NewBlockReader(cf), TierColumnar, release, nil
+	}
+	if !errors.Is(err, ErrOverBudget) {
+		return nil, 0, nil, err
+	}
+	src, release, err := s.SeekSource(prof, seed, n)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	return trace.NewSeekReader(src), TierSeek, release, nil
+}
+
+// acquire is the lookup every memoized tier shares. It takes a reference to
+// key's entry, creating the entry and running fill to populate it on a
+// miss, or waiting under ctx for another caller's fill on a hit. fill runs
+// outside the store mutex; its result is published under it, so Stats and
+// the idle accounting never race a fill. A waiter abandoned by ctx and a
+// failed fill both drop their reference, so neither leaks the entry. On
+// success the caller holds the entry until it calls the returned release.
+func (s *Store) acquire(ctx context.Context, key storeKey, fill func() (payload, error)) (*storeEntry, func(), error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	key := storeKey{prof: prof, seed: seed, n: n, runsOnly: true}
+	// The instruction stream ignores the data profile, so profiles differing
+	// only there share one entry.
 	key.prof.Data = DataProfile{}
 	s.mu.Lock()
-	e, ok := s.entries[key]
-	if ok {
+	e, hit := s.entries[key]
+	if hit {
 		s.stats.Hits++
 		if e.refcount == 0 {
+			// Leaving the idle cache: its bytes are accounted to the holder.
 			s.idleBytes -= entryBytes(e)
 		}
-		e.refcount++
-		s.tick++
-		e.lastUse = s.tick
-		s.mu.Unlock()
+	} else {
+		s.stats.Misses++
+		e = &storeEntry{ready: make(chan struct{})}
+		s.entries[key] = e
+	}
+	e.refcount++
+	s.tick++
+	e.lastUse = s.tick
+	s.mu.Unlock()
+
+	if hit {
 		select {
 		case <-e.ready:
 		case <-ctx.Done():
+			// Safe: the filling caller holds its own reference until the
+			// entry is ready, so this decrement cannot free it mid-fill.
 			s.release(key, e)
 			return nil, nil, ctx.Err()
 		}
-		if e.err != nil {
-			s.release(key, e)
-			return nil, nil, e.err
-		}
-		return e.runs, s.releaseOnce(key, e), nil
+	} else {
+		p, err := fill()
+		s.mu.Lock()
+		e.payload, e.err = p, err
+		s.mu.Unlock()
+		close(e.ready)
 	}
-	s.stats.Misses++
-	e = &storeEntry{ready: make(chan struct{}), refcount: 1}
-	s.tick++
-	e.lastUse = s.tick
-	s.entries[key] = e
-	s.mu.Unlock()
-
-	e.runs, e.err = s.compactStream(prof, seed, n)
-	close(e.ready)
 	if e.err != nil {
 		s.release(key, e)
 		return nil, nil, e.err
 	}
-	return e.runs, s.releaseOnce(key, e), nil
+	return e, s.releaseOnce(key, e), nil
 }
 
 // budgetCheckMask sets how often compactStream re-checks the growing
@@ -408,29 +449,6 @@ func (s *Store) compactStream(prof Profile, seed uint64, n int64) ([]trace.Run, 
 			ErrOverBudget, len(runs), int64(len(runs))*runBytes, s.hardBudget)
 	}
 	return runs, nil
-}
-
-// Source returns a trace.Source over prof's instruction stream for
-// (seed, n). Within the hard budget it is backed by the memoized slice;
-// over budget it degrades to streaming regeneration in O(1) memory instead
-// of failing, counting the degradation in Stats.Fallbacks. The release
-// function must be called exactly once when the caller is done reading.
-func (s *Store) Source(prof Profile, seed uint64, n int64) (trace.Source, func(), error) {
-	refs, release, err := s.Instr(prof, seed, n)
-	if err == nil {
-		return trace.NewSliceSource(refs), release, nil
-	}
-	if !errors.Is(err, ErrOverBudget) {
-		return nil, nil, err
-	}
-	ss, done, err := s.SeekSource(prof, seed, n)
-	if err != nil {
-		return nil, nil, err
-	}
-	s.mu.Lock()
-	s.stats.Fallbacks++
-	s.mu.Unlock()
-	return ss, done, nil
 }
 
 // releaseOnce wraps release so double-calling a handle's release is a no-op.
@@ -523,7 +541,7 @@ func (s *Store) Stats() Stats {
 	st.IdleBytes = s.idleBytes
 	for k, e := range s.entries {
 		st.SpillBytes += e.fileBytes
-		if k.ckpt {
+		if k.kind == kindCheckpoints {
 			st.CheckpointEntries++
 			if e.ckix != nil {
 				cst := e.ckix.Stats()

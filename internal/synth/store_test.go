@@ -3,6 +3,9 @@ package synth
 import (
 	"context"
 	"errors"
+	"math"
+	"os"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -147,6 +150,25 @@ func TestStoreHardBudgetRejectsMaterialization(t *testing.T) {
 	release()
 }
 
+// readAll expands every run a reader holds back into its fetch stream.
+func readAll(t *testing.T, src trace.RunReader) []trace.Ref {
+	t.Helper()
+	var refs []trace.Ref
+	err := src.ReadRuns(0, math.MaxInt64, func(runs []trace.Run) error {
+		for _, r := range runs {
+			refs = r.AppendRefs(refs)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return refs
+}
+
+// A trace no form of which fits the hard budget is still served: Acquire
+// falls back to streaming regeneration, holding no store entry, and
+// yields exactly InstrTrace's refs. A trace whose runs fit is memoized.
 func TestStoreSourceFallsBackToStreaming(t *testing.T) {
 	p, err := Lookup("gs")
 	if err != nil {
@@ -156,15 +178,19 @@ func TestStoreSourceFallsBackToStreaming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewStoreLimits(DefaultIdleBudget, 1000*refBytes)
-	src, release, err := s.Source(p, 7, 3000)
-	if err != nil {
-		t.Fatalf("Source over budget should stream, got %v", err)
+	s := NewStoreLimits(DefaultIdleBudget, 512)
+	ctx := context.Background()
+	if _, _, err := s.RunsOnly(ctx, p, 7, 3000); !errors.Is(err, ErrOverBudget) {
+		t.Fatalf("RunsOnly over budget = %v, want ErrOverBudget", err)
 	}
-	got, err := trace.Collect(src)
+	src, tier, release, err := s.Acquire(ctx, p, 7, 3000)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("Acquire over budget should stream, got %v", err)
 	}
+	if tier != TierSeek {
+		t.Fatalf("Acquire over budget served the %v tier, want seek", tier)
+	}
+	got := readAll(t, src)
 	release()
 	if len(got) != len(want) {
 		t.Fatalf("streamed %d refs, want %d", len(got), len(want))
@@ -175,24 +201,28 @@ func TestStoreSourceFallsBackToStreaming(t *testing.T) {
 		}
 	}
 	st := s.Stats()
-	if st.Fallbacks != 1 {
-		t.Fatalf("Fallbacks = %d, want 1", st.Fallbacks)
+	if st.Entries != 0 || st.SpillBytes != 0 {
+		t.Fatalf("streaming fallback left %d store entries, %d spill bytes", st.Entries, st.SpillBytes)
 	}
-	if st.Entries != 0 {
-		t.Fatalf("streaming fallback left %d store entries", st.Entries)
-	}
+	misses := st.Misses
 
-	// Under budget, Source is served by the memoized slice (no fallback).
-	src2, release2, err := s.Source(p, 7, 500)
-	if err != nil {
-		t.Fatal(err)
+	// Within budget, Acquire serves the memoized runs: one generation,
+	// then a hit.
+	for i := 0; i < 2; i++ {
+		src, tier, release, err := s.Acquire(ctx, p, 7, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tier != TierRuns {
+			t.Fatalf("in-budget Acquire served the %v tier, want runs", tier)
+		}
+		if got := readAll(t, src); len(got) != 100 {
+			t.Fatalf("in-budget Acquire read %d refs, want 100", len(got))
+		}
+		release()
 	}
-	if _, err := trace.Collect(src2); err != nil {
-		t.Fatal(err)
-	}
-	release2()
-	if st := s.Stats(); st.Fallbacks != 1 || st.Misses != 1 {
-		t.Fatalf("stats = %+v, want in-budget Source memoized", st)
+	if st := s.Stats(); st.Misses != misses+1 || st.Hits != 1 {
+		t.Fatalf("stats = %+v, want in-budget Acquire memoized (%d misses, 1 hit)", st, misses+1)
 	}
 }
 
@@ -468,5 +498,101 @@ func TestStoreRunsOnlyCancellation(t *testing.T) {
 	cancel()
 	if _, _, err := s.RunsOnly(ctx, p, 0, 1000); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// Acquire serves the cheapest tier the hard budget admits, and every tier
+// reads the one trace: whole-trace and windowed reads hold exactly the
+// runs trace.Compact makes of InstrTrace's refs over the same range. A
+// cancelled context takes no entry, and release then Purge leaves the
+// spill directory empty.
+func TestStoreAcquireTiers(t *testing.T) {
+	p, err := Lookup("eqntott")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 100_000
+	refs, err := InstrTrace(p, 0, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// eqntott at 100k: refs 1.6 MB, runs about 210 KB, columnar file tens
+	// of KB.
+	cases := []struct {
+		name   string
+		budget int64
+		want   Tier
+	}{
+		{"unlimited", 0, TierRuns},
+		{"512KiB", 512 << 10, TierRuns},
+		{"128KiB", 128 << 10, TierColumnar},
+		{"1KiB", 1 << 10, TierSeek},
+	}
+	windows := []struct{ pos, n int64 }{
+		{0, math.MaxInt64}, {0, 1}, {12_345, 4_096}, {n - 10, 100}, {50_000, 0}, {40_000, 30_000}, {n, 10},
+	}
+	ctx := context.Background()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewStoreLimits(DefaultIdleBudget, tc.budget)
+			dir := t.TempDir()
+			if err := s.SetSpillDir(dir); err != nil {
+				t.Fatal(err)
+			}
+			src, tier, release, err := s.Acquire(ctx, p, 0, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tier != tc.want {
+				t.Errorf("tier = %v, want %v", tier, tc.want)
+			}
+			if got := src.Total(); got != n {
+				t.Errorf("Total = %d, want %d", got, n)
+			}
+			for _, w := range windows {
+				var got []trace.Run
+				err := src.ReadRuns(w.pos, w.n, func(runs []trace.Run) error {
+					got = append(got, runs...)
+					return nil
+				})
+				if err != nil {
+					t.Fatalf("ReadRuns(%d, %d): %v", w.pos, w.n, err)
+				}
+				end := int64(n)
+				if w.n < n-w.pos {
+					end = w.pos + w.n
+				}
+				want := trace.Compact(refs[min(w.pos, n):end])
+				if !slices.Equal(trace.Compact(trace.Expand(got)), want) {
+					t.Errorf("ReadRuns(%d, %d) holds other runs than trace.Compact of the same refs", w.pos, w.n)
+				}
+			}
+
+			before := s.Stats()
+			cctx, cancel := context.WithCancel(ctx)
+			cancel()
+			if _, _, _, err := s.Acquire(cctx, p, 0, n); !errors.Is(err, context.Canceled) {
+				t.Errorf("cancelled Acquire = %v, want context.Canceled", err)
+			}
+			if after := s.Stats(); after != before {
+				t.Errorf("cancelled Acquire changed the store: %+v, was %+v", after, before)
+			}
+
+			release()
+			s.mu.Lock()
+			for k, e := range s.entries {
+				if e.refcount != 0 {
+					t.Errorf("entry kind %d n=%d still held after release", k.kind, k.n)
+				}
+			}
+			s.mu.Unlock()
+			s.Purge()
+			if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+				t.Errorf("spill dir after release and Purge holds %d files (err %v)", len(left), err)
+			}
+			if st := s.Stats(); st.Entries != 0 || st.SpillBytes != 0 {
+				t.Errorf("Purge left %d entries, %d spill bytes", st.Entries, st.SpillBytes)
+			}
+		})
 	}
 }

@@ -45,7 +45,7 @@ func checkStoreInvariants(t *testing.T, s *Store) {
 
 // TestStoreStressInvariants hammers one store from many goroutines mixing
 // every acquisition path — Instr, InstrRuns, InstrCtx (some cancelled),
-// Source, RunsOnly (at two lengths per profile, so prefix resume races the
+// Acquire, RunsOnly (at two lengths per profile, so prefix resume races the
 // eviction of its source entry; pre-cancelled; over budget), over-budget
 // rejections, double releases — and asserts, under -race, that every
 // compaction is bit-identical to trace.Compact, that the ref-count and
@@ -145,15 +145,17 @@ func TestStoreStressInvariants(t *testing.T) {
 					}
 					cancel()
 				case 3:
-					src, release, err := store.Source(prof, 1, size)
+					src, tier, release, err := store.Acquire(context.Background(), prof, 1, size)
 					if err != nil {
-						t.Errorf("Source: %v", err)
+						t.Errorf("Acquire: %v", err)
 						return
 					}
-					for j := 0; j < 64; j++ { // partial drain, then walk away
-						if _, ok := src.Next(); !ok {
-							break
-						}
+					if tier != TierRuns {
+						t.Errorf("Acquire served the %v tier, want runs", tier)
+					}
+					// A partial read, then walk away.
+					if err := src.ReadRuns(size/2, 64, func([]trace.Run) error { return nil }); err != nil {
+						t.Errorf("Acquire ReadRuns: %v", err)
 					}
 					release()
 				case 4:
@@ -200,7 +202,7 @@ func TestStoreStressInvariants(t *testing.T) {
 			t.Errorf("entry n=%d: refcount %d after full drain, want 0", key.n, e.refcount)
 		}
 		if key.n == overLen || e.err != nil {
-			t.Errorf("entry n=%d (runsOnly %v): failed generation left in the store: %v", key.n, key.runsOnly, e.err)
+			t.Errorf("entry n=%d (kind %d): failed generation left in the store: %v", key.n, key.kind, e.err)
 		}
 	}
 	store.mu.Unlock()

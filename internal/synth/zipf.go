@@ -30,8 +30,7 @@ type zipf struct {
 // function of its parameters and immutable after construction (draw only
 // reads it), so one copy can back every generator. Building a table costs
 // ~25 Newton iterations per rank — without the cache it dominates generator
-// construction, which the store performs per seek-source acquisition and
-// per parallel-spill worker.
+// construction, which the store performs per seek-source acquisition.
 var zipfCache sync.Map // zipfKey -> *zipf
 
 type zipfKey struct {
