@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race check check-sampling check-columnar check-seek chaos crash serve bench microbench vet cover tables extensions calibration examples clean
+.PHONY: all build test test-short race check check-sampling check-columnar check-seek chaos crash serve bench microbench vet cover tables scale extensions calibration examples clean
 
 all: build vet test race check
 
@@ -114,6 +114,11 @@ cover:
 # Regenerate every paper table and figure (EXPERIMENTS.md scale).
 tables:
 	$(GO) run ./cmd/ibstables -n 2000000 -trials 5
+
+# Every paper exhibit at the paper's trace length, 25M instructions per
+# workload (EXPERIMENTS.md, "Paper scale": about 2.5 GiB peak RSS).
+scale:
+	$(GO) run ./cmd/ibstables -n 25000000 -q
 
 # The beyond-the-paper extension/ablation/methodology studies.
 extensions:

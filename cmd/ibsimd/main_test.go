@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -195,11 +196,11 @@ func TestParseFlagsRejectsBadValues(t *testing.T) {
 // Zero keeps its documented meaning, and the MiB budgets reach the store
 // and the admission limiter as byte counts.
 func TestParseFlagsBudgets(t *testing.T) {
-	prof, err := synth.Lookup("eqntott")
+	prof, err := synth.Lookup("gcc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 100_000 // 1.6 MB of refs: over a 1 MiB budget
+	const n = 400_000 // about 1.4 MB of runs: over a 1 MiB budget, under 2 MiB
 	for _, tc := range []struct {
 		hardMB     string
 		overBudget bool
@@ -208,11 +209,14 @@ func TestParseFlagsBudgets(t *testing.T) {
 		if err != nil {
 			t.Fatalf("-store-hard-mb %s: %v", tc.hardMB, err)
 		}
-		_, release, err := cfg.Store.Instr(prof, 0, n)
+		runs, release, err := cfg.Store.RunsOnly(context.Background(), prof, 0, n)
 		if got := errors.Is(err, synth.ErrOverBudget); got != tc.overBudget {
-			t.Errorf("-store-hard-mb %s: %d refs over budget = %v (err %v), want %v", tc.hardMB, n, got, err, tc.overBudget)
+			t.Errorf("-store-hard-mb %s: runs of %d instructions over budget = %v (err %v), want %v", tc.hardMB, n, got, err, tc.overBudget)
 		}
 		if err == nil {
+			if b := len(runs) * 24; b <= 1<<20 || b > 2<<20 {
+				t.Errorf("gcc's %d instructions compact to %d bytes of runs, not between 1 and 2 MiB", n, b)
+			}
 			release()
 		}
 	}

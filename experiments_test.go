@@ -1,8 +1,13 @@
 package ibsim
 
 import (
+	"context"
 	"strings"
 	"testing"
+	"unsafe"
+
+	"ibsim/internal/synth"
+	"ibsim/internal/trace"
 )
 
 // TestEveryExperimentWiring runs each public experiment constructor once at
@@ -82,4 +87,46 @@ func render(r interface{ Render() string }, err error) (string, error) {
 		return "", err
 	}
 	return r.Render(), nil
+}
+
+// Rendering every paper exhibit leaves the shared store holding one run
+// compaction per exhibit trace and nothing else: no spill, and idle bytes
+// equal to those runs plus the checkpoint indexes their generation
+// recorded.
+func TestPaperExhibitsStoreHoldsRunsOnly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("renders every paper exhibit")
+	}
+	const n = 20_000
+	synth.DefaultStore.Purge()
+	defer synth.DefaultStore.Purge()
+	for _, name := range ExhibitNames() {
+		if _, err := RenderExhibit(name, Options{Instructions: n, Trials: 2}, false); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	st := synth.DefaultStore.Stats()
+
+	var profiles []synth.Profile
+	profiles = append(profiles, synth.IBSMach()...)
+	profiles = append(profiles, synth.IBSUltrix()...)
+	profiles = append(profiles, synth.SPEC92()...)
+	var runBytes int64
+	for _, p := range profiles {
+		runs, release, err := synth.DefaultStore.RunsOnly(context.Background(), p, 0, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runBytes += int64(len(runs)) * int64(unsafe.Sizeof(trace.Run{}))
+		release()
+	}
+	if after := synth.DefaultStore.Stats(); after.Misses != st.Misses {
+		t.Errorf("%d exhibit traces were not memoized as runs", after.Misses-st.Misses)
+	}
+	if st.Entries != len(profiles) || st.Spills != 0 || st.SpillBytes != 0 {
+		t.Errorf("store holds %d entries and %d spill bytes, want the %d runs entries only", st.Entries, st.SpillBytes, len(profiles))
+	}
+	if st.IdleBytes != runBytes+st.CheckpointBytes {
+		t.Errorf("idle bytes %d, want %d of runs plus %d of checkpoints", st.IdleBytes, runBytes, st.CheckpointBytes)
+	}
 }

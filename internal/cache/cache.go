@@ -438,6 +438,23 @@ func (c *Cache) TouchRun(start uint64, n, stride int64) int64 {
 	return absorbed
 }
 
+// AccessRun performs n sequential demand references start, start+stride,
+// ...: bit-identical to n Access calls. TouchRun absorbs each all-hit
+// stretch, and Access takes the first reference that misses, so a run costs
+// one tag probe per line instead of one per reference.
+func (c *Cache) AccessRun(start uint64, n, stride int64) {
+	for n > 0 {
+		t := c.TouchRun(start, n, stride)
+		start += uint64(t * stride)
+		if n -= t; n == 0 {
+			return
+		}
+		c.Access(start)
+		start += uint64(stride)
+		n--
+	}
+}
+
 // DM4 reports whether this cache takes TouchRun's direct-mapped, non-sector,
 // LRU specialization at stride 4. Replay loops that issue many short runs
 // hoist the dispatch: check DM4 once, then call TouchRunDM4 directly.

@@ -511,3 +511,38 @@ func BenchmarkAccessMissDM(b *testing.B) {
 		c.Access(uint64(i&1) << 20)
 	}
 }
+
+// AccessRun over random sequential runs leaves every geometry and policy
+// (direct-mapped, set-associative LRU, FIFO and random, sector, fully
+// associative) with the statistics and contents of one Access per
+// reference.
+func TestAccessRunMatchesAccess(t *testing.T) {
+	cfgs := []Config{
+		{Size: 1024, LineSize: 32, Assoc: 1},
+		{Size: 1024, LineSize: 16, Assoc: 2},
+		{Size: 1024, LineSize: 32, Assoc: 4, Replacement: FIFO},
+		{Size: 1024, LineSize: 32, Assoc: 4, Replacement: Random, Seed: 7},
+		{Size: 2048, LineSize: 64, Assoc: 2, SubBlock: 16},
+		{Size: 512, LineSize: 32, Assoc: 0},
+	}
+	rng := xrand.New(5)
+	for _, cfg := range cfgs {
+		run, ref := MustNew(cfg), MustNew(cfg)
+		for i := 0; i < 3000; i++ {
+			start := uint64(rng.Intn(1<<14)) &^ 3
+			n := int64(1 + rng.Intn(40))
+			run.AccessRun(start, n, 4)
+			for k := int64(0); k < n; k++ {
+				ref.Access(start + uint64(k)*4)
+			}
+		}
+		if run.Stats() != ref.Stats() {
+			t.Fatalf("%v: AccessRun stats %+v, Access %+v", cfg, run.Stats(), ref.Stats())
+		}
+		for a := uint64(0); a < 1<<14; a += 4 {
+			if run.Contains(a) != ref.Contains(a) {
+				t.Fatalf("%v: residency of %#x differs", cfg, a)
+			}
+		}
+	}
+}

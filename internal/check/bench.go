@@ -2,6 +2,7 @@ package check
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"ibsim/internal/cache"
 	"ibsim/internal/cpi"
 	"ibsim/internal/fetch"
+	"ibsim/internal/replay"
 	"ibsim/internal/synth"
 	"ibsim/internal/trace"
 )
@@ -98,7 +100,7 @@ func benchStages() []benchStage {
 func stageGenerate(opt Options) (stageValues, error) {
 	synth.DefaultStore.Purge()
 	for _, p := range opt.Workloads {
-		_, release, err := synth.DefaultStore.Instr(p, opt.Seed, opt.Instructions)
+		_, _, release, err := synth.DefaultStore.Acquire(context.Background(), p, opt.Seed, opt.Instructions)
 		if err != nil {
 			return stageValues{}, err
 		}
@@ -107,54 +109,66 @@ func stageGenerate(opt Options) (stageValues, error) {
 	return stageValues{}, nil
 }
 
-// stageBaseCache reports the suite-mean miss ratio of the paper's base L1.
-func stageBaseCache(opt Options) (stageValues, error) {
-	var mean float64
+// eachTrace hands f every workload's trace from the shared store (warmed by
+// stageGenerate), so a stage times simulation, not generation.
+func eachTrace(opt Options, f func(src trace.RunReader) error) error {
 	for _, p := range opt.Workloads {
-		refs, release, err := synth.DefaultStore.Instr(p, opt.Seed, opt.Instructions)
+		src, _, release, err := synth.DefaultStore.Acquire(context.Background(), p, opt.Seed, opt.Instructions)
 		if err != nil {
-			return stageValues{}, err
+			return err
 		}
-		c, err := cache.New(baseL1())
-		if err != nil {
-			release()
-			return stageValues{}, err
-		}
-		for _, r := range refs {
-			c.Access(r.Addr)
-		}
+		err = f(src)
 		release()
-		mean += c.Stats().MissRatio() / float64(len(opt.Workloads))
+		if err != nil {
+			return err
+		}
 	}
-	return stageValues{mpi: mean, tracked: true}, nil
+	return nil
 }
 
-// engineStage builds a suite-mean CPI/MPI stage for one fetch engine. Traces
-// come from the shared store (warmed by stageGenerate), so the stage times
-// engine simulation, not generation; fetch.Run over the materialized slice
-// returns results bit-identical to the former streaming path — the
-// StreamingEquality invariant pins that — so the committed goldens are
-// unchanged.
+// stageBaseCache reports the suite-mean miss ratio of the paper's base L1:
+// one demand access per instruction (cache.AccessRun per run).
+func stageBaseCache(opt Options) (stageValues, error) {
+	var mean float64
+	err := eachTrace(opt, func(src trace.RunReader) error {
+		c, err := cache.New(baseL1())
+		if err != nil {
+			return err
+		}
+		err = src.ReadRuns(0, math.MaxInt64, func(runs []trace.Run) error {
+			for _, r := range runs {
+				c.AccessRun(r.Start, r.Len, trace.InstrBytes)
+			}
+			return nil
+		})
+		mean += c.Stats().MissRatio() / float64(len(opt.Workloads))
+		return err
+	})
+	return stageValues{mpi: mean, tracked: true}, err
+}
+
+// engineStage builds a suite-mean CPI/MPI stage for one fetch engine,
+// replayed through replay.Run as a bank of one. Its results are
+// bit-identical to fetch.Run over the expanded trace (the fanout
+// differential pins that), so the committed goldens are unchanged.
 func engineStage(mk func(cfg cache.Config) (fetch.Engine, error)) func(opt Options) (stageValues, error) {
 	return func(opt Options) (stageValues, error) {
 		var v stageValues
-		for _, p := range opt.Workloads {
-			refs, release, err := synth.DefaultStore.Instr(p, opt.Seed, opt.Instructions)
-			if err != nil {
-				return stageValues{}, err
-			}
+		err := eachTrace(opt, func(src trace.RunReader) error {
 			e, err := mk(baseL1())
 			if err != nil {
-				release()
-				return stageValues{}, err
+				return err
 			}
-			res := fetch.Run(e, refs)
-			release()
-			v.cpi += res.CPIinstr() / float64(len(opt.Workloads))
-			v.mpi += res.MPI() / float64(len(opt.Workloads))
-		}
-		v.tracked = true
-		return v, nil
+			res, err := replay.Run(context.Background(), src, []fetch.Engine{e}, replay.SamplePlan{})
+			if err != nil {
+				return err
+			}
+			v.cpi += res[0].Measured.CPIinstr() / float64(len(opt.Workloads))
+			v.mpi += res[0].Measured.MPI() / float64(len(opt.Workloads))
+			return nil
+		})
+		v.tracked = err == nil
+		return v, err
 	}
 }
 

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -36,7 +37,7 @@ func TestRunBenchOffGoldenScale(t *testing.T) {
 func TestGenerateStageMissesWarmStore(t *testing.T) {
 	opt := Options{Instructions: 20_000, Workloads: synth.IBSMach()[:3]}.withDefaults()
 	for _, p := range opt.Workloads {
-		_, release, err := synth.DefaultStore.Instr(p, opt.Seed, opt.Instructions)
+		_, _, release, err := synth.DefaultStore.Acquire(context.Background(), p, opt.Seed, opt.Instructions)
 		if err != nil {
 			t.Fatal(err)
 		}

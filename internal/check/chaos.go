@@ -230,17 +230,17 @@ func chaosWriteFault(refs []trace.Ref) Result {
 }
 
 // chaosOverBudget verifies the store's hard-budget contract: with a budget
-// no trace form fits, the RAM tiers fail typed and Acquire steps down to
-// checkpointed regeneration, whose runs expand to exactly the refs the
-// materialized path yields.
+// no trace form fits, the runs tier fails typed — directly and through the
+// InstrCtx adapter — and Acquire steps down to checkpointed regeneration,
+// whose runs expand to exactly the refs InstrTrace generates.
 func chaosOverBudget(prof synth.Profile, seed uint64) Result {
 	const name = "chaos/over-budget-store"
 	const n = 5000
 	store := synth.NewStoreLimits(0, 64) // below even the columnar file's header and index
 	defer store.Purge()
 	ctx := context.Background()
-	if _, _, err := store.Instr(prof, seed, n); !errors.Is(err, synth.ErrOverBudget) {
-		return fail(name, "Instr over budget = %v, want ErrOverBudget", err)
+	if _, _, err := store.InstrCtx(ctx, prof, seed, n); !errors.Is(err, synth.ErrOverBudget) {
+		return fail(name, "InstrCtx over budget = %v, want ErrOverBudget", err)
 	}
 	if _, _, err := store.RunsOnly(ctx, prof, seed, n); !errors.Is(err, synth.ErrOverBudget) {
 		return fail(name, "RunsOnly over budget = %v, want ErrOverBudget", err)
@@ -272,7 +272,7 @@ func chaosOverBudget(prof synth.Profile, seed uint64) Result {
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			return fail(name, "seek tier ref %d differs from materialized path", i)
+			return fail(name, "seek tier ref %d differs from InstrTrace", i)
 		}
 	}
 	if st := store.Stats(); st.Entries != 0 || st.SpillBytes != 0 {

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -50,5 +51,29 @@ func TestRunIsolatedContainsPanic(t *testing.T) {
 	}
 	if !strings.Contains(r.Detail, "scenario bug") {
 		t.Fatalf("panic payload lost: %s", r.Detail)
+	}
+}
+
+// The server scenarios leave no spill directory behind: each chaos server
+// purges its store on stop, including the ones whose over-budget requests
+// opened a columnar spill directory before failing.
+func TestChaosServersLeaveNoSpillDirs(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	results, err := RunChaos(Options{Instructions: 50_000, ChaosFilter: "^chaos/server-"})
+	if err != nil {
+		t.Fatalf("harness failure: %v", err)
+	}
+	for _, r := range results {
+		if !r.Passed {
+			t.Errorf("%s failed: %s", r.Name, r.Detail)
+		}
+	}
+	left, err := filepath.Glob(filepath.Join(tmp, "ibsim-store-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 0 {
+		t.Fatalf("%d server scenarios left %d spill directories: %v", len(results), len(left), left)
 	}
 }

@@ -26,13 +26,15 @@ import (
 
 // liveServer is one in-process server on a loopback listener.
 type liveServer struct {
-	srv  *server.Server
-	hs   *http.Server
-	base string
-	done chan error
+	srv   *server.Server
+	hs    *http.Server
+	store *synth.Store // the store it was started with, purged on stop
+	base  string
+	done  chan error
 }
 
-// startServer boots an in-process server. The caller must call stop.
+// startServer boots an in-process server over its own store (cfg.Store
+// must be set). The caller must call stop.
 func startServer(cfg server.Config) (*liveServer, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -45,16 +47,19 @@ func startServer(cfg server.Config) (*liveServer, error) {
 		ReadTimeout:       500 * time.Millisecond,
 		ReadHeaderTimeout: 500 * time.Millisecond,
 	}
-	ls := &liveServer{srv: srv, hs: hs, base: "http://" + ln.Addr().String(), done: make(chan error, 1)}
+	ls := &liveServer{srv: srv, hs: hs, store: cfg.Store, base: "http://" + ln.Addr().String(), done: make(chan error, 1)}
 	go func() { ls.done <- hs.Serve(ln) }()
 	return ls, nil
 }
 
+// stop drains the server, then purges its store: memoized traces and the
+// spill directory an over-budget request created.
 func (ls *liveServer) stop() {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	ls.hs.Shutdown(ctx)
 	<-ls.done
+	ls.store.Purge()
 }
 
 // sweepBody builds a small sweep request body.

@@ -54,7 +54,8 @@ func TestChaosColumnarSalvage(t *testing.T) {
 }
 
 // The columnar tier's contract: a store capped at a tenth of a trace's
-// expanded size rejects both in-memory tiers but admits the columnar file;
+// expanded size rejects its runs, directly and through the InstrCtx
+// adapter, but admits the columnar file;
 // replaying that file block by block is bit-identical to the in-memory
 // replay; and heap growth during the disk replay stays under the budget the
 // trace exceeds tenfold.
@@ -63,10 +64,10 @@ func TestColumnarTierContract(t *testing.T) {
 	opt := Options{Instructions: n}.withDefaults()
 	p := opt.Workloads[0]
 	ctx := context.Background()
-	budget := int64(n * 16 / 10) // the store charges 16 bytes per materialized ref
+	budget := int64(n * 16 / 10) // a tenth of the 16-byte refs; the runs take about 3 bytes each
 	capped := synth.NewStoreLimits(0, budget)
 	defer capped.Purge()
-	if _, release, err := capped.Instr(p, opt.Seed, n); !errors.Is(err, synth.ErrOverBudget) {
+	if _, release, err := capped.InstrCtx(ctx, p, opt.Seed, n); !errors.Is(err, synth.ErrOverBudget) {
 		if err == nil {
 			release()
 		}

@@ -15,7 +15,7 @@ import (
 // ParallelVsSerial renders representative exhibits with the concurrent suite
 // runners and again with the Options.Serial reference executor; the rendered
 // bytes — the exact output cmd/ibstables prints — must be identical.
-// Table 4 exercises mapTraces (per-workload MPI), Table 1 exercises
+// Table 4 exercises mapRuns (per-workload MPI), Table 1 exercises
 // mapProfiles (whole-system rows).
 func ParallelVsSerial(opt Options) ([]Result, error) {
 	opt = opt.withDefaults()
@@ -40,7 +40,7 @@ func ParallelVsSerial(opt Options) ([]Result, error) {
 		if par.Render() != ser.Render() {
 			return fail(name, "parallel and serial Table 4 renders differ")
 		}
-		return pass(name, "mapTraces parallel render == serial render (%d bytes)", len(par.Render()))
+		return pass(name, "mapRuns parallel render == serial render (%d bytes)", len(par.Render()))
 	}))
 	if harnessErr != nil {
 		return out, harnessErr

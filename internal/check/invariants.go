@@ -55,7 +55,7 @@ func Inclusion(opt Options) ([]Result, error) {
 			var accesses int64
 			for _, p := range opt.Workloads {
 				var refs []trace.Ref
-				refs, err = synth.InstrTrace(p, opt.Seed, opt.Instructions)
+				refs, err = oracleRefs(p, opt)
 				if err != nil {
 					return fail(tc.name, "trace generation: %v", err)
 				}
@@ -119,7 +119,7 @@ func Monotonicity(opt Options) ([]Result, error) {
 		const name = "invariant/miss-monotonic-fa"
 		sizes := []int{1024, 2048, 4096, 8192, 16384, 32768}
 		for _, p := range opt.Workloads {
-			refs, err := synth.InstrTrace(p, opt.Seed, opt.Instructions)
+			refs, err := oracleRefs(p, opt)
 			if err != nil {
 				harnessErr = err
 				return fail(name, "trace generation: %v", err)
@@ -153,7 +153,7 @@ func Monotonicity(opt Options) ([]Result, error) {
 		sizes := []int{2048, 4096, 8192, 16384, 32768, 65536, 131072}
 		means := make([]float64, len(sizes))
 		for _, p := range opt.Workloads {
-			refs, err := synth.InstrTrace(p, opt.Seed, opt.Instructions)
+			refs, err := oracleRefs(p, opt)
 			if err != nil {
 				harnessErr = err
 				return fail(name, "trace generation: %v", err)
@@ -224,7 +224,7 @@ func EngineBounds(opt Options) ([]Result, error) {
 	lower := timed(func() Result {
 		const name = "invariant/engine-lower-bound"
 		for _, p := range opt.Workloads {
-			refs, err := synth.InstrTrace(p, opt.Seed, opt.Instructions)
+			refs, err := oracleRefs(p, opt)
 			if err != nil {
 				harnessErr = err
 				return fail(name, "trace generation: %v", err)
@@ -252,7 +252,7 @@ func EngineBounds(opt Options) ([]Result, error) {
 	upper := timed(func() Result {
 		const name = "invariant/engine-blocking-bound"
 		for _, p := range opt.Workloads {
-			refs, err := synth.InstrTrace(p, opt.Seed, opt.Instructions)
+			refs, err := oracleRefs(p, opt)
 			if err != nil {
 				harnessErr = err
 				return fail(name, "trace generation: %v", err)
@@ -313,7 +313,7 @@ func StreamingEquality(opt Options) ([]Result, error) {
 	res := timed(func() Result {
 		const name = "invariant/streaming-equality"
 		for _, p := range opt.Workloads {
-			refs, err := synth.InstrTrace(p, opt.Seed, opt.Instructions)
+			refs, err := oracleRefs(p, opt)
 			if err != nil {
 				harnessErr = err
 				return fail(name, "trace generation: %v", err)

@@ -1,17 +1,33 @@
 package check
 
 import (
+	"context"
+
 	"ibsim/internal/cache"
 	"ibsim/internal/fetch"
 	"ibsim/internal/replay"
 	"ibsim/internal/sampling"
 	"ibsim/internal/sweep"
+	"ibsim/internal/synth"
 	"ibsim/internal/trace"
 )
 
 // The []Ref oracles the driver differentials compare against: the trusted
 // per-configuration simulators fed the expanded reference trace one fetch at
 // a time, with sampling schedules applied by instruction position.
+
+// oracleRefs returns p's trace as one trace.Ref per instruction, for a
+// per-reference oracle: the memoized runs every check shares, read from
+// synth.DefaultStore through Acquire and expanded into a slice the caller
+// owns.
+func oracleRefs(p synth.Profile, opt Options) ([]trace.Ref, error) {
+	src, _, release, err := synth.DefaultStore.Acquire(context.Background(), p, opt.Seed, opt.Instructions)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	return trace.ExpandReader(src)
+}
 
 // replayOracle replays refs through a fresh columnarBank, one engine at a
 // time, with fetch.Run semantics: exactly for the zero plan, or under a

@@ -102,11 +102,11 @@ func SamplingBounds(opt Options) ([]Result, error) {
 	var gridHits, gridPoints, gridNRel int
 	var gridSumRel float64
 	for _, p := range opt.Workloads {
-		refs, runs, release, err := synth.DefaultStore.InstrRuns(context.Background(), p, opt.Seed, opt.Instructions)
+		src, _, release, err := synth.DefaultStore.Acquire(context.Background(), p, opt.Seed, opt.Instructions)
 		if err != nil {
 			return nil, fmt.Errorf("check: sampling bounds: %s: %w", p.Name, err)
 		}
-		exact, err := sweep.Pass{LineSize: 32, Cells: cells}.Run(refs)
+		exact, err := sweep.SampledPass{LineSize: 32, Cells: cells}.Sweep(src)
 		if err != nil {
 			release()
 			return nil, fmt.Errorf("check: sampling bounds: exact sweep %s: %w", p.Name, err)
@@ -114,21 +114,20 @@ func SamplingBounds(opt Options) ([]Result, error) {
 		sampled := make([]*sweep.SampledMatrix, 2)
 		sampled[0], err = sweep.SampledPass{
 			LineSize: 32, Cells: cells, SetMod: samplingSetMod, SetMatch: samplingSetMatch,
-		}.Run(runs)
+		}.Sweep(src)
 		if err == nil {
 			sampled[1], err = sweep.SampledPass{
 				LineSize: 32, Cells: cells, Window: window, Period: samplingPeriodMul * window, Warm: true,
-			}.Run(runs)
+			}.Sweep(src)
 		}
-		var gridExact *sweep.Matrix
-		var gridSampled *sweep.SampledMatrix
+		var gridExact, gridSampled *sweep.SampledMatrix
 		if err == nil {
-			gridExact, err = sweep.Pass{LineSize: 32, Cells: grid}.Run(refs)
+			gridExact, err = sweep.SampledPass{LineSize: 32, Cells: grid}.Sweep(src)
 		}
 		if err == nil {
 			gridSampled, err = sweep.SampledPass{
 				LineSize: 32, Cells: grid, SetMod: samplingSetMod, SetMatch: samplingSetMatch,
-			}.Run(runs)
+			}.Sweep(src)
 		}
 		release()
 		if err != nil {
@@ -225,7 +224,7 @@ func SamplingProperties(opt Options) ([]Result, error) {
 	ladder := []int64{16, 4, 1}
 	meanAbs := make([]float64, len(ladder))
 	for _, p := range workloads {
-		refs, release, err := synth.DefaultStore.Instr(p, opt.Seed, opt.Instructions)
+		refs, err := oracleRefs(p, opt)
 		if err != nil {
 			return nil, fmt.Errorf("check: sampling properties: %s: %w", p.Name, err)
 		}
@@ -236,12 +235,10 @@ func SamplingProperties(opt Options) ([]Result, error) {
 				if errors.Is(err, sampling.ErrZeroBaseline) {
 					continue
 				}
-				release()
 				return nil, fmt.Errorf("check: sampling properties: %s: %w", p.Name, err)
 			}
 			meanAbs[li] += math.Abs(relErr) / float64(len(workloads))
 		}
-		release()
 	}
 	var out []Result
 	const convergenceSlack = 0.02
@@ -272,7 +269,7 @@ func SamplingProperties(opt Options) ([]Result, error) {
 	windows := []int64{baseWindow, 4 * baseWindow, 16 * baseWindow}
 	bias := make([]float64, len(windows))
 	for _, p := range workloads {
-		refs, release, err := synth.DefaultStore.Instr(p, opt.Seed, opt.Instructions)
+		refs, err := oracleRefs(p, opt)
 		if err != nil {
 			return nil, fmt.Errorf("check: sampling properties: %s: %w", p.Name, err)
 		}
@@ -283,12 +280,10 @@ func SamplingProperties(opt Options) ([]Result, error) {
 				if errors.Is(err, sampling.ErrZeroBaseline) {
 					continue
 				}
-				release()
 				return nil, fmt.Errorf("check: sampling properties: %s: %w", p.Name, err)
 			}
 			bias[wi] += relErr / float64(len(workloads))
 		}
-		release()
 	}
 	const biasSlack = 0.02
 	switch {

@@ -47,12 +47,12 @@ func TestSamplingBench(t *testing.T) {
 	var refs [][]trace.Ref
 	var runs [][]trace.Run
 	for _, p := range opt.Workloads {
-		r, rs, release, err := synth.DefaultStore.InstrRuns(context.Background(), p, opt.Seed, opt.Instructions)
+		rs, release, err := synth.DefaultStore.RunsOnly(context.Background(), p, opt.Seed, opt.Instructions)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer release()
-		refs, runs = append(refs, r), append(runs, rs)
+		refs, runs = append(refs, trace.Expand(rs)), append(runs, rs)
 	}
 	var exact, sampled time.Duration
 	var coverage float64

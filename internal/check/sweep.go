@@ -1,11 +1,14 @@
 package check
 
 import (
+	"context"
+
 	"ibsim/internal/cache"
 	"ibsim/internal/experiments"
 	"ibsim/internal/fetch"
 	"ibsim/internal/sweep"
 	"ibsim/internal/synth"
+	"ibsim/internal/trace"
 	"ibsim/internal/xrand"
 )
 
@@ -30,7 +33,7 @@ func SweepVsPerConfig(opt Options) ([]Result, error) {
 		lineSizes := []int{8, 16, 32, 64, 128}
 		cellsChecked := 0
 		for wi, p := range opt.Workloads {
-			refs, release, err := synth.DefaultStore.Instr(p, opt.Seed, opt.Instructions)
+			src, _, release, err := synth.DefaultStore.Acquire(context.Background(), p, opt.Seed, opt.Instructions)
 			if err != nil {
 				harnessErr = err
 				return fail(name, "%s: trace generation: %v", p.Name, err)
@@ -46,9 +49,13 @@ func SweepVsPerConfig(opt Options) ([]Result, error) {
 					Assoc: 1 << rng.Intn(4),
 				})
 			}
-			m, err := sweep.Pass{LineSize: lineSize, Cells: grid}.Run(refs)
+			m, err := sweep.SampledPass{LineSize: lineSize, Cells: grid}.Sweep(src)
+			var refs []trace.Ref // the per-config engines' input
+			if err == nil {
+				refs, err = trace.ExpandReader(src)
+			}
+			release()
 			if err != nil {
-				release()
 				harnessErr = err
 				return fail(name, "%s: sweep: %v", p.Name, err)
 			}
@@ -57,25 +64,21 @@ func SweepVsPerConfig(opt Options) ([]Result, error) {
 				cfg := cache.Config{Size: c.Size(lineSize), LineSize: lineSize, Assoc: c.Assoc}
 				e, err := fetch.NewBlocking(cfg, link, 0)
 				if err != nil {
-					release()
 					harnessErr = err
 					return fail(name, "%s: engine for %+v: %v", p.Name, cfg, err)
 				}
 				want := fetch.Run(e, refs)
 				if m.Misses[i] != want.Misses {
-					release()
 					return fail(name, "%s line %d cell %+v: sweep %d misses, engine %d",
 						p.Name, lineSize, c, m.Misses[i], want.Misses)
 				}
 				got := fetch.BlockingResult(m.Accesses, m.Misses[i], lineSize, link)
 				if got != want {
-					release()
 					return fail(name, "%s line %d cell %+v: analytic %+v != engine %+v",
 						p.Name, lineSize, c, got, want)
 				}
 				cellsChecked++
 			}
-			release()
 		}
 		return pass(name, "%d randomized cells across %d workloads bit-identical to per-config engines",
 			cellsChecked, len(opt.Workloads))

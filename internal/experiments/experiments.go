@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"strings"
@@ -35,7 +36,7 @@ type Options struct {
 	// Trials is the number of Tapeworm-style repeat runs for variability
 	// experiments (default 5, as in Figure 5).
 	Trials int
-	// Serial forces the per-workload runners (mapTraces, mapProfiles) onto
+	// Serial forces the per-workload runners (mapRuns, mapProfiles) onto
 	// a single goroutine. Results must be bit-identical to the parallel
 	// path — internal/check and the differential tests in this package
 	// enforce that — so Serial exists as the trusted reference executor,
@@ -43,9 +44,11 @@ type Options struct {
 	Serial bool
 	// Workers bounds concurrent per-workload runners. 0 (the default) means
 	// auto: one worker per GOMAXPROCS. Each worker holds one workload's
-	// trace (~16 bytes/instruction), so Workers also caps peak memory;
-	// shrink it on small machines, raise it past GOMAXPROCS to overlap
-	// generation with simulation. Ignored when Serial is set.
+	// trace — its memoized runs, about 3 bytes per instruction, and on the
+	// PerConfig paths their 16-byte-per-instruction expansion — so Workers
+	// also caps peak memory; shrink it on small machines, raise it past
+	// GOMAXPROCS to overlap generation with simulation. Ignored when Serial
+	// is set.
 	Workers int
 	// PerConfig forces the accelerated experiments onto their original
 	// one-full-simulation-per-configuration paths: Figures 1, 3, and 4 fall
@@ -144,99 +147,73 @@ func (e *WorkerError) Error() string {
 	return fmt.Sprintf("experiments: worker %q (index %d) panicked: %v", e.Workload, e.Index, e.Recovered)
 }
 
-// forEachTrace acquires each profile's instruction-only trace from the
-// shared store and hands it to f; the reference is released after each call,
-// so live memory stays bounded to one workload at a time plus whatever the
-// store keeps warm within its idle budget. Cancelling opt.Context stops the
-// walk between (and inside) acquisitions.
-func forEachTrace(profiles []synth.Profile, opt Options, f func(p synth.Profile, refs []trace.Ref) error) error {
-	ctx := opt.ctx()
-	for _, p := range profiles {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		refs, release, err := synth.DefaultStore.InstrCtx(ctx, p, opt.Seed, opt.Instructions)
-		if err != nil {
-			return err
-		}
-		err = f(p, refs)
-		release()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// mapTraces runs worker over every profile's instruction trace concurrently
+// mapRuns runs worker over every profile's instruction trace concurrently
 // and returns per-profile results in profile order, so reductions stay
-// deterministic regardless of scheduling. Traces come from the shared
-// synth.DefaultStore: every experiment in the process that needs the same
-// (workload, seed, n) stream shares one generation. With opt.Serial the
-// profiles run one at a time on the calling goroutine — the differential
-// reference path.
-func mapTraces[T any](profiles []synth.Profile, opt Options, worker func(p synth.Profile, refs []trace.Ref) (T, error)) ([]T, error) {
+// deterministic regardless of scheduling. Each worker reads its trace
+// through the run reader synth.DefaultStore.Acquire returns: the memoized
+// run compaction, generated once per process for every experiment that
+// needs the same (workload, seed, n) stream. The worker gets the runner's
+// context, which it should check as it goes. With opt.Serial the profiles
+// run one at a time on the calling goroutine — the differential reference
+// path.
+func mapRuns[T any](profiles []synth.Profile, opt Options, worker func(ctx context.Context, p synth.Profile, src trace.RunReader) (T, error)) ([]T, error) {
 	run := func(ctx context.Context, i int) (T, error) {
-		refs, release, err := synth.DefaultStore.InstrCtx(ctx, profiles[i], opt.Seed, opt.Instructions)
+		src, _, release, err := synth.DefaultStore.Acquire(ctx, profiles[i], opt.Seed, opt.Instructions)
 		if err != nil {
 			var zero T
 			return zero, err
 		}
 		defer release()
-		return worker(profiles[i], refs)
+		return worker(ctx, profiles[i], src)
 	}
 	return mapOrdered(opt.ctx(), len(profiles), opt.workers(), profileName(profiles), run)
 }
 
-// mapRuns is mapTraces over each profile's memoized run-compacted trace
-// (synth.DefaultStore.InstrRuns): the store compacts a trace once, and every
-// later pass over it — sweeps, replay banks, the line-event kernel — reads
-// the same runs instead of recompacting the references. The worker gets the
-// runner's context, which it should check as it goes.
-func mapRuns[T any](profiles []synth.Profile, opt Options, worker func(ctx context.Context, p synth.Profile, runs []trace.Run) (T, error)) ([]T, error) {
-	run := func(ctx context.Context, i int) (T, error) {
-		_, runs, release, err := synth.DefaultStore.InstrRuns(ctx, profiles[i], opt.Seed, opt.Instructions)
+// mapRefs is mapRuns for the per-reference reference paths (opt.PerConfig):
+// the worker gets the trace expanded to one trace.Ref per instruction, a
+// slice that lives only as long as the call.
+func mapRefs[T any](profiles []synth.Profile, opt Options, worker func(p synth.Profile, refs []trace.Ref) (T, error)) ([]T, error) {
+	return mapRuns(profiles, opt, func(_ context.Context, p synth.Profile, src trace.RunReader) (T, error) {
+		refs, err := trace.ExpandReader(src)
 		if err != nil {
 			var zero T
 			return zero, err
 		}
-		defer release()
-		return worker(ctx, profiles[i], runs)
-	}
-	return mapOrdered(opt.ctx(), len(profiles), opt.workers(), profileName(profiles), run)
+		return worker(p, refs)
+	})
 }
 
 // mapBanks replays every profile's instruction trace through a bank of
 // fetch engines and returns, in profile order, each profile's per-engine
 // Results in bank order — the one-pass-per-workload primitive behind Tables
-// 5-8 and Figures 6/7. mk builds a fresh bank per profile (engines are
-// stateful). The default path fans the memoized run-compacted trace
-// (mapRuns) out through replay.Replay — bulk FetchRuns and one L1 pass per
+// 5-8, Figures 6/7 and every suite-mean engine CPI. mk builds a fresh bank
+// per profile (engines are stateful). The default path reads the memoized
+// runs (mapRuns) through replay.Run — bulk FetchRuns and one L1 pass per
 // content class, each member timed from it; opt.PerConfig selects the
 // reference path, one fetch.Run over the expanded trace per engine. Both
 // paths produce bit-identical Results (pinned by internal/check's fanout
 // differential).
 func mapBanks(profiles []synth.Profile, opt Options, mk func() ([]fetch.Engine, error)) ([][]fetch.Result, error) {
-	if !opt.PerConfig {
-		return mapRuns(profiles, opt, func(ctx context.Context, _ synth.Profile, runs []trace.Run) ([]fetch.Result, error) {
-			engines, err := mk()
-			if err != nil {
-				return nil, err
-			}
-			return replay.Replay(ctx, runs, engines)
-		})
-	}
-	run := func(ctx context.Context, i int) ([]fetch.Result, error) {
+	return mapRuns(profiles, opt, func(ctx context.Context, _ synth.Profile, src trace.RunReader) ([]fetch.Result, error) {
 		engines, err := mk()
 		if err != nil {
 			return nil, err
 		}
-		refs, release, err := synth.DefaultStore.InstrCtx(ctx, profiles[i], opt.Seed, opt.Instructions)
+		results := make([]fetch.Result, len(engines))
+		if !opt.PerConfig {
+			res, err := replay.Run(ctx, src, engines, replay.SamplePlan{})
+			if err != nil {
+				return nil, err
+			}
+			for i, r := range res {
+				results[i] = r.Measured
+			}
+			return results, nil
+		}
+		refs, err := trace.ExpandReader(src)
 		if err != nil {
 			return nil, err
 		}
-		defer release()
-		results := make([]fetch.Result, len(engines))
 		for j, e := range engines {
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -244,12 +221,11 @@ func mapBanks(profiles []synth.Profile, opt Options, mk func() ([]fetch.Engine, 
 			results[j] = fetch.Run(e, refs)
 		}
 		return results, nil
-	}
-	return mapOrdered(opt.ctx(), len(profiles), opt.workers(), profileName(profiles), run)
+	})
 }
 
 // mapProfiles runs worker over profiles concurrently (bounded by
-// opt.workers) and returns results in profile order. Unlike mapTraces, the
+// opt.workers) and returns results in profile order. Unlike mapRuns, the
 // worker generates its own reference stream — used by whole-system
 // experiments that need interleaved data references. The worker gets the
 // runner's context and should check it as it goes.
@@ -368,40 +344,49 @@ func meanOf(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
+// simulateCache feeds every instruction src holds to a fresh cfg cache, one
+// demand access each (cache.AccessRun per run), and returns its stats;
+// observe, when non-nil, also sees every run.
+func simulateCache(cfg cache.Config, src trace.RunReader, observe func(trace.Run)) (cache.Stats, error) {
+	c, err := cache.New(cfg)
+	if err != nil {
+		return cache.Stats{}, err
+	}
+	err = src.ReadRuns(0, math.MaxInt64, func(runs []trace.Run) error {
+		for _, r := range runs {
+			c.AccessRun(r.Start, r.Len, trace.InstrBytes)
+			if observe != nil {
+				observe(r)
+			}
+		}
+		return nil
+	})
+	return c.Stats(), err
+}
+
 // suiteMeanMPI simulates one cache geometry over every profile and returns
 // the suite-mean misses per instruction.
 func suiteMeanMPI(profiles []synth.Profile, cfg cache.Config, opt Options) (float64, error) {
-	per, err := mapTraces(profiles, opt, func(p synth.Profile, refs []trace.Ref) (float64, error) {
-		c, err := cache.New(cfg)
-		if err != nil {
-			return 0, err
-		}
-		for _, r := range refs {
-			c.Access(r.Addr)
-		}
-		st := c.Stats()
-		return float64(st.Misses) / float64(st.Accesses), nil
+	per, err := mapRuns(profiles, opt, func(_ context.Context, _ synth.Profile, src trace.RunReader) (float64, error) {
+		st, err := simulateCache(cfg, src, nil)
+		return float64(st.Misses) / float64(st.Accesses), err
 	})
 	return meanOf(per), err
 }
 
-// suiteMeanEngineCPI runs an engine factory over every profile and returns
-// the suite-mean CPIinstr (and MPI).
+// suiteMeanEngineCPI runs an engine factory over every profile, as a bank of
+// one, and returns the suite-mean CPIinstr (and MPI).
 func suiteMeanEngineCPI(profiles []synth.Profile, opt Options, mk func() (fetch.Engine, error)) (cpiMean, mpiMean float64, err error) {
-	per, err := mapTraces(profiles, opt, func(p synth.Profile, refs []trace.Ref) ([2]float64, error) {
+	per, err := mapBanks(profiles, opt, func() ([]fetch.Engine, error) {
 		e, err := mk()
-		if err != nil {
-			return [2]float64{}, err
-		}
-		res := fetch.Run(e, refs)
-		return [2]float64{res.CPIinstr(), res.MPI()}, nil
+		return []fetch.Engine{e}, err
 	})
 	if err != nil {
 		return 0, 0, err
 	}
 	for _, v := range per {
-		cpiMean += v[0] / float64(len(per))
-		mpiMean += v[1] / float64(len(per))
+		cpiMean += v[0].CPIinstr() / float64(len(per))
+		mpiMean += v[0].MPI() / float64(len(per))
 	}
 	return cpiMean, mpiMean, nil
 }

@@ -90,7 +90,7 @@ func figure1Accumulate(sizes []int, per [][]threec.Breakdown, nProfiles int) []F
 func figure1PerConfig(opt Options) (*Figure1Result, error) {
 	sizes := figure1Sizes()
 	return figure1Suites(func(profiles []synth.Profile) ([]Figure1Point, error) {
-		per, err := mapTraces(profiles, opt, func(p synth.Profile, refs []trace.Ref) ([]threec.Breakdown, error) {
+		per, err := mapRefs(profiles, opt, func(p synth.Profile, refs []trace.Ref) ([]threec.Breakdown, error) {
 			out := make([]threec.Breakdown, len(sizes))
 			for i, kb := range sizes {
 				b, err := threec.ClassifyApprox(kb*1024, 32, trace.NewSliceSource(refs))
@@ -116,7 +116,7 @@ func figure1Sweep(opt Options) (*Figure1Result, error) {
 	sizes := figure1Sizes()
 	const lineSize = 32
 	return figure1Suites(func(profiles []synth.Profile) ([]Figure1Point, error) {
-		per, err := mapRuns(profiles, opt, func(ctx context.Context, p synth.Profile, runs []trace.Run) ([]threec.Breakdown, error) {
+		per, err := mapRuns(profiles, opt, func(ctx context.Context, p synth.Profile, src trace.RunReader) ([]threec.Breakdown, error) {
 			cells := make([]sweep.Cell, 0, 2*len(sizes))
 			for _, kb := range sizes {
 				lines := kb * 1024 / lineSize
@@ -125,7 +125,7 @@ func figure1Sweep(opt Options) (*Figure1Result, error) {
 					sweep.Cell{Sets: lines, Assoc: 1},
 					sweep.Cell{Sets: lines / aref, Assoc: aref})
 			}
-			m, err := sweep.SampledPass{LineSize: lineSize, Cells: cells, CountDistinct: true, Ctx: ctx}.Run(runs)
+			m, err := sweep.SampledPass{LineSize: lineSize, Cells: cells, CountDistinct: true, Ctx: ctx}.Sweep(src)
 			if err != nil {
 				return nil, err
 			}
@@ -256,7 +256,7 @@ func figure3Assemble(profiles []synth.Profile, per []figure3PerProfile) *Figure3
 // workloads in parallel.
 func figure3PerConfig(profiles []synth.Profile, opt Options) ([]figure3PerProfile, error) {
 	sizesKB, lines := figure3Grid()
-	return mapTraces(profiles, opt, func(p synth.Profile, refs []trace.Ref) (figure3PerProfile, error) {
+	return mapRefs(profiles, opt, func(p synth.Profile, refs []trace.Ref) (figure3PerProfile, error) {
 		out := figure3PerProfile{cells: map[figure3Key][2]float64{}}
 		for _, kb := range sizesKB {
 			for _, line := range lines {
@@ -301,7 +301,7 @@ func figure3PerConfig(profiles []synth.Profile, opt Options) ([]figure3PerProfil
 func figure3Sweep(profiles []synth.Profile, opt Options) ([]figure3PerProfile, error) {
 	sizesKB, lines := figure3Grid()
 	base := BaseL1()
-	return mapRuns(profiles, opt, func(ctx context.Context, p synth.Profile, runs []trace.Run) (figure3PerProfile, error) {
+	return mapRuns(profiles, opt, func(ctx context.Context, p synth.Profile, src trace.RunReader) (figure3PerProfile, error) {
 		out := figure3PerProfile{cells: map[figure3Key][2]float64{}}
 		for _, line := range lines {
 			cells := make([]sweep.Cell, 0, len(sizesKB)+1)
@@ -313,7 +313,7 @@ func figure3Sweep(profiles []synth.Profile, opt Options) ([]figure3PerProfile, e
 				// count serves all three baseline links.
 				cells = append(cells, sweep.Cell{Sets: base.Size / base.LineSize, Assoc: 1})
 			}
-			m, err := sweep.SampledPass{LineSize: line, Cells: cells, Ctx: ctx}.Run(runs)
+			m, err := sweep.SampledPass{LineSize: line, Cells: cells, Ctx: ctx}.Sweep(src)
 			if err != nil {
 				return figure3PerProfile{}, err
 			}
@@ -451,7 +451,7 @@ func Figure4(opt Options) (*Figure4Result, error) {
 // simulation per associativity per memory, plus the baseline simulation.
 func figure4PerConfig(profiles []synth.Profile, opt Options) ([]figure4PerProfile, error) {
 	assocs := figure4Assocs()
-	return mapTraces(profiles, opt, func(p synth.Profile, refs []trace.Ref) (figure4PerProfile, error) {
+	return mapRefs(profiles, opt, func(p synth.Profile, refs []trace.Ref) (figure4PerProfile, error) {
 		out := figure4PerProfile{byAssoc: make([][2]float64, len(assocs))}
 		for i, a := range assocs {
 			cfg := cache.Config{Size: 64 * 1024, LineSize: 64, Assoc: a}
@@ -480,14 +480,14 @@ func figure4PerConfig(profiles []synth.Profile, opt Options) ([]figure4PerProfil
 func figure4Sweep(profiles []synth.Profile, opt Options) ([]figure4PerProfile, error) {
 	assocs := figure4Assocs()
 	base := BaseL1()
-	return mapRuns(profiles, opt, func(ctx context.Context, p synth.Profile, runs []trace.Run) (figure4PerProfile, error) {
+	return mapRuns(profiles, opt, func(ctx context.Context, p synth.Profile, src trace.RunReader) (figure4PerProfile, error) {
 		out := figure4PerProfile{byAssoc: make([][2]float64, len(assocs))}
 		const l2Size, l2Line = 64 * 1024, 64
 		cells := make([]sweep.Cell, len(assocs))
 		for i, a := range assocs {
 			cells[i] = sweep.Cell{Sets: l2Size / l2Line / a, Assoc: a}
 		}
-		m, err := sweep.SampledPass{LineSize: l2Line, Cells: cells, Ctx: ctx}.Run(runs)
+		m, err := sweep.SampledPass{LineSize: l2Line, Cells: cells, Ctx: ctx}.Sweep(src)
 		if err != nil {
 			return figure4PerProfile{}, err
 		}
@@ -498,7 +498,7 @@ func figure4Sweep(profiles []synth.Profile, opt Options) ([]figure4PerProfile, e
 				fetch.BlockingResult(n, m.Misses[i], l2Line, memsys.HighPerformance().Memory).CPIinstr(),
 			}
 		}
-		mb, err := sweep.SampledPass{LineSize: base.LineSize, Cells: []sweep.Cell{{Sets: base.Size / base.LineSize, Assoc: 1}}, Ctx: ctx}.Run(runs)
+		mb, err := sweep.SampledPass{LineSize: base.LineSize, Cells: []sweep.Cell{{Sets: base.Size / base.LineSize, Assoc: 1}}, Ctx: ctx}.Sweep(src)
 		if err != nil {
 			return figure4PerProfile{}, err
 		}

@@ -8,7 +8,6 @@ import (
 	"ibsim/internal/memsys"
 	"ibsim/internal/sampling"
 	"ibsim/internal/synth"
-	"ibsim/internal/trace"
 )
 
 // Methodology studies: validations of the simplifications the paper's
@@ -40,31 +39,35 @@ func MethodologyValidation(opt Options) (*MethodologyResult, error) {
 	l2cfg := cache.Config{Size: 64 * 1024, LineSize: 64, Assoc: 8}
 	mem := memsys.Economy().Memory
 	link := memsys.L1L2Link()
-	res := &MethodologyResult{}
-	err := forEachTrace(ibsProfiles(), opt, func(p synth.Profile, refs []trace.Ref) error {
+	profiles := ibsProfiles()
+	per, err := mapBanks(profiles, opt, func() ([]fetch.Engine, error) {
 		comb, err := fetch.NewHierarchy(BaseL1(), l2cfg, link, mem)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		fetch.Run(comb, refs)
 		l1only, err := fetch.NewBlocking(BaseL1(), link, 0)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		l2only, err := fetch.NewBlocking(l2cfg, mem, 0)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		indep := fetch.Run(l1only, refs).CPIinstr() + fetch.Run(l2only, refs).CPIinstr()
-		combTotal := comb.Result().CPIinstr()
-		row := MethodologyRow{Workload: p.Name, Combined: combTotal, Independent: indep}
+		return []fetch.Engine{comb, l1only, l2only}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	res := &MethodologyResult{}
+	for i, p := range profiles {
+		combTotal := per[i][0].CPIinstr()
+		row := MethodologyRow{Workload: p.Name, Combined: combTotal, Independent: per[i][1].CPIinstr() + per[i][2].CPIinstr()}
 		if combTotal != 0 {
-			row.RelErr = (indep - combTotal) / combTotal
+			row.RelErr = (row.Independent - combTotal) / combTotal
 		}
 		res.Rows = append(res.Rows, row)
-		return nil
-	})
-	return res, err
+	}
+	return res, nil
 }
 
 // Render prints the comparison.

@@ -10,31 +10,28 @@ import (
 )
 
 // TestMapTracesMatchesSerial is the differential property test for the
-// parallel suite runners: mapTraces with the default (parallel) executor
+// parallel suite runners: mapRuns with the default (parallel) executor
 // must return results in profile order, bit-identical to the Serial
 // reference path. Run under -race to additionally certify the executor is
 // data-race free (make race).
 func TestMapTracesMatchesSerial(t *testing.T) {
 	profiles := ibsProfiles()
 	opt := Options{Instructions: 40_000}
-	worker := func(p synth.Profile, refs []trace.Ref) ([2]interface{}, error) {
-		c := cache.MustNew(cache.Config{Size: 8192, LineSize: 32, Assoc: 1})
-		for _, r := range refs {
-			c.Access(r.Addr)
-		}
-		return [2]interface{}{p.Name, c.Stats()}, nil
+	worker := func(_ context.Context, p synth.Profile, src trace.RunReader) ([2]interface{}, error) {
+		st, err := simulateCache(cache.Config{Size: 8192, LineSize: 32, Assoc: 1}, src, nil)
+		return [2]interface{}{p.Name, st}, err
 	}
 
 	serialOpt := opt
 	serialOpt.Serial = true
-	want, err := mapTraces(profiles, serialOpt, worker)
+	want, err := mapRuns(profiles, serialOpt, worker)
 	if err != nil {
-		t.Fatalf("serial mapTraces: %v", err)
+		t.Fatalf("serial mapRuns: %v", err)
 	}
 	for trial := 0; trial < 3; trial++ {
-		got, err := mapTraces(profiles, opt, worker)
+		got, err := mapRuns(profiles, opt, worker)
 		if err != nil {
-			t.Fatalf("parallel mapTraces: %v", err)
+			t.Fatalf("parallel mapRuns: %v", err)
 		}
 		if len(got) != len(profiles) {
 			t.Fatalf("got %d results for %d profiles", len(got), len(profiles))

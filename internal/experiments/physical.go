@@ -56,9 +56,10 @@ type physTrace struct {
 	events []lineEvent
 }
 
-// compilePhys compiles runs for pageSize-byte pages and lineSize-byte lines,
-// both powers of two with lineSize <= pageSize <= 4 GB.
-func compilePhys(runs []trace.Run, pageSize, lineSize int) *physTrace {
+// compilePhys compiles the runs src holds for pageSize-byte pages and
+// lineSize-byte lines, both powers of two with lineSize <= pageSize <= 4 GB.
+// It reads src twice: once to size the event list, once to fill it.
+func compilePhys(src trace.RunReader, pageSize, lineSize int) (*physTrace, error) {
 	pt := &physTrace{pageSize: pageSize, lineSize: lineSize}
 	pageShift := bits.TrailingZeros(uint(pageSize))
 	lineShift := bits.TrailingZeros(uint(lineSize))
@@ -67,46 +68,58 @@ func compilePhys(runs []trace.Run, pageSize, lineSize int) *physTrace {
 	// Size the event list once: each run spans at most this many lines, and
 	// growing it by appends would allocate several times its final size.
 	bound := 0
-	for _, r := range runs {
-		bound += int((r.Start+uint64(r.Len-1)*trace.InstrBytes)>>lineShift-r.Start>>lineShift) + 1
+	err := src.ReadRuns(0, math.MaxInt64, func(runs []trace.Run) error {
+		for _, r := range runs {
+			bound += int((r.Start+uint64(r.Len-1)*trace.InstrBytes)>>lineShift-r.Start>>lineShift) + 1
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	pt.events = make([]lineEvent, 0, bound)
 	ordinal := make(map[physPage]uint32)
 	var cur physPage
 	var curID uint32
-	for _, r := range runs {
-		addr, left := r.Start, r.Len
-		for left > 0 {
-			k := left
-			if lineEnd := (addr | lineMask) + 1; lineEnd != 0 {
-				// lineEnd == 0 means the top line, which holds the rest of
-				// the run (runs never wrap the address space).
-				if room := int64(lineEnd-addr+trace.InstrBytes-1) / trace.InstrBytes; room < k {
-					k = room
+	err = src.ReadRuns(0, math.MaxInt64, func(runs []trace.Run) error {
+		for _, r := range runs {
+			addr, left := r.Start, r.Len
+			for left > 0 {
+				k := left
+				if lineEnd := (addr | lineMask) + 1; lineEnd != 0 {
+					// lineEnd == 0 means the top line, which holds the rest of
+					// the run (runs never wrap the address space).
+					if room := int64(lineEnd-addr+trace.InstrBytes-1) / trace.InstrBytes; room < k {
+						k = room
+					}
 				}
-			}
-			pg := physPage{domain: r.Domain, vpn: addr >> pageShift}
-			if len(pt.pages) == 0 || pg != cur {
-				id, ok := ordinal[pg]
-				if !ok {
-					id = uint32(len(pt.pages))
-					ordinal[pg] = id
-					pt.pages = append(pt.pages, pg)
+				pg := physPage{domain: r.Domain, vpn: addr >> pageShift}
+				if len(pt.pages) == 0 || pg != cur {
+					id, ok := ordinal[pg]
+					if !ok {
+						id = uint32(len(pt.pages))
+						ordinal[pg] = id
+						pt.pages = append(pt.pages, pg)
+					}
+					cur, curID = pg, id
 				}
-				cur, curID = pg, id
+				off := uint32(addr & pageMask &^ lineMask)
+				if last := len(pt.events) - 1; last >= 0 && pt.events[last].page == curID &&
+					pt.events[last].off == off && int64(pt.events[last].n)+k <= math.MaxUint32 {
+					pt.events[last].n += uint32(k)
+				} else {
+					pt.events = append(pt.events, lineEvent{page: curID, off: off, n: uint32(k)})
+				}
+				addr += uint64(k) * trace.InstrBytes
+				left -= k
 			}
-			off := uint32(addr & pageMask &^ lineMask)
-			if last := len(pt.events) - 1; last >= 0 && pt.events[last].page == curID &&
-				pt.events[last].off == off && int64(pt.events[last].n)+k <= math.MaxUint32 {
-				pt.events[last].n += uint32(k)
-			} else {
-				pt.events = append(pt.events, lineEvent{page: curID, off: off, n: uint32(k)})
-			}
-			addr += uint64(k) * trace.InstrBytes
-			left -= k
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return pt
+	return pt, nil
 }
 
 // replay translates pt's pages through m in first-touch order, then applies
@@ -146,29 +159,32 @@ func perRefPhys(refs []trace.Ref) physSim {
 	}
 }
 
-// mapPhysical runs worker over every profile concurrently, like mapTraces,
+// mapPhysical runs worker over every profile concurrently, like mapRuns,
 // and returns the results in profile order. The worker gets a physSim over
 // the profile's trace for physPageSize pages and lineSize-byte lines, and
 // the runner's context, which it should check between cells. The default
-// path compiles the memoized run-compacted trace (mapRuns) into a
-// physTrace; opt.PerConfig selects the per-reference loop over the expanded
-// trace. Both paths yield bit-identical cache statistics (pinned by
-// internal/check's figure5-physical differential).
+// path compiles the memoized runs (mapRuns) into a physTrace; opt.PerConfig
+// selects the per-reference loop over the expanded trace. Both paths yield
+// bit-identical cache statistics (pinned by internal/check's
+// figure5-physical differential).
 func mapPhysical[T any](profiles []synth.Profile, opt Options, lineSize int, worker func(ctx context.Context, p synth.Profile, sim physSim) (T, error)) ([]T, error) {
-	if !opt.PerConfig {
-		return mapRuns(profiles, opt, func(ctx context.Context, p synth.Profile, runs []trace.Run) (T, error) {
-			return worker(ctx, p, compilePhys(runs, physPageSize, lineSize).replay)
-		})
-	}
-	run := func(ctx context.Context, i int) (T, error) {
-		p := profiles[i]
-		refs, release, err := synth.DefaultStore.InstrCtx(ctx, p, opt.Seed, opt.Instructions)
-		if err != nil {
-			var zero T
-			return zero, err
+	return mapRuns(profiles, opt, func(ctx context.Context, p synth.Profile, src trace.RunReader) (T, error) {
+		var sim physSim
+		if opt.PerConfig {
+			refs, err := trace.ExpandReader(src)
+			if err != nil {
+				var zero T
+				return zero, err
+			}
+			sim = perRefPhys(refs)
+		} else {
+			pt, err := compilePhys(src, physPageSize, lineSize)
+			if err != nil {
+				var zero T
+				return zero, err
+			}
+			sim = pt.replay
 		}
-		defer release()
-		return worker(ctx, p, perRefPhys(refs))
-	}
-	return mapOrdered(opt.ctx(), len(profiles), opt.workers(), profileName(profiles), run)
+		return worker(ctx, p, sim)
+	})
 }

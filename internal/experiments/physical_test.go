@@ -73,7 +73,10 @@ func TestPhysTraceMatchesPerReference(t *testing.T) {
 			refs := randomPhysRefs(rng, pageSize)
 			runs := trace.Compact(refs)
 			for _, lineSize := range []int{16, 32, 64} {
-				pt := compilePhys(runs, pageSize, lineSize)
+				pt, err := compilePhys(trace.NewRunReader(runs), pageSize, lineSize)
+				if err != nil {
+					t.Fatal(err)
+				}
 				for _, assoc := range []int{1, 2, 4, 0} {
 					size := 32 * 1024
 					if assoc == 0 {
@@ -113,7 +116,10 @@ func TestCompilePhysLayout(t *testing.T) {
 		{Start: 0x2000, Len: 2, Domain: trace.User},   // re-enters the line just left
 		{Start: 0x2000, Len: 1, Domain: trace.Kernel}, // same vpn, other domain
 	}
-	pt := compilePhys(runs, 4096, 32)
+	pt, err := compilePhys(trace.NewRunReader(runs), 4096, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
 	wantPages := []physPage{{trace.User, 1}, {trace.User, 2}, {trace.Kernel, 2}}
 	wantEvents := []lineEvent{{0, 0xfe0, 2}, {1, 0, 4}, {2, 0, 1}}
 	if fmt.Sprint(pt.pages) != fmt.Sprint(wantPages) || fmt.Sprint(pt.events) != fmt.Sprint(wantEvents) {
@@ -170,7 +176,7 @@ func TestFigure5DeadlineStopsBetweenCells(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, release, err := synth.DefaultStore.InstrRuns(context.Background(), p, 0, n)
+		_, release, err := synth.DefaultStore.RunsOnly(context.Background(), p, 0, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,14 +222,18 @@ func benchPhys(b *testing.B, lineEvents bool) {
 		b.Fatal(err)
 	}
 	const n = 500_000
-	refs, runs, release, err := synth.DefaultStore.InstrRuns(context.Background(), p, 0, n)
+	runs, release, err := synth.DefaultStore.RunsOnly(context.Background(), p, 0, n)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer release()
-	sim := perRefPhys(refs)
+	sim := perRefPhys(trace.Expand(runs))
 	if lineEvents {
-		sim = compilePhys(runs, physPageSize, 32).replay
+		pt, err := compilePhys(trace.NewRunReader(runs), physPageSize, 32)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sim = pt.replay
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -20,11 +20,11 @@ func TestWorkerPanicIsolated(t *testing.T) {
 	profiles := ibsProfiles()
 	victim := profiles[1].Name
 	for _, opt := range []Options{{Instructions: 1000}, {Instructions: 1000, Serial: true}} {
-		_, err := mapTraces(profiles, opt.withDefaults(), func(p synth.Profile, refs []trace.Ref) (int, error) {
+		_, err := mapRuns(profiles, opt.withDefaults(), func(_ context.Context, p synth.Profile, src trace.RunReader) (int64, error) {
 			if p.Name == victim {
 				panic("boom")
 			}
-			return len(refs), nil
+			return src.Total(), nil
 		})
 		var we *WorkerError
 		if !errors.As(err, &we) {
@@ -76,21 +76,22 @@ func TestFirstErrorCancelsSiblings(t *testing.T) {
 	}
 }
 
-// A cancelled caller context stops mapTraces with the context error.
+// A cancelled caller context stops mapRuns and mapRefs with the context
+// error.
 func TestMapTracesHonorsContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	opt := Options{Instructions: 1000, Context: ctx}
-	_, err := mapTraces(ibsProfiles(), opt.withDefaults(), func(p synth.Profile, refs []trace.Ref) (int, error) {
-		return len(refs), nil
+	_, err := mapRuns(ibsProfiles(), opt.withDefaults(), func(_ context.Context, p synth.Profile, src trace.RunReader) (int64, error) {
+		return src.Total(), nil
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if err := forEachTrace(ibsProfiles(), opt.withDefaults(), func(p synth.Profile, refs []trace.Ref) error {
-		return nil
+	if _, err := mapRefs(ibsProfiles(), opt.withDefaults(), func(p synth.Profile, refs []trace.Ref) (int, error) {
+		return len(refs), nil
 	}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("forEachTrace err = %v, want context.Canceled", err)
+		t.Fatalf("mapRefs err = %v, want context.Canceled", err)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"ibsim/internal/cache"
 	"ibsim/internal/cpi"
 	"ibsim/internal/fetch"
 	"ibsim/internal/memsys"
@@ -186,14 +185,12 @@ func Table4(opt Options) (*Table4Result, error) {
 	opt = opt.withDefaults()
 	res := &Table4Result{}
 	cfg := BaseL1()
-	rows, err := mapTraces(synth.IBSMach(), opt, func(p synth.Profile, refs []trace.Ref) (Table4Row, error) {
-		c := cache.MustNew(cfg)
+	rows, err := mapRuns(synth.IBSMach(), opt, func(_ context.Context, p synth.Profile, src trace.RunReader) (Table4Row, error) {
 		var counts trace.Counts
-		for _, r := range refs {
-			c.Access(r.Addr)
-			counts.Observe(r)
+		st, err := simulateCache(cfg, src, counts.ObserveRun)
+		if err != nil {
+			return Table4Row{}, err
 		}
-		st := c.Stats()
 		return Table4Row{
 			OS:       "Mach 3.0",
 			Workload: p.Name,

@@ -152,11 +152,10 @@ func TestSweepMatchesLibrary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refs, release, err := synth.NewStore(1<<26).Instr(prof, 0, 120_000)
+	refs, err := synth.InstrTrace(prof, 0, 120_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer release()
 	p := sweep.Pass{LineSize: 32, CountDistinct: true,
 		Cells: []sweep.Cell{{Sets: 64, Assoc: 1}, {Sets: 128, Assoc: 2}, {Sets: 256, Assoc: 4}}}
 	want, err := p.Run(refs)
@@ -204,7 +203,7 @@ func TestReplayMatchesLibrary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, runs, release, err := synth.NewStore(1<<26).InstrRuns(context.Background(), prof, 0, 100_000)
+	runs, release, err := synth.NewStore(1<<26).RunsOnly(context.Background(), prof, 0, 100_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,8 +387,10 @@ func TestNearDeadlineDegrades(t *testing.T) {
 func TestOverBudgetStreamsDegraded(t *testing.T) {
 	run := func(t *testing.T, hardBudget int64) (SweepResponse, ReplayResponse) {
 		t.Helper()
+		store := synth.NewStoreLimits(1<<26, hardBudget)
+		t.Cleanup(store.Purge) // after the server closes: drops the spill directory
 		_, ts := testServer(t, func(c *Config) {
-			c.Store = synth.NewStoreLimits(1<<26, hardBudget)
+			c.Store = store
 		})
 		sreq := SweepRequest{Workload: "eqntott", Instructions: 100_000, LineSize: 32,
 			Cells: []CellSpec{{Sets: 64, Assoc: 1}, {Sets: 512, Assoc: 2}}}

@@ -19,10 +19,10 @@ import (
 // replay. Generation streams the synthetic instruction stream through an
 // incremental run compaction straight into the columnar writer, so peak
 // memory is O(block) however long the trace; the hard budget is charged at
-// the ACTUAL file size as it grows — typically well under a byte per
-// instruction, versus 16 for refs and ~24 per run in memory — which is what
-// lets the service's columnar-disk degradation tier serve exact results for
-// workloads whose run list alone would blow the RAM budget.
+// the ACTUAL encoded size as it grows — typically well under a byte per
+// instruction, against about 3 for the runs in memory — which is what lets
+// Acquire serve exact results from disk for workloads whose run list would
+// blow the RAM budget.
 //
 // Entries are memoized and ref-counted like every other tier; an evicted
 // entry closes its mapping and deletes its backing file.
@@ -130,8 +130,8 @@ func purgeSpillDir(fsys crashfs.FS, dir string) error {
 	return nil
 }
 
-// countWriter counts bytes flushed to the underlying file so the growing
-// encoding can be checked against the hard budget mid-generation.
+// countWriter counts the bytes written to the spill file, whose final size
+// the hard budget is checked against.
 type countWriter struct {
 	f crashfs.File
 	n int64
@@ -183,7 +183,7 @@ func (s *Store) writeColumnar(prof Profile, seed uint64, n int64) (payload, erro
 	if err != nil {
 		return fail(err)
 	}
-	if err := s.spill(g, prof, seed, n, w, cw); err != nil {
+	if err := s.spill(g, prof, seed, n, w); err != nil {
 		return fail(err)
 	}
 	if err := w.Close(); err != nil {
@@ -224,8 +224,12 @@ func (s *Store) writeColumnar(prof Profile, seed uint64, n int64) (payload, erro
 
 // spill streams g through an inline run compaction into w, resuming from
 // the longest memoized runs-only prefix. The extension condition mirrors
-// trace.Compactor.Add exactly; only the open run is held.
-func (s *Store) spill(g *Generator, prof Profile, seed uint64, n int64, w *trace.ColumnarWriter, cw *countWriter) error {
+// trace.Compactor.Add exactly; only the open run is held. The hard budget is
+// checked against w.Size(), which counts the block w still holds open and
+// what the write buffer holds, so a doomed spill fails within the first
+// budget-check interval past the budget rather than after encoding a whole
+// block (1 MiB, millions of instructions).
+func (s *Store) spill(g *Generator, prof Profile, seed uint64, n int64, w *trace.ColumnarWriter) error {
 	var cur trace.Run
 	var next uint64
 	if prefix, start := s.runsPrefix(prof, seed, n); start > 0 {
@@ -254,8 +258,8 @@ func (s *Store) spill(g *Generator, prof Profile, seed uint64, n int64, w *trace
 			cur = trace.Run{Start: r.Addr, Len: 1, Domain: r.Domain}
 			next = r.Addr + trace.InstrBytes
 		}
-		if g.Instructions()&budgetCheckMask == 0 && s.hardBudget > 0 && cw.n > s.hardBudget {
-			return fmt.Errorf("%w: columnar encoding of %d instructions already exceeds %d bytes on disk",
+		if g.Instructions()&budgetCheckMask == 0 && s.hardBudget > 0 && w.Size() > s.hardBudget {
+			return fmt.Errorf("%w: columnar encoding of %d instructions already exceeds %d bytes",
 				ErrOverBudget, n, s.hardBudget)
 		}
 	}

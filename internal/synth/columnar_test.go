@@ -193,3 +193,27 @@ func TestStoreStatsConcurrentWithSpills(t *testing.T) {
 		t.Errorf("stats after %d released spills = %+v, want %d spills and no bytes on disk", spills, st, spills)
 	}
 }
+
+// A spill doomed by the hard budget fails as soon as its encoding crosses
+// it, counting the block the columnar writer still holds open and the write
+// buffer: gcc's 1M instructions encode into a single open block, which
+// nothing reaches the file before, yet a 1-KiB budget must stop generation
+// at its first budget check, before the checkpoint index records a restore
+// point at instruction 16,384.
+func TestStoreColumnarDoomedSpillFailsEarly(t *testing.T) {
+	p, err := Lookup("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewStoreLimits(DefaultIdleBudget, 1<<10)
+	if err := s.SetSpillDir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Columnar(context.Background(), p, 0, 1_000_000); !errors.Is(err, ErrOverBudget) {
+		t.Fatalf("Columnar under a 1-KiB budget = %v, want ErrOverBudget", err)
+	}
+	if st := s.Stats(); st.Checkpoints != 0 || st.Entries != 0 {
+		t.Fatalf("doomed spill generated past instruction %d (%d checkpoints) or left %d entries",
+			DefaultCheckpointEvery, st.Checkpoints, st.Entries)
+	}
+}

@@ -6,8 +6,8 @@ import (
 
 // Seekable streaming tier of the store.
 //
-// Every generation pass the store runs — materializing refs, streaming run
-// compaction, columnar spill, Acquire's seek tier — attaches the store's
+// Every generation pass the store runs — streaming run compaction, columnar
+// spill, Acquire's seek tier — attaches the store's
 // per-(profile, seed) CheckpointIndex to its generator, so the pass leaves
 // behind a trail of restore points as a side effect. Later passes over the
 // same workload then position themselves in O(checkpoint interval) instead

@@ -17,8 +17,10 @@ import (
 var ErrOverBudget = errors.New("synth: trace exceeds store hard memory budget")
 
 // DefaultIdleBudget bounds the bytes the default Store keeps alive for
-// traces no caller currently holds: roughly two full experiment suites at
-// the default 2M-instruction scale.
+// traces no caller currently holds. The store memoizes run compactions,
+// about 3 bytes per instruction on the exhibit traces, so the budget keeps
+// all 19 of them warm to roughly 16M instructions each; beyond that the
+// least recently used are evicted and regenerated on their next use.
 const DefaultIdleBudget = 1 << 30
 
 // DefaultStore is the process-wide trace store shared by the experiment
@@ -28,12 +30,12 @@ var DefaultStore = NewStore(DefaultIdleBudget)
 
 // entryKind names the form a store entry holds. Each form has its own key
 // space, so a budget admitting one form never aliases an entry holding
-// another.
+// another. No form holds a []trace.Ref: the run compaction is the only
+// in-memory trace.
 type entryKind uint8
 
 const (
-	kindRefs        entryKind = iota // per-reference slice (Instr), plus runs once InstrRuns asks
-	kindRuns                         // run-length compaction only (RunsOnly)
+	kindRuns        entryKind = iota // run-length compaction (RunsOnly)
 	kindColumnar                     // on-disk columnar file (Columnar, see columnar.go)
 	kindCheckpoints                  // checkpoint index for (prof, seed); n is always 0 (see seek.go)
 )
@@ -49,12 +51,11 @@ type storeKey struct {
 	kind entryKind
 }
 
-// payload is what filling an entry produces: the refs of a kindRefs entry,
-// the runs of a kindRuns entry, or a columnar entry's opened file cf, its
-// location path and its on-disk size fileBytes (what the budgets charge;
-// the live-memory cost is one mmap'd block).
+// payload is what filling an entry produces: the runs of a kindRuns entry,
+// or a columnar entry's opened file cf, its location path and its on-disk
+// size fileBytes (what the budgets charge; the live-memory cost is one
+// mmap'd block).
 type payload struct {
-	refs      []trace.Ref
 	runs      []trace.Run
 	cf        *trace.ColumnarFile
 	path      string
@@ -67,12 +68,6 @@ type storeEntry struct {
 	payload
 	err error
 
-	// runsOnce guards the lazy compaction InstrRuns adds to a kindRefs
-	// entry. runs is assigned under the store mutex so the idle-byte
-	// accounting, which reads len(runs) under the same mutex, never races
-	// the compaction.
-	runsOnce sync.Once
-
 	// ckix is the checkpoint index of a kindCheckpoints entry (see
 	// seek.go). Its bytes only change while some holder's generator appends
 	// to it, i.e. while refcount > 0, so the idle accounting at the
@@ -83,12 +78,11 @@ type storeEntry struct {
 	lastUse  int64 // store tick of the most recent acquire/release
 }
 
-// entryBytes is the retained size of an entry: the trace itself plus its
-// run-length compaction when one has been materialized, or the on-disk file
-// size for columnar entries. Callers must hold the store mutex (runs is
-// written under it).
+// entryBytes is the retained size of an entry: its runs, the on-disk file
+// size for columnar entries, or the checkpoint index's bytes. Callers must
+// hold the store mutex (the payload is published under it).
 func entryBytes(e *storeEntry) int64 {
-	b := int64(len(e.refs))*refBytes + int64(len(e.runs))*runBytes + e.fileBytes
+	b := int64(len(e.runs))*runBytes + e.fileBytes
 	if e.ckix != nil {
 		b += e.ckix.Bytes()
 	}
@@ -124,7 +118,7 @@ type Stats struct {
 	Spills     int64
 	SpillBytes int64
 	IdleBytes  int64
-	// Entries counts memoized trace entries (refs, runs, columnar).
+	// Entries counts memoized trace entries (runs, columnar).
 	// Checkpoint indexes — metadata about traces, not traces — are reported
 	// separately as CheckpointEntries/CheckpointBytes/Checkpoints.
 	Entries           int
@@ -133,15 +127,17 @@ type Stats struct {
 	Checkpoints       int64 // total restore points across all indexes
 }
 
-// Store memoizes materialized instruction traces keyed by
-// (profile, seed, instruction count). Entries are ref-counted:
-// Instr returns the trace together with a release function, and a released
-// entry stays cached — up to the idle-byte budget, evicting least-recently
-// used idle entries beyond it — so sequential experiments over the same
-// suite reuse each other's generation work.
+// Store memoizes instruction traces keyed by (profile, seed, instruction
+// count) in the forms Acquire serves: the run compaction in RAM (RunsOnly),
+// the columnar spill on disk (Columnar), and per workload the checkpoint
+// index that lets regeneration seek (Checkpoints). Entries are ref-counted:
+// every acquisition returns a release function, and a released entry stays
+// cached — up to the idle-byte budget, evicting least-recently used idle
+// entries beyond it — so sequential experiments over the same suite reuse
+// each other's generation work.
 //
-// The returned slice is shared by every holder of the same key and MUST be
-// treated as read-only.
+// A returned slice or file is shared by every holder of the same key and
+// MUST be treated as read-only.
 type Store struct {
 	mu         sync.Mutex
 	entries    map[storeKey]*storeEntry
@@ -176,19 +172,20 @@ func NewStoreLimits(idleBudget, hardBudget int64) *Store {
 	return &Store{entries: make(map[storeKey]*storeEntry), idleBudget: idleBudget, hardBudget: hardBudget}
 }
 
-// refBytes is the retained size of one trace.Ref (16 bytes with padding);
-// runBytes that of one trace.Run (24 bytes with padding).
+// refBytes is the size of one trace.Ref (16 bytes with padding); runBytes
+// that of one trace.Run (24 bytes with padding), which the hard budget
+// charges.
 const (
 	refBytes = 16
 	runBytes = 24
 )
 
-// TraceBytes estimates the bytes a store retains for one materialized
-// n-instruction trace; withRuns adds the worst case of its run-length
-// compaction (one run per ref). This is the same arithmetic Instr and
-// InstrRuns check against the hard budget, exported so admission control
-// (cmd/ibsimd's weighted limiter) can weigh a request before committing to
-// the allocation.
+// TraceBytes is the weight ibsimd's admission limiter charges an
+// n-instruction request: the bytes of its references, plus with withRuns
+// the worst case of their run compaction (one run per reference). The store
+// retains neither — it holds runs only, about 3 bytes per instruction on
+// the IBS traces, and charges the hard budget for those — but the weight
+// stays ref-sized until admission is sized by the tier Acquire will serve.
 func TraceBytes(n int64, withRuns bool) int64 {
 	if n <= 0 {
 		return 0
@@ -199,65 +196,32 @@ func TraceBytes(n int64, withRuns bool) int64 {
 	return n * refBytes
 }
 
-// Instr returns prof's instruction-only trace for (seed, n) — the same
-// stream InstrTrace generates — memoized across callers. The release
-// function must be called exactly once when the caller is done with the
-// slice; it is safe to call from any goroutine. Concurrent acquires of the
-// same key share one generation.
-func (s *Store) Instr(prof Profile, seed uint64, n int64) ([]trace.Ref, func(), error) {
-	return s.InstrCtx(context.Background(), prof, seed, n)
-}
-
-// InstrCtx is Instr honoring ctx: a caller waiting on another goroutine's
-// in-flight generation returns ctx.Err() as soon as ctx is done, instead of
-// blocking to completion. The generation itself is not interrupted (another
-// caller may still want it); an abandoned wait releases the caller's
-// reference, so it cannot leak the entry.
+// InstrCtx returns prof's instruction-only trace for (seed, n) — the stream
+// InstrTrace generates — expanded afresh from the memoized run compaction
+// (RunsOnly). The store retains only the runs; the slice belongs to the
+// caller. The release function releases the runs entry and must be called
+// exactly once. A waiter abandoned by ctx returns ctx.Err() without leaking
+// the entry.
+//
+// Deprecated: every call expands 16 bytes per instruction. Read the trace
+// through Acquire, and expand it (trace.ExpandReader) only where a
+// per-reference oracle needs a []trace.Ref.
 func (s *Store) InstrCtx(ctx context.Context, prof Profile, seed uint64, n int64) ([]trace.Ref, func(), error) {
-	e, release, err := s.instr(ctx, prof, seed, n)
-	if err != nil {
-		return nil, nil, err
-	}
-	return e.refs, release, nil
+	refs, _, release, err := s.InstrRuns(ctx, prof, seed, n)
+	return refs, release, err
 }
 
-// instr acquires the kindRefs entry for (prof, seed, n).
-func (s *Store) instr(ctx context.Context, prof Profile, seed uint64, n int64) (*storeEntry, func(), error) {
-	if s.hardBudget > 0 && n*refBytes > s.hardBudget {
-		return nil, nil, fmt.Errorf("%w: %d refs need %d bytes, budget %d",
-			ErrOverBudget, n, n*refBytes, s.hardBudget)
-	}
-	return s.acquire(ctx, storeKey{prof: prof, seed: seed, n: n, kind: kindRefs}, func() (payload, error) {
-		refs, err := s.instrTrace(prof, seed, n)
-		return payload{refs: refs}, err
-	})
-}
-
-// InstrRuns is InstrCtx returning, alongside the memoized trace, its
-// run-length compaction (trace.Compact), computed once per entry and shared
-// by every holder. Both slices are covered by the single release function
-// and MUST be treated as read-only. The exhibit runners
-// (internal/experiments) are the intended consumer: their sweeps, replay
-// banks and line-event passes read the same runs without recompacting them,
-// while the per-reference reference paths read the refs of the same entry.
+// InstrRuns is InstrCtx also returning the memoized runs it expanded, which
+// are shared by every holder and MUST be treated as read-only.
+//
+// Deprecated: every call expands 16 bytes per instruction. Use RunsOnly or
+// Acquire.
 func (s *Store) InstrRuns(ctx context.Context, prof Profile, seed uint64, n int64) ([]trace.Ref, []trace.Run, func(), error) {
-	// Worst case (no sequentiality at all) the compaction retains one run
-	// per ref, so budget for both slices up front.
-	if s.hardBudget > 0 && n*(refBytes+runBytes) > s.hardBudget {
-		return nil, nil, nil, fmt.Errorf("%w: %d refs with runs need up to %d bytes, budget %d",
-			ErrOverBudget, n, n*(refBytes+runBytes), s.hardBudget)
-	}
-	e, release, err := s.instr(ctx, prof, seed, n)
+	runs, release, err := s.RunsOnly(ctx, prof, seed, n)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	e.runsOnce.Do(func() {
-		runs := trace.Compact(e.refs)
-		s.mu.Lock()
-		e.runs = runs
-		s.mu.Unlock()
-	})
-	return e.refs, e.runs, release, nil
+	return trace.Expand(runs), runs, release, nil
 }
 
 // RunsOnly returns prof's run-length-compacted instruction trace for
@@ -265,12 +229,10 @@ func (s *Store) InstrRuns(ctx context.Context, prof Profile, seed uint64, n int6
 // streams through an incremental trace.Compactor, so peak memory is O(runs)
 // — about 3.3 bytes per instruction on the IBS traces against the refs' 16
 // (instruction fetch is overwhelmingly sequential). It is Acquire's first
-// tier: a request whose refs would exceed the hard budget usually still
-// fits as runs. Unlike Instr, the hard budget is enforced against the
-// ACTUAL compacted size as it grows, not a worst-case estimate; a
-// pathologically non-sequential stream aborts with ErrOverBudget
-// mid-generation. The slice is shared and read-only; the release function
-// must be called exactly once.
+// tier. The hard budget is enforced against the ACTUAL compacted size as it
+// grows, not a worst-case estimate; a pathologically non-sequential stream
+// aborts with ErrOverBudget mid-generation. The slice is shared and
+// read-only; the release function must be called exactly once.
 func (s *Store) RunsOnly(ctx context.Context, prof Profile, seed uint64, n int64) ([]trace.Run, func(), error) {
 	e, release, err := s.acquire(ctx, storeKey{prof: prof, seed: seed, n: n, kind: kindRuns}, func() (payload, error) {
 		runs, err := s.compactStream(prof, seed, n)
@@ -397,25 +359,11 @@ func (s *Store) acquire(ctx context.Context, key storeKey, fill func() (payload,
 	return e, s.releaseOnce(key, e), nil
 }
 
-// budgetCheckMask sets how often compactStream re-checks the growing
-// compaction against the hard budget (every 4K instructions).
+// budgetCheckMask sets how often compactStream and the columnar spill
+// re-check the growing compaction or encoding against the hard budget
+// (every 4K instructions); compactStream also generates in batches of that
+// many.
 const budgetCheckMask = 1<<12 - 1
-
-// instrTrace is InstrTrace through a store-attached generator: the pass
-// registers checkpoints in the shared index as it materializes, so the
-// bytes spent generating also buy O(interval) seeks for every later pass.
-func (s *Store) instrTrace(prof Profile, seed uint64, n int64) ([]trace.Ref, error) {
-	g, done, err := s.seekGen(prof, seed)
-	if err != nil {
-		return nil, err
-	}
-	defer done()
-	out := make([]trace.Ref, n)
-	for i := range out {
-		out[i], _ = g.Next()
-	}
-	return out, nil
-}
 
 // compactStream generates prof's instruction stream and compacts it on the
 // fly, enforcing the store's hard budget against the runs actually retained.
@@ -435,10 +383,14 @@ func (s *Store) compactStream(prof Profile, seed uint64, n int64) ([]trace.Run, 
 			return nil, err
 		}
 	}
+	batch := make([]trace.Ref, budgetCheckMask+1)
 	for g.Instructions() < n {
-		r, _ := g.Next()
-		c.Add(r)
-		if g.Instructions()&budgetCheckMask == 0 && s.hardBudget > 0 && int64(c.Len())*runBytes > s.hardBudget {
+		b := batch[:min(n-g.Instructions(), int64(len(batch)))]
+		for i := range b {
+			b[i], _ = g.Next()
+		}
+		c.Add(b...)
+		if s.hardBudget > 0 && int64(c.Len())*runBytes > s.hardBudget {
 			return nil, fmt.Errorf("%w: run compaction of %d instructions already needs over %d bytes",
 				ErrOverBudget, n, s.hardBudget)
 		}

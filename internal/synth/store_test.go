@@ -23,23 +23,19 @@ func TestStoreMemoizesAndMatchesInstrTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refs, release, err := s.Instr(p, 0, 5000)
+	ctx := context.Background()
+	runs, release, err := s.RunsOnly(ctx, p, 0, 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(refs) != len(want) {
-		t.Fatalf("store trace has %d refs, InstrTrace %d", len(refs), len(want))
+	if refs := trace.Expand(runs); !slices.Equal(refs, want) {
+		t.Fatalf("store runs expand to %d refs that differ from InstrTrace's %d", len(refs), len(want))
 	}
-	for i := range refs {
-		if refs[i] != want[i] {
-			t.Fatalf("ref %d: store %v != InstrTrace %v", i, refs[i], want[i])
-		}
-	}
-	again, release2, err := s.Instr(p, 0, 5000)
+	again, release2, err := s.RunsOnly(ctx, p, 0, 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &again[0] != &refs[0] {
+	if &again[0] != &runs[0] {
 		t.Fatal("second acquire did not return the memoized slice")
 	}
 	release()
@@ -48,11 +44,11 @@ func TestStoreMemoizesAndMatchesInstrTrace(t *testing.T) {
 	if st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats = %+v, want 1 hit / 1 miss", st)
 	}
-	if st.IdleBytes != int64(len(refs))*refBytes {
-		t.Fatalf("idle bytes %d, want %d", st.IdleBytes, int64(len(refs))*refBytes)
+	if st.IdleBytes != int64(len(runs))*runBytes {
+		t.Fatalf("idle bytes %d, want %d", st.IdleBytes, int64(len(runs))*runBytes)
 	}
 	// A released entry must still be served from cache.
-	_, release3, err := s.Instr(p, 0, 5000)
+	_, release3, err := s.RunsOnly(ctx, p, 0, 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +73,7 @@ func TestStoreDistinguishesKeys(t *testing.T) {
 		seed uint64
 		n    int64
 	}{{p, 0, 1000}, {p, 1, 1000}, {p, 0, 2000}, {q, 0, 1000}} {
-		_, release, err := s.Instr(k.prof, k.seed, k.n)
+		_, release, err := s.RunsOnly(context.Background(), k.prof, k.seed, k.n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,19 +85,30 @@ func TestStoreDistinguishesKeys(t *testing.T) {
 	}
 }
 
+// runsBytes is what the store charges for the runs of (p, seed, n).
+func runsBytes(t *testing.T, p Profile, seed uint64, n int64) int64 {
+	t.Helper()
+	refs, err := InstrTrace(p, seed, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int64(len(trace.Compact(refs))) * runBytes
+}
+
 func TestStoreEvictsIdleBeyondBudget(t *testing.T) {
 	p, err := Lookup("gs")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Budget fits one 1000-ref trace but not two.
-	s := NewStore(1500 * refBytes)
-	_, r1, err := s.Instr(p, 1, 1000)
+	ctx := context.Background()
+	// Budget fits either 1000-instruction trace's runs but not both.
+	s := NewStore(runsBytes(t, p, 1, 1000) + runsBytes(t, p, 2, 1000) - 1)
+	_, r1, err := s.RunsOnly(ctx, p, 1, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r1()
-	_, r2, err := s.Instr(p, 2, 1000)
+	_, r2, err := s.RunsOnly(ctx, p, 2, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,12 +119,12 @@ func TestStoreEvictsIdleBeyondBudget(t *testing.T) {
 	}
 	// Held entries are never evicted, no matter the budget.
 	tiny := NewStore(0)
-	refs, hold, err := tiny.Instr(p, 0, 1000)
+	runs, hold, err := tiny.RunsOnly(ctx, p, 0, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(refs) != 1000 {
-		t.Fatalf("got %d refs", len(refs))
+	if got := trace.SummarizeRuns(runs).Instructions; got != 1000 {
+		t.Fatalf("got %d instructions", got)
 	}
 	if tiny.Stats().Entries != 1 {
 		t.Fatal("held entry missing from store")
@@ -135,17 +142,19 @@ func TestStoreHardBudgetRejectsMaterialization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewStoreLimits(DefaultIdleBudget, 1000*refBytes)
-	if _, _, err := s.Instr(p, 0, 2000); !errors.Is(err, ErrOverBudget) {
-		t.Fatalf("Instr over budget = %v, want ErrOverBudget", err)
+	ctx := context.Background()
+	// The budget is exactly the 1000-instruction trace's runs.
+	s := NewStoreLimits(DefaultIdleBudget, runsBytes(t, p, 0, 1000))
+	if _, _, err := s.RunsOnly(ctx, p, 0, 2000); !errors.Is(err, ErrOverBudget) {
+		t.Fatalf("RunsOnly over budget = %v, want ErrOverBudget", err)
 	}
 	// At or under the budget still materializes.
-	refs, release, err := s.Instr(p, 0, 1000)
+	runs, release, err := s.RunsOnly(ctx, p, 0, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(refs) != 1000 {
-		t.Fatalf("got %d refs", len(refs))
+	if got := trace.SummarizeRuns(runs).Instructions; got != 1000 {
+		t.Fatalf("got %d instructions", got)
 	}
 	release()
 }
@@ -253,7 +262,7 @@ func TestStoreInstrCtxCancellation(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		close(started)
-		refs, release, err := s.Instr(p, 9, 200000)
+		refs, release, err := s.InstrCtx(context.Background(), p, 9, 200000)
 		genErr = err
 		if err == nil {
 			if len(refs) != 200000 {
@@ -278,7 +287,7 @@ func TestStoreInstrCtxCancellation(t *testing.T) {
 		t.Fatalf("generating caller failed: %v", genErr)
 	}
 	// The entry must still be intact and servable.
-	refs, release, err := s.Instr(p, 9, 200000)
+	refs, release, err := s.InstrCtx(context.Background(), p, 9, 200000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,17 +305,17 @@ func TestStoreConcurrentAcquireSharesOneGeneration(t *testing.T) {
 	s := NewStore(DefaultIdleBudget)
 	const goroutines = 8
 	var wg sync.WaitGroup
-	firsts := make([]*trace.Ref, goroutines)
+	firsts := make([]*trace.Run, goroutines)
 	wg.Add(goroutines)
 	for i := 0; i < goroutines; i++ {
 		go func(i int) {
 			defer wg.Done()
-			refs, release, err := s.Instr(p, 0, 20000)
+			runs, release, err := s.RunsOnly(context.Background(), p, 0, 20000)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			firsts[i] = &refs[0]
+			firsts[i] = &runs[0]
 			release()
 		}(i)
 	}
@@ -321,65 +330,82 @@ func TestStoreConcurrentAcquireSharesOneGeneration(t *testing.T) {
 	}
 }
 
+// The InstrRuns adapter expands the memoized runs into a fresh slice for
+// each caller; the store retains and shares the runs only.
 func TestStoreInstrRuns(t *testing.T) {
 	p, err := Lookup("gs")
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := NewStore(DefaultIdleBudget)
-	refs, runs, release, err := s.InstrRuns(context.Background(), p, 0, 5000)
+	ctx := context.Background()
+	refs, runs, release, err := s.InstrRuns(ctx, p, 0, 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := trace.Compact(refs)
-	if len(runs) != len(want) {
-		t.Fatalf("store compaction has %d runs, trace.Compact %d", len(runs), len(want))
-	}
-	for i := range runs {
-		if runs[i] != want[i] {
-			t.Fatalf("run %d: store %+v != Compact %+v", i, runs[i], want[i])
-		}
-	}
-	// A second acquire shares both memoized slices.
-	refs2, runs2, release2, err := s.InstrRuns(context.Background(), p, 0, 5000)
+	want, err := InstrTrace(p, 0, 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &refs2[0] != &refs[0] || &runs2[0] != &runs[0] {
-		t.Fatal("second InstrRuns did not return the memoized slices")
+	if !slices.Equal(refs, want) {
+		t.Fatal("InstrRuns refs differ from InstrTrace")
 	}
-	// Plain Instr on the same key shares the entry too.
-	refs3, release3, err := s.Instr(p, 0, 5000)
+	if !slices.Equal(runs, trace.Compact(refs)) {
+		t.Fatal("InstrRuns runs differ from trace.Compact of its refs")
+	}
+	// A second acquire shares the memoized runs but expands its own refs.
+	refs2, runs2, release2, err := s.InstrRuns(ctx, p, 0, 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &refs3[0] != &refs[0] {
-		t.Fatal("Instr after InstrRuns did not share the entry")
+	if &runs2[0] != &runs[0] {
+		t.Fatal("second InstrRuns did not return the memoized runs")
+	}
+	if &refs2[0] == &refs[0] {
+		t.Fatal("second InstrRuns shared the first caller's refs")
+	}
+	// RunsOnly on the same key shares the entry too.
+	runs3, release3, err := s.RunsOnly(ctx, p, 0, 5000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &runs3[0] != &runs[0] {
+		t.Fatal("RunsOnly after InstrRuns did not share the entry")
 	}
 	release()
 	release2()
 	release3()
-	// Idle accounting covers both the trace and its compaction.
-	wantIdle := int64(len(refs))*refBytes + int64(len(runs))*runBytes
-	if got := s.Stats().IdleBytes; got != wantIdle {
-		t.Fatalf("idle bytes %d, want %d (refs+runs)", got, wantIdle)
+	// The idle accounting covers the runs alone: no refs are retained.
+	if got, want := s.Stats(), int64(len(runs))*runBytes; got.IdleBytes != want || got.Entries != 1 {
+		t.Fatalf("stats %+v, want one entry of %d idle bytes (runs only)", got, want)
 	}
 }
 
+// The hard budget charges the runs the store retains, not the refs the
+// adapter hands out: a budget below the refs but above the runs admits
+// InstrRuns, and one below the runs rejects it.
 func TestStoreInstrRunsHardBudget(t *testing.T) {
 	p, err := Lookup("gs")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Enough for the refs alone but not refs+runs in the worst case.
-	s := NewStoreLimits(DefaultIdleBudget, 5000*refBytes)
-	if _, _, _, err := s.InstrRuns(context.Background(), p, 0, 5000); !errors.Is(err, ErrOverBudget) {
-		t.Fatalf("err = %v, want ErrOverBudget", err)
+	ctx := context.Background()
+	rb := runsBytes(t, p, 0, 5000)
+	if rb >= 5000*refBytes/2 {
+		t.Fatalf("gs runs %d bytes: not well under its refs", rb)
 	}
-	if _, release, err := s.Instr(p, 0, 5000); err != nil {
-		t.Fatalf("Instr within budget failed: %v", err)
-	} else {
-		release()
+	s := NewStoreLimits(DefaultIdleBudget, 5000*refBytes/2)
+	refs, _, release, err := s.InstrRuns(ctx, p, 0, 5000)
+	if err != nil {
+		t.Fatalf("InstrRuns within the runs budget failed: %v", err)
+	}
+	if len(refs) != 5000 {
+		t.Fatalf("got %d refs", len(refs))
+	}
+	release()
+	tight := NewStoreLimits(DefaultIdleBudget, rb-runBytes)
+	if _, _, _, err := tight.InstrRuns(ctx, p, 0, 5000); !errors.Is(err, ErrOverBudget) {
+		t.Fatalf("err = %v, want ErrOverBudget", err)
 	}
 }
 
@@ -458,19 +484,29 @@ func TestStoreRunsOnlyFitsWhereRefsDoNot(t *testing.T) {
 	}
 	const n = 5000
 	// Budget far below the refs footprint but comfortably above the actual
-	// compaction (sequential fetch compacts ~10x; runBytes ~1.5x refBytes).
-	s := NewStoreLimits(DefaultIdleBudget, n*refBytes/2)
-	if _, _, err := s.Instr(p, 0, n); !errors.Is(err, ErrOverBudget) {
-		t.Fatalf("Instr err = %v, want ErrOverBudget", err)
-	}
+	// compaction (sequential fetch compacts ~7x; runBytes is 1.5x refBytes).
+	const budget = n * refBytes / 2
+	s := NewStoreLimits(DefaultIdleBudget, budget)
 	runs, release, err := s.RunsOnly(context.Background(), p, 0, n)
 	if err != nil {
-		t.Fatalf("RunsOnly under the same budget failed: %v", err)
+		t.Fatalf("RunsOnly under the budget failed: %v", err)
 	}
 	if len(runs) == 0 {
 		t.Fatal("no runs")
 	}
 	release()
+	// The adapter's refs exceed the budget, but only the runs are retained.
+	refs, release, err := s.InstrCtx(context.Background(), p, 0, n)
+	if err != nil {
+		t.Fatalf("InstrCtx under the budget failed: %v", err)
+	}
+	if int64(len(refs))*refBytes <= budget {
+		t.Fatalf("%d refs fit the %d-byte budget; the test needs them not to", len(refs), budget)
+	}
+	release()
+	if st := s.Stats(); st.Entries != 1 || st.IdleBytes != int64(len(runs))*runBytes {
+		t.Fatalf("stats %+v, want the one runs entry of %d bytes", st, int64(len(runs))*runBytes)
+	}
 }
 
 func TestStoreRunsOnlyOverBudget(t *testing.T) {

@@ -44,18 +44,16 @@ func checkStoreInvariants(t *testing.T, s *Store) {
 }
 
 // TestStoreStressInvariants hammers one store from many goroutines mixing
-// every acquisition path — Instr, InstrRuns, InstrCtx (some cancelled),
-// Acquire, RunsOnly (at two lengths per profile, so prefix resume races the
-// eviction of its source entry; pre-cancelled; over budget), over-budget
-// rejections, double releases — and asserts, under -race, that every
-// compaction is bit-identical to trace.Compact, that the ref-count and
+// every acquisition path — the InstrCtx (some cancelled) and InstrRuns
+// adapters, Acquire, RunsOnly (at two lengths per profile, so prefix resume
+// races the eviction of its source entry; pre-cancelled; over budget),
+// over-budget rejections, double releases — and asserts, under -race, that
+// every compaction is bit-identical to trace.Compact, that the ref-count and
 // idle-byte bookkeeping never goes negative and fully drains at the end, and
 // that failed compactions leave no entry behind.
 func TestStoreStressInvariants(t *testing.T) {
 	profs := IBSMach()[:3]
-	// Budget sized so entries churn: a few traces fit idle, most evict.
 	const n = 2_000
-	store := NewStoreLimits(3*TraceBytes(n, true), TraceBytes(4*n, true))
 	// A length whose run compaction alone exceeds the hard budget: RunsOnly
 	// generates until the growing runs cross it, about 100k instructions.
 	const overLen = 200_000
@@ -75,6 +73,15 @@ func TestStoreStressInvariants(t *testing.T) {
 			}
 		}
 	}
+	// Idle budget sized so entries churn: a few traces' runs fit idle, most
+	// evict.
+	var largest int64
+	for _, byLen := range wantRuns {
+		for _, runs := range byLen {
+			largest = max(largest, int64(len(runs))*runBytes)
+		}
+	}
+	store := NewStoreLimits(3*largest, TraceBytes(4*n, true))
 	checkRuns := func(pi int, size int64) {
 		runs, release, err := store.RunsOnly(context.Background(), profs[pi], 1, size)
 		if err != nil {
@@ -109,13 +116,13 @@ func TestStoreStressInvariants(t *testing.T) {
 				size := int64(n + (g+i)%5*500) // several distinct keys per profile
 				switch (g + i) % 8 {
 				case 0:
-					refs, release, err := store.Instr(prof, 1, size)
+					src, _, release, err := store.Acquire(context.Background(), prof, 1, size)
 					if err != nil {
-						t.Errorf("Instr: %v", err)
+						t.Errorf("Acquire: %v", err)
 						return
 					}
-					if int64(len(refs)) != size {
-						t.Errorf("Instr returned %d refs, want %d", len(refs), size)
+					if got := src.Total(); got != size {
+						t.Errorf("Acquire read %d instructions, want %d", got, size)
 					}
 					release()
 					release() // double release must be a no-op
@@ -159,10 +166,15 @@ func TestStoreStressInvariants(t *testing.T) {
 					}
 					release()
 				case 4:
-					// Over the hard budget: typed rejection, no residue.
-					_, _, err := store.Instr(prof, 1, 64_000)
+					if overCalls.Add(1) > 24 { // each generates ~100k instructions
+						checkRuns(pi, size)
+						break
+					}
+					// Over the hard budget through the adapter: typed
+					// rejection, no residue.
+					_, _, err := store.InstrCtx(context.Background(), prof, 1, overLen)
 					if !errors.Is(err, ErrOverBudget) {
-						t.Errorf("oversized Instr = %v, want ErrOverBudget", err)
+						t.Errorf("oversized InstrCtx = %v, want ErrOverBudget", err)
 					}
 				case 5:
 					// The short compaction goes idle, where other workers may
@@ -176,7 +188,7 @@ func TestStoreStressInvariants(t *testing.T) {
 						t.Errorf("cancelled RunsOnly = %v, want context.Canceled", err)
 					}
 				case 7:
-					if overCalls.Add(1) > 16 { // each generates ~100k instructions
+					if overCalls.Add(1) > 24 { // each generates ~100k instructions
 						checkRuns(pi, size)
 						break
 					}
@@ -218,7 +230,7 @@ func TestStoreStressInvariants(t *testing.T) {
 func TestStoreStressEvictionChurn(t *testing.T) {
 	prof := IBSMach()[0]
 	const n = 1_000
-	store := NewStore(TraceBytes(n, false) + 1) // roughly one idle trace
+	store := NewStore(2 * runsBytes(t, prof, 0, n)) // roughly two idle traces
 
 	for wave := 0; wave < 8; wave++ {
 		var wg sync.WaitGroup
@@ -226,14 +238,14 @@ func TestStoreStressEvictionChurn(t *testing.T) {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				size := int64(n + 100*g) // 8 distinct keys fighting for one slot
-				refs, release, err := store.Instr(prof, uint64(wave), size)
+				size := int64(n + 100*g) // 8 distinct keys fighting for about two slots
+				runs, release, err := store.RunsOnly(context.Background(), prof, uint64(wave), size)
 				if err != nil {
 					t.Errorf("wave %d: %v", wave, err)
 					return
 				}
-				if int64(len(refs)) != size {
-					t.Errorf("wave %d: %d refs, want %d", wave, len(refs), size)
+				if got := trace.SummarizeRuns(runs).Instructions; got != size {
+					t.Errorf("wave %d: %d instructions, want %d", wave, got, size)
 				}
 				release()
 			}(g)

@@ -222,7 +222,7 @@ func (cw *ColumnarWriter) PutRun(r Run) error {
 	cw.refs += r.Len
 	cw.runs++
 
-	if 12+len(cw.addrBuf)+len(cw.lenBuf)+len(cw.domBuf) >= cw.blockBytes {
+	if cw.payloadLen() >= cw.blockBytes {
 		cw.err = cw.flushBlock()
 	}
 	return cw.err
@@ -232,12 +232,30 @@ func (cw *ColumnarWriter) PutRun(r Run) error {
 func (cw *ColumnarWriter) Refs() int64 { return cw.refs }
 func (cw *ColumnarWriter) Runs() int64 { return cw.runs }
 
+// Size returns the encoded bytes so far: the header and every flushed
+// block, plus the open block as flushing it now would frame it (Close's
+// index and trailer excluded). A caller enforcing a size budget mid-stream
+// polls Size rather than what has reached the underlying writer, which
+// trails it by up to a whole block.
+func (cw *ColumnarWriter) Size() int64 {
+	if cw.rc == 0 {
+		return cw.off
+	}
+	return cw.off + int64(colFrameSize+cw.payloadLen())
+}
+
+// payloadLen is the open block's payload size: the 12-byte column header
+// (run count, address and length column sizes) plus the three columns.
+func (cw *ColumnarWriter) payloadLen() int {
+	return 12 + len(cw.addrBuf) + len(cw.lenBuf) + len(cw.domBuf)
+}
+
 // flushBlock frames and writes the open block and records its index entry.
 func (cw *ColumnarWriter) flushBlock() error {
 	if cw.rc == 0 {
 		return nil
 	}
-	payloadLen := 12 + len(cw.addrBuf) + len(cw.lenBuf) + len(cw.domBuf)
+	payloadLen := cw.payloadLen()
 	total := colFrameSize + payloadLen
 	if cap(cw.scratch) < total {
 		cw.scratch = make([]byte, 0, total+total/4)

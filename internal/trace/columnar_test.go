@@ -589,3 +589,29 @@ func BenchmarkColumnarEncode(b *testing.B) {
 		b.SetBytes(int64(buf.Len()))
 	}
 }
+
+// Size counts the block the writer still holds open, which has not reached
+// the underlying writer, and Close writes exactly that much before the
+// index and trailer.
+func TestColumnarWriterSizeCountsOpenBlock(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := NewColumnarWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 100; i++ {
+		if err := w.PutRun(Run{Start: 0x1000 + 64*i, Len: 3, Domain: User}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	size := w.Size()
+	if buf.Len() != colHeaderSize || size <= int64(buf.Len()) {
+		t.Fatalf("writer received %d bytes, Size %d: want the header only, and Size beyond it", buf.Len(), size)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if want := size + colIndexEntrySize + colTrailerSize; int64(buf.Len()) != want {
+		t.Fatalf("closed file %d bytes, want Size %d plus one index entry and the trailer (%d)", buf.Len(), size, want)
+	}
+}

@@ -30,6 +30,22 @@ type RunReader interface {
 	ReadRuns(pos, n int64, fn func([]Run) error) error
 }
 
+// ExpandReader materializes the per-instruction fetch stream src holds:
+// Expand over a RunReader, for the per-reference oracles that need a []Ref.
+func ExpandReader(src RunReader) ([]Ref, error) {
+	dst := make([]Ref, 0, src.Total())
+	err := src.ReadRuns(0, math.MaxInt64, func(runs []Run) error {
+		for _, r := range runs {
+			dst = r.AppendRefs(dst)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
 // blockReader reads a trace held as a sequence of run blocks, one block at
 // a time: a BlockSource through its block index, or an in-memory run list as
 // a single block that is never copied.

@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"bytes"
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -135,4 +137,25 @@ func mustColumnar(t *testing.T, runs []Run) *ColumnarFile {
 		t.Fatal(err)
 	}
 	return f
+}
+
+// ExpandReader yields exactly Expand of the runs a reader holds, from an
+// in-memory trace and from a block-indexed one.
+func TestExpandReaderMatchesExpand(t *testing.T) {
+	runs := []Run{{Start: 0x100, Len: 5, Domain: User}, {Start: 0x2000, Len: 1, Domain: Kernel}, {Start: 0x104, Len: 9, Domain: User}}
+	want := Expand(runs)
+	var buf bytes.Buffer
+	if _, err := EncodeColumnarSize(&buf, runs, minBlockBytes); err != nil {
+		t.Fatal(err)
+	}
+	cf, err := NewColumnarBytes(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, src := range map[string]RunReader{"memory": NewRunReader(runs), "blocks": NewBlockReader(cf)} {
+		got, err := ExpandReader(src)
+		if err != nil || !slices.Equal(got, want) {
+			t.Fatalf("%s: ExpandReader = %d refs (err %v), want %d", name, len(got), err, len(want))
+		}
+	}
 }

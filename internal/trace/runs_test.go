@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"testing"
 
 	"ibsim/internal/xrand"
@@ -145,6 +146,34 @@ func TestCompactorMatchesCompact(t *testing.T) {
 				t.Fatalf("trial %d run %d: got %+v, want %+v", trial, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// A compaction spanning several chunks, fed in batches and resumed from a
+// prefix that itself spans chunks, equals Compact over the whole stream,
+// and Finish hands it back in a slice with no spare capacity.
+func TestCompactorChunksAndResume(t *testing.T) {
+	rng := xrand.New(7)
+	refs := randomInstrTrace(rng, 32*compactChunk) // ~3.6 chunks of runs
+	want := Compact(refs)
+	if len(want) < 3*compactChunk {
+		t.Fatalf("only %d runs: the trace does not span several chunks", len(want))
+	}
+	var c Compactor
+	for i := 0; i < len(refs); i += 4096 {
+		c.Add(refs[i:min(i+4096, len(refs))]...)
+	}
+	got := c.Finish()
+	if !slices.Equal(got, want) || cap(got) != len(got) {
+		t.Fatalf("chunked compaction: %d runs (cap %d), Compact %d", len(got), cap(got), len(want))
+	}
+
+	half := len(refs) / 2
+	var r Compactor
+	r.Resume(Compact(refs[:half]))
+	r.Add(refs[half:]...)
+	if got := r.Finish(); !slices.Equal(got, want) {
+		t.Fatalf("resumed compaction: %d runs, Compact %d", len(got), len(want))
 	}
 }
 

@@ -258,6 +258,15 @@ func (c *Counts) Observe(r Ref) {
 	}
 }
 
+// ObserveRun records the r.Len instruction fetches of r.
+func (c *Counts) ObserveRun(r Run) {
+	c.Total += r.Len
+	c.ByKind[IFetch] += r.Len
+	if int(r.Domain) < len(c.ByDomain) {
+		c.ByDomain[r.Domain] += r.Len
+	}
+}
+
 // Instructions returns the number of instruction fetches observed.
 func (c *Counts) Instructions() int64 { return c.ByKind[IFetch] }
 
