@@ -94,15 +94,17 @@ serve:
 # (trace compaction, per-ref vs FetchRun replay, columnar encode/decode), the
 # Figure 5 cell on the per-reference loop vs the line-event kernel, the R2000
 # TLB over a recorded gcc stream, one Table 1/3 DECstation 3100 row, the
-# Table 8 and serve-hot replay banks over a 1M-instruction workload, and the
-# serve-hot sweep grid over the same workload from references (compacting on
-# every pass) and from runs compacted once.
+# generator per instruction with and without data references, the fused
+# access of Figure 5's line events against the Touch/Access/Touch sequence
+# it replaced, the Table 8 and serve-hot replay banks over a 1M-instruction
+# workload, and the serve-hot sweep grid over the same workload from
+# references (compacting on every pass) and from runs compacted once.
 # Layer-by-layer timings with noise estimates come from the benchmark's
 # ledger: bash ibsbench/run.sh --workload serve-hot --seconds 10 --trace 1.
 bench:
 	$(GO) run ./cmd/ibscheck -bench-only -n 200000
-	$(GO) test -run='^$$' -bench='CompactAppend|FetchPerRef|FetchRun|Columnar|Physical|TLBAccess|DECstationRow|ReplayBank|SweepServeGrid' -benchmem \
-		./internal/trace ./internal/fetch ./internal/tlb ./internal/experiments ./internal/replay ./internal/sweep
+	$(GO) test -run='^$$' -bench='CompactAppend|FetchPerRef|FetchRun|Columnar|Physical|TLBAccess|DECstationRow|GeneratorNext|AccessN|ReplayBank|SweepServeGrid' -benchmem \
+		./internal/trace ./internal/fetch ./internal/tlb ./internal/experiments ./internal/synth ./internal/cache ./internal/replay ./internal/sweep
 
 # Go microbenchmarks (cache hot path, sweep engine, generators).
 microbench:

@@ -2,6 +2,7 @@ package ibsim
 
 import (
 	"context"
+	"os"
 	"strings"
 	"testing"
 	"unsafe"
@@ -128,5 +129,47 @@ func TestPaperExhibitsStoreHoldsRunsOnly(t *testing.T) {
 	}
 	if st.IdleBytes != runBytes+st.CheckpointBytes {
 		t.Errorf("idle bytes %d, want %d of runs plus %d of checkpoints", st.IdleBytes, runBytes, st.CheckpointBytes)
+	}
+}
+
+// The published renders stay what a fresh run prints: paper_tables.txt is
+// `ibstables -n 2000000 -q`, extension_tables.txt the extension studies at
+// 1M instructions, each exhibit followed by a blank line. The check and
+// benchmark scales (200k and 500k) cannot see a change that moves only a
+// paper-scale value; this test can.
+func TestPublishedRenders(t *testing.T) {
+	if testing.Short() {
+		t.Skip("renders every exhibit at paper scale")
+	}
+	defer synth.DefaultStore.Purge()
+	for _, pub := range []struct {
+		file  string
+		names []string
+		n     int64
+	}{
+		{"paper_tables.txt", ExhibitNames(), 2_000_000},
+		{"extension_tables.txt", ExtensionNames(), 1_000_000},
+	} {
+		want, err := os.ReadFile(pub.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got strings.Builder
+		for _, name := range pub.names {
+			out, err := RenderExhibit(name, Options{Instructions: pub.n}, false)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			got.WriteString(out + "\n")
+		}
+		gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+		for i := range min(len(gotLines), len(wantLines)) {
+			if gotLines[i] != wantLines[i] {
+				t.Fatalf("%s line %d:\n got %q\nwant %q", pub.file, i+1, gotLines[i], wantLines[i])
+			}
+		}
+		if len(gotLines) != len(wantLines) {
+			t.Fatalf("%s: rendered %d lines, file has %d", pub.file, len(gotLines), len(wantLines))
+		}
 	}
 }

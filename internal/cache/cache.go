@@ -179,7 +179,8 @@ type Cache struct {
 	assoc int
 	isLRU bool
 	// dm4 marks the dominant replay shape — direct-mapped, non-sector, LRU —
-	// for which TouchRun and Touch take a fully inlined fast path.
+	// for which Access, AccessN, TouchRun and Touch take a fully inlined
+	// fast path.
 	dm4   bool
 	ways  []way // sets × assoc, row-major; sized once at construction
 	clock uint64
@@ -298,6 +299,16 @@ func (c *Cache) find(lineAddr uint64) int {
 // returns true on hit. This is the whole-cache convenience used by miss-ratio
 // experiments; timing-aware engines use Lookup + Fill to control fill policy.
 func (c *Cache) Access(addr uint64) bool {
+	if c.dm4 {
+		return c.accessDM4(addr)
+	}
+	hit, _ := c.access(addr)
+	return hit
+}
+
+// access is Access for any geometry, also returning the way that holds
+// addr's line afterwards.
+func (c *Cache) access(addr uint64) (bool, *way) {
 	c.stats.Accesses++
 	c.clock++
 	la := c.lineAddr(addr)
@@ -308,7 +319,7 @@ func (c *Cache) Access(addr uint64) bool {
 			if c.isLRU {
 				w.stamp = c.clock
 			}
-			return true
+			return true, w
 		}
 		// Sector cache: tag present but sub-block invalid. Fill this and all
 		// subsequent sub-blocks (the paper's sub-block refill policy).
@@ -318,11 +329,78 @@ func (c *Cache) Access(addr uint64) bool {
 		if c.isLRU {
 			w.stamp = c.clock
 		}
-		return false
+		return false, w
 	}
 	c.stats.Misses++
-	c.fill(la, addr)
+	w, _, _ := c.fill(la, addr)
+	return false, w
+}
+
+// accessDM4 is Access for caches where dm4 holds. Like Touch's
+// direct-mapped path it skips the hit's LRU stamp store — a one-way set has
+// a single replacement candidate, so stamps order nothing — and it fills a
+// missing line in place, as fill would with one way: hit/miss behavior,
+// stats and the resident lines are identical to the general path.
+func (c *Cache) accessDM4(addr uint64) bool {
+	c.stats.Accesses++
+	c.clock++
+	la := addr >> c.lineShift
+	w := &c.ways[la&c.setMask]
+	if w.valid && w.tag == la>>c.setShift {
+		c.stats.Hits++
+		return true
+	}
+	c.stats.Misses++
+	if w.valid {
+		c.stats.Evictions++
+	}
+	*w = way{tag: la >> c.setShift, valid: true, stamp: c.clock}
+	c.stats.Fills++
 	return false
+}
+
+// AccessN performs n demand references to addr in one step, exactly
+// Access(addr) followed by Touch(addr, n-1): the first reference hits or
+// misses (and fills), and the other n-1 hit the line it leaves resident.
+// It returns whether the first reference hit. It probes the set once,
+// where testing the hit case first with Touch, then Access and Touch on a
+// miss, would probe it up to three times. n <= 0 changes nothing.
+func (c *Cache) AccessN(addr uint64, n int64) bool {
+	if n <= 0 {
+		return true
+	}
+	var hit bool
+	if c.dm4 {
+		// Touch's direct-mapped path sets no stamp, so neither does this.
+		hit = c.accessDM4(addr)
+	} else {
+		la := addr >> c.lineShift
+		tag := la >> c.setShift
+		base := int(la&c.setMask) * c.assoc
+		set := c.ways[base : base+c.assoc]
+		for i := range set {
+			// A tag sits in at most one way of its set, so a match whose
+			// sub-block is invalid leaves the loop for access's sub-miss.
+			if w := &set[i]; w.valid && w.tag == tag && (c.subPerLine == 0 || w.subValid&c.subBit(addr) != 0) {
+				c.clock += uint64(n)
+				c.stats.Accesses += n
+				c.stats.Hits += n
+				if c.isLRU {
+					w.stamp = c.clock
+				}
+				return true
+			}
+		}
+		var w *way
+		hit, w = c.access(addr)
+		if c.isLRU {
+			w.stamp = c.clock + uint64(n-1)
+		}
+	}
+	c.clock += uint64(n - 1)
+	c.stats.Accesses += n - 1
+	c.stats.Hits += n - 1
+	return hit
 }
 
 // Lookup checks residency and updates replacement state on a hit, but does
@@ -568,12 +646,14 @@ func (c *Cache) FillEvict(addr uint64) (evicted uint64, wasValid bool) {
 		}
 		return 0, false
 	}
-	return c.fill(la, addr)
+	_, evicted, wasValid = c.fill(la, addr)
+	return evicted, wasValid
 }
 
 // fill allocates a way for lineAddr, evicting a victim if the set is full;
-// it returns the evicted line's byte address when a valid line was cast out.
-func (c *Cache) fill(lineAddr, addr uint64) (evicted uint64, wasValid bool) {
+// it returns the way filled and, when a valid line was cast out, the
+// evicted line's byte address.
+func (c *Cache) fill(lineAddr, addr uint64) (w *way, evicted uint64, wasValid bool) {
 	set := c.setIndex(lineAddr)
 	base := int(set) * c.assoc
 	victim := -1
@@ -601,7 +681,7 @@ func (c *Cache) fill(lineAddr, addr uint64) (evicted uint64, wasValid bool) {
 		evicted = (old.tag<<c.setShift | set) << c.lineShift
 		wasValid = true
 	}
-	w := &c.ways[victim]
+	w = &c.ways[victim]
 	w.tag = c.tagOf(lineAddr)
 	w.valid = true
 	w.stamp = c.clock
@@ -610,7 +690,7 @@ func (c *Cache) fill(lineAddr, addr uint64) (evicted uint64, wasValid bool) {
 		c.fillSubBlocks(w, addr)
 	}
 	c.stats.Fills++
-	return evicted, wasValid
+	return w, evicted, wasValid
 }
 
 // fillSubBlocks marks valid the sub-block containing addr and all subsequent

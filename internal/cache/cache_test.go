@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -545,4 +546,110 @@ func TestAccessRunMatchesAccess(t *testing.T) {
 			}
 		}
 	}
+}
+
+// AccessN leaves every geometry and policy (direct-mapped, set-associative
+// LRU, FIFO and random, sector, fully associative) in exactly the state of
+// Access followed by Touch of the remaining n-1 references: the same first
+// outcome and statistics after every call, and the same tags, validity,
+// stamps, clock and random-replacement stream at the end.
+func TestAccessNMatchesAccessThenTouch(t *testing.T) {
+	cfgs := []Config{
+		{Size: 1024, LineSize: 32, Assoc: 1},
+		{Size: 1024, LineSize: 32, Assoc: 1, Replacement: FIFO},
+		{Size: 1024, LineSize: 32, Assoc: 1, Replacement: Random, Seed: 3},
+		{Size: 1024, LineSize: 16, Assoc: 2},
+		{Size: 1024, LineSize: 32, Assoc: 4, Replacement: FIFO},
+		{Size: 1024, LineSize: 32, Assoc: 4, Replacement: Random, Seed: 7},
+		{Size: 2048, LineSize: 64, Assoc: 2, SubBlock: 16},
+		{Size: 2048, LineSize: 64, Assoc: 1, SubBlock: 16},
+		{Size: 512, LineSize: 32, Assoc: 0},
+	}
+	rng := xrand.New(9)
+	for _, cfg := range cfgs {
+		fused, ref := MustNew(cfg), MustNew(cfg)
+		for i := 0; i < 5000; i++ {
+			addr := uint64(rng.Intn(1<<13)) &^ 3
+			n := int64(1 + rng.Intn(12))
+			got := fused.AccessN(addr, n)
+			want := ref.Access(addr)
+			ref.Touch(addr, n-1)
+			if got != want || fused.Stats() != ref.Stats() {
+				t.Fatalf("%v call %d: AccessN(%#x, %d) = %v with %+v; Access+Touch = %v with %+v",
+					cfg, i, addr, n, got, fused.Stats(), want, ref.Stats())
+			}
+		}
+		if fused.clock != ref.clock || !slices.Equal(fused.ways, ref.ways) {
+			t.Fatalf("%v: AccessN left different contents than Access+Touch", cfg)
+		}
+		if cfg.Replacement == Random && fused.rng.State() != ref.rng.State() {
+			t.Fatalf("%v: AccessN consumed different replacement draws", cfg)
+		}
+		before := fused.Stats()
+		if !fused.AccessN(0, 0) || fused.Stats() != before {
+			t.Fatalf("%v: AccessN with n = 0 changed the cache", cfg)
+		}
+	}
+}
+
+// Access's direct-mapped path (accessDM4, which skips the hit's stamp
+// store) answers and fills exactly as the general path does.
+func TestAccessDM4MatchesGeneralPath(t *testing.T) {
+	cfg := Config{Size: 2048, LineSize: 16, Assoc: 1}
+	fast, general := MustNew(cfg), MustNew(cfg)
+	general.dm4 = false
+	rng := xrand.New(4)
+	for i := 0; i < 20000; i++ {
+		addr := uint64(rng.Intn(1<<14)) &^ 3
+		if fast.Access(addr) != general.Access(addr) || fast.Stats() != general.Stats() {
+			t.Fatalf("access %d (%#x): stats %+v, general %+v", i, addr, fast.Stats(), general.Stats())
+		}
+	}
+	for i := range fast.ways {
+		f, g := fast.ways[i], general.ways[i]
+		if f.valid != g.valid || f.tag != g.tag || f.subValid != g.subValid {
+			t.Fatalf("way %d: %+v, general %+v", i, f, g)
+		}
+	}
+}
+
+var accessNSink bool
+
+// BenchmarkAccessN times the fused access on a Figure 5 shape, line events
+// of 1–8 fetches into an 8-KB 2-way cache with about one event in five
+// missing, against the Touch, Access, Touch sequence it replaces.
+func BenchmarkAccessN(b *testing.B) {
+	rng := xrand.New(1)
+	type event struct {
+		addr uint64
+		n    int64
+	}
+	events := make([]event, 1<<16)
+	for i := range events {
+		events[i] = event{addr: uint64(rng.Zipf(2048, 12)) << 5, n: int64(1 + rng.Intn(8))}
+	}
+	cfg := Config{Size: 8192, LineSize: 32, Assoc: 2}
+	b.Run("fused", func(b *testing.B) {
+		c := MustNew(cfg)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ev := events[i&(len(events)-1)]
+			accessNSink = c.AccessN(ev.addr, ev.n)
+		}
+		b.ReportMetric(float64(c.Stats().Misses)/float64(b.N), "misses/event")
+	})
+	b.Run("touch-access-touch", func(b *testing.B) {
+		c := MustNew(cfg)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ev := events[i&(len(events)-1)]
+			if accessNSink = c.Touch(ev.addr, ev.n); !accessNSink {
+				c.Access(ev.addr)
+				c.Touch(ev.addr, ev.n-1)
+			}
+		}
+		b.ReportMetric(float64(c.Stats().Misses)/float64(b.N), "misses/event")
+	})
 }

@@ -94,8 +94,8 @@ type PagePolicyResult struct {
 }
 
 // AblationPagePolicy measures each policy on verilog in a 64-KB
-// direct-mapped physically-indexed cache, one physically-indexed simulation
-// per (policy, trial) through mapPhysical.
+// direct-mapped physically-indexed cache: one mapPhysical cell per policy,
+// one physically-indexed simulation per trial.
 func AblationPagePolicy(opt Options) (*PagePolicyResult, error) {
 	opt = opt.withDefaults()
 	const sizeKB = 64
@@ -104,34 +104,30 @@ func AblationPagePolicy(opt Options) (*PagePolicyResult, error) {
 		return nil, err
 	}
 	colors := sizeKB * 1024 / physPageSize
-	per, err := mapPhysical([]synth.Profile{p}, opt, 32, func(ctx context.Context, p synth.Profile, sim physSim) ([]PagePolicyRow, error) {
-		var rows []PagePolicyRow
-		for _, pol := range []vm.Policy{vm.RandomAlloc, vm.Sequential, vm.PageColoring, vm.BinHopping} {
-			var sample stats.Sample
-			for trial := 0; trial < opt.Trials; trial++ {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				mapper, err := vm.NewMapper(vm.Config{PageSize: physPageSize, Policy: pol, Colors: colors, Seed: p.Seed})
-				if err != nil {
-					return nil, err
-				}
-				mapper.ResetTrial(uint64(trial))
-				c := cache.MustNew(cache.Config{Size: sizeKB * 1024, LineSize: 32, Assoc: 1})
-				sim(mapper, c)
-				st := c.Stats()
-				sample.Add(100 * float64(st.Misses) / float64(st.Accesses))
+	policies := []vm.Policy{vm.RandomAlloc, vm.Sequential, vm.PageColoring, vm.BinHopping}
+	rows, err := mapPhysical([]synth.Profile{p}, opt, 32, len(policies), func(ctx context.Context, p synth.Profile, sim physSim, i int) (PagePolicyRow, error) {
+		pol := policies[i]
+		var sample stats.Sample
+		for trial := 0; trial < opt.Trials; trial++ {
+			if err := ctx.Err(); err != nil {
+				return PagePolicyRow{}, err
 			}
-			rows = append(rows, PagePolicyRow{
-				Policy: pol, MeanMPI: sample.Mean(), StdDev: sample.StdDev(),
-			})
+			mapper, err := vm.NewMapper(vm.Config{PageSize: physPageSize, Policy: pol, Colors: colors, Seed: p.Seed})
+			if err != nil {
+				return PagePolicyRow{}, err
+			}
+			mapper.ResetTrial(uint64(trial))
+			c := cache.MustNew(cache.Config{Size: sizeKB * 1024, LineSize: 32, Assoc: 1})
+			sim(mapper, c)
+			st := c.Stats()
+			sample.Add(100 * float64(st.Misses) / float64(st.Accesses))
 		}
-		return rows, nil
+		return PagePolicyRow{Policy: pol, MeanMPI: sample.Mean(), StdDev: sample.StdDev()}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &PagePolicyResult{Workload: p.Name, SizeKB: sizeKB, Rows: per[0]}, nil
+	return &PagePolicyResult{Workload: p.Name, SizeKB: sizeKB, Rows: rows}, nil
 }
 
 // Render prints the policy table.

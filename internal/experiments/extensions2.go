@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
+	"math"
 
 	"ibsim/internal/cache"
 	"ibsim/internal/fetch"
@@ -30,62 +32,74 @@ type CMLResult struct {
 	CMLRemaps  int     // recoloring interrupts the CML generated
 }
 
-// ExtensionCML runs the comparison on verilog in a 64-KB cache.
+// ExtensionCML runs the comparison on verilog in a 64-KB cache, one
+// per-reference pass over the memoized runs (mapRuns) per contender.
 func ExtensionCML(opt Options) (*CMLResult, error) {
 	opt = opt.withDefaults()
-	const sizeKB = 64
-	colors := sizeKB * 1024 / 4096
 	p, err := synth.Lookup("verilog")
 	if err != nil {
 		return nil, err
 	}
-	refs, err := synth.InstrTrace(p, opt.Seed, opt.Instructions)
+	res, err := mapRuns([]synth.Profile{p}, opt, cmlContenders)
 	if err != nil {
 		return nil, err
 	}
+	return res[0], nil
+}
+
+// cmlContenders measures ExtensionCML's four contenders on p's trace.
+func cmlContenders(_ context.Context, p synth.Profile, src trace.RunReader) (*CMLResult, error) {
+	const sizeKB = 64
+	colors := sizeKB * 1024 / 4096
 	res := &CMLResult{Workload: p.Name, SizeKB: sizeKB}
 
-	mpiWith := func(translate func(trace.Ref) uint64, cfg cache.Config, onMiss func(pa uint64, r trace.Ref)) float64 {
+	// mpiWith accesses cfg at translate's physical address for every
+	// instruction fetch in trace order, reporting each miss to onMiss.
+	mpiWith := func(translate func(va uint64, d trace.Domain) uint64, cfg cache.Config, onMiss func(pa, va uint64, d trace.Domain)) (float64, error) {
 		c := cache.MustNew(cfg)
-		for _, r := range refs {
-			pa := translate(r)
-			if !c.Access(pa) && onMiss != nil {
-				onMiss(pa, r)
+		err := src.ReadRuns(0, math.MaxInt64, func(runs []trace.Run) error {
+			for _, r := range runs {
+				for k := int64(0); k < r.Len; k++ {
+					va := r.Start + uint64(k)*trace.InstrBytes
+					if pa := translate(va, r.Domain); !c.Access(pa) && onMiss != nil {
+						onMiss(pa, va, r.Domain)
+					}
+				}
 			}
-		}
+			return nil
+		})
 		st := c.Stats()
-		return 100 * float64(st.Misses) / float64(st.Accesses)
+		return 100 * float64(st.Misses) / float64(st.Accesses), err
 	}
 	dm := cache.Config{Size: sizeKB * 1024, LineSize: 32, Assoc: 1}
 	twoWay := dm
 	twoWay.Assoc = 2
 
+	var err error
 	randomMapper := vm.MustNewMapper(vm.Config{Policy: vm.RandomAlloc, Seed: p.Seed})
-	res.RandomDM = mpiWith(func(r trace.Ref) uint64 {
-		return randomMapper.Translate(r.Addr, r.Domain)
-	}, dm, nil)
+	if res.RandomDM, err = mpiWith(randomMapper.Translate, dm, nil); err != nil {
+		return nil, err
+	}
 
 	cmlMapper := vm.MustNewMapper(vm.Config{Policy: vm.RandomAlloc, Seed: p.Seed})
 	cml, err := vm.NewCML(cmlMapper, colors, 64, 200_000)
 	if err != nil {
 		return nil, err
 	}
-	res.CMLDM = mpiWith(func(r trace.Ref) uint64 {
-		return cml.Translate(r.Addr, r.Domain)
-	}, dm, func(pa uint64, r trace.Ref) {
-		cml.ObserveMiss(pa, r.Addr, r.Domain)
-	})
+	if res.CMLDM, err = mpiWith(cml.Translate, dm, cml.ObserveMiss); err != nil {
+		return nil, err
+	}
 	res.CMLRemaps = cml.Remaps
 
 	assocMapper := vm.MustNewMapper(vm.Config{Policy: vm.RandomAlloc, Seed: p.Seed})
-	res.Random2Way = mpiWith(func(r trace.Ref) uint64 {
-		return assocMapper.Translate(r.Addr, r.Domain)
-	}, twoWay, nil)
+	if res.Random2Way, err = mpiWith(assocMapper.Translate, twoWay, nil); err != nil {
+		return nil, err
+	}
 
 	coloredMapper := vm.MustNewMapper(vm.Config{Policy: vm.PageColoring, Colors: colors, Seed: p.Seed})
-	res.ColoredDM = mpiWith(func(r trace.Ref) uint64 {
-		return coloredMapper.Translate(r.Addr, r.Domain)
-	}, dm, nil)
+	if res.ColoredDM, err = mpiWith(coloredMapper.Translate, dm, nil); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 

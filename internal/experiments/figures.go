@@ -547,14 +547,13 @@ func figure5Workloads() []string { return []string{"verilog", "gs", "eqntott", "
 
 // Figure5 runs the variability experiment. The miss penalty is the
 // DECstation's 6 cycles, matching the Tapeworm measurement platform. Each
-// (size, assoc, trial) cell is one physically-indexed simulation through
-// mapPhysical; cancellation is checked between cells.
+// (workload, size, assoc) cell of mapPhysical runs one physically-indexed
+// simulation per trial; cancellation is checked between trials.
 func Figure5(opt Options) (*Figure5Result, error) {
 	opt = opt.withDefaults()
 	sizesKB := []int{4, 8, 16, 32, 64, 128, 256, 512, 1024}
 	assocs := []int{1, 2, 4}
 	const missPenalty = 6.0
-	res := &Figure5Result{}
 	var profiles []synth.Profile
 	for _, name := range figure5Workloads() {
 		p, err := synth.Lookup(name)
@@ -563,46 +562,37 @@ func Figure5(opt Options) (*Figure5Result, error) {
 		}
 		profiles = append(profiles, p)
 	}
-	per, err := mapPhysical(profiles, opt, 32, func(ctx context.Context, p synth.Profile, sim physSim) ([]Figure5Point, error) {
-		var points []Figure5Point
-		for _, kb := range sizesKB {
-			for _, a := range assocs {
-				var sample stats.Sample
-				// One cache per geometry, emptied for each trial: up to 1 MB
-				// of tags per allocation otherwise dominates the exhibit's
-				// garbage.
-				c := cache.MustNew(cache.Config{Size: kb * 1024, LineSize: 32, Assoc: a})
-				for trial := 0; trial < opt.Trials; trial++ {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-					mapper := vm.MustNewMapper(vm.Config{
-						PageSize: physPageSize,
-						Policy:   vm.RandomAlloc,
-						Seed:     p.Seed*1000 + uint64(kb)*10 + uint64(a),
-					})
-					mapper.ResetTrial(uint64(trial))
-					c.Reset()
-					sim(mapper, c)
-					st := c.Stats()
-					mpi := float64(st.Misses) / float64(st.Accesses)
-					sample.Add(mpi * missPenalty)
-				}
-				points = append(points, Figure5Point{
-					Workload: p.Name, SizeKB: kb, Assoc: a,
-					MeanCPI: sample.Mean(), StdDev: sample.StdDev(),
-				})
+	points, err := mapPhysical(profiles, opt, 32, len(sizesKB)*len(assocs), func(ctx context.Context, p synth.Profile, sim physSim, i int) (Figure5Point, error) {
+		kb, a := sizesKB[i/len(assocs)], assocs[i%len(assocs)]
+		var sample stats.Sample
+		// One cache per cell, emptied for each trial: up to 1 MB of tags
+		// per allocation otherwise dominates the exhibit's garbage.
+		c := cache.MustNew(cache.Config{Size: kb * 1024, LineSize: 32, Assoc: a})
+		for trial := 0; trial < opt.Trials; trial++ {
+			if err := ctx.Err(); err != nil {
+				return Figure5Point{}, err
 			}
+			mapper := vm.MustNewMapper(vm.Config{
+				PageSize: physPageSize,
+				Policy:   vm.RandomAlloc,
+				Seed:     p.Seed*1000 + uint64(kb)*10 + uint64(a),
+			})
+			mapper.ResetTrial(uint64(trial))
+			c.Reset()
+			sim(mapper, c)
+			st := c.Stats()
+			mpi := float64(st.Misses) / float64(st.Accesses)
+			sample.Add(mpi * missPenalty)
 		}
-		return points, nil
+		return Figure5Point{
+			Workload: p.Name, SizeKB: kb, Assoc: a,
+			MeanCPI: sample.Mean(), StdDev: sample.StdDev(),
+		}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, pts := range per {
-		res.Points = append(res.Points, pts...)
-	}
-	return res, nil
+	return &Figure5Result{Points: points}, nil
 }
 
 // Render prints one panel per workload.

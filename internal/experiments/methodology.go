@@ -8,6 +8,7 @@ import (
 	"ibsim/internal/memsys"
 	"ibsim/internal/sampling"
 	"ibsim/internal/synth"
+	"ibsim/internal/trace"
 )
 
 // Methodology studies: validations of the simplifications the paper's
@@ -103,17 +104,24 @@ type SamplingResult struct {
 	Rows     []SamplingRow
 }
 
-// SamplingStudy sweeps warm and cold sampling plans on gs.
+// SamplingStudy sweeps warm and cold sampling plans on gs. The sampled
+// simulator is a per-reference model, so the worker expands the memoized
+// runs (mapRuns) for the length of the sweep.
 func SamplingStudy(opt Options) (*SamplingResult, error) {
 	opt = opt.withDefaults()
 	p, err := synth.Lookup("gs")
 	if err != nil {
 		return nil, err
 	}
-	refs, err := synth.InstrTrace(p, opt.Seed, opt.Instructions)
+	res, err := mapRefs([]synth.Profile{p}, opt, samplingSweep)
 	if err != nil {
 		return nil, err
 	}
+	return res[0], nil
+}
+
+// samplingSweep runs SamplingStudy's plans over p's references.
+func samplingSweep(p synth.Profile, refs []trace.Ref) (*SamplingResult, error) {
 	res := &SamplingResult{Workload: p.Name}
 	cfg := BaseL1()
 	plans := []sampling.Plan{

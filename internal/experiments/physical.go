@@ -125,9 +125,8 @@ func compilePhys(src trace.RunReader, pageSize, lineSize int) (*physTrace, error
 // replay translates pt's pages through m in first-touch order, then applies
 // every line event to c. m must be fresh or freshly reset and map pt's page
 // size; c must use pt's line size without sub-blocks. c's Stats then equal,
-// bit for bit, those of Access on every translated fetch in trace order: a
-// hit is one Touch of the whole event, and a miss is one Access followed by
-// a Touch of the rest.
+// bit for bit, those of Access on every translated fetch in trace order:
+// each event is one AccessN, an Access followed by hits on the rest.
 func (pt *physTrace) replay(m *vm.Mapper, c *cache.Cache) {
 	if m.Config().PageSize != pt.pageSize || c.Config().LineSize != pt.lineSize || c.Config().SubBlock != 0 {
 		panic("experiments: physical trace replayed on a mismatched mapper or cache")
@@ -137,11 +136,7 @@ func (pt *physTrace) replay(m *vm.Mapper, c *cache.Cache) {
 		frames[i] = m.Translate(pg.vpn*uint64(pt.pageSize), pg.domain)
 	}
 	for _, ev := range pt.events {
-		pa := frames[ev.page] | uint64(ev.off)
-		if !c.Touch(pa, int64(ev.n)) {
-			c.Access(pa)
-			c.Touch(pa, int64(ev.n)-1)
-		}
+		c.AccessN(frames[ev.page]|uint64(ev.off), int64(ev.n))
 	}
 }
 
@@ -159,32 +154,38 @@ func perRefPhys(refs []trace.Ref) physSim {
 	}
 }
 
-// mapPhysical runs worker over every profile concurrently, like mapRuns,
-// and returns the results in profile order. The worker gets a physSim over
-// the profile's trace for physPageSize pages and lineSize-byte lines, and
-// the runner's context, which it should check between cells. The default
-// path compiles the memoized runs (mapRuns) into a physTrace; opt.PerConfig
-// selects the per-reference loop over the expanded trace. Both paths yield
-// bit-identical cache statistics (pinned by internal/check's
-// figure5-physical differential).
-func mapPhysical[T any](profiles []synth.Profile, opt Options, lineSize int, worker func(ctx context.Context, p synth.Profile, sim physSim) (T, error)) ([]T, error) {
-	return mapRuns(profiles, opt, func(ctx context.Context, p synth.Profile, src trace.RunReader) (T, error) {
-		var sim physSim
+// mapPhysical runs cell over every (profile, cell index) pair concurrently
+// and returns the results profile-major: profile i's cell j at
+// i*cells+j. It first compiles each profile's trace once (mapRuns) into a
+// physSim for physPageSize pages and lineSize-byte lines, then maps all
+// len(profiles)×cells cells over the workers, so a worker never idles while
+// another finishes a profile; a physSim serves any number of cells at once.
+// cell gets the runner's context, which it should check between trials. The
+// default path compiles the memoized runs into a physTrace; opt.PerConfig
+// selects the per-reference loop over the expanded traces, all of which it
+// holds until the last cell ends. Both paths yield bit-identical cache
+// statistics (pinned by internal/check's figure5-physical differential).
+func mapPhysical[T any](profiles []synth.Profile, opt Options, lineSize, cells int, cell func(ctx context.Context, p synth.Profile, sim physSim, i int) (T, error)) ([]T, error) {
+	sims, err := mapRuns(profiles, opt, func(_ context.Context, _ synth.Profile, src trace.RunReader) (physSim, error) {
 		if opt.PerConfig {
 			refs, err := trace.ExpandReader(src)
 			if err != nil {
-				var zero T
-				return zero, err
+				return nil, err
 			}
-			sim = perRefPhys(refs)
-		} else {
-			pt, err := compilePhys(src, physPageSize, lineSize)
-			if err != nil {
-				var zero T
-				return zero, err
-			}
-			sim = pt.replay
+			return perRefPhys(refs), nil
 		}
-		return worker(ctx, p, sim)
+		pt, err := compilePhys(src, physPageSize, lineSize)
+		if err != nil {
+			return nil, err
+		}
+		return pt.replay, nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	return mapOrdered(opt.ctx(), len(profiles)*cells, opt.workers(),
+		func(i int) string { return profiles[i/cells].Name },
+		func(ctx context.Context, i int) (T, error) {
+			return cell(ctx, profiles[i/cells], sims[i/cells], i%cells)
+		})
 }

@@ -54,12 +54,12 @@ type frame struct {
 
 // domainState is the per-domain walk and data-reference state.
 type domainState struct {
-	prof     *DomainProfile
-	dataProf *DataProfile
-	domain   trace.Domain
-	procs    []proc // indexed by popularity rank: procs[0] is hottest
-	pop      *zipf  // popularity sampler over procedure ranks
-	rng      *xrand.Source
+	prof   *DomainProfile
+	domain trace.Domain
+	procs  []proc // indexed by popularity rank: procs[0] is hottest
+	pop    *zipf  // popularity sampler over procedure ranks
+	rng    *xrand.Source
+	coins  coins
 
 	stack []frame
 
@@ -75,6 +75,34 @@ type domainState struct {
 	offPop     *zipf // popularity of word offsets within a heap page
 
 	executed int64 // instructions executed in this domain
+}
+
+// coins are a domain's per-instruction coin flips, each made once from its
+// profile knob p. A flip is an integer compare where Bool(p) converts and
+// divides: Float64 returns k/2^53 exactly, for k the draw's top 53 bits, so
+// Float64() < p holds exactly when k < ceil(p·2^53), and xrand.Coin draws
+// only where Bool(p) draws (0 < p < 1). The streams are therefore
+// bit-identical to calling Bool with the knob on every instruction.
+type coins struct {
+	call, jump, skip, loop xrand.Coin // walk: DomainProfile knobs
+	store, burst, load     xrand.Coin // data: StoreFrac/2.1, 0.22, LoadFrac
+	stream, stackUp        xrand.Coin // data address: StreamFrac, 0.5
+}
+
+// newCoins makes a domain's coins from its walk knobs and the workload's
+// data knobs.
+func newCoins(dp *DomainProfile, d *DataProfile) coins {
+	return coins{
+		call:    xrand.NewCoin(dp.CallProb),
+		jump:    xrand.NewCoin(dp.JumpProb),
+		skip:    xrand.NewCoin(dp.SkipProb),
+		loop:    xrand.NewCoin(dp.LoopProb),
+		store:   xrand.NewCoin(d.StoreFrac / 2.1),
+		burst:   xrand.NewCoin(0.22),
+		load:    xrand.NewCoin(d.LoadFrac),
+		stream:  xrand.NewCoin(d.StreamFrac),
+		stackUp: xrand.NewCoin(0.5),
+	}
 }
 
 // WalkStats counts control-flow events of the synthetic walk — the surface
@@ -153,10 +181,10 @@ func (g *Generator) build() {
 			continue
 		}
 		ds := &domainState{
-			prof:     dp,
-			dataProf: &g.prof.Data,
-			domain:   trace.Domain(d),
-			rng:      g.rng.Fork(uint64(d) + 1),
+			prof:   dp,
+			domain: trace.Domain(d),
+			rng:    g.rng.Fork(uint64(d) + 1),
+			coins:  newCoins(dp, &g.prof.Data),
 		}
 		ds.layout()
 		base := domainTextBase[d] + uint64(d)*0x5400 // per-domain stagger
@@ -265,7 +293,7 @@ func (ds *domainState) pickProc() frame {
 	r := ds.pop.draw(ds.rng)
 	p := ds.procs[r]
 	f := frame{p: p, pc: p.base}
-	if ds.rng.Bool(ds.prof.LoopProb) {
+	if ds.rng.Flip(ds.coins.loop) {
 		span := uint64(float64(p.size) * ds.prof.MeanLoopFrac)
 		span = span &^ (instrSize - 1)
 		if span < 2*instrSize {
@@ -327,9 +355,8 @@ func (g *Generator) Next() (trace.Ref, bool) {
 
 // advance moves the walk past the instruction just fetched.
 func (g *Generator) advance(ds *domainState, f *frame) {
-	dp := ds.prof
 	// Call?
-	if len(ds.stack) < maxDepth && ds.rng.Bool(dp.CallProb) {
+	if len(ds.stack) < maxDepth && ds.rng.Flip(ds.coins.call) {
 		ds.stack = append(ds.stack, ds.pickProc())
 		g.walk.Visits++
 		g.walk.Calls++
@@ -337,7 +364,7 @@ func (g *Generator) advance(ds *domainState, f *frame) {
 	}
 	// Far taken branch: uniformly into the rest of the body. Breaks
 	// sequential fetch streams the way if/else arms and switch tables do.
-	if dp.JumpProb > 0 && ds.rng.Bool(dp.JumpProb) {
+	if ds.rng.Flip(ds.coins.jump) {
 		end := f.p.base + f.p.size
 		if remain := (end - f.pc) / instrSize; remain > 2 {
 			f.pc += instrSize * (1 + uint64(ds.rng.Intn(int(remain-1))))
@@ -345,7 +372,7 @@ func (g *Generator) advance(ds *domainState, f *frame) {
 		} else {
 			f.pc += instrSize
 		}
-	} else if ds.rng.Bool(dp.SkipProb) {
+	} else if ds.rng.Flip(ds.coins.skip) {
 		// Short forward branch.
 		f.pc += instrSize * uint64(2+ds.rng.Intn(5))
 		g.walk.Skips++
@@ -382,14 +409,14 @@ func (g *Generator) emitData(ds *domainState) {
 		ds.stackPtr -= instrSize
 		g.pending[g.npend] = trace.Ref{Addr: ds.stackPtr, Kind: trace.DWrite, Domain: ds.domain}
 		g.npend++
-	} else if ds.rng.Bool(d.StoreFrac / 2.1) {
-		if ds.rng.Bool(0.22) {
+	} else if ds.rng.Flip(ds.coins.store) {
+		if ds.rng.Flip(ds.coins.burst) {
 			ds.storeBurst = 5
 		}
 		g.pending[g.npend] = trace.Ref{Addr: ds.dataAddr(), Kind: trace.DWrite, Domain: ds.domain}
 		g.npend++
 	}
-	if ds.rng.Bool(d.LoadFrac) {
+	if ds.rng.Flip(ds.coins.load) {
 		g.pending[g.npend] = trace.Ref{Addr: ds.dataAddr(), Kind: trace.DRead, Domain: ds.domain}
 		g.npend++
 	}
@@ -398,8 +425,7 @@ func (g *Generator) emitData(ds *domainState) {
 // dataAddr draws a data address: streaming array walk, stack, global, or
 // heap, per the data profile.
 func (ds *domainState) dataAddr() uint64 {
-	d := ds.dataProf
-	if ds.rng.Bool(d.StreamFrac) {
+	if ds.rng.Flip(ds.coins.stream) {
 		// Sequential array walk; stores and loads share the cursor.
 		a := ds.strmBase + ds.streamPtr
 		ds.streamPtr += instrSize
@@ -411,7 +437,7 @@ func (ds *domainState) dataAddr() uint64 {
 	switch ds.rng.Intn(10) {
 	case 0, 1, 2, 3: // stack, random walk within window
 		delta := uint64(ds.rng.Intn(16)) * instrSize
-		if ds.rng.Bool(0.5) {
+		if ds.rng.Flip(ds.coins.stackUp) {
 			ds.stackPtr += delta
 		} else {
 			ds.stackPtr -= delta

@@ -434,3 +434,31 @@ func TestWalkStatsNoJumpsWhenDisabled(t *testing.T) {
 		t.Errorf("far-jump rate %.4f, want ~0.03", rate)
 	}
 }
+
+var refSink trace.Ref
+
+// BenchmarkGeneratorNext times the generator on gcc, one op per
+// instruction: alone (the instruction-only stream every trace the store
+// memoizes is made of) and with data references (the stream Tables 1 and 3
+// feed the DECstation model), where one instruction emits about 1.3
+// references.
+func BenchmarkGeneratorNext(b *testing.B) {
+	p, err := Lookup("gcc")
+	if err != nil {
+		b.Fatal(err)
+	}
+	instrOnly := p
+	instrOnly.Data = DataProfile{}
+	for _, bc := range []struct {
+		name string
+		prof Profile
+	}{{"instr", instrOnly}, {"data", p}} {
+		b.Run(bc.name, func(b *testing.B) {
+			g := MustNewGenerator(bc.prof, 0)
+			b.ResetTimer()
+			for g.Instructions() < int64(b.N) {
+				refSink, _ = g.Next()
+			}
+		})
+	}
+}

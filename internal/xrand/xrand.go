@@ -93,6 +93,51 @@ func (s *Source) Bool(p float64) bool {
 	return s.Float64() < p
 }
 
+// Coin is Bool(p) for one fixed p, reduced to an integer compare: Flip(c)
+// returns what Bool(p) would and consumes a draw exactly when Bool(p)
+// does, so a hot loop that flips the same coin every step can precompute
+// it and leave every stream it feeds bit-identical.
+//
+// The reduction is exact. Float64 returns k/2^53 for k = Uint64()>>11, an
+// integer below 2^53; the conversion and the division by a power of two
+// are exact, so Float64() < p holds exactly when k < p·2^53, which for an
+// integer k is k < ceil(p·2^53). For 0 < p < 1 the product is exact too (a
+// power-of-two scaling that neither overflows nor loses a subnormal's
+// bits), and its ceiling lies in [1, 2^53-1].
+type Coin struct {
+	// t is the threshold: with draw set, Flip returns k < t; without, it
+	// returns t != 0 and draws nothing.
+	t    uint64
+	draw bool
+}
+
+// NewCoin returns the Coin for Bool(p).
+func NewCoin(p float64) Coin {
+	switch {
+	case p <= 0:
+		return Coin{}
+	case p >= 1:
+		return Coin{t: 1}
+	case p != p:
+		// NaN: Bool draws, and no draw compares below NaN.
+		return Coin{draw: true}
+	}
+	x := p * (1 << 53)
+	t := uint64(x) // floor: x is positive
+	if float64(t) < x {
+		t++
+	}
+	return Coin{t: t, draw: true}
+}
+
+// Flip returns Bool(p) for the p c was made from, drawing as Bool(p) does.
+func (s *Source) Flip(c Coin) bool {
+	if c.draw {
+		return s.Uint64()>>11 < c.t
+	}
+	return c.t != 0
+}
+
 // Geometric returns a sample from the geometric distribution with mean m
 // (number of Bernoulli trials until first success, minimum 1). Values of
 // m <= 1 always return 1.

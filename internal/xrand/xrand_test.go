@@ -134,6 +134,45 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
+// TestCoinMatchesBool pins Flip(NewCoin(p)) to Bool(p): the same outcome on
+// every draw, the same draws consumed (the two sources' states stay equal),
+// and, at the threshold itself, the same verdict for the draws just below,
+// at and above it, which a random stream would almost never hit.
+func TestCoinMatchesBool(t *testing.T) {
+	ps := []float64{
+		-0.5, math.Inf(-1), 0, math.SmallestNonzeroFloat64, 0x1p-60, 0.5,
+		1 - 0x1p-53, 1, 1.5, math.Inf(1), math.NaN(),
+		0.22, 0.3 / 2.1, 1.0 / 3,
+	}
+	pick := New(99)
+	for i := 0; i < 200; i++ {
+		ps = append(ps, pick.Float64(), math.Nextafter(pick.Float64(), 0), float64(pick.Uint64()>>11)/(1<<53))
+	}
+	for _, p := range ps {
+		c := NewCoin(p)
+		a, b := New(42), New(42)
+		for i := 0; i < 2000; i++ {
+			if want, got := a.Bool(p), b.Flip(c); want != got {
+				t.Fatalf("p=%v draw %d: Bool %v, Flip %v", p, i, want, got)
+			}
+			if a.State() != b.State() {
+				t.Fatalf("p=%v draw %d: Bool and Flip consumed different draws", p, i)
+			}
+		}
+		if !c.draw {
+			continue
+		}
+		for _, k := range []uint64{c.t - 1, c.t, c.t + 1, 0, 1<<53 - 1} {
+			if k >= 1<<53 {
+				continue
+			}
+			if want, got := float64(k)/(1<<53) < p, k < c.t; want != got {
+				t.Fatalf("p=%v k=%d: Float64() < p is %v, threshold says %v", p, k, want, got)
+			}
+		}
+	}
+}
+
 func TestGeometricMean(t *testing.T) {
 	s := New(13)
 	for _, m := range []float64{2, 5, 16, 50} {
