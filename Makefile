@@ -45,14 +45,15 @@ check-sampling:
 # block-sweep differentials — the one replay driver and the one sweep kernel
 # over the mmap and ReaderAt access modes and the in-memory runs, each
 # bit-exact against the []Ref oracle. (Flags must precede the stage name: the
-# Go flag parser stops at the first positional.)
+# Go flag parser stops at the first positional.) A subset of `make check`,
+# for focused runs.
 check-columnar:
 	$(GO) run ./cmd/ibscheck -o "" -n 200000 columnar-replay
 
 # Checkpoint-seek verification: the seek-sampled differential (RunSeek /
 # SampledSeek bit-identical to the in-memory sampled paths and the []Ref
 # oracle). (Flags must precede the stage name: the Go flag parser stops at
-# the first positional.)
+# the first positional.) A subset of `make check`, for focused runs.
 check-seek:
 	$(GO) run ./cmd/ibscheck -o "" -n 200000 seek
 

@@ -8,10 +8,8 @@
 //
 //	ibsgen -workload gs -n 4000000 -o gs.ibstrace
 //	ibsgen -workload gs -n 100000000 -columnar     # gs.ibsc, block format
-//	ibsgen -workload gs -checkpoint-every 16384    # record seek checkpoints, print index stats
 //	ibsgen -all -n 1000000 -dir traces/
 //	ibsgen -info gs.ibstrace                       # record or columnar
-//	ibsgen -info gs.ibsc -workload gs -checkpoint-every 16384  # + checkpoint-index stats
 package main
 
 import (
@@ -32,7 +30,6 @@ func main() {
 		dir      = flag.String("dir", ".", "output directory for -all")
 		columnar = flag.Bool("columnar", false, "write IBSTRACE/v3 columnar files (instruction fetches only)")
 		info     = flag.String("info", "", "print a trace file's summary instead of generating")
-		ckEvery  = flag.Int64("checkpoint-every", 0, "record seek checkpoints every K instructions while generating and print index stats (0 = off)")
 	)
 	flag.Parse()
 
@@ -42,7 +39,7 @@ func main() {
 	}
 	switch {
 	case *info != "":
-		if err := printInfo(*info, *workload, *ckEvery); err != nil {
+		if err := printInfo(*info); err != nil {
 			fail(err)
 		}
 	case *all:
@@ -52,7 +49,7 @@ func main() {
 				suffix = "-ultrix"
 			}
 			path := filepath.Join(*dir, w.Name+suffix+ext)
-			if err := generate(w, *n, path, *columnar, *ckEvery); err != nil {
+			if err := generate(w, *n, path, *columnar); err != nil {
 				fail(err)
 			}
 		}
@@ -65,7 +62,7 @@ func main() {
 		if path == "" {
 			path = filepath.Base(*workload) + ext
 		}
-		if err := generate(w, *n, path, *columnar, *ckEvery); err != nil {
+		if err := generate(w, *n, path, *columnar); err != nil {
 			fail(err)
 		}
 	default:
@@ -74,19 +71,9 @@ func main() {
 	}
 }
 
-func generate(w ibsim.Workload, n int64, path string, columnar bool, ckEvery int64) error {
-	var ix *ibsim.CheckpointIndex
-	if ckEvery > 0 {
-		ix = ibsim.NewCheckpointIndex(ckEvery)
-	}
+func generate(w ibsim.Workload, n int64, path string, columnar bool) error {
 	if columnar {
-		var blocks int
-		var err error
-		if ix != nil {
-			blocks, err = ibsim.WriteColumnarTraceFileCheckpointed(path, w, n, ix)
-		} else {
-			blocks, err = ibsim.WriteColumnarTraceFile(path, w, n)
-		}
+		blocks, err := ibsim.WriteColumnarTraceFile(path, w, n)
 		if err != nil {
 			return err
 		}
@@ -96,16 +83,9 @@ func generate(w ibsim.Workload, n int64, path string, columnar bool, ckEvery int
 		}
 		fmt.Printf("%s: %d instructions in %d columnar blocks, %.1f MB (%.2f bytes/instruction)\n",
 			path, n, blocks, float64(st.Size())/1e6, float64(st.Size())/float64(n))
-		printCheckpointStats(ix)
 		return nil
 	}
-	var written uint64
-	var err error
-	if ix != nil {
-		written, err = ibsim.WriteTraceFileCheckpointed(path, w, n, ix)
-	} else {
-		written, err = ibsim.WriteTraceFile(path, w, n)
-	}
+	written, err := ibsim.WriteTraceFile(path, w, n)
 	if err != nil {
 		return err
 	}
@@ -115,36 +95,16 @@ func generate(w ibsim.Workload, n int64, path string, columnar bool, ckEvery int
 	}
 	fmt.Printf("%s: %d references (%d instructions), %.1f MB (%.2f bytes/ref)\n",
 		path, written, n, float64(st.Size())/1e6, float64(st.Size())/float64(written))
-	printCheckpointStats(ix)
 	return nil
 }
 
-// printCheckpointStats reports a generation pass's checkpoint index: how
-// many restore points it recorded and what they cost.
-func printCheckpointStats(ix *ibsim.CheckpointIndex) {
-	if ix == nil {
-		return
-	}
-	st := ix.Stats()
-	perCk := 0.0
-	if st.Count > 0 {
-		perCk = float64(st.Bytes) / float64(st.Count)
-	}
-	fmt.Printf("  checkpoint index: %d checkpoints, %d bytes (%.1f bytes/checkpoint) at %d-instruction intervals\n",
-		st.Count, st.Bytes, perCk, st.Every)
-}
-
-func printInfo(path, workload string, ckEvery int64) error {
+func printInfo(path string) error {
 	columnar, err := ibsim.IsColumnarTraceFile(path)
 	if err != nil {
 		return err
 	}
 	if columnar {
-		total, err := printColumnarInfo(path)
-		if err != nil {
-			return err
-		}
-		return printInfoCheckpoints(path, workload, total, ckEvery)
+		return printColumnarInfo(path)
 	}
 	refs, complete, err := ibsim.SalvageTraceFile(path)
 	if !complete {
@@ -170,46 +130,16 @@ func printInfo(path, workload string, ckEvery int64) error {
 	fmt.Printf("  user %.1f%%, kernel %.1f%%, bsd %.1f%%, x %.1f%%\n",
 		100*float64(domains[0])/float64(total), 100*float64(domains[1])/float64(total),
 		100*float64(domains[2])/float64(total), 100*float64(domains[3])/float64(total))
-	return printInfoCheckpoints(path, workload, kinds[0], ckEvery)
-}
-
-// printInfoCheckpoints augments -info with the checkpoint index a seekable
-// regeneration of the file's instruction stream would build: the file
-// itself carries no checkpoints (they are generator states, not trace
-// data), so the stats come from actually generating the workload's
-// instruction stream once with an index attached.
-func printInfoCheckpoints(path, workload string, instrs, ckEvery int64) error {
-	if ckEvery <= 0 {
-		return nil
-	}
-	if workload == "" {
-		return fmt.Errorf("-info with -checkpoint-every needs -workload (checkpoints are generator states; name the workload the file was generated from)")
-	}
-	w, err := ibsim.LoadWorkload(workload)
-	if err != nil {
-		return err
-	}
-	ix := ibsim.NewCheckpointIndex(ckEvery)
-	src, err := ibsim.NewSeekableTrace(w, instrs, ix)
-	if err != nil {
-		return err
-	}
-	for {
-		if _, ok := src.Next(); !ok {
-			break
-		}
-	}
-	printCheckpointStats(ix)
 	return nil
 }
 
 // printColumnarInfo summarizes an IBSTRACE/v3 file: every reference is an
 // instruction fetch, so the interesting shape is the block structure and the
 // per-block domain mix the index can't see — ibstrace -file digs deeper.
-func printColumnarInfo(path string) (int64, error) {
+func printColumnarInfo(path string) error {
 	cf, dmg, err := ibsim.SalvageColumnarTrace(path)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	defer cf.Close()
 	if dmg.Damaged() {
@@ -220,7 +150,7 @@ func printColumnarInfo(path string) (int64, error) {
 	var buf []ibsim.Run
 	for i := 0; i < cf.NumBlocks(); i++ {
 		if buf, err = cf.BlockRuns(i, buf); err != nil {
-			return 0, err
+			return err
 		}
 		for _, r := range buf {
 			domains[r.Domain] += r.Len
@@ -232,7 +162,7 @@ func printColumnarInfo(path string) (int64, error) {
 	fmt.Printf("  user %.1f%%, kernel %.1f%%, bsd %.1f%%, x %.1f%%\n",
 		100*float64(domains[0])/float64(total), 100*float64(domains[1])/float64(total),
 		100*float64(domains[2])/float64(total), 100*float64(domains[3])/float64(total))
-	return total, nil
+	return nil
 }
 
 func fail(err error) {

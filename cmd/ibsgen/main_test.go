@@ -14,7 +14,7 @@ func TestGenerateAndInfo(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "nroff.ibstrace")
-	if err := generate(w, 20_000, path, false, 0); err != nil {
+	if err := generate(w, 20_000, path, false); err != nil {
 		t.Fatal(err)
 	}
 	st, err := os.Stat(path)
@@ -24,7 +24,7 @@ func TestGenerateAndInfo(t *testing.T) {
 	if st.Size() < 1000 {
 		t.Fatalf("trace file only %d bytes", st.Size())
 	}
-	if err := printInfo(path, "", 0); err != nil {
+	if err := printInfo(path); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -35,7 +35,7 @@ func TestGenerateAndInfoColumnar(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "nroff.ibsc")
-	if err := generate(w, 20_000, path, true, 0); err != nil {
+	if err := generate(w, 20_000, path, true); err != nil {
 		t.Fatal(err)
 	}
 	columnar, err := ibsim.IsColumnarTraceFile(path)
@@ -53,39 +53,20 @@ func TestGenerateAndInfoColumnar(t *testing.T) {
 		t.Fatalf("columnar file holds %d refs, want 20000", cf.Refs())
 	}
 	cf.Close()
-	if err := printInfo(path, "", 0); err != nil {
+	if err := printInfo(path); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestPrintInfoMissingFile(t *testing.T) {
-	if err := printInfo(filepath.Join(t.TempDir(), "nope.ibstrace"), "", 0); err == nil {
+	if err := printInfo(filepath.Join(t.TempDir(), "nope.ibstrace")); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }
 
 func TestGenerateBadPath(t *testing.T) {
 	w, _ := ibsim.LoadWorkload("nroff")
-	if err := generate(w, 1000, filepath.Join(t.TempDir(), "no", "such", "dir", "x.ibstrace"), false, 0); err == nil {
+	if err := generate(w, 1000, filepath.Join(t.TempDir(), "no", "such", "dir", "x.ibstrace"), false); err == nil {
 		t.Fatal("unwritable path accepted")
-	}
-}
-
-func TestGenerateCheckpointed(t *testing.T) {
-	w, err := ibsim.LoadWorkload("nroff")
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "nroff.ibstrace")
-	if err := generate(w, 20_000, path, false, 4096); err != nil {
-		t.Fatal(err)
-	}
-	// -info with -checkpoint-every needs the workload name: checkpoints are
-	// generator states, not trace data.
-	if err := printInfo(path, "", 4096); err == nil {
-		t.Fatal("checkpoint info without a workload accepted")
-	}
-	if err := printInfo(path, "nroff", 4096); err != nil {
-		t.Fatal(err)
 	}
 }

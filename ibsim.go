@@ -399,66 +399,6 @@ func NewSeekableTrace(w Workload, n int64, ix *CheckpointIndex) (*SeekableTrace,
 	return synth.NewSeekSource(w, 0, n, ix)
 }
 
-// WriteTraceFileCheckpointed is WriteTraceFile with a checkpoint index
-// attached to the generation pass: restore points accumulate in ix at
-// ix.Every()-instruction intervals as the trace is generated. The file is
-// byte-identical to WriteTraceFile's. Note the recorded states belong to
-// the FULL profile (data references included); an index for the
-// instruction-only stream NewSeekableTrace reads must come from
-// WriteColumnarTraceFileCheckpointed or from reading the seekable source
-// itself.
-func WriteTraceFileCheckpointed(path string, w Workload, n int64, ix *CheckpointIndex) (written uint64, err error) {
-	g, err := synth.NewGenerator(w, 0)
-	if err != nil {
-		return 0, err
-	}
-	g.SetCheckpoints(ix)
-	refs := make([]Ref, 0, n+n/3)
-	for g.Instructions() < n {
-		r, _ := g.Next()
-		refs = append(refs, r)
-	}
-	err = atomicio.WriteTo(path, 0o644, func(f *os.File) error {
-		var werr error
-		written, werr = trace.EncodeSeeker(f, trace.NewSliceSource(refs))
-		return werr
-	})
-	if err != nil {
-		return 0, fmt.Errorf("ibsim: writing trace file: %w", err)
-	}
-	return written, nil
-}
-
-// WriteColumnarTraceFileCheckpointed is WriteColumnarTraceFile with a
-// checkpoint index attached to the generation pass; the recorded states
-// describe the instruction-only stream, so the same index seeks
-// NewSeekableTrace sources over (w, n). The file is byte-identical to
-// WriteColumnarTraceFile's.
-func WriteColumnarTraceFileCheckpointed(path string, w Workload, n int64, ix *CheckpointIndex) (blocks int, err error) {
-	src, err := NewSeekableTrace(w, n, ix)
-	if err != nil {
-		return 0, err
-	}
-	refs := make([]Ref, 0, n)
-	for {
-		r, ok := src.Next()
-		if !ok {
-			break
-		}
-		refs = append(refs, r)
-	}
-	runs := trace.Compact(refs)
-	err = atomicio.WriteTo(path, 0o644, func(f *os.File) error {
-		var werr error
-		blocks, werr = trace.EncodeColumnar(f, runs)
-		return werr
-	})
-	if err != nil {
-		return 0, fmt.Errorf("ibsim: writing columnar trace file: %w", err)
-	}
-	return blocks, nil
-}
-
 // CompactTrace reduces a reference stream to its maximal sequential
 // instruction runs — the representation the bulk replay paths (ReplayFetch's
 // engines via FetchRun, internal/replay's fan-out driver) consume. Data

@@ -11,6 +11,7 @@ import (
 	"ibsim/internal/sampling"
 	"ibsim/internal/sweep"
 	"ibsim/internal/synth"
+	"ibsim/internal/trace"
 )
 
 // Sampling verification: the sampled execution modes promise calibrated
@@ -200,7 +201,8 @@ func SamplingBounds(opt Options) ([]Result, error) {
 }
 
 // SamplingProperties pins the statistical behavior of the warm/cold sampling
-// regimes on the reference single-cache path (internal/sampling.Run):
+// regimes on the reference single-cache path (internal/sampling.Run, over
+// the memoized runs):
 //
 //   - Warm unbiasedness: as coverage rises toward 1 the estimate converges to
 //     the exact miss ratio, reaching it exactly at full coverage.
@@ -224,20 +226,22 @@ func SamplingProperties(opt Options) ([]Result, error) {
 	ladder := []int64{16, 4, 1}
 	meanAbs := make([]float64, len(ladder))
 	for _, p := range workloads {
-		refs, err := oracleRefs(p, opt)
-		if err != nil {
-			return nil, fmt.Errorf("check: sampling properties: %s: %w", p.Name, err)
-		}
-		for li, mul := range ladder {
-			plan := sampling.Plan{Window: baseWindow, Period: mul * baseWindow, Mode: sampling.Warm}
-			_, _, relErr, err := sampling.Error(cfg, refs, plan)
-			if err != nil {
+		err := withRuns(p, opt, func(src trace.RunReader) error {
+			for li, mul := range ladder {
+				plan := sampling.Plan{Window: baseWindow, Period: mul * baseWindow, Mode: sampling.Warm}
+				_, _, relErr, err := sampling.Error(cfg, src, plan)
 				if errors.Is(err, sampling.ErrZeroBaseline) {
 					continue
 				}
-				return nil, fmt.Errorf("check: sampling properties: %s: %w", p.Name, err)
+				if err != nil {
+					return err
+				}
+				meanAbs[li] += math.Abs(relErr) / float64(len(workloads))
 			}
-			meanAbs[li] += math.Abs(relErr) / float64(len(workloads))
+			return nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("check: sampling properties: %s: %w", p.Name, err)
 		}
 	}
 	var out []Result
@@ -269,20 +273,22 @@ func SamplingProperties(opt Options) ([]Result, error) {
 	windows := []int64{baseWindow, 4 * baseWindow, 16 * baseWindow}
 	bias := make([]float64, len(windows))
 	for _, p := range workloads {
-		refs, err := oracleRefs(p, opt)
-		if err != nil {
-			return nil, fmt.Errorf("check: sampling properties: %s: %w", p.Name, err)
-		}
-		for wi, w := range windows {
-			plan := sampling.Plan{Window: w, Period: 4 * w, Mode: sampling.Cold}
-			_, _, relErr, err := sampling.Error(cfg, refs, plan)
-			if err != nil {
+		err := withRuns(p, opt, func(src trace.RunReader) error {
+			for wi, w := range windows {
+				plan := sampling.Plan{Window: w, Period: 4 * w, Mode: sampling.Cold}
+				_, _, relErr, err := sampling.Error(cfg, src, plan)
 				if errors.Is(err, sampling.ErrZeroBaseline) {
 					continue
 				}
-				return nil, fmt.Errorf("check: sampling properties: %s: %w", p.Name, err)
+				if err != nil {
+					return err
+				}
+				bias[wi] += relErr / float64(len(workloads))
 			}
-			bias[wi] += relErr / float64(len(workloads))
+			return nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("check: sampling properties: %s: %w", p.Name, err)
 		}
 	}
 	const biasSlack = 0.02
@@ -301,4 +307,15 @@ func SamplingProperties(opt Options) ([]Result, error) {
 	}
 	out[len(out)-1].Seconds = time.Since(coldStart).Seconds()
 	return out, nil
+}
+
+// withRuns calls fn with p's trace read from synth.DefaultStore through
+// Acquire, releasing it when fn returns.
+func withRuns(p synth.Profile, opt Options, fn func(trace.RunReader) error) error {
+	src, _, release, err := synth.DefaultStore.Acquire(context.Background(), p, opt.Seed, opt.Instructions)
+	if err != nil {
+		return err
+	}
+	defer release()
+	return fn(src)
 }

@@ -169,10 +169,9 @@ func mapRuns[T any](profiles []synth.Profile, opt Options, worker func(ctx conte
 	return mapOrdered(opt.ctx(), len(profiles), opt.workers(), profileName(profiles), run)
 }
 
-// mapRefs is mapRuns for per-reference models, the opt.PerConfig reference
-// paths and SamplingStudy's sampled simulator: the worker gets the trace
-// expanded to one trace.Ref per instruction, a slice that lives only as
-// long as the call.
+// mapRefs is mapRuns for the opt.PerConfig reference paths: the worker gets
+// the trace expanded to one trace.Ref per instruction, a slice that lives
+// only as long as the call.
 func mapRefs[T any](profiles []synth.Profile, opt Options, worker func(p synth.Profile, refs []trace.Ref) (T, error)) ([]T, error) {
 	return mapRuns(profiles, opt, func(_ context.Context, p synth.Profile, src trace.RunReader) (T, error) {
 		refs, err := trace.ExpandReader(src)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"ibsim/internal/cache"
@@ -305,7 +306,7 @@ type PlacementResult struct {
 }
 
 // ExtensionPlacement compares layouts on gcc (the workload compilers care
-// about).
+// about), each contender one read of its layout's runs (mapRuns).
 func ExtensionPlacement(opt Options) (*PlacementResult, error) {
 	opt = opt.withDefaults()
 	p, err := synth.Lookup("gcc")
@@ -315,19 +316,14 @@ func ExtensionPlacement(opt Options) (*PlacementResult, error) {
 	res := &PlacementResult{Workload: p.Name}
 
 	mpi := func(prof synth.Profile, cfg cache.Config) (float64, error) {
-		refs, err := synth.InstrTrace(prof, opt.Seed, opt.Instructions)
+		per, err := mapRuns([]synth.Profile{prof}, opt, func(_ context.Context, _ synth.Profile, src trace.RunReader) (float64, error) {
+			st, err := simulateCache(cfg, src, nil)
+			return 100 * float64(st.Misses) / float64(st.Accesses), err
+		})
 		if err != nil {
 			return 0, err
 		}
-		c, err := cache.New(cfg)
-		if err != nil {
-			return 0, err
-		}
-		for _, r := range refs {
-			c.Access(r.Addr)
-		}
-		st := c.Stats()
-		return 100 * float64(st.Misses) / float64(st.Accesses), nil
+		return per[0], nil
 	}
 
 	if res.Scattered, err = mpi(p, BaseL1()); err != nil {

@@ -268,34 +268,35 @@ type InterleaveResult struct {
 	Rows     []InterleaveRow
 }
 
-// ExtensionInterleave sweeps residency scales on gs.
+// ExtensionInterleave sweeps residency scales on gs, one read of each
+// scaled profile's runs (mapRuns).
 func ExtensionInterleave(opt Options) (*InterleaveResult, error) {
 	opt = opt.withDefaults()
 	base, err := synth.Lookup("gs")
 	if err != nil {
 		return nil, err
 	}
-	res := &InterleaveResult{Workload: base.Name}
-	for _, scale := range []float64{0.25, 0.5, 1, 2, 4, 8} {
+	scales := []float64{0.25, 0.5, 1, 2, 4, 8}
+	profiles := make([]synth.Profile, len(scales))
+	for i, scale := range scales {
 		p := base
 		for d := range p.Domains {
 			if p.Domains[d].TimeShare > 0 {
 				p.Domains[d].MeanResidency *= scale
 			}
 		}
-		refs, err := synth.InstrTrace(p, opt.Seed, opt.Instructions)
-		if err != nil {
-			return nil, err
-		}
-		c := cache.MustNew(BaseL1())
-		for _, r := range refs {
-			c.Access(r.Addr)
-		}
-		st := c.Stats()
-		res.Rows = append(res.Rows, InterleaveRow{
-			Scale: scale,
-			MPI:   100 * float64(st.Misses) / float64(st.Accesses),
-		})
+		profiles[i] = p
+	}
+	mpis, err := mapRuns(profiles, opt, func(_ context.Context, _ synth.Profile, src trace.RunReader) (float64, error) {
+		st, err := simulateCache(BaseL1(), src, nil)
+		return 100 * float64(st.Misses) / float64(st.Accesses), err
+	})
+	if err != nil {
+		return nil, err
+	}
+	res := &InterleaveResult{Workload: base.Name}
+	for i, scale := range scales {
+		res.Rows = append(res.Rows, InterleaveRow{Scale: scale, MPI: mpis[i]})
 	}
 	return res, nil
 }

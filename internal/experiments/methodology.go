@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"ibsim/internal/cache"
@@ -104,24 +105,23 @@ type SamplingResult struct {
 	Rows     []SamplingRow
 }
 
-// SamplingStudy sweeps warm and cold sampling plans on gs. The sampled
-// simulator is a per-reference model, so the worker expands the memoized
-// runs (mapRuns) for the length of the sweep.
+// SamplingStudy sweeps warm and cold sampling plans on gs, each a read of
+// the memoized runs (mapRuns).
 func SamplingStudy(opt Options) (*SamplingResult, error) {
 	opt = opt.withDefaults()
 	p, err := synth.Lookup("gs")
 	if err != nil {
 		return nil, err
 	}
-	res, err := mapRefs([]synth.Profile{p}, opt, samplingSweep)
+	res, err := mapRuns([]synth.Profile{p}, opt, samplingSweep)
 	if err != nil {
 		return nil, err
 	}
 	return res[0], nil
 }
 
-// samplingSweep runs SamplingStudy's plans over p's references.
-func samplingSweep(p synth.Profile, refs []trace.Ref) (*SamplingResult, error) {
+// samplingSweep runs SamplingStudy's plans over p's trace.
+func samplingSweep(_ context.Context, p synth.Profile, src trace.RunReader) (*SamplingResult, error) {
 	res := &SamplingResult{Workload: p.Name}
 	cfg := BaseL1()
 	plans := []sampling.Plan{
@@ -132,12 +132,12 @@ func samplingSweep(p synth.Profile, refs []trace.Ref) (*SamplingResult, error) {
 		{Window: 50_000, Period: 200_000, Mode: sampling.Cold},
 	}
 	for _, plan := range plans {
-		sampled, err := sampling.Run(cfg, refs, plan)
+		sampled, err := sampling.Run(cfg, src, plan)
 		if err != nil {
 			return nil, err
 		}
 		if res.FullMPI == 0 {
-			full, err := sampling.Run(cfg, refs, sampling.Plan{Window: 1, Period: 1})
+			full, err := sampling.Run(cfg, src, sampling.Plan{Window: 1, Period: 1})
 			if err != nil {
 				return nil, err
 			}

@@ -74,8 +74,7 @@ func TestBlocksCancel(t *testing.T) {
 
 // A sampled replay over a block source must reproduce Sampled bit for bit
 // — Measured counters and every Estimate field — for every plan shape: warm
-// time, skip time (the seeking path), degenerate full-coverage, and set
-// sampling.
+// time, skip time (the seeking path) and degenerate full-coverage.
 func TestSampledBlocksMatchesSampled(t *testing.T) {
 	runs := trace.Compact(testTrace(22, 120000))
 	cf := columnarSource(t, runs, 512)
@@ -87,7 +86,6 @@ func TestSampledBlocksMatchesSampled(t *testing.T) {
 		"time-skip":     {Window: 2000, Period: 8000},
 		"time-tiny-win": {Window: 64, Period: 4096},
 		"full-coverage": {Window: 5000, Period: 5000},
-		"set":           {SetMod: 16, SetMatch: 9, LineSize: 32},
 	}
 	for name, plan := range plans {
 		t.Run(name, func(t *testing.T) {

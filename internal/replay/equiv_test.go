@@ -16,8 +16,7 @@ import (
 
 // oracle replays refs through every engine of a fresh bank with per-engine
 // fetch.Run semantics under plan's schedule: one Fetch per instruction fed,
-// a counter snapshot around every measured window (or, for set sampling,
-// around every fetch of the sampled class, credited to its subgroup).
+// a counter snapshot around every measured window.
 func oracle(t *testing.T, refs []trace.Ref, plan SamplePlan) []SampledResult {
 	t.Helper()
 	total := int64(len(refs))
@@ -25,22 +24,6 @@ func oracle(t *testing.T, refs []trace.Ref, plan SamplePlan) []SampledResult {
 	for _, e := range bank(t) {
 		var res SampledResult
 		switch {
-		case plan.SetMod > 1:
-			clusters := make([]sampling.Cluster, setClusters)
-			for _, r := range refs {
-				line := r.Addr / uint64(plan.LineSize)
-				if int(line)&(plan.SetMod-1) != plan.SetMatch {
-					continue
-				}
-				prev := e.Result()
-				e.Fetch(r.Addr)
-				d := resultDelta(e.Result(), prev)
-				c := &clusters[line/uint64(plan.SetMod)%setClusters]
-				c.Instructions += d.Instructions
-				c.Misses += d.Misses
-			}
-			res.Measured = e.Result()
-			res.Estimate = sampling.EstimateFrom(clusters, total, 1/float64(plan.SetMod))
 		case plan.windowed():
 			var clusters []sampling.Cluster
 			var prev fetch.Result
@@ -138,7 +121,6 @@ func TestSourcesMatchOracle(t *testing.T) {
 		"warm":          {Window: 2000, Period: 8000, Warm: true},
 		"skip":          {Window: 1000, Period: 8000},
 		"skip-tiny-win": {Window: 64, Period: 4096},
-		"set":           {SetMod: 16, SetMatch: 9, LineSize: 32},
 		"window=period": {Window: 5000, Period: 5000},
 	}
 	ctx := context.Background()

@@ -28,9 +28,10 @@
 // There is one driver loop. It reads any trace.RunReader — in-memory runs,
 // a block-indexed columnar file, a checkpointed generator — block-major:
 // each chunk of runs the source hands out goes through every simulated L1
-// while it is hot. Exact, warm and skip time sampling and set sampling are
-// schedules that loop walks (SamplePlan), and partitioning the classes over
-// workers is its only parallelism. Results come back positionally:
+// while it is hot. The exact replay is one read of the whole trace; warm and
+// skip time sampling walk a sampling.Schedule (SamplePlan). Partitioning the
+// classes over workers is the loop's only parallelism. Results come back
+// positionally:
 // results[i] is what fetch.Run(engines[i], refs) would have produced on the
 // expanded trace (or its sampled estimate).
 package replay
@@ -103,7 +104,7 @@ func run(ctx context.Context, open func() trace.RunReader, engines []fetch.Engin
 			return nil, err
 		}
 	}
-	lanes := planBank(engines, plan)
+	lanes := planBank(engines)
 	workers = max(1, min(workers, len(lanes)))
 	groups := make([][]*lane, workers)
 	for k, l := range lanes {
@@ -157,11 +158,11 @@ func run(ctx context.Context, open func() trace.RunReader, engines []fetch.Engin
 }
 
 // walk is the driver loop: it reads plan's schedule from src, hands each
-// chunk of runs to every lane in turn, and returns the trace length.
-// Windows are [w·Period, w·Period+Window); each member snapshots its
-// counters around a window to measure one variance cluster. Whole-trace
-// schedules count the length as they go (an exact replay's engines count
-// every instruction) instead of asking the source first.
+// chunk of runs to every lane in turn, and returns the trace length. Each
+// member snapshots its counters around a window to measure one variance
+// cluster. The whole-trace schedule counts the length as it goes (an exact
+// replay's engines count every instruction) instead of asking the source
+// first.
 func walk(ctx context.Context, src trace.RunReader, lanes []*lane, plan SamplePlan) (int64, error) {
 	feed := func(runs []trace.Run) error {
 		for _, l := range lanes {
@@ -171,50 +172,33 @@ func walk(ctx context.Context, src trace.RunReader, lanes []*lane, plan SamplePl
 		}
 		return nil
 	}
-	switch {
-	case plan.SetMod > 1:
-		f := newSetFilter(plan)
-		err := src.ReadRuns(0, math.MaxInt64, func(runs []trace.Run) error {
-			f.cut(runs)
-			for _, l := range lanes {
-				if err := l.feedSet(ctx, f); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		return f.total, err
-	case !plan.windowed():
+	if !plan.windowed() {
 		err := src.ReadRuns(0, math.MaxInt64, feed)
 		return lanes[0].e.Result().Instructions, err
 	}
-	total := src.Total()
-	for start := int64(0); start < total; start += plan.Period {
-		for _, l := range lanes {
-			for _, m := range l.members {
-				m.prev = l.result(m)
+	v := sampling.Visit{
+		Open: func() {
+			for _, l := range lanes {
+				for _, m := range l.members {
+					m.prev = l.result(m)
+				}
 			}
-		}
-		if err := src.ReadRuns(start, plan.Window, feed); err != nil {
-			return 0, err
-		}
-		for _, l := range lanes {
-			for _, m := range l.members {
-				d := resultDelta(l.result(m), m.prev)
-				m.measured = resultAdd(m.measured, d)
-				m.clusters = append(m.clusters, sampling.Cluster{Instructions: d.Instructions, Misses: d.Misses})
+		},
+		Measure: feed,
+		Close: func() {
+			for _, l := range lanes {
+				for _, m := range l.members {
+					d := resultDelta(l.result(m), m.prev)
+					m.measured = resultAdd(m.measured, d)
+					m.clusters = append(m.clusters, sampling.Cluster{Instructions: d.Instructions, Misses: d.Misses})
+				}
 			}
-		}
-		if plan.Warm {
-			if err := src.ReadRuns(start+plan.Window, plan.Period-plan.Window, feed); err != nil {
-				return 0, err
-			}
-		}
-		if start > total-plan.Period {
-			break // the next window start would overflow int64
-		}
+		},
 	}
-	return total, nil
+	if plan.Warm {
+		v.Warm = feed
+	}
+	return plan.schedule().Walk(src, v)
 }
 
 // splitter is an engine that splits into its content class's L1 pass and a
@@ -267,7 +251,7 @@ type member struct {
 // own Filter is the pass. Every splitter of the class is timed from the
 // pass; engines without a class, and any further leader of a class, run
 // whole.
-func planBank(engines []fetch.Engine, plan SamplePlan) []*lane {
+func planBank(engines []fetch.Engine) []*lane {
 	var lanes []*lane
 	classes := make(map[fetch.Class]*lane)
 	led := make(map[*lane]bool) // class lanes whose pass is a leader member
@@ -282,9 +266,6 @@ func planBank(engines []fetch.Engine, plan SamplePlan) []*lane {
 	}
 	for i, e := range engines {
 		m := &member{idx: i}
-		if plan.SetMod > 1 {
-			m.clusters = make([]sampling.Cluster, setClusters)
-		}
 		var l *lane
 		if sp, ok := e.(splitter); ok {
 			if c, pass, t, ok := sp.Split(); ok {
@@ -344,7 +325,7 @@ func (l *lane) feed(ctx context.Context, runs []trace.Run) error {
 			l.re.FetchRuns(batch)
 		} else {
 			for _, r := range batch {
-				feedSpan(l.e, nil, r.Start, r.Len)
+				feedSpan(l.e, r.Start, r.Len)
 			}
 		}
 		l.time()
@@ -366,36 +347,18 @@ func (l *lane) time() {
 	l.log.Events = l.log.Events[:0]
 }
 
-// feedSet replays the filter's sampled-class pieces, crediting each
-// member's per-piece counter delta to the piece's variance subgroup.
-func (l *lane) feedSet(ctx context.Context, f *setFilter) error {
-	for i, pc := range f.pieces {
-		if i&(runChunk-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		for _, m := range l.members {
-			m.prev = l.result(m)
-		}
-		feedSpan(l.e, l.re, pc.Start, pc.Len)
-		l.time()
-		for _, m := range l.members {
-			d := resultDelta(l.result(m), m.prev)
-			c := &m.clusters[f.groups[i]]
-			c.Instructions += d.Instructions
-			c.Misses += d.Misses
-		}
+// feedSpan issues n sequential fetches starting at start, one at a time.
+func feedSpan(e fetch.Engine, start uint64, n int64) {
+	addr := start
+	for i := int64(0); i < n; i++ {
+		e.Fetch(addr)
+		addr += trace.InstrBytes
 	}
-	return nil
 }
 
 // final assembles member m's outcome for a trace of total instructions.
 func (l *lane) final(m *member, plan SamplePlan, total int64) SampledResult {
-	switch {
-	case plan.SetMod > 1:
-		return SampledResult{Measured: l.result(m), Estimate: sampling.EstimateFrom(m.clusters, total, 1/float64(plan.SetMod))}
-	case plan.windowed():
+	if plan.windowed() {
 		f := float64(0)
 		if total > 0 {
 			f = float64(m.measured.Instructions) / float64(total)

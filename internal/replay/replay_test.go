@@ -80,7 +80,7 @@ func bank(t testing.TB) []fetch.Engine {
 // else the first member's Filter — plus the members timed from it) and one
 // per engine that runs whole.
 func TestPlanBankClasses(t *testing.T) {
-	lanes := planBank(bank(t), SamplePlan{})
+	lanes := planBank(bank(t))
 	var leaders []string
 	members := 0
 	for _, l := range lanes {

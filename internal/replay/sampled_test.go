@@ -74,58 +74,6 @@ func TestSampledTimeWarmTracksExact(t *testing.T) {
 	}
 }
 
-// Set sampling through a prefetch-free blocking engine with enough sets is
-// exact within the subset: Measured must be bit-identical to replaying only
-// the sampled congruence class in trace order.
-func TestSampledSetBlockingSubsetExact(t *testing.T) {
-	refs := testTrace(7, 120000)
-	runs := trace.Compact(refs)
-	cfg := cache.Config{Size: 16384, LineSize: 32, Assoc: 1} // 512 sets >= 16*setClusters
-	link := memsys.Transfer{Latency: 6, BytesPerCycle: 16}
-	const mod, match = 16, 9
-	plan := SamplePlan{SetMod: mod, SetMatch: match, LineSize: 32}
-	e, err := fetch.NewBlocking(cfg, link, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Sampled(context.Background(), runs, []fetch.Engine{e}, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var filtered []trace.Ref
-	for _, r := range refs {
-		if int(r.Addr>>5)&(mod-1) == match {
-			filtered = append(filtered, r)
-		}
-	}
-	ref, err := fetch.NewBlocking(cfg, link, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fetch.Run(ref, filtered)
-	if got[0].Measured != want {
-		t.Fatalf("set-sampled %+v != subset-exact %+v", got[0].Measured, want)
-	}
-	est := got[0].Estimate
-	if est.CI95 <= 0 {
-		t.Fatalf("set-sampled estimate has no interval: %+v", est)
-	}
-	if math.Abs(est.Coverage-1.0/mod) > 0.2/mod {
-		t.Fatalf("coverage %v, want ~1/%d", est.Coverage, mod)
-	}
-	exactMPI := float64(0)
-	{
-		full, err := fetch.NewBlocking(cfg, link, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exactMPI = fetch.Run(full, refs).MPI()
-	}
-	if !est.Contains(exactMPI) && math.Abs(est.MPI-exactMPI) > 2*est.CI95 {
-		t.Fatalf("exact MPI %v far outside interval %v ± %v", exactMPI, est.MPI, est.CI95)
-	}
-}
-
 // An engine without a bulk path goes through the per-instruction feed and
 // must match a bulk engine of the same geometry under the same plan.
 func TestSampledNonBulkEngine(t *testing.T) {
@@ -147,15 +95,10 @@ func TestSampledNonBulkEngine(t *testing.T) {
 
 func TestSamplePlanValidation(t *testing.T) {
 	for _, p := range []SamplePlan{
-		{}, // no dimension
-		{Window: 100, Period: 400, SetMod: 16, LineSize: 32}, // both dimensions
-		{Period: 400},                            // period without window
-		{Window: 400, Period: 100},               // window > period
-		{SetMod: 3, LineSize: 32},                // non-power-of-two mod
-		{SetMod: 16, SetMatch: 16, LineSize: 32}, // match out of range
-		{SetMod: 16, LineSize: 0},                // set mode without line size
-		{SetMod: 16, LineSize: 48},               // non-power-of-two line size
-		{SetMatch: 3},                            // match without mod
+		{},                         // no window
+		{Period: 400},              // period without window
+		{Window: 400, Period: 100}, // window > period
+		{Window: -1, Period: 400},  // negative window
 	} {
 		if err := p.Validate(); err == nil {
 			t.Errorf("invalid plan %+v accepted", p)
@@ -164,7 +107,6 @@ func TestSamplePlanValidation(t *testing.T) {
 	for _, p := range []SamplePlan{
 		{Window: 100, Period: 400, Warm: true},
 		{Window: 400, Period: 400},
-		{SetMod: 16, SetMatch: 5, LineSize: 32},
 	} {
 		if err := p.Validate(); err != nil {
 			t.Errorf("valid plan %+v rejected: %v", p, err)
@@ -179,7 +121,7 @@ func TestSampledCancellation(t *testing.T) {
 	cancel()
 	for _, plan := range []SamplePlan{
 		{Window: 1000, Period: 4000, Warm: true},
-		{SetMod: 16, LineSize: 32},
+		{Window: 1000, Period: 4000},
 	} {
 		if _, err := Sampled(ctx, runs, bank(t), plan); !errors.Is(err, context.Canceled) {
 			t.Errorf("plan %+v: err = %v, want context.Canceled", plan, err)

@@ -111,7 +111,7 @@ func TestTCrit95(t *testing.T) {
 func TestErrorZeroBaseline(t *testing.T) {
 	// A single instruction is one compulsory miss for the full trace, so use
 	// an empty trace: zero misses, zero baseline.
-	_, _, _, err := Error(cfg8k, nil, Plan{Window: 1, Period: 2, Mode: Warm})
+	_, _, _, err := Error(cfg8k, trace.NewRunReader(nil), Plan{Window: 1, Period: 2, Mode: Warm})
 	if !errors.Is(err, ErrZeroBaseline) {
 		t.Fatalf("err = %v, want ErrZeroBaseline", err)
 	}
@@ -137,7 +137,7 @@ func TestWarmFullCoverageBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(cfg8k, refs, Plan{Window: w, Period: w, Mode: Warm})
+		res, err := Run(cfg8k, reader(refs), Plan{Window: w, Period: w, Mode: Warm})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,6 +25,85 @@ func gsTrace(t testing.TB, n int64) []trace.Ref {
 	return refs
 }
 
+// reader serves refs' instruction fetches as runs.
+func reader(refs []trace.Ref) trace.RunReader { return trace.NewRunReader(trace.Compact(refs)) }
+
+// refRun is the per-reference oracle for Run: every instruction fetch is
+// one Access, and its position modulo the period decides whether it opens a
+// period (cold mode resets there), falls inside the window, or is a gap
+// that is accessed but not counted.
+func refRun(cfg cache.Config, refs []trace.Ref, plan Plan) Result {
+	c := cache.MustNew(cfg)
+	var res Result
+	var missesBefore int64
+	pos := int64(0)
+	inWindow := false
+	for _, r := range refs {
+		if r.Kind != trace.IFetch {
+			continue
+		}
+		phase := pos % plan.Period
+		pos++
+		res.TotalInstructions++
+		measuring := phase < plan.Window
+		if phase == 0 {
+			// Flush any window still open (the normal case when Window ==
+			// Period) before the reset, which clears the miss counter the
+			// open window's snapshot refers to.
+			if inWindow {
+				res.SampledMisses += c.Stats().Misses - missesBefore
+				inWindow = false
+			}
+			if plan.Mode == Cold {
+				c.Reset()
+			}
+		}
+		if measuring && !inWindow {
+			missesBefore = c.Stats().Misses
+			inWindow = true
+		}
+		if !measuring && inWindow {
+			res.SampledMisses += c.Stats().Misses - missesBefore
+			inWindow = false
+		}
+		c.Access(r.Addr)
+		if measuring {
+			res.SampledInstructions++
+		}
+	}
+	if inWindow {
+		res.SampledMisses += c.Stats().Misses - missesBefore
+	}
+	return res
+}
+
+// Run over runs must reproduce the per-reference oracle bit for bit under
+// warm and cold plans: gaps, full coverage, a period that does not divide
+// the trace (a clipped trailing window), and one-instruction windows.
+func TestRunMatchesReferenceLoop(t *testing.T) {
+	refs := gsTrace(t, 60_001)
+	src := reader(refs)
+	for _, sched := range []Schedule{
+		{Window: 2_000, Period: 8_000},
+		{Window: 5_000, Period: 5_000},
+		{Window: 1, Period: 1},
+		{Window: 6_000, Period: 7_000},
+		{Window: 1, Period: 997},
+		{Window: 100_000, Period: 200_000},
+	} {
+		for _, mode := range []Mode{Warm, Cold} {
+			plan := Plan{Window: sched.Window, Period: sched.Period, Mode: mode}
+			got, err := Run(cfg8k, src, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := refRun(cfg8k, refs, plan); got != want {
+				t.Errorf("%+v: Run %+v, oracle %+v", plan, got, want)
+			}
+		}
+	}
+}
+
 func TestPlanValidation(t *testing.T) {
 	if err := (Plan{Window: 0, Period: 10}).Validate(); err == nil {
 		t.Error("zero window accepted")
@@ -54,7 +133,7 @@ func TestModeString(t *testing.T) {
 
 func TestFullCoverageMatchesDirectSimulation(t *testing.T) {
 	refs := gsTrace(t, 100_000)
-	res, err := Run(cfg8k, refs, Plan{Window: 1, Period: 1, Mode: Warm})
+	res, err := Run(cfg8k, reader(refs), Plan{Window: 1, Period: 1, Mode: Warm})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,10 +152,10 @@ func TestFullCoverageMatchesDirectSimulation(t *testing.T) {
 }
 
 func TestWarmSamplingUnbiased(t *testing.T) {
-	refs := gsTrace(t, 400_000)
+	src := reader(gsTrace(t, 400_000))
 	// 40 windows at 50% coverage: enough samples that phase correlation
 	// with the workload's domain schedule averages out.
-	sampled, full, relErr, err := Error(cfg8k, refs, Plan{Window: 5_000, Period: 10_000, Mode: Warm})
+	sampled, full, relErr, err := Error(cfg8k, src, Plan{Window: 5_000, Period: 10_000, Mode: Warm})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,12 +168,12 @@ func TestWarmSamplingUnbiased(t *testing.T) {
 }
 
 func TestColdSamplingBiasedUpward(t *testing.T) {
-	refs := gsTrace(t, 400_000)
-	_, _, warmErr, err := Error(cfg8k, refs, Plan{Window: 5_000, Period: 20_000, Mode: Warm})
+	src := reader(gsTrace(t, 400_000))
+	_, _, warmErr, err := Error(cfg8k, src, Plan{Window: 5_000, Period: 20_000, Mode: Warm})
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldSampled, full, coldErr, err := Error(cfg8k, refs, Plan{Window: 5_000, Period: 20_000, Mode: Cold})
+	coldSampled, full, coldErr, err := Error(cfg8k, src, Plan{Window: 5_000, Period: 20_000, Mode: Cold})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,12 +187,12 @@ func TestColdSamplingBiasedUpward(t *testing.T) {
 }
 
 func TestColdBiasShrinksWithWindow(t *testing.T) {
-	refs := gsTrace(t, 400_000)
-	_, _, small, err := Error(cfg8k, refs, Plan{Window: 2_000, Period: 8_000, Mode: Cold})
+	src := reader(gsTrace(t, 400_000))
+	_, _, small, err := Error(cfg8k, src, Plan{Window: 2_000, Period: 8_000, Mode: Cold})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, large, err := Error(cfg8k, refs, Plan{Window: 50_000, Period: 200_000, Mode: Cold})
+	_, _, large, err := Error(cfg8k, src, Plan{Window: 50_000, Period: 200_000, Mode: Cold})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,8 +202,7 @@ func TestColdBiasShrinksWithWindow(t *testing.T) {
 }
 
 func TestCoverage(t *testing.T) {
-	refs := gsTrace(t, 100_000)
-	res, err := Run(cfg8k, refs, Plan{Window: 1_000, Period: 10_000, Mode: Warm})
+	res, err := Run(cfg8k, reader(gsTrace(t, 100_000)), Plan{Window: 1_000, Period: 10_000, Mode: Warm})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,13 +211,14 @@ func TestCoverage(t *testing.T) {
 	}
 }
 
+// Data references never reach Run: compaction keeps instruction fetches only.
 func TestDataRefsIgnored(t *testing.T) {
 	refs := []trace.Ref{
 		{Addr: 0, Kind: trace.IFetch},
 		{Addr: 4096, Kind: trace.DRead},
 		{Addr: 4, Kind: trace.IFetch},
 	}
-	res, err := Run(cfg8k, refs, Plan{Window: 1, Period: 1})
+	res, err := Run(cfg8k, reader(refs), Plan{Window: 1, Period: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +238,7 @@ func TestColdFullCoverageCountsAllMisses(t *testing.T) {
 	// Regression: with Window == Period in cold mode, the per-period reset
 	// must not discard the open window's accumulated misses.
 	refs := gsTrace(t, 100_000)
-	res, err := Run(cfg8k, refs, Plan{Window: 10_000, Period: 10_000, Mode: Cold})
+	res, err := Run(cfg8k, reader(refs), Plan{Window: 10_000, Period: 10_000, Mode: Cold})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -170,9 +170,9 @@ func (p SampledPass) RunSeek(src trace.Seeker) (*SampledMatrix, error) {
 	return p.Sweep(trace.NewSeekReader(src))
 }
 
-// walk reads the pass's schedule from src and returns the trace length.
-// Windows are [w·Period, w·Period+Window), each closed into one cluster per
-// cell as soon as it has been read.
+// walk reads the pass's schedule from src and returns the trace length: the
+// whole trace in one read, or sampling.Schedule's windows, each closed into
+// one cluster per cell as soon as it has been read.
 func (st *sampledState) walk(src trace.RunReader) (int64, error) {
 	if !st.timeSample {
 		if err := src.ReadRuns(0, math.MaxInt64, st.measure); err != nil {
@@ -180,24 +180,16 @@ func (st *sampledState) walk(src trace.RunReader) (int64, error) {
 		}
 		return st.total, nil
 	}
-	total := src.Total()
-	p := st.p
-	measure, warm := st.measure, st.warm
-	for start := int64(0); start < total; start += p.Period {
-		if err := src.ReadRuns(start, p.Window, measure); err != nil {
-			return 0, err
-		}
-		st.closeWindow()
-		if p.Warm {
-			if err := src.ReadRuns(start+p.Window, p.Period-p.Window, warm); err != nil {
-				return 0, err
-			}
-		}
-		if start > total-p.Period {
-			break // the next window start would overflow int64
-		}
+	v := sampling.Visit{Measure: st.measure, Close: st.closeWindow}
+	if st.p.Warm {
+		v.Warm = st.warm
 	}
-	return total, nil
+	return st.p.schedule().Walk(src, v)
+}
+
+// schedule returns the pass's time windows.
+func (p SampledPass) schedule() sampling.Schedule {
+	return sampling.Schedule{Window: p.Window, Period: p.Period}
 }
 
 // measure settles measured runs — through the set-only loop when set
@@ -261,14 +253,11 @@ func (p SampledPass) prepare() (*sampledState, error) {
 	}
 	timeSample := p.Period > 0 || p.Window > 0
 	if timeSample {
-		if p.Window <= 0 {
-			return nil, fmt.Errorf("sweep: sampling window %d must be positive", p.Window)
-		}
-		if p.Period < p.Window {
-			return nil, fmt.Errorf("sweep: sampling period %d < window %d", p.Period, p.Window)
+		if err := p.schedule().Validate(); err != nil {
+			return nil, err
 		}
 		// Window == Period measures everything: no windows to cluster by.
-		timeSample = p.Window < p.Period
+		timeSample = p.schedule().Windowed()
 	}
 
 	st := &sampledState{
