@@ -92,7 +92,7 @@ serve:
 # Benchmark-regression run: times the pinned stages at the golden scale,
 # compares their CPI/MPI against the committed goldens, and records the
 # wall-clock in BENCH_ibsim.json. Also runs the bulk-replay microbenchmarks
-# (trace compaction, per-ref vs FetchRun replay, columnar encode/decode), the
+# (trace compaction, per-ref vs FetchRuns replay, columnar encode/decode), the
 # Figure 5 cell on the per-reference loop vs the line-event kernel, the R2000
 # TLB over a recorded gcc stream, one Table 1/3 DECstation 3100 row, the
 # generator per instruction with and without data references, the fused

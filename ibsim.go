@@ -400,8 +400,8 @@ func NewSeekableTrace(w Workload, n int64, ix *CheckpointIndex) (*SeekableTrace,
 }
 
 // CompactTrace reduces a reference stream to its maximal sequential
-// instruction runs — the representation the bulk replay paths (ReplayFetch's
-// engines via FetchRun, internal/replay's fan-out driver) consume. Data
+// instruction runs — the representation the bulk replay path (each engine's
+// FetchRuns, driven by internal/replay's fan-out driver) consumes. Data
 // references are dropped; Expand-ing the result reproduces exactly the
 // instruction fetches of refs.
 func CompactTrace(refs []Ref) []Run { return trace.Compact(refs) }

@@ -1,196 +1,82 @@
 package fetch
 
 import (
+	"ibsim/internal/cache"
 	"ibsim/internal/trace"
 )
 
 // Bulk sequential-run replay.
 //
-// Instruction fetch is overwhelmingly sequential, and every engine in this
-// package begins Fetch the same way: count the instruction, probe the L1,
-// and — on a hit — do nothing else (Bypass alone may wait on a line still
-// streaming into its buffers). A sequential run of k instructions inside one
-// cache line therefore needs one real Fetch (which may miss, fill, prefetch)
-// followed by k-1 guaranteed L1 probes whose only effects are counter and
-// LRU-stamp updates. FetchRun hoists those k-1 probes into cache.Touch — a
-// single tag compare plus arithmetic — so replaying a run costs O(lines
-// touched) instead of O(instructions). The results are bit-identical to the
-// per-instruction path (pinned by the randomized equivalence test and by
-// internal/check's fanout differential).
+// Instruction fetch is overwhelmingly sequential, and most engines in this
+// package begin Fetch the same way: count the instruction, probe the L1,
+// and — on a hit — do nothing else. A sequential run of k instructions
+// inside one cache line therefore needs one real Fetch (which may miss,
+// fill, prefetch) followed by k-1 guaranteed L1 probes whose only effects
+// are counter and LRU-stamp updates. FetchRuns hoists those probes into
+// cache.TouchRun — one tag compare per resident line — so replaying a run
+// costs O(lines touched) instead of O(instructions). The results are
+// bit-identical to the per-instruction path (pinned by the randomized
+// equivalence test and by internal/check's fanout differential).
+//
+// touchRuns is that loop, written once for every engine whose hits only
+// count. Three engines replay runs their own way: Filter fuses the
+// direct-mapped miss path, Bypass's hits can wait on words still in flight,
+// and Predict, which trains on every line change, hits included, fetches
+// one instruction at a time.
 
-// RunEngine is an Engine with a bulk sequential-run fast path.
-type RunEngine interface {
-	Engine
-	// FetchRun issues the n sequential instruction fetches start,
-	// start+InstrBytes, ..., equivalent to n Fetch calls.
-	FetchRun(start uint64, n int64)
-	// FetchRuns replays a batch of runs, equivalent to calling FetchRun for
-	// each in order. Batching exists so replay drivers pay one dynamic
-	// dispatch per batch instead of one per run (runs average only a few
-	// instructions, so per-run dispatch is measurable).
-	FetchRuns(runs []trace.Run)
-}
-
-// RunCompact replays a run-compacted instruction trace through e, using the
-// bulk FetchRun path when the engine provides one. It is the run-level
-// analogue of Run: RunCompact(e, trace.Compact(refs)) and Run(e, refs)
-// produce identical Results.
-func RunCompact(e Engine, runs []trace.Run) Result {
-	if re, ok := e.(RunEngine); ok {
-		re.FetchRuns(runs)
-		return re.Result()
-	}
+// touchRuns replays runs through e, whose L1 is l1 and whose Fetch, on an L1
+// hit, only adds one to res.Instructions. cache.TouchRun absorbs the maximal
+// all-hit prefix of a run in one call; then the first missing instruction
+// takes the full Fetch path (fills, prefetches, stalls) and the loop resumes
+// behind it. Instructions are credited before each Fetch, so engines whose
+// miss timing reads now = Instructions + StallCycles (MultiStream) observe
+// exactly the per-instruction clock. The loop also self-heals when Fetch's
+// side effects evict the line it just filled (prefetch wrap-around in a tiny
+// cache): TouchRun absorbs nothing and the next instruction refetches.
+//
+// Most replayed L1s are direct-mapped and runs average only a few
+// instructions, so the loop checks cache.DM4 once per batch and calls
+// TouchRunDM4 directly instead of paying TouchRun's dispatch per run.
+func touchRuns[E interface{ Fetch(addr uint64) }](e E, l1 *cache.Cache, res *Result, runs []trace.Run) {
+	dm4 := l1.DM4()
 	for _, r := range runs {
-		addr := r.Start
-		for i := int64(0); i < r.Len; i++ {
+		addr, n := r.Start, r.Len
+		for n > 0 {
+			var t int64
+			if dm4 {
+				t = l1.TouchRunDM4(addr, n)
+			} else {
+				t = l1.TouchRun(addr, n, trace.InstrBytes)
+			}
+			res.Instructions += t
+			addr += uint64(t) * trace.InstrBytes
+			if n -= t; n == 0 {
+				break
+			}
 			e.Fetch(addr)
 			addr += trace.InstrBytes
+			n--
 		}
-	}
-	return e.Result()
-}
-
-// Every engine except Bypass does nothing on an L1 hit beyond the counters,
-// so its FetchRun is the same shape: cache.TouchRun absorbs the maximal
-// all-hit prefix of the run in one call (one tag probe per resident line),
-// then the first missing instruction takes the full Fetch path (fills,
-// prefetches, stalls) and the loop resumes behind it. Instructions are
-// credited before each Fetch so engines whose miss timing reads
-// now = Instructions + StallCycles (MultiStream) observe exactly the
-// per-instruction clock. The loop also self-heals when Fetch's side effects
-// evict the line it just filled (prefetch wrap-around in a tiny cache):
-// TouchRun absorbs nothing and the next instruction simply refetches.
-
-// FetchRun implements RunEngine.
-func (b *Blocking) FetchRun(start uint64, n int64) {
-	if b.subBlock == 0 {
-		b.f.FetchRun(start, n)
-		return
-	}
-	addr := start
-	for n > 0 {
-		t := b.f.l1.TouchRun(addr, n, trace.InstrBytes)
-		b.f.res.Instructions += t
-		addr += uint64(t) * trace.InstrBytes
-		if n -= t; n == 0 {
-			return
-		}
-		b.Fetch(addr)
-		addr += trace.InstrBytes
-		n--
 	}
 }
 
-// FetchRun implements RunEngine.
-func (s *Stream) FetchRun(start uint64, n int64) {
-	s.f.FetchRun(start, n)
-	s.time()
-}
-
-// FetchRun implements RunEngine.
-func (h *Hierarchy) FetchRun(start uint64, n int64) {
-	addr := start
-	for n > 0 {
-		t := h.l1.TouchRun(addr, n, trace.InstrBytes)
-		h.res.Instructions += t
-		addr += uint64(t) * trace.InstrBytes
-		if n -= t; n == 0 {
-			return
-		}
-		h.Fetch(addr)
-		addr += trace.InstrBytes
-		n--
-	}
-}
-
-// FetchRun implements RunEngine.
-func (v *Victim) FetchRun(start uint64, n int64) {
-	addr := start
-	for n > 0 {
-		t := v.l1.TouchRun(addr, n, trace.InstrBytes)
-		v.res.Instructions += t
-		addr += uint64(t) * trace.InstrBytes
-		if n -= t; n == 0 {
-			return
-		}
-		v.Fetch(addr)
-		addr += trace.InstrBytes
-		n--
-	}
-}
-
-// FetchRun implements RunEngine.
-func (m *MultiStream) FetchRun(start uint64, n int64) {
-	addr := start
-	for n > 0 {
-		t := m.l1.TouchRun(addr, n, trace.InstrBytes)
-		m.res.Instructions += t
-		addr += uint64(t) * trace.InstrBytes
-		if n -= t; n == 0 {
-			return
-		}
-		m.Fetch(addr)
-		addr += trace.InstrBytes
-		n--
-	}
-}
-
-// FetchRun implements RunEngine. Bypass is the one engine whose hit path can
-// stall (reading a word still streaming into the bypass buffers), so its
-// bulk path walks line segments and folds each segment's in-group waits into
-// a closed form instead of handing the whole prefix to the cache.
-func (b *Bypass) FetchRun(start uint64, n int64) {
-	addr := start
-	for n > 0 {
-		k := n
-		if lineEnd := (addr | (b.lineSize - 1)) + 1; lineEnd != 0 {
-			// Instructions whose addresses land in this line; lineEnd == 0
-			// means the top line, which holds the rest of the run (runs
-			// never wrap the address space).
-			if room := int64((lineEnd - addr + trace.InstrBytes - 1) / trace.InstrBytes); room < k {
-				k = room
-			}
-		}
-		if !b.bulkHits(addr, k) {
-			b.Fetch(addr)
-			if k > 1 && !b.bulkHits(addr+trace.InstrBytes, k-1) {
-				// Fetch's prefetches evicted the line it filled (tiny cache):
-				// fall back to per-instruction fetches for the segment.
-				for i := int64(1); i < k; i++ {
-					b.Fetch(addr + uint64(i)*trace.InstrBytes)
-				}
-			}
-		}
-		addr += uint64(k) * trace.InstrBytes
-		n -= k
-	}
-}
-
-// The batch replays hoist TouchRun's direct-mapped dispatch out of the run
-// loop: most replayed L1s are direct-mapped (the paper's baseline), runs
-// average only a few instructions, and at that grain the per-run
-// FetchRun+TouchRun call pair and the repeated specialization test are a
-// measurable fraction of the replay. Checking cache.DM4 once per batch and
-// calling TouchRunDM4 directly removes both.
-
-// FetchRuns implements RunEngine: the Filter's fused pass, whose misses
-// all stall the same constant.
+// FetchRuns implements Engine: the Filter's pass, whose misses all stall
+// the same constant. A sector cache's stall depends on the missing word, so
+// it runs the shared loop over its own Fetch.
 func (b *Blocking) FetchRuns(runs []trace.Run) {
 	if b.subBlock == 0 {
 		b.f.FetchRuns(runs)
 		return
 	}
-	for _, r := range runs {
-		b.FetchRun(r.Start, r.Len)
-	}
+	touchRuns(b, b.f.l1, &b.f.res, runs)
 }
 
 // streamBatch bounds the runs the stream engine's Filter takes between
 // timing its logged misses, so the log stays one batch long.
 const streamBatch = 256
 
-// FetchRuns implements RunEngine: the Filter's fused pass, its misses timed
-// batch by batch.
+// FetchRuns implements Engine: the Filter's pass, its misses timed batch by
+// batch.
 func (s *Stream) FetchRuns(runs []trace.Run) {
 	for len(runs) > 0 {
 		batch := runs[:min(len(runs), streamBatch)]
@@ -200,82 +86,59 @@ func (s *Stream) FetchRuns(runs []trace.Run) {
 	}
 }
 
-// FetchRuns implements RunEngine.
-func (h *Hierarchy) FetchRuns(runs []trace.Run) {
-	if h.l1.DM4() {
-		for _, r := range runs {
-			addr, n := r.Start, r.Len
-			for n > 0 {
-				t := h.l1.TouchRunDM4(addr, n)
-				h.res.Instructions += t
-				addr += uint64(t) * trace.InstrBytes
-				if n -= t; n == 0 {
-					break
-				}
-				h.Fetch(addr)
-				addr += trace.InstrBytes
-				n--
-			}
-		}
-		return
-	}
+// FetchRuns implements Engine.
+func (h *Hierarchy) FetchRuns(runs []trace.Run) { touchRuns(h, h.l1, &h.res, runs) }
+
+// FetchRuns implements Engine.
+func (v *Victim) FetchRuns(runs []trace.Run) { touchRuns(v, v.l1, &v.res, runs) }
+
+// FetchRuns implements Engine.
+func (m *MultiStream) FetchRuns(runs []trace.Run) { touchRuns(m, m.l1, &m.res, runs) }
+
+// FetchRuns implements Engine, one instruction at a time: the predictor
+// trains on every line change, hits included, so the shared loop, which
+// absorbs all-hit prefixes across lines, cannot serve it.
+func (p *Predict) FetchRuns(runs []trace.Run) {
 	for _, r := range runs {
-		h.FetchRun(r.Start, r.Len)
+		addr := r.Start
+		for i := int64(0); i < r.Len; i++ {
+			p.Fetch(addr)
+			addr += trace.InstrBytes
+		}
 	}
 }
 
-// FetchRuns implements RunEngine.
-func (v *Victim) FetchRuns(runs []trace.Run) {
-	if v.l1.DM4() {
-		for _, r := range runs {
-			addr, n := r.Start, r.Len
-			for n > 0 {
-				t := v.l1.TouchRunDM4(addr, n)
-				v.res.Instructions += t
-				addr += uint64(t) * trace.InstrBytes
-				if n -= t; n == 0 {
-					break
-				}
-				v.Fetch(addr)
-				addr += trace.InstrBytes
-				n--
-			}
-		}
-		return
-	}
-	for _, r := range runs {
-		v.FetchRun(r.Start, r.Len)
-	}
-}
-
-// FetchRuns implements RunEngine.
-func (m *MultiStream) FetchRuns(runs []trace.Run) {
-	if m.l1.DM4() {
-		for _, r := range runs {
-			addr, n := r.Start, r.Len
-			for n > 0 {
-				t := m.l1.TouchRunDM4(addr, n)
-				m.res.Instructions += t
-				addr += uint64(t) * trace.InstrBytes
-				if n -= t; n == 0 {
-					break
-				}
-				m.Fetch(addr)
-				addr += trace.InstrBytes
-				n--
-			}
-		}
-		return
-	}
-	for _, r := range runs {
-		m.FetchRun(r.Start, r.Len)
-	}
-}
-
-// FetchRuns implements RunEngine.
+// FetchRuns implements Engine. Bypass is the one engine whose hit path can
+// stall (reading a word still streaming into the bypass buffers), so it
+// walks each run's line segments and folds a segment's in-group waits into
+// a closed form instead of handing the whole prefix to the cache.
 func (b *Bypass) FetchRuns(runs []trace.Run) {
 	for _, r := range runs {
-		b.FetchRun(r.Start, r.Len)
+		addr, n := r.Start, r.Len
+		for n > 0 {
+			k := n
+			if lineEnd := (addr | (b.lineSize - 1)) + 1; lineEnd != 0 {
+				// Instructions whose addresses land in this line; lineEnd
+				// == 0 means the top line, which holds the rest of the run
+				// (runs never wrap the address space).
+				if room := int64((lineEnd - addr + trace.InstrBytes - 1) / trace.InstrBytes); room < k {
+					k = room
+				}
+			}
+			if !b.bulkHits(addr, k) {
+				b.Fetch(addr)
+				if k > 1 && !b.bulkHits(addr+trace.InstrBytes, k-1) {
+					// Fetch's prefetches evicted the line it filled (tiny
+					// cache): fall back to per-instruction fetches for the
+					// segment.
+					for i := int64(1); i < k; i++ {
+						b.Fetch(addr + uint64(i)*trace.InstrBytes)
+					}
+				}
+			}
+			addr += uint64(k) * trace.InstrBytes
+			n -= k
+		}
 	}
 }
 

@@ -33,7 +33,7 @@ func randomRunTrace(rng *xrand.Source, n int, footprint uint64) []trace.Ref {
 }
 
 // The tentpole equivalence property: for every engine type, replaying the
-// run-compacted trace through FetchRun produces a Result bit-identical to
+// run-compacted trace through FetchRuns produces a Result bit-identical to
 // per-reference fetch.Run, across random geometries, link bandwidths (the
 // Bypass closed form must hold for B<4, B=4, B>4), prefetch depths, sector
 // caches, and caches tiny enough that prefetches evict the demand line
@@ -49,7 +49,7 @@ func TestFetchRunMatchesPerRef(t *testing.T) {
 		cfg := cache.Config{Size: sets * assoc * ls, LineSize: ls, Assoc: assoc}
 		link := memsys.Transfer{Latency: 1 + rng.Intn(20), BytesPerCycle: bws[rng.Intn(len(bws))]}
 		pf := rng.Intn(4)
-		kind := rng.Intn(6)
+		kind := rng.Intn(7)
 
 		mk := func() (Engine, error) {
 			switch kind {
@@ -74,6 +74,11 @@ func TestFetchRunMatchesPerRef(t *testing.T) {
 				return NewMultiStream(cfg, link, 1+rng.Intn(3), 1+rng.Intn(6))
 			case 4:
 				return NewVictim(cfg, link, 1+rng.Intn(4))
+			case 5:
+				if ls > 2*link.BytesPerCycle {
+					return NewVictim(cfg, link, 1+rng.Intn(4))
+				}
+				return NewPredict(cfg, link, 1+rng.Intn(6), 1<<rng.Intn(8))
 			default:
 				l2cfg := cache.Config{Size: cfg.Size * 8, LineSize: ls * 2, Assoc: 2}
 				return NewHierarchy(cfg, l2cfg, link, memsys.Transfer{Latency: 24, BytesPerCycle: 8})
@@ -100,8 +105,8 @@ func TestFetchRunMatchesPerRef(t *testing.T) {
 		e2 := cloneEngine(t, e1, cfg, link)
 
 		want := Run(e1, refs)
-		got := RunCompact(e2, runs)
-		if got != want {
+		e2.FetchRuns(runs)
+		if got := e2.Result(); got != want {
 			t.Fatalf("trial %d (%T %s link=%+v): bulk %+v != per-ref %+v",
 				trial, e1, cfg, link, got, want)
 		}
@@ -130,6 +135,8 @@ func cloneEngine(t *testing.T, e Engine, cfg cache.Config, link memsys.Transfer)
 		out, err = NewVictim(cfg, link, v.vc.Config().Lines())
 	case *Hierarchy:
 		out, err = NewHierarchy(cfg, v.l2.Config(), link, v.memLink)
+	case *Predict:
+		out, err = NewPredict(cfg, link, v.depth, len(v.predTag))
 	default:
 		t.Fatalf("unknown engine %T", e)
 	}
@@ -139,67 +146,76 @@ func cloneEngine(t *testing.T, e Engine, cfg cache.Config, link memsys.Transfer)
 	return out
 }
 
-// RunCompact on an engine without a bulk path falls back to per-instruction
-// expansion with identical results.
+// plainEngine is an engine outside every content class whose FetchRuns
+// issues single fetches.
 type plainEngine struct{ inner *Blocking }
 
-func (p *plainEngine) Fetch(addr uint64) { p.inner.Fetch(addr) }
-func (p *plainEngine) Result() Result    { return p.inner.Result() }
+func (p *plainEngine) Fetch(addr uint64)          { p.inner.Fetch(addr) }
+func (p *plainEngine) FetchRuns(runs []trace.Run) { fetchEach(p, runs) }
+func (p *plainEngine) Result() Result             { return p.inner.Result() }
 
+// fetchEach issues every instruction of runs to e as a single Fetch.
+func fetchEach(e interface{ Fetch(addr uint64) }, runs []trace.Run) {
+	for _, r := range runs {
+		for i := int64(0); i < r.Len; i++ {
+			e.Fetch(r.Start + uint64(i)*trace.InstrBytes)
+		}
+	}
+}
+
+// An engine whose FetchRuns issues single fetches replays a compacted trace
+// exactly as per-reference Run and the wrapped engine's bulk path do.
 func TestRunCompactFallback(t *testing.T) {
 	cfg := cache.Config{Size: 4096, LineSize: 16, Assoc: 1}
 	refs := randomRunTrace(xrand.New(5), 2000, 1<<14)
 	runs := trace.Compact(refs)
 	a, _ := NewBlocking(cfg, l2link, 1)
 	b, _ := NewBlocking(cfg, l2link, 1)
+	c, _ := NewBlocking(cfg, l2link, 1)
 	want := Run(a, refs)
-	got := RunCompact(&plainEngine{inner: b}, runs)
-	if got != want {
-		t.Fatalf("fallback %+v != per-ref %+v", got, want)
+	p := &plainEngine{inner: b}
+	p.FetchRuns(runs)
+	c.FetchRuns(runs)
+	if got, bulk := p.Result(), c.Result(); got != want || bulk != want {
+		t.Fatalf("single fetches %+v, bulk %+v, per-ref %+v", got, bulk, want)
 	}
 }
 
 // An all-hit bulk replay must not allocate: it is the inner loop of the
-// fan-out driver. (A replay with misses may grow a miss log or Stream's slot
-// bitset once; the warm, hit-dominated steady state is the case that
-// matters.)
+// fan-out driver, and every engine's FetchRuns — the shared loop, Filter's
+// fused pass, Bypass's segments and Predict's single fetches — runs in it.
+// (A replay with misses may grow a miss log or Stream's slot bitset once;
+// the warm, hit-dominated steady state is the case that matters.)
 func TestFetchRunZeroAlloc(t *testing.T) {
 	cfg := cache.Config{Size: 8192, LineSize: 32, Assoc: 2}
+	sector := cache.Config{Size: 8192, LineSize: 32, Assoc: 2, SubBlock: 8}
 	// Footprint within the cache: after one warm replay everything hits.
 	refs := randomRunTrace(xrand.New(11), 4000, 4096)
 	runs := trace.Compact(refs)
-	engines := []struct {
-		name string
-		e    RunEngine
-	}{}
-	bl, _ := NewBlocking(cfg, l2link, 2)
-	by, _ := NewBypass(cfg, l2link, 2)
-	st, _ := NewStream(cfg, l2link, 6)
-	engines = append(engines,
-		struct {
-			name string
-			e    RunEngine
-		}{"blocking", bl},
-		struct {
-			name string
-			e    RunEngine
-		}{"bypass", by},
-		struct {
-			name string
-			e    RunEngine
-		}{"stream", st},
-	)
-	for _, tc := range engines {
-		for _, r := range runs { // warm
-			tc.e.FetchRun(r.Start, r.Len)
+	must := func(e Engine, err error) Engine {
+		if err != nil {
+			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(10, func() {
-			for _, r := range runs {
-				tc.e.FetchRun(r.Start, r.Len)
-			}
-		})
+		return e
+	}
+	for _, tc := range []struct {
+		name string
+		e    Engine
+	}{
+		{"blocking", must(NewBlocking(cfg, l2link, 2))},
+		{"blocking-dm", must(NewBlocking(l1cfg, l2link, 0))},
+		{"sector", must(NewBlocking(sector, l2link, 0))},
+		{"bypass", must(NewBypass(cfg, l2link, 2))},
+		{"stream", must(NewStream(cfg, l2link, 6))},
+		{"victim", must(NewVictim(cfg, l2link, 4))},
+		{"multistream", must(NewMultiStream(cfg, l2link, 2, 4))},
+		{"hierarchy", must(NewHierarchy(cfg, l2cfg64, l2link, memsys.Economy().Memory))},
+		{"predict", must(NewPredict(cfg, l2link, 6, 1024))},
+	} {
+		tc.e.FetchRuns(runs) // warm
+		allocs := testing.AllocsPerRun(10, func() { tc.e.FetchRuns(runs) })
 		if allocs != 0 {
-			t.Errorf("%s: FetchRun allocated %v times per replay, want 0", tc.name, allocs)
+			t.Errorf("%s: FetchRuns allocated %v times per replay, want 0", tc.name, allocs)
 		}
 	}
 }
@@ -285,6 +301,6 @@ func BenchmarkFetchRun(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e, _ := NewBlocking(cfg, l2link, 1)
-		RunCompact(e, runs)
+		e.FetchRuns(runs)
 	}
 }

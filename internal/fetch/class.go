@@ -31,8 +31,8 @@ import (
 // timing); Bypass and Filter, which can run a class's pass, through Class
 // and MissLog.
 //
-// Sector geometries (offset-dependent partial fills), Victim, Hierarchy and
-// MultiStream have no class and always run whole.
+// Sector geometries (offset-dependent partial fills), Victim, Hierarchy,
+// MultiStream and Predict have no class and always run whole.
 
 // Class is a content class: an L1 geometry plus the number of lines filled
 // per miss (the missing line and the ones after it). Classes are comparable,
@@ -122,31 +122,13 @@ func (f *Filter) Class() (Class, bool) {
 // MissLog returns the pass's miss log.
 func (f *Filter) MissLog() *MissLog { return &f.log }
 
-// FetchRun implements RunEngine.
-func (f *Filter) FetchRun(start uint64, n int64) {
-	addr := start
-	for n > 0 {
-		t := f.l1.TouchRun(addr, n, trace.InstrBytes)
-		f.res.Instructions += t
-		addr += uint64(t) * trace.InstrBytes
-		if n -= t; n == 0 {
-			return
-		}
-		f.Fetch(addr)
-		addr += trace.InstrBytes
-		n--
-	}
-}
-
-// FetchRuns implements RunEngine. On direct-mapped L1s the miss path is
+// FetchRuns implements Engine. On direct-mapped L1s the miss path is
 // fused: TouchRunDM4 stopping short proves the next address misses, so the
 // demand fill goes through cache.MissFillDM4, skipping Fetch's redundant
-// Lookup and FillEvict probes.
+// Lookup and FillEvict probes. Other L1s take the shared loop.
 func (f *Filter) FetchRuns(runs []trace.Run) {
 	if !f.l1.DM4() {
-		for _, r := range runs {
-			f.FetchRun(r.Start, r.Len)
-		}
+		touchRuns(f, f.l1, &f.res, runs)
 		return
 	}
 	for _, r := range runs {

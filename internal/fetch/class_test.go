@@ -53,7 +53,8 @@ func (s *refStream) Fetch(addr uint64) {
 	}
 }
 
-func (s *refStream) Result() Result { return s.res }
+func (s *refStream) FetchRuns(runs []trace.Run) { fetchEach(s, runs) }
+func (s *refStream) Result() Result             { return s.res }
 
 // topTrace is a sequential-heavy stream confined to the lowest and highest
 // span bytes of the address space, so that streams started near the top
@@ -109,7 +110,9 @@ func TestStreamMatchesReference(t *testing.T) {
 			if got := Run(mk(), tc.refs); got != want {
 				t.Errorf("%s depth %d: Fetch %+v != reference %+v", tc.name, depth, got, want)
 			}
-			if got := RunCompact(mk(), runs); got != want {
+			bulk := mk()
+			bulk.FetchRuns(runs)
+			if got := bulk.Result(); got != want {
 				t.Errorf("%s depth %d: FetchRuns %+v != reference %+v", tc.name, depth, got, want)
 			}
 			// The pass of one stream engine times another's model.
@@ -156,7 +159,8 @@ func TestClassMembersShareL1(t *testing.T) {
 			if c, _ := by.Class(); c != class {
 				t.Fatalf("%s N=%d: bypass class %+v != blocking class %+v", cfg, n, c, class)
 			}
-			fr := RunCompact(f, runs)
+			f.FetchRuns(runs)
+			fr := f.Result()
 			want := Run(bl, refs)
 			if got := timing.Result(fr.Instructions, fr.Misses); got != want {
 				t.Errorf("%s N=%d: blocking from class %+v != simulated %+v", cfg, n, got, want)

@@ -11,7 +11,7 @@
 // simulating an L1 cache backed by a perfect L2 cache... L2 contribution is
 // determined by simulating an L2 cache backed by main memory") — use a
 // Blocking engine with the L2 geometry and the baseline memory link for
-// that, and TwoLevel to combine.
+// that, and add the two CPIinstr values for the total.
 package fetch
 
 import (
@@ -55,6 +55,11 @@ func (r Result) MPI() float64 {
 type Engine interface {
 	// Fetch issues one instruction fetch.
 	Fetch(addr uint64)
+	// FetchRuns issues every instruction of runs in order, equivalent to
+	// one Fetch per instruction. Replay drivers hand runs over in batches,
+	// so they pay one dynamic dispatch per batch instead of one per run
+	// (runs average only a few instructions).
+	FetchRuns(runs []trace.Run)
 	// Result returns the accumulated counters.
 	Result() Result
 }
@@ -167,9 +172,6 @@ func (b *Blocking) Result() Result {
 	return r
 }
 
-// Cache exposes the underlying L1 for inspection in tests and reports.
-func (b *Blocking) Cache() *cache.Cache { return b.f.l1 }
-
 // Split returns the engine's content class, its own L1 pass and its timing
 // over that pass; a shared replay may run any member's pass as the class's.
 // ok is false for sector caches, which have no class and run whole.
@@ -264,9 +266,6 @@ func (b *Bypass) Fetch(addr uint64) {
 // Result implements Engine.
 func (b *Bypass) Result() Result { return b.res }
 
-// Cache exposes the underlying L1.
-func (b *Bypass) Cache() *cache.Cache { return b.l1 }
-
 // Class reports the engine's content class; ok is false for sector caches.
 func (b *Bypass) Class() (Class, bool) {
 	return Class{Geom: b.l1.Config(), Lines: 1 + b.prefetch}, b.l1.Config().SubBlock == 0
@@ -343,15 +342,3 @@ func (s *Stream) Split() (c Class, pass *Filter, t Timing, ok bool) {
 	c, ok = s.f.Class()
 	return c, &s.f, s.model, ok
 }
-
-// TwoLevel combines independently simulated L1 and L2 contributions into the
-// paper's "Total CPIinstr".
-type TwoLevel struct {
-	// L1 is the frontend result (L1 backed by a perfect L2).
-	L1 Result
-	// L2 is the second-level result (L2 backed by the baseline memory).
-	L2 Result
-}
-
-// Total returns L1 CPIinstr + L2 CPIinstr.
-func (t TwoLevel) Total() float64 { return t.L1.CPIinstr() + t.L2.CPIinstr() }

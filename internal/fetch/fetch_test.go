@@ -248,16 +248,6 @@ func TestRunSource(t *testing.T) {
 	}
 }
 
-func TestTwoLevelTotal(t *testing.T) {
-	tl := TwoLevel{
-		L1: Result{Instructions: 100, StallCycles: 34},
-		L2: Result{Instructions: 100, StallCycles: 12},
-	}
-	if got := tl.Total(); got != 0.46 {
-		t.Fatalf("Total = %v", got)
-	}
-}
-
 func TestConstructorsRejectBadConfig(t *testing.T) {
 	badCache := cache.Config{Size: 7, LineSize: 32, Assoc: 1}
 	badLink := memsys.Transfer{}

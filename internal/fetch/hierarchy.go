@@ -1,6 +1,8 @@
 package fetch
 
 import (
+	"fmt"
+
 	"ibsim/internal/cache"
 	"ibsim/internal/memsys"
 )
@@ -27,7 +29,9 @@ type Hierarchy struct {
 	l2Stall  int64
 }
 
-// NewHierarchy builds a combined L1+L2 simulator.
+// NewHierarchy builds a combined L1+L2 simulator. The L2's lines must be at
+// least as long as the L1's: an L1 refill probes and charges exactly one L2
+// line, the one holding the missing word.
 func NewHierarchy(l1cfg, l2cfg cache.Config, l1Link, memLink memsys.Transfer) (*Hierarchy, error) {
 	if err := l1Link.Validate(); err != nil {
 		return nil, err
@@ -42,6 +46,10 @@ func NewHierarchy(l1cfg, l2cfg cache.Config, l1Link, memLink memsys.Transfer) (*
 	l2, err := cache.New(l2cfg)
 	if err != nil {
 		return nil, err
+	}
+	if l2cfg.LineSize < l1cfg.LineSize {
+		return nil, fmt.Errorf("fetch: hierarchy L2 line size (%d) is shorter than the L1's (%d)",
+			l2cfg.LineSize, l1cfg.LineSize)
 	}
 	return &Hierarchy{
 		l1: l1, l2: l2, l1Link: l1Link, memLink: memLink,

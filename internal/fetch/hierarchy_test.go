@@ -1,6 +1,7 @@
 package fetch
 
 import (
+	"strings"
 	"testing"
 
 	"ibsim/internal/cache"
@@ -23,6 +24,12 @@ func TestHierarchyValidation(t *testing.T) {
 	}
 	if _, err := NewHierarchy(l1cfg, l2cfg64, l2link, memsys.Transfer{}); err == nil {
 		t.Error("bad memory link accepted")
+	}
+	// An L1 refill probes and charges one L2 line, so that line must cover it.
+	short := cache.Config{Size: 64 * 1024, LineSize: 16, Assoc: 8}
+	_, err := NewHierarchy(l1cfg, short, l2link, memsys.Economy().Memory)
+	if err == nil || !strings.Contains(err.Error(), "(16)") || !strings.Contains(err.Error(), "(32)") {
+		t.Errorf("L2 line shorter than the L1's: err = %v, want one naming 16 and 32", err)
 	}
 }
 

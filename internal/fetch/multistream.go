@@ -130,6 +130,3 @@ func (m *MultiStream) Fetch(addr uint64) {
 
 // Result implements Engine.
 func (m *MultiStream) Result() Result { return m.res }
-
-// Cache exposes the underlying L1.
-func (m *MultiStream) Cache() *cache.Cache { return m.l1 }

@@ -165,6 +165,3 @@ func (p *Predict) Fetch(addr uint64) {
 
 // Result implements Engine.
 func (p *Predict) Result() Result { return p.res }
-
-// Cache exposes the underlying L1.
-func (p *Predict) Cache() *cache.Cache { return p.l1 }

@@ -86,6 +86,3 @@ func (v *Victim) Result() Result { return v.res }
 
 // VictimHits returns the number of misses satisfied by the victim cache.
 func (v *Victim) VictimHits() int64 { return v.victimHits }
-
-// Cache exposes the underlying L1.
-func (v *Victim) Cache() *cache.Cache { return v.l1 }

@@ -23,11 +23,8 @@ type Analysis struct {
 	lineShift uint
 	lineSize  int
 
-	// Stack-distance machinery (Mattson, Fenwick-tree based).
-	last map[uint64]int64
-	mark []bool
-	bit  []int64
-	now  int64
+	// stack gives every access its LRU stack distance.
+	stack *StackDist
 
 	// distHist[k] counts accesses with stack distance in bucket k. Buckets
 	// are ceil-log2-spaced: bucket 0 holds distance 1, bucket k≥1 holds
@@ -56,12 +53,7 @@ func New(lineSize int) (*Analysis, error) {
 	if lineSize <= 0 || lineSize&(lineSize-1) != 0 {
 		return nil, fmt.Errorf("locality: line size %d must be a positive power of two", lineSize)
 	}
-	a := &Analysis{
-		lineSize: lineSize,
-		last:     make(map[uint64]int64),
-		mark:     make([]bool, 64),
-		bit:      make([]int64, 64),
-	}
+	a := &Analysis{lineSize: lineSize, stack: NewStackDist()}
 	for l := lineSize; l > 1; l >>= 1 {
 		a.lineShift++
 	}
@@ -101,7 +93,7 @@ func (a *Analysis) Observe(r trace.Ref) {
 	a.prevAddr = r.Addr
 
 	// Stack distance.
-	dist, first := a.touch(line)
+	dist, first := a.stack.Touch(line)
 	if first {
 		a.cold++
 		return
@@ -122,59 +114,86 @@ func (a *Analysis) bumpRun(n int64) {
 	a.runHist[b]++
 }
 
-// touch is the Mattson stack-distance step (see internal/threec for the
-// annotated version; duplicated here rather than exported from threec to
-// keep that package's API focused on classification).
-func (a *Analysis) touch(line uint64) (dist int64, first bool) {
-	a.now++
-	if int(a.now) >= len(a.mark) {
-		a.grow()
+// StackDist computes LRU stack distances with Mattson's algorithm: a Fenwick
+// tree over access timestamps counts how many *distinct* lines have been
+// touched since a line's previous access (each line keeps exactly one marker
+// bit, at its most recent access time).
+//
+// Fenwick trees cannot be grown by appending zeros (new parent nodes would
+// miss earlier updates), so a raw presence array is kept alongside and the
+// tree is rebuilt whenever capacity doubles — amortized O(log n) per touch.
+type StackDist struct {
+	last map[uint64]int64 // line → timestamp of its most recent access
+	mark []bool           // mark[t]: some line's most recent access was at t (1-based)
+	bit  []int64          // Fenwick tree over mark
+	now  int64
+}
+
+// NewStackDist returns an empty stack.
+func NewStackDist() *StackDist {
+	return &StackDist{
+		last: make(map[uint64]int64),
+		mark: make([]bool, 64),
+		bit:  make([]int64, 64),
 	}
-	prev, seen := a.last[line]
+}
+
+// Touch records an access to line, returning the LRU stack distance (the
+// number of distinct lines accessed since the previous access to line,
+// including line itself) and whether this was the line's first touch.
+func (s *StackDist) Touch(line uint64) (dist int64, first bool) {
+	s.now++
+	if int(s.now) >= len(s.mark) {
+		s.grow()
+	}
+	prev, seen := s.last[line]
 	if seen {
-		dist = a.prefix(a.now-1) - a.prefix(prev) + 1
-		a.set(prev, false)
+		// Distinct lines touched strictly after prev, plus the line itself.
+		dist = s.prefix(s.now-1) - s.prefix(prev) + 1
+		s.set(prev, false)
 	}
-	a.set(a.now, true)
-	a.last[line] = a.now
+	s.set(s.now, true)
+	s.last[line] = s.now
 	return dist, !seen
 }
 
-func (a *Analysis) grow() {
-	newCap := len(a.mark) * 2
+// grow doubles capacity and rebuilds the Fenwick tree from mark.
+func (s *StackDist) grow() {
+	newCap := len(s.mark) * 2
 	mark := make([]bool, newCap)
-	copy(mark, a.mark)
-	a.mark = mark
-	a.bit = make([]int64, newCap)
-	for i := 1; i < len(a.mark); i++ {
-		if a.mark[i] {
-			a.add(int64(i), 1)
+	copy(mark, s.mark)
+	s.mark = mark
+	s.bit = make([]int64, newCap)
+	for i := 1; i < len(s.mark); i++ {
+		if s.mark[i] {
+			s.add(int64(i), 1)
 		}
 	}
 }
 
-func (a *Analysis) set(t int64, on bool) {
-	if a.mark[t] == on {
+// set flips the presence bit at timestamp t.
+func (s *StackDist) set(t int64, on bool) {
+	if s.mark[t] == on {
 		return
 	}
-	a.mark[t] = on
+	s.mark[t] = on
 	if on {
-		a.add(t, 1)
+		s.add(t, 1)
 	} else {
-		a.add(t, -1)
+		s.add(t, -1)
 	}
 }
 
-func (a *Analysis) add(i, delta int64) {
-	for ; int(i) < len(a.bit); i += i & (-i) {
-		a.bit[i] += delta
+func (s *StackDist) add(i, delta int64) {
+	for ; int(i) < len(s.bit); i += i & (-i) {
+		s.bit[i] += delta
 	}
 }
 
-func (a *Analysis) prefix(i int64) int64 {
+func (s *StackDist) prefix(i int64) int64 {
 	var sum int64
 	for ; i > 0; i -= i & (-i) {
-		sum += a.bit[i]
+		sum += s.bit[i]
 	}
 	return sum
 }

@@ -211,7 +211,7 @@ type splitter interface {
 // whole: its Result's Instructions and Misses are the class's, and it logs
 // the class's misses while its MissLog is on (fetch.Bypass, fetch.Filter).
 type leader interface {
-	fetch.RunEngine
+	fetch.Engine
 	Class() (c fetch.Class, ok bool)
 	MissLog() *fetch.MissLog
 }
@@ -229,8 +229,7 @@ type eventTiming interface {
 // timed from the pass's counts and logged misses.
 type lane struct {
 	e       fetch.Engine
-	re      fetch.RunEngine // nil: per-instruction Fetch
-	log     *fetch.MissLog  // non-nil when a member times individual misses
+	log     *fetch.MissLog // non-nil when a member times individual misses
 	members []*member
 }
 
@@ -271,7 +270,7 @@ func planBank(engines []fetch.Engine) []*lane {
 			if c, pass, t, ok := sp.Split(); ok {
 				l = join(c)
 				if l.e == nil {
-					l.e, l.re = pass, pass
+					l.e = pass
 				}
 				m.t = t
 				m.et, _ = t.(eventTiming)
@@ -279,13 +278,12 @@ func planBank(engines []fetch.Engine) []*lane {
 		} else if ld, ok := e.(leader); ok {
 			if c, ok := ld.Class(); ok && !led[classes[c]] {
 				l = join(c)
-				l.e, l.re = ld, ld
+				l.e = ld
 				led[l] = true
 			}
 		}
 		if l == nil {
 			l = &lane{e: e}
-			l.re, _ = e.(fetch.RunEngine)
 			lanes = append(lanes, l)
 		}
 		l.members = append(l.members, m)
@@ -311,23 +309,15 @@ func (l *lane) result(m *member) fetch.Result {
 	return r
 }
 
-// feed replays runs through the lane with periodic context polls: bulk
-// engines take them in batches (one dynamic dispatch per batch), plain
-// engines instruction by instruction. Each batch's logged misses go to the
-// event timings before the next batch.
+// feed replays runs through the lane in batches, one dynamic dispatch per
+// batch, polling the context between them. Each batch's logged misses go to
+// the event timings before the next batch.
 func (l *lane) feed(ctx context.Context, runs []trace.Run) error {
 	for start := 0; start < len(runs); start += runChunk {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		batch := runs[start:min(start+runChunk, len(runs))]
-		if l.re != nil {
-			l.re.FetchRuns(batch)
-		} else {
-			for _, r := range batch {
-				feedSpan(l.e, r.Start, r.Len)
-			}
-		}
+		l.e.FetchRuns(runs[start:min(start+runChunk, len(runs))])
 		l.time()
 	}
 	return nil
@@ -345,15 +335,6 @@ func (l *lane) time() {
 		}
 	}
 	l.log.Events = l.log.Events[:0]
-}
-
-// feedSpan issues n sequential fetches starting at start, one at a time.
-func feedSpan(e fetch.Engine, start uint64, n int64) {
-	addr := start
-	for i := int64(0); i < n; i++ {
-		e.Fetch(addr)
-		addr += trace.InstrBytes
-	}
 }
 
 // final assembles member m's outcome for a trace of total instructions.

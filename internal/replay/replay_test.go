@@ -124,11 +124,18 @@ func TestReplayMatchesPerConfig(t *testing.T) {
 	}
 }
 
-// An engine without a bulk path still replays correctly (per-instruction
-// fetches inside the driver loop).
+// An engine outside every content class whose FetchRuns issues single
+// fetches runs whole in its own lane and still replays correctly.
 type plainEngine struct{ inner *fetch.Blocking }
 
-func (p *plainEngine) Fetch(addr uint64)    { p.inner.Fetch(addr) }
+func (p *plainEngine) Fetch(addr uint64) { p.inner.Fetch(addr) }
+func (p *plainEngine) FetchRuns(runs []trace.Run) {
+	for _, r := range runs {
+		for i := int64(0); i < r.Len; i++ {
+			p.Fetch(r.Start + uint64(i)*trace.InstrBytes)
+		}
+	}
+}
 func (p *plainEngine) Result() fetch.Result { return p.inner.Result() }
 
 func TestReplayNonBulkEngine(t *testing.T) {

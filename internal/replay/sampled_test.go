@@ -74,8 +74,8 @@ func TestSampledTimeWarmTracksExact(t *testing.T) {
 	}
 }
 
-// An engine without a bulk path goes through the per-instruction feed and
-// must match a bulk engine of the same geometry under the same plan.
+// An engine outside every content class whose FetchRuns issues single
+// fetches must match a bulk engine of the same geometry under the same plan.
 func TestSampledNonBulkEngine(t *testing.T) {
 	refs := testTrace(9, 50000)
 	runs := trace.Compact(refs)

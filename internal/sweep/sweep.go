@@ -3,7 +3,7 @@
 // counts of an entire capacity × associativity grid in ONE pass over a
 // trace, instead of one full simulation per configuration.
 //
-// The engine generalizes the Mattson stack machinery in internal/threec
+// The engine generalizes the Mattson stack machinery in internal/locality
 // from the fully-associative spectrum to set-associative grids: for LRU
 // with bit-selection indexing, a reference hits a cache with S sets and
 // associativity A iff its PER-SET stack distance — the number of distinct

@@ -18,6 +18,7 @@ package threec
 
 import (
 	"ibsim/internal/cache"
+	"ibsim/internal/locality"
 	"ibsim/internal/trace"
 )
 
@@ -179,85 +180,6 @@ func ClassifyExact(cfg cache.Config, src trace.Source) (Breakdown, error) {
 	return b, src.Err()
 }
 
-// stackDist computes LRU stack distances with Mattson's algorithm: a Fenwick
-// tree over access timestamps counts how many *distinct* lines have been
-// touched since a line's previous access (each line keeps exactly one marker
-// bit, at its most recent access time).
-//
-// Fenwick trees cannot be grown by appending zeros (new parent nodes would
-// miss earlier updates), so a raw presence array is kept alongside and the
-// tree is rebuilt whenever capacity doubles — amortized O(log n) per touch.
-type stackDist struct {
-	last map[uint64]int64 // line → timestamp of its most recent access
-	mark []bool           // mark[t]: some line's most recent access was at t (1-based)
-	bit  []int64          // Fenwick tree over mark
-	now  int64
-}
-
-func newStackDist() *stackDist {
-	return &stackDist{
-		last: make(map[uint64]int64),
-		mark: make([]bool, 64),
-		bit:  make([]int64, 64),
-	}
-}
-
-// Touch records an access to line, returning the LRU stack distance (the
-// number of distinct lines accessed since the previous access to line,
-// including line itself) and whether this was the line's first touch.
-func (s *stackDist) Touch(line uint64) (dist int64, first bool) {
-	s.now++
-	if int(s.now) >= len(s.mark) {
-		s.grow()
-	}
-	prev, seen := s.last[line]
-	if seen {
-		// Distinct lines touched strictly after prev, plus the line itself.
-		dist = s.prefix(s.now-1) - s.prefix(prev) + 1
-		s.set(prev, false)
-	}
-	s.set(s.now, true)
-	s.last[line] = s.now
-	return dist, !seen
-}
-
-// grow doubles capacity and rebuilds the Fenwick tree from mark.
-func (s *stackDist) grow() {
-	newCap := len(s.mark) * 2
-	mark := make([]bool, newCap)
-	copy(mark, s.mark)
-	s.mark = mark
-	s.bit = make([]int64, newCap)
-	for i := 1; i < len(s.mark); i++ {
-		if s.mark[i] {
-			s.add(int64(i), 1)
-		}
-	}
-}
-
-// set flips the presence bit at timestamp t.
-func (s *stackDist) set(t int64, on bool) {
-	if s.mark[t] == on {
-		return
-	}
-	s.mark[t] = on
-	if on {
-		s.add(t, 1)
-	} else {
-		s.add(t, -1)
-	}
-}
-
-func (s *stackDist) add(i, delta int64) {
-	for ; int(i) < len(s.bit); i += i & (-i) {
-		s.bit[i] += delta
-	}
-}
-
-func (s *stackDist) prefix(i int64) int64 {
-	var sum int64
-	for ; i > 0; i -= i & (-i) {
-		sum += s.bit[i]
-	}
-	return sum
-}
+// newStackDist returns the Mattson stack ClassifyExact reads stack
+// distances from.
+func newStackDist() *locality.StackDist { return locality.NewStackDist() }

@@ -232,8 +232,8 @@ type RunStats struct {
 	MaxLen int64
 }
 
-// CompactionRatio returns Instructions/Runs — how many per-instruction
-// dispatches each bulk FetchRun call replaces — or 0 for an empty trace.
+// CompactionRatio returns Instructions/Runs — how many single fetches each
+// run stands for in a bulk replay — or 0 for an empty trace.
 func (s RunStats) CompactionRatio() float64 {
 	if s.Runs == 0 {
 		return 0
