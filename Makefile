@@ -58,9 +58,8 @@ check-seek:
 	$(GO) run ./cmd/ibscheck -o "" -n 200000 seek
 
 # Seeded fault-injection (chaos) suite under the race detector: trace-codec
-# corruption contracts, store budget fallback, checkpoint corruption
-# (bit-flipped generator snapshots caught by CRC, seek self-heals by
-# regeneration), worker panic isolation, the
+# corruption contracts, store budget fallback, checkpointed seeks,
+# worker panic isolation, the
 # ibstables interrupt/resume test, the service admission/degradation tests,
 # and the in-process server chaos scenarios (slow-loris, cancellation,
 # over-budget degradation, handler panic).

@@ -35,9 +35,11 @@ func main() {
 		seek     = flag.Int64("seek", -1, "spot-check: compare the reference at this instruction index reached by checkpoint seek vs sequential generation (needs -workload)")
 	)
 	flag.Parse()
+	seekSet := false
+	flag.Visit(func(f *flag.Flag) { seekSet = seekSet || f.Name == "seek" })
 
 	switch {
-	case *seek >= 0:
+	case seekSet:
 		if *workload == "" {
 			fail(fmt.Errorf("-seek needs -workload (checkpoints are generator states, not trace data)"))
 		}
@@ -190,6 +192,9 @@ func reportColumnar(path string) error {
 // Any divergence is a correctness bug in the snapshot/restore machinery and
 // exits non-zero.
 func seekCheck(name string, n, i int64) error {
+	if i < 0 {
+		return fmt.Errorf("-seek %d: must not be negative", i)
+	}
 	if i >= n {
 		return fmt.Errorf("-seek %d is past the end of the %d-instruction trace (raise -n)", i, n)
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ibsim"
@@ -81,5 +82,23 @@ func TestConvertMissingSource(t *testing.T) {
 	dir := t.TempDir()
 	if err := convertFile(filepath.Join(dir, "nope.ibstrace"), filepath.Join(dir, "out.ibsc")); err == nil {
 		t.Fatal("missing source accepted")
+	}
+}
+
+// TestSeekCheck drives the -seek spot-check: the first, a middle and the
+// last instruction pass (the middle and last past the first checkpoint),
+// while a past-the-end or negative index is an error naming the flag.
+func TestSeekCheck(t *testing.T) {
+	const n = 40_000
+	for _, i := range []int64{0, n / 2, n - 1} {
+		if err := seekCheck("eqntott", n, i); err != nil {
+			t.Errorf("-seek %d: %v", i, err)
+		}
+	}
+	for _, i := range []int64{n, -5} {
+		err := seekCheck("eqntott", n, i)
+		if err == nil || !strings.Contains(err.Error(), "-seek") {
+			t.Errorf("-seek %d: err = %v, want an error naming -seek", i, err)
+		}
 	}
 }

@@ -365,16 +365,16 @@ func ConvertColumnarToTrace(src, dst string) (written uint64, err error) {
 
 // Checkpointed seekable generation: O(1)-memory trace sources that can
 // position themselves at an arbitrary instruction index by restoring the
-// nearest serialized generator checkpoint and fast-forwarding the remainder
-// (internal/synth; format spec in EXPERIMENTS.md).
+// nearest in-memory generator checkpoint and fast-forwarding the remainder
+// (internal/synth; EXPERIMENTS.md, "Checkpointed seekable generation").
 
 type (
-	// CheckpointIndex is a sorted, CRC-guarded set of serialized generator
-	// checkpoints for one (workload, seed) pair. Shared across generation
-	// passes; safe for concurrent use.
+	// CheckpointIndex is a sorted set of generator checkpoints, each a copy
+	// of the generator's mutable state, for one (workload, seed) pair.
+	// Shared across generation passes; safe for concurrent use.
 	CheckpointIndex = synth.CheckpointIndex
-	// CheckpointStats summarizes a checkpoint index: count, serialized
-	// bytes, recording interval, corrupt checkpoints detected and dropped.
+	// CheckpointStats summarizes a checkpoint index: count, bytes held and
+	// recording interval.
 	CheckpointStats = synth.CheckpointStats
 	// SeekableTrace is a seekable streaming source over a synthetic
 	// workload's instruction-fetch stream. Not safe for concurrent use.
@@ -390,8 +390,10 @@ const DefaultCheckpointEvery = synth.DefaultCheckpointEvery
 func NewCheckpointIndex(every int64) *CheckpointIndex { return synth.NewCheckpointIndex(every) }
 
 // NewSeekableTrace returns a seekable source over w's n-instruction fetch
-// stream at seed 0 — the same stream WriteTraceFile and
-// WriteColumnarTraceFile serialize. With a non-nil index the source records
+// stream at seed 0 — the stream GenerateInstructionTrace returns and
+// WriteColumnarTraceFile serializes. WriteTraceFile's instruction fetches
+// are another stream: its data references draw from the per-domain random
+// source the walk draws from. With a non-nil index the source records
 // checkpoints as it generates and SeekTo restores the nearest one ≤ the
 // target; with a nil index it still seeks correctly, by regenerating from
 // instruction zero.

@@ -47,7 +47,6 @@ func RunChaos(opt Options) ([]Result, error) {
 		{"chaos/columnar-salvage", func() Result { return chaosColumnarSalvage(refs) }},
 		{"chaos/write-fault-sticky", func() Result { return chaosWriteFault(refs) }},
 		{"chaos/over-budget-store", func() Result { return chaosOverBudget(prof, opt.Seed) }},
-		{"chaos/checkpoint-corrupt", func() Result { return chaosCheckpointCorrupt(prof, opt.Seed) }},
 		{"chaos/worker-panic", func() Result { return chaosWorkerPanic(opt) }},
 		{"chaos/server-slow-loris", func() Result { return chaosServerSlowLoris(prof, opt.Seed) }},
 		{"chaos/server-cancel", func() Result { return chaosServerCancel(prof, opt.Seed) }},
@@ -279,80 +278,6 @@ func chaosOverBudget(prof synth.Profile, seed uint64) Result {
 		return fail(name, "over-budget acquisitions left %d entries, %d spill bytes", st.Entries, st.SpillBytes)
 	}
 	return pass(name, "RAM tiers fail typed, Acquire's seek tier streams %d identical refs", len(want))
-}
-
-// chaosCheckpointCorrupt flips a bit in every checkpoint at or below a seek
-// target: SeekTo must detect each corruption by CRC, drop the damaged
-// checkpoint, and fall back — ultimately to a full regeneration from
-// instruction zero — landing on exactly the references sequential
-// generation yields. A damaged index degrades and self-heals (the fallback
-// pass re-records the positions it dropped); it never fails a seek and
-// never yields a wrong reference.
-func chaosCheckpointCorrupt(prof synth.Profile, seed uint64) Result {
-	const name = "chaos/checkpoint-corrupt"
-	const (
-		n      = int64(60_000)
-		every  = int64(2048)
-		target = int64(50_000)
-		tail   = int64(128)
-	)
-	ix := synth.NewCheckpointIndex(every)
-	src, err := synth.NewSeekSource(prof, seed, n, ix)
-	if err != nil {
-		return fail(name, "building seek source: %v", err)
-	}
-	refs := make([]trace.Ref, 0, n)
-	for {
-		r, ok := src.Next()
-		if !ok {
-			break
-		}
-		refs = append(refs, r)
-	}
-	healthy := ix.Len()
-	if healthy == 0 {
-		return fail(name, "full generation pass recorded no checkpoints")
-	}
-	// Corrupt every checkpoint at or below the target. Nearest returns a
-	// struct copy, but its Data slice shares the backing array with the
-	// stored checkpoint, so the flip lands in the index.
-	corrupted := 0
-	for i := target; ; {
-		ck, ok := ix.Nearest(i)
-		if !ok {
-			break
-		}
-		ck.Data[len(ck.Data)/2] ^= 0x10
-		corrupted++
-		if ck.Instr == 0 {
-			break
-		}
-		i = ck.Instr - 1
-	}
-	if corrupted == 0 {
-		return fail(name, "no checkpoints at or below instruction %d to corrupt", target)
-	}
-	if err := src.SeekTo(target); err != nil {
-		return fail(name, "seek over a fully corrupt index errored: %v", err)
-	}
-	for k := int64(0); k < tail && target+k < n; k++ {
-		got, ok := src.Next()
-		if !ok {
-			return fail(name, "source ended at instruction %d of %d after corrupt-index seek", target+k, n)
-		}
-		if got != refs[target+k] {
-			return fail(name, "instruction %d after corrupt-index seek diverges from sequential generation", target+k)
-		}
-	}
-	st := ix.Stats()
-	if st.Corrupt != int64(corrupted) {
-		return fail(name, "index counted %d corrupt checkpoints, %d were corrupted", st.Corrupt, corrupted)
-	}
-	if got := ix.Len(); got != healthy {
-		return fail(name, "index holds %d checkpoints after the healing seek, want %d", got, healthy)
-	}
-	return pass(name, "%d/%d checkpoints corrupted: every CRC failure detected and dropped, seek fell back to instruction 0, %d-ref tail bit-identical, index self-healed",
-		corrupted, healthy, tail)
 }
 
 // chaosWorkerPanic proves a panicking experiment worker is isolated into a

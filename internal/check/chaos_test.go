@@ -19,7 +19,7 @@ func TestRunChaosAllPass(t *testing.T) {
 		"chaos/truncation", "chaos/bit-flip", "chaos/short-read",
 		"chaos/error-after-n", "chaos/columnar-salvage",
 		"chaos/write-fault-sticky",
-		"chaos/over-budget-store", "chaos/checkpoint-corrupt",
+		"chaos/over-budget-store",
 		"chaos/worker-panic",
 		"chaos/server-slow-loris", "chaos/server-cancel",
 		"chaos/server-over-budget", "chaos/server-runs-tier",

@@ -22,16 +22,3 @@ func TestSeekChecksPass(t *testing.T) {
 		t.Errorf("seek-sampled detail does not report the checkpoint index: %s", results[0].Detail)
 	}
 }
-
-// The chaos checkpoint-corruption scenario in isolation (it also runs
-// inside RunChaos).
-func TestChaosCheckpointCorrupt(t *testing.T) {
-	opt := Options{Instructions: 50_000}.withDefaults()
-	r := chaosCheckpointCorrupt(opt.Workloads[0], opt.Seed)
-	if !r.Passed {
-		t.Fatalf("%s: %s", r.Name, r.Detail)
-	}
-	if !strings.Contains(r.Detail, "CRC") {
-		t.Fatalf("detail does not describe CRC detection: %s", r.Detail)
-	}
-}

@@ -1,37 +1,32 @@
 package synth
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"slices"
 	"sort"
 	"sync"
-
-	"ibsim/internal/trace"
+	"unsafe"
 )
 
 // Checkpointed seekable generation.
 //
-// A Checkpoint is a compact, CRC-guarded serialization of a Generator's
-// *mutable* state: the top-level walk cursors, the RNG states, and every
-// domain's call stack, data cursors and counters. The immutable layout
-// (procedure placement, zipf tables) is fully determined by (profile, seed)
-// and is deliberately NOT serialized: Restore only overwrites the mutable
-// state of a generator already built for the same profile and seed, which
-// makes a restore a microsecond-scale memcpy rather than a relayout.
+// A Checkpoint is an in-memory copy of a Generator's *mutable* state: its
+// cursor and every domain's domainCursor (RNG states, walk position, call
+// stacks, data cursors and counters). The layout (procedure placement, zipf
+// tables) is fully determined by (profile, seed) and is not copied: Restore
+// only overwrites the mutable state of a generator already built for the
+// same profile and seed, which makes a restore a copy rather than a
+// relayout.
 //
 // A CheckpointIndex collects checkpoints at fixed instruction intervals
 // during any generation pass. SeekTo(i) restores the nearest checkpoint at
 // or below i and fast-forwards the remainder, turning "position a trace at
 // instruction i" from O(i) into O(interval) — the primitive behind
-// skip-mode sampled streaming and parallel columnar spill.
-
-// ckMagic identifies a serialized checkpoint ("ICK1", little-endian).
-const ckMagic uint32 = 0x314B4349
+// skip-mode sampled streaming and the store's prefix resume.
 
 // DefaultCheckpointEvery is the default checkpoint interval in instructions.
-// At ~800 bytes per checkpoint this costs ~50 KB per million instructions —
+// At ~1 KB per checkpoint this costs ~60 KB per million instructions —
 // negligible next to the refs it lets a seek skip.
 const DefaultCheckpointEvery int64 = 1 << 14
 
@@ -39,243 +34,61 @@ const DefaultCheckpointEvery int64 = 1 << 14
 // index itself starts to rival the trace in size.
 const minCheckpointEvery int64 = 256
 
-// ErrBadCheckpoint reports a checkpoint that failed its CRC or does not
-// belong to the generator it was restored into. Callers that hold an index
-// (SeekTo) recover transparently by regenerating; Restore surfaces it.
-var ErrBadCheckpoint = errors.New("synth: corrupt or mismatched checkpoint")
+// ErrBadCheckpoint reports a checkpoint restored into a generator it does
+// not belong to: one with another seed or domain set, or the zero
+// Checkpoint.
+var ErrBadCheckpoint = errors.New("synth: checkpoint does not belong to this generator")
 
-// Checkpoint is a serialized generator state that resumes emission at
-// instruction Instr (i.e. the next reference produced after Restore is
-// instruction fetch number Instr, counting from zero).
+// Checkpoint is a copy of a generator's mutable state. Its cursor's
+// instruction count is where it resumes emission: the next reference
+// produced after Restore is instruction fetch number instrs, counting from
+// zero.
 type Checkpoint struct {
-	Instr int64
-	Data  []byte
+	seed uint64
+	cursor
+	domains []domainCursor
 }
 
-// Snapshot serializes the generator's current mutable state. The snapshot
-// is valid for any generator built from the same (profile, seed); restoring
-// it resumes the stream bit-identically, including any pending data
-// references of the last emitted instruction.
+// Snapshot copies the generator's current mutable state. The snapshot is
+// valid for any generator built from the same (profile, seed); restoring it
+// resumes the stream bit-identically, including any pending data references
+// of the last emitted instruction.
 func (g *Generator) Snapshot() Checkpoint {
-	// Fixed part ~150 bytes + ~(80 + 48·depth) per domain.
-	b := make([]byte, 0, 160+len(g.domains)*(80+48*maxDepth))
-	b = binary.LittleEndian.AppendUint32(b, ckMagic)
-	b = binary.LittleEndian.AppendUint64(b, g.seed)
-	b = binary.LittleEndian.AppendUint64(b, uint64(g.instrs))
-	b = binary.LittleEndian.AppendUint32(b, uint32(g.cur))
-	b = binary.LittleEndian.AppendUint64(b, uint64(int64(g.resid)))
-	b = append(b, byte(g.npend))
-	for _, r := range g.pending {
-		b = appendRef(b, r)
+	ck := Checkpoint{seed: g.seed, cursor: g.cursor, domains: make([]domainCursor, len(g.domains))}
+	for i, ds := range g.domains {
+		ck.domains[i] = ds.domainCursor
+		ck.domains[i].stack = slices.Clone(ds.stack)
 	}
-	for _, v := range [...]int64{g.walk.Visits, g.walk.Calls, g.walk.LoopBackEdges,
-		g.walk.Skips, g.walk.FarJumps, g.walk.DomainSwitches} {
-		b = binary.LittleEndian.AppendUint64(b, uint64(v))
-	}
-	b = appendRngState(b, g.rng.State())
-	b = append(b, byte(len(g.domains)))
-	for _, ds := range g.domains {
-		b = appendRngState(b, ds.rng.State())
-		b = binary.LittleEndian.AppendUint64(b, uint64(ds.executed))
-		b = binary.LittleEndian.AppendUint64(b, uint64(int64(ds.storeBurst)))
-		b = binary.LittleEndian.AppendUint64(b, ds.stackPtr)
-		b = binary.LittleEndian.AppendUint64(b, ds.streamPtr)
-		b = append(b, byte(len(ds.stack)))
-		for _, f := range ds.stack {
-			b = binary.LittleEndian.AppendUint64(b, f.p.base)
-			b = binary.LittleEndian.AppendUint64(b, f.p.size)
-			b = binary.LittleEndian.AppendUint64(b, f.pc)
-			b = binary.LittleEndian.AppendUint64(b, f.loopStart)
-			b = binary.LittleEndian.AppendUint64(b, f.loopEnd)
-			b = binary.LittleEndian.AppendUint64(b, uint64(int64(f.loopsLeft)))
-		}
-	}
-	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
-	return Checkpoint{Instr: g.instrs, Data: b}
-}
-
-func appendRef(b []byte, r trace.Ref) []byte {
-	b = binary.LittleEndian.AppendUint64(b, r.Addr)
-	return append(b, byte(r.Kind), byte(r.Domain))
-}
-
-func appendRngState(b []byte, s [4]uint64) []byte {
-	for _, v := range s {
-		b = binary.LittleEndian.AppendUint64(b, v)
-	}
-	return b
-}
-
-// ckReader is a bounds-checked little-endian cursor over a checkpoint blob.
-type ckReader struct {
-	b   []byte
-	pos int
-	bad bool
-}
-
-func (r *ckReader) u8() byte {
-	if r.pos+1 > len(r.b) {
-		r.bad = true
-		return 0
-	}
-	v := r.b[r.pos]
-	r.pos++
-	return v
-}
-
-func (r *ckReader) u32() uint32 {
-	if r.pos+4 > len(r.b) {
-		r.bad = true
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.b[r.pos:])
-	r.pos += 4
-	return v
-}
-
-func (r *ckReader) u64() uint64 {
-	if r.pos+8 > len(r.b) {
-		r.bad = true
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.pos:])
-	r.pos += 8
-	return v
-}
-
-func (r *ckReader) i64() int64 { return int64(r.u64()) }
-
-func (r *ckReader) rngState() (s [4]uint64) {
-	for i := range s {
-		s[i] = r.u64()
-	}
-	return s
-}
-
-func (r *ckReader) ref() trace.Ref {
-	addr := r.u64()
-	kind := r.u8()
-	dom := r.u8()
-	return trace.Ref{Addr: addr, Kind: trace.Kind(kind), Domain: trace.Domain(dom)}
-}
-
-// ckDomain is the decoded mutable state of one domain.
-type ckDomain struct {
-	rng        [4]uint64
-	executed   int64
-	storeBurst int64
-	stackPtr   uint64
-	streamPtr  uint64
-	stack      []frame
-}
-
-// ckState is a fully decoded checkpoint, validated before any of it is
-// applied so a corrupt blob can never leave a generator half-restored.
-type ckState struct {
-	seed    uint64
-	instrs  int64
-	cur     int
-	resid   int64
-	npend   int
-	pending [2]trace.Ref
-	walk    WalkStats
-	rng     [4]uint64
-	domains []ckDomain
-}
-
-// decodeCheckpoint parses and CRC-verifies data. It does not touch g; it
-// only uses g's shape (domain count, seed) for validation.
-func (g *Generator) decodeCheckpoint(data []byte) (*ckState, error) {
-	if len(data) < 8 {
-		return nil, fmt.Errorf("%w: truncated (%d bytes)", ErrBadCheckpoint, len(data))
-	}
-	body, sum := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.ChecksumIEEE(body) != sum {
-		return nil, fmt.Errorf("%w: CRC mismatch", ErrBadCheckpoint)
-	}
-	r := &ckReader{b: body}
-	if r.u32() != ckMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadCheckpoint)
-	}
-	st := &ckState{}
-	st.seed = r.u64()
-	st.instrs = r.i64()
-	st.cur = int(r.u32())
-	st.resid = r.i64()
-	st.npend = int(r.u8())
-	for i := range st.pending {
-		st.pending[i] = r.ref()
-	}
-	st.walk = WalkStats{
-		Visits: r.i64(), Calls: r.i64(), LoopBackEdges: r.i64(),
-		Skips: r.i64(), FarJumps: r.i64(), DomainSwitches: r.i64(),
-	}
-	st.rng = r.rngState()
-	nd := int(r.u8())
-	if nd != len(g.domains) {
-		return nil, fmt.Errorf("%w: %d domains, generator has %d", ErrBadCheckpoint, nd, len(g.domains))
-	}
-	st.domains = make([]ckDomain, nd)
-	for i := range st.domains {
-		d := &st.domains[i]
-		d.rng = r.rngState()
-		d.executed = r.i64()
-		d.storeBurst = r.i64()
-		d.stackPtr = r.u64()
-		d.streamPtr = r.u64()
-		nf := int(r.u8())
-		if nf > maxDepth {
-			return nil, fmt.Errorf("%w: stack depth %d > %d", ErrBadCheckpoint, nf, maxDepth)
-		}
-		d.stack = make([]frame, nf)
-		for j := range d.stack {
-			f := &d.stack[j]
-			f.p.base = r.u64()
-			f.p.size = r.u64()
-			f.pc = r.u64()
-			f.loopStart = r.u64()
-			f.loopEnd = r.u64()
-			f.loopsLeft = int(r.i64())
-		}
-	}
-	if r.bad || r.pos != len(body) {
-		return nil, fmt.Errorf("%w: malformed body", ErrBadCheckpoint)
-	}
-	if st.seed != g.seed {
-		return nil, fmt.Errorf("%w: seed %#x, generator seeded %#x", ErrBadCheckpoint, st.seed, g.seed)
-	}
-	if st.instrs < 0 || st.cur < 0 || st.cur >= nd || st.npend < 0 || st.npend > len(st.pending) {
-		return nil, fmt.Errorf("%w: out-of-range cursors", ErrBadCheckpoint)
-	}
-	return st, nil
+	return ck
 }
 
 // Restore overwrites the generator's mutable state from a checkpoint taken
-// on a generator with the same profile and seed. On error (CRC failure,
-// mismatched shape) the generator is left exactly as it was.
+// on a generator with the same profile and seed. The checkpoint's call
+// stacks are copied, never shared, so later generation cannot reach back
+// into an index's checkpoints. On error the generator is left exactly as it
+// was.
 func (g *Generator) Restore(ck Checkpoint) error {
-	st, err := g.decodeCheckpoint(ck.Data)
-	if err != nil {
-		return err
+	if ck.seed != g.seed || len(ck.domains) != len(g.domains) {
+		return fmt.Errorf("%w: seed %#x with %d domains, generator seeded %#x with %d",
+			ErrBadCheckpoint, ck.seed, len(ck.domains), g.seed, len(g.domains))
 	}
-	g.instrs = st.instrs
-	g.cur = st.cur
-	g.resid = int(st.resid)
-	g.npend = st.npend
-	g.pending = st.pending
-	g.walk = st.walk
-	g.rng.SetState(st.rng)
+	g.cursor = ck.cursor
 	for i, ds := range g.domains {
-		d := &st.domains[i]
-		ds.rng.SetState(d.rng)
-		ds.executed = d.executed
-		ds.storeBurst = int(d.storeBurst)
-		ds.stackPtr = d.stackPtr
-		ds.streamPtr = d.streamPtr
-		ds.stack = append(ds.stack[:0], d.stack...)
+		stack := append(ds.stack[:0], ck.domains[i].stack...)
+		ds.domainCursor = ck.domains[i]
+		ds.stack = stack
 	}
 	g.syncCkNext()
 	return nil
+}
+
+// size is the memory ck holds, charged to the store's idle budget.
+func (ck *Checkpoint) size() int64 {
+	n := unsafe.Sizeof(*ck) + uintptr(len(ck.domains))*unsafe.Sizeof(domainCursor{})
+	for _, d := range ck.domains {
+		n += uintptr(len(d.stack)) * unsafe.Sizeof(frame{})
+	}
+	return int64(n)
 }
 
 // SetCheckpoints attaches a checkpoint index to the generator: every
@@ -285,9 +98,6 @@ func (g *Generator) SetCheckpoints(ix *CheckpointIndex) {
 	g.ck = ix
 	g.syncCkNext()
 }
-
-// Checkpoints returns the attached index, if any.
-func (g *Generator) Checkpoints() *CheckpointIndex { return g.ck }
 
 // syncCkNext computes the next instruction count at which to record a
 // checkpoint: the first multiple of the interval strictly above the current
@@ -315,43 +125,38 @@ func (g *Generator) recordCheckpoint() {
 // instruction fetch number i (0-based), exactly as if it had generated and
 // discarded everything before it. It restores the nearest checkpoint at or
 // below i when that beats the current position, and fast-forwards the
-// remainder. Corrupt checkpoints are detected by CRC, dropped from the
-// index, and seeking falls back to the next-best start (ultimately a full
-// regeneration from zero) — a damaged index degrades, it never fails.
+// remainder.
 func (g *Generator) SeekTo(i int64) error {
 	if i < 0 {
 		return fmt.Errorf("synth: SeekTo(%d): negative target", i)
 	}
-	for {
-		// The current position can reach i by advancing iff it is not past
-		// it. (At instrs == i with pending data refs, advancing drains the
-		// pendings of instruction i-1 and lands exactly on the boundary.)
-		curOK := g.instrs <= i
-		if g.ck != nil {
-			if ck, ok := g.ck.Nearest(i); ok && (!curOK || ck.Instr > g.instrs) {
-				if err := g.Restore(ck); err != nil {
-					g.ck.dropCorrupt(ck.Instr)
-					continue
-				}
-			} else if !curOK {
-				g.Reset()
-			}
-		} else if !curOK {
-			g.Reset()
-		}
-		for g.instrs < i || (g.instrs == i && g.npend > 0) {
-			g.Next()
-		}
-		return nil
+	// The current position can reach i by advancing iff it is not past it.
+	// (At instrs == i with pending data refs, advancing drains the pendings
+	// of instruction i-1 and lands exactly on the boundary.)
+	curOK := g.instrs <= i
+	var ck Checkpoint
+	var ok bool
+	if g.ck != nil {
+		ck, ok = g.ck.Nearest(i)
 	}
+	if ok && (!curOK || ck.instrs > g.instrs) {
+		if err := g.Restore(ck); err != nil {
+			return err
+		}
+	} else if !curOK {
+		g.Reset()
+	}
+	for g.instrs < i || (g.instrs == i && g.npend > 0) {
+		g.Next()
+	}
+	return nil
 }
 
 // CheckpointStats summarizes a checkpoint index.
 type CheckpointStats struct {
-	Count   int   `json:"count"`
-	Bytes   int64 `json:"bytes"`
-	Every   int64 `json:"every"`
-	Corrupt int64 `json:"corrupt"` // checkpoints dropped after CRC failure
+	Count int   `json:"count"`
+	Bytes int64 `json:"bytes"`
+	Every int64 `json:"every"`
 }
 
 // CheckpointIndex is a concurrency-safe, deduplicated set of checkpoints at
@@ -361,10 +166,9 @@ type CheckpointStats struct {
 type CheckpointIndex struct {
 	every int64
 
-	mu      sync.Mutex
-	points  []Checkpoint // sorted by Instr, unique
-	bytes   int64
-	corrupt int64
+	mu     sync.Mutex
+	points []Checkpoint // sorted by instruction count, unique
+	bytes  int64
 }
 
 // NewCheckpointIndex returns an empty index recording every `every`
@@ -388,49 +192,29 @@ func (ix *CheckpointIndex) Every() int64 { return ix.every }
 func (ix *CheckpointIndex) Add(ck Checkpoint) bool {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	i := sort.Search(len(ix.points), func(k int) bool { return ix.points[k].Instr >= ck.Instr })
-	if i < len(ix.points) && ix.points[i].Instr == ck.Instr {
+	i := sort.Search(len(ix.points), func(k int) bool { return ix.points[k].instrs >= ck.instrs })
+	if i < len(ix.points) && ix.points[i].instrs == ck.instrs {
 		return false
 	}
 	ix.points = append(ix.points, Checkpoint{})
 	copy(ix.points[i+1:], ix.points[i:])
 	ix.points[i] = ck
-	ix.bytes += int64(len(ck.Data))
+	ix.bytes += ck.size()
 	return true
 }
 
-// Nearest returns the checkpoint with the largest Instr ≤ i.
+// Nearest returns the checkpoint at the largest instruction count ≤ i.
 func (ix *CheckpointIndex) Nearest(i int64) (Checkpoint, bool) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	k := sort.Search(len(ix.points), func(j int) bool { return ix.points[j].Instr > i })
+	k := sort.Search(len(ix.points), func(j int) bool { return ix.points[j].instrs > i })
 	if k == 0 {
 		return Checkpoint{}, false
 	}
 	return ix.points[k-1], true
 }
 
-// dropCorrupt removes the checkpoint at exactly instr, counting it as a
-// corruption casualty. Called by SeekTo after a CRC failure.
-func (ix *CheckpointIndex) dropCorrupt(instr int64) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	k := sort.Search(len(ix.points), func(j int) bool { return ix.points[j].Instr >= instr })
-	if k < len(ix.points) && ix.points[k].Instr == instr {
-		ix.bytes -= int64(len(ix.points[k].Data))
-		ix.points = append(ix.points[:k], ix.points[k+1:]...)
-		ix.corrupt++
-	}
-}
-
-// Len returns the number of checkpoints held.
-func (ix *CheckpointIndex) Len() int {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	return len(ix.points)
-}
-
-// Bytes returns the total serialized size of all checkpoints.
+// Bytes returns the memory all checkpoints hold.
 func (ix *CheckpointIndex) Bytes() int64 {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -441,5 +225,5 @@ func (ix *CheckpointIndex) Bytes() int64 {
 func (ix *CheckpointIndex) Stats() CheckpointStats {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	return CheckpointStats{Count: len(ix.points), Bytes: ix.bytes, Every: ix.every, Corrupt: ix.corrupt}
+	return CheckpointStats{Count: len(ix.points), Bytes: ix.bytes, Every: ix.every}
 }

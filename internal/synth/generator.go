@@ -52,27 +52,37 @@ type frame struct {
 	loopsLeft int
 }
 
-// domainState is the per-domain walk and data-reference state.
+// domainState is one domain's walk and data-reference state: the layout
+// and tables build fixes for a (profile, seed) pair, and the domainCursor
+// that generation advances.
 type domainState struct {
-	prof   *DomainProfile
-	domain trace.Domain
-	procs  []proc // indexed by popularity rank: procs[0] is hottest
-	pop    *zipf  // popularity sampler over procedure ranks
-	rng    *xrand.Source
-	coins  coins
+	prof     *DomainProfile
+	domain   trace.Domain
+	procs    []proc // indexed by popularity rank: procs[0] is hottest
+	pop      *zipf  // popularity sampler over procedure ranks
+	coins    coins
+	heapBase uint64
+	globBase uint64
+	strmBase uint64
+	globPop  *zipf // popularity of global words
+	heapPop  *zipf // popularity of heap pages
+	offPop   *zipf // popularity of word offsets within a heap page
 
+	domainCursor
+}
+
+// domainCursor is a domain's mutable state. A Checkpoint holds a copy of
+// it, so a field added here is checkpointed with no other edit; a field
+// that holds a slice must be deep-copied by Snapshot and Restore, as the
+// call stack is.
+type domainCursor struct {
+	rng   xrand.Source
 	stack []frame
 
-	// Data-reference cursors and popularity tables.
+	// Data-reference cursors.
 	storeBurst int // remaining burst stores (procedure-prolog register saves)
 	stackPtr   uint64
 	streamPtr  uint64
-	heapBase   uint64
-	globBase   uint64
-	strmBase   uint64
-	globPop    *zipf // popularity of global words
-	heapPop    *zipf // popularity of heap pages
-	offPop     *zipf // popularity of word offsets within a heap page
 
 	executed int64 // instructions executed in this domain
 }
@@ -129,20 +139,27 @@ type WalkStats struct {
 type Generator struct {
 	prof    Profile
 	seed    uint64
-	rng     *xrand.Source
 	domains []*domainState // active domains only
-	cur     int            // index into domains
-	resid   int            // instructions remaining in current domain
-	pending [2]trace.Ref   // queued data refs following the last ifetch
-	npend   int
-	instrs  int64 // total instructions emitted
-	walk    WalkStats
+
+	cursor
 
 	// Checkpoint recording (see checkpoint.go). ckNext is the next
 	// instruction boundary to snapshot at; when ck is nil the hook in Next
 	// costs a single predictable branch.
 	ck     *CheckpointIndex
 	ckNext int64
+}
+
+// cursor is the generator's mutable top-level state. A Checkpoint holds a
+// copy of it, so a field added here is checkpointed with no other edit.
+type cursor struct {
+	rng     xrand.Source
+	cur     int          // index into domains
+	resid   int          // instructions remaining in current domain
+	pending [2]trace.Ref // queued data refs following the last ifetch
+	npend   int
+	instrs  int64 // total instructions emitted
+	walk    WalkStats
 }
 
 // NewGenerator validates prof and returns a generator seeded with seed
@@ -173,7 +190,7 @@ func MustNewGenerator(prof Profile, seed uint64) *Generator {
 
 // build lays out every active domain's text image and resets walk state.
 func (g *Generator) build() {
-	g.rng = xrand.New(g.seed)
+	g.cursor = cursor{rng: *xrand.New(g.seed)}
 	g.domains = g.domains[:0]
 	for d := 0; d < trace.NumDomains; d++ {
 		dp := &g.prof.Domains[d]
@@ -181,10 +198,10 @@ func (g *Generator) build() {
 			continue
 		}
 		ds := &domainState{
-			prof:   dp,
-			domain: trace.Domain(d),
-			rng:    g.rng.Fork(uint64(d) + 1),
-			coins:  newCoins(dp, &g.prof.Data),
+			prof:         dp,
+			domain:       trace.Domain(d),
+			coins:        newCoins(dp, &g.prof.Data),
+			domainCursor: domainCursor{rng: *g.rng.Fork(uint64(d) + 1)},
 		}
 		ds.layout()
 		base := domainTextBase[d] + uint64(d)*0x5400 // per-domain stagger
@@ -205,9 +222,6 @@ func (g *Generator) build() {
 	}
 	g.cur = g.pickDomain()
 	g.resid = g.domains[g.cur].residency()
-	g.npend = 0
-	g.instrs = 0
-	g.walk = WalkStats{}
 	g.syncCkNext()
 }
 
@@ -290,7 +304,7 @@ func (g *Generator) pickDomain() int {
 
 // pickProc draws a procedure by popularity and builds its activation frame.
 func (ds *domainState) pickProc() frame {
-	r := ds.pop.draw(ds.rng)
+	r := ds.pop.draw(&ds.rng)
 	p := ds.procs[r]
 	f := frame{p: p, pc: p.base}
 	if ds.rng.Flip(ds.coins.loop) {
@@ -448,11 +462,11 @@ func (ds *domainState) dataAddr() uint64 {
 		}
 		return ds.stackPtr
 	case 4, 5, 6: // globals: Zipf-popular words in a small region
-		off := uint64(ds.globPop.draw(ds.rng)) * instrSize
+		off := uint64(ds.globPop.draw(&ds.rng)) * instrSize
 		return ds.globBase + off
 	default: // heap: Zipf-popular page × Zipf-popular word within it
-		page := uint64(ds.heapPop.draw(ds.rng))
-		off := uint64(ds.offPop.draw(ds.rng)) * instrSize
+		page := uint64(ds.heapPop.draw(&ds.rng))
+		off := uint64(ds.offPop.draw(&ds.rng)) * instrSize
 		return ds.heapBase + page*pageBytes + off
 	}
 }

@@ -65,14 +65,14 @@ func (ss *SeekSource) Total() int64 { return ss.n }
 
 var _ trace.Seeker = (*SeekSource)(nil)
 
-// Checkpoints returns the store's shared checkpoint index for
+// checkpoints returns the store's shared checkpoint index for
 // (prof, seed) — creating an empty one on first use — together with a
 // release function that must be called exactly once. The index's bytes are
 // charged to the idle budget like any other entry once every holder
 // releases; an evicted index simply starts empty next time. Acquisitions are
 // not counted in Stats.Hits/Misses (the index is metadata about a trace, not
 // a trace).
-func (s *Store) Checkpoints(prof Profile, seed uint64) (*CheckpointIndex, func()) {
+func (s *Store) checkpoints(prof Profile, seed uint64) (*CheckpointIndex, func()) {
 	key := storeKey{prof: prof, seed: seed, kind: kindCheckpoints}
 	key.prof.Data = DataProfile{}
 	s.mu.Lock()
@@ -112,7 +112,7 @@ func (s *Store) seekGen(prof Profile, seed uint64) (*Generator, func(), error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	ix, done := s.Checkpoints(prof, seed)
+	ix, done := s.checkpoints(prof, seed)
 	g.SetCheckpoints(ix)
 	return g, done, nil
 }

@@ -130,7 +130,7 @@ type Stats struct {
 // Store memoizes instruction traces keyed by (profile, seed, instruction
 // count) in the forms Acquire serves: the run compaction in RAM (RunsOnly),
 // the columnar spill on disk (Columnar), and per workload the checkpoint
-// index that lets regeneration seek (Checkpoints). Entries are ref-counted:
+// index that lets regeneration seek (checkpoints). Entries are ref-counted:
 // every acquisition returns a release function, and a released entry stays
 // cached — up to the idle-byte budget, evicting least-recently used idle
 // entries beyond it — so sequential experiments over the same suite reuse

@@ -174,46 +174,6 @@ func Copy(sink Sink, src Source) (int64, error) {
 	}
 }
 
-// FilterSource yields only the references of src for which keep returns
-// true.
-type FilterSource struct {
-	src  Source
-	keep func(Ref) bool
-}
-
-// NewFilterSource wraps src with a predicate.
-func NewFilterSource(src Source, keep func(Ref) bool) *FilterSource {
-	return &FilterSource{src: src, keep: keep}
-}
-
-// Next implements Source.
-func (f *FilterSource) Next() (Ref, bool) {
-	for {
-		r, ok := f.src.Next()
-		if !ok {
-			return Ref{}, false
-		}
-		if f.keep(r) {
-			return r, true
-		}
-	}
-}
-
-// Err implements Source.
-func (f *FilterSource) Err() error { return f.src.Err() }
-
-// InstructionsOnly returns a Source yielding only instruction fetches —
-// Section 5's methodology ("Throughout this analysis, we only consider
-// instruction references").
-func InstructionsOnly(src Source) Source {
-	return NewFilterSource(src, func(r Ref) bool { return r.Kind == IFetch })
-}
-
-// DomainOnly returns a Source yielding only references from domain d.
-func DomainOnly(src Source, d Domain) Source {
-	return NewFilterSource(src, func(r Ref) bool { return r.Domain == d })
-}
-
 // LimitSource yields at most n references from src.
 type LimitSource struct {
 	src Source
@@ -277,16 +237,4 @@ func (c *Counts) DomainFraction(d Domain) float64 {
 		return 0
 	}
 	return float64(c.ByDomain[d]) / float64(c.Total)
-}
-
-// Count drains src, returning its tallies.
-func Count(src Source) (Counts, error) {
-	var c Counts
-	for {
-		r, ok := src.Next()
-		if !ok {
-			return c, src.Err()
-		}
-		c.Observe(r)
-	}
 }

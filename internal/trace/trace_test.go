@@ -50,29 +50,6 @@ func TestSliceSource(t *testing.T) {
 	}
 }
 
-func TestFilterSource(t *testing.T) {
-	in := []Ref{
-		{Addr: 0, Kind: IFetch, Domain: User},
-		{Addr: 100, Kind: DRead, Domain: User},
-		{Addr: 4, Kind: IFetch, Domain: Kernel},
-		{Addr: 104, Kind: DWrite, Domain: Kernel},
-	}
-	got, err := Collect(InstructionsOnly(NewSliceSource(in)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0].Addr != 0 || got[1].Addr != 4 {
-		t.Fatalf("InstructionsOnly = %v", got)
-	}
-	got, err = Collect(DomainOnly(NewSliceSource(in), Kernel))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0].Addr != 4 {
-		t.Fatalf("DomainOnly = %v", got)
-	}
-}
-
 func TestLimitSource(t *testing.T) {
 	in := refs(0, 4, 8, 12)
 	got, err := Collect(NewLimitSource(NewSliceSource(in), 2))
@@ -100,9 +77,9 @@ func TestCounts(t *testing.T) {
 		{Kind: DWrite, Domain: XServer},
 		{Kind: IFetch, Domain: User},
 	}
-	c, err := Count(NewSliceSource(in))
-	if err != nil {
-		t.Fatal(err)
+	var c Counts
+	for _, r := range in {
+		c.Observe(r)
 	}
 	if c.Total != 5 {
 		t.Errorf("Total = %d", c.Total)

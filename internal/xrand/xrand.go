@@ -244,20 +244,9 @@ func (s *Source) Perm(p []int) {
 	}
 }
 
-// State returns the generator's full internal state. Together with SetState
-// it lets callers snapshot and later resume a stream bit-identically —
-// the basis for the synth generator's seekable checkpoints.
+// State returns the generator's full internal state: two sources with equal
+// states yield identical streams from here on.
 func (s *Source) State() [4]uint64 { return s.s }
-
-// SetState overwrites the generator's internal state with a value previously
-// obtained from State. Restoring an all-zero state is invalid for xoshiro and
-// is silently replaced by the same guard constant New uses.
-func (s *Source) SetState(state [4]uint64) {
-	if state[0]|state[1]|state[2]|state[3] == 0 {
-		state[0] = 0x9e3779b97f4a7c15
-	}
-	s.s = state
-}
 
 // Fork returns a new Source whose stream is deterministically derived from
 // the receiver's current state and the given label. Forking lets independent
