@@ -94,7 +94,9 @@ serve:
 # (trace compaction, per-ref vs FetchRuns replay, columnar encode/decode), the
 # Figure 5 cell on the per-reference loop vs the line-event kernel, the R2000
 # TLB over a recorded gcc stream, one Table 1/3 DECstation 3100 row, the
-# generator per instruction with and without data references, the fused
+# generator per instruction with and without data references, a cold
+# RunsOnly of 1M gcc instructions on a fresh store (the generate-and-compact
+# work behind both benchmark workloads' set-up), the fused
 # access of Figure 5's line events against the Touch/Access/Touch sequence
 # it replaced, the Table 8 and serve-hot replay banks over a 1M-instruction
 # workload, and the serve-hot sweep grid over the same workload from
@@ -103,7 +105,7 @@ serve:
 # ledger: bash ibsbench/run.sh --workload serve-hot --seconds 10 --trace 1.
 bench:
 	$(GO) run ./cmd/ibscheck -bench-only -n 200000
-	$(GO) test -run='^$$' -bench='CompactAppend|FetchPerRef|FetchRun|Columnar|Physical|TLBAccess|DECstationRow|GeneratorNext|AccessN|ReplayBank|SweepServeGrid' -benchmem \
+	$(GO) test -run='^$$' -bench='CompactAppend|FetchPerRef|FetchRun|Columnar|Physical|TLBAccess|DECstationRow|GeneratorNext|StoreRunsOnlyFill|AccessN|ReplayBank|SweepServeGrid' -benchmem \
 		./internal/trace ./internal/fetch ./internal/tlb ./internal/experiments ./internal/synth ./internal/cache ./internal/replay ./internal/sweep
 
 # Go microbenchmarks (cache hot path, sweep engine, generators).

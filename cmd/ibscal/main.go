@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 
+	"ibsim"
 	"ibsim/internal/cache"
 	"ibsim/internal/cpi"
 	"ibsim/internal/synth"
@@ -41,18 +42,6 @@ func main() {
 // runCPI prints the DECstation 3100 component calibration against Tables 1
 // and 3.
 func runCPI(n int64) error {
-	sim := func(p synth.Profile) (cpi.Components, float64, error) {
-		g, err := synth.NewGenerator(p, 0)
-		if err != nil {
-			return cpi.Components{}, 0, fmt.Errorf("generator for %s: %w", p.Name, err)
-		}
-		s := cpi.NewSystem()
-		for s.Instructions() < n {
-			r, _ := g.Next()
-			s.Process(r)
-		}
-		return s.Components(), s.UserShare(), nil
-	}
 	fmt.Println("\n== Table 1: SPEC suites on DECstation 3100 ==")
 	targets := map[string][5]float64{ // total, instr, data, tlb, write
 		"specint89": {0.285, 0.067, 0.100, 0.044, 0.074},
@@ -62,7 +51,7 @@ func runCPI(n int64) error {
 	}
 	fmt.Printf("%-10s %26s %26s\n", "suite", "target(tot/i/d/tlb/w)", "got(tot/i/d/tlb/w)")
 	for _, p := range synth.SPECSuites() {
-		c, _, err := sim(p)
+		c, _, err := ibsim.SimulateSystem(p, n)
 		if err != nil {
 			return err
 		}
@@ -75,7 +64,7 @@ func runCPI(n int64) error {
 	var mach, ultrix cpi.Components
 	var muser, uuser float64
 	for _, p := range synth.IBSMach() {
-		c, u, err := sim(p)
+		c, u, err := ibsim.SimulateSystem(p, n)
 		if err != nil {
 			return err
 		}
@@ -86,7 +75,7 @@ func runCPI(n int64) error {
 		muser += u / 8
 	}
 	for _, p := range synth.IBSUltrix() {
-		c, u, err := sim(p)
+		c, u, err := ibsim.SimulateSystem(p, n)
 		if err != nil {
 			return err
 		}
@@ -106,18 +95,10 @@ func runCPI(n int64) error {
 // mpi simulates an I-cache over prof's instruction stream and returns misses
 // per 100 instructions.
 func mpi(prof synth.Profile, cfg cache.Config, n int64) (float64, error) {
-	refs, err := synth.InstrTrace(prof, 0, n)
+	st, err := ibsim.SimulateCache(prof, cfg, n)
 	if err != nil {
 		return 0, err
 	}
-	c, err := cache.New(cfg)
-	if err != nil {
-		return 0, err
-	}
-	for _, r := range refs {
-		c.Access(r.Addr)
-	}
-	st := c.Stats()
 	return 100 * float64(st.Misses) / float64(st.Accesses), nil
 }
 

@@ -115,7 +115,7 @@ func run() int {
 		}()
 	}
 
-	opt := ibsim.Options{Instructions: *n, Trials: *trials, Timeout: *timeout}
+	opt := ibsim.Options{Instructions: *n, Trials: *trials}
 	names := ibsim.ExhibitNames()
 	if *ext {
 		names = append(names, ibsim.ExtensionNames()...)

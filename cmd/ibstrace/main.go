@@ -19,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"ibsim"
@@ -43,7 +44,7 @@ func main() {
 		if *workload == "" {
 			fail(fmt.Errorf("-seek needs -workload (checkpoints are generator states, not trace data)"))
 		}
-		if err := seekCheck(*workload, *n, *seek); err != nil {
+		if err := seekCheck(os.Stdout, *workload, *n, *seek); err != nil {
 			fail(err)
 		}
 	case *convert != "":
@@ -185,13 +186,16 @@ func reportColumnar(path string) error {
 	return nil
 }
 
-// seekCheck is the checkpoint-seek spot-check: it generates the workload's
-// instruction stream once with a checkpoint index attached, then SEEKS to
-// instruction i (restoring the nearest checkpoint and fast-forwarding) and
-// compares the reference it lands on against plain sequential generation.
-// Any divergence is a correctness bug in the snapshot/restore machinery and
-// exits non-zero.
-func seekCheck(name string, n, i int64) error {
+// seekCheck is the checkpoint-seek spot-check: it reads instruction i of
+// the workload's stream by plain sequential generation, then reads the
+// whole stream once with a checkpoint index attached and reads instruction
+// i again, which restores the nearest checkpoint at or below i and
+// fast-forwards. The index's interval is the largest power of two up to the
+// default that does not exceed i, so such a checkpoint exists unless i is
+// under the index's minimum interval; then the read regenerates from
+// instruction zero, and the report says so. Any divergence is a correctness
+// bug in the snapshot/restore machinery and exits non-zero.
+func seekCheck(out io.Writer, name string, n, i int64) error {
 	if i < 0 {
 		return fmt.Errorf("-seek %d: must not be negative", i)
 	}
@@ -202,43 +206,58 @@ func seekCheck(name string, n, i int64) error {
 	if err != nil {
 		return err
 	}
-	// Sequential reference: generate and discard up to instruction i.
+	// Sequential reference: with no index, reading i generates and
+	// discards everything before it.
 	seq, err := ibsim.NewSeekableTrace(w, n, nil)
 	if err != nil {
 		return err
 	}
-	var want ibsim.Ref
-	for k := int64(0); k <= i; k++ {
-		want, _ = seq.Next()
+	want, err := instructionAt(seq, i)
+	if err != nil {
+		return err
 	}
-	// Seeked: warm an index with one full pass, then jump.
-	ix := ibsim.NewCheckpointIndex(0)
+	every := ibsim.DefaultCheckpointEvery
+	for every > i && every > 1 {
+		every /= 2
+	}
+	ix := ibsim.NewCheckpointIndex(every)
 	seeker, err := ibsim.NewSeekableTrace(w, n, ix)
 	if err != nil {
 		return err
 	}
-	for {
-		if _, ok := seeker.Next(); !ok {
-			break
-		}
-	}
-	if err := seeker.SeekTo(i); err != nil {
+	if err := seeker.ReadRuns(0, n, func([]ibsim.Run) error { return nil }); err != nil {
 		return err
 	}
-	got, ok := seeker.Next()
-	if !ok {
-		return fmt.Errorf("seeked source ended at instruction %d of %d", i, n)
+	got, err := instructionAt(seeker, i)
+	if err != nil {
+		return err
 	}
 	st := ix.Stats()
-	fmt.Printf("== %s: seek spot-check at instruction %d of %d ==\n", w.Name, i, n)
-	fmt.Printf("sequential: addr %#x domain %d\n", want.Addr, want.Domain)
-	fmt.Printf("seeked:     addr %#x domain %d (index: %d checkpoints, %d bytes, every %d instructions)\n",
+	fmt.Fprintf(out, "== %s: seek spot-check at instruction %d of %d ==\n", w.Name, i, n)
+	fmt.Fprintf(out, "sequential: addr %#x domain %d\n", want.Addr, want.Domain)
+	fmt.Fprintf(out, "seeked:     addr %#x domain %d (index: %d checkpoints, %d bytes, every %d instructions)\n",
 		got.Addr, got.Domain, st.Count, st.Bytes, st.Every)
+	if ck, ok := ix.Nearest(i); ok {
+		fmt.Fprintf(out, "restored:   checkpoint at instruction %d, then generated %d instructions\n",
+			ck.Instructions(), i-ck.Instructions())
+	} else {
+		fmt.Fprintf(out, "restored:   none: no checkpoint at or below instruction %d, regenerated from instruction 0\n", i)
+	}
 	if got != want {
 		return fmt.Errorf("MISMATCH: seeked reference diverges from sequential generation")
 	}
-	fmt.Println("PASS: seeked reference matches sequential generation")
+	fmt.Fprintln(out, "PASS: seeked reference matches sequential generation")
 	return nil
+}
+
+// instructionAt reads instruction i of src.
+func instructionAt(src *ibsim.SeekableTrace, i int64) (ibsim.Ref, error) {
+	var ref ibsim.Ref
+	err := src.ReadRuns(i, 1, func(runs []ibsim.Run) error {
+		ref = ibsim.Ref{Addr: runs[0].Start, Kind: ibsim.IFetch, Domain: runs[0].Domain}
+		return nil
+	})
+	return ref, err
 }
 
 func report(name string, line int, n int64) error {

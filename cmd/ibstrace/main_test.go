@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -87,16 +88,33 @@ func TestConvertMissingSource(t *testing.T) {
 
 // TestSeekCheck drives the -seek spot-check: the first, a middle and the
 // last instruction pass (the middle and last past the first checkpoint),
-// while a past-the-end or negative index is an error naming the flag.
+// and each target at or above the minimum interval restores a checkpoint at
+// or below it, which the report names; a target under it says that it
+// regenerated from zero. A past-the-end or negative index is an error
+// naming the flag.
 func TestSeekCheck(t *testing.T) {
-	const n = 40_000
-	for _, i := range []int64{0, n / 2, n - 1} {
-		if err := seekCheck("eqntott", n, i); err != nil {
-			t.Errorf("-seek %d: %v", i, err)
+	for _, tc := range []struct {
+		n, i     int64
+		restored string
+	}{
+		{40_000, 0, "none: no checkpoint at or below instruction 0, regenerated from instruction 0"},
+		{40_000, 20_000, "checkpoint at instruction 16384, then generated 3616 instructions"},
+		{40_000, 39_999, "checkpoint at instruction 32768, then generated 7231 instructions"},
+		{20_000, 10_000, "checkpoint at instruction 8192, then generated 1808 instructions"},
+		{20_000, 300, "checkpoint at instruction 256, then generated 44 instructions"},
+	} {
+		var out strings.Builder
+		if err := seekCheck(&out, "eqntott", tc.n, tc.i); err != nil {
+			t.Errorf("-n %d -seek %d: %v", tc.n, tc.i, err)
+			continue
+		}
+		if want := "restored:   " + tc.restored + "\n"; !strings.Contains(out.String(), want) {
+			t.Errorf("-n %d -seek %d: report lacks %q:\n%s", tc.n, tc.i, want, out.String())
 		}
 	}
+	const n = 40_000
 	for _, i := range []int64{n, -5} {
-		err := seekCheck("eqntott", n, i)
+		err := seekCheck(io.Discard, "eqntott", n, i)
 		if err == nil || !strings.Contains(err.Error(), "-seek") {
 			t.Errorf("-seek %d: err = %v, want an error naming -seek", i, err)
 		}

@@ -21,7 +21,9 @@
 package ibsim
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"os"
 
 	"ibsim/internal/atomicio"
@@ -127,10 +129,10 @@ func GenerateInstructionTrace(w Workload, n int64) ([]Ref, error) {
 }
 
 // SimulateCache replays n instructions of w through a cache and returns its
-// statistics. The reference stream is generated on the fly (never
-// materialized), so memory use is independent of n.
+// statistics. The instruction stream is generated on the fly and read as
+// runs (never materialized), so memory use is independent of n.
 func SimulateCache(w Workload, cfg CacheConfig, n int64) (CacheStats, error) {
-	src, err := synth.InstrSource(w, 0, n)
+	src, err := synth.NewSeekSource(w, 0, n, nil)
 	if err != nil {
 		return CacheStats{}, err
 	}
@@ -138,14 +140,13 @@ func SimulateCache(w Workload, cfg CacheConfig, n int64) (CacheStats, error) {
 	if err != nil {
 		return CacheStats{}, err
 	}
-	for {
-		r, ok := src.Next()
-		if !ok {
-			break
+	err = src.ReadRuns(0, math.MaxInt64, func(runs []trace.Run) error {
+		for _, r := range runs {
+			c.AccessRun(r.Start, r.Len, trace.InstrBytes)
 		}
-		c.Access(r.Addr)
-	}
-	return c.Stats(), src.Err()
+		return nil
+	})
+	return c.Stats(), err
 }
 
 // FetchConfig selects and parameterizes a fetch engine.
@@ -178,10 +179,10 @@ func (fc FetchConfig) engine() (fetch.Engine, error) {
 
 // SimulateFetch runs n instructions of w through the configured fetch engine
 // and returns its CPIinstr result. Like SimulateCache, it drives the engine
-// from the streaming generator in O(1) memory; internal/check asserts the
+// from the generator's runs in O(1) memory; internal/check asserts the
 // result is bit-identical to replaying a materialized trace.
 func SimulateFetch(w Workload, fc FetchConfig, n int64) (FetchResult, error) {
-	src, err := synth.InstrSource(w, 0, n)
+	src, err := synth.NewSeekSource(w, 0, n, nil)
 	if err != nil {
 		return FetchResult{}, err
 	}
@@ -189,23 +190,19 @@ func SimulateFetch(w Workload, fc FetchConfig, n int64) (FetchResult, error) {
 	if err != nil {
 		return FetchResult{}, err
 	}
-	return fetch.RunSource(e, src)
+	err = src.ReadRuns(0, math.MaxInt64, func(runs []trace.Run) error {
+		e.FetchRuns(runs)
+		return nil
+	})
+	return e.Result(), err
 }
 
 // SimulateSystem runs n instructions of w (with data references) through the
 // DECstation 3100 whole-system model and returns the memory-CPI breakdown
 // (Table 1's columns) and the user-mode execution share.
 func SimulateSystem(w Workload, n int64) (CPIComponents, float64, error) {
-	g, err := synth.NewGenerator(w, 0)
-	if err != nil {
-		return CPIComponents{}, 0, err
-	}
-	s := cpi.NewSystem()
-	for s.Instructions() < n {
-		r, _ := g.Next()
-		s.Process(r)
-	}
-	return s.Components(), s.UserShare(), nil
+	row, err := experiments.DECstationRow(context.Background(), w, 0, n)
+	return row.Components, row.UserShare, err
 }
 
 // WriteTraceFile generates n instructions of w (with data references) and
@@ -363,7 +360,7 @@ func ConvertColumnarToTrace(src, dst string) (written uint64, err error) {
 	return written, nil
 }
 
-// Checkpointed seekable generation: O(1)-memory trace sources that can
+// Checkpointed seekable generation: O(1)-memory run readers that can
 // position themselves at an arbitrary instruction index by restoring the
 // nearest in-memory generator checkpoint and fast-forwarding the remainder
 // (internal/synth; EXPERIMENTS.md, "Checkpointed seekable generation").
@@ -376,8 +373,10 @@ type (
 	// CheckpointStats summarizes a checkpoint index: count, bytes held and
 	// recording interval.
 	CheckpointStats = synth.CheckpointStats
-	// SeekableTrace is a seekable streaming source over a synthetic
-	// workload's instruction-fetch stream. Not safe for concurrent use.
+	// SeekableTrace reads a synthetic workload's instruction-fetch stream
+	// as runs: ReadRuns(pos, n, fn) hands fn the maximal sequential runs
+	// of instructions [pos, pos+n), seeking first unless the last read
+	// ended at pos. Not safe for concurrent use.
 	SeekableTrace = synth.SeekSource
 )
 
@@ -389,12 +388,12 @@ const DefaultCheckpointEvery = synth.DefaultCheckpointEvery
 // every `every` instructions (non-positive or too-small values are clamped).
 func NewCheckpointIndex(every int64) *CheckpointIndex { return synth.NewCheckpointIndex(every) }
 
-// NewSeekableTrace returns a seekable source over w's n-instruction fetch
-// stream at seed 0 — the stream GenerateInstructionTrace returns and
+// NewSeekableTrace returns a seekable run reader over w's n-instruction
+// fetch stream at seed 0 — the stream GenerateInstructionTrace returns and
 // WriteColumnarTraceFile serializes. WriteTraceFile's instruction fetches
 // are another stream: its data references draw from the per-domain random
 // source the walk draws from. With a non-nil index the source records
-// checkpoints as it generates and SeekTo restores the nearest one ≤ the
+// checkpoints as it generates and a seek restores the nearest one ≤ the
 // target; with a nil index it still seeks correctly, by regenerating from
 // instruction zero.
 func NewSeekableTrace(w Workload, n int64, ix *CheckpointIndex) (*SeekableTrace, error) {

@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"ibsim/internal/cache"
-	"ibsim/internal/cpi"
+	"ibsim/internal/experiments"
 	"ibsim/internal/fetch"
 	"ibsim/internal/replay"
 	"ibsim/internal/synth"
@@ -179,16 +179,11 @@ func stageSystemGS(opt Options) (stageValues, error) {
 	if err != nil {
 		return stageValues{}, err
 	}
-	g, err := synth.NewGenerator(p, opt.Seed)
+	row, err := experiments.DECstationRow(context.Background(), p, opt.Seed, opt.Instructions)
 	if err != nil {
 		return stageValues{}, err
 	}
-	s := cpi.NewSystem()
-	for s.Instructions() < opt.Instructions {
-		r, _ := g.Next()
-		s.Process(r)
-	}
-	return stageValues{cpi: s.Components().Total(), tracked: true}, nil
+	return stageValues{cpi: row.Components.Total(), tracked: true}, nil
 }
 
 // stageTraceCodec times an in-memory encode+decode round trip of a full

@@ -13,7 +13,8 @@
 //     fetch-engine bounds (no engine beats the traffic-free lower bound of
 //     one link latency per demand miss, and the bypass/stream engines never
 //     do worse than the blocking baseline they refine), and streaming
-//     (RunSource) vs materialized (Run) result equality.
+//     (the generator's runs through FetchRuns) vs materialized (Run)
+//     result equality.
 //   - Differential testing: the concurrent suite runners in
 //     internal/experiments must render bit-identical exhibits to the
 //     Options.Serial reference executor, and a trace-file round trip

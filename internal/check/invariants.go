@@ -2,6 +2,7 @@ package check
 
 import (
 	"fmt"
+	"math"
 
 	"ibsim/internal/cache"
 	"ibsim/internal/fetch"
@@ -292,10 +293,12 @@ func EngineBounds(opt Options) ([]Result, error) {
 	return []Result{lower, upper}, harnessErr
 }
 
-// StreamingEquality verifies that driving an engine from the streaming
-// generator (fetch.RunSource over synth.InstrSource — the O(1)-memory path
-// ibsim.SimulateFetch uses) produces results bit-identical to replaying a
-// materialized trace (fetch.Run), and likewise for raw cache replay.
+// StreamingEquality verifies that driving an engine from the generator's
+// runs (FetchRuns over synth.SeekSource — the O(1)-memory path
+// ibsim.SimulateFetch uses) produces results bit-identical to replaying the
+// generator's materialized reference stream (fetch.Run over InstrTrace),
+// and likewise for raw cache replay (AccessRun against Access per
+// reference, as ibsim.SimulateCache does).
 func StreamingEquality(opt Options) ([]Result, error) {
 	opt = opt.withDefaults()
 	link := checkLink()
@@ -308,12 +311,23 @@ func StreamingEquality(opt Options) ([]Result, error) {
 		{"bypass2", func() (fetch.Engine, error) { return fetch.NewBypass(cfg, link, 2) }},
 		{"stream6", func() (fetch.Engine, error) { return fetch.NewStream(cfg, link, 6) }},
 	}
+	// stream reads p's instructions as runs into fn.
+	stream := func(p synth.Profile, fn func([]trace.Run)) error {
+		src, err := synth.NewSeekSource(p, opt.Seed, opt.Instructions, nil)
+		if err != nil {
+			return err
+		}
+		return src.ReadRuns(0, math.MaxInt64, func(runs []trace.Run) error {
+			fn(runs)
+			return nil
+		})
+	}
 
 	var harnessErr error
 	res := timed(func() Result {
 		const name = "invariant/streaming-equality"
 		for _, p := range opt.Workloads {
-			refs, err := oracleRefs(p, opt)
+			refs, err := synth.InstrTrace(p, opt.Seed, opt.Instructions)
 			if err != nil {
 				harnessErr = err
 				return fail(name, "trace generation: %v", err)
@@ -325,25 +339,20 @@ func StreamingEquality(opt Options) ([]Result, error) {
 					return fail(name, "building %s: %v", eng.name, err)
 				}
 				materialized := fetch.Run(e1, refs)
-				src, err := synth.InstrSource(p, opt.Seed, opt.Instructions)
-				if err != nil {
-					harnessErr = err
-					return fail(name, "source: %v", err)
-				}
 				e2, err := eng.mk()
 				if err != nil {
 					harnessErr = err
 					return fail(name, "building %s: %v", eng.name, err)
 				}
-				streamed, err := fetch.RunSource(e2, src)
-				if err != nil {
-					return fail(name, "%s/%s: RunSource error: %v", p.Name, eng.name, err)
+				if err := stream(p, e2.FetchRuns); err != nil {
+					harnessErr = err
+					return fail(name, "%s/%s: streaming: %v", p.Name, eng.name, err)
 				}
-				if materialized != streamed {
-					return fail(name, "%s/%s: Run %+v != RunSource %+v", p.Name, eng.name, materialized, streamed)
+				if streamed := e2.Result(); materialized != streamed {
+					return fail(name, "%s/%s: Run %+v != FetchRuns %+v", p.Name, eng.name, materialized, streamed)
 				}
 			}
-			// Raw cache replay: Access over slice vs over source.
+			// Raw cache replay: Access per reference vs AccessRun per run.
 			c1, err := cache.New(cfg)
 			if err != nil {
 				harnessErr = err
@@ -352,22 +361,19 @@ func StreamingEquality(opt Options) ([]Result, error) {
 			for _, r := range refs {
 				c1.Access(r.Addr)
 			}
-			src, err := synth.InstrSource(p, opt.Seed, opt.Instructions)
-			if err != nil {
-				harnessErr = err
-				return fail(name, "source: %v", err)
-			}
 			c2, err := cache.New(cfg)
 			if err != nil {
 				harnessErr = err
 				return fail(name, "%v", err)
 			}
-			for {
-				r, ok := src.Next()
-				if !ok {
-					break
+			err = stream(p, func(runs []trace.Run) {
+				for _, r := range runs {
+					c2.AccessRun(r.Start, r.Len, trace.InstrBytes)
 				}
-				c2.Access(r.Addr)
+			})
+			if err != nil {
+				harnessErr = err
+				return fail(name, "%s: streaming: %v", p.Name, err)
 			}
 			if c1.Stats() != c2.Stats() {
 				return fail(name, "%s: cache replay stats %+v != streamed %+v", p.Name, c1.Stats(), c2.Stats())

@@ -59,12 +59,11 @@ func SeekChecks(opt Options) ([]Result, error) {
 		if err != nil {
 			return fail(name, "warming seek source: %v", err)
 		}
-		for {
-			if _, ok := warm.Next(); !ok {
-				break
-			}
-		}
+		err = warm.ReadRuns(0, n, func([]trace.Run) error { return nil })
 		release()
+		if err != nil {
+			return fail(name, "warming seek source: %v", err)
+		}
 
 		sp := sweep.SampledPass{
 			LineSize:      32,

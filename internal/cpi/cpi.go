@@ -156,17 +156,6 @@ func (s *System) popWrite() {
 	s.wbLen--
 }
 
-// ProcessAll drains a source through the system.
-func (s *System) ProcessAll(src trace.Source) error {
-	for {
-		r, ok := src.Next()
-		if !ok {
-			return src.Err()
-		}
-		s.Process(r)
-	}
-}
-
 // Components returns the per-instruction stall breakdown.
 func (s *System) Components() Components {
 	if s.instructions == 0 {

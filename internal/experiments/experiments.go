@@ -14,7 +14,6 @@ import (
 	"runtime/debug"
 	"strings"
 	"sync"
-	"time"
 
 	"ibsim/internal/cache"
 	"ibsim/internal/fetch"
@@ -68,10 +67,6 @@ type Options struct {
 	// of Tables 1 and 3, block of 65,536 instructions, and the run returns
 	// ctx.Err(). Nil means Background (run to completion).
 	Context context.Context
-	// Timeout, when positive, bounds one experiment's wall-clock time.
-	// Orchestrators (cmd/ibstables) derive a per-exhibit deadline context
-	// from it; the experiment functions themselves only consume Context.
-	Timeout time.Duration
 }
 
 // ctx resolves Options.Context, never returning nil.

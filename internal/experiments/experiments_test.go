@@ -53,7 +53,7 @@ func BenchmarkDECstationRow(b *testing.B) {
 	opt := Options{Instructions: 500_000}.withDefaults()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if rowSink, err = decstationRow(context.Background(), p, opt); err != nil {
+		if rowSink, err = DECstationRow(context.Background(), p, opt.Seed, opt.Instructions); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -55,7 +55,7 @@ func TestMapProfilesMatchesSerial(t *testing.T) {
 	profiles := specProfiles()
 	opt := Options{Instructions: 20_000}
 	worker := func(ctx context.Context, p synth.Profile) (Table1Row, error) {
-		return decstationRow(ctx, p, opt)
+		return DECstationRow(ctx, p, opt.Seed, opt.Instructions)
 	}
 
 	serialOpt := opt

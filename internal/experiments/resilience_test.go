@@ -125,7 +125,7 @@ func TestDECstationDeadlineStopsWithinRow(t *testing.T) {
 	for _, p := range []synth.Profile{synth.SPECSuites()[2], synth.IBSMach()[0]} {
 		for i := 0; i < 2; i++ {
 			start := time.Now()
-			if _, err := decstationRow(context.Background(), p, opt); err != nil {
+			if _, err := DECstationRow(context.Background(), p, opt.Seed, opt.Instructions); err != nil {
 				t.Fatal(err)
 			}
 			row = min(row, time.Since(start))

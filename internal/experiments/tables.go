@@ -32,7 +32,7 @@ type Table1Result struct {
 func Table1(opt Options) (*Table1Result, error) {
 	opt = opt.withDefaults()
 	rows, err := mapProfiles(synth.SPECSuites(), opt, func(ctx context.Context, p synth.Profile) (Table1Row, error) {
-		return decstationRow(ctx, p, opt)
+		return DECstationRow(ctx, p, opt.Seed, opt.Instructions)
 	})
 	if err != nil {
 		return nil, err
@@ -40,24 +40,26 @@ func Table1(opt Options) (*Table1Result, error) {
 	return &Table1Result{Rows: rows}, nil
 }
 
-// decstationCheckEvery is how many instructions decstationRow simulates
+// decstationCheckEvery is how many instructions DECstationRow simulates
 // between cancellation checks: a few milliseconds of work, so a deadline
 // stops a row long before it would finish.
 const decstationCheckEvery = 1 << 16
 
-// decstationRow runs one workload (with data references) through the
-// DECstation 3100 system model, returning ctx.Err() once ctx is done.
-func decstationRow(ctx context.Context, p synth.Profile, opt Options) (Table1Row, error) {
-	g, err := synth.NewGenerator(p, opt.Seed)
+// DECstationRow runs n instructions of one workload (with data references)
+// at seed through the DECstation 3100 system model, returning ctx.Err()
+// once ctx is done. It is the one generate-and-Process loop: every
+// whole-system simulation calls it.
+func DECstationRow(ctx context.Context, p synth.Profile, seed uint64, n int64) (Table1Row, error) {
+	g, err := synth.NewGenerator(p, seed)
 	if err != nil {
 		return Table1Row{}, err
 	}
 	s := cpi.NewSystem()
-	for s.Instructions() < opt.Instructions {
+	for s.Instructions() < n {
 		if err := ctx.Err(); err != nil {
 			return Table1Row{}, err
 		}
-		end := min(s.Instructions()+decstationCheckEvery, opt.Instructions)
+		end := min(s.Instructions()+decstationCheckEvery, n)
 		for s.Instructions() < end {
 			r, _ := g.Next()
 			s.Process(r)
@@ -123,7 +125,7 @@ func Table3(opt Options) (*Table3Result, error) {
 		profiles = append(profiles, su.profiles...)
 	}
 	perRows, err := mapProfiles(profiles, opt, func(ctx context.Context, p synth.Profile) (Table1Row, error) {
-		return decstationRow(ctx, p, opt)
+		return DECstationRow(ctx, p, opt.Seed, opt.Instructions)
 	})
 	if err != nil {
 		return nil, err

@@ -1,8 +1,6 @@
 package fetch
 
 import (
-	"bytes"
-	"errors"
 	"testing"
 
 	"ibsim/internal/cache"
@@ -218,62 +216,6 @@ func TestFetchRunZeroAlloc(t *testing.T) {
 			t.Errorf("%s: FetchRuns allocated %v times per replay, want 0", tc.name, allocs)
 		}
 	}
-}
-
-// A fault mid-stream must surface through RunSource as a non-nil error with
-// a visibly partial Result — engines never pass a truncated replay off as
-// complete.
-func TestRunSourcePartialOnFault(t *testing.T) {
-	refs := randomRunTrace(xrand.New(3), 1000, 1<<14)
-	var sb seekBufferFetch
-	n, err := trace.EncodeSeeker(&sb, trace.NewSliceSource(refs))
-	if err != nil || n != 1000 {
-		t.Fatalf("EncodeSeeker: n=%d err=%v", n, err)
-	}
-	cut := sb.buf[:len(sb.buf)*2/3] // short read: stream dies mid-record
-
-	tr, err := trace.NewReader(bytes.NewReader(cut))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, _ := NewBlocking(cache.Config{Size: 4096, LineSize: 16, Assoc: 1}, l2link, 0)
-	res, err := RunSource(e, tr)
-	if err == nil {
-		t.Fatal("RunSource reported a truncated stream as complete")
-	}
-	if !errors.Is(err, trace.ErrTruncated) {
-		t.Fatalf("err = %v, want ErrTruncated", err)
-	}
-	if res.Instructions == 0 || res.Instructions >= 1000 {
-		t.Fatalf("partial result covers %d instructions, want a strict prefix", res.Instructions)
-	}
-}
-
-// seekBufferFetch is a minimal in-memory io.WriteSeeker for the fault test.
-type seekBufferFetch struct {
-	buf []byte
-	pos int
-}
-
-func (s *seekBufferFetch) Write(p []byte) (int, error) {
-	if need := s.pos + len(p); need > len(s.buf) {
-		s.buf = append(s.buf, make([]byte, need-len(s.buf))...)
-	}
-	copy(s.buf[s.pos:], p)
-	s.pos += len(p)
-	return len(p), nil
-}
-
-func (s *seekBufferFetch) Seek(offset int64, whence int) (int64, error) {
-	switch whence {
-	case 0:
-		s.pos = int(offset)
-	case 1:
-		s.pos += int(offset)
-	default:
-		s.pos = len(s.buf) + int(offset)
-	}
-	return int64(s.pos), nil
 }
 
 // benchStream is a long, realistic sequential-heavy stream shared by the

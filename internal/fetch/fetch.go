@@ -76,25 +76,6 @@ func Run(e Engine, refs []trace.Ref) Result {
 	return e.Result()
 }
 
-// RunSource drains src through e until the source stops. A Source stops for
-// two distinct reasons and the error return separates them: err == nil means
-// clean end-of-stream and the Result is a complete replay; err != nil (it is
-// exactly src.Err()) means the stream failed mid-way — a truncated or corrupt
-// trace file, an I/O fault — and the Result covers only the prefix consumed
-// before the fault. Callers must never treat a Result returned alongside a
-// non-nil error as a finished simulation.
-func RunSource(e Engine, src trace.Source) (Result, error) {
-	for {
-		r, ok := src.Next()
-		if !ok {
-			return e.Result(), src.Err()
-		}
-		if r.Kind == trace.IFetch {
-			e.Fetch(r.Addr)
-		}
-	}
-}
-
 // BlockingResult reconstructs, analytically, the Result a prefetch-free
 // Blocking engine produces from its miss count alone: with no prefetching
 // every miss stalls the processor for exactly one full line fill, so

@@ -237,17 +237,6 @@ func TestRunFiltersDataRefs(t *testing.T) {
 	}
 }
 
-func TestRunSource(t *testing.T) {
-	e, _ := NewBlocking(l1cfg, l2link, 0)
-	res, err := RunSource(e, trace.NewSliceSource(seq(0, 64)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Instructions != 64 {
-		t.Fatalf("instructions = %d", res.Instructions)
-	}
-}
-
 func TestConstructorsRejectBadConfig(t *testing.T) {
 	badCache := cache.Config{Size: 7, LineSize: 32, Assoc: 1}
 	badLink := memsys.Transfer{}

@@ -95,7 +95,7 @@ func TestSourcesMatchOracle(t *testing.T) {
 	if mapped.NumBlocks() < 8 || readAt.Mapped() {
 		t.Fatalf("fixture: %d blocks, ReaderAt mapped=%v", mapped.NumBlocks(), readAt.Mapped())
 	}
-	seeker := func() trace.Seeker {
+	seeker := func() trace.RunReader {
 		src, err := synth.NewSeekSource(prof, seed, n, synth.NewCheckpointIndex(4096))
 		if err != nil {
 			t.Fatal(err)
@@ -111,7 +111,7 @@ func TestSourcesMatchOracle(t *testing.T) {
 	}
 	sources := map[string]func() trace.RunReader{
 		"memory":                 func() trace.RunReader { return trace.NewRunReader(runs) },
-		"checkpointed-generator": func() trace.RunReader { return trace.NewSeekReader(seeker()) },
+		"checkpointed-generator": seeker,
 	}
 	for name, bs := range blockSources {
 		sources[name] = func() trace.RunReader { return trace.NewBlockReader(bs) }

@@ -65,15 +65,16 @@ func Sampled(ctx context.Context, runs []trace.Run, engines []fetch.Engine, plan
 }
 
 // SampledSeek replays the measured windows of a skip-mode time-sampling
-// plan through every engine in the bank, seeking a checkpointed source
-// directly between window starts: O(sampled refs + windows · checkpoint
-// interval) instead of O(n). Warm plans must walk every instruction, so
-// they are refused. Results are identical to Sampled over the same trace.
-func SampledSeek(ctx context.Context, src trace.Seeker, engines []fetch.Engine, plan SamplePlan) ([]SampledResult, error) {
+// plan through every engine in the bank, reading a seekable source
+// (synth.SeekSource, a checkpointed generator) from window start to window
+// start: O(sampled refs + windows · checkpoint interval) instead of O(n).
+// Warm plans must walk every instruction, so they are refused. Results are
+// identical to Sampled over the same trace.
+func SampledSeek(ctx context.Context, src trace.RunReader, engines []fetch.Engine, plan SamplePlan) ([]SampledResult, error) {
 	if plan.Period <= plan.Window || plan.Warm {
 		return nil, fmt.Errorf("replay: SampledSeek needs skip-mode time sampling (window < period, not warm)")
 	}
-	return Run(ctx, trace.NewSeekReader(src), engines, plan)
+	return Run(ctx, src, engines, plan)
 }
 
 // resultDelta subtracts two counter snapshots.

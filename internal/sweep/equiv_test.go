@@ -86,7 +86,7 @@ func TestSourcesMatchOracle(t *testing.T) {
 	if mapped.NumBlocks() < 8 || readAt.Mapped() {
 		t.Fatalf("fixture: %d blocks, ReaderAt mapped=%v", mapped.NumBlocks(), readAt.Mapped())
 	}
-	seeker := func() trace.Seeker {
+	seeker := func() trace.RunReader {
 		src, err := synth.NewSeekSource(prof, seed, n, synth.NewCheckpointIndex(4096))
 		if err != nil {
 			t.Fatal(err)
@@ -103,7 +103,7 @@ func TestSourcesMatchOracle(t *testing.T) {
 		{"runs-blocks-4096", func() trace.RunReader { return trace.NewBlockReader(trace.NewRunsBlocks(runs, 4096)) }},
 		{"columnar-mmap", func() trace.RunReader { return trace.NewBlockReader(mapped) }},
 		{"columnar-readerat", func() trace.RunReader { return trace.NewBlockReader(readAt) }},
-		{"checkpointed-generator", func() trace.RunReader { return trace.NewSeekReader(seeker()) }},
+		{"checkpointed-generator", seeker},
 	}
 	// Six set counts, listed out of order, with associativities 1-16: the
 	// kernel visits them coarsest first and stops at the first stack with

@@ -157,17 +157,17 @@ func (p SampledPass) Run(runs []trace.Run) (*SampledMatrix, error) {
 	return p.Sweep(trace.NewRunReader(runs))
 }
 
-// RunSeek executes a skip-mode time-sampled pass over a seekable source
-// (synth.SeekSource over a checkpointed generator), generating only the
+// RunSeek executes a skip-mode time-sampled pass over a seekable reader
+// (synth.SeekSource, a checkpointed generator), generating only the
 // measured windows: O(sampled refs + windows · checkpoint interval) instead
 // of O(n). It requires Window < Period and Warm == false — warm mode and
 // set-only sampling must walk every instruction, so seeking could skip
 // nothing. Set sampling composed with skip-mode time sampling is fine.
-func (p SampledPass) RunSeek(src trace.Seeker) (*SampledMatrix, error) {
+func (p SampledPass) RunSeek(src trace.RunReader) (*SampledMatrix, error) {
 	if p.Period <= p.Window || p.Warm {
 		return nil, fmt.Errorf("sweep: RunSeek needs skip-mode time sampling (window < period, not warm)")
 	}
-	return p.Sweep(trace.NewSeekReader(src))
+	return p.Sweep(src)
 }
 
 // walk reads the pass's schedule from src and returns the trace length: the

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"ibsim/internal/synth"
-	"ibsim/internal/trace"
 )
 
 func seekSource(t *testing.T, name string, seed uint64, n int64, every int64) *synth.SeekSource {
@@ -25,9 +24,9 @@ func seekSource(t *testing.T, name string, seed uint64, n int64, every int64) *s
 	return src
 }
 
-// A sampled pass streamed from a checkpointed generator through its seek
-// reader must be bit-identical to Run over the compacted trace for every
-// sampling mode: it is the streaming path the server's stream rung takes.
+// A sampled pass read from a checkpointed generator must be bit-identical
+// to Run over the compacted trace for every sampling mode: it is the
+// streaming path the server's stream rung takes.
 func TestSampledRunSourceMatchesRun(t *testing.T) {
 	runs := testRuns(t, "gs", 11, 120_000)
 	passes := []SampledPass{
@@ -41,7 +40,7 @@ func TestSampledRunSourceMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := p.Sweep(trace.NewSeekReader(seekSource(t, "gs", 11, 120_000, 4096)))
+		got, err := p.Sweep(seekSource(t, "gs", 11, 120_000, 4096))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,5 +140,3 @@ func TestSampledRunSeekThroughStore(t *testing.T) {
 		t.Fatalf("store recorded no checkpoints: %+v", s)
 	}
 }
-
-var _ trace.Seeker = (*synth.SeekSource)(nil)

@@ -288,7 +288,7 @@ func TestRunSourceMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm, err := p.sampled().Sweep(trace.NewSeekReader(seekSource(t, "gs", 0, 150_000, 4096)))
+	sm, err := p.sampled().Sweep(seekSource(t, "gs", 0, 150_000, 4096))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,33 +303,23 @@ func TestRunSourceMatchesRun(t *testing.T) {
 	}
 }
 
-// errAfterSource is a Seeker whose stream fails after n refs.
-type errAfterSource struct {
-	refs []trace.Ref
-	n    int
-	i    int
-	err  error
+// errAfterReader is a trace whose reads fail with err on reaching
+// instruction n.
+type errAfterReader struct {
+	trace.RunReader
+	n   int64
+	err error
 }
 
-func (s *errAfterSource) Next() (trace.Ref, bool) {
-	if s.i >= s.n {
-		return trace.Ref{}, false
+func (r errAfterReader) ReadRuns(pos, n int64, fn func([]trace.Run) error) error {
+	if n <= r.n-pos {
+		return r.RunReader.ReadRuns(pos, n, fn)
 	}
-	r := s.refs[s.i]
-	s.i++
-	return r, true
-}
-
-func (s *errAfterSource) Err() error {
-	if s.i >= s.n {
-		return s.err
+	if err := r.RunReader.ReadRuns(pos, r.n-pos, fn); err != nil {
+		return err
 	}
-	return nil
+	return r.err
 }
-
-func (s *errAfterSource) SeekTo(i int64) error { s.i = int(i); return nil }
-func (s *errAfterSource) Pos() int64           { return int64(s.i) }
-func (s *errAfterSource) Total() int64         { return int64(len(s.refs)) }
 
 // A run source's error must abort the pass with that error, not a silent
 // partial matrix.
@@ -337,7 +327,7 @@ func TestRunSourcePropagatesSourceError(t *testing.T) {
 	refs := testRefs(t, 10_000)
 	boom := errors.New("sweep test: injected stream failure")
 	p := SampledPass{LineSize: 32, Cells: []Cell{{Sets: 64, Assoc: 1}}}
-	_, err := p.Sweep(trace.NewSeekReader(&errAfterSource{refs: refs, n: 5_000, err: boom}))
+	_, err := p.Sweep(errAfterReader{trace.NewRunReader(trace.Compact(refs)), 5_000, boom})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want injected cause", err)
 	}
@@ -346,11 +336,10 @@ func TestRunSourcePropagatesSourceError(t *testing.T) {
 // Cancellation mid-stream aborts a pass over a run source with the
 // context's error.
 func TestRunSourceCancellation(t *testing.T) {
-	refs := testRefs(t, 400_000)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	p := SampledPass{LineSize: 32, Cells: []Cell{{Sets: 64, Assoc: 1}}, Ctx: ctx}
-	if _, err := p.Sweep(trace.NewSeekReader(&errAfterSource{refs: refs, n: len(refs)})); !errors.Is(err, context.Canceled) {
+	if _, err := p.Sweep(seekSource(t, "gs", 0, 400_000, 0)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

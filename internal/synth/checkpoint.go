@@ -49,6 +49,10 @@ type Checkpoint struct {
 	domains []domainCursor
 }
 
+// Instructions returns where ck resumes: the instruction count it was
+// taken at.
+func (ck Checkpoint) Instructions() int64 { return ck.instrs }
+
 // Snapshot copies the generator's current mutable state. The snapshot is
 // valid for any generator built from the same (profile, seed); restoring it
 // resumes the stream bit-identically, including any pending data references

@@ -3,7 +3,9 @@ package synth
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -174,64 +176,137 @@ func TestSeekToSameCheckpointTwice(t *testing.T) {
 	}
 }
 
-// TestSeekSourceMatchesInstrSource: the seekable streaming source yields the
-// same stream as InstrSource, honors the length limit, and seeks correctly.
+// TestSeekSourceMatchesInstrSource: the generator's run reader yields
+// exactly trace.Compact of InstrTrace's stream over every window — maximal
+// runs, cut only at the window edges — with and without a checkpoint index:
+// forward reads, a read that continues the last one, backward reads (one to
+// before the first checkpoint, which regenerates, and one that must restore
+// a checkpoint), reads clipped at the end, zero-length and unbounded ones.
+// fn's error stops a read and comes back unchanged. The regenerated subtest
+// seeks by generating from instruction zero, the checkpointed one through
+// the index.
 func TestSeekSourceMatchesInstrSource(t *testing.T) {
 	prof, err := Lookup("sdet")
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 20_000
-	ss, err := NewSeekSource(prof, 5, n, NewCheckpointIndex(minCheckpointEvery))
+	const total = 20_000
+	want, err := InstrTrace(prof, 5, total)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := InstrSource(prof, 5, n)
-	if err != nil {
-		t.Fatal(err)
+	windows := []struct{ pos, n int64 }{
+		{0, 1}, {0, 100}, {100, 50}, {500, 3000}, {total - 10, 100}, {total, 50},
+		{7, 1}, {2, 9000}, // backward after a long read
+		{total / 2, 1}, {total/2 - 1000, 2000}, // backward past a checkpoint
+		{0, total}, {3, math.MaxInt64}, {total / 3, 0}, {0, math.MaxInt64},
 	}
-	var count int64
-	for {
-		want, okW := plain.Next()
-		got, okG := ss.Next()
-		if okW != okG {
-			t.Fatalf("at %d: ok %v vs %v", count, okG, okW)
+	for _, indexed := range []bool{false, true} {
+		name := "regenerated"
+		var ix *CheckpointIndex
+		if indexed {
+			name = "checkpointed"
+			ix = NewCheckpointIndex(minCheckpointEvery)
 		}
-		if !okW {
-			break
+		t.Run(name, func(t *testing.T) {
+			ss, err := NewSeekSource(prof, 5, total, ix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ss.Total() != total {
+				t.Fatalf("Total %d, want %d", ss.Total(), total)
+			}
+			var at int64 // where the last read ended
+			for _, w := range windows {
+				lo, hi := min(w.pos, total), min(w.pos+w.n, total)
+				if w.pos+w.n < w.pos {
+					hi = total
+				}
+				if indexed && w.pos < at && w.pos >= minCheckpointEvery {
+					if _, ok := ix.Nearest(w.pos); !ok {
+						t.Fatalf("read(%d,%d): no checkpoint to restore below the source at %d", w.pos, w.n, at)
+					}
+				}
+				var got []trace.Run
+				calls := 0
+				err := ss.ReadRuns(w.pos, w.n, func(rs []trace.Run) error {
+					calls++
+					got = append(got, rs...)
+					return nil
+				})
+				if err != nil {
+					t.Fatalf("read(%d,%d): %v", w.pos, w.n, err)
+				}
+				if exp := trace.Compact(want[lo:hi]); !slices.Equal(got, exp) {
+					t.Fatalf("read(%d,%d) = %d runs, want trace.Compact's %d", w.pos, w.n, len(got), len(exp))
+				}
+				if batches := int((hi - lo) / readBatch); calls < batches {
+					t.Fatalf("read(%d,%d) called fn %d times, want at least %d", w.pos, w.n, calls, batches)
+				}
+				if hi > lo {
+					at = hi
+				}
+			}
+			boom := errors.New("stop")
+			calls := 0
+			if err := ss.ReadRuns(0, total, func([]trace.Run) error { calls++; return boom }); err != boom || calls != 1 {
+				t.Fatalf("err %v after %d calls, want the fn error after 1", err, calls)
+			}
+		})
+	}
+}
+
+// TestSeekSourceMatchesCompact: over random workloads, seeds and lengths,
+// reading the stream front to back in chunks of random size — some inside
+// one read batch, some spanning several — yields trace.Compact of each
+// chunk, and one read of the whole stream yields trace.Compact of all of
+// it: a run open at the end of a read batch continues into the next.
+func TestSeekSourceMatchesCompact(t *testing.T) {
+	rng := xrand.New(99)
+	names := Names()
+	for trial := 0; trial < 20; trial++ {
+		name := names[rng.Intn(len(names))]
+		prof, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got != want {
-			t.Fatalf("ref %d = %+v, want %+v", count, got, want)
+		seed := uint64(rng.Intn(1000))
+		total := int64(2*readBatch + rng.Intn(4*readBatch))
+		want, err := InstrTrace(prof, seed, total)
+		if err != nil {
+			t.Fatal(err)
 		}
-		count++
-	}
-	if count != n {
-		t.Fatalf("stream length %d, want %d", count, n)
-	}
-	// Seek back and re-read a slice of the middle.
-	if err := ss.SeekTo(n / 2); err != nil {
-		t.Fatal(err)
-	}
-	if ss.Pos() != n/2 {
-		t.Fatalf("Pos = %d, want %d", ss.Pos(), n/2)
-	}
-	r, ok := ss.Next()
-	if !ok {
-		t.Fatal("Next after SeekTo returned false")
-	}
-	want, err := InstrTrace(prof, 5, n/2+1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r != want[n/2] {
-		t.Fatalf("seeked ref = %+v, want %+v", r, want[n/2])
-	}
-	// Past-the-end seek clamps to EOF.
-	if err := ss.SeekTo(2 * n); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := ss.Next(); ok {
-		t.Fatal("Next past the end returned a ref")
+		ss, err := NewSeekSource(prof, seed, total, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		read := func(pos, n int64) ([]trace.Run, int) {
+			var got []trace.Run
+			calls := 0
+			if err := ss.ReadRuns(pos, n, func(rs []trace.Run) error {
+				calls++
+				got = append(got, rs...)
+				return nil
+			}); err != nil {
+				t.Fatalf("trial %d (%s seed %d): read(%d,%d): %v", trial, name, seed, pos, n, err)
+			}
+			return got, calls
+		}
+		for pos := int64(0); pos < total; {
+			n := min(1+int64(rng.Intn(3*readBatch)), total-pos)
+			got, _ := read(pos, n)
+			if exp := trace.Compact(want[pos : pos+n]); !slices.Equal(got, exp) {
+				t.Fatalf("trial %d (%s seed %d): read(%d,%d) = %d runs, want trace.Compact's %d", trial, name, seed, pos, n, len(got), len(exp))
+			}
+			pos += n
+		}
+		got, calls := read(0, total)
+		if exp := trace.Compact(want); !slices.Equal(got, exp) {
+			t.Fatalf("trial %d (%s seed %d): whole read = %d runs, want trace.Compact's %d", trial, name, seed, len(got), len(exp))
+		}
+		if calls < 2 {
+			t.Fatalf("trial %d (%s seed %d): whole read of %d instructions in %d fn calls, want several", trial, name, seed, total, calls)
+		}
 	}
 }
 
@@ -275,6 +350,76 @@ func TestStoreRunsOnlyPrefixResume(t *testing.T) {
 	}
 }
 
+// TestStoreResumesInsideRun: a memoized prefix whose end cuts a sequential
+// run still resumes exactly. runsPrefix hands back the prefix without the
+// cut run and that run's first instruction, and the columnar spill and
+// RunsOnly of the longer trace, both resumed from there, equal
+// trace.Compact(InstrTrace); RunsOnly's runs span several chunks and come
+// back with no spare capacity.
+func TestStoreResumesInsideRun(t *testing.T) {
+	prof, err := Lookup("gs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 400_000
+	refs, err := InstrTrace(prof, 0, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := trace.Compact(refs)
+	if len(want) < 2*runChunk {
+		t.Fatalf("only %d runs: the trace does not span several chunks", len(want))
+	}
+	// The prefix ends one instruction into a run of at least three,
+	// about a third of the way in.
+	var at int64
+	var cutRun trace.Run
+	for _, r := range want {
+		if at >= n/3 && r.Len >= 3 {
+			cutRun = r
+			break
+		}
+		at += r.Len
+	}
+	cut := at + 1
+
+	ctx := context.Background()
+	s := NewStore(DefaultIdleBudget)
+	s.SetCheckpointEvery(minCheckpointEvery)
+	if err := s.SetSpillDir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Purge()
+	short, rel, err := s.RunsOnly(ctx, prof, 0, cut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel()
+	if last := short[len(short)-1]; last.Start != cutRun.Start || last.Len != 1 {
+		t.Fatalf("prefix ends in run %+v, want the first instruction of %+v", last, cutRun)
+	}
+	if prefix, start := s.runsPrefix(prof, 0, n); start != at || len(prefix) != len(short)-1 {
+		t.Fatalf("runsPrefix = %d runs up to %d, want %d runs up to %d", len(prefix), start, len(short)-1, at)
+	}
+
+	cf, relC, err := s.Columnar(ctx, prof, 0, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer relC()
+	if got := collectColumnar(t, cf); !slices.Equal(got, want) {
+		t.Fatalf("resumed spill holds %d runs, trace.Compact %d", len(got), len(want))
+	}
+	runs, relR, err := s.RunsOnly(ctx, prof, 0, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer relR()
+	if !slices.Equal(runs, want) || cap(runs) != len(runs) {
+		t.Fatalf("resumed RunsOnly: %d runs (cap %d), trace.Compact %d", len(runs), cap(runs), len(want))
+	}
+}
+
 // TestStoreSeekSourceConcurrent: many goroutines seeking and reading their
 // own SeekSource over one shared store index must be race-free (run under
 // -race) and each see the exact stream.
@@ -305,16 +450,20 @@ func TestStoreSeekSourceConcurrent(t *testing.T) {
 			rng := xrand.New(uint64(k) + 1)
 			for trial := 0; trial < 6; trial++ {
 				i := int64(rng.Intn(n - 10))
-				if err := ss.SeekTo(i); err != nil {
+				var got []trace.Ref
+				err := ss.ReadRuns(i, 10, func(runs []trace.Run) error {
+					for _, r := range runs {
+						got = r.AppendRefs(got)
+					}
+					return nil
+				})
+				if err != nil {
 					errc <- err
 					return
 				}
-				for j := int64(0); j < 10; j++ {
-					r, ok := ss.Next()
-					if !ok || r != want[i+j] {
-						t.Errorf("goroutine %d: ref %d = %+v ok=%v, want %+v", k, i+j, r, ok, want[i+j])
-						return
-					}
+				if !slices.Equal(got, want[i:i+10]) {
+					t.Errorf("goroutine %d: refs %d..%d = %+v, want %+v", k, i, i+10, got, want[i:i+10])
+					return
 				}
 			}
 		}(k)

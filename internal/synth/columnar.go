@@ -16,13 +16,12 @@ import (
 // Columnar tier of the store: the trace is materialized ON DISK as an
 // IBSTRACE/v3 columnar file instead of in memory, and handed back as an
 // opened trace.ColumnarFile (mmap when available) for block-granular
-// replay. Generation streams the synthetic instruction stream through an
-// incremental run compaction straight into the columnar writer, so peak
-// memory is O(block) however long the trace; the hard budget is charged at
-// the ACTUAL encoded size as it grows — typically well under a byte per
-// instruction, against about 3 for the runs in memory — which is what lets
-// Acquire serve exact results from disk for workloads whose run list would
-// blow the RAM budget.
+// replay. The generator is read as runs (SeekSource) straight into the
+// columnar writer, so peak memory is O(block) however long the trace; the
+// hard budget is charged at the ACTUAL encoded size as it grows — typically
+// well under a byte per instruction, against about 3 for the runs in
+// memory — which is what lets Acquire serve exact results from disk for
+// workloads whose run list would blow the RAM budget.
 //
 // Entries are memoized and ref-counted like every other tier; an evicted
 // entry closes its mapping and deletes its backing file.
@@ -143,12 +142,12 @@ func (w *countWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// writeColumnar generates prof's instruction stream, run-compacts it on the
-// fly (same semantics as trace.Compact — the columnar blocks decode to
-// exactly the runs RunsOnly would return), and writes it block by block to
-// a fresh file in the spill directory, which it then opens for reading.
-// Generation goes through a store-attached seekable generator, so the pass
-// registers checkpoints and resumes from any memoized runs-only prefix.
+// writeColumnar reads prof's instruction stream as runs (the columnar
+// blocks decode to exactly the runs RunsOnly would return) and writes it
+// block by block to a fresh file in the spill directory, which it then
+// opens for reading. The read goes through the store's SeekSource, so the
+// pass registers checkpoints and resumes from any memoized runs-only
+// prefix.
 //
 // Publication is crash-safe: the encoding streams into an atomicio-style
 // temp file, is fsynced, and only then renamed to its published trace-*.ibsc
@@ -156,7 +155,7 @@ func (w *countWriter) Write(p []byte) (int, error) {
 // debris or a complete, CRC-valid published file, never a torn file under a
 // published name.
 func (s *Store) writeColumnar(prof Profile, seed uint64, n int64) (payload, error) {
-	g, done, err := s.seekGen(prof, seed)
+	src, done, err := s.SeekSource(prof, seed, n)
 	if err != nil {
 		return payload{}, err
 	}
@@ -183,7 +182,7 @@ func (s *Store) writeColumnar(prof Profile, seed uint64, n int64) (payload, erro
 	if err != nil {
 		return fail(err)
 	}
-	if err := s.spill(g, prof, seed, n, w); err != nil {
+	if err := s.spill(src, prof, seed, n, w); err != nil {
 		return fail(err)
 	}
 	if err := w.Close(); err != nil {
@@ -222,49 +221,33 @@ func (s *Store) writeColumnar(prof Profile, seed uint64, n int64) (payload, erro
 	return payload{cf: cf, path: path, fileBytes: cw.n}, nil
 }
 
-// spill streams g through an inline run compaction into w, resuming from
-// the longest memoized runs-only prefix. The extension condition mirrors
-// trace.Compactor.Add exactly; only the open run is held. The hard budget is
-// checked against w.Size(), which counts the block w still holds open and
-// what the write buffer holds, so a doomed spill fails within the first
-// budget-check interval past the budget rather than after encoding a whole
-// block (1 MiB, millions of instructions).
-func (s *Store) spill(g *Generator, prof Profile, seed uint64, n int64, w *trace.ColumnarWriter) error {
-	var cur trace.Run
-	var next uint64
-	if prefix, start := s.runsPrefix(prof, seed, n); start > 0 {
-		for _, r := range prefix[:len(prefix)-1] {
+// spill writes src's runs to w, resuming from the longest memoized
+// runs-only prefix. The hard budget is checked after every read batch
+// against w.Size(), which counts the block w still holds open and what the
+// write buffer holds, so a doomed spill fails within one batch past the
+// budget rather than after encoding a whole block (1 MiB, millions of
+// instructions).
+func (s *Store) spill(src *SeekSource, prof Profile, seed uint64, n int64, w *trace.ColumnarWriter) error {
+	prefix, start := s.runsPrefix(prof, seed, n)
+	put := func(runs []trace.Run) error {
+		for _, r := range runs {
 			if err := w.PutRun(r); err != nil {
 				return err
 			}
 		}
-		cur = prefix[len(prefix)-1]
-		next = cur.End()
-		if err := g.SeekTo(start); err != nil {
+		return nil
+	}
+	if err := put(prefix); err != nil {
+		return err
+	}
+	return src.ReadRuns(start, n-start, func(runs []trace.Run) error {
+		if err := put(runs); err != nil {
 			return err
 		}
-	}
-	for g.Instructions() < n {
-		r, _ := g.Next()
-		if cur.Len > 0 && r.Addr == next && r.Domain == cur.Domain && next != 0 {
-			cur.Len++
-			next += trace.InstrBytes
-		} else {
-			if cur.Len > 0 {
-				if err := w.PutRun(cur); err != nil {
-					return err
-				}
-			}
-			cur = trace.Run{Start: r.Addr, Len: 1, Domain: r.Domain}
-			next = r.Addr + trace.InstrBytes
-		}
-		if g.Instructions()&budgetCheckMask == 0 && s.hardBudget > 0 && w.Size() > s.hardBudget {
+		if s.hardBudget > 0 && w.Size() > s.hardBudget {
 			return fmt.Errorf("%w: columnar encoding of %d instructions already exceeds %d bytes",
 				ErrOverBudget, n, s.hardBudget)
 		}
-	}
-	if cur.Len > 0 {
-		return w.PutRun(cur)
-	}
-	return nil
+		return nil
+	})
 }

@@ -134,8 +134,8 @@ type WalkStats struct {
 }
 
 // Generator produces a workload's reference stream. It implements
-// trace.Source and never ends on its own; wrap with trace.NewLimitSource or
-// use Profile-level helpers that take an instruction budget.
+// trace.Source and never ends on its own; Trace, InstrTrace and SeekSource
+// take an instruction budget.
 type Generator struct {
 	prof    Profile
 	seed    uint64
@@ -530,19 +530,6 @@ func InstrTrace(prof Profile, seed uint64, n int64) ([]trace.Ref, error) {
 		out[i], _ = g.Next()
 	}
 	return out, nil
-}
-
-// InstrSource returns a Source yielding exactly n instruction-fetch
-// references — the same stream InstrTrace materializes, but generated on
-// demand so arbitrarily long runs use O(1) memory.
-func InstrSource(prof Profile, seed uint64, n int64) (trace.Source, error) {
-	p := prof
-	p.Data = DataProfile{}
-	g, err := NewGenerator(p, seed)
-	if err != nil {
-		return nil, err
-	}
-	return trace.NewLimitSource(g, n), nil
 }
 
 var _ trace.Source = (*Generator)(nil)

@@ -225,13 +225,13 @@ func (s *Store) InstrRuns(ctx context.Context, prof Profile, seed uint64, n int6
 }
 
 // RunsOnly returns prof's run-length-compacted instruction trace for
-// (seed, n) WITHOUT materializing the per-reference stream: generation
-// streams through an incremental trace.Compactor, so peak memory is O(runs)
-// — about 3.3 bytes per instruction on the IBS traces against the refs' 16
-// (instruction fetch is overwhelmingly sequential). It is Acquire's first
-// tier. The hard budget is enforced against the ACTUAL compacted size as it
-// grows, not a worst-case estimate; a pathologically non-sequential stream
-// aborts with ErrOverBudget mid-generation. The slice is shared and
+// (seed, n) WITHOUT materializing the per-reference stream: the generator
+// is read as runs (SeekSource), so peak memory is O(runs) — about 3.3 bytes
+// per instruction on the IBS traces against the refs' 16 (instruction fetch
+// is overwhelmingly sequential). It is Acquire's first tier. The hard
+// budget is enforced against the ACTUAL compacted size as it grows, not a
+// worst-case estimate; a pathologically non-sequential stream aborts with
+// ErrOverBudget mid-generation. The slice is shared and
 // read-only; the release function must be called exactly once.
 func (s *Store) RunsOnly(ctx context.Context, prof Profile, seed uint64, n int64) ([]trace.Run, func(), error) {
 	e, release, err := s.acquire(ctx, storeKey{prof: prof, seed: seed, n: n, kind: kindRuns}, func() (payload, error) {
@@ -301,7 +301,7 @@ func (s *Store) Acquire(ctx context.Context, prof Profile, seed uint64, n int64)
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	return trace.NewSeekReader(src), TierSeek, release, nil
+	return src, TierSeek, release, nil
 }
 
 // acquire is the lookup every memoized tier shares. It takes a reference to
@@ -359,48 +359,71 @@ func (s *Store) acquire(ctx context.Context, key storeKey, fill func() (payload,
 	return e, s.releaseOnce(key, e), nil
 }
 
-// budgetCheckMask sets how often compactStream and the columnar spill
-// re-check the growing compaction or encoding against the hard budget
-// (every 4K instructions); compactStream also generates in batches of that
-// many.
-const budgetCheckMask = 1<<12 - 1
-
-// compactStream generates prof's instruction stream and compacts it on the
-// fly, enforcing the store's hard budget against the runs actually retained.
-// It registers checkpoints in the store's shared index as it streams, and
+// compactStream reads prof's instruction stream as runs, enforcing the
+// store's hard budget against the runs retained after every read batch. It
+// registers checkpoints in the store's shared index as it reads, and
 // resumes from the longest memoized runs-only prefix of the same workload
 // (seeking the generator past it) instead of recompacting from zero.
 func (s *Store) compactStream(prof Profile, seed uint64, n int64) ([]trace.Run, error) {
-	g, done, err := s.seekGen(prof, seed)
+	src, done, err := s.SeekSource(prof, seed, n)
 	if err != nil {
 		return nil, err
 	}
 	defer done()
-	var c trace.Compactor
-	if prefix, start := s.runsPrefix(prof, seed, n); start > 0 {
-		c.Resume(prefix)
-		if err := g.SeekTo(start); err != nil {
-			return nil, err
-		}
-	}
-	batch := make([]trace.Ref, budgetCheckMask+1)
-	for g.Instructions() < n {
-		b := batch[:min(n-g.Instructions(), int64(len(batch)))]
-		for i := range b {
-			b[i], _ = g.Next()
-		}
-		c.Add(b...)
-		if s.hardBudget > 0 && int64(c.Len())*runBytes > s.hardBudget {
-			return nil, fmt.Errorf("%w: run compaction of %d instructions already needs over %d bytes",
+	prefix, start := s.runsPrefix(prof, seed, n)
+	c := runChunks{full: [][]trace.Run{prefix}, n: len(prefix)}
+	err = src.ReadRuns(start, n-start, func(runs []trace.Run) error {
+		c.add(runs)
+		if s.hardBudget > 0 && int64(c.n)*runBytes > s.hardBudget {
+			return fmt.Errorf("%w: run compaction of %d instructions already needs over %d bytes",
 				ErrOverBudget, n, s.hardBudget)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	runs := c.Finish()
-	if s.hardBudget > 0 && int64(len(runs))*runBytes > s.hardBudget {
-		return nil, fmt.Errorf("%w: %d runs need %d bytes, budget %d",
-			ErrOverBudget, len(runs), int64(len(runs))*runBytes, s.hardBudget)
+	return c.join(), nil
+}
+
+// runChunks collects a compaction's runs in fixed-size chunks that join
+// copies, once, into one slice of exactly the final length. A single slice
+// grown by append would at each growth hold both its old and its new
+// backing array, and would keep its last growth's unused capacity for as
+// long as the trace is memoized.
+type runChunks struct {
+	full [][]trace.Run // filled chunks (and a read-only resumed prefix), in order
+	cur  []trace.Run   // the chunk being filled
+	n    int           // runs held
+}
+
+// runChunk is the run capacity of one chunk (384 KiB).
+const runChunk = 1 << 14
+
+// add copies runs into the chunks.
+func (c *runChunks) add(runs []trace.Run) {
+	c.n += len(runs)
+	for len(runs) > 0 {
+		if len(c.cur) == cap(c.cur) {
+			if len(c.cur) > 0 {
+				c.full = append(c.full, c.cur)
+			}
+			c.cur = make([]trace.Run, 0, runChunk)
+		}
+		k := copy(c.cur[len(c.cur):cap(c.cur)], runs)
+		c.cur = c.cur[:len(c.cur)+k]
+		runs = runs[k:]
 	}
-	return runs, nil
+}
+
+// join returns every run collected, in one slice whose capacity is its
+// length.
+func (c *runChunks) join() []trace.Run {
+	out := make([]trace.Run, 0, c.n)
+	for _, ch := range c.full {
+		out = append(out, ch...)
+	}
+	return append(out, c.cur...)
 }
 
 // releaseOnce wraps release so double-calling a handle's release is a no-op.

@@ -632,3 +632,23 @@ func TestStoreAcquireTiers(t *testing.T) {
 		})
 	}
 }
+
+// BenchmarkStoreRunsOnlyFill times a cold RunsOnly of 1M gcc instructions on
+// a fresh store: the generate-and-compact work behind the set-up of both
+// benchmark workloads.
+func BenchmarkStoreRunsOnlyFill(b *testing.B) {
+	prof, err := Lookup("gcc")
+	if err != nil {
+		b.Fatal(err)
+	}
+	const n = 1_000_000
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_, release, err := NewStore(0).RunsOnly(context.Background(), prof, 0, n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		release()
+	}
+	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minstr/s")
+}

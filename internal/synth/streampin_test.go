@@ -17,7 +17,8 @@ const pinnedStreamRefs = 200_000
 // pinnedStreams holds the SHA-256 of the first pinnedStreamRefs references
 // of every registered profile at seeds 0 and 1: "full" is the generator's
 // own stream (instruction fetches interleaved with data references),
-// "instr" the instruction-only stream of InstrSource and InstrTrace. Any
+// "instr" the instruction-only stream of InstrTrace, read here as runs
+// (SeekSource) and expanded, so the pin covers the run reader too. Any
 // change to the generator, its RNG or its samplers that alters a single
 // reference fails here, not only in the seed-0 exhibit digests.
 var pinnedStreams = map[string]string{
@@ -143,12 +144,17 @@ func TestGeneratorStreamsPinned(t *testing.T) {
 				r, _ := g.Next()
 				return r
 			}, pinnedStreamRefs)
-			src, err := InstrSource(p, seed, pinnedStreamRefs)
+			src, err := NewSeekSource(p, seed, pinnedStreamRefs, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refs, err := trace.ExpandReader(src)
 			if err != nil {
 				t.Fatal(err)
 			}
 			got[fmt.Sprintf("%s/%d/instr", name, seed)] = streamDigest(func() trace.Ref {
-				r, _ := src.Next()
+				r := refs[0]
+				refs = refs[1:]
 				return r
 			}, pinnedStreamRefs)
 		}

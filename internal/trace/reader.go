@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // RunReader is a run-compacted instruction trace addressed by instruction
 // position: the one source the sweep kernel and the replay driver read.
@@ -164,64 +161,6 @@ func (r *blockReader) emit(pos, stop int64, fn func([]Run) error) error {
 		t.Len = stop - r.at
 		r.cut[0] = t
 		return fn(r.cut[:])
-	}
-	return nil
-}
-
-// seekBatch is how many instructions a seekReader generates and compacts per
-// fn call.
-const seekBatch = 1 << 12
-
-// seekReader reads a checkpointed Seeker: a read seeks to its first
-// instruction (unless the stream is already there), generates the range and
-// compacts it batch by batch.
-type seekReader struct {
-	src  Seeker
-	refs []Ref
-	runs []Run
-}
-
-// NewSeekReader reads a Seeker, generating only the instructions a read
-// covers: a skip-mode sampling schedule costs O(sampled instructions +
-// windows × checkpoint interval) instead of O(trace).
-func NewSeekReader(src Seeker) RunReader { return &seekReader{src: src} }
-
-// Total implements RunReader.
-func (s *seekReader) Total() int64 { return s.src.Total() }
-
-// ReadRuns implements RunReader.
-func (s *seekReader) ReadRuns(pos, n int64, fn func([]Run) error) error {
-	total := s.src.Total()
-	end := pos + n
-	if end > total || end < pos {
-		end = total
-	}
-	if pos >= end {
-		return nil
-	}
-	if s.src.Pos() != pos {
-		if err := s.src.SeekTo(pos); err != nil {
-			return err
-		}
-	}
-	for pos < end {
-		k := min(end-pos, seekBatch)
-		s.refs = s.refs[:0]
-		for i := int64(0); i < k; i++ {
-			ref, ok := s.src.Next()
-			if !ok {
-				if err := s.src.Err(); err != nil {
-					return err
-				}
-				return fmt.Errorf("trace: seekable source ended at instruction %d of %d", pos+i, total)
-			}
-			s.refs = append(s.refs, ref)
-		}
-		s.runs = CompactAppend(s.runs[:0], s.refs)
-		if err := fn(s.runs); err != nil {
-			return err
-		}
-		pos += k
 	}
 	return nil
 }

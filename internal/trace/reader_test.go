@@ -7,20 +7,6 @@ import (
 	"testing"
 )
 
-// sliceSeeker is a Seeker over an in-memory reference slice.
-type sliceSeeker struct {
-	SliceSource
-	refs []Ref
-}
-
-func newSliceSeeker(refs []Ref) *sliceSeeker {
-	return &sliceSeeker{SliceSource: SliceSource{refs: refs}, refs: refs}
-}
-
-func (s *sliceSeeker) SeekTo(i int64) error { s.pos = int(min(i, int64(len(s.refs)))); return nil }
-func (s *sliceSeeker) Pos() int64           { return int64(s.pos) }
-func (s *sliceSeeker) Total() int64         { return int64(len(s.refs)) }
-
 // Every RunReader must yield exactly the instructions of [pos, pos+n) for
 // arbitrary positions — across block boundaries, after backward reads, and
 // clipped at the trace end — with the first run starting at pos.
@@ -40,7 +26,6 @@ func TestRunReaders(t *testing.T) {
 		"blocks-1":  NewBlockReader(NewRunsBlocks(runs, 1)),
 		"blocks-7":  NewBlockReader(NewRunsBlocks(runs, 7)),
 		"columnar":  NewBlockReader(f),
-		"seeker":    NewSeekReader(newSliceSeeker(want)),
 		"empty-mem": NewRunReader(nil),
 	}
 	windows := []struct{ pos, n int64 }{
@@ -96,7 +81,6 @@ func TestRunReaderErrors(t *testing.T) {
 	for name, rd := range map[string]RunReader{
 		"memory":  NewRunReader(runs),
 		"blocks":  NewBlockReader(NewRunsBlocks(runs, 9)),
-		"seeker":  NewSeekReader(newSliceSeeker(Expand(runs))),
 		"columnr": NewBlockReader(mustColumnar(t, runs)),
 	} {
 		calls := 0
@@ -115,20 +99,7 @@ func TestRunReaderErrors(t *testing.T) {
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt block read: %v, want ErrCorrupt", err)
 	}
-	short := newSliceSeeker(Expand(runs)[:100])
-	sr := NewSeekReader(&truncatedSeeker{sliceSeeker: short, total: 200})
-	if err := sr.ReadRuns(0, 200, func([]Run) error { return nil }); err == nil {
-		t.Fatal("a seeker that ends early read without error")
-	}
 }
-
-// truncatedSeeker claims more instructions than it holds.
-type truncatedSeeker struct {
-	*sliceSeeker
-	total int64
-}
-
-func (s *truncatedSeeker) Total() int64 { return s.total }
 
 func mustColumnar(t *testing.T, runs []Run) *ColumnarFile {
 	t.Helper()

@@ -72,121 +72,6 @@ func CompactAppend(dst []Run, refs []Ref) []Run {
 	return dst
 }
 
-// Compactor is an incremental Compact: references arrive in batches of any
-// size and runs accumulate internally, with sequential stretches spanning
-// batch boundaries still merging into one run — exactly what CompactAppend
-// over the concatenated stream would produce. It lets a
-// streaming trace source be compacted in O(runs) memory without ever
-// materializing the reference slice (synth.Store.RunsOnly is the intended
-// consumer).
-//
-// Closed runs accumulate in fixed-size chunks that Finish copies, once, into
-// one slice of exactly the final length. A single slice grown by append
-// would at each growth hold both its old and its new backing array, and
-// would keep its last growth's unused capacity for as long as the trace is
-// memoized.
-type Compactor struct {
-	chunks [][]Run // filled chunks, in order
-	filled int     // runs held in chunks
-	runs   []Run   // the chunk being filled
-	cur    Run
-	next   uint64 // address extending cur; 0 also flags "no current run"
-}
-
-// compactChunk is the run capacity of one Compactor chunk (384 KiB).
-const compactChunk = 1 << 14
-
-// Add feeds references in order; non-instruction references are ignored,
-// matching Compact. Feeding a batch per call keeps the open run in
-// registers across it.
-func (c *Compactor) Add(refs ...Ref) {
-	start, n, dom, next := c.cur.Start, c.cur.Len, c.cur.Domain, c.next
-	for _, r := range refs {
-		// next is 0 exactly when there is no open run (or it ends at the
-		// top of the address space), so a match extends an open run.
-		if r.Addr == next && r.Domain == dom && next != 0 && r.Kind == IFetch {
-			n++
-			next += InstrBytes
-			continue
-		}
-		if r.Kind != IFetch {
-			continue
-		}
-		if n > 0 {
-			c.push(Run{Start: start, Len: n, Domain: dom})
-		}
-		start, n, dom = r.Addr, 1, r.Domain
-		next = r.Addr + InstrBytes // wraps to < InstrBytes at the address-space top, breaking the run
-	}
-	c.cur, c.next = Run{Start: start, Len: n, Domain: dom}, next
-}
-
-// push appends a closed run, starting a fresh chunk when the current one is
-// full (or there is none yet).
-func (c *Compactor) push(r Run) {
-	if len(c.runs) == cap(c.runs) {
-		if len(c.runs) > 0 {
-			c.chunks = append(c.chunks, c.runs)
-			c.filled += len(c.runs)
-		}
-		c.runs = make([]Run, 0, compactChunk)
-	}
-	c.runs = append(c.runs, r)
-}
-
-// Resume primes a fresh Compactor with an already-compacted prefix, taking
-// ownership of the slice: subsequent Adds continue exactly where the prefix's
-// stream left off, with the prefix's final run kept open so a sequential
-// stretch spanning the boundary still merges — Finish over the whole thing
-// equals Compact over the concatenated stream. This is how the synth store
-// resumes run compaction from a memoized shorter trace instead of
-// regenerating it. It panics if the Compactor has already consumed
-// references.
-func (c *Compactor) Resume(prefix []Run) {
-	if c.Len() > 0 {
-		panic("trace: Compactor.Resume on a non-empty Compactor")
-	}
-	if len(prefix) == 0 {
-		return
-	}
-	last := prefix[len(prefix)-1]
-	if head := prefix[:len(prefix)-1]; len(head) > 0 {
-		c.chunks = append(c.chunks, head)
-		c.filled = len(head)
-	}
-	c.cur = last
-	c.next = last.End() // 0 at the address-space top, matching Add's no-extend flag
-}
-
-// Len returns the number of runs the compactor currently retains, including
-// the still-open one — an upper bound that grows by at most one per
-// reference fed, so incremental memory-budget checks can poll it cheaply.
-func (c *Compactor) Len() int {
-	n := c.filled + len(c.runs)
-	if c.cur.Len > 0 {
-		n++
-	}
-	return n
-}
-
-// Finish closes the open run and returns the compacted trace, copied out of
-// the chunks into a slice whose capacity is its length. The Compactor must
-// not be reused after Finish.
-func (c *Compactor) Finish() []Run {
-	if c.cur.Len > 0 {
-		c.push(c.cur)
-		c.cur = Run{}
-		c.next = 0
-	}
-	out := make([]Run, 0, c.filled+len(c.runs))
-	for _, ch := range c.chunks {
-		out = append(out, ch...)
-	}
-	out = append(out, c.runs...)
-	c.chunks, c.runs, c.filled = nil, nil, 0
-	return out
-}
-
 // AppendRefs expands the run back into its per-instruction fetches.
 func (r Run) AppendRefs(dst []Ref) []Ref {
 	addr := r.Start

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"slices"
 	"testing"
 
 	"ibsim/internal/xrand"
@@ -112,83 +111,6 @@ func TestCompactExpandRoundTrip(t *testing.T) {
 				t.Fatalf("trial %d: runs %d,%d not maximal: %+v %+v", trial, i-1, i, runs[i-1], runs[i])
 			}
 		}
-	}
-}
-
-// Property: a Compactor fed the same stream in arbitrary chunks produces
-// exactly Compact's output — sequential stretches merge across chunk
-// boundaries.
-func TestCompactorMatchesCompact(t *testing.T) {
-	rng := xrand.New(99)
-	for trial := 0; trial < 20; trial++ {
-		refs := randomInstrTrace(rng, 2000)
-		want := Compact(refs)
-		var c Compactor
-		for i := 0; i < len(refs); {
-			chunk := 1 + rng.Intn(97)
-			if i+chunk > len(refs) {
-				chunk = len(refs) - i
-			}
-			for _, r := range refs[i : i+chunk] {
-				c.Add(r)
-			}
-			if c.Len() > len(want) {
-				t.Fatalf("trial %d: Len %d exceeds final run count %d", trial, c.Len(), len(want))
-			}
-			i += chunk
-		}
-		got := c.Finish()
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: %d runs, want %d", trial, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d run %d: got %+v, want %+v", trial, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// A compaction spanning several chunks, fed in batches and resumed from a
-// prefix that itself spans chunks, equals Compact over the whole stream,
-// and Finish hands it back in a slice with no spare capacity.
-func TestCompactorChunksAndResume(t *testing.T) {
-	rng := xrand.New(7)
-	refs := randomInstrTrace(rng, 32*compactChunk) // ~3.6 chunks of runs
-	want := Compact(refs)
-	if len(want) < 3*compactChunk {
-		t.Fatalf("only %d runs: the trace does not span several chunks", len(want))
-	}
-	var c Compactor
-	for i := 0; i < len(refs); i += 4096 {
-		c.Add(refs[i:min(i+4096, len(refs))]...)
-	}
-	got := c.Finish()
-	if !slices.Equal(got, want) || cap(got) != len(got) {
-		t.Fatalf("chunked compaction: %d runs (cap %d), Compact %d", len(got), cap(got), len(want))
-	}
-
-	half := len(refs) / 2
-	var r Compactor
-	r.Resume(Compact(refs[:half]))
-	r.Add(refs[half:]...)
-	if got := r.Finish(); !slices.Equal(got, want) {
-		t.Fatalf("resumed compaction: %d runs, Compact %d", len(got), len(want))
-	}
-}
-
-func TestCompactorEmpty(t *testing.T) {
-	var c Compactor
-	if c.Len() != 0 {
-		t.Fatal("empty compactor Len != 0")
-	}
-	if runs := c.Finish(); len(runs) != 0 {
-		t.Fatalf("empty compactor produced %d runs", len(runs))
-	}
-	var d Compactor
-	d.Add(Ref{Addr: 8, Kind: DRead}) // ignored
-	if d.Len() != 0 {
-		t.Fatal("data ref opened a run")
 	}
 }
 

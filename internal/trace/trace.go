@@ -93,20 +93,6 @@ type Source interface {
 	Err() error
 }
 
-// Seeker is a Source over a fixed-length instruction stream whose position
-// can be moved directly. SeekTo(i) positions the stream so the next
-// reference returned is instruction fetch number i (0-based), exactly as if
-// the preceding i instructions had been read and discarded; implementations
-// back it with checkpointed generators (synth.SeekSource) so a seek costs
-// O(checkpoint interval) instead of O(i). Pos reports the next instruction
-// index; Total the stream length.
-type Seeker interface {
-	Source
-	SeekTo(i int64) error
-	Pos() int64
-	Total() int64
-}
-
 // Sink consumes a stream of references.
 type Sink interface {
 	// Put consumes one reference.
@@ -173,29 +159,6 @@ func Copy(sink Sink, src Source) (int64, error) {
 		n++
 	}
 }
-
-// LimitSource yields at most n references from src.
-type LimitSource struct {
-	src Source
-	n   int64
-}
-
-// NewLimitSource wraps src, truncating it after n references.
-func NewLimitSource(src Source, n int64) *LimitSource {
-	return &LimitSource{src: src, n: n}
-}
-
-// Next implements Source.
-func (l *LimitSource) Next() (Ref, bool) {
-	if l.n <= 0 {
-		return Ref{}, false
-	}
-	l.n--
-	return l.src.Next()
-}
-
-// Err implements Source.
-func (l *LimitSource) Err() error { return l.src.Err() }
 
 // Counts tallies a reference stream by kind and domain.
 type Counts struct {

@@ -50,25 +50,6 @@ func TestSliceSource(t *testing.T) {
 	}
 }
 
-func TestLimitSource(t *testing.T) {
-	in := refs(0, 4, 8, 12)
-	got, err := Collect(NewLimitSource(NewSliceSource(in), 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("limit 2 yielded %d", len(got))
-	}
-	got, err = Collect(NewLimitSource(NewSliceSource(in), 0))
-	if err != nil || len(got) != 0 {
-		t.Fatalf("limit 0 yielded %d, err %v", len(got), err)
-	}
-	got, err = Collect(NewLimitSource(NewSliceSource(in), 100))
-	if err != nil || len(got) != 4 {
-		t.Fatalf("limit beyond length yielded %d", len(got))
-	}
-}
-
 func TestCounts(t *testing.T) {
 	in := []Ref{
 		{Kind: IFetch, Domain: User},

@@ -209,29 +209,3 @@ func (m *Mapper) ResetTrial(trial uint64) {
 	m.allocated = 0
 	m.rng = xrand.New(m.cfg.Seed ^ 0x9a6e ^ (trial+1)*0x9e3779b97f4a7c15)
 }
-
-// Source wraps an underlying reference stream, translating every address
-// through the mapper — the glue between a virtual-address trace and a
-// physically-indexed cache.
-type Source struct {
-	src trace.Source
-	m   *Mapper
-}
-
-// NewSource returns a Source translating src through m.
-func NewSource(src trace.Source, m *Mapper) *Source {
-	return &Source{src: src, m: m}
-}
-
-// Next implements trace.Source.
-func (s *Source) Next() (trace.Ref, bool) {
-	r, ok := s.src.Next()
-	if !ok {
-		return trace.Ref{}, false
-	}
-	r.Addr = s.m.Translate(r.Addr, r.Domain)
-	return r, true
-}
-
-// Err implements trace.Source.
-func (s *Source) Err() error { return s.src.Err() }

@@ -159,33 +159,6 @@ func TestBoundedFrames(t *testing.T) {
 	}
 }
 
-func TestSource(t *testing.T) {
-	refs := []trace.Ref{
-		{Addr: 0x1000, Kind: trace.IFetch, Domain: trace.User},
-		{Addr: 0x1004, Kind: trace.IFetch, Domain: trace.User},
-		{Addr: 0x1000, Kind: trace.DRead, Domain: trace.Kernel},
-	}
-	m := MustNewMapper(Config{Policy: Sequential})
-	src := NewSource(trace.NewSliceSource(refs), m)
-	out, err := trace.Collect(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 3 {
-		t.Fatalf("got %d refs", len(out))
-	}
-	// Same page sequential refs stay in one frame; kind/domain preserved.
-	if out[0].Addr>>12 != out[1].Addr>>12 {
-		t.Fatal("intra-page refs split across frames")
-	}
-	if out[0].Addr>>12 == out[2].Addr>>12 {
-		t.Fatal("kernel page shared user frame")
-	}
-	if out[2].Kind != trace.DRead || out[2].Domain != trace.Kernel {
-		t.Fatal("ref metadata not preserved")
-	}
-}
-
 func TestMustNewMapperPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
