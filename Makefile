@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race check check-sampling check-columnar check-seek chaos crash serve bench microbench vet cover tables scale extensions calibration examples clean
+.PHONY: all build test test-short race fuzz check check-sampling check-columnar check-seek chaos crash serve bench microbench vet cover tables scale extensions calibration examples clean
 
 all: build vet test race check
 
@@ -18,6 +18,15 @@ test:
 
 test-short:
 	$(GO) test -short ./...
+
+# Fuzz the trace codecs: each fuzz target in internal/trace (header, reader,
+# decode, salvage and round trip of the record format; round trip and
+# salvage of the columnar format) for 5 s, one after another.
+fuzz:
+	@for t in $$($(GO) test -list '^Fuzz' ./internal/trace | grep '^Fuzz'); do \
+		echo "== $$t"; \
+		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime 5s ./internal/trace || exit 1; \
+	done
 
 # Race-certify the parallel experiment runners (includes the
 # parallel-vs-serial differential test in internal/experiments).

@@ -14,6 +14,11 @@
 //	ibstrace -workload verilog -n 2000000
 //	ibstrace -workload gs -compare eqntott       # side-by-side
 //	ibstrace -workload gs -seek 1234567          # checkpoint-seek spot-check
+//
+// The mode is the first of -seek, -convert, -file and -workload that is set,
+// and each mode reads only its own flags: -seek reads -workload and -n,
+// -convert reads -file, -file reads -line, and -workload reads -compare, -n
+// and -line. Setting any other flag is a usage error that names it.
 package main
 
 import (
@@ -21,9 +26,40 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"ibsim"
 )
+
+// modes lists each mode, in the order one is chosen, with the other flags it
+// reads.
+var modes = []struct {
+	name  string
+	reads []string
+}{
+	{"seek", []string{"workload", "n"}},
+	{"convert", []string{"file"}},
+	{"file", []string{"line"}},
+	{"workload", []string{"compare", "n", "line"}},
+}
+
+// chooseMode returns the mode that the names of the set flags select, "" if
+// they set none, or an error naming the first set flag that the mode does
+// not read.
+func chooseMode(set []string) (string, error) {
+	for _, m := range modes {
+		if !slices.Contains(set, m.name) {
+			continue
+		}
+		for _, name := range set {
+			if name != m.name && !slices.Contains(m.reads, name) {
+				return "", fmt.Errorf("-%s is not used with -%s", name, m.name)
+			}
+		}
+		return m.name, nil
+	}
+	return "", nil
+}
 
 func main() {
 	var (
@@ -36,25 +72,33 @@ func main() {
 		seek     = flag.Int64("seek", -1, "spot-check: compare the reference at this instruction index reached by checkpoint seek vs sequential generation (needs -workload)")
 	)
 	flag.Parse()
-	seekSet := false
-	flag.Visit(func(f *flag.Flag) { seekSet = seekSet || f.Name == "seek" })
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	mode, err := chooseMode(set)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ibstrace:", err)
+	}
+	if mode == "" {
+		flag.Usage()
+		os.Exit(2)
+	}
 
-	switch {
-	case seekSet:
+	switch mode {
+	case "seek":
 		if *workload == "" {
 			fail(fmt.Errorf("-seek needs -workload (checkpoints are generator states, not trace data)"))
 		}
 		if err := seekCheck(os.Stdout, *workload, *n, *seek); err != nil {
 			fail(err)
 		}
-	case *convert != "":
+	case "convert":
 		if *file == "" {
 			fail(fmt.Errorf("-convert needs -file as the source"))
 		}
 		if err := convertFile(*file, *convert); err != nil {
 			fail(err)
 		}
-	case *file != "":
+	case "file":
 		columnar, err := ibsim.IsColumnarTraceFile(*file)
 		if err != nil {
 			fail(err)
@@ -80,7 +124,7 @@ func main() {
 		}
 		fmt.Printf("== %s ==\n%s", *file, a.Report())
 		printRunStats(ibsim.SummarizeRuns(ibsim.CompactTrace(refs)))
-	case *workload != "":
+	case "workload":
 		if err := report(*workload, *line, *n); err != nil {
 			fail(err)
 		}
@@ -90,9 +134,6 @@ func main() {
 				fail(err)
 			}
 		}
-	default:
-		flag.Usage()
-		os.Exit(2)
 	}
 }
 

@@ -120,3 +120,42 @@ func TestSeekCheck(t *testing.T) {
 		}
 	}
 }
+
+// TestChooseMode: the first of -seek, -convert, -file and -workload that is
+// set picks the mode, every flag that mode reads is accepted with it, and any
+// other set flag is an error naming it; setting none of them picks no mode.
+func TestChooseMode(t *testing.T) {
+	for _, tc := range []struct {
+		set      []string // flag.Visit order: sorted by name
+		mode     string
+		rejected string // the flag the error must name; "" for no error
+	}{
+		{[]string{"n", "seek", "workload"}, "seek", ""},
+		{[]string{"convert", "file"}, "convert", ""},
+		{[]string{"file", "line"}, "file", ""},
+		{[]string{"compare", "line", "n", "workload"}, "workload", ""},
+		{[]string{"file", "seek", "workload"}, "", "-file"},
+		{[]string{"line", "seek", "workload"}, "", "-line"},
+		{[]string{"convert", "file", "line"}, "", "-line"},
+		{[]string{"convert", "seek"}, "", "-convert"},
+		{[]string{"file", "workload"}, "", "-workload"},
+		{[]string{"file", "n"}, "", "-n"},
+		{[]string{"compare", "file"}, "", "-compare"},
+	} {
+		mode, err := chooseMode(tc.set)
+		if tc.rejected == "" {
+			if err != nil || mode != tc.mode {
+				t.Errorf("%v: mode %q, err %v; want mode %q", tc.set, mode, err, tc.mode)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.rejected+" is not used") {
+			t.Errorf("%v: mode %q, err %v; want an error naming %s", tc.set, mode, err, tc.rejected)
+		}
+	}
+	for _, set := range [][]string{nil, {"compare"}, {"line", "n"}} {
+		if mode, err := chooseMode(set); mode != "" || err != nil {
+			t.Errorf("%v: mode %q, err %v; want no mode", set, mode, err)
+		}
+	}
+}

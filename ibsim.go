@@ -216,7 +216,7 @@ func WriteTraceFile(path string, w Workload, n int64) (written uint64, err error
 	}
 	err = atomicio.WriteTo(path, 0o644, func(f *os.File) error {
 		var werr error
-		written, werr = trace.EncodeSeeker(f, trace.NewSliceSource(refs))
+		written, werr = trace.EncodeSeeker(f, refs)
 		return werr
 	})
 	if err != nil {
@@ -350,9 +350,27 @@ func ConvertColumnarToTrace(src, dst string) (written uint64, err error) {
 	}
 	defer cf.Close()
 	err = atomicio.WriteTo(dst, 0o644, func(f *os.File) error {
-		var werr error
-		written, werr = trace.EncodeSeeker(f, trace.NewBlockRunSource(cf))
-		return werr
+		tw, err := trace.NewWriter(f)
+		if err != nil {
+			return err
+		}
+		err = trace.NewBlockReader(cf).ReadRuns(0, math.MaxInt64, func(runs []trace.Run) error {
+			for _, r := range runs {
+				addr := r.Start
+				for i := int64(0); i < r.Len; i++ {
+					if err := tw.Put(trace.Ref{Addr: addr, Kind: trace.IFetch, Domain: r.Domain}); err != nil {
+						return err
+					}
+					addr += trace.InstrBytes
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		written, err = tw.Finish(f)
+		return err
 	})
 	if err != nil {
 		return 0, fmt.Errorf("ibsim: writing trace file: %w", err)

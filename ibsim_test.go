@@ -1,8 +1,12 @@
 package ibsim
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
 	"testing"
+
+	"ibsim/internal/trace"
 )
 
 func TestWorkloadsRegistry(t *testing.T) {
@@ -144,6 +148,58 @@ func TestTraceFileRoundTrip(t *testing.T) {
 	}
 	if a.Misses != b.Misses {
 		t.Fatalf("file replay misses %d != fresh replay %d", a.Misses, b.Misses)
+	}
+}
+
+// ConvertColumnarToTrace expands a columnar file block by block into the
+// same bytes as encoding its whole expanded trace at once.
+func TestConvertColumnarToTrace(t *testing.T) {
+	w, _ := LoadWorkload("gs")
+	refs, err := GenerateInstructionTrace(w, 30_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := trace.Compact(refs)
+	var col bytes.Buffer
+	blocks, err := trace.EncodeColumnarSize(&col, runs, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blocks < 3 {
+		t.Fatalf("only %d blocks", blocks)
+	}
+	dir := t.TempDir()
+	src := filepath.Join(dir, "gs.ibsc")
+	if err := os.WriteFile(src, col.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	written, err := ConvertColumnarToTrace(src, filepath.Join(dir, "gs.ibstrace"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if written != uint64(len(refs)) {
+		t.Fatalf("converted %d references, want %d", written, len(refs))
+	}
+	f, err := os.Create(filepath.Join(dir, "want.ibstrace"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := trace.EncodeSeeker(f, trace.Expand(runs)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "gs.ibstrace"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("converted file (%d bytes) differs from EncodeSeeker of the expanded runs (%d bytes)", len(got), len(want))
 	}
 }
 

@@ -198,7 +198,7 @@ func stageTraceCodec(opt Options) (stageValues, error) {
 		return stageValues{}, err
 	}
 	var buf bytes.Buffer
-	if _, err := trace.Encode(&buf, trace.NewSliceSource(refs)); err != nil {
+	if _, err := trace.Encode(&buf, refs); err != nil {
 		return stageValues{}, err
 	}
 	got, err := trace.Decode(&buf)

@@ -31,7 +31,7 @@ func RunChaos(opt Options) ([]Result, error) {
 		return nil, fmt.Errorf("chaos: generating fixture trace: %w", err)
 	}
 	var sb memSeeker
-	if _, err := trace.EncodeSeeker(&sb, trace.NewSliceSource(refs)); err != nil {
+	if _, err := trace.EncodeSeeker(&sb, refs); err != nil {
 		return nil, fmt.Errorf("chaos: encoding fixture trace: %w", err)
 	}
 	data := sb.buf

@@ -90,7 +90,7 @@ func TraceRoundTrip(opt Options) ([]Result, error) {
 			return fail(name, "temp file: %v", err)
 		}
 		defer os.Remove(f.Name())
-		written, err := trace.EncodeSeeker(f, trace.NewSliceSource(refs))
+		written, err := trace.EncodeSeeker(f, refs)
 		if err != nil {
 			f.Close()
 			return fail(name, "encode: %v", err)
@@ -175,7 +175,7 @@ func refsDiffer(a, b []trace.Ref) string {
 // memory buffer and decodes it back, returning decoded and written counts.
 func pipeRoundTrip(refs []trace.Ref) (decoded, written int, err error) {
 	var buf bytes.Buffer
-	n, err := trace.Encode(&buf, trace.NewSliceSource(refs))
+	n, err := trace.Encode(&buf, refs)
 	if err != nil {
 		return 0, int(n), err
 	}

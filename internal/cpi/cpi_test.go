@@ -147,7 +147,7 @@ func TestSuiteShapes(t *testing.T) {
 		}
 		s := NewSystem()
 		for s.Instructions() < 300000 {
-			r, _ := g.Next()
+			r := g.Next()
 			s.Process(r)
 		}
 		return s.Components()

@@ -238,8 +238,7 @@ func ExtensionTLB(opt Options) (*TLBResult, error) {
 		}
 		refs := make([]trace.Ref, 0, opt.Instructions+opt.Instructions/3)
 		for g.Instructions() < opt.Instructions {
-			r, _ := g.Next()
-			refs = append(refs, r)
+			refs = append(refs, g.Next())
 		}
 		for _, e := range entries {
 			for _, a := range assocs {

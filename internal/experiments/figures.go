@@ -93,11 +93,7 @@ func figure1PerConfig(opt Options) (*Figure1Result, error) {
 		per, err := mapRefs(profiles, opt, func(p synth.Profile, refs []trace.Ref) ([]threec.Breakdown, error) {
 			out := make([]threec.Breakdown, len(sizes))
 			for i, kb := range sizes {
-				b, err := threec.ClassifyApprox(kb*1024, 32, trace.NewSliceSource(refs))
-				if err != nil {
-					return nil, err
-				}
-				out[i] = b
+				out[i] = threec.ClassifyApprox(kb*1024, 32, refs)
 			}
 			return out, nil
 		})

@@ -211,7 +211,7 @@ func writeCPIAtDepth(p synth.Profile, depth int, opt Options) (float64, error) {
 	var lastEnd, stall, instr int64
 	now := func() int64 { return instr + stall }
 	for instr < opt.Instructions {
-		r, _ := g.Next()
+		r := g.Next()
 		switch r.Kind {
 		case trace.IFetch:
 			instr++

@@ -61,8 +61,7 @@ func DECstationRow(ctx context.Context, p synth.Profile, seed uint64, n int64) (
 		}
 		end := min(s.Instructions()+decstationCheckEvery, n)
 		for s.Instructions() < end {
-			r, _ := g.Next()
-			s.Process(r)
+			s.Process(g.Next())
 		}
 	}
 	return Table1Row{

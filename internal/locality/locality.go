@@ -198,22 +198,18 @@ func (s *StackDist) prefix(i int64) int64 {
 	return sum
 }
 
-// Analyze drains an entire source, observing only instruction fetches.
-func Analyze(lineSize int, src trace.Source) (*Analysis, error) {
+// Analyze observes the instruction fetches of refs.
+func Analyze(lineSize int, refs []trace.Ref) (*Analysis, error) {
 	a, err := New(lineSize)
 	if err != nil {
 		return nil, err
 	}
-	for {
-		r, ok := src.Next()
-		if !ok {
-			break
-		}
+	for _, r := range refs {
 		if r.Kind == trace.IFetch {
 			a.Observe(r)
 		}
 	}
-	return a, src.Err()
+	return a, nil
 }
 
 // Instructions returns the number of instruction fetches observed.

@@ -154,7 +154,7 @@ func TestAnalyzeFiltersData(t *testing.T) {
 		{Addr: 0x9000, Kind: trace.DRead},
 		iref(4),
 	}
-	a, err := Analyze(32, trace.NewSliceSource(refs))
+	a, err := Analyze(32, refs)
 	if err != nil {
 		t.Fatal(err)
 	}

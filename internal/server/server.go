@@ -247,9 +247,6 @@ func (s *Server) Ready() bool { return s.ready.Load() }
 // currently held by running requests.
 func (s *Server) InflightBytes() int64 { return s.limiter.Used() }
 
-// QueueLen returns the number of requests waiting for admission.
-func (s *Server) QueueLen() int { return s.limiter.Queued() }
-
 // Run serves on ln until ctx is cancelled, then drains: the listener
 // closes, /readyz flips to 503, and in-flight requests get up to
 // Config.DrainTimeout to finish before Run returns. A clean drain returns

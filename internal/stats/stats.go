@@ -1,17 +1,12 @@
-// Package stats provides the small set of descriptive statistics the
-// simulator needs: running sample accumulation (mean, variance, standard
-// deviation, extrema) and simple aggregation over experiment trials.
+// Package stats provides the running sample statistics the simulator needs:
+// the mean and the standard deviation of experiment trials.
 //
 // The paper reports Figure 5 as "one standard deviation of CPIinstr" over 5
 // experimental trials per configuration; Sample reproduces exactly that
 // computation (sample standard deviation, n-1 denominator).
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
 // Sample accumulates observations using Welford's online algorithm, which is
 // numerically stable for long runs of near-equal values (CPI values across
@@ -21,37 +16,15 @@ type Sample struct {
 	n    int
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add records one observation.
 func (s *Sample) Add(x float64) {
 	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
 	delta := x - s.mean
 	s.mean += delta / float64(s.n)
 	s.m2 += delta * (x - s.mean)
 }
-
-// AddAll records every observation in xs.
-func (s *Sample) AddAll(xs []float64) {
-	for _, x := range xs {
-		s.Add(x)
-	}
-}
-
-// N returns the number of observations recorded.
-func (s *Sample) N() int { return s.n }
 
 // Mean returns the sample mean, or 0 for an empty sample.
 func (s *Sample) Mean() float64 { return s.mean }
@@ -67,116 +40,3 @@ func (s *Sample) Variance() float64 {
 
 // StdDev returns the sample standard deviation.
 func (s *Sample) StdDev() float64 { return math.Sqrt(s.Variance()) }
-
-// Min returns the smallest observation, or 0 for an empty sample.
-func (s *Sample) Min() float64 { return s.min }
-
-// Max returns the largest observation, or 0 for an empty sample.
-func (s *Sample) Max() float64 { return s.max }
-
-// StdErr returns the standard error of the mean.
-func (s *Sample) StdErr() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.StdDev() / math.Sqrt(float64(s.n))
-}
-
-// String summarizes the sample for logs and test failures.
-func (s *Sample) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g",
-		s.n, s.Mean(), s.StdDev(), s.min, s.max)
-}
-
-// Merge folds other into s as if every observation in other had been added
-// to s (Chan et al.'s parallel variance combination).
-func (s *Sample) Merge(other *Sample) {
-	if other.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *other
-		return
-	}
-	delta := other.mean - s.mean
-	total := s.n + other.n
-	s.mean += delta * float64(other.n) / float64(total)
-	s.m2 += other.m2 + delta*delta*float64(s.n)*float64(other.n)/float64(total)
-	if other.min < s.min {
-		s.min = other.min
-	}
-	if other.max > s.max {
-		s.max = other.max
-	}
-	s.n = total
-}
-
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// StdDev returns the sample standard deviation of xs (n−1 denominator), or 0
-// when len(xs) < 2.
-func StdDev(xs []float64) float64 {
-	var s Sample
-	s.AddAll(xs)
-	return s.StdDev()
-}
-
-// Median returns the median of xs, or 0 for an empty slice. xs is not
-// modified.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	tmp := make([]float64, len(xs))
-	copy(tmp, xs)
-	sort.Float64s(tmp)
-	mid := len(tmp) / 2
-	if len(tmp)%2 == 1 {
-		return tmp[mid]
-	}
-	return (tmp[mid-1] + tmp[mid]) / 2
-}
-
-// GeoMean returns the geometric mean of xs. Non-positive inputs and empty
-// slices return 0. SPEC-style suite summaries conventionally use the
-// geometric mean.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sumLog := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		sumLog += math.Log(x)
-	}
-	return math.Exp(sumLog / float64(len(xs)))
-}
-
-// WeightedMean returns the weighted arithmetic mean of xs with weights ws.
-// It panics if the slices differ in length; a zero total weight returns 0.
-func WeightedMean(xs, ws []float64) float64 {
-	if len(xs) != len(ws) {
-		panic("stats: WeightedMean length mismatch")
-	}
-	var sum, wsum float64
-	for i, x := range xs {
-		sum += x * ws[i]
-		wsum += ws[i]
-	}
-	if wsum == 0 {
-		return 0
-	}
-	return sum / wsum
-}

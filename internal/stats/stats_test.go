@@ -8,30 +8,30 @@ import (
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+func sampleOf(xs ...float64) *Sample {
+	var s Sample
+	for _, x := range xs {
+		s.Add(x)
+	}
+	return &s
+}
+
 func TestSampleEmpty(t *testing.T) {
 	var s Sample
-	if s.N() != 0 || s.Mean() != 0 || s.Variance() != 0 || s.StdDev() != 0 {
-		t.Fatalf("empty sample not zero: %v", &s)
-	}
-	if s.StdErr() != 0 {
-		t.Fatal("empty sample StdErr != 0")
+	if s.Mean() != 0 || s.Variance() != 0 || s.StdDev() != 0 {
+		t.Fatalf("empty sample not zero: %+v", s)
 	}
 }
 
 func TestSampleSingle(t *testing.T) {
-	var s Sample
-	s.Add(4.2)
-	if s.N() != 1 || s.Mean() != 4.2 || s.Variance() != 0 {
-		t.Fatalf("single-value sample wrong: %v", &s)
-	}
-	if s.Min() != 4.2 || s.Max() != 4.2 {
-		t.Fatalf("extrema wrong: %v", &s)
+	s := sampleOf(4.2)
+	if s.Mean() != 4.2 || s.Variance() != 0 || s.StdDev() != 0 {
+		t.Fatalf("single-value sample wrong: %+v", *s)
 	}
 }
 
 func TestSampleKnownValues(t *testing.T) {
-	var s Sample
-	s.AddAll([]float64{2, 4, 4, 4, 5, 5, 7, 9})
+	s := sampleOf(2, 4, 4, 4, 5, 5, 7, 9)
 	if !almostEq(s.Mean(), 5, 1e-12) {
 		t.Errorf("mean = %v, want 5", s.Mean())
 	}
@@ -39,8 +39,8 @@ func TestSampleKnownValues(t *testing.T) {
 	if !almostEq(s.Variance(), 32.0/7.0, 1e-12) {
 		t.Errorf("variance = %v, want %v", s.Variance(), 32.0/7.0)
 	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Errorf("extrema = %v/%v", s.Min(), s.Max())
+	if !almostEq(s.StdDev(), math.Sqrt(32.0/7.0), 1e-12) {
+		t.Errorf("stddev = %v, want %v", s.StdDev(), math.Sqrt(32.0/7.0))
 	}
 }
 
@@ -59,164 +59,33 @@ func TestSampleStability(t *testing.T) {
 	}
 }
 
-func TestMergeMatchesSequential(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, -3, 0.5}
-	var whole Sample
-	whole.AddAll(xs)
-
-	var a, b Sample
-	a.AddAll(xs[:5])
-	b.AddAll(xs[5:])
-	a.Merge(&b)
-
-	if a.N() != whole.N() {
-		t.Fatalf("N %d != %d", a.N(), whole.N())
-	}
-	if !almostEq(a.Mean(), whole.Mean(), 1e-12) {
-		t.Errorf("mean %v != %v", a.Mean(), whole.Mean())
-	}
-	if !almostEq(a.Variance(), whole.Variance(), 1e-9) {
-		t.Errorf("variance %v != %v", a.Variance(), whole.Variance())
-	}
-	if a.Min() != whole.Min() || a.Max() != whole.Max() {
-		t.Errorf("extrema mismatch")
-	}
-}
-
-func TestMergeEmptyCases(t *testing.T) {
-	var a, b Sample
-	a.Add(1)
-	a.Merge(&b) // merging empty: no-op
-	if a.N() != 1 || a.Mean() != 1 {
-		t.Fatal("merge with empty changed sample")
-	}
-	var c Sample
-	c.Merge(&a) // merging into empty: copy
-	if c.N() != 1 || c.Mean() != 1 {
-		t.Fatal("merge into empty failed")
-	}
-}
-
-func TestMean(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Error("Mean(nil) != 0")
-	}
-	if Mean([]float64{1, 2, 3}) != 2 {
-		t.Error("Mean wrong")
-	}
-}
-
-func TestStdDevHelper(t *testing.T) {
-	if StdDev([]float64{5}) != 0 {
-		t.Error("StdDev singleton != 0")
-	}
-	got := StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if !almostEq(got, math.Sqrt(32.0/7.0), 1e-12) {
-		t.Errorf("StdDev = %v", got)
-	}
-}
-
-func TestMedian(t *testing.T) {
-	if Median(nil) != 0 {
-		t.Error("Median(nil) != 0")
-	}
-	if Median([]float64{3, 1, 2}) != 2 {
-		t.Error("odd median wrong")
-	}
-	if Median([]float64{4, 1, 3, 2}) != 2.5 {
-		t.Error("even median wrong")
-	}
-	// input must not be mutated
-	in := []float64{3, 1, 2}
-	Median(in)
-	if in[0] != 3 || in[1] != 1 || in[2] != 2 {
-		t.Error("Median mutated input")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if GeoMean(nil) != 0 {
-		t.Error("GeoMean(nil) != 0")
-	}
-	if !almostEq(GeoMean([]float64{2, 8}), 4, 1e-12) {
-		t.Error("GeoMean{2,8} != 4")
-	}
-	if GeoMean([]float64{1, -1}) != 0 {
-		t.Error("GeoMean with negative should be 0")
-	}
-	if GeoMean([]float64{1, 0}) != 0 {
-		t.Error("GeoMean with zero should be 0")
-	}
-}
-
-func TestWeightedMean(t *testing.T) {
-	got := WeightedMean([]float64{1, 3}, []float64{1, 3})
-	if !almostEq(got, 2.5, 1e-12) {
-		t.Errorf("WeightedMean = %v, want 2.5", got)
-	}
-	if WeightedMean(nil, nil) != 0 {
-		t.Error("zero weights should give 0")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("length mismatch did not panic")
-		}
-	}()
-	WeightedMean([]float64{1}, []float64{1, 2})
-}
-
-// Property: Welford mean equals naive mean; variance is non-negative;
-// min <= mean <= max.
+// Property: Welford's mean and variance equal the naive two-pass ones.
 func TestSampleProperties(t *testing.T) {
 	f := func(raw []int16) bool {
 		if len(raw) == 0 {
 			return true
 		}
 		xs := make([]float64, len(raw))
+		var s Sample
+		var sum float64
 		for i, v := range raw {
 			xs[i] = float64(v) / 7.0
+			s.Add(xs[i])
+			sum += xs[i]
 		}
-		var s Sample
-		s.AddAll(xs)
-		if s.Variance() < 0 {
-			return false
+		mean := sum / float64(len(xs))
+		var ss float64
+		for _, x := range xs {
+			ss += (x - mean) * (x - mean)
 		}
-		if !almostEq(s.Mean(), Mean(xs), 1e-6) {
-			return false
+		variance := 0.0
+		if len(xs) > 1 {
+			variance = ss / float64(len(xs)-1)
 		}
-		return s.Min() <= s.Mean()+1e-9 && s.Mean() <= s.Max()+1e-9
+		return s.Variance() >= 0 && almostEq(s.Mean(), mean, 1e-6) &&
+			almostEq(s.Variance(), variance, 1e-6*(1+variance))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Property: Merge is equivalent to sequential AddAll for arbitrary splits.
-func TestMergeProperty(t *testing.T) {
-	f := func(a, b []int8) bool {
-		var whole, left, right Sample
-		for _, v := range a {
-			whole.Add(float64(v))
-			left.Add(float64(v))
-		}
-		for _, v := range b {
-			whole.Add(float64(v))
-			right.Add(float64(v))
-		}
-		left.Merge(&right)
-		return left.N() == whole.N() &&
-			almostEq(left.Mean(), whole.Mean(), 1e-9) &&
-			almostEq(left.Variance(), whole.Variance(), 1e-6)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSampleString(t *testing.T) {
-	var s Sample
-	s.AddAll([]float64{1, 2, 3})
-	if got := s.String(); got == "" {
-		t.Error("empty String()")
 	}
 }

@@ -74,25 +74,6 @@ type Matrix struct {
 	Misses []int64
 }
 
-// MissesFor returns the miss count of the cell with the given capacity in
-// bytes and associativity, and whether the grid contains it.
-func (m *Matrix) MissesFor(sizeBytes, assoc int) (int64, bool) {
-	if assoc < 1 || sizeBytes <= 0 {
-		return 0, false
-	}
-	lines := sizeBytes / m.LineSize
-	if lines == 0 || lines%assoc != 0 {
-		return 0, false
-	}
-	want := Cell{Sets: lines / assoc, Assoc: assoc}
-	for i, c := range m.Cells {
-		if c == want {
-			return m.Misses[i], true
-		}
-	}
-	return 0, false
-}
-
 // Pass configures one exact sweep over a trace.
 type Pass struct {
 	// LineSize is the line size in bytes shared by every cell; a power of

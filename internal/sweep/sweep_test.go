@@ -99,24 +99,6 @@ func TestCountDistinct(t *testing.T) {
 	}
 }
 
-func TestMissesFor(t *testing.T) {
-	refs := testRefs(t, 10_000)
-	cells := []Cell{{Sets: 256, Assoc: 1}, {Sets: 128, Assoc: 8}}
-	m, err := Pass{LineSize: 32, Cells: cells}.Run(refs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := m.MissesFor(8192, 1); !ok || got != m.Misses[0] {
-		t.Fatalf("MissesFor(8192,1) = %d,%v", got, ok)
-	}
-	if got, ok := m.MissesFor(32768, 8); !ok || got != m.Misses[1] {
-		t.Fatalf("MissesFor(32768,8) = %d,%v", got, ok)
-	}
-	if _, ok := m.MissesFor(4096, 1); ok {
-		t.Fatal("MissesFor reported a cell the grid does not contain")
-	}
-}
-
 func TestRunValidation(t *testing.T) {
 	refs := testRefs(t, 10)
 	for _, tc := range []struct {

@@ -18,7 +18,7 @@ func collectRefs(t *testing.T, g *Generator, k int) []trace.Ref {
 	t.Helper()
 	out := make([]trace.Ref, k)
 	for i := range out {
-		out[i], _ = g.Next()
+		out[i] = g.Next()
 	}
 	return out
 }

@@ -65,7 +65,7 @@ func (s *Store) spillDir() (string, error) {
 // SetSpillDir directs future columnar spills to dir (created as needed)
 // instead of a throwaway temp directory. Opening the directory purges every
 // stale spill artifact a crashed predecessor left behind — in-flight
-// `.trace.ibsc.tmp-*` temp files and published `trace-*.ibsc` files alike:
+// `.trace-*.ibsc.tmp-*` temp files and published `trace-*.ibsc` files alike:
 // spill files are only reachable through this store's in-memory entries, so
 // anything present at open is an orphan by definition and must never be
 // loaded as data. Call before the first spill.
@@ -149,11 +149,11 @@ func (w *countWriter) Write(p []byte) (int, error) {
 // pass registers checkpoints and resumes from any memoized runs-only
 // prefix.
 //
-// Publication is crash-safe: the encoding streams into an atomicio-style
-// temp file, is fsynced, and only then renamed to its published trace-*.ibsc
-// name — so a power failure at any instant leaves either sweepable temp
-// debris or a complete, CRC-valid published file, never a torn file under a
-// published name.
+// Publication is crash-safe (atomicio.WriteToFS): the encoding streams into
+// a temp file, is fsynced, and only then renamed to its published
+// trace-<seq>.ibsc name — so a power failure at any instant leaves either
+// sweepable temp debris or a complete, CRC-valid published file, never a
+// torn file under a published name.
 func (s *Store) writeColumnar(prof Profile, seed uint64, n int64) (payload, error) {
 	src, done, err := s.SeekSource(prof, seed, n)
 	if err != nil {
@@ -164,52 +164,38 @@ func (s *Store) writeColumnar(prof Profile, seed uint64, n int64) (payload, erro
 	if err != nil {
 		return payload{}, err
 	}
-	fsys := s.fs()
-	f, err := fsys.CreateTemp(dir, ".trace.ibsc.tmp-*")
-	if err != nil {
-		return payload{}, fmt.Errorf("synth: creating columnar spill file: %w", err)
-	}
-	tmp := f.Name()
-	fail := func(err error) (payload, error) {
-		f.Close()
-		fsys.Remove(tmp)
-		return payload{}, err
-	}
-
-	cw := &countWriter{f: f}
-	bw := bufio.NewWriterSize(cw, colSpillBuf)
-	w, err := trace.NewColumnarWriter(bw)
-	if err != nil {
-		return fail(err)
-	}
-	if err := s.spill(src, prof, seed, n, w); err != nil {
-		return fail(err)
-	}
-	if err := w.Close(); err != nil {
-		return fail(err)
-	}
-	if err := bw.Flush(); err != nil {
-		return fail(fmt.Errorf("synth: flushing columnar spill: %w", err))
-	}
-	if s.hardBudget > 0 && cw.n > s.hardBudget {
-		return fail(fmt.Errorf("%w: columnar file needs %d bytes, budget %d",
-			ErrOverBudget, cw.n, s.hardBudget))
-	}
-	if err := f.Sync(); err != nil {
-		return fail(fmt.Errorf("synth: syncing columnar spill: %w", err))
-	}
-	if err := f.Close(); err != nil {
-		return fail(fmt.Errorf("synth: closing columnar spill: %w", err))
-	}
 	s.mu.Lock()
 	s.spillSeq++
 	path := filepath.Join(dir, fmt.Sprintf("trace-%d.ibsc", s.spillSeq))
 	s.mu.Unlock()
-	if err := fsys.Rename(tmp, path); err != nil {
-		fsys.Remove(tmp)
-		return payload{}, fmt.Errorf("synth: publishing columnar spill: %w", err)
+	fsys := s.fs()
+	var size int64
+	err = atomicio.WriteToFS(fsys, path, 0o600, func(f crashfs.File) error {
+		cw := &countWriter{f: f}
+		bw := bufio.NewWriterSize(cw, colSpillBuf)
+		w, err := trace.NewColumnarWriter(bw)
+		if err != nil {
+			return err
+		}
+		if err := s.spill(src, prof, seed, n, w); err != nil {
+			return err
+		}
+		if err := w.Close(); err != nil {
+			return err
+		}
+		if err := bw.Flush(); err != nil {
+			return fmt.Errorf("synth: flushing columnar spill: %w", err)
+		}
+		if s.hardBudget > 0 && cw.n > s.hardBudget {
+			return fmt.Errorf("%w: columnar file needs %d bytes, budget %d",
+				ErrOverBudget, cw.n, s.hardBudget)
+		}
+		size = cw.n
+		return nil
+	})
+	if err != nil {
+		return payload{}, err
 	}
-	fsys.SyncDir(dir) // best effort: persist the publish itself
 	cf, err := trace.OpenColumnar(path)
 	if err != nil {
 		fsys.Remove(path)
@@ -218,7 +204,7 @@ func (s *Store) writeColumnar(prof Profile, seed uint64, n int64) (payload, erro
 	s.mu.Lock()
 	s.stats.Spills++
 	s.mu.Unlock()
-	return payload{cf: cf, path: path, fileBytes: cw.n}, nil
+	return payload{cf: cf, path: path, fileBytes: size}, nil
 }
 
 // spill writes src's runs to w, resuming from the longest memoized

@@ -133,9 +133,9 @@ type WalkStats struct {
 	DomainSwitches int64
 }
 
-// Generator produces a workload's reference stream. It implements
-// trace.Source and never ends on its own; Trace, InstrTrace and SeekSource
-// take an instruction budget.
+// Generator produces a workload's reference stream, one reference per Next.
+// The stream never ends on its own; Trace, InstrTrace and SeekSource take an
+// instruction budget.
 type Generator struct {
 	prof    Profile
 	seed    uint64
@@ -328,11 +328,11 @@ func (ds *domainState) pickProc() frame {
 	return f
 }
 
-// Next implements trace.Source. The stream is infinite; ok is always true.
-func (g *Generator) Next() (trace.Ref, bool) {
+// Next returns the stream's next reference. The stream is infinite.
+func (g *Generator) Next() trace.Ref {
 	if g.npend > 0 {
 		g.npend--
-		return g.pending[g.npend], true
+		return g.pending[g.npend]
 	}
 	// Every instruction boundary passes this point exactly once, so
 	// recording here lands checkpoints on exact interval multiples.
@@ -364,7 +364,7 @@ func (g *Generator) Next() (trace.Ref, bool) {
 		}
 		g.resid = g.domains[g.cur].residency()
 	}
-	return ref, true
+	return ref
 }
 
 // advance moves the walk past the instruction just fetched.
@@ -471,9 +471,6 @@ func (ds *domainState) dataAddr() uint64 {
 	}
 }
 
-// Err implements trace.Source; generation cannot fail.
-func (g *Generator) Err() error { return nil }
-
 // Reset restarts the generator from its seed: the regenerated stream is
 // bit-identical to the original.
 func (g *Generator) Reset() { g.build() }
@@ -510,8 +507,7 @@ func Trace(prof Profile, seed uint64, n int64) ([]trace.Ref, error) {
 	}
 	out := make([]trace.Ref, 0, n+n/3)
 	for g.Instructions() < n {
-		r, _ := g.Next()
-		out = append(out, r)
+		out = append(out, g.Next())
 	}
 	return out, nil
 }
@@ -527,9 +523,7 @@ func InstrTrace(prof Profile, seed uint64, n int64) ([]trace.Ref, error) {
 	}
 	out := make([]trace.Ref, n)
 	for i := range out {
-		out[i], _ = g.Next()
+		out[i] = g.Next()
 	}
 	return out, nil
 }
-
-var _ trace.Source = (*Generator)(nil)

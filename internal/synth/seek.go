@@ -75,7 +75,7 @@ func (ss *SeekSource) ReadRuns(pos, n int64, fn func([]trace.Run) error) error {
 		stop := min(end, g.instrs+readBatch)
 		runs := ss.runs[:0]
 		for g.instrs < stop {
-			r, _ := g.Next()
+			r := g.Next()
 			if r.Addr == next && r.Domain == dom && next != 0 {
 				length++
 				next += trace.InstrBytes

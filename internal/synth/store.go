@@ -149,7 +149,7 @@ type Store struct {
 	dir        string     // lazily created spill directory for columnar files
 	dirOwned   bool       // dir was MkdirTemp'd by the store (Purge may remove it)
 	fsys       crashfs.FS // spill-file I/O; nil = the real OS (see SetSpillFS)
-	spillSeq   int64      // publication counter for trace-<seq>.ibsc names
+	spillSeq   int64      // counter naming the trace-<seq>.ibsc spill files
 
 	// ckEvery is the recording interval for new checkpoint indexes
 	// (0 = DefaultCheckpointEvery; see seek.go).

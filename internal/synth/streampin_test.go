@@ -140,10 +140,7 @@ func TestGeneratorStreamsPinned(t *testing.T) {
 		}
 		for _, seed := range []uint64{0, 1} {
 			g := MustNewGenerator(p, seed)
-			got[fmt.Sprintf("%s/%d/full", name, seed)] = streamDigest(func() trace.Ref {
-				r, _ := g.Next()
-				return r
-			}, pinnedStreamRefs)
+			got[fmt.Sprintf("%s/%d/full", name, seed)] = streamDigest(g.Next, pinnedStreamRefs)
 			src, err := NewSeekSource(p, seed, pinnedStreamRefs, nil)
 			if err != nil {
 				t.Fatal(err)

@@ -68,8 +68,8 @@ func TestGeneratorDeterminism(t *testing.T) {
 	a := MustNewGenerator(p, 0)
 	b := MustNewGenerator(p, 0)
 	for i := 0; i < 20000; i++ {
-		ra, _ := a.Next()
-		rb, _ := b.Next()
+		ra := a.Next()
+		rb := b.Next()
 		if ra != rb {
 			t.Fatalf("streams diverged at %d: %+v vs %+v", i, ra, rb)
 		}
@@ -80,12 +80,11 @@ func TestGeneratorReset(t *testing.T) {
 	g := MustNewGenerator(testProfile(), 0)
 	var first []trace.Ref
 	for i := 0; i < 5000; i++ {
-		r, _ := g.Next()
-		first = append(first, r)
+		first = append(first, g.Next())
 	}
 	g.Reset()
 	for i := 0; i < 5000; i++ {
-		r, _ := g.Next()
+		r := g.Next()
 		if r != first[i] {
 			t.Fatalf("Reset stream diverged at %d", i)
 		}
@@ -98,8 +97,8 @@ func TestGeneratorSeedsDiffer(t *testing.T) {
 	b := MustNewGenerator(p, 2)
 	same := 0
 	for i := 0; i < 1000; i++ {
-		ra, _ := a.Next()
-		rb, _ := b.Next()
+		ra := a.Next()
+		rb := b.Next()
 		if ra == rb {
 			same++
 		}
@@ -128,7 +127,7 @@ func TestDomainShares(t *testing.T) {
 func TestAddressesInDomainRegions(t *testing.T) {
 	g := MustNewGenerator(testProfile(), 0)
 	for i := 0; i < 100000; i++ {
-		r, _ := g.Next()
+		r := g.Next()
 		base := domainTextBase[r.Domain]
 		if r.Kind == trace.IFetch {
 			if r.Addr < base || r.Addr >= base+globalOffset {
@@ -149,8 +148,7 @@ func TestDataFractions(t *testing.T) {
 	g := MustNewGenerator(testProfile(), 0)
 	var c trace.Counts
 	for g.Instructions() < 200000 {
-		r, _ := g.Next()
-		c.Observe(r)
+		c.Observe(g.Next())
 	}
 	loads := float64(c.ByKind[trace.DRead]) / float64(c.ByKind[trace.IFetch])
 	stores := float64(c.ByKind[trace.DWrite]) / float64(c.ByKind[trace.IFetch])
@@ -324,8 +322,7 @@ func TestGeneratorSingleDomain(t *testing.T) {
 	}
 	g := MustNewGenerator(p, 0)
 	for i := 0; i < 10000; i++ {
-		r, ok := g.Next()
-		if !ok || r.Domain != trace.User {
+		if r := g.Next(); r.Domain != trace.User {
 			t.Fatal("single-domain generator misbehaved")
 		}
 	}
@@ -457,7 +454,7 @@ func BenchmarkGeneratorNext(b *testing.B) {
 			g := MustNewGenerator(bc.prof, 0)
 			b.ResetTimer()
 			for g.Instructions() < int64(b.N) {
-				refSink, _ = g.Next()
+				refSink = g.Next()
 			}
 		})
 	}

@@ -61,7 +61,7 @@ func ratio(n, d int64) float64 {
 // capacity reference is 8-way set-associative (or fully associative when the
 // cache holds fewer than 8 lines). Compulsory misses are counted as unique
 // lines touched.
-func ClassifyApprox(size, lineSize int, src trace.Source) (Breakdown, error) {
+func ClassifyApprox(size, lineSize int, refs []trace.Ref) Breakdown {
 	assocRef := 8
 	if lines := size / lineSize; lines < 8 {
 		assocRef = lines
@@ -71,11 +71,7 @@ func ClassifyApprox(size, lineSize int, src trace.Source) (Breakdown, error) {
 	seen := make(map[uint64]struct{})
 	var b Breakdown
 	lineShift := shiftFor(lineSize)
-	for {
-		r, ok := src.Next()
-		if !ok {
-			break
-		}
+	for _, r := range refs {
 		b.Accesses++
 		dm.Access(r.Addr)
 		sa.Access(r.Addr)
@@ -85,10 +81,7 @@ func ClassifyApprox(size, lineSize int, src trace.Source) (Breakdown, error) {
 			b.Compulsory++
 		}
 	}
-	if err := src.Err(); err != nil {
-		return b, err
-	}
-	return FromApproxCounts(b.Accesses, b.Compulsory, dm.Stats().Misses, sa.Stats().Misses), nil
+	return FromApproxCounts(b.Accesses, b.Compulsory, dm.Stats().Misses, sa.Stats().Misses)
 }
 
 // ApproxAssocRef returns the set associativity of the paper's capacity
@@ -147,7 +140,7 @@ func shiftFor(v int) uint {
 // capacity; otherwise → conflict. The configured cache may have any
 // associativity; a fully-associative LRU cache by definition has zero
 // conflict misses under this classifier.
-func ClassifyExact(cfg cache.Config, src trace.Source) (Breakdown, error) {
+func ClassifyExact(cfg cache.Config, refs []trace.Ref) (Breakdown, error) {
 	c, err := cache.New(cfg)
 	if err != nil {
 		return Breakdown{}, err
@@ -156,11 +149,7 @@ func ClassifyExact(cfg cache.Config, src trace.Source) (Breakdown, error) {
 	sd := newStackDist()
 	var b Breakdown
 	lineShift := shiftFor(cfg.LineSize)
-	for {
-		r, ok := src.Next()
-		if !ok {
-			break
-		}
+	for _, r := range refs {
 		b.Accesses++
 		la := r.Addr >> lineShift
 		dist, first := sd.Touch(la)
@@ -177,7 +166,7 @@ func ClassifyExact(cfg cache.Config, src trace.Source) (Breakdown, error) {
 			b.Conflict++
 		}
 	}
-	return b, src.Err()
+	return b, nil
 }
 
 // newStackDist returns the Mattson stack ClassifyExact reads stack

@@ -9,12 +9,12 @@ import (
 	"ibsim/internal/xrand"
 )
 
-func srcOf(lineAddrs ...uint64) trace.Source {
+func refsOf(lineAddrs ...uint64) []trace.Ref {
 	refs := make([]trace.Ref, len(lineAddrs))
 	for i, a := range lineAddrs {
 		refs[i] = trace.Ref{Addr: a * 32, Kind: trace.IFetch}
 	}
-	return trace.NewSliceSource(refs)
+	return refs
 }
 
 func TestStackDistBasics(t *testing.T) {
@@ -52,7 +52,7 @@ func TestStackDistIgnoresDuplicates(t *testing.T) {
 func TestClassifyExactCompulsoryOnly(t *testing.T) {
 	// Sequential sweep that fits in cache: all misses compulsory.
 	b, err := ClassifyExact(cache.Config{Size: 1024, LineSize: 32, Assoc: 1},
-		srcOf(0, 1, 2, 3, 0, 1, 2, 3))
+		refsOf(0, 1, 2, 3, 0, 1, 2, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestClassifyExactCapacity(t *testing.T) {
 			seq = append(seq, l)
 		}
 	}
-	b, err := ClassifyExact(cache.Config{Size: 4 * 32, LineSize: 32, Assoc: 0}, srcOf(seq...))
+	b, err := ClassifyExact(cache.Config{Size: 4 * 32, LineSize: 32, Assoc: 0}, refsOf(seq...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestClassifyExactConflict(t *testing.T) {
 	// DM cache, 4 lines: lines 0 and 4 conflict (same set), working set of 2
 	// fits easily → all non-first misses are conflicts.
 	b, err := ClassifyExact(cache.Config{Size: 4 * 32, LineSize: 32, Assoc: 1},
-		srcOf(0, 4, 0, 4, 0, 4))
+		refsOf(0, 4, 0, 4, 0, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +113,7 @@ func TestClassifyExactConflict(t *testing.T) {
 func TestClassifyApproxMatchesIntuition(t *testing.T) {
 	// Same conflict workload: the approximation should also call these
 	// conflicts (8-way removes them entirely).
-	src := srcOf(0, 4, 0, 4, 0, 4)
-	b, err := ClassifyApprox(4*32, 32, src)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := ClassifyApprox(4*32, 32, refsOf(0, 4, 0, 4, 0, 4))
 	if b.Total != 6 {
 		t.Fatalf("total = %d, want 6 (DM thrash)", b.Total)
 	}
@@ -131,11 +127,8 @@ func TestClassifyApproxMatchesIntuition(t *testing.T) {
 
 func TestClassifyApproxTinyCache(t *testing.T) {
 	// Cache with fewer than 8 lines: reference associativity degrades to
-	// fully associative without error.
-	b, err := ClassifyApprox(4*32, 32, srcOf(0, 1, 2, 3, 0, 1, 2, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// fully associative without panicking.
+	b := ClassifyApprox(4*32, 32, refsOf(0, 1, 2, 3, 0, 1, 2, 3))
 	if b.Total != 8-4 && b.Total != 8 { // DM: 0..3 map to distinct sets → 4 misses
 		t.Logf("total = %d", b.Total)
 	}
@@ -168,12 +161,12 @@ func TestComponentsSumProperty(t *testing.T) {
 		for i := range lines {
 			lines[i] = uint64(rng.Intn(300))
 		}
-		exact, err := ClassifyExact(cache.Config{Size: 2048, LineSize: 32, Assoc: 1}, srcOf(lines...))
+		exact, err := ClassifyExact(cache.Config{Size: 2048, LineSize: 32, Assoc: 1}, refsOf(lines...))
 		if err != nil || exact.Compulsory+exact.Capacity+exact.Conflict != exact.Total {
 			return false
 		}
-		approx, err := ClassifyApprox(2048, 32, srcOf(lines...))
-		if err != nil || approx.Compulsory+approx.Capacity+approx.Conflict != approx.Total {
+		approx := ClassifyApprox(2048, 32, refsOf(lines...))
+		if approx.Compulsory+approx.Capacity+approx.Conflict != approx.Total {
 			return false
 		}
 		// Both classifiers agree on the total (it is the same DM cache).
@@ -217,7 +210,7 @@ func TestStackDistMatchesNaive(t *testing.T) {
 }
 
 func TestClassifyExactRejectsBadConfig(t *testing.T) {
-	if _, err := ClassifyExact(cache.Config{Size: 7, LineSize: 32, Assoc: 1}, srcOf(0)); err == nil {
+	if _, err := ClassifyExact(cache.Config{Size: 7, LineSize: 32, Assoc: 1}, refsOf(0)); err == nil {
 		t.Fatal("bad config accepted")
 	}
 }

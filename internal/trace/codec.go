@@ -67,8 +67,9 @@ const headerSize = 8 + 2 + 2 + 8
 const maxPrealloc = 1 << 20
 
 // Writer encodes references to an underlying io.Writer. Close must be called
-// to flush buffered data; the header's record count is written up-front from
-// the count passed to NewWriter when known, or patched by EncodeSeeker.
+// to flush buffered data. The header's record count is written as zero (a
+// streaming file); Finish patches it, and appends the checksum trailer, when
+// the destination can seek.
 //
 // The Writer's error handling is sticky: after any failure (an invalid
 // reference, an underlying write error, a failed flush) every subsequent Put
@@ -84,27 +85,21 @@ type Writer struct {
 	closed bool
 }
 
-// NewWriter writes the trace header (with a zero record count — use
-// EncodeSeeker for a self-describing file, or pair with a transport that
-// delimits the stream) and returns a Writer.
+// NewWriter writes the trace header (with a zero record count — use Finish
+// for a self-describing file, or pair with a transport that delimits the
+// stream) and returns a Writer.
 func NewWriter(w io.Writer) (*Writer, error) {
-	return newWriterHeader(w, 0, 0)
-}
-
-func newWriterHeader(w io.Writer, count uint64, flags uint16) (*Writer, error) {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	var hdr [headerSize]byte
 	copy(hdr[:8], Magic)
 	binary.LittleEndian.PutUint16(hdr[8:10], Version)
-	binary.LittleEndian.PutUint16(hdr[10:12], flags)
-	binary.LittleEndian.PutUint64(hdr[12:20], count)
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return nil, fmt.Errorf("trace: writing header: %w", err)
 	}
 	return &Writer{w: bw}, nil
 }
 
-// Put implements Sink.
+// Put appends one reference.
 func (w *Writer) Put(r Ref) error {
 	if w.err != nil {
 		return w.err
@@ -145,9 +140,6 @@ func (w *Writer) Put(r Ref) error {
 // Count returns the number of references written so far.
 func (w *Writer) Count() uint64 { return w.count }
 
-// Sum32 returns the CRC-32 of the record bytes written so far.
-func (w *Writer) Sum32() uint32 { return w.sum }
-
 // Close flushes buffered data. It does not close the underlying writer.
 // Close is idempotent and sticky: a repeated Close (and any Close after a
 // failed write) returns the first error; a Put after a successful Close
@@ -165,7 +157,7 @@ func (w *Writer) Close() error {
 	return w.err
 }
 
-// Reader decodes a trace stream written by Writer. It implements Source.
+// Reader decodes a trace stream written by Writer, one reference per Next.
 type Reader struct {
 	r      *bufio.Reader
 	last   [3][NumDomains]uint64
@@ -208,7 +200,8 @@ func NewReader(r io.Reader) (*Reader, error) {
 	}, nil
 }
 
-// Next implements Source.
+// Next returns the next reference and true, or a zero Ref and false at the
+// end of the stream or on error; Err tells the two apart.
 func (r *Reader) Next() (Ref, bool) {
 	if r.err != nil {
 		return Ref{}, false
@@ -289,7 +282,7 @@ func (r *Reader) verify() {
 	}
 }
 
-// Err implements Source.
+// Err returns the first error Next met, or nil at a clean end of stream.
 func (r *Reader) Err() error { return r.err }
 
 // preallocHint returns a safe initial capacity for collecting the stream:
@@ -302,43 +295,46 @@ func (r *Reader) preallocHint() int {
 	return int(r.remain)
 }
 
-// Encode writes every reference from src to w in trace format, returning the
-// number written. The header count field is left zero (streaming mode, no
-// checksum trailer); use EncodeSeeker when a self-describing, checksummed
-// file is needed.
-func Encode(w io.Writer, src Source) (uint64, error) {
+// Encode writes refs to w in trace format, returning the number written.
+// The header count field is left zero (streaming mode, no checksum trailer);
+// use EncodeSeeker when a self-describing, checksummed file is needed.
+func Encode(w io.Writer, refs []Ref) (uint64, error) {
 	tw, err := NewWriter(w)
 	if err != nil {
 		return 0, err
 	}
-	if _, err := Copy(tw, src); err != nil {
-		return tw.Count(), err
+	for _, r := range refs {
+		if err := tw.Put(r); err != nil {
+			return tw.Count(), err
+		}
 	}
 	return tw.Count(), tw.Close()
 }
 
-// EncodeSeeker writes src to ws, appends a CRC-32 trailer over the record
-// bytes, and patches the header's record count and checksum flag, producing
-// a fully self-describing, integrity-checked trace file.
-func EncodeSeeker(ws io.WriteSeeker, src Source) (uint64, error) {
+// EncodeSeeker writes refs to ws and finishes the file (see Finish),
+// producing a fully self-describing, integrity-checked trace file.
+func EncodeSeeker(ws io.WriteSeeker, refs []Ref) (uint64, error) {
 	tw, err := NewWriter(ws)
 	if err != nil {
 		return 0, err
 	}
-	if _, err := Copy(tw, src); err != nil {
-		return tw.Count(), err
+	for _, r := range refs {
+		if err := tw.Put(r); err != nil {
+			return tw.Count(), err
+		}
 	}
-	if err := tw.Close(); err != nil {
-		return tw.Count(), err
-	}
-	return finishSeeker(ws, tw)
+	return tw.Finish(ws)
 }
 
-// finishSeeker appends the CRC-32 trailer and patches the header's checksum
-// flag and record count, completing a self-describing file written through
-// tw.
-func finishSeeker(ws io.WriteSeeker, tw *Writer) (uint64, error) {
-	n := tw.Count()
+// Finish closes w and completes the self-describing file w has been writing
+// to ws, the destination w was created over: it appends a CRC-32 trailer
+// over the record bytes and patches the header's checksum flag and record
+// count. It returns the number of references written.
+func (w *Writer) Finish(ws io.WriteSeeker) (uint64, error) {
+	n := w.count
+	if err := w.Close(); err != nil {
+		return n, err
+	}
 	if n == 0 {
 		// An empty trace has no record region for a count to delimit, so a
 		// trailer would be indistinguishable from records; leave the file in
@@ -346,7 +342,7 @@ func finishSeeker(ws io.WriteSeeker, tw *Writer) (uint64, error) {
 		return 0, nil
 	}
 	var trailer [4]byte
-	binary.LittleEndian.PutUint32(trailer[:], tw.Sum32())
+	binary.LittleEndian.PutUint32(trailer[:], w.sum)
 	if _, err := ws.Write(trailer[:]); err != nil {
 		return n, fmt.Errorf("trace: writing checksum trailer: %w", err)
 	}

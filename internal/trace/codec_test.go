@@ -15,7 +15,7 @@ import (
 func roundTrip(t *testing.T, in []Ref) []Ref {
 	t.Helper()
 	var buf bytes.Buffer
-	n, err := Encode(&buf, NewSliceSource(in))
+	n, err := Encode(&buf, in)
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
@@ -91,7 +91,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 			}
 		}
 		var buf bytes.Buffer
-		if _, err := Encode(&buf, NewSliceSource(in)); err != nil {
+		if _, err := Encode(&buf, in); err != nil {
 			return false
 		}
 		out, err := Decode(&buf)
@@ -117,7 +117,7 @@ func TestCodecCompression(t *testing.T) {
 		in[i] = Ref{Addr: 0x400000 + uint64(i)*4, Kind: IFetch, Domain: User}
 	}
 	var buf bytes.Buffer
-	if _, err := Encode(&buf, NewSliceSource(in)); err != nil {
+	if _, err := Encode(&buf, in); err != nil {
 		t.Fatal(err)
 	}
 	perRef := float64(buf.Len()) / float64(len(in))
@@ -159,7 +159,7 @@ func TestReaderBadVersion(t *testing.T) {
 
 func TestReaderCorruptTag(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := Encode(&buf, NewSliceSource(refs(0, 4))); err != nil {
+	if _, err := Encode(&buf, refs(0, 4)); err != nil {
 		t.Fatal(err)
 	}
 	b := buf.Bytes()
@@ -180,7 +180,7 @@ func headerSizeForTest() int { return headerSize }
 
 func TestReaderTruncatedBody(t *testing.T) {
 	var src seekBuffer
-	if _, err := EncodeSeeker(&src, NewSliceSource(refs(0, 4, 8, 4096, 8192))); err != nil {
+	if _, err := EncodeSeeker(&src, refs(0, 4, 8, 4096, 8192)); err != nil {
 		t.Fatal(err)
 	}
 	b := src.buf[:len(src.buf)-2] // drop tail bytes
@@ -250,18 +250,14 @@ func (s *seekBuffer) Seek(offset int64, whence int) (int64, error) {
 func TestEncodeSeekerSelfDescribing(t *testing.T) {
 	in := refs(0, 4, 8, 12, 16)
 	var sb seekBuffer
-	n, err := EncodeSeeker(&sb, NewSliceSource(in))
+	n, err := EncodeSeeker(&sb, in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 5 {
 		t.Fatalf("wrote %d", n)
 	}
-	r, err := NewReader(bytes.NewReader(sb.buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Collect(r)
+	out, err := Decode(bytes.NewReader(sb.buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +273,7 @@ func TestFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := refs(0x1000, 0x1004, 0x1008, 0x2000, 0x1010)
-	if _, err := EncodeSeeker(f, NewSliceSource(in)); err != nil {
+	if _, err := EncodeSeeker(f, in); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -301,6 +297,8 @@ func TestFileRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+var errTest = errors.New("test error")
 
 // failWriter errors after n bytes, exercising the encode error paths.
 type failWriter struct{ remain int }
@@ -336,7 +334,7 @@ func TestEncodeWriteFailures(t *testing.T) {
 	for i := range refs {
 		refs[i] = Ref{Addr: uint64(i) * 4096, Kind: IFetch}
 	}
-	if _, err := Encode(&failWriter{remain: 64}, NewSliceSource(refs)); err == nil {
+	if _, err := Encode(&failWriter{remain: 64}, refs); err == nil {
 		t.Fatal("mid-stream write failure not propagated")
 	}
 }
@@ -346,7 +344,7 @@ type failSeeker struct{ seekBuffer }
 func (f *failSeeker) Seek(int64, int) (int64, error) { return 0, errTest }
 
 func TestEncodeSeekerSeekFailure(t *testing.T) {
-	if _, err := EncodeSeeker(&failSeeker{}, NewSliceSource(refs(0, 4))); err == nil {
+	if _, err := EncodeSeeker(&failSeeker{}, refs(0, 4)); err == nil {
 		t.Fatal("seek failure not propagated")
 	}
 }

@@ -375,7 +375,6 @@ type ColumnarFile struct {
 	size    int64
 	path    string // backing file, when opened from one
 	metas   []BlockMeta
-	cum     []int64 // cum[i] = instructions before block i; len = blocks+1
 	refs    int64
 	runs    int64
 	blkSize int
@@ -492,31 +491,6 @@ func (f *ColumnarFile) BlockBytes() int { return f.blkSize }
 // Mapped reports whether the file is consumed through an mmap (zero-copy)
 // rather than sequential reads.
 func (f *ColumnarFile) Mapped() bool { return f.data != nil }
-
-// SeekRef returns the block containing absolute instruction position pos
-// (0-based) and the number of instructions before that block — the O(log
-// blocks) entry point for sampled time-windows. ok is false past the end.
-func (f *ColumnarFile) SeekRef(pos int64) (block int, before int64, ok bool) {
-	return seekCum(f.cum, pos)
-}
-
-// seekCum binary-searches a cumulative-refs prefix array (len = blocks+1).
-func seekCum(cum []int64, pos int64) (int, int64, bool) {
-	n := len(cum) - 1
-	if n < 0 || pos < 0 || pos >= cum[n] {
-		return 0, 0, false
-	}
-	lo, hi := 0, n
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if cum[mid+1] <= pos {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, cum[lo], true
-}
 
 // bytes returns the n bytes at off: a zero-copy slice in mapped mode, a
 // fresh ReadAt buffer otherwise.
@@ -692,22 +666,21 @@ func parseColumnar(data []byte, ra io.ReaderAt, size int64) (*ColumnarFile, erro
 	if got := crc32.ChecksumIEEE(index); got != indexCRC {
 		return nil, fmt.Errorf("%w: index checksum mismatch (trailer %08x, computed %08x)", ErrCorrupt, indexCRC, got)
 	}
-	metas, cum, refs, runs, err := parseColumnarIndex(index, blocks, indexOff)
+	metas, refs, runs, err := parseColumnarIndex(index, blocks, indexOff)
 	if err != nil {
 		return nil, err
 	}
 	if refs != totalRefs {
 		return nil, fmt.Errorf("%w: index refs %d != trailer refs %d", ErrCorrupt, refs, totalRefs)
 	}
-	f.metas, f.cum, f.refs, f.runs = metas, cum, refs, runs
+	f.metas, f.refs, f.runs = metas, refs, runs
 	return f, nil
 }
 
 // parseColumnarIndex decodes and structurally validates the footer index:
 // blocks must tile [header, indexOff) in order with no gaps or overlaps.
-func parseColumnarIndex(index []byte, blocks int, indexOff int64) ([]BlockMeta, []int64, int64, int64, error) {
+func parseColumnarIndex(index []byte, blocks int, indexOff int64) ([]BlockMeta, int64, int64, error) {
 	metas := make([]BlockMeta, blocks)
-	cum := make([]int64, blocks+1)
 	var refs, runs int64
 	next := int64(colHeaderSize)
 	for i := range metas {
@@ -724,17 +697,15 @@ func parseColumnarIndex(index []byte, blocks int, indexOff int64) ([]BlockMeta, 
 		if m.Offset != next || m.PayloadLen < colPayloadMin ||
 			m.Offset+colFrameSize+int64(m.PayloadLen) > indexOff ||
 			m.Refs <= 0 || m.Runs <= 0 || int64(m.Runs) > m.Refs {
-			return nil, nil, 0, 0, fmt.Errorf("%w: index entry %d invalid (offset %d, payload %d, %d runs, %d refs)", ErrCorrupt, i, m.Offset, m.PayloadLen, m.Runs, m.Refs)
+			return nil, 0, 0, fmt.Errorf("%w: index entry %d invalid (offset %d, payload %d, %d runs, %d refs)", ErrCorrupt, i, m.Offset, m.PayloadLen, m.Runs, m.Refs)
 		}
 		next = m.Offset + colFrameSize + int64(m.PayloadLen)
 		metas[i] = m
-		cum[i] = refs
 		refs += m.Refs
 		runs += int64(m.Runs)
 	}
 	if next != indexOff {
-		return nil, nil, 0, 0, fmt.Errorf("%w: %d bytes between last block and index", ErrCorrupt, indexOff-next)
+		return nil, 0, 0, fmt.Errorf("%w: %d bytes between last block and index", ErrCorrupt, indexOff-next)
 	}
-	cum[blocks] = refs
-	return metas, cum, refs, runs, nil
+	return metas, refs, runs, nil
 }

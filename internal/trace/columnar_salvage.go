@@ -125,14 +125,11 @@ func salvageColumnar(f *ColumnarFile) (*ColumnarFile, *ColumnarDamage, error) {
 		kept = append(kept, m)
 	}
 	f.metas = kept
-	f.cum = make([]int64, len(kept)+1)
 	f.refs, f.runs = 0, 0
-	for i, m := range kept {
-		f.cum[i] = f.refs
+	for _, m := range kept {
 		f.refs += m.Refs
 		f.runs += int64(m.Runs)
 	}
-	f.cum[len(kept)] = f.refs
 	return f, dmg, nil
 }
 
@@ -164,7 +161,7 @@ func salvageIndex(f *ColumnarFile) ([]BlockMeta, error) {
 	if got := crc32.ChecksumIEEE(index); got != indexCRC {
 		return nil, fmt.Errorf("%w: index checksum mismatch", ErrCorrupt)
 	}
-	metas, _, refs, _, err := parseColumnarIndex(index, blocks, indexOff)
+	metas, refs, _, err := parseColumnarIndex(index, blocks, indexOff)
 	if err != nil {
 		return nil, err
 	}

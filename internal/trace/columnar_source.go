@@ -2,12 +2,6 @@ package trace
 
 import "fmt"
 
-// Adapters between the block-granular view (BlockSource) and the other trace
-// forms: an in-memory []Run sliced into blocks for differential testing, and
-// a per-reference Source over any BlockSource for Count and the v1 codec.
-// (The sweep kernel and the replay driver read blocks through
-// NewBlockReader.)
-
 // RunsBlocks adapts an in-memory run-compacted trace to BlockSource by
 // slicing it into fixed run-count blocks. It performs no encoding — BlockRuns
 // copies the slice into dst — so it is the reference implementation
@@ -63,59 +57,8 @@ func (b *RunsBlocks) BlockRuns(i int, dst []Run) ([]Run, error) {
 	return append(dst[:0], b.block(i)...), nil
 }
 
-// SeekRef mirrors ColumnarFile.SeekRef.
-func (b *RunsBlocks) SeekRef(pos int64) (block int, before int64, ok bool) {
-	return seekCum(b.cum, pos)
-}
-
 func (b *RunsBlocks) block(i int) []Run {
 	return b.runs[i*b.per : min(len(b.runs), (i+1)*b.per)]
-}
-
-// BlockRunSource streams a BlockSource as a per-reference Source, decoding
-// one block at a time into a reused buffer — O(block) memory however large
-// the trace.
-type BlockRunSource struct {
-	bs  BlockSource
-	i   int   // next block to decode
-	buf []Run // decoded current block
-	j   int   // current run within buf
-	off int64 // next instruction within buf[j]
-	err error
-}
-
-// NewBlockRunSource returns a streaming view over bs from the first block.
-func NewBlockRunSource(bs BlockSource) *BlockRunSource {
-	return &BlockRunSource{bs: bs}
-}
-
-// Next implements Source, expanding runs to per-instruction references.
-func (s *BlockRunSource) Next() (Ref, bool) {
-	for s.j >= len(s.buf) {
-		if s.err != nil || s.i >= s.bs.NumBlocks() {
-			return Ref{}, false
-		}
-		if s.buf, s.err = s.bs.BlockRuns(s.i, s.buf); s.err != nil {
-			return Ref{}, false
-		}
-		s.i++
-		s.j, s.off = 0, 0
-	}
-	r := s.buf[s.j]
-	ref := Ref{Addr: r.Start + uint64(s.off)*InstrBytes, Kind: IFetch, Domain: r.Domain}
-	if s.off++; s.off == r.Len {
-		s.j++
-		s.off = 0
-	}
-	return ref, true
-}
-
-// Err implements Source: the first decode error, if any.
-func (s *BlockRunSource) Err() error { return s.err }
-
-// Reset rewinds to the first block (clearing any sticky error).
-func (s *BlockRunSource) Reset() {
-	s.i, s.j, s.off, s.buf, s.err = 0, 0, 0, s.buf[:0], nil
 }
 
 // ColumnarStats summarizes a columnar file for inspection (ibstrace -file):

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -250,7 +251,7 @@ func TestColumnarHeaderErrors(t *testing.T) {
 	})
 	t.Run("v1-file-rejected", func(t *testing.T) {
 		var buf bytes.Buffer
-		if _, err := Encode(&buf, NewSliceSource(Expand(runs))); err != nil {
+		if _, err := Encode(&buf, Expand(runs)); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := NewColumnarBytes(buf.Bytes()); !errors.Is(err, ErrBadVersion) {
@@ -410,86 +411,46 @@ func TestColumnarSalvageIntact(t *testing.T) {
 
 func TestColumnarSeekRef(t *testing.T) {
 	runs := colTestRuns(3000, 9)
-	data := encodeColumnarBytes(t, runs, 512)
-	f, err := NewColumnarBytes(data)
+	f, err := NewColumnarBytes(encodeColumnarBytes(t, runs, 512))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var total int64
+	cum := NewBlockReader(f).(*blockReader).cum
+	total := cum[len(cum)-1]
+	var want int64
 	for _, r := range runs {
-		total += r.Len
+		want += r.Len
 	}
-	// Every position must land in the block whose cumulative range holds it.
-	step := total/997 + 1
-	for pos := int64(0); pos < total; pos += step {
-		blk, before, ok := f.SeekRef(pos)
-		if !ok {
-			t.Fatalf("SeekRef(%d) not ok", pos)
-		}
+	if total != want || f.NumBlocks() < 8 {
+		t.Fatalf("%d blocks holding %d instructions, want >= 8 holding %d", f.NumBlocks(), total, want)
+	}
+	// Every position must land in the block whose cumulative range holds it,
+	// the first and last instruction of each block included.
+	var pos []int64
+	for p := int64(0); p < total; p += total/997 + 1 {
+		pos = append(pos, p)
+	}
+	for i := 0; i < f.NumBlocks(); i++ {
+		pos = append(pos, cum[i], cum[i+1]-1)
+	}
+	for _, p := range pos {
+		blk, before := seekCum(cum, p)
 		m := f.BlockMeta(blk)
-		if pos < before || pos >= before+m.Refs {
-			t.Fatalf("SeekRef(%d) -> block %d covering [%d,%d)", pos, blk, before, before+m.Refs)
+		if before != cum[blk] || p < before || p >= before+m.Refs {
+			t.Fatalf("seekCum(%d) -> block %d covering [%d,%d)", p, blk, before, before+m.Refs)
 		}
-	}
-	if _, _, ok := f.SeekRef(total); ok {
-		t.Fatal("SeekRef past the end succeeded")
-	}
-	if _, _, ok := f.SeekRef(-1); ok {
-		t.Fatal("SeekRef(-1) succeeded")
-	}
-}
-
-func TestBlockRunSource(t *testing.T) {
-	runs := colTestRuns(2000, 10)
-	data := encodeColumnarBytes(t, runs, 512)
-	f, err := NewColumnarBytes(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := NewBlockRunSource(f)
-	want := Expand(runs)
-	for pass := 0; pass < 2; pass++ { // the second pass checks Reset
-		for i, w := range want {
-			got, ok := src.Next()
-			if !ok {
-				t.Fatalf("Next ended at %d/%d (err %v)", i, len(want), src.Err())
-			}
-			if got != w {
-				t.Fatalf("ref %d = %+v, want %+v", i, got, w)
-			}
-		}
-		if _, ok := src.Next(); ok || src.Err() != nil {
-			t.Fatalf("Next past end: ok or err %v", src.Err())
-		}
-		src.Reset()
 	}
 }
 
 func TestRunsBlocksMatchesColumnar(t *testing.T) {
 	runs := colTestRuns(2500, 11)
-	data := encodeColumnarBytes(t, runs, 768)
-	f, err := NewColumnarBytes(data)
+	f, err := NewColumnarBytes(encodeColumnarBytes(t, runs, 768))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb := NewRunsBlocks(runs, 100)
-	if got := collectBlocks(t, rb); len(got) != len(runs) {
-		t.Fatalf("RunsBlocks yielded %d runs, want %d", len(got), len(runs))
-	}
-	// Same totals, same seek answers at every position.
-	var total int64
-	for _, r := range runs {
-		total += r.Len
-	}
-	for pos := int64(0); pos < total; pos += total/317 + 1 {
-		cb, cbefore, cok := f.SeekRef(pos)
-		rbk, rbefore, rok := rb.SeekRef(pos)
-		if cok != rok {
-			t.Fatalf("SeekRef(%d) ok mismatch", pos)
-		}
-		cm, rm := f.BlockMeta(cb), rb.BlockMeta(rbk)
-		if pos < cbefore || pos >= cbefore+cm.Refs || pos < rbefore || pos >= rbefore+rm.Refs {
-			t.Fatalf("SeekRef(%d) out of covering range", pos)
+	for name, bs := range map[string]BlockSource{"columnar": f, "runs-blocks": NewRunsBlocks(runs, 100)} {
+		if got := collectBlocks(t, bs); !slices.Equal(got, runs) {
+			t.Fatalf("%s yielded %d runs, want the %d encoded", name, len(got), len(runs))
 		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 func encodeValid(t testing.TB, refs []Ref) []byte {
 	t.Helper()
 	var buf seekBuffer // shared with codec_test.go
-	if _, err := EncodeSeeker(&buf, NewSliceSource(refs)); err != nil {
+	if _, err := EncodeSeeker(&buf, refs); err != nil {
 		t.Fatal(err)
 	}
 	return buf.buf
@@ -105,7 +105,7 @@ func FuzzReader(f *testing.F) {
 		{Addr: 0x1004, Kind: IFetch, Domain: User},
 		{Addr: 0x80001000, Kind: DWrite, Domain: Kernel},
 	}
-	if _, err := Encode(&buf, NewSliceSource(refs)); err != nil {
+	if _, err := Encode(&buf, refs); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
@@ -171,7 +171,7 @@ func FuzzRoundTrip(f *testing.F) {
 			{Addr: a2, Kind: Kind(k2 % 3), Domain: Domain(d2 % uint8(NumDomains))},
 		}
 		var buf bytes.Buffer
-		if _, err := Encode(&buf, NewSliceSource(in)); err != nil {
+		if _, err := Encode(&buf, in); err != nil {
 			t.Fatalf("encode: %v", err)
 		}
 		out, err := Decode(&buf)

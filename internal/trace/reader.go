@@ -1,6 +1,9 @@
 package trace
 
-import "math"
+import (
+	"math"
+	"sort"
+)
 
 // RunReader is a run-compacted instruction trace addressed by instruction
 // position: the one source the sweep kernel and the replay driver read.
@@ -101,7 +104,7 @@ func (r *blockReader) ReadRuns(pos, n int64, fn func([]Run) error) error {
 	}
 	for pos < end {
 		if r.blk < 0 || pos < r.cum[r.blk] || pos >= r.cum[r.blk+1] {
-			b, before, _ := seekCum(r.cum, pos)
+			b, before := seekCum(r.cum, pos)
 			var err error
 			if r.buf, err = r.bs.BlockRuns(b, r.buf); err != nil {
 				return err
@@ -163,4 +166,12 @@ func (r *blockReader) emit(pos, stop int64, fn func([]Run) error) error {
 		return fn(r.cut[:])
 	}
 	return nil
+}
+
+// seekCum returns the block holding instruction pos, 0 <= pos <
+// cum[len(cum)-1], and the instructions before it, by binary search over the
+// cumulative counts cum (cum[i] = instructions before block i).
+func seekCum(cum []int64, pos int64) (int, int64) {
+	b := sort.Search(len(cum)-1, func(i int) bool { return cum[i+1] > pos })
+	return b, cum[b]
 }

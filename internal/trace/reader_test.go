@@ -9,8 +9,12 @@ import (
 
 // Every RunReader must yield exactly the instructions of [pos, pos+n) for
 // arbitrary positions — across block boundaries, after backward reads, and
-// clipped at the trace end — with the first run starting at pos.
+// clipped at the trace end — with the first run starting at pos. The
+// columnar reader also reads the first and the last instruction of every
+// block, forward and then backward, each landing by binary search in the
+// block that holds it.
 func TestRunReaders(t *testing.T) {
+	type window struct{ pos, n int64 }
 	runs := colTestRuns(3000, 23)
 	want := Expand(runs)
 	total := int64(len(want))
@@ -28,21 +32,33 @@ func TestRunReaders(t *testing.T) {
 		"columnar":  NewBlockReader(f),
 		"empty-mem": NewRunReader(nil),
 	}
-	windows := []struct{ pos, n int64 }{
+	windows := []window{
 		{0, 1}, {0, 100}, {500, 3000}, {total - 10, 100}, {total, 50},
 		{7, 1}, {2, 9000}, // backward after a long read
 		{total / 2, 1}, {0, total}, {3, 1 << 62}, {total / 3, 0},
 	}
+	var edges []window
+	for i, before := 0, int64(0); i < f.NumBlocks(); i++ {
+		refs := f.BlockMeta(i).Refs
+		edges = append(edges, window{before, 1}, window{before + refs - 1, 1})
+		before += refs
+	}
+	back := slices.Clone(edges)
+	slices.Reverse(back)
+	edges = append(edges, back...)
 	for name, rd := range readers {
 		t.Run(name, func(t *testing.T) {
-			exp := want
-			if name == "empty-mem" {
+			exp, ws := want, windows
+			switch name {
+			case "empty-mem":
 				exp = nil
+			case "columnar":
+				ws = append(slices.Clip(windows), edges...)
 			}
 			if rd.Total() != int64(len(exp)) {
 				t.Fatalf("Total %d, want %d", rd.Total(), len(exp))
 			}
-			for _, w := range windows {
+			for _, w := range ws {
 				var got []Ref
 				err := rd.ReadRuns(w.pos, w.n, func(rs []Run) error {
 					for _, r := range rs {

@@ -15,7 +15,7 @@ import (
 func encodeChecksummed(t testing.TB, in []Ref) []byte {
 	t.Helper()
 	var sb seekBuffer
-	if _, err := EncodeSeeker(&sb, NewSliceSource(in)); err != nil {
+	if _, err := EncodeSeeker(&sb, in); err != nil {
 		t.Fatal(err)
 	}
 	return sb.buf
@@ -243,7 +243,7 @@ func TestTruncationClassification(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if _, err := Encode(&buf, NewSliceSource(in)); err != nil {
+	if _, err := Encode(&buf, in); err != nil {
 		t.Fatal(err)
 	}
 	b := buf.Bytes()[:buf.Len()-1] // uncounted, cut mid-record
@@ -284,7 +284,7 @@ func TestRunFlagRejected(t *testing.T) {
 func TestStreamingFormatUnchanged(t *testing.T) {
 	in := seqRefs(100)
 	var buf bytes.Buffer
-	n, err := Encode(&buf, NewSliceSource(in))
+	n, err := Encode(&buf, in)
 	if err != nil || n != 100 {
 		t.Fatalf("Encode: n=%d err=%v", n, err)
 	}

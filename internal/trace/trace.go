@@ -83,83 +83,6 @@ type Ref struct {
 	Domain Domain
 }
 
-// Source produces a stream of references. Next returns false when the stream
-// is exhausted or has failed; Err distinguishes the two.
-type Source interface {
-	// Next advances to the next reference, returning it and true, or a zero
-	// Ref and false at end of stream or on error.
-	Next() (Ref, bool)
-	// Err returns the first error encountered, or nil on clean exhaustion.
-	Err() error
-}
-
-// Sink consumes a stream of references.
-type Sink interface {
-	// Put consumes one reference.
-	Put(Ref) error
-}
-
-// SliceSource adapts an in-memory []Ref to a Source.
-type SliceSource struct {
-	refs []Ref
-	pos  int
-}
-
-// NewSliceSource returns a Source that yields refs in order.
-func NewSliceSource(refs []Ref) *SliceSource {
-	return &SliceSource{refs: refs}
-}
-
-// Next implements Source.
-func (s *SliceSource) Next() (Ref, bool) {
-	if s.pos >= len(s.refs) {
-		return Ref{}, false
-	}
-	r := s.refs[s.pos]
-	s.pos++
-	return r, true
-}
-
-// Err implements Source; a SliceSource never fails.
-func (s *SliceSource) Err() error { return nil }
-
-// Reset rewinds the source to the beginning, allowing a trace held in memory
-// to be replayed against many configurations (how all the parameter sweeps
-// in Section 5 are driven).
-func (s *SliceSource) Reset() { s.pos = 0 }
-
-// Len returns the total number of references in the underlying slice.
-func (s *SliceSource) Len() int { return len(s.refs) }
-
-// Collect drains src into a slice. It returns the references read and the
-// first error, if any.
-func Collect(src Source) ([]Ref, error) {
-	var out []Ref
-	for {
-		r, ok := src.Next()
-		if !ok {
-			return out, src.Err()
-		}
-		out = append(out, r)
-	}
-}
-
-// Copy drains src into sink, returning the number of references copied and
-// the first error from either side.
-func Copy(sink Sink, src Source) (int64, error) {
-	var n int64
-	for {
-		r, ok := src.Next()
-		if !ok {
-			return n, src.Err()
-		}
-		if err := sink.Put(r); err != nil {
-			return n, err
-		}
-		n++
-	}
-}
-
 // Counts tallies a reference stream by kind and domain.
 type Counts struct {
 	// ByKind[k] is the number of references of Kind k.

@@ -28,28 +28,6 @@ func TestDomainString(t *testing.T) {
 	}
 }
 
-func TestSliceSource(t *testing.T) {
-	in := refs(0, 4, 8)
-	s := NewSliceSource(in)
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	got, err := Collect(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[1].Addr != 4 {
-		t.Fatalf("collected %v", got)
-	}
-	if _, ok := s.Next(); ok {
-		t.Fatal("exhausted source yielded")
-	}
-	s.Reset()
-	if r, ok := s.Next(); !ok || r.Addr != 0 {
-		t.Fatal("Reset did not rewind")
-	}
-}
-
 func TestCounts(t *testing.T) {
 	in := []Ref{
 		{Kind: IFetch, Domain: User},
@@ -80,31 +58,5 @@ func TestCounts(t *testing.T) {
 	var empty Counts
 	if empty.DomainFraction(User) != 0 {
 		t.Error("empty DomainFraction != 0")
-	}
-}
-
-type errSink struct{ after int }
-
-func (e *errSink) Put(Ref) error {
-	if e.after <= 0 {
-		return errTest
-	}
-	e.after--
-	return nil
-}
-
-var errTest = &testError{}
-
-type testError struct{}
-
-func (*testError) Error() string { return "test error" }
-
-func TestCopyPropagatesSinkError(t *testing.T) {
-	n, err := Copy(&errSink{after: 2}, NewSliceSource(refs(0, 4, 8, 12)))
-	if err != errTest {
-		t.Fatalf("err = %v", err)
-	}
-	if n != 2 {
-		t.Fatalf("copied %d before error, want 2", n)
 	}
 }

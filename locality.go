@@ -1,9 +1,6 @@
 package ibsim
 
-import (
-	"ibsim/internal/locality"
-	"ibsim/internal/trace"
-)
+import "ibsim/internal/locality"
 
 // LocalityAnalysis accumulates the locality statistics that determine cache
 // behavior: LRU stack-distance histograms (yielding the miss ratio of any
@@ -14,7 +11,7 @@ type LocalityAnalysis = locality.Analysis
 // AnalyzeLocality characterizes a reference stream (instruction fetches
 // only) at the given line granularity.
 func AnalyzeLocality(refs []Ref, lineSize int) (*LocalityAnalysis, error) {
-	return locality.Analyze(lineSize, trace.NewSliceSource(refs))
+	return locality.Analyze(lineSize, refs)
 }
 
 // AnalyzeWorkloadLocality generates n instructions of w and characterizes
