@@ -108,13 +108,14 @@ serve:
 # work behind both benchmark workloads' set-up), the fused
 # access of Figure 5's line events against the Touch/Access/Touch sequence
 # it replaced, the Table 8 and serve-hot replay banks over a 1M-instruction
-# workload, and the serve-hot sweep grid over the same workload from
-# references (compacting on every pass) and from runs compacted once.
+# workload, the serve-hot sweep grid over the same workload from references
+# (compacting on every pass) and from runs compacted once, exact and under
+# each sampling schedule ibsimd serves, and the Figure 3 grid.
 # Layer-by-layer timings with noise estimates come from the benchmark's
 # ledger: bash ibsbench/run.sh --workload serve-hot --seconds 10 --trace 1.
 bench:
 	$(GO) run ./cmd/ibscheck -bench-only -n 200000
-	$(GO) test -run='^$$' -bench='CompactAppend|FetchPerRef|FetchRun|Columnar|Physical|TLBAccess|DECstationRow|GeneratorNext|StoreRunsOnlyFill|AccessN|ReplayBank|SweepServeGrid' -benchmem \
+	$(GO) test -run='^$$' -bench='CompactAppend|FetchPerRef|FetchRun|Columnar|Physical|TLBAccess|DECstationRow|GeneratorNext|StoreRunsOnlyFill|AccessN|ReplayBank|SweepServeGrid|SweepFigure3Grid' -benchmem \
 		./internal/trace ./internal/fetch ./internal/tlb ./internal/experiments ./internal/synth ./internal/cache ./internal/replay ./internal/sweep
 
 # Go microbenchmarks (cache hot path, sweep engine, generators).

@@ -318,24 +318,44 @@ func SalvageColumnarTrace(path string) (*ColumnarTrace, *ColumnarDamage, error) 
 func IsColumnarTraceFile(path string) (bool, error) { return trace.SniffColumnar(path) }
 
 // ConvertTraceToColumnar re-encodes a record-format IBSTRACE file as
-// IBSTRACE/v3 columnar: instruction fetches are run-compacted and written
-// block by block; data references are dropped (the columnar format is
-// instruction-only). The destination write is atomic. Returns run-length
+// IBSTRACE/v3 columnar: instruction fetches are run-compacted as they are
+// decoded and written block by block, so memory holds one block, not the
+// trace; data references are dropped (the columnar format is
+// instruction-only). The destination write is atomic: a source that fails
+// to decode returns its error and leaves no destination. Returns run-length
 // statistics of the converted trace.
 func ConvertTraceToColumnar(src, dst string) (RunStats, error) {
-	refs, err := ReadTraceFile(src)
+	f, err := os.Open(src)
+	if err != nil {
+		return RunStats{}, fmt.Errorf("ibsim: opening trace file: %w", err)
+	}
+	defer f.Close()
+	tr, err := trace.NewReader(f)
 	if err != nil {
 		return RunStats{}, err
 	}
-	runs := trace.Compact(refs)
-	err = atomicio.WriteTo(dst, 0o644, func(f *os.File) error {
-		_, werr := trace.EncodeColumnar(f, runs)
-		return werr
+	lens := trace.RunLengths{}
+	err = atomicio.WriteTo(dst, 0o644, func(out *os.File) error {
+		cw, err := trace.NewColumnarWriter(out)
+		if err != nil {
+			return err
+		}
+		err = tr.EachRun(func(r trace.Run) error {
+			lens.Add(r)
+			return cw.PutRun(r)
+		})
+		if err != nil {
+			return err
+		}
+		return cw.Close()
 	})
+	if err := tr.Err(); err != nil {
+		return RunStats{}, err
+	}
 	if err != nil {
 		return RunStats{}, fmt.Errorf("ibsim: writing columnar trace file: %w", err)
 	}
-	return trace.SummarizeRuns(runs), nil
+	return lens.Stats(), nil
 }
 
 // ConvertColumnarToTrace expands an IBSTRACE/v3 columnar file back to the

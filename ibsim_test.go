@@ -2,6 +2,7 @@ package ibsim
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -200,6 +201,74 @@ func TestConvertColumnarToTrace(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("converted file (%d bytes) differs from EncodeSeeker of the expanded runs (%d bytes)", len(got), len(want))
+	}
+}
+
+// A record file converts to exactly the columnar bytes of its compacted
+// instruction fetches, data references dropped, with the same run
+// statistics; a truncated source, or one whose checksum fails only after the
+// last record, returns its typed error and leaves no destination.
+func TestConvertTraceToColumnar(t *testing.T) {
+	w, _ := LoadWorkload("gs")
+	dir := t.TempDir()
+	src := filepath.Join(dir, "gs.ibstrace")
+	if _, err := WriteTraceFile(src, w, 50_000); err != nil {
+		t.Fatal(err)
+	}
+	refs, err := ReadTraceFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := trace.Compact(refs)
+	if n := trace.SummarizeRuns(runs).Instructions; n == int64(len(refs)) {
+		t.Fatalf("fixture: no data references among %d", n)
+	}
+	var want bytes.Buffer
+	if _, err := trace.EncodeColumnar(&want, runs); err != nil {
+		t.Fatal(err)
+	}
+	dst := filepath.Join(dir, "gs.ibsc")
+	rs, err := ConvertTraceToColumnar(src, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs != trace.SummarizeRuns(runs) {
+		t.Fatalf("run stats %+v, want %+v", rs, trace.SummarizeRuns(runs))
+	}
+	got, err := os.ReadFile(dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("converted file (%d bytes) differs from EncodeColumnar of the compacted references (%d bytes)", len(got), want.Len())
+	}
+
+	whole, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupt := bytes.Clone(whole)
+	corrupt[len(corrupt)-1] ^= 0xff // the CRC trailer
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want error
+	}{
+		{"truncated", whole[:len(whole)/2], trace.ErrTruncated},
+		{"corrupt", corrupt, trace.ErrCorrupt},
+	} {
+		bad := filepath.Join(dir, tc.name+".ibstrace")
+		if err := os.WriteFile(bad, tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out := filepath.Join(dir, tc.name+".ibsc")
+		if _, err := ConvertTraceToColumnar(bad, out); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+		left, err := filepath.Glob(filepath.Join(dir, "*"+tc.name+".ibsc*"))
+		if err != nil || len(left) != 0 {
+			t.Errorf("%s: left %v (glob err %v)", tc.name, left, err)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ibsim/internal/cache"
+	"ibsim/internal/sampling"
 	"ibsim/internal/synth"
 	"ibsim/internal/trace"
 )
@@ -16,27 +17,16 @@ import (
 // references under p's schedule: a reference in the sampled line class is
 // fed when its position lies inside a measurement window (or Warm feeds the
 // gaps), and counted only inside a window. It returns the per-cell measured
-// misses, the measured instruction count and the distinct measured lines.
-func oracle(t *testing.T, p SampledPass, refs []trace.Ref) (misses []int64, measured, distinct int64) {
+// misses, the measured instruction count and the distinct measured lines,
+// and each cell's estimate built from its own tallies of instructions and
+// misses per cluster: per window under time sampling, per sampled set under
+// set sampling alone, one cluster otherwise.
+func oracle(t *testing.T, p SampledPass, refs []trace.Ref) (misses []int64, est []sampling.Estimate, measured, distinct int64) {
 	t.Helper()
-	inWindow := func(i int) bool { return p.Period == 0 || int64(i)%p.Period < p.Window }
+	windowed := p.Window < p.Period
+	inWindow := func(i int) bool { return !windowed || int64(i)%p.Period < p.Window }
 	inClass := func(addr uint64) bool {
 		return p.SetMod <= 1 || int(addr/uint64(p.LineSize))&(p.SetMod-1) == p.SetMatch
-	}
-	for _, c := range p.Cells {
-		cc, err := cache.New(cache.Config{Size: c.Size(p.LineSize), LineSize: p.LineSize, Assoc: c.Assoc})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var n int64
-		for i, r := range refs {
-			if w := inWindow(i); inClass(r.Addr) && (w || p.Warm) {
-				if !cc.Access(r.Addr) && w {
-					n++
-				}
-			}
-		}
-		misses = append(misses, n)
 	}
 	lines := map[uint64]bool{}
 	for i, r := range refs {
@@ -45,14 +35,58 @@ func oracle(t *testing.T, p SampledPass, refs []trace.Ref) (misses []int64, meas
 			lines[r.Addr/uint64(p.LineSize)] = true
 		}
 	}
-	return misses, measured, int64(len(lines))
+	f := 1.0
+	switch {
+	case windowed:
+		f = float64(measured) / float64(len(refs))
+	case p.SetMod > 1:
+		f = 1 / float64(p.SetMod)
+	}
+	for _, c := range p.Cells {
+		cc, err := cache.New(cache.Config{Size: c.Size(p.LineSize), LineSize: p.LineSize, Assoc: c.Assoc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var n int64
+		var clusters []sampling.Cluster
+		for i, r := range refs {
+			w := inWindow(i)
+			if !inClass(r.Addr) || !(w || p.Warm) {
+				continue
+			}
+			hit := cc.Access(r.Addr)
+			if !w {
+				continue
+			}
+			var k int
+			switch {
+			case windowed:
+				k = i / int(p.Period)
+			case p.SetMod > 1:
+				k = int(r.Addr/uint64(p.LineSize)) & (c.Sets - 1) / p.SetMod
+			}
+			for len(clusters) <= k {
+				clusters = append(clusters, sampling.Cluster{})
+			}
+			clusters[k].Instructions++
+			if !hit {
+				clusters[k].Misses++
+				n++
+			}
+		}
+		misses = append(misses, n)
+		est = append(est, sampling.EstimateFrom(clusters, int64(len(refs)), f))
+	}
+	return misses, est, measured, int64(len(lines))
 }
 
 // Every trace source under every schedule must reproduce the per-cell
 // cache.Cache oracle over the expanded references — misses, measured
-// instructions, distinct lines — and every source must produce the same
-// matrix, estimates included, as the in-memory runs. The one kernel and the
-// one driver are what all of them run through.
+// instructions, distinct lines, and every estimate bit for bit, which pins
+// the misses of each window and each sampled set, not only their sums — and
+// every source must produce the same matrix, estimates included, as the
+// in-memory runs: every source runs through the one kernel and Sweep's one
+// walk.
 func TestSourcesMatchOracle(t *testing.T) {
 	const name, seed, n = "gs", 11, 120_000
 	prof := mustProfile(t, name)
@@ -121,11 +155,14 @@ func TestSourcesMatchOracle(t *testing.T) {
 		{"skip", SampledPass{LineSize: 32, Cells: cells, Window: 2000, Period: 16_000, CountDistinct: true}},
 		{"set", SampledPass{LineSize: 32, Cells: cells, SetMod: 8, SetMatch: 3, CountDistinct: true}},
 		{"set+skip", SampledPass{LineSize: 64, Cells: cells, SetMod: 4, SetMatch: 1, Window: 512, Period: 4096}},
+		// The last window, at 119,000, holds 1,000 of its 3,000 instructions.
+		{"warm-partial", SampledPass{LineSize: 32, Cells: cells, Window: 3000, Period: 11_900, Warm: true}},
+		{"set+warm-partial", SampledPass{LineSize: 32, Cells: cells, SetMod: 8, SetMatch: 6, Window: 3000, Period: 11_900, Warm: true}},
 		{"window=period", SampledPass{LineSize: 32, Cells: cells, Window: 5000, Period: 5000, Warm: true}},
 	}
 	for _, sc := range schedules {
 		t.Run(sc.name, func(t *testing.T) {
-			misses, measured, distinct := oracle(t, sc.pass, refs)
+			misses, est, measured, distinct := oracle(t, sc.pass, refs)
 			want, err := sc.pass.Run(runs)
 			if err != nil {
 				t.Fatal(err)
@@ -134,6 +171,11 @@ func TestSourcesMatchOracle(t *testing.T) {
 				want.SampledInstructions != measured || want.TotalInstructions != n {
 				t.Fatalf("in-memory %v misses over %d/%d measured, oracle %v over %d/%d",
 					want.Misses, want.Accesses, want.TotalInstructions, misses, measured, n)
+			}
+			for i := range est {
+				if got := want.Estimates[i]; got != est[i] {
+					t.Errorf("cell %+v: estimate %+v, oracle %+v", cells[i], got, est[i])
+				}
 			}
 			if sc.pass.CountDistinct && want.Distinct != distinct {
 				t.Fatalf("distinct %d, oracle %d", want.Distinct, distinct)

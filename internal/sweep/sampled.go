@@ -104,36 +104,34 @@ type sampledState struct {
 	p          SampledPass
 	timeSample bool    // Window < Period: windows cluster the estimate
 	total      int64   // instructions read so far
-	m          *Matrix // Accesses = measured instructions, Misses = measured misses
+	m          *Matrix // Accesses = measured instructions, Misses = measured misses, as of the last fold
 	groups     []*group
 	seen       *lineSet
 	shift      uint
 	ipl        int64 // instructions per line (power of two)
 	iplSh      uint  // log2(ipl): div/mod by ipl as shifts in the per-run path
 
-	// Set sampling (mod > 1): lines ≡ match (mod mod). Only sets congruent
-	// to match are ever touched, so stacks are allocated compactly — one row
-	// per SAMPLED set — and rowShift (= log2(mod)) maps a set index to its
-	// row. 0 without set sampling. The ~mod× smaller footprint keeps the
-	// stacks cache-resident, which is where the sampled pass wins its time.
+	// Set sampling: lines ≡ match (mod mod); mod is 1 without it. Only sets
+	// congruent to match are ever touched, so stacks are allocated compactly
+	// — one row per SAMPLED set — and rowShift (= log2(mod)) maps a set
+	// index to its row. The ~mod× smaller footprint keeps the stacks
+	// cache-resident, which is where the sampled pass wins its time.
 	mod      uint64
 	match    uint64
 	rowShift uint
 
-	// Per-set-group clustering (set sampling without time sampling):
-	// cluster index k = (set index) >> kshift, i.e. one cluster per sampled
-	// congruence class of sets. Instructions are tallied per group (the
-	// same line lands in different clusters under different set counts),
-	// misses per cell.
-	setCluster bool
-	kshift     uint
-	kInstr     [][]int64 // [group][k]
-	kMiss      [][]int64 // [cell][k]
+	// Clusters: set sampling without time sampling clusters the estimate by
+	// sampled set, so histograms and instruction tallies keep one row per
+	// sampled set of the finest set count (kmask, the row-index bits that
+	// name a cluster); otherwise kmask is 0 and each keeps one row. A
+	// coarser group's cluster k gathers the finest rows j with
+	// j & its row mask == k.
+	kmask uint64
+	instr []int64 // measured instructions per cluster row
 
 	// Per-window clustering (time sampling).
 	winClusters [][]sampling.Cluster // [cell][window]
-	winPrev     []int64              // per-cell miss snapshot at window open
-	winInstr    int64
+	winPrev     []int64              // per-cell misses at the previous window's close
 }
 
 // Sweep runs the pass over any run source — in-memory runs, a block-indexed
@@ -268,6 +266,7 @@ func (p SampledPass) prepare() (*sampledState, error) {
 		seen:       seen,
 		shift:      shift,
 		ipl:        int64(p.LineSize / trace.InstrBytes),
+		mod:        1,
 	}
 	for v := st.ipl; v > 1; v >>= 1 {
 		st.iplSh++
@@ -279,29 +278,20 @@ func (p SampledPass) prepare() (*sampledState, error) {
 			st.rowShift++
 		}
 	}
-	for _, g := range groups {
-		// One row per set this pass can actually touch: all of them, or the
-		// sampled congruence class (rowShift compaction).
-		g.stack = make([]uint64, int((g.mask+1)>>st.rowShift)*g.amax)
-	}
-	switch {
-	case timeSample:
+	if timeSample {
 		st.winClusters = make([][]sampling.Cluster, len(p.Cells))
 		st.winPrev = make([]int64, len(p.Cells))
-	case st.mod > 1:
-		st.setCluster = true
-		st.kshift = st.rowShift
-		st.kInstr = make([][]int64, len(groups))
-		for gi, g := range groups {
-			st.kInstr[gi] = make([]int64, (g.mask+1)>>st.kshift)
-		}
-		st.kMiss = make([][]int64, len(p.Cells))
-		for _, g := range groups {
-			nk := (g.mask + 1) >> st.kshift
-			for _, c := range g.cells {
-				st.kMiss[c.out] = make([]int64, nk)
-			}
-		}
+	} else if st.mod > 1 {
+		st.kmask = groups[len(groups)-1].mask >> st.rowShift
+	}
+	st.instr = make([]int64, st.kmask+1)
+	for _, g := range groups {
+		// One stack row per set this pass can actually touch — all of them,
+		// or the sampled congruence class (rowShift compaction) — and one
+		// histogram row per cluster.
+		rows := g.mask >> st.rowShift
+		g.stack = make([]uint64, int(rows+1)*g.amax)
+		g.hist = make([]int64, int(rows&st.kmask+1)*g.amax)
 	}
 	return st, nil
 }
@@ -350,25 +340,20 @@ func (st *sampledState) runSetOnly(runs []trace.Run) error {
 // stack state.
 func (st *sampledState) span(start uint64, n int64, measured bool) {
 	first := start >> st.shift
+	// The span's first line in the sampled congruence class: 0 without set
+	// sampling (mod 1), where every line is.
+	i := int64((st.match - first) & (st.mod - 1))
 	headOff := int64(start/trace.InstrBytes) & (st.ipl - 1) // instruction offset within the first line
 	head := st.ipl - headOff
 	if head >= n {
 		// The whole span fits in one line — the common case for short runs.
-		if st.mod > 1 && first&(st.mod-1) != st.match {
-			return
+		if i == 0 {
+			st.touch(first, n, measured)
 		}
-		st.touch(first, n, measured)
 		return
 	}
 	nlines := int64(1) + (n-head+st.ipl-1)>>st.iplSh
-	if st.mod > 1 {
-		// Jump straight to the sampled congruence class.
-		for i := int64((st.match - first) & (st.mod - 1)); i < nlines; i += int64(st.mod) {
-			st.touch(first+uint64(i), st.lineCnt(i, n, head), measured)
-		}
-		return
-	}
-	for i := int64(0); i < nlines; i++ {
+	for ; i < nlines; i += int64(st.mod) {
 		st.touch(first+uint64(i), st.lineCnt(i, n, head), measured)
 	}
 }
@@ -387,99 +372,97 @@ func (st *sampledState) lineCnt(i, n, head int64) int64 {
 }
 
 // touch settles cnt sequential accesses to line la for every grid cell: one
-// stack operation (the line's first access) plus cnt-1 distance-1 hits.
-// Groups run coarsest first, so the first group with la on top proves it on
-// top — a hit with no stack change — in every remaining group.
+// stack operation (the line's first access) plus cnt-1 distance-1 hits,
+// which hit in every cell. The first access moves la to the top of each
+// group's stack and, when measured, counts the depth it was found at in the
+// group's histogram — amax when absent — from which fold derives every
+// cell's misses. Groups run coarsest first, so the first group with la on
+// top proves it on top — a hit with no stack change — in every remaining
+// group.
 func (st *sampledState) touch(la uint64, cnt int64, measured bool) {
 	key := la + 1
-	if measured && st.seen != nil && st.seen.add(key) {
-		st.m.Distinct++
-	}
-	for gi, g := range st.groups {
-		base := int((la&g.mask)>>st.rowShift) * g.amax
-		s := g.stack[base : base+g.amax]
-		var k uint64
-		if st.setCluster {
-			k = (la & g.mask) >> st.kshift
-			if measured {
-				st.kInstr[gi][k] += cnt
-			}
+	if measured {
+		if st.seen != nil && st.seen.add(key) {
+			st.m.Distinct++
 		}
+		st.instr[(la>>st.rowShift)&st.kmask] += cnt
+	}
+	for _, g := range st.groups {
+		row := (la & g.mask) >> st.rowShift
+		s := g.stack[int(row)*g.amax:][:g.amax]
 		if s[0] == key {
-			if st.setCluster && measured {
-				// Set-cluster tallies still credit every group.
-				for gj, h := range st.groups[gi+1:] {
-					st.kInstr[gi+1+gj][(la&h.mask)>>st.kshift] += cnt
-				}
-			}
 			break
 		}
-		pos := -1
-		for i := 1; i < g.amax; i++ {
-			if s[i] == key {
-				pos = i
+		// Move to front: shift each line down one until la's old slot, or
+		// off the bottom when absent; d ends at la's old depth.
+		prev := s[0]
+		s[0] = key
+		d := 1
+		for ; d < len(s); d++ {
+			prev, s[d] = s[d], prev
+			if prev == key {
 				break
 			}
 		}
-		if pos < 0 {
-			if measured {
-				for _, c := range g.cells {
-					st.m.Misses[c.out]++
-					if st.setCluster {
-						st.kMiss[c.out][k]++
-					}
-				}
-			}
-			copy(s[1:], s[:g.amax-1])
-		} else {
-			if measured {
-				for _, c := range g.cells {
-					if c.assoc <= pos {
-						st.m.Misses[c.out]++
-						if st.setCluster {
-							st.kMiss[c.out][k]++
-						}
-					}
-				}
-			}
-			copy(s[1:pos+1], s[:pos])
+		if measured {
+			g.hist[int(row&st.kmask)*g.amax+d-1]++
 		}
-		s[0] = key
 	}
-	if measured {
-		st.m.Accesses += cnt
-		st.winInstr += cnt
+}
+
+// fold sets the matrix's counts from the histograms and tallies, which only
+// grow: each cell's misses are the measured first accesses its group found
+// at a depth of at least the cell's associativity, or not at all. A fold is
+// a snapshot of the pass so far, so every reader of the counts folds first.
+func (st *sampledState) fold() {
+	st.m.Accesses = 0
+	for _, n := range st.instr {
+		st.m.Accesses += n
 	}
+	for _, g := range st.groups {
+		for _, c := range g.cells {
+			var n int64
+			for k := 0; k < len(g.hist)/g.amax; k++ {
+				n += g.misses(k, c.assoc)
+			}
+			st.m.Misses[c.out] = n
+		}
+	}
+}
+
+// misses returns the measured misses of g's assoc-way cells in cluster k.
+func (g *group) misses(k, assoc int) int64 {
+	var n int64
+	for _, v := range g.hist[k*g.amax+assoc-1 : (k+1)*g.amax] {
+		n += v
+	}
+	return n
 }
 
 // closeWindow flushes the measurement window just read into one cluster per
 // cell.
 func (st *sampledState) closeWindow() {
-	if st.winInstr > 0 {
+	prev := st.m.Accesses
+	st.fold()
+	if n := st.m.Accesses - prev; n > 0 {
 		for i := range st.winClusters {
 			st.winClusters[i] = append(st.winClusters[i], sampling.Cluster{
-				Instructions: st.winInstr,
+				Instructions: n,
 				Misses:       st.m.Misses[i] - st.winPrev[i],
 			})
 		}
 	}
 	copy(st.winPrev, st.m.Misses)
-	st.winInstr = 0
 }
 
 // assemble builds the result matrix with per-cell estimates.
 func (st *sampledState) assemble(total int64) *SampledMatrix {
+	st.fold()
 	sm := &SampledMatrix{
 		Matrix:              *st.m,
 		TotalInstructions:   total,
 		SampledInstructions: st.m.Accesses,
 		Estimates:           make([]sampling.Estimate, len(st.m.Cells)),
-	}
-	cellGroup := make([]int, len(sm.Cells))
-	for gi, g := range st.groups {
-		for _, c := range g.cells {
-			cellGroup[c.out] = gi
-		}
 	}
 	switch {
 	case st.timeSample:
@@ -490,15 +473,20 @@ func (st *sampledState) assemble(total int64) *SampledMatrix {
 		for i := range sm.Estimates {
 			sm.Estimates[i] = sampling.EstimateFrom(st.winClusters[i], total, f)
 		}
-	case st.setCluster:
+	case st.mod > 1:
 		f := 1 / float64(st.mod)
-		for i := range sm.Estimates {
-			gi := cellGroup[i]
-			clusters := make([]sampling.Cluster, len(st.kMiss[i]))
-			for k := range clusters {
-				clusters[k] = sampling.Cluster{Instructions: st.kInstr[gi][k], Misses: st.kMiss[i][k]}
+		for _, g := range st.groups {
+			clusters := make([]sampling.Cluster, len(g.hist)/g.amax)
+			rowMask := uint64(len(clusters) - 1)
+			for j, n := range st.instr {
+				clusters[uint64(j)&rowMask].Instructions += n
 			}
-			sm.Estimates[i] = sampling.EstimateFrom(clusters, total, f)
+			for _, c := range g.cells {
+				for k := range clusters {
+					clusters[k].Misses = g.misses(k, c.assoc)
+				}
+				sm.Estimates[c.out] = sampling.EstimateFrom(clusters, total, f)
+			}
 		}
 	default:
 		// Exhaustive: the estimate is the exact value.

@@ -11,9 +11,13 @@
 // line, inclusive — is at most A (Mattson's inclusion property applied
 // within each set). The engine therefore maintains, for every distinct set
 // count in the grid, an array of per-set recency stacks truncated at the
-// largest associativity any grid cell needs; one position scan per touched
-// line per set count settles hit/miss for every associativity at that set
-// count simultaneously.
+// largest associativity any grid cell needs, and one histogram of the
+// depths at which touched lines were found (the truncation depth when
+// absent). One move-to-front per touched line per set count is the whole
+// per-access cost, whatever the number of cells; a cell's misses are folded
+// out of its set count's histogram only when they are read — the sum from
+// the cell's associativity to the truncation depth (Mattson et al., IBM
+// Systems Journal, 1970).
 //
 // The kernel is line-granular: it reads the trace as sequential runs (Section
 // 4's observation that instruction fetch is sequential), and within a run
@@ -114,6 +118,7 @@ func (p Pass) Run(refs []trace.Ref) (*Matrix, error) {
 			return nil, err
 		}
 	}
+	st.fold()
 	return st.m, nil
 }
 
@@ -141,11 +146,16 @@ type groupCell struct {
 }
 
 // group aggregates every cell sharing one set count: a single truncated
-// recency stack array serves them all.
+// recency stack array and one stack-depth histogram serve them all.
 type group struct {
 	mask  uint64 // Sets - 1
 	amax  int    // deepest associativity among the group's cells
 	stack []uint64
+	// hist counts the measured first accesses that found their line below
+	// the top of its stack, by depth (0 on top): 1..amax-1, or amax when
+	// absent, at hist[k*amax+depth-1] for cluster k. An assoc-way cell
+	// misses exactly those at depth >= assoc.
+	hist  []int64
 	cells []groupCell
 }
 

@@ -180,10 +180,14 @@ func BenchmarkSweepFigure3Grid(b *testing.B) {
 
 // BenchmarkSweepServeGrid times the sweep grid ibsbench's serve-hot
 // workload posts to ibsimd (direct-mapped 4-256 KB plus 2/4/8-way at 8 and
-// 32 KB, 32-byte lines) over 1M verilog instructions, two ways: Pass.Run
-// over the references, which compacts them chunk by chunk on every pass,
-// and the zero-plan SampledPass over runs compacted once beforehand, as a
-// store memoizes them. The gap between the two is the compaction's share.
+// 32 KB, 32-byte lines) over 1M verilog instructions: Pass.Run over the
+// references, which compacts them chunk by chunk on every pass, and
+// SampledPass over runs compacted once beforehand, as a store memoizes them,
+// under each schedule ibsimd serves — exact (the gap to refs is the
+// compaction's share), warm and skip time sampling at the benchmark's
+// seek-tier shape (16,384 of every 262,144 instructions), and the ledger's
+// 1/16 set sampling. ns/ref-cell divides by every instruction of the trace,
+// measured or not.
 func BenchmarkSweepServeGrid(b *testing.B) {
 	p, err := synth.Lookup("verilog")
 	if err != nil {
@@ -204,18 +208,24 @@ func BenchmarkSweepServeGrid(b *testing.B) {
 		}
 	}
 	refCells := float64(len(refs)) * float64(len(cells))
+	sampled := func(p SampledPass) func() (*Matrix, error) {
+		return func() (*Matrix, error) {
+			sm, err := p.Run(runs)
+			if err != nil {
+				return nil, err
+			}
+			return &sm.Matrix, nil
+		}
+	}
 	for _, tc := range []struct {
 		name string
 		pass func() (*Matrix, error)
 	}{
 		{"refs", func() (*Matrix, error) { return Pass{LineSize: 32, Cells: cells}.Run(refs) }},
-		{"runs", func() (*Matrix, error) {
-			sm, err := SampledPass{LineSize: 32, Cells: cells}.Run(runs)
-			if err != nil {
-				return nil, err
-			}
-			return &sm.Matrix, nil
-		}},
+		{"runs", sampled(SampledPass{LineSize: 32, Cells: cells})},
+		{"warm", sampled(SampledPass{LineSize: 32, Cells: cells, Window: 16_384, Period: 262_144, Warm: true})},
+		{"skip", sampled(SampledPass{LineSize: 32, Cells: cells, Window: 16_384, Period: 262_144})},
+		{"set", sampled(SampledPass{LineSize: 32, Cells: cells, SetMod: 16, SetMatch: 3})},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -28,8 +28,8 @@ type zipf struct {
 
 // zipfCache memoizes inverse-CDF tables by (n, s). The table is a pure
 // function of its parameters and immutable after construction (draw only
-// reads it), so one copy can back every generator. Building a table costs
-// ~25 Newton iterations per rank — without the cache it dominates generator
+// reads it), so one copy can back every generator. Building a table costs up
+// to 24 square roots per rank — without the cache it dominates generator
 // construction, which the store performs per seek-source acquisition.
 var zipfCache sync.Map // zipfKey -> *zipf
 
@@ -122,6 +122,9 @@ func invPow(x, s float64) float64 {
 	return result
 }
 
+// sqrt takes up to 24 Newton steps towards √u. A step is a pure function of
+// the iterate, so once one returns its input every later step would too: it
+// stops there, with the value all 24 steps give.
 func sqrt(u float64) float64 {
 	if u <= 0 {
 		return 0
@@ -131,7 +134,11 @@ func sqrt(u float64) float64 {
 		x = 1
 	}
 	for i := 0; i < 24; i++ {
-		x = 0.5 * (x + u/x)
+		next := 0.5 * (x + u/x)
+		if next == x {
+			break
+		}
+		x = next
 	}
 	return x
 }

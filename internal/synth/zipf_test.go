@@ -19,6 +19,77 @@ func TestInvPowMatchesMath(t *testing.T) {
 	}
 }
 
+// invPow24 is invPow as it was before sqrt stopped at a fixed point: every
+// square root runs all 24 Newton steps.
+func invPow24(x, s float64) float64 {
+	sqrt24 := func(u float64) float64 {
+		if u <= 0 {
+			return 0
+		}
+		x := min(u, 1)
+		for i := 0; i < 24; i++ {
+			x = 0.5 * (x + u/x)
+		}
+		return x
+	}
+	u := 1 / x
+	result := 1.0
+	ip := int(s)
+	frac := s - float64(ip)
+	base := u
+	for ip > 0 {
+		if ip&1 == 1 {
+			result *= base
+		}
+		base *= base
+		ip >>= 1
+	}
+	if frac > 0 {
+		root := u
+		for i := 0; i < 24 && frac > 0; i++ {
+			root = sqrt24(root)
+			frac *= 2
+			if frac >= 1 {
+				result *= root
+				frac -= 1
+			}
+		}
+	}
+	return result
+}
+
+// Stopping sqrt's Newton steps at a fixed point must leave every Zipf table
+// the shipped profiles build bit for bit as it was: the generator streams
+// are pinned on them. Building each profile's generator fills the table
+// cache with exactly the (n, s) pairs it uses.
+func TestInvPowMatches24Steps(t *testing.T) {
+	for _, name := range Names() {
+		p, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewGenerator(p, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tables, ranks := 0, 0
+	zipfCache.Range(func(k, _ any) bool {
+		key := k.(zipfKey)
+		tables++
+		ranks += key.n
+		for r := 1; r <= key.n; r++ {
+			if got, want := invPow(float64(r), key.s), invPow24(float64(r), key.s); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("invPow(%d, %v) = %v, 24 steps give %v", r, key.s, got, want)
+			}
+		}
+		return true
+	})
+	if tables == 0 {
+		t.Fatal("no Zipf tables built")
+	}
+	t.Logf("%d tables, %d ranks", tables, ranks)
+}
+
 func TestZipfCDFMonotone(t *testing.T) {
 	z := newZipf(100, 1.3)
 	prev := 0.0

@@ -1,6 +1,6 @@
 package trace
 
-import "sort"
+import "slices"
 
 // Run-length compaction of instruction streams.
 //
@@ -72,6 +72,36 @@ func CompactAppend(dst []Run, refs []Ref) []Run {
 	return dst
 }
 
+// EachRun decodes the rest of r's stream and hands fn the runs Compact would
+// return for it, each as soon as the next instruction fetch breaks it, so
+// only the open run is held; data references are skipped. It returns fn's
+// first error, else the stream's (Err).
+func (r *Reader) EachRun(fn func(Run) error) error {
+	var cur Run
+	for ref, ok := r.Next(); ok; ref, ok = r.Next() {
+		if ref.Kind != IFetch {
+			continue
+		}
+		if next := cur.End(); cur.Len > 0 && ref.Addr == next && ref.Domain == cur.Domain && next != 0 {
+			cur.Len++
+			continue
+		}
+		if cur.Len > 0 {
+			if err := fn(cur); err != nil {
+				return err
+			}
+		}
+		cur = Run{Start: ref.Addr, Len: 1, Domain: ref.Domain}
+	}
+	if err := r.Err(); err != nil {
+		return err
+	}
+	if cur.Len > 0 {
+		return fn(cur)
+	}
+	return nil
+}
+
 // AppendRefs expands the run back into its per-instruction fetches.
 func (r Run) AppendRefs(dst []Ref) []Ref {
 	addr := r.Start
@@ -128,24 +158,50 @@ func (s RunStats) CompactionRatio() float64 {
 
 // SummarizeRuns computes run-length statistics for a compacted trace.
 func SummarizeRuns(runs []Run) RunStats {
-	st := RunStats{Runs: int64(len(runs))}
-	if len(runs) == 0 {
+	h := RunLengths{}
+	for _, r := range runs {
+		h.Add(r)
+	}
+	return h.Stats()
+}
+
+// RunLengths counts runs by length: SummarizeRuns gathered one run at a
+// time, for a trace read as a stream. It holds one count per distinct
+// length, not the runs.
+type RunLengths map[int64]int64
+
+// Add counts r.
+func (h RunLengths) Add(r Run) { h[r.Len]++ }
+
+// Stats returns the run-length statistics of the runs counted so far.
+func (h RunLengths) Stats() RunStats {
+	var st RunStats
+	lens := make([]int64, 0, len(h))
+	for l, c := range h {
+		lens = append(lens, l)
+		st.Runs += c
+		st.Instructions += l * c
+		st.MaxLen = max(st.MaxLen, l)
+	}
+	if st.Runs == 0 {
 		return st
 	}
-	lens := make([]int64, len(runs))
-	for i, r := range runs {
-		lens[i] = r.Len
-		st.Instructions += r.Len
-		if r.Len > st.MaxLen {
-			st.MaxLen = r.Len
-		}
-	}
 	st.MeanLen = float64(st.Instructions) / float64(st.Runs)
-	sort.Slice(lens, func(i, j int) bool { return lens[i] < lens[j] })
-	if n := len(lens); n%2 == 1 {
-		st.MedianLen = float64(lens[n/2])
+	slices.Sort(lens)
+	// nth returns the length of the i-th shortest run, counting from 0.
+	nth := func(i int64) int64 {
+		for _, l := range lens {
+			if i < h[l] {
+				return l
+			}
+			i -= h[l]
+		}
+		panic("trace: run index past the counted runs")
+	}
+	if st.Runs%2 == 1 {
+		st.MedianLen = float64(nth(st.Runs / 2))
 	} else {
-		st.MedianLen = float64(lens[n/2-1]+lens[n/2]) / 2
+		st.MedianLen = float64(nth(st.Runs/2-1)+nth(st.Runs/2)) / 2
 	}
 	return st
 }

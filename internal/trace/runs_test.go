@@ -1,6 +1,9 @@
 package trace
 
 import (
+	"bytes"
+	"reflect"
+	"slices"
 	"testing"
 
 	"ibsim/internal/xrand"
@@ -137,6 +140,25 @@ func TestSummarizeRuns(t *testing.T) {
 	if z := SummarizeRuns(nil); z.CompactionRatio() != 0 || z.Runs != 0 {
 		t.Errorf("empty stats: %+v", z)
 	}
+	// Repeated lengths, odd and even run counts: the median of the sorted
+	// lengths.
+	rng := xrand.New(44)
+	for n := 1; n <= 40; n++ {
+		runs := make([]Run, n)
+		lens := make([]int64, n)
+		for i := range runs {
+			runs[i].Len = 1 + int64(rng.Intn(6))
+			lens[i] = runs[i].Len
+		}
+		slices.Sort(lens)
+		want := float64(lens[n/2])
+		if n%2 == 0 {
+			want = float64(lens[n/2-1]+lens[n/2]) / 2
+		}
+		if got := SummarizeRuns(runs).MedianLen; got != want {
+			t.Fatalf("%d runs %v: MedianLen = %v, want %v", n, lens, got, want)
+		}
+	}
 }
 
 // CompactAppend with a pre-sized destination must not allocate: it is the
@@ -161,5 +183,37 @@ func BenchmarkCompactAppend(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dst = CompactAppend(dst[:0], refs)
+	}
+}
+
+// Reader.EachRun streams exactly Compact's runs: random traces with data
+// references, jumps and domain switches, and runs at the top of the
+// address space, each encoded and decoded.
+func TestEachRunMatchesCompact(t *testing.T) {
+	rng := xrand.New(43)
+	top := ^uint64(0) - 2*InstrBytes + 1
+	traces := [][]Ref{
+		{{Addr: top, Kind: IFetch}, {Addr: top + InstrBytes, Kind: IFetch}, {Addr: 0, Kind: IFetch}, {Addr: InstrBytes, Kind: IFetch}},
+		{{Addr: 0x40, Kind: DRead}},
+	}
+	for trial := 0; trial < 10; trial++ {
+		traces = append(traces, randomInstrTrace(rng, 2000))
+	}
+	for i, refs := range traces {
+		var buf bytes.Buffer
+		if _, err := Encode(&buf, refs); err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewReader(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []Run
+		if err := r.EachRun(func(run Run) error { got = append(got, run); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if want := Compact(refs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trace %d: EachRun %v, Compact %v", i, got, want)
+		}
 	}
 }
