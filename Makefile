@@ -35,7 +35,9 @@ race:
 
 # Simulator verification + benchmark regression: invariant checks,
 # differential tests, and the pinned golden comparison. Writes
-# BENCH_ibsim.json.
+# BENCH_ibsim.json. Every check runs panic-isolated; ibscheck -match REGEXP
+# runs only the checks whose names match, without the bench stages, as the
+# focused targets below do.
 check: vet
 	$(GO) run ./cmd/ibscheck -n 200000
 
@@ -43,28 +45,25 @@ check: vet
 # time-sampled engines against exact sweeps (including the full 1-64KB grid's
 # accuracy and CI-hit floors), the warm-unbiasedness and cold-bias
 # statistical properties, and the sampling property/engine tests under the
-# race detector. (Flags must precede the stage name: the Go flag parser stops
-# at the first positional.)
+# race detector.
 check-sampling:
-	$(GO) run ./cmd/ibscheck -o "" -n 200000 sampling-bounds
+	$(GO) run ./cmd/ibscheck -o "" -n 200000 -match '^sampling/'
 	$(GO) test -race -run 'Sampl' ./internal/sampling ./internal/sweep \
 		./internal/replay ./internal/check ./internal/server
 
 # Columnar (IBSTRACE/v3) verification: the block-replay, block-parallel and
 # block-sweep differentials — the one replay driver and the one sweep kernel
 # over the mmap and ReaderAt access modes and the in-memory runs, each
-# bit-exact against the []Ref oracle. (Flags must precede the stage name: the
-# Go flag parser stops at the first positional.) A subset of `make check`,
-# for focused runs.
+# bit-exact against the []Ref oracle. A subset of `make check`, for focused
+# runs.
 check-columnar:
-	$(GO) run ./cmd/ibscheck -o "" -n 200000 columnar-replay
+	$(GO) run ./cmd/ibscheck -o "" -n 200000 -match '^differential/(columnar|blocks)'
 
 # Checkpoint-seek verification: the seek-sampled differential (RunSeek /
 # SampledSeek bit-identical to the in-memory sampled paths and the []Ref
-# oracle). (Flags must precede the stage name: the Go flag parser stops at
-# the first positional.) A subset of `make check`, for focused runs.
+# oracle). A subset of `make check`, for focused runs.
 check-seek:
-	$(GO) run ./cmd/ibscheck -o "" -n 200000 seek
+	$(GO) run ./cmd/ibscheck -o "" -n 200000 -match '^differential/seek'
 
 # Seeded fault-injection (chaos) suite under the race detector: trace-codec
 # corruption contracts, store budget fallback, checkpointed seeks,

@@ -11,12 +11,14 @@
 //	ibscheck -print-golden         # emit the golden.go literal for this run
 //	ibscheck -faults               # chaos mode: seeded fault-injection suite
 //	ibscheck -faults -match '^chaos/crash-'   # only the crash-consistency scenarios
-//	ibscheck sampling-bounds       # only the sampling checks
-//	ibscheck columnar-replay       # only the columnar differentials
-//	ibscheck seek                  # only the checkpoint-seek differential
+//	ibscheck -match '^sampling/'   # only the sampling checks, no bench stages
+//	ibscheck -match '^differential/(columnar|blocks)'   # only the columnar differentials
+//	ibscheck -match '^differential/seek'                # only the checkpoint-seek differential
 //
-// The exit status is 0 only when every check passes and every tracked stage
-// is within golden tolerance.
+// Every check runs panic-isolated: a check that panics fails on its own and
+// the run goes on. The exit status is 0 only when every check passes and
+// every tracked stage is within golden tolerance; it is 2 for a harness
+// failure, a usage error, or a -match that selects no check.
 package main
 
 import (
@@ -44,10 +46,18 @@ func run(args []string) int {
 	printGolden := fs.Bool("print-golden", false, "print the golden.go literal for this run's stage values and exit")
 	benchOnly := fs.Bool("bench-only", false, "skip invariant/differential checks, run only the bench stages")
 	faults := fs.Bool("faults", false, "run only the seeded fault-injection (chaos) suite")
-	match := fs.String("match", "", "regexp filtering chaos scenario names (with -faults)")
+	match := fs.String("match", "", "regexp selecting the checks (or, with -faults, the scenarios) to run; skips the bench stages")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "ibscheck: unexpected argument %q (select checks with -match)\n", fs.Arg(0))
+		return 2
+	}
+	if (*match != "" || *faults) && (*benchOnly || *printGolden) {
+		fmt.Fprintln(os.Stderr, "ibscheck: -match and -faults select checks; -bench-only and -print-golden run none")
 		return 2
 	}
 
@@ -79,24 +89,17 @@ func run(args []string) int {
 		}()
 	}
 
-	opt := check.Options{Instructions: *n, Seed: *seed, ChaosFilter: *match}
+	opt := check.Options{Instructions: *n, Seed: *seed, Match: *match}
 	start := time.Now()
 
-	if stage, ok := focusedStages[fs.Arg(0)]; ok {
-		return runChecks(opt, *out, start, stage.what, stage.checks...)
-	}
-	if fs.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "ibscheck: unknown stage %q (did you mean sampling-bounds, columnar-replay, or seek?)\n", fs.Arg(0))
-		return 2
-	}
+	table, what := check.Checks, "checks"
 	if *faults {
-		return runChecks(opt, *out, start, "fault scenarios", check.RunChaos)
+		table, what = check.Faults, "fault scenarios"
 	}
-
 	var results []check.Result
 	if !*benchOnly && !*printGolden {
 		var err error
-		results, err = check.RunAll(opt)
+		results, err = check.Run(opt, table)
 		for _, r := range results {
 			fmt.Printf("%-4s %-42s %s (%.2fs)\n", verdict(r.Passed), r.Name, r.Detail, r.Seconds)
 		}
@@ -106,14 +109,17 @@ func run(args []string) int {
 		}
 	}
 
-	stages, err := check.RunBench(opt)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ibscheck: %v\n", err)
-		return 2
-	}
-	if *printGolden {
-		fmt.Printf("// Measured at -n %d -seed %d.\n%s", *n, *seed, check.GoldenLiteral(stages))
-		return 0
+	var stages []check.Stage
+	if !*faults && *match == "" {
+		var err error
+		if stages, err = check.RunBench(opt); err != nil {
+			fmt.Fprintf(os.Stderr, "ibscheck: %v\n", err)
+			return 2
+		}
+		if *printGolden {
+			fmt.Printf("// Measured at -n %d -seed %d.\n%s", *n, *seed, check.GoldenLiteral(stages))
+			return 0
+		}
 	}
 	stagesOK := true
 	for _, s := range stages {
@@ -139,54 +145,11 @@ func run(args []string) int {
 		fmt.Println("FAIL")
 		return 1
 	}
-	fmt.Printf("PASS (%d checks, %d stages, %.2fs)\n", len(results), len(stages), report.TotalSeconds)
-	return 0
-}
-
-// focusedStages are the runs selected by a positional argument: one
-// family of checks each, for a fast CI target (flags must precede the stage
-// name: the flag parser stops at the first positional).
-var focusedStages = map[string]struct {
-	what   string
-	checks []func(check.Options) ([]check.Result, error)
-}{
-	"sampling-bounds": {"sampling checks", []func(check.Options) ([]check.Result, error){check.SamplingBounds, check.SamplingProperties}},
-	"columnar-replay": {"columnar checks", []func(check.Options) ([]check.Result, error){check.ColumnarReplay}},
-	"seek":            {"seek checks", []func(check.Options) ([]check.Result, error){check.SeekChecks}},
-}
-
-// runChecks runs check families, prints each verdict and writes the report:
-// the focused stages and the -faults chaos suite.
-func runChecks(opt check.Options, out string, start time.Time, what string, fns ...func(check.Options) ([]check.Result, error)) int {
-	var results []check.Result
-	for _, fn := range fns {
-		rs, err := fn(opt)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ibscheck: harness failure: %v\n", err)
-			return 2
-		}
-		results = append(results, rs...)
+	if stages != nil {
+		fmt.Printf("PASS (%d checks, %d stages, %.2fs)\n", len(results), len(stages), report.TotalSeconds)
+	} else {
+		fmt.Printf("PASS (%d %s, %.2fs)\n", len(results), what, report.TotalSeconds)
 	}
-	for _, r := range results {
-		fmt.Printf("%-4s %-42s %s (%.2fs)\n", verdict(r.Passed), r.Name, r.Detail, r.Seconds)
-	}
-	report := check.Report{
-		Schema:       "ibsim-bench/v1",
-		Instructions: opt.Instructions,
-		Seed:         opt.Seed,
-		Checks:       results,
-		Passed:       check.AllPassed(results),
-		TotalSeconds: time.Since(start).Seconds(),
-	}
-	if err := writeReport(out, report); err != nil {
-		fmt.Fprintf(os.Stderr, "ibscheck: %v\n", err)
-		return 2
-	}
-	if !report.Passed {
-		fmt.Println("FAIL")
-		return 1
-	}
-	fmt.Printf("PASS (%d %s, %.2fs)\n", len(results), what, report.TotalSeconds)
 	return 0
 }
 

@@ -96,3 +96,46 @@ func TestBenchOnly(t *testing.T) {
 		t.Error("bench-only report has no stages")
 	}
 }
+
+// TestMatchSelectsChecks runs only the sampling checks: the report holds
+// exactly those four and no bench stages.
+func TestMatchSelectsChecks(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "out.json")
+	if code := run([]string{"-n", "20000", "-match", "^sampling/", "-o", out}); code != 0 {
+		t.Fatalf("run exited %d, want 0", code)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep check.Report
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"sampling/bounds-set", "sampling/bounds-time-warm", "sampling/warm-unbiased", "sampling/cold-bias"}
+	if len(rep.Checks) != len(want) || len(rep.Stages) != 0 {
+		t.Fatalf("report holds %d checks and %d stages, want %d and none", len(rep.Checks), len(rep.Stages), len(want))
+	}
+	for i, r := range rep.Checks {
+		if r.Name != want[i] {
+			t.Errorf("check %d = %q, want %q", i, r.Name, want[i])
+		}
+	}
+}
+
+// TestUsageErrors: a positional argument, a -match that selects nothing or
+// does not compile, and a -match with -bench-only each exit 2 without
+// running a check.
+func TestUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-o", "", "sampling-bounds"},
+		{"-o", "", "-match", "^nonesuch/"},
+		{"-o", "", "-faults", "-match", "^nonesuch/"},
+		{"-o", "", "-match", "("},
+		{"-o", "", "-bench-only", "-match", "^sampling/"},
+	} {
+		if code := run(args); code != 2 {
+			t.Errorf("run(%q) exited %d, want 2", args, code)
+		}
+	}
+}

@@ -212,18 +212,8 @@ func reportColumnar(path string) error {
 		}
 	}
 	fmt.Println()
-
-	// The run structure determines how much the bulk replay path can win;
-	// gather the runs block by block (24 bytes per run, not per ref).
-	runs := make([]ibsim.Run, 0, st.Runs)
-	var buf []ibsim.Run
-	for i := 0; i < cf.NumBlocks(); i++ {
-		if buf, err = cf.BlockRuns(i, buf); err != nil {
-			return err
-		}
-		runs = append(runs, buf...)
-	}
-	printRunStats(ibsim.SummarizeRuns(runs))
+	// The run structure determines how much the bulk replay path can win.
+	printRunStats(st.RunStats)
 	return nil
 }
 

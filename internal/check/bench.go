@@ -109,28 +109,11 @@ func stageGenerate(opt Options) (stageValues, error) {
 	return stageValues{}, nil
 }
 
-// eachTrace hands f every workload's trace from the shared store (warmed by
-// stageGenerate), so a stage times simulation, not generation.
-func eachTrace(opt Options, f func(src trace.RunReader) error) error {
-	for _, p := range opt.Workloads {
-		src, _, release, err := synth.DefaultStore.Acquire(context.Background(), p, opt.Seed, opt.Instructions)
-		if err != nil {
-			return err
-		}
-		err = f(src)
-		release()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // stageBaseCache reports the suite-mean miss ratio of the paper's base L1:
 // one demand access per instruction (cache.AccessRun per run).
 func stageBaseCache(opt Options) (stageValues, error) {
 	var mean float64
-	err := eachTrace(opt, func(src trace.RunReader) error {
+	err := eachTrace(opt, func(_ synth.Profile, src trace.RunReader) error {
 		c, err := cache.New(baseL1())
 		if err != nil {
 			return err
@@ -154,7 +137,7 @@ func stageBaseCache(opt Options) (stageValues, error) {
 func engineStage(mk func(cfg cache.Config) (fetch.Engine, error)) func(opt Options) (stageValues, error) {
 	return func(opt Options) (stageValues, error) {
 		var v stageValues
-		err := eachTrace(opt, func(src trace.RunReader) error {
+		err := eachTrace(opt, func(_ synth.Profile, src trace.RunReader) error {
 			e, err := mk(baseL1())
 			if err != nil {
 				return err

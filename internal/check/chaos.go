@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"regexp"
 
 	"ibsim/internal/experiments"
 	"ibsim/internal/fault"
@@ -16,77 +15,47 @@ import (
 	"ibsim/internal/xrand"
 )
 
-// RunChaos is the deterministic fault-injection suite (ibscheck -faults):
+// Faults is the deterministic fault-injection table (ibscheck -faults):
 // each scenario perturbs an I/O or execution path with seeded faults and
 // asserts the robustness contract — a typed error (ErrCorrupt/ErrTruncated,
 // an extractable injected cause, ErrOverBudget, *WorkerError), never a panic
-// and never a silently wrong result. Scenarios run inside a recover wrapper,
-// so even a regression that reintroduces a panic is reported as an ordinary
-// failing Result.
-func RunChaos(opt Options) ([]Result, error) {
-	opt = opt.withDefaults()
-	prof := opt.Workloads[0]
-	refs, err := synth.InstrTrace(prof, opt.Seed, 20_000)
-	if err != nil {
-		return nil, fmt.Errorf("chaos: generating fixture trace: %w", err)
-	}
-	var sb memSeeker
-	if _, err := trace.EncodeSeeker(&sb, refs); err != nil {
-		return nil, fmt.Errorf("chaos: encoding fixture trace: %w", err)
-	}
-	data := sb.buf
-
-	scenarios := []struct {
-		name string
-		fn   func() Result
-	}{
-		{"chaos/truncation", func() Result { return chaosTruncation(refs, data) }},
-		{"chaos/bit-flip", func() Result { return chaosBitFlip(refs, data, opt.Seed) }},
-		{"chaos/short-read", func() Result { return chaosShortRead(refs, data, opt.Seed) }},
-		{"chaos/error-after-n", func() Result { return chaosErrAfter(data) }},
-		{"chaos/columnar-salvage", func() Result { return chaosColumnarSalvage(refs) }},
-		{"chaos/write-fault-sticky", func() Result { return chaosWriteFault(refs) }},
-		{"chaos/over-budget-store", func() Result { return chaosOverBudget(prof, opt.Seed) }},
-		{"chaos/worker-panic", func() Result { return chaosWorkerPanic(opt) }},
-		{"chaos/server-slow-loris", func() Result { return chaosServerSlowLoris(prof, opt.Seed) }},
-		{"chaos/server-cancel", func() Result { return chaosServerCancel(prof, opt.Seed) }},
-		{"chaos/server-over-budget", func() Result { return chaosServerOverBudget(prof, opt.Seed) }},
-		{"chaos/server-runs-tier", func() Result { return chaosServerRunsTier(prof, opt.Seed) }},
-		{"chaos/server-panic", func() Result { return chaosServerPanic(prof, opt.Seed) }},
-		{"chaos/crash-atomicio", chaosCrashAtomicio},
-		{"chaos/crash-manifest", chaosCrashManifest},
-		{"chaos/crash-spill", func() Result { return chaosCrashSpill(prof, opt.Seed) }},
-	}
-	var filter *regexp.Regexp
-	if opt.ChaosFilter != "" {
-		var err error
-		if filter, err = regexp.Compile(opt.ChaosFilter); err != nil {
-			return nil, fmt.Errorf("chaos: bad scenario filter %q: %w", opt.ChaosFilter, err)
-		}
-	}
-	out := make([]Result, 0, len(scenarios))
-	for _, s := range scenarios {
-		if filter != nil && !filter.MatchString(s.name) {
-			continue
-		}
-		out = append(out, runIsolated(s.name, s.fn))
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("chaos: no scenario matches %q", opt.ChaosFilter)
-	}
-	return out, nil
+// and never a silently wrong result. Run contains panics, so even a
+// regression that reintroduces one is reported as an ordinary failing
+// Result.
+var Faults = []Check{
+	{"chaos/truncation", onFixture(chaosTruncation)},
+	{"chaos/bit-flip", onFixture(chaosBitFlip)},
+	{"chaos/short-read", onFixture(chaosShortRead)},
+	{"chaos/error-after-n", onFixture(chaosErrAfter)},
+	{"chaos/columnar-salvage", onFixture(chaosColumnarSalvage)},
+	{"chaos/write-fault-sticky", onFixture(chaosWriteFault)},
+	{"chaos/over-budget-store", chaosOverBudget},
+	{"chaos/worker-panic", chaosWorkerPanic},
+	{"chaos/server-slow-loris", chaosServerSlowLoris},
+	{"chaos/server-cancel", chaosServerCancel},
+	{"chaos/server-over-budget", chaosServerOverBudget},
+	{"chaos/server-runs-tier", chaosServerRunsTier},
+	{"chaos/server-panic", chaosServerPanic},
+	{"chaos/crash-atomicio", chaosCrashAtomicio},
+	{"chaos/crash-manifest", chaosCrashManifest},
+	{"chaos/crash-spill", chaosCrashSpill},
 }
 
-// runIsolated times fn and converts a scenario panic into a failing Result.
-func runIsolated(name string, fn func() Result) Result {
-	return timed(func() (r Result) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				r = fail(name, "scenario panicked: %v", rec)
-			}
-		}()
-		return fn()
-	})
+// onFixture adapts a codec scenario to a Check: it gets the first
+// workload's 20,000-instruction trace and that trace encoded as a counted
+// IBSTRACE file.
+func onFixture(scenario func(opt Options, refs []trace.Ref, data []byte) (string, error)) func(Options) (string, error) {
+	return func(opt Options) (string, error) {
+		refs, err := synth.InstrTrace(opt.Workloads[0], opt.Seed, 20_000)
+		if err != nil {
+			return "", fmt.Errorf("chaos: generating fixture trace: %w", err)
+		}
+		var sb memSeeker
+		if _, err := trace.EncodeSeeker(&sb, refs); err != nil {
+			return "", fmt.Errorf("chaos: encoding fixture trace: %w", err)
+		}
+		return scenario(opt, refs, sb.buf)
+	}
 }
 
 // typedDecodeErr reports whether err carries the decoder's typed contract.
@@ -97,39 +66,37 @@ func typedDecodeErr(err error) bool {
 // chaosTruncation cuts the encoded trace at assorted points: Decode must
 // fail typed, and DecodeSalvage must recover exactly a prefix with the
 // partial flag set.
-func chaosTruncation(refs []trace.Ref, data []byte) Result {
-	const name = "chaos/truncation"
+func chaosTruncation(_ Options, refs []trace.Ref, data []byte) (string, error) {
 	cuts := []int{0, 7, 20, 21, len(data) / 3, len(data) / 2, len(data) - 5, len(data) - 1}
 	for _, cut := range cuts {
 		mut := fault.Truncate(data, int64(cut))
 		if _, err := trace.Decode(bytes.NewReader(mut)); err == nil {
-			return fail(name, "cut at %d decoded without error", cut)
+			return "", Failf("cut at %d decoded without error", cut)
 		}
 		got, complete, err := trace.DecodeSalvage(bytes.NewReader(mut))
 		if complete {
-			return fail(name, "cut at %d salvaged as complete", cut)
+			return "", Failf("cut at %d salvaged as complete", cut)
 		}
 		if cut >= 20 && !typedDecodeErr(err) {
-			return fail(name, "cut at %d: untyped salvage error %v", cut, err)
+			return "", Failf("cut at %d: untyped salvage error %v", cut, err)
 		}
 		if len(got) > len(refs) {
-			return fail(name, "cut at %d salvaged %d refs from a %d-ref trace", cut, len(got), len(refs))
+			return "", Failf("cut at %d salvaged %d refs from a %d-ref trace", cut, len(got), len(refs))
 		}
 		for i := range got {
 			if got[i] != refs[i] {
-				return fail(name, "cut at %d: salvaged ref %d is not a prefix", cut, i)
+				return "", Failf("cut at %d: salvaged ref %d is not a prefix", cut, i)
 			}
 		}
 	}
-	return pass(name, "%d cut points: typed errors, exact-prefix salvage", len(cuts))
+	return fmt.Sprintf("%d cut points: typed errors, exact-prefix salvage", len(cuts)), nil
 }
 
 // chaosBitFlip flips seeded bits in the record body and trailer: every
 // corrupted stream either fails typed or decodes to the exact original.
-func chaosBitFlip(refs []trace.Ref, data []byte, seed uint64) Result {
-	const name = "chaos/bit-flip"
+func chaosBitFlip(opt Options, refs []trace.Ref, data []byte) (string, error) {
 	const trials = 64
-	rng := xrand.New(seed ^ 0xb17f11b5)
+	rng := xrand.New(opt.Seed ^ 0xb17f11b5)
 	caught := 0
 	for trial := 0; trial < trials; trial++ {
 		// Corrupt payload bytes only; header corruption is FuzzHeader's job.
@@ -138,74 +105,71 @@ func chaosBitFlip(refs []trace.Ref, data []byte, seed uint64) Result {
 		got, err := trace.Decode(bytes.NewReader(mut))
 		if err != nil {
 			if !typedDecodeErr(err) {
-				return fail(name, "trial %d: untyped error %v", trial, err)
+				return "", Failf("trial %d: untyped error %v", trial, err)
 			}
 			caught++
 			continue
 		}
 		if len(got) != len(refs) {
-			return fail(name, "trial %d: silent wrong count %d", trial, len(got))
+			return "", Failf("trial %d: silent wrong count %d", trial, len(got))
 		}
 		for i := range refs {
 			if got[i] != refs[i] {
-				return fail(name, "trial %d: silent wrong ref %d", trial, i)
+				return "", Failf("trial %d: silent wrong ref %d", trial, i)
 			}
 		}
 	}
 	if caught == 0 {
-		return fail(name, "no corruption detected across %d trials", trials)
+		return "", Failf("no corruption detected across %d trials", trials)
 	}
-	return pass(name, "%d/%d seeded corruptions caught, rest decoded exactly", caught, trials)
+	return fmt.Sprintf("%d/%d seeded corruptions caught, rest decoded exactly", caught, trials), nil
 }
 
 // chaosShortRead decodes through a reader that delivers arbitrary short
 // reads; the result must be identical to a direct decode.
-func chaosShortRead(refs []trace.Ref, data []byte, seed uint64) Result {
-	const name = "chaos/short-read"
+func chaosShortRead(opt Options, refs []trace.Ref, data []byte) (string, error) {
 	for trial := 0; trial < 8; trial++ {
-		r := fault.NewReader(bytes.NewReader(data), fault.Plan{ShortIO: true, Seed: seed + uint64(trial)})
+		r := fault.NewReader(bytes.NewReader(data), fault.Plan{ShortIO: true, Seed: opt.Seed + uint64(trial)})
 		got, err := trace.Decode(r)
 		if err != nil {
-			return fail(name, "trial %d: decode failed under short reads: %v", trial, err)
+			return "", Failf("trial %d: decode failed under short reads: %v", trial, err)
 		}
 		if len(got) != len(refs) {
-			return fail(name, "trial %d: %d refs, want %d", trial, len(got), len(refs))
+			return "", Failf("trial %d: %d refs, want %d", trial, len(got), len(refs))
 		}
 		for i := range refs {
 			if got[i] != refs[i] {
-				return fail(name, "trial %d: ref %d differs", trial, i)
+				return "", Failf("trial %d: ref %d differs", trial, i)
 			}
 		}
 	}
-	return pass(name, "8 short-read schedules decoded identically")
+	return fmt.Sprintf("8 short-read schedules decoded identically"), nil
 }
 
 // chaosErrAfter injects an I/O error after N bytes: the decode must fail
 // with the injected cause still extractable via errors.Is.
-func chaosErrAfter(data []byte) Result {
-	const name = "chaos/error-after-n"
+func chaosErrAfter(_ Options, _ []trace.Ref, data []byte) (string, error) {
 	boom := errors.New("chaos: injected disk failure")
 	offsets := []int64{0, 5, 19, 20, 33, int64(len(data)) / 2, int64(len(data)) - 2}
 	for _, at := range offsets {
 		r := fault.NewReader(bytes.NewReader(data), fault.Plan{Err: boom, ErrAfter: at})
 		if _, err := trace.Decode(r); err == nil {
-			return fail(name, "error after %d bytes: decode succeeded", at)
+			return "", Failf("error after %d bytes: decode succeeded", at)
 		} else if !errors.Is(err, boom) {
-			return fail(name, "error after %d bytes: cause lost: %v", at, err)
+			return "", Failf("error after %d bytes: cause lost: %v", at, err)
 		}
 	}
-	return pass(name, "%d injection offsets: cause extractable, no panic", len(offsets))
+	return fmt.Sprintf("%d injection offsets: cause extractable, no panic", len(offsets)), nil
 }
 
 // chaosWriteFault writes through a failing writer: the first failure must
 // surface and then stay sticky across further Put and Close calls.
-func chaosWriteFault(refs []trace.Ref) Result {
-	const name = "chaos/write-fault-sticky"
+func chaosWriteFault(_ Options, refs []trace.Ref, _ []byte) (string, error) {
 	boom := errors.New("chaos: injected write failure")
 	w, err := trace.NewWriter(fault.NewWriter(io.Discard, fault.Plan{Err: boom, ErrAfter: 256}))
 	if err != nil {
 		// The header itself fits the budget; construction must succeed.
-		return fail(name, "NewWriter failed: %v", err)
+		return "", Failf("NewWriter failed: %v", err)
 	}
 	var first error
 	for _, r := range refs {
@@ -217,36 +181,36 @@ func chaosWriteFault(refs []trace.Ref) Result {
 		first = w.Close()
 	}
 	if !errors.Is(first, boom) {
-		return fail(name, "injected write failure not surfaced: %v", first)
+		return "", Failf("injected write failure not surfaced: %v", first)
 	}
 	if again := w.Put(trace.Ref{Addr: 4, Kind: trace.IFetch}); again != first {
-		return fail(name, "Put after failure = %v, want sticky %v", again, first)
+		return "", Failf("Put after failure = %v, want sticky %v", again, first)
 	}
 	if again := w.Close(); again != first {
-		return fail(name, "Close after failure = %v, want sticky %v", again, first)
+		return "", Failf("Close after failure = %v, want sticky %v", again, first)
 	}
-	return pass(name, "write fault surfaced once and stayed sticky")
+	return fmt.Sprintf("write fault surfaced once and stayed sticky"), nil
 }
 
 // chaosOverBudget verifies the store's hard-budget contract: with a budget
 // no trace form fits, the runs tier fails typed — directly and through the
 // InstrCtx adapter — and Acquire steps down to checkpointed regeneration,
 // whose runs expand to exactly the refs InstrTrace generates.
-func chaosOverBudget(prof synth.Profile, seed uint64) Result {
-	const name = "chaos/over-budget-store"
+func chaosOverBudget(opt Options) (string, error) {
+	prof, seed := opt.Workloads[0], opt.Seed
 	const n = 5000
 	store := synth.NewStoreLimits(0, 64) // below even the columnar file's header and index
 	defer store.Purge()
 	ctx := context.Background()
 	if _, _, err := store.InstrCtx(ctx, prof, seed, n); !errors.Is(err, synth.ErrOverBudget) {
-		return fail(name, "InstrCtx over budget = %v, want ErrOverBudget", err)
+		return "", Failf("InstrCtx over budget = %v, want ErrOverBudget", err)
 	}
 	if _, _, err := store.RunsOnly(ctx, prof, seed, n); !errors.Is(err, synth.ErrOverBudget) {
-		return fail(name, "RunsOnly over budget = %v, want ErrOverBudget", err)
+		return "", Failf("RunsOnly over budget = %v, want ErrOverBudget", err)
 	}
 	src, tier, release, err := store.Acquire(ctx, prof, seed, n)
 	if err != nil {
-		return fail(name, "Acquire over budget failed: %v", err)
+		return "", Failf("Acquire over budget failed: %v", err)
 	}
 	var got []trace.Ref
 	err = src.ReadRuns(0, math.MaxInt64, func(runs []trace.Run) error {
@@ -257,45 +221,44 @@ func chaosOverBudget(prof synth.Profile, seed uint64) Result {
 	})
 	release()
 	if tier != synth.TierSeek {
-		return fail(name, "Acquire over budget served the %v tier, want seek", tier)
+		return "", Failf("Acquire over budget served the %v tier, want seek", tier)
 	}
 	if err != nil {
-		return fail(name, "seek tier errored: %v", err)
+		return "", Failf("seek tier errored: %v", err)
 	}
 	want, err := synth.InstrTrace(prof, seed, n)
 	if err != nil {
-		return fail(name, "reference generation failed: %v", err)
+		return "", Failf("reference generation failed: %v", err)
 	}
 	if len(got) != len(want) {
-		return fail(name, "seek tier streamed %d refs, want %d", len(got), len(want))
+		return "", Failf("seek tier streamed %d refs, want %d", len(got), len(want))
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			return fail(name, "seek tier ref %d differs from InstrTrace", i)
+			return "", Failf("seek tier ref %d differs from InstrTrace", i)
 		}
 	}
 	if st := store.Stats(); st.Entries != 0 || st.SpillBytes != 0 {
-		return fail(name, "over-budget acquisitions left %d entries, %d spill bytes", st.Entries, st.SpillBytes)
+		return "", Failf("over-budget acquisitions left %d entries, %d spill bytes", st.Entries, st.SpillBytes)
 	}
-	return pass(name, "RAM tiers fail typed, Acquire's seek tier streams %d identical refs", len(want))
+	return fmt.Sprintf("RAM tiers fail typed, Acquire's seek tier streams %d identical refs", len(want)), nil
 }
 
 // chaosWorkerPanic proves a panicking experiment worker is isolated into a
 // typed, attributed *WorkerError instead of crashing the run.
-func chaosWorkerPanic(opt Options) Result {
-	const name = "chaos/worker-panic"
+func chaosWorkerPanic(opt Options) (string, error) {
 	err := experiments.PanicIsolationSelfTest(experiments.Options{Instructions: 1000, Seed: opt.Seed})
 	if err == nil {
-		return fail(name, "injected panic vanished")
+		return "", Failf("injected panic vanished")
 	}
 	var we *experiments.WorkerError
 	if !errors.As(err, &we) {
-		return fail(name, "panic surfaced untyped: %v", err)
+		return "", Failf("panic surfaced untyped: %v", err)
 	}
 	if we.Workload == "" || we.Stack == "" {
-		return fail(name, "WorkerError missing attribution: %+v", we)
+		return "", Failf("WorkerError missing attribution: %+v", we)
 	}
-	return pass(name, "panic isolated as WorkerError for %q", we.Workload)
+	return fmt.Sprintf("panic isolated as WorkerError for %q", we.Workload), nil
 }
 
 // memSeeker is an in-memory io.WriteSeeker for building counted trace

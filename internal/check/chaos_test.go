@@ -1,9 +1,12 @@
 package check
 
 import (
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"ibsim/internal/synth"
 )
 
 // The chaos suite itself: every scenario must pass against the current
@@ -11,7 +14,7 @@ import (
 // deterministic.
 func TestRunChaosAllPass(t *testing.T) {
 	opt := Options{Instructions: 50_000}
-	results, err := RunChaos(opt)
+	results, err := Run(opt, Faults)
 	if err != nil {
 		t.Fatalf("harness failure: %v", err)
 	}
@@ -43,14 +46,68 @@ func TestRunChaosAllPass(t *testing.T) {
 	}
 }
 
-// A scenario panic is contained as a failing Result, never a crash.
+// A panicking check is contained as a failing Result carrying the panic
+// value, never a crash, and the checks after it still run.
 func TestRunIsolatedContainsPanic(t *testing.T) {
-	r := runIsolated("chaos/self", func() Result { panic("scenario bug") })
-	if r.Passed {
-		t.Fatal("panicking scenario passed")
+	table := []Check{
+		{"self/panic", func(Options) (string, error) { panic("scenario bug") }},
+		Checks[0],
 	}
-	if !strings.Contains(r.Detail, "scenario bug") {
-		t.Fatalf("panic payload lost: %s", r.Detail)
+	rs, err := Run(Options{Instructions: 5_000, Workloads: synth.IBSMach()[:1]}, table)
+	if err != nil {
+		t.Fatalf("a panic stopped the run: %v", err)
+	}
+	if len(rs) != 2 {
+		t.Fatalf("%d results, want 2", len(rs))
+	}
+	if rs[0].Passed {
+		t.Fatal("panicking check passed")
+	}
+	if !strings.Contains(rs[0].Detail, "scenario bug") {
+		t.Fatalf("panic payload lost: %s", rs[0].Detail)
+	}
+	if !rs[1].Passed || rs[1].Name != Checks[0].Name {
+		t.Fatalf("check after the panic: %+v", rs[1])
+	}
+}
+
+// A Failf error fails only its own check; the run goes on and returns no
+// error.
+func TestRunFailfFailsOnlyItsCheck(t *testing.T) {
+	table := []Check{
+		{"self/fails", func(Options) (string, error) { return "", Failf("property broke at %d", 7) }},
+		{"self/passes", func(Options) (string, error) { return "held", nil }},
+	}
+	rs, err := Run(Options{}, table)
+	if err != nil {
+		t.Fatalf("a check failure stopped the run: %v", err)
+	}
+	want := []Result{{Name: "self/fails", Detail: "property broke at 7"}, {Name: "self/passes", Passed: true, Detail: "held"}}
+	if len(rs) != len(want) {
+		t.Fatalf("%d results, want %d", len(rs), len(want))
+	}
+	for i, r := range rs {
+		r.Seconds = 0
+		if r != want[i] {
+			t.Errorf("result %d = %+v, want %+v", i, r, want[i])
+		}
+	}
+}
+
+// Any other error is a harness failure: the run stops at it and returns it,
+// with the failed check's Result last.
+func TestRunStopsAtHarnessError(t *testing.T) {
+	boom := errors.New("fixture unavailable")
+	table := []Check{
+		{"self/harness", func(Options) (string, error) { return "", boom }},
+		{"self/unreached", func(Options) (string, error) { t.Error("ran after a harness error"); return "", nil }},
+	}
+	rs, err := Run(Options{}, table)
+	if !errors.Is(err, boom) {
+		t.Fatalf("Run error = %v, want the harness error", err)
+	}
+	if len(rs) != 1 || rs[0].Passed || rs[0].Detail != boom.Error() {
+		t.Fatalf("results = %+v, want the one failed harness check", rs)
 	}
 }
 
@@ -60,7 +117,7 @@ func TestRunIsolatedContainsPanic(t *testing.T) {
 func TestChaosServersLeaveNoSpillDirs(t *testing.T) {
 	tmp := t.TempDir()
 	t.Setenv("TMPDIR", tmp)
-	results, err := RunChaos(Options{Instructions: 50_000, ChaosFilter: "^chaos/server-"})
+	results, err := Run(Options{Instructions: 50_000, Match: "^chaos/server-"}, Faults)
 	if err != nil {
 		t.Fatalf("harness failure: %v", err)
 	}

@@ -24,21 +24,20 @@ const chaosColumnarBlockBytes = 512
 // block decodes unchanged), truncation degrades to a clean-prefix rebuild,
 // and a fan-out replay over the salvaged trace still satisfies the fetch
 // engines' bound invariants — degraded data, never broken physics.
-func chaosColumnarSalvage(refs []trace.Ref) Result {
-	const name = "chaos/columnar-salvage"
+func chaosColumnarSalvage(_ Options, refs []trace.Ref, _ []byte) (string, error) {
 	runs := trace.Compact(refs)
 	var buf bytes.Buffer
 	if _, err := trace.EncodeColumnarSize(&buf, runs, chaosColumnarBlockBytes); err != nil {
-		return fail(name, "encoding columnar fixture: %v", err)
+		return "", Failf("encoding columnar fixture: %v", err)
 	}
 	img := buf.Bytes()
 	clean, err := trace.NewColumnarBytes(img)
 	if err != nil {
-		return fail(name, "opening clean fixture: %v", err)
+		return "", Failf("opening clean fixture: %v", err)
 	}
 	nb := clean.NumBlocks()
 	if nb < 5 {
-		return fail(name, "fixture spans only %d blocks; no middle block to damage", nb)
+		return "", Failf("fixture spans only %d blocks; no middle block to damage", nb)
 	}
 	mid := nb / 2
 	m := clean.BlockMeta(mid)
@@ -49,24 +48,24 @@ func chaosColumnarSalvage(refs []trace.Ref) Result {
 	flipped[m.Offset+8+int64(m.PayloadLen)/2] ^= 0x10
 	bad, err := trace.NewColumnarBytes(flipped)
 	if err != nil {
-		return fail(name, "flipped image no longer opens (index untouched): %v", err)
+		return "", Failf("flipped image no longer opens (index untouched): %v", err)
 	}
 	if _, err := bad.BlockRuns(mid, nil); !errors.Is(err, trace.ErrCorrupt) {
-		return fail(name, "reading the flipped block = %v, want ErrCorrupt", err)
+		return "", Failf("reading the flipped block = %v, want ErrCorrupt", err)
 	}
 	sf, dmg, err := trace.SalvageColumnarBytes(flipped)
 	if err != nil {
-		return fail(name, "salvage of flipped image failed: %v", err)
+		return "", Failf("salvage of flipped image failed: %v", err)
 	}
 	if !dmg.Damaged() || dmg.IndexRebuilt {
-		return fail(name, "flip damage misreported: %+v", dmg)
+		return "", Failf("flip damage misreported: %+v", dmg)
 	}
 	if dmg.DroppedBlocks != 1 || dmg.DroppedRefs != m.Refs {
-		return fail(name, "flip dropped %d blocks / %d refs, want exactly block %d's 1 / %d",
+		return "", Failf("flip dropped %d blocks / %d refs, want exactly block %d's 1 / %d",
 			dmg.DroppedBlocks, dmg.DroppedRefs, mid, m.Refs)
 	}
 	if sf.Refs() != clean.Refs()-m.Refs || sf.NumBlocks() != nb-1 {
-		return fail(name, "salvaged file holds %d refs in %d blocks, want %d in %d",
+		return "", Failf("salvaged file holds %d refs in %d blocks, want %d in %d",
 			sf.Refs(), sf.NumBlocks(), clean.Refs()-m.Refs, nb-1)
 	}
 	// Every surviving block must decode to exactly the clean file's runs.
@@ -77,18 +76,18 @@ func chaosColumnarSalvage(refs []trace.Ref) Result {
 			continue
 		}
 		if cleanRuns, err = clean.BlockRuns(b, cleanRuns); err != nil {
-			return fail(name, "clean block %d: %v", b, err)
+			return "", Failf("clean block %d: %v", b, err)
 		}
 		if salvRuns, err = sf.BlockRuns(si, salvRuns); err != nil {
-			return fail(name, "salvaged block %d: %v", si, err)
+			return "", Failf("salvaged block %d: %v", si, err)
 		}
 		if d := runsDiffer(cleanRuns, salvRuns); d != "" {
-			return fail(name, "salvaged block %d (clean %d): %s", si, b, d)
+			return "", Failf("salvaged block %d (clean %d): %s", si, b, d)
 		}
 		si++
 	}
 	if r := chaosReplayBounds(sf); r != "" {
-		return fail(name, "replay over flip-salvaged trace: %s", r)
+		return "", Failf("replay over flip-salvaged trace: %s", r)
 	}
 
 	// Truncate mid-frame inside the next-to-last block: trailer and index are
@@ -97,41 +96,41 @@ func chaosColumnarSalvage(refs []trace.Ref) Result {
 	cut := clean.BlockMeta(cutBlock).Offset + 11
 	trunc := append([]byte(nil), img[:cut]...)
 	if _, err := trace.NewColumnarBytes(trunc); !typedDecodeErr(err) {
-		return fail(name, "truncated image opened without a typed error: %v", err)
+		return "", Failf("truncated image opened without a typed error: %v", err)
 	}
 	tf, tdmg, err := trace.SalvageColumnarBytes(trunc)
 	if err != nil {
-		return fail(name, "salvage of truncated image failed: %v", err)
+		return "", Failf("salvage of truncated image failed: %v", err)
 	}
 	if !tdmg.IndexRebuilt || !tdmg.Damaged() {
-		return fail(name, "truncation damage misreported: %+v", tdmg)
+		return "", Failf("truncation damage misreported: %+v", tdmg)
 	}
 	if tf.NumBlocks() != cutBlock {
-		return fail(name, "prefix salvage kept %d blocks, want the %d before the cut", tf.NumBlocks(), cutBlock)
+		return "", Failf("prefix salvage kept %d blocks, want the %d before the cut", tf.NumBlocks(), cutBlock)
 	}
 	var wantPrefix int64
 	for b := 0; b < cutBlock; b++ {
 		wantPrefix += clean.BlockMeta(b).Refs
 	}
 	if tf.Refs() != wantPrefix {
-		return fail(name, "prefix salvage holds %d refs, want %d", tf.Refs(), wantPrefix)
+		return "", Failf("prefix salvage holds %d refs, want %d", tf.Refs(), wantPrefix)
 	}
 	for b := 0; b < cutBlock; b++ {
 		if cleanRuns, err = clean.BlockRuns(b, cleanRuns); err != nil {
-			return fail(name, "clean block %d: %v", b, err)
+			return "", Failf("clean block %d: %v", b, err)
 		}
 		if salvRuns, err = tf.BlockRuns(b, salvRuns); err != nil {
-			return fail(name, "prefix block %d: %v", b, err)
+			return "", Failf("prefix block %d: %v", b, err)
 		}
 		if d := runsDiffer(cleanRuns, salvRuns); d != "" {
-			return fail(name, "prefix block %d: %s", b, d)
+			return "", Failf("prefix block %d: %s", b, d)
 		}
 	}
 	if r := chaosReplayBounds(tf); r != "" {
-		return fail(name, "replay over truncation-salvaged trace: %s", r)
+		return "", Failf("replay over truncation-salvaged trace: %s", r)
 	}
-	return pass(name, "flip in block %d/%d dropped exactly %d refs, truncation kept a %d-block prefix, salvaged replays obey engine bounds",
-		mid, nb, m.Refs, cutBlock)
+	return fmt.Sprintf("flip in block %d/%d dropped exactly %d refs, truncation kept a %d-block prefix, salvaged replays obey engine bounds",
+		mid, nb, m.Refs, cutBlock), nil
 }
 
 // chaosReplayBounds fans a salvaged block trace through a small engine bank

@@ -17,20 +17,26 @@
 //     result equality.
 //   - Differential testing: the concurrent suite runners in
 //     internal/experiments must render bit-identical exhibits to the
-//     Options.Serial reference executor, and a trace-file round trip
-//     (encode → decode) must preserve simulation results exactly.
+//     one-worker reference executor (Workers: 1), and a trace-file round
+//     trip (encode → decode) must preserve simulation results exactly.
 //   - Benchmark regression: RunBench times a pinned set of simulations and
 //     compares their CPI/MPI against golden.go within explicit tolerances.
 //
-// Every check is also exercised as an ordinary `go test` case in this
-// package, so `go test ./...` verifies the simulators without the CLI.
+// Checks and Faults are tables of named checks; Run runs either, so every
+// check is timed, panic-isolated and selectable by name the same way. Every
+// check is also exercised as an ordinary `go test` case in this package, so
+// `go test ./...` verifies the simulators without the CLI.
 package check
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"regexp"
 	"time"
 
 	"ibsim/internal/synth"
+	"ibsim/internal/trace"
 )
 
 // Options scales the verification run.
@@ -45,9 +51,9 @@ type Options struct {
 	// Workloads is the profile set invariants sweep over (default: the
 	// Mach IBS suite, Section 5's evaluation set).
 	Workloads []synth.Profile
-	// ChaosFilter restricts RunChaos to scenarios whose name matches this
-	// regular expression; "" runs the full suite (ibscheck -match).
-	ChaosFilter string
+	// Match restricts Run to checks whose name matches this regular
+	// expression; "" runs the whole table (ibscheck -match).
+	Match string
 }
 
 func (o Options) withDefaults() Options {
@@ -73,52 +79,121 @@ type Result struct {
 	Seconds float64 `json:"seconds"`
 }
 
-// pass and fail build Results.
-func pass(name, format string, args ...any) Result {
-	return Result{Name: name, Passed: true, Detail: fmt.Sprintf(format, args...)}
+// Check is one named property. Run returns a one-line detail when the
+// property holds, a Failf error when it does not, and any other error for a
+// harness failure: a fixture that could not be built or a simulator
+// constructor rejecting a pinned configuration.
+type Check struct {
+	Name string
+	Run  func(Options) (detail string, err error)
 }
 
-func fail(name, format string, args ...any) Result {
-	return Result{Name: name, Passed: false, Detail: fmt.Sprintf(format, args...)}
+// failure is the error Failf builds: the checked property did not hold.
+type failure struct{ detail string }
+
+func (f *failure) Error() string { return f.detail }
+
+// Failf reports that a check's property did not hold; the formatted text
+// becomes the failing Result's detail.
+func Failf(format string, args ...any) error {
+	return &failure{fmt.Sprintf(format, args...)}
 }
 
-// timed runs fn, stamping its wall-clock time into the Result.
-func timed(fn func() Result) Result {
-	start := time.Now()
-	r := fn()
-	r.Seconds = time.Since(start).Seconds()
-	return r
-}
-
-// RunAll executes every invariant and differential check and returns one
-// Result per check, in a fixed order. A non-nil error reports a harness
-// failure (a simulator constructor rejecting a pinned configuration), not a
-// check failure.
-func RunAll(opt Options) ([]Result, error) {
+// Run runs, in table order, every check whose name matches opt.Match and
+// returns one Result per check run. A check that returns a Failf error or
+// panics fails its own Result and the run goes on. Any other error is a
+// harness failure: the run stops, and the error is returned with the results
+// so far, the failed check's last. A Match that selects no check is an
+// error too.
+func Run(opt Options, checks []Check) ([]Result, error) {
 	opt = opt.withDefaults()
+	match, err := regexp.Compile(opt.Match)
+	if err != nil {
+		return nil, fmt.Errorf("check: bad match pattern %q: %w", opt.Match, err)
+	}
 	var out []Result
-	for _, fn := range []func(Options) ([]Result, error){
-		Inclusion,
-		Monotonicity,
-		EngineBounds,
-		StreamingEquality,
-		ParallelVsSerial,
-		SweepVsPerConfig,
-		FanoutVsPerConfig,
-		Figure5VsPerConfig,
-		TraceRoundTrip,
-		ColumnarReplay,
-		SamplingBounds,
-		SamplingProperties,
-		SeekChecks,
-	} {
-		rs, err := fn(opt)
-		if err != nil {
-			return out, err
+	for _, c := range checks {
+		if !match.MatchString(c.Name) {
+			continue
 		}
-		out = append(out, rs...)
+		r, err := runOne(opt, c)
+		out = append(out, r)
+		if err != nil {
+			return out, fmt.Errorf("%s: %w", c.Name, err)
+		}
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("check: no check matches %q", opt.Match)
 	}
 	return out, nil
+}
+
+// runOne times c and turns its outcome into a Result: a panic or a Failf
+// error fails it, and any other error is also returned as a harness failure.
+func runOne(opt Options, c Check) (r Result, harness error) {
+	r.Name = c.Name
+	start := time.Now()
+	defer func() {
+		if rec := recover(); rec != nil {
+			r.Passed, r.Detail = false, fmt.Sprintf("panicked: %v", rec)
+		}
+		r.Seconds = time.Since(start).Seconds()
+	}()
+	detail, err := c.Run(opt)
+	var f *failure
+	switch {
+	case err == nil:
+		r.Passed, r.Detail = true, detail
+	case errors.As(err, &f):
+		r.Detail = f.detail
+	default:
+		r.Detail, harness = err.Error(), err
+	}
+	return r, harness
+}
+
+// Checks is the invariant and differential table ibscheck runs by default,
+// in report order.
+var Checks = []Check{
+	{"invariant/lru-inclusion-assoc", inclusionAssoc},
+	{"invariant/lru-inclusion-capacity", inclusionCapacity},
+	{"invariant/miss-monotonic-fa", missMonotonicFA},
+	{"invariant/miss-monotonic-dm", missMonotonicDM},
+	{"invariant/engine-lower-bound", engineLowerBound},
+	{"invariant/engine-blocking-bound", engineBlockingBound},
+	{"invariant/streaming-equality", streamingEquality},
+	{"differential/parallel-serial-table4", parallelSerialTable4},
+	{"differential/parallel-serial-table1", parallelSerialTable1},
+	{"differential/sweep-miss-matrix", sweepMissMatrix},
+	{"differential/sweep-figures", sweepFigures},
+	{"differential/fanout-tables", fanoutTables},
+	{"differential/figure5-physical", figure5Physical},
+	{"differential/trace-roundtrip", traceRoundTrip},
+	{"differential/columnar-replay", columnarReplay},
+	{"differential/blocks-parallel", blocksParallel},
+	{"differential/columnar-sweep", columnarSweep},
+	{"sampling/bounds-set", samplingBoundsSet},
+	{"sampling/bounds-time-warm", samplingBoundsTimeWarm},
+	{"sampling/warm-unbiased", samplingWarmUnbiased},
+	{"sampling/cold-bias", samplingColdBias},
+	{"differential/seek-sampled", seekSampled},
+}
+
+// eachTrace calls fn with every workload's trace in opt.Workloads, read from
+// synth.DefaultStore through Acquire and released when fn returns.
+func eachTrace(opt Options, fn func(p synth.Profile, src trace.RunReader) error) error {
+	for _, p := range opt.Workloads {
+		src, _, release, err := synth.DefaultStore.Acquire(context.Background(), p, opt.Seed, opt.Instructions)
+		if err != nil {
+			return fmt.Errorf("%s: trace generation: %w", p.Name, err)
+		}
+		err = fn(p, src)
+		release()
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // AllPassed reports whether every result passed.

@@ -2,6 +2,7 @@ package check
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"reflect"
 
@@ -18,7 +19,7 @@ import (
 // block-granular loops actually iterate.
 const columnarCheckBlockBytes = 512
 
-// columnarBankSpec builds the mixed engine bank the columnar differentials
+// columnarBank builds the mixed engine bank the columnar differentials
 // replay: two same-geometry blocking engines (the second is analytically
 // derived, exercising the dedup plan on both paths), a prefetcher, a bypass
 // engine, and a stream buffer. Engines are stateful, so callers get a fresh
@@ -43,129 +44,143 @@ func columnarBank() ([]fetch.Engine, error) {
 	return bank, nil
 }
 
-// ColumnarReplay is the columnar-format differential: a workload's trace is
-// written to an on-disk IBSTRACE/v3 columnar file and read block by block —
-// through the one replay driver and the one sweep kernel — and every result
-// must be bit-identical to the []Ref oracle (per-engine fetch.Run, per-cell
+// The columnar differentials write a workload's trace to an on-disk
+// IBSTRACE/v3 columnar file and read it block by block — through the one
+// replay driver and the one sweep kernel — and every result must be
+// bit-identical to the []Ref oracle (per-engine fetch.Run, per-cell
 // cache.Cache) over the same trace, as must the in-memory runs. Both the
 // mmap and the ReaderAt (sequential fallback) access modes are exercised, so
 // the zero-copy path can never drift from the portable one.
-func ColumnarReplay(opt Options) ([]Result, error) {
-	opt = opt.withDefaults()
-	p := opt.Workloads[0]
-	ctx := context.Background()
 
-	refs, err := synth.InstrTrace(p, opt.Seed, opt.Instructions)
+// columnarFixture is the first workload's trace as refs and as a columnar
+// file, with the three run sources the differentials read: the in-memory
+// runs, the file in its default access mode, and the file through ReaderAt.
+type columnarFixture struct {
+	p       synth.Profile
+	refs    []trace.Ref
+	cf      *trace.ColumnarFile
+	mode    string // the default access mode: "mmap" or "sequential"
+	sources []runSource
+}
+
+// runSource opens one named reader over the fixture's runs.
+type runSource struct {
+	name string
+	open func() trace.RunReader
+}
+
+// withColumnarFixture builds the fixture, runs fn on it and removes the file.
+func withColumnarFixture(opt Options, fn func(fx columnarFixture) (string, error)) (string, error) {
+	fx := columnarFixture{p: opt.Workloads[0]}
+	refs, err := synth.InstrTrace(fx.p, opt.Seed, opt.Instructions)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
+	fx.refs = refs
 	runs := trace.Compact(refs)
 
 	f, err := os.CreateTemp("", "ibscheck-*.ibsc")
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	path := f.Name()
 	defer os.Remove(path)
-	if _, err := trace.EncodeColumnarSize(f, runs, columnarCheckBlockBytes); err != nil {
-		f.Close()
-		return nil, err
+	_, err = trace.EncodeColumnarSize(f, runs, columnarCheckBlockBytes)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		return nil, err
-	}
-	cf, err := trace.OpenColumnar(path)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
-	defer cf.Close()
+	if fx.cf, err = trace.OpenColumnar(path); err != nil {
+		return "", err
+	}
+	defer fx.cf.Close()
 	rf, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	defer rf.Close()
-	seq, err := trace.NewColumnarReaderAt(rf, cf.Size())
+	seq, err := trace.NewColumnarReaderAt(rf, fx.cf.Size())
 	if err != nil {
-		return nil, err
+		return "", err
 	}
-	mode := "sequential"
-	if cf.Mapped() {
-		mode = "mmap"
+	fx.mode = "sequential"
+	if fx.cf.Mapped() {
+		fx.mode = "mmap"
 	}
-	sources := []struct {
-		name string
-		open func() trace.RunReader
-	}{
+	fx.sources = []runSource{
 		{"in-memory", func() trace.RunReader { return trace.NewRunReader(runs) }},
-		{mode, func() trace.RunReader { return trace.NewBlockReader(cf) }},
+		{fx.mode, func() trace.RunReader { return trace.NewBlockReader(fx.cf) }},
 		{"ReaderAt", func() trace.RunReader { return trace.NewBlockReader(seq) }},
 	}
-	want, err := replayOracle(refs, replay.SamplePlan{})
-	if err != nil {
-		return nil, err
-	}
+	return fn(fx)
+}
 
-	var harnessErr error
-	var out []Result
-
-	out = append(out, timed(func() Result {
-		const name = "differential/columnar-replay"
-		if cf.NumBlocks() < 2 {
-			return fail(name, "fixture spans %d block(s); block iteration not exercised", cf.NumBlocks())
+// columnarReplay replays the engine bank over every source.
+func columnarReplay(opt Options) (string, error) {
+	return withColumnarFixture(opt, func(fx columnarFixture) (string, error) {
+		want, err := replayOracle(fx.refs, replay.SamplePlan{})
+		if err != nil {
+			return "", err
 		}
-		if cf.Refs() != int64(len(refs)) {
-			return fail(name, "columnar file indexes %d refs, trace has %d", cf.Refs(), len(refs))
+		if fx.cf.NumBlocks() < 2 {
+			return "", Failf("fixture spans %d block(s); block iteration not exercised", fx.cf.NumBlocks())
 		}
-		for _, src := range sources {
+		if fx.cf.Refs() != int64(len(fx.refs)) {
+			return "", Failf("columnar file indexes %d refs, trace has %d", fx.cf.Refs(), len(fx.refs))
+		}
+		for _, src := range fx.sources {
 			bank, err := columnarBank()
 			if err != nil {
-				harnessErr = err
-				return fail(name, "building bank: %v", err)
+				return "", fmt.Errorf("building bank: %w", err)
 			}
-			got, err := replay.Run(ctx, src.open(), bank, replay.SamplePlan{})
+			got, err := replay.Run(context.Background(), src.open(), bank, replay.SamplePlan{})
 			if err != nil {
-				return fail(name, "%s replay: %v", src.name, err)
+				return "", Failf("%s replay: %v", src.name, err)
 			}
 			for i := range want {
 				if got[i] != want[i] {
-					return fail(name, "engine %d diverges from fetch.Run over %s: %+v vs %+v", i, src.name, got[i], want[i])
+					return "", Failf("engine %d diverges from fetch.Run over %s: %+v vs %+v", i, src.name, got[i], want[i])
 				}
 			}
 		}
-		return pass(name, "%s: %d engines x %d blocks (%s + ReaderAt) and in-memory runs == per-engine fetch.Run, bit-exact",
-			p.Name, len(want), cf.NumBlocks(), mode)
-	}))
-	if harnessErr != nil {
-		return out, harnessErr
-	}
+		return fmt.Sprintf("%s: %d engines x %d blocks (%s + ReaderAt) and in-memory runs == per-engine fetch.Run, bit-exact",
+			fx.p.Name, len(want), fx.cf.NumBlocks(), fx.mode), nil
+	})
+}
 
-	out = append(out, timed(func() Result {
-		const name = "differential/blocks-parallel"
+// blocksParallel fans the bank out over the file's blocks at several worker
+// counts.
+func blocksParallel(opt Options) (string, error) {
+	return withColumnarFixture(opt, func(fx columnarFixture) (string, error) {
+		want, err := replayOracle(fx.refs, replay.SamplePlan{})
+		if err != nil {
+			return "", err
+		}
 		for _, workers := range []int{1, 2, 3, 8} {
 			bank, err := columnarBank()
 			if err != nil {
-				harnessErr = err
-				return fail(name, "building bank: %v", err)
+				return "", fmt.Errorf("building bank: %w", err)
 			}
-			got, err := replay.BlocksParallel(ctx, cf, bank, workers)
+			got, err := replay.BlocksParallel(context.Background(), fx.cf, bank, workers)
 			if err != nil {
-				return fail(name, "block replay (workers=%d): %v", workers, err)
+				return "", Failf("block replay (workers=%d): %v", workers, err)
 			}
 			for i := range want {
 				if got[i] != want[i].Measured {
-					return fail(name, "workers=%d engine %d diverges from fetch.Run: %+v vs %+v", workers, i, got[i], want[i].Measured)
+					return "", Failf("workers=%d engine %d diverges from fetch.Run: %+v vs %+v", workers, i, got[i], want[i].Measured)
 				}
 			}
 		}
-		return pass(name, "%s: block-parallel fan-out over %d blocks at 4 worker counts == per-engine fetch.Run, bit-exact",
-			p.Name, cf.NumBlocks())
-	}))
-	if harnessErr != nil {
-		return out, harnessErr
-	}
+		return fmt.Sprintf("%s: block-parallel fan-out over %d blocks at 4 worker counts == per-engine fetch.Run, bit-exact",
+			fx.p.Name, fx.cf.NumBlocks()), nil
+	})
+}
 
-	out = append(out, timed(func() Result {
-		const name = "differential/columnar-sweep"
+// columnarSweep runs an exact and a time-sampled sweep over every source.
+func columnarSweep(opt Options) (string, error) {
+	return withColumnarFixture(opt, func(fx columnarFixture) (string, error) {
 		cells := []sweep.Cell{
 			{Sets: 128, Assoc: 1}, {Sets: 256, Assoc: 2}, {Sets: 512, Assoc: 1}, {Sets: 1024, Assoc: 4},
 		}
@@ -173,30 +188,28 @@ func ColumnarReplay(opt Options) ([]Result, error) {
 			{LineSize: 32, Cells: cells},
 			{LineSize: 32, Cells: cells, Window: 2000, Period: 8000},
 		} {
-			misses, measured, err := sweepOracle(sp, refs)
+			misses, measured, err := sweepOracle(sp, fx.refs)
 			if err != nil {
-				harnessErr = err
-				return fail(name, "oracle: %v", err)
+				return "", fmt.Errorf("oracle: %w", err)
 			}
 			var first *sweep.SampledMatrix
-			for _, src := range sources {
+			for _, src := range fx.sources {
 				got, err := sp.Sweep(src.open())
 				if err != nil {
-					return fail(name, "%s sweep: %v", src.name, err)
+					return "", Failf("%s sweep: %v", src.name, err)
 				}
 				if !sweepMatches(got, misses, measured) {
-					return fail(name, "%s sweep (window %d/%d) diverges from per-cell cache.Cache: %v vs %v",
+					return "", Failf("%s sweep (window %d/%d) diverges from per-cell cache.Cache: %v vs %v",
 						src.name, sp.Window, sp.Period, got.Misses, misses)
 				}
 				if first == nil {
 					first = got
 				} else if !reflect.DeepEqual(got, first) {
-					return fail(name, "%s sweep (window %d/%d) estimates diverge from in-memory", src.name, sp.Window, sp.Period)
+					return "", Failf("%s sweep (window %d/%d) estimates diverge from in-memory", src.name, sp.Window, sp.Period)
 				}
 			}
 		}
-		return pass(name, "%s: exact + sampled sweeps over %d blocks and in-memory runs == per-cell cache.Cache, bit-exact",
-			p.Name, cf.NumBlocks())
-	}))
-	return out, harnessErr
+		return fmt.Sprintf("%s: exact + sampled sweeps over %d blocks and in-memory runs == per-cell cache.Cache, bit-exact",
+			fx.p.Name, fx.cf.NumBlocks()), nil
+	})
 }

@@ -19,7 +19,7 @@ import (
 // The columnar differentials must hold at a sub-golden scale that still
 // spans many blocks.
 func TestColumnarReplayPasses(t *testing.T) {
-	results, err := ColumnarReplay(Options{Instructions: 60_000})
+	results, err := Run(Options{Instructions: 60_000, Match: "^differential/(columnar|blocks)"}, Checks)
 	if err != nil {
 		t.Fatalf("harness failure: %v", err)
 	}
@@ -37,14 +37,14 @@ func TestColumnarReplayPasses(t *testing.T) {
 	}
 }
 
-// The chaos salvage scenario in isolation (it also runs inside RunChaos).
+// The chaos salvage scenario in isolation (it also runs with the rest of
+// Faults).
 func TestChaosColumnarSalvage(t *testing.T) {
-	opt := Options{Instructions: 50_000}.withDefaults()
-	refs, err := synth.InstrTrace(opt.Workloads[0], opt.Seed, 20_000)
+	rs, err := Run(Options{Instructions: 50_000, Match: "^chaos/columnar-salvage$"}, Faults)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := chaosColumnarSalvage(refs)
+	r := rs[0]
 	if !r.Passed {
 		t.Fatalf("%s: %s", r.Name, r.Detail)
 	}

@@ -31,8 +31,7 @@ const crashInstr = 2_000
 // chaosCrashAtomicio power-fails every op of one atomic file replacement
 // over existing content: the published path must always read back as exactly
 // the old bytes or exactly the new bytes, and a sweep must leave no debris.
-func chaosCrashAtomicio() Result {
-	const name = "chaos/crash-atomicio"
+func chaosCrashAtomicio(Options) (string, error) {
 	oldData := []byte(`{"version":1,"cells":[1,2,3]}` + "\n")
 	newData := []byte(`{"version":2,"cells":[4,5,6,7,8]}` + "\n")
 	t := crashfs.Torture{
@@ -67,17 +66,16 @@ func chaosCrashAtomicio() Result {
 	}
 	points, images, err := t.Run()
 	if err != nil {
-		return fail(name, "%v", err)
+		return "", Failf("%v", err)
 	}
-	return pass(name, "%d crash points, %d images: always complete old or complete new", points, images)
+	return fmt.Sprintf("%d crash points, %d images: always complete old or complete new", points, images), nil
 }
 
 // chaosCrashManifest power-fails every op of two manifest Puts: recovery
 // must see each exhibit either exactly as written or as typed-missing (to be
 // recomputed), never a blend — and an exhibit indexed later implies every
 // earlier one is intact.
-func chaosCrashManifest() Result {
-	const name = "chaos/crash-manifest"
+func chaosCrashManifest(Options) (string, error) {
 	params := manifest.Params{Instructions: crashInstr, Trials: 3, Seed: 11}
 	outA, outB := "figure-3 exhibit body\n", "figure-4 exhibit body\n"
 	t := crashfs.Torture{
@@ -134,17 +132,17 @@ func chaosCrashManifest() Result {
 	}
 	points, images, err := t.Run()
 	if err != nil {
-		return fail(name, "%v", err)
+		return "", Failf("%v", err)
 	}
-	return pass(name, "%d crash points, %d images: exhibits exact or typed-missing, resume heals", points, images)
+	return fmt.Sprintf("%d crash points, %d images: exhibits exact or typed-missing, resume heals", points, images), nil
 }
 
 // chaosCrashSpill power-fails every op of a columnar spill publication: a
 // store reopening the spill directory must purge every artifact a crashed
 // predecessor left — temp or published, all orphans by definition — and then
 // regenerate the trace cleanly.
-func chaosCrashSpill(prof synth.Profile, seed uint64) Result {
-	const name = "chaos/crash-spill"
+func chaosCrashSpill(opt Options) (string, error) {
+	prof, seed := opt.Workloads[0], opt.Seed
 	t := crashfs.Torture{
 		Write: func(fsys crashfs.FS, root string) error {
 			st := synth.NewStore(0)
@@ -186,9 +184,9 @@ func chaosCrashSpill(prof synth.Profile, seed uint64) Result {
 	}
 	points, images, err := t.Run()
 	if err != nil {
-		return fail(name, "%v", err)
+		return "", Failf("%v", err)
 	}
-	return pass(name, "%d crash points, %d images: orphans purged, regeneration clean", points, images)
+	return fmt.Sprintf("%d crash points, %d images: orphans purged, regeneration clean", points, images), nil
 }
 
 // walkNoTemps fails if any atomicio temp file survives under root after the

@@ -12,149 +12,217 @@ import (
 	"ibsim/internal/trace"
 )
 
-// ParallelVsSerial renders representative exhibits with the concurrent suite
-// runners and again with the Options.Serial reference executor; the rendered
-// bytes — the exact output cmd/ibstables prints — must be identical.
-// Table 4 exercises mapRuns (per-workload MPI), Table 1 exercises
-// mapProfiles (whole-system rows).
-func ParallelVsSerial(opt Options) ([]Result, error) {
-	opt = opt.withDefaults()
-	expOpt := experiments.Options{Instructions: opt.Instructions, Seed: opt.Seed}
-	serialOpt := expOpt
-	serialOpt.Serial = true
-
-	var harnessErr error
-	var out []Result
-	out = append(out, timed(func() Result {
-		const name = "differential/parallel-serial-table4"
-		par, err := experiments.Table4(expOpt)
-		if err != nil {
-			harnessErr = err
-			return fail(name, "parallel Table4: %v", err)
-		}
-		ser, err := experiments.Table4(serialOpt)
-		if err != nil {
-			harnessErr = err
-			return fail(name, "serial Table4: %v", err)
-		}
-		if par.Render() != ser.Render() {
-			return fail(name, "parallel and serial Table 4 renders differ")
-		}
-		return pass(name, "mapRuns parallel render == serial render (%d bytes)", len(par.Render()))
-	}))
-	if harnessErr != nil {
-		return out, harnessErr
-	}
-	out = append(out, timed(func() Result {
-		const name = "differential/parallel-serial-table1"
-		par, err := experiments.Table1(expOpt)
-		if err != nil {
-			harnessErr = err
-			return fail(name, "parallel Table1: %v", err)
-		}
-		ser, err := experiments.Table1(serialOpt)
-		if err != nil {
-			harnessErr = err
-			return fail(name, "serial Table1: %v", err)
-		}
-		if par.Render() != ser.Render() {
-			return fail(name, "parallel and serial Table 1 renders differ")
-		}
-		return pass(name, "mapProfiles parallel render == serial render (%d bytes)", len(par.Render()))
-	}))
-	return out, harnessErr
+// exhibit is one experiments runner under its exhibit name, returning the
+// rendered text cmd/ibstables prints.
+type exhibit struct {
+	name string
+	run  func(experiments.Options) (string, error)
 }
 
-// TraceRoundTrip writes a full reference stream (instructions plus data, all
+// rendered adapts an experiments runner to an exhibit.
+func rendered[R interface{ Render() string }](name string, run func(experiments.Options) (R, error)) exhibit {
+	return exhibit{name, func(o experiments.Options) (string, error) {
+		r, err := run(o)
+		if err != nil {
+			return "", err
+		}
+		return r.Render(), nil
+	}}
+}
+
+// The parallel-serial differentials render representative exhibits with the
+// concurrent suite runners and again with the one-worker reference executor
+// (Workers: 1); the rendered bytes — the exact output cmd/ibstables prints —
+// must be identical. Table 4 exercises mapRuns (per-workload MPI), Table 1
+// exercises mapProfiles (whole-system rows).
+
+func parallelSerialTable4(opt Options) (string, error) {
+	return parallelSerial(opt, "4", "mapRuns", rendered("Table4", experiments.Table4))
+}
+
+func parallelSerialTable1(opt Options) (string, error) {
+	return parallelSerial(opt, "1", "mapProfiles", rendered("Table1", experiments.Table1))
+}
+
+func parallelSerial(opt Options, table, runner string, ex exhibit) (string, error) {
+	parOpt := experiments.Options{Instructions: opt.Instructions, Seed: opt.Seed}
+	serialOpt := parOpt
+	serialOpt.Workers = 1
+	par, err := ex.run(parOpt)
+	if err != nil {
+		return "", fmt.Errorf("parallel %s: %w", ex.name, err)
+	}
+	ser, err := ex.run(serialOpt)
+	if err != nil {
+		return "", fmt.Errorf("serial %s: %w", ex.name, err)
+	}
+	if par != ser {
+		return "", Failf("parallel and serial Table %s renders differ", table)
+	}
+	return fmt.Sprintf("%s parallel render == serial render (%d bytes)", runner, len(par)), nil
+}
+
+// perConfigRenders renders every exhibit on the default path, named path in
+// a failure, and on the Options.PerConfig reference path, and returns the
+// bytes rendered; the first pair of texts that differ fails the check.
+func perConfigRenders(opt Options, path string, exhibits ...exhibit) (int, error) {
+	fastOpt := experiments.Options{Instructions: opt.Instructions, Seed: opt.Seed}
+	refOpt := fastOpt
+	refOpt.PerConfig = true
+	total := 0
+	for _, ex := range exhibits {
+		fast, err := ex.run(fastOpt)
+		if err != nil {
+			return 0, fmt.Errorf("%s %s path: %w", ex.name, path, err)
+		}
+		ref, err := ex.run(refOpt)
+		if err != nil {
+			return 0, fmt.Errorf("%s per-config path: %w", ex.name, err)
+		}
+		if fast != ref {
+			return 0, Failf("%s: %s and per-config renders differ", ex.name, path)
+		}
+		total += len(fast)
+	}
+	return total, nil
+}
+
+// fanoutTables verifies the fan-out replay driver against the trusted
+// per-configuration path: Tables 5-8 and Figures 6/7 — every exhibit
+// internal/experiments routes through mapBanks — rendered via the default
+// path (memoized run-compacted traces fanned out through replay.Run, with
+// bulk FetchRuns and one L1 pass per content class) must be byte-identical
+// to the Options.PerConfig reference path (one fetch.Run over the expanded
+// trace per engine per workload). This is the guarantee that lets the
+// single-pass path replace the per-config one everywhere.
+func fanoutTables(opt Options) (string, error) {
+	total, err := perConfigRenders(opt, "fan-out",
+		rendered("Table5", experiments.Table5),
+		rendered("Table6", experiments.Table6),
+		rendered("Table7", experiments.Table7),
+		rendered("Table8", experiments.Table8),
+		rendered("Figure6", experiments.Figure6),
+		rendered("Figure7", experiments.Figure7))
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("Tables 5-8 + Figures 6/7 fan-out renders == per-config renders (%d bytes)", total), nil
+}
+
+// figure5Physical verifies the physically-indexed line-event kernel against
+// the trusted per-reference path: Figure 5's points from the default path
+// (page translation once per page, one Touch per line event over the
+// memoized run-compacted trace) must equal, field by field, those of the
+// Options.PerConfig path (one Translate and one Access per reference). It
+// compares points rather than renders because Render prints only each
+// point's StdDev, to four decimals, so a MeanCPI drift would pass. Two trials
+// bound the per-reference path's cost.
+func figure5Physical(opt Options) (string, error) {
+	fastOpt := experiments.Options{Instructions: opt.Instructions, Seed: opt.Seed, Trials: 2}
+	refOpt := fastOpt
+	refOpt.PerConfig = true
+	fast, err := experiments.Figure5(fastOpt)
+	if err != nil {
+		return "", fmt.Errorf("line-event path: %w", err)
+	}
+	ref, err := experiments.Figure5(refOpt)
+	if err != nil {
+		return "", fmt.Errorf("per-reference path: %w", err)
+	}
+	if len(fast.Points) != len(ref.Points) {
+		return "", Failf("%d points, per-reference %d", len(fast.Points), len(ref.Points))
+	}
+	for i, p := range fast.Points {
+		q := ref.Points[i]
+		switch {
+		case p.Workload != q.Workload || p.SizeKB != q.SizeKB || p.Assoc != q.Assoc:
+			return "", Failf("point %d is %s %dKB %d-way, per-reference %s %dKB %d-way",
+				i, p.Workload, p.SizeKB, p.Assoc, q.Workload, q.SizeKB, q.Assoc)
+		case p.MeanCPI != q.MeanCPI:
+			return "", Failf("%s %dKB %d-way: MeanCPI %v, per-reference %v",
+				p.Workload, p.SizeKB, p.Assoc, p.MeanCPI, q.MeanCPI)
+		case p.StdDev != q.StdDev:
+			return "", Failf("%s %dKB %d-way: StdDev %v, per-reference %v",
+				p.Workload, p.SizeKB, p.Assoc, p.StdDev, q.StdDev)
+		}
+	}
+	return fmt.Sprintf("Figure 5 line-event points == per-reference points (%d points x %d trials)",
+		len(fast.Points), fastOpt.Trials), nil
+}
+
+// traceRoundTrip writes a full reference stream (instructions plus data, all
 // domains) through the IBSTRACE codec — both the self-describing seekable
 // file path ibsim.WriteTraceFile uses and the streaming count-less path —
 // reads it back, and demands the decoded stream be element-identical and
 // yield bit-identical simulation results.
-func TraceRoundTrip(opt Options) ([]Result, error) {
-	opt = opt.withDefaults()
+func traceRoundTrip(opt Options) (string, error) {
 	p := opt.Workloads[0]
+	refs, err := synth.Trace(p, opt.Seed, opt.Instructions)
+	if err != nil {
+		return "", fmt.Errorf("trace generation: %w", err)
+	}
 
-	var harnessErr error
-	res := timed(func() Result {
-		const name = "differential/trace-roundtrip"
-		refs, err := synth.Trace(p, opt.Seed, opt.Instructions)
-		if err != nil {
-			harnessErr = err
-			return fail(name, "trace generation: %v", err)
-		}
+	// Seekable file round trip (the WriteTraceFile/ReadTraceFile path).
+	f, err := os.CreateTemp("", "ibscheck-*.ibstrace")
+	if err != nil {
+		return "", fmt.Errorf("temp file: %w", err)
+	}
+	defer os.Remove(f.Name())
+	defer f.Close()
+	written, err := trace.EncodeSeeker(f, refs)
+	if err != nil {
+		return "", Failf("encode: %v", err)
+	}
+	if written != uint64(len(refs)) {
+		return "", Failf("encoded %d records, generated %d", written, len(refs))
+	}
+	if _, err := f.Seek(0, 0); err != nil {
+		return "", fmt.Errorf("rewind: %w", err)
+	}
+	fromFile, err := trace.Decode(f)
+	if err != nil {
+		return "", Failf("decode: %v", err)
+	}
+	if r := refsDiffer(refs, fromFile); r != "" {
+		return "", Failf("file round trip: %s", r)
+	}
 
-		// Seekable file round trip (the WriteTraceFile/ReadTraceFile path).
-		f, err := os.CreateTemp("", "ibscheck-*.ibstrace")
-		if err != nil {
-			harnessErr = err
-			return fail(name, "temp file: %v", err)
-		}
-		defer os.Remove(f.Name())
-		written, err := trace.EncodeSeeker(f, refs)
-		if err != nil {
-			f.Close()
-			return fail(name, "encode: %v", err)
-		}
-		if written != uint64(len(refs)) {
-			f.Close()
-			return fail(name, "encoded %d records, generated %d", written, len(refs))
-		}
-		if _, err := f.Seek(0, 0); err != nil {
-			f.Close()
-			harnessErr = err
-			return fail(name, "rewind: %v", err)
-		}
-		fromFile, err := trace.Decode(f)
-		f.Close()
-		if err != nil {
-			return fail(name, "decode: %v", err)
-		}
-		if r := refsDiffer(refs, fromFile); r != "" {
-			return fail(name, "file round trip: %s", r)
-		}
+	// Streaming (count-less) round trip through a pipe-like buffer.
+	pr, pw, err := pipeRoundTrip(refs)
+	if err != nil {
+		return "", Failf("streaming round trip: %v", err)
+	}
+	if pr != pw {
+		return "", Failf("streaming round trip decoded %d of %d records", pr, pw)
+	}
 
-		// Streaming (count-less) round trip through a pipe-like buffer.
-		pr, pw, err := pipeRoundTrip(refs)
-		if err != nil {
-			return fail(name, "streaming round trip: %v", err)
-		}
-		if pr != pw {
-			return fail(name, "streaming round trip decoded %d of %d records", pr, pw)
-		}
-
-		// Simulation equivalence: replay both streams through the same fetch
-		// engine and cache; results must be bit-identical.
-		link := checkLink()
-		cfg := baseL1()
-		for _, streams := range [][2][]trace.Ref{{refs, fromFile}} {
-			e1, err := fetch.NewBlocking(cfg, link, 1)
-			if err != nil {
-				harnessErr = err
-				return fail(name, "%v", err)
-			}
-			e2, err := fetch.NewBlocking(cfg, link, 1)
-			if err != nil {
-				harnessErr = err
-				return fail(name, "%v", err)
-			}
-			if a, b := fetch.Run(e1, streams[0]), fetch.Run(e2, streams[1]); a != b {
-				return fail(name, "fetch results diverge after round trip: %+v vs %+v", a, b)
-			}
-			c1, c2 := cache.MustNew(cfg), cache.MustNew(cfg)
-			for _, r := range streams[0] {
-				c1.Access(r.Addr)
-			}
-			for _, r := range streams[1] {
-				c2.Access(r.Addr)
-			}
-			if c1.Stats() != c2.Stats() {
-				return fail(name, "cache stats diverge after round trip: %+v vs %+v", c1.Stats(), c2.Stats())
-			}
-		}
-		return pass(name, "%s: %d records survived file + streaming round trips, simulations identical",
-			p.Name, len(refs))
-	})
-	return []Result{res}, harnessErr
+	// Simulation equivalence: replay both streams through the same fetch
+	// engine and cache; results must be bit-identical.
+	link := checkLink()
+	cfg := baseL1()
+	e1, err := fetch.NewBlocking(cfg, link, 1)
+	if err != nil {
+		return "", err
+	}
+	e2, err := fetch.NewBlocking(cfg, link, 1)
+	if err != nil {
+		return "", err
+	}
+	if a, b := fetch.Run(e1, refs), fetch.Run(e2, fromFile); a != b {
+		return "", Failf("fetch results diverge after round trip: %+v vs %+v", a, b)
+	}
+	c1, c2 := cache.MustNew(cfg), cache.MustNew(cfg)
+	for _, r := range refs {
+		c1.Access(r.Addr)
+	}
+	for _, r := range fromFile {
+		c2.Access(r.Addr)
+	}
+	if c1.Stats() != c2.Stats() {
+		return "", Failf("cache stats diverge after round trip: %+v vs %+v", c1.Stats(), c2.Stats())
+	}
+	return fmt.Sprintf("%s: %d records survived file + streaming round trips, simulations identical",
+		p.Name, len(refs)), nil
 }
 
 // refsDiffer compares two streams, returning "" when identical or a

@@ -11,13 +11,11 @@ func TestParallelVsSerial(t *testing.T) {
 	if testing.Short() {
 		opt.Instructions = 20_000
 	}
-	rs, err := ParallelVsSerial(opt)
-	requireAllPass(t, rs, err)
+	requireAllPass(t, opt, Checks, "^differential/parallel-serial-")
 }
 
 func TestTraceRoundTrip(t *testing.T) {
-	rs, err := TraceRoundTrip(testOpt(t))
-	requireAllPass(t, rs, err)
+	requireAllPass(t, testOpt(t), Checks, "^differential/trace-roundtrip$")
 }
 
 // TestRefsDiffer exercises the comparator the round-trip check relies on.

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -19,14 +20,14 @@ func testOpt(t *testing.T) Options {
 	return opt
 }
 
-// requireAllPass fails the test on any failed result.
-func requireAllPass(t *testing.T, rs []Result, err error) {
+// requireAllPass runs the checks of table whose names match the regular
+// expression match, and fails the test on a harness error or a failed check.
+func requireAllPass(t *testing.T, opt Options, table []Check, match string) []Result {
 	t.Helper()
+	opt.Match = match
+	rs, err := Run(opt, table)
 	if err != nil {
 		t.Fatalf("harness error: %v", err)
-	}
-	if len(rs) == 0 {
-		t.Fatal("no results returned")
 	}
 	for _, r := range rs {
 		if !r.Passed {
@@ -35,26 +36,23 @@ func requireAllPass(t *testing.T, rs []Result, err error) {
 			t.Logf("%s: %s", r.Name, r.Detail)
 		}
 	}
+	return rs
 }
 
 func TestInclusion(t *testing.T) {
-	rs, err := Inclusion(testOpt(t))
-	requireAllPass(t, rs, err)
+	requireAllPass(t, testOpt(t), Checks, "^invariant/lru-inclusion-")
 }
 
 func TestMonotonicity(t *testing.T) {
-	rs, err := Monotonicity(testOpt(t))
-	requireAllPass(t, rs, err)
+	requireAllPass(t, testOpt(t), Checks, "^invariant/miss-monotonic-")
 }
 
 func TestEngineBounds(t *testing.T) {
-	rs, err := EngineBounds(testOpt(t))
-	requireAllPass(t, rs, err)
+	requireAllPass(t, testOpt(t), Checks, "^invariant/engine-")
 }
 
 func TestStreamingEquality(t *testing.T) {
-	rs, err := StreamingEquality(testOpt(t))
-	requireAllPass(t, rs, err)
+	requireAllPass(t, testOpt(t), Checks, "^invariant/streaming-equality$")
 }
 
 // TestInclusionHoldsUltrix sweeps the other OS model too: the invariant is a
@@ -65,8 +63,7 @@ func TestInclusionHoldsUltrix(t *testing.T) {
 	}
 	opt := testOpt(t)
 	opt.Workloads = synth.IBSUltrix()[:4]
-	rs, err := Inclusion(opt)
-	requireAllPass(t, rs, err)
+	requireAllPass(t, opt, Checks, "^invariant/lru-inclusion-")
 }
 
 // TestInclusionDetectsFIFOAnomaly proves the checker has teeth: FIFO
@@ -83,17 +80,15 @@ func TestInclusionDetectsFIFOAnomaly(t *testing.T) {
 		{Size: 3 * 32, LineSize: 32, Replacement: cache.FIFO},
 		{Size: 4 * 32, LineSize: 32, Replacement: cache.FIFO},
 	}
-	res, ok, err := runInclusion("test/fifo-anomaly", "belady", refs, chain)
-	if err != nil {
-		t.Fatalf("harness error: %v", err)
+	err := runInclusion("belady", refs, chain)
+	var f *failure
+	if !errors.As(err, &f) {
+		t.Fatalf("runInclusion = %v, want the violation on Bélády's FIFO anomaly sequence", err)
 	}
-	if ok {
-		t.Fatal("runInclusion reported no violation on Bélády's FIFO anomaly sequence")
+	if !strings.Contains(f.detail, "hit but") {
+		t.Fatalf("violation detail malformed: %q", f.detail)
 	}
-	if !strings.Contains(res.Detail, "hit but") {
-		t.Fatalf("violation detail malformed: %q", res.Detail)
-	}
-	t.Logf("detected as expected: %s", res.Detail)
+	t.Logf("detected as expected: %s", f.detail)
 }
 
 // TestLRUInclusionOnBeladySequence is the converse control: the same
@@ -109,23 +104,16 @@ func TestLRUInclusionOnBeladySequence(t *testing.T) {
 		{Size: 3 * 32, LineSize: 32},
 		{Size: 4 * 32, LineSize: 32},
 	}
-	res, ok, err := runInclusion("test/lru-belady", "belady", refs, chain)
-	if err != nil {
-		t.Fatalf("harness error: %v", err)
-	}
-	if !ok {
-		t.Fatalf("LRU violated inclusion on Bélády's sequence: %s", res.Detail)
+	if err := runInclusion("belady", refs, chain); err != nil {
+		t.Fatalf("LRU violated inclusion on Bélády's sequence: %v", err)
 	}
 }
 
 func TestRunAll(t *testing.T) {
 	if testing.Short() {
-		t.Skip("component tests cover RunAll's pieces in short mode")
+		t.Skip("component tests cover the table's checks in short mode")
 	}
-	opt := testOpt(t)
-	rs, err := RunAll(opt)
-	requireAllPass(t, rs, err)
-	if len(rs) != 22 {
-		t.Errorf("RunAll returned %d results, want 22", len(rs))
+	if rs := requireAllPass(t, testOpt(t), Checks, ""); len(rs) != 22 {
+		t.Errorf("the check table returned %d results, want 22", len(rs))
 	}
 }

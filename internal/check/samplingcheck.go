@@ -1,11 +1,9 @@
 package check
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"ibsim/internal/cache"
 	"ibsim/internal/sampling"
@@ -16,9 +14,9 @@ import (
 
 // Sampling verification: the sampled execution modes promise calibrated
 // uncertainty — "the exact answer lies inside the stated 95% interval" — and
-// that promise is checkable, so check it. SamplingBounds runs sampled and
+// that promise is checkable, so check it. The bounds checks run sampled and
 // exact sweeps side by side across the whole suite and scores the intervals;
-// SamplingProperties pins the two statistical facts the estimators lean on
+// the property checks pin the two statistical facts the estimators lean on
 // (warm sampling is unbiased, cold-start bias shrinks with window length).
 
 // samplingCells is the cache pair the bounds check scores intervals on: the
@@ -71,180 +69,130 @@ func samplingGrid() []sweep.Cell {
 	return cells
 }
 
-// SamplingBounds runs sampled sweeps (set sampling at 1/16, warm time
+// samplingWindow is the time-sampling window at opt's scale:
+// Instructions/samplingWindowDiv, and at least 64 instructions.
+func samplingWindow(opt Options) int64 {
+	return max(opt.Instructions/samplingWindowDiv, 64)
+}
+
+// The two bounds checks run sampled sweeps (set sampling at 1/16, warm time
 // sampling at 1/16 coverage) against the exact sweep on every workload and
-// both cache sizes, and fails a mode whose 95% intervals miss the exact MPI
+// both cache sizes, and fail a mode whose 95% intervals miss the exact MPI
 // more often than the nominal rate allows. The set mode is also scored over
 // the full 1KB-64KB grid: its suite-mean relative error must stay within
 // samplingMeanRelErrMax and its intervals must cover the exact MPI at no
 // fewer than samplingCIHitFraction of the cells.
-func SamplingBounds(opt Options) ([]Result, error) {
-	opt = opt.withDefaults()
-	start := time.Now()
-	cells := samplingCells()
-	window := opt.Instructions / samplingWindowDiv
-	if window < 64 {
-		window = 64
+
+func samplingBoundsSet(opt Options) (string, error) {
+	set := sweep.SampledPass{LineSize: 32, SetMod: samplingSetMod, SetMatch: samplingSetMatch}
+	sc, err := scoreSampling(opt, samplingCells(), set)
+	if err != nil {
+		return "", err
 	}
-	type modeScore struct {
-		name    string
-		hits    int
-		points  int
-		sumRel  float64
-		nRel    int
-		worst   string
-		worstEr float64
+	grid, err := scoreSampling(opt, samplingGrid(), set)
+	if err != nil {
+		return "", err
 	}
-	scores := []*modeScore{
-		{name: "sampling/bounds-set"},
-		{name: "sampling/bounds-time-warm"},
+	gridFloor := int(math.Ceil(samplingCIHitFraction * float64(grid.points)))
+	detail := sc.detail() + fmt.Sprintf("; 1-64KB grid: CI hits %d/%d (floor %d), mean |rel err| %.2f%% (cap %.0f%%)",
+		grid.hits, grid.points, gridFloor, 100*grid.meanRel(), 100*samplingMeanRelErrMax)
+	if !sc.withinAllowance() || grid.hits < gridFloor || grid.meanRel() > samplingMeanRelErrMax {
+		return "", Failf("%s", detail)
 	}
-	grid := samplingGrid()
-	var gridHits, gridPoints, gridNRel int
-	var gridSumRel float64
-	for _, p := range opt.Workloads {
-		src, _, release, err := synth.DefaultStore.Acquire(context.Background(), p, opt.Seed, opt.Instructions)
-		if err != nil {
-			return nil, fmt.Errorf("check: sampling bounds: %s: %w", p.Name, err)
-		}
-		exact, err := sweep.SampledPass{LineSize: 32, Cells: cells}.Sweep(src)
-		if err != nil {
-			release()
-			return nil, fmt.Errorf("check: sampling bounds: exact sweep %s: %w", p.Name, err)
-		}
-		sampled := make([]*sweep.SampledMatrix, 2)
-		sampled[0], err = sweep.SampledPass{
-			LineSize: 32, Cells: cells, SetMod: samplingSetMod, SetMatch: samplingSetMatch,
-		}.Sweep(src)
-		if err == nil {
-			sampled[1], err = sweep.SampledPass{
-				LineSize: 32, Cells: cells, Window: window, Period: samplingPeriodMul * window, Warm: true,
-			}.Sweep(src)
-		}
-		var gridExact, gridSampled *sweep.SampledMatrix
-		if err == nil {
-			gridExact, err = sweep.SampledPass{LineSize: 32, Cells: grid}.Sweep(src)
-		}
-		if err == nil {
-			gridSampled, err = sweep.SampledPass{
-				LineSize: 32, Cells: grid, SetMod: samplingSetMod, SetMatch: samplingSetMatch,
-			}.Sweep(src)
-		}
-		release()
-		if err != nil {
-			return nil, fmt.Errorf("check: sampling bounds: sampled sweep %s: %w", p.Name, err)
-		}
-		for ci := range grid {
-			exactMPI := float64(gridExact.Misses[ci]) / float64(gridExact.Accesses)
-			est := gridSampled.Estimates[ci]
-			gridPoints++
-			if est.Contains(exactMPI) {
-				gridHits++
-			}
-			if exactMPI > 0 {
-				gridSumRel += math.Abs(est.MPI-exactMPI) / exactMPI
-				gridNRel++
-			}
-		}
-		for mi, sm := range sampled {
-			sc := scores[mi]
-			for ci := range cells {
-				exactMPI := float64(exact.Misses[ci]) / float64(exact.Accesses)
-				est := sm.Estimates[ci]
-				sc.points++
-				if est.Contains(exactMPI) {
-					sc.hits++
-				}
-				if exactMPI > 0 {
-					rel := math.Abs(est.MPI-exactMPI) / exactMPI
-					sc.sumRel += rel
-					sc.nRel++
-					if rel > sc.worstEr {
-						sc.worstEr = rel
-						sc.worst = fmt.Sprintf("%s/%dKB", p.Name, cells[ci].Size(32)/1024)
-					}
-				}
-			}
-		}
-	}
-	// The two modes share one set of exact sweeps, so the wall-clock is
-	// split evenly between their Results.
-	perMode := time.Since(start).Seconds() / float64(len(scores))
-	gridMeanRel := 0.0
-	if gridNRel > 0 {
-		gridMeanRel = gridSumRel / float64(gridNRel)
-	}
-	gridFloor := int(math.Ceil(samplingCIHitFraction * float64(gridPoints)))
-	var out []Result
-	for mi, sc := range scores {
-		meanRel := 0.0
-		if sc.nRel > 0 {
-			meanRel = sc.sumRel / float64(sc.nRel)
-		}
-		misses := sc.points - sc.hits
-		detail := fmt.Sprintf("exact MPI inside CI95 at %d/%d points (allowance %d), mean |rel err| %.2f%%, worst %.2f%% (%s)",
-			sc.hits, sc.points, samplingBoundsAllowance, 100*meanRel, 100*sc.worstEr, sc.worst)
-		ok := misses <= samplingBoundsAllowance
-		if mi == 0 {
-			detail += fmt.Sprintf("; 1-64KB grid: CI hits %d/%d (floor %d), mean |rel err| %.2f%% (cap %.0f%%)",
-				gridHits, gridPoints, gridFloor, 100*gridMeanRel, 100*samplingMeanRelErrMax)
-			ok = ok && gridHits >= gridFloor && gridMeanRel <= samplingMeanRelErrMax
-		}
-		r := pass(sc.name, "%s", detail)
-		if !ok {
-			r = fail(sc.name, "%s", detail)
-		}
-		r.Seconds = perMode
-		out = append(out, r)
-	}
-	return out, nil
+	return detail, nil
 }
 
-// SamplingProperties pins the statistical behavior of the warm/cold sampling
-// regimes on the reference single-cache path (internal/sampling.Run, over
-// the memoized runs):
-//
-//   - Warm unbiasedness: as coverage rises toward 1 the estimate converges to
-//     the exact miss ratio, reaching it exactly at full coverage.
-//   - Cold-start bias: cold sampling overestimates, and the bias shrinks as
-//     the window grows at fixed coverage (fewer cold starts per measured
-//     instruction).
-func SamplingProperties(opt Options) ([]Result, error) {
-	opt = opt.withDefaults()
-	cfg := cache.Config{Size: 8192, LineSize: 32, Assoc: 1}
-	workloads := opt.Workloads
-	if len(workloads) > 3 {
-		workloads = workloads[:3]
+func samplingBoundsTimeWarm(opt Options) (string, error) {
+	w := samplingWindow(opt)
+	sc, err := scoreSampling(opt, samplingCells(),
+		sweep.SampledPass{LineSize: 32, Window: w, Period: samplingPeriodMul * w, Warm: true})
+	if err != nil {
+		return "", err
 	}
-	baseWindow := opt.Instructions / samplingWindowDiv
-	if baseWindow < 64 {
-		baseWindow = 64
+	if !sc.withinAllowance() {
+		return "", Failf("%s", sc.detail())
 	}
+	return sc.detail(), nil
+}
 
-	// Warm convergence ladder: 1/16 -> 1/4 -> 1 coverage.
-	warmStart := time.Now()
-	ladder := []int64{16, 4, 1}
-	meanAbs := make([]float64, len(ladder))
-	for _, p := range workloads {
-		err := withRuns(p, opt, func(src trace.RunReader) error {
-			for li, mul := range ladder {
-				plan := sampling.Plan{Window: baseWindow, Period: mul * baseWindow, Mode: sampling.Warm}
-				_, _, relErr, err := sampling.Error(cfg, src, plan)
-				if errors.Is(err, sampling.ErrZeroBaseline) {
-					continue
-				}
-				if err != nil {
-					return err
-				}
-				meanAbs[li] += math.Abs(relErr) / float64(len(workloads))
-			}
-			return nil
-		})
+// modeScore tallies one sampling mode's intervals against the exact MPIs.
+type modeScore struct {
+	hits, points, nRel int
+	sumRel, worstEr    float64
+	worst              string
+}
+
+// scoreSampling sweeps cells exactly and under the sampled pass sp (its
+// Cells replaced by cells) on every workload, and scores sp's estimates.
+func scoreSampling(opt Options, cells []sweep.Cell, sp sweep.SampledPass) (*modeScore, error) {
+	sp.Cells = cells
+	sc := &modeScore{}
+	err := eachTrace(opt, func(p synth.Profile, src trace.RunReader) error {
+		exact, err := sweep.SampledPass{LineSize: 32, Cells: cells}.Sweep(src)
 		if err != nil {
-			return nil, fmt.Errorf("check: sampling properties: %s: %w", p.Name, err)
+			return fmt.Errorf("check: sampling bounds: exact sweep %s: %w", p.Name, err)
 		}
+		sampled, err := sp.Sweep(src)
+		if err != nil {
+			return fmt.Errorf("check: sampling bounds: sampled sweep %s: %w", p.Name, err)
+		}
+		for ci, c := range cells {
+			exactMPI := float64(exact.Misses[ci]) / float64(exact.Accesses)
+			est := sampled.Estimates[ci]
+			sc.points++
+			if est.Contains(exactMPI) {
+				sc.hits++
+			}
+			if exactMPI > 0 {
+				rel := math.Abs(est.MPI-exactMPI) / exactMPI
+				sc.sumRel += rel
+				sc.nRel++
+				if rel > sc.worstEr {
+					sc.worstEr = rel
+					sc.worst = fmt.Sprintf("%s/%dKB", p.Name, c.Size(32)/1024)
+				}
+			}
+		}
+		return nil
+	})
+	return sc, err
+}
+
+func (sc *modeScore) meanRel() float64 {
+	if sc.nRel == 0 {
+		return 0
 	}
-	var out []Result
+	return sc.sumRel / float64(sc.nRel)
+}
+
+// withinAllowance reports whether at most samplingBoundsAllowance intervals
+// missed.
+func (sc *modeScore) withinAllowance() bool {
+	return sc.points-sc.hits <= samplingBoundsAllowance
+}
+
+func (sc *modeScore) detail() string {
+	return fmt.Sprintf("exact MPI inside CI95 at %d/%d points (allowance %d), mean |rel err| %.2f%%, worst %.2f%% (%s)",
+		sc.hits, sc.points, samplingBoundsAllowance, 100*sc.meanRel(), 100*sc.worstEr, sc.worst)
+}
+
+// The two property checks pin the statistical behavior of the warm/cold
+// sampling regimes on the reference single-cache path (internal/sampling.Run,
+// over the memoized runs) of the first three workloads.
+
+// samplingWarmUnbiased: as coverage rises toward 1 the warm estimate
+// converges to the exact miss ratio, reaching it exactly at full coverage.
+func samplingWarmUnbiased(opt Options) (string, error) {
+	w := samplingWindow(opt)
+	// Warm convergence ladder: 1/16 -> 1/4 -> 1 coverage.
+	meanAbs, err := meanSampledError(opt, true, []sampling.Plan{
+		{Window: w, Period: 16 * w, Mode: sampling.Warm},
+		{Window: w, Period: 4 * w, Mode: sampling.Warm},
+		{Window: w, Period: w, Mode: sampling.Warm},
+	})
+	if err != nil {
+		return "", err
+	}
 	const convergenceSlack = 0.02
 	// The absolute accuracy pin only holds at the pinned scale and above —
 	// at toy scales a 1/16-coverage sample is a few thousand instructions
@@ -252,70 +200,67 @@ func SamplingProperties(opt Options) ([]Result, error) {
 	// exactness are the scale-free properties.
 	atScale := opt.Instructions >= PinnedInstructions
 	switch {
-	case meanAbs[len(ladder)-1] != 0:
-		out = append(out, fail("sampling/warm-unbiased",
-			"full-coverage warm sampling should be exact, mean |rel err| %.4f", meanAbs[len(ladder)-1]))
+	case meanAbs[2] != 0:
+		return "", Failf("full-coverage warm sampling should be exact, mean |rel err| %.4f", meanAbs[2])
 	case meanAbs[1] > meanAbs[0]+convergenceSlack:
-		out = append(out, fail("sampling/warm-unbiased",
-			"error grew with coverage: %.2f%% at 1/16 -> %.2f%% at 1/4", 100*meanAbs[0], 100*meanAbs[1]))
+		return "", Failf("error grew with coverage: %.2f%% at 1/16 -> %.2f%% at 1/4", 100*meanAbs[0], 100*meanAbs[1])
 	case atScale && meanAbs[0] > 0.15:
-		out = append(out, fail("sampling/warm-unbiased",
-			"warm 1/16-coverage mean |rel err| %.2f%% exceeds 15%%", 100*meanAbs[0]))
-	default:
-		out = append(out, pass("sampling/warm-unbiased",
-			"mean |rel err| %.2f%% (1/16) -> %.2f%% (1/4) -> %.4f%% (full)",
-			100*meanAbs[0], 100*meanAbs[1], 100*meanAbs[2]))
+		return "", Failf("warm 1/16-coverage mean |rel err| %.2f%% exceeds 15%%", 100*meanAbs[0])
 	}
-	out[len(out)-1].Seconds = time.Since(warmStart).Seconds()
+	return fmt.Sprintf("mean |rel err| %.2f%% (1/16) -> %.2f%% (1/4) -> %.4f%% (full)",
+		100*meanAbs[0], 100*meanAbs[1], 100*meanAbs[2]), nil
+}
 
-	// Cold-start bias: coverage fixed at 1/4, window swept x16.
-	coldStart := time.Now()
-	windows := []int64{baseWindow, 4 * baseWindow, 16 * baseWindow}
-	bias := make([]float64, len(windows))
-	for _, p := range workloads {
-		err := withRuns(p, opt, func(src trace.RunReader) error {
-			for wi, w := range windows {
-				plan := sampling.Plan{Window: w, Period: 4 * w, Mode: sampling.Cold}
-				_, _, relErr, err := sampling.Error(cfg, src, plan)
-				if errors.Is(err, sampling.ErrZeroBaseline) {
-					continue
-				}
-				if err != nil {
-					return err
-				}
-				bias[wi] += relErr / float64(len(workloads))
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("check: sampling properties: %s: %w", p.Name, err)
-		}
+// samplingColdBias: cold sampling overestimates, and the bias shrinks as the
+// window grows at fixed coverage (fewer cold starts per measured
+// instruction).
+func samplingColdBias(opt Options) (string, error) {
+	w := samplingWindow(opt)
+	// Coverage fixed at 1/4, window swept x16.
+	windows := []int64{w, 4 * w, 16 * w}
+	plans := make([]sampling.Plan, len(windows))
+	for i, win := range windows {
+		plans[i] = sampling.Plan{Window: win, Period: 4 * win, Mode: sampling.Cold}
+	}
+	bias, err := meanSampledError(opt, false, plans)
+	if err != nil {
+		return "", err
 	}
 	const biasSlack = 0.02
 	switch {
 	case bias[0] < -biasSlack:
-		out = append(out, fail("sampling/cold-bias",
-			"cold sampling should overestimate, mean bias %.2f%% at window %d", 100*bias[0], windows[0]))
-	case bias[len(windows)-1] > bias[0]+biasSlack:
-		out = append(out, fail("sampling/cold-bias",
-			"cold bias grew with window: %.2f%% at %d -> %.2f%% at %d",
-			100*bias[0], windows[0], 100*bias[len(windows)-1], windows[len(windows)-1]))
-	default:
-		out = append(out, pass("sampling/cold-bias",
-			"mean bias %.2f%% (w=%d) -> %.2f%% (w=%d) -> %.2f%% (w=%d)",
-			100*bias[0], windows[0], 100*bias[1], windows[1], 100*bias[2], windows[2]))
+		return "", Failf("cold sampling should overestimate, mean bias %.2f%% at window %d", 100*bias[0], windows[0])
+	case bias[2] > bias[0]+biasSlack:
+		return "", Failf("cold bias grew with window: %.2f%% at %d -> %.2f%% at %d",
+			100*bias[0], windows[0], 100*bias[2], windows[2])
 	}
-	out[len(out)-1].Seconds = time.Since(coldStart).Seconds()
-	return out, nil
+	return fmt.Sprintf("mean bias %.2f%% (w=%d) -> %.2f%% (w=%d) -> %.2f%% (w=%d)",
+		100*bias[0], windows[0], 100*bias[1], windows[1], 100*bias[2], windows[2]), nil
 }
 
-// withRuns calls fn with p's trace read from synth.DefaultStore through
-// Acquire, releasing it when fn returns.
-func withRuns(p synth.Profile, opt Options, fn func(trace.RunReader) error) error {
-	src, _, release, err := synth.DefaultStore.Acquire(context.Background(), p, opt.Seed, opt.Instructions)
-	if err != nil {
-		return err
-	}
-	defer release()
-	return fn(src)
+// meanSampledError returns, for each plan, the mean over the first three
+// workloads of the 8KB direct-mapped cache's relative MPI error under that
+// plan (its magnitude when absolute), skipping a workload whose exact run
+// has no misses.
+func meanSampledError(opt Options, absolute bool, plans []sampling.Plan) ([]float64, error) {
+	cfg := cache.Config{Size: 8192, LineSize: 32, Assoc: 1}
+	opt.Workloads = opt.Workloads[:min(3, len(opt.Workloads))]
+	means := make([]float64, len(plans))
+	err := eachTrace(opt, func(p synth.Profile, src trace.RunReader) error {
+		for i, plan := range plans {
+			_, _, relErr, err := sampling.Error(cfg, src, plan)
+			if errors.Is(err, sampling.ErrZeroBaseline) {
+				continue
+			}
+			if err != nil {
+				return fmt.Errorf("check: sampling properties: %s: %w", p.Name, err)
+			}
+			if absolute {
+				relErr = math.Abs(relErr)
+			}
+			means[i] += relErr / float64(len(opt.Workloads))
+		}
+		return nil
+	})
+	return means, err
 }

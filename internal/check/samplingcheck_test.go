@@ -13,23 +13,8 @@ import (
 // The sampling calibration checks — the interval scores and the full-grid
 // accuracy and CI-hit floors — must pass at a reduced scale.
 func TestSamplingChecks(t *testing.T) {
-	opt := Options{Instructions: 60_000}
-	for _, fn := range []struct {
-		name string
-		run  func(Options) ([]Result, error)
-	}{
-		{"bounds", SamplingBounds},
-		{"properties", SamplingProperties},
-	} {
-		rs, err := fn.run(opt)
-		if err != nil {
-			t.Fatalf("%s: harness failure: %v", fn.name, err)
-		}
-		for _, r := range rs {
-			if !r.Passed {
-				t.Errorf("%s: %s failed: %s", fn.name, r.Name, r.Detail)
-			}
-		}
+	if rs := requireAllPass(t, Options{Instructions: 60_000}, Checks, "^sampling/"); len(rs) != 4 {
+		t.Errorf("%d sampling checks, want 4", len(rs))
 	}
 }
 
@@ -37,7 +22,7 @@ func TestSamplingChecks(t *testing.T) {
 // fraction of the suite and run at least twice as fast as the exact sweep of
 // the same grid (each path timed as the minimum of two interleaved runs over
 // a warmed store); its accuracy and interval floors are scored by
-// SamplingBounds above.
+// sampling/bounds-set above.
 func TestSamplingBench(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench timing in -short mode")

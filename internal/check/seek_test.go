@@ -8,7 +8,7 @@ import (
 // The checkpoint-seek differential must hold at a sub-golden scale that
 // still spans many windows and checkpoints.
 func TestSeekChecksPass(t *testing.T) {
-	results, err := SeekChecks(Options{Instructions: 80_000})
+	results, err := Run(Options{Instructions: 80_000, Match: "^differential/seek-"}, Checks)
 	if err != nil {
 		t.Fatalf("harness failure: %v", err)
 	}

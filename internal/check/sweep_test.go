@@ -7,8 +7,7 @@ func TestSweepVsPerConfig(t *testing.T) {
 	if testing.Short() {
 		opt.Instructions = 20_000
 	}
-	rs, err := SweepVsPerConfig(opt)
-	requireAllPass(t, rs, err)
+	requireAllPass(t, opt, Checks, "^differential/sweep-")
 }
 
 // TestSweepVsPerConfigSeeds re-runs the randomized miss-matrix property under
@@ -22,7 +21,6 @@ func TestSweepVsPerConfigSeeds(t *testing.T) {
 		opt := testOpt(t)
 		opt.Instructions = 30_000
 		opt.Seed = seed
-		rs, err := SweepVsPerConfig(opt)
-		requireAllPass(t, rs, err)
+		requireAllPass(t, opt, Checks, "^differential/sweep-")
 	}
 }

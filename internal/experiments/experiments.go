@@ -35,19 +35,22 @@ type Options struct {
 	// Trials is the number of Tapeworm-style repeat runs for variability
 	// experiments (default 5, as in Figure 5).
 	Trials int
-	// Serial forces the per-workload runners (mapRuns, mapProfiles) onto
-	// a single goroutine. Results must be bit-identical to the parallel
-	// path — internal/check and the differential tests in this package
-	// enforce that — so Serial exists as the trusted reference executor,
-	// not as a semantic switch.
+	// Serial is Workers: 1.
+	//
+	// Deprecated: set Workers to 1. Serial stays only because ibsbench's
+	// reference renderer still sets it.
 	Serial bool
 	// Workers bounds concurrent per-workload runners. 0 (the default) means
-	// auto: one worker per GOMAXPROCS. Each worker holds one workload's
-	// trace — its memoized runs, about 3 bytes per instruction, and on the
-	// PerConfig paths their 16-byte-per-instruction expansion — so Workers
-	// also caps peak memory; shrink it on small machines, raise it past
-	// GOMAXPROCS to overlap generation with simulation. Ignored when Serial
-	// is set.
+	// auto: one worker per GOMAXPROCS. 1 runs the per-workload runners
+	// (mapRuns, mapProfiles) one workload at a time on the calling
+	// goroutine: the trusted reference executor, not a semantic switch,
+	// since results must be bit-identical to the parallel path
+	// (internal/check and the differential tests in this package enforce
+	// that). Each worker holds one workload's trace — its memoized runs,
+	// about 3 bytes per instruction, and on the PerConfig paths their
+	// 16-byte-per-instruction expansion — so Workers also caps peak memory;
+	// shrink it on small machines, raise it past GOMAXPROCS to overlap
+	// generation with simulation.
 	Workers int
 	// PerConfig forces the accelerated experiments onto their original
 	// one-full-simulation-per-configuration paths: Figures 1, 3, and 4 fall
@@ -87,8 +90,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// workers resolves the per-workload concurrency bound: 1 when Serial,
-// Options.Workers when set, otherwise GOMAXPROCS.
+// workers resolves the per-workload concurrency bound: Options.Workers when
+// set (1 when Serial), otherwise GOMAXPROCS.
 func (o Options) workers() int {
 	if o.Serial {
 		return 1
@@ -148,7 +151,7 @@ func (e *WorkerError) Error() string {
 // through the run reader synth.DefaultStore.Acquire returns: the memoized
 // run compaction, generated once per process for every experiment that
 // needs the same (workload, seed, n) stream. The worker gets the runner's
-// context, which it should check as it goes. With opt.Serial the profiles
+// context, which it should check as it goes. With one worker the profiles
 // run one at a time on the calling goroutine — the differential reference
 // path.
 func mapRuns[T any](profiles []synth.Profile, opt Options, worker func(ctx context.Context, p synth.Profile, src trace.RunReader) (T, error)) ([]T, error) {

@@ -45,7 +45,7 @@ func TestMapBanksMatchesPerConfig(t *testing.T) {
 
 	refOpt := opt
 	refOpt.PerConfig = true
-	refOpt.Serial = true
+	refOpt.Workers = 1
 	want, err := mapBanks(profiles, refOpt, mk)
 	if err != nil {
 		t.Fatalf("per-config mapBanks: %v", err)
@@ -74,7 +74,7 @@ func TestFanoutExperimentsRenderIdentical(t *testing.T) {
 		t.Skip("full-exhibit differential is covered by internal/check in short mode")
 	}
 	opt := Options{Instructions: 60_000}
-	ref := Options{Instructions: 60_000, PerConfig: true, Serial: true}
+	ref := Options{Instructions: 60_000, PerConfig: true, Workers: 1}
 	for _, e := range []struct {
 		name string
 		run  func(Options) (string, error)

@@ -11,8 +11,8 @@ import (
 
 // TestMapTracesMatchesSerial is the differential property test for the
 // parallel suite runners: mapRuns with the default (parallel) executor
-// must return results in profile order, bit-identical to the Serial
-// reference path. Run under -race to additionally certify the executor is
+// must return results in profile order, bit-identical to the one-worker
+// reference path (Workers: 1). Run under -race to additionally certify the executor is
 // data-race free (make race).
 func TestMapTracesMatchesSerial(t *testing.T) {
 	profiles := ibsProfiles()
@@ -23,7 +23,7 @@ func TestMapTracesMatchesSerial(t *testing.T) {
 	}
 
 	serialOpt := opt
-	serialOpt.Serial = true
+	serialOpt.Workers = 1
 	want, err := mapRuns(profiles, serialOpt, worker)
 	if err != nil {
 		t.Fatalf("serial mapRuns: %v", err)
@@ -59,7 +59,7 @@ func TestMapProfilesMatchesSerial(t *testing.T) {
 	}
 
 	serialOpt := opt
-	serialOpt.Serial = true
+	serialOpt.Workers = 1
 	want, err := mapProfiles(profiles, serialOpt, worker)
 	if err != nil {
 		t.Fatalf("serial mapProfiles: %v", err)
@@ -87,7 +87,7 @@ func TestSerialOptionExperiments(t *testing.T) {
 		t.Fatalf("parallel Table4: %v", err)
 	}
 	serialOpt := opt
-	serialOpt.Serial = true
+	serialOpt.Workers = 1
 	ser, err := Table4(serialOpt)
 	if err != nil {
 		t.Fatalf("serial Table4: %v", err)

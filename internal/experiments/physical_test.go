@@ -185,15 +185,15 @@ func TestFigure5DeadlineStopsBetweenCells(t *testing.T) {
 	// More trials on the fast path keep one cell small against the run, so
 	// scheduling jitter stays far below the margin.
 	for _, opt := range []Options{
-		{Instructions: n, Trials: 10, Serial: true},
-		{Instructions: n, Trials: 2, Serial: true, PerConfig: true},
+		{Instructions: n, Trials: 10, Workers: 1},
+		{Instructions: n, Trials: 2, Workers: 1, PerConfig: true},
 	} {
 		start := time.Now()
 		if _, err := Figure5(opt); err != nil {
 			t.Fatal(err)
 		}
 		full := time.Since(start)
-		// Serial runs the four workloads back to back, so one workload
+		// One worker runs the four workloads back to back, so one workload
 		// takes about full/4.
 		ctx, cancel := context.WithTimeout(context.Background(), full/40)
 		opt.Context = ctx

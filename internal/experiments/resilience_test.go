@@ -19,7 +19,7 @@ import (
 func TestWorkerPanicIsolated(t *testing.T) {
 	profiles := ibsProfiles()
 	victim := profiles[1].Name
-	for _, opt := range []Options{{Instructions: 1000}, {Instructions: 1000, Serial: true}} {
+	for _, opt := range []Options{{Instructions: 1000}, {Instructions: 1000, Workers: 1}} {
 		_, err := mapRuns(profiles, opt.withDefaults(), func(_ context.Context, p synth.Profile, src trace.RunReader) (int64, error) {
 			if p.Name == victim {
 				panic("boom")
@@ -28,7 +28,7 @@ func TestWorkerPanicIsolated(t *testing.T) {
 		})
 		var we *WorkerError
 		if !errors.As(err, &we) {
-			t.Fatalf("serial=%v: err = %v, want *WorkerError", opt.Serial, err)
+			t.Fatalf("workers=%d: err = %v, want *WorkerError", opt.Workers, err)
 		}
 		if we.Workload != victim {
 			t.Fatalf("panic attributed to %q, want %q", we.Workload, victim)

@@ -248,7 +248,7 @@ func TestSampledCancellation(t *testing.T) {
 
 // The estimator's honesty on this grid: at 1/16 set sampling the exact MPI
 // should fall inside the stated 95% interval for the strong majority of
-// cells (the full nominal-rate check lives in internal/check SamplingBounds).
+// cells (the full nominal-rate check is internal/check's sampling/bounds-* checks).
 func TestSampledSetEstimateCoversExact(t *testing.T) {
 	runs := testRuns(t, "mpeg_play", 2, 200_000)
 	refs := trace.Expand(runs)

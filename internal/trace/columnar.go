@@ -389,35 +389,31 @@ func (f *ColumnarFile) Path() string { return f.path }
 // header, trailer, and index (including the index CRC) are validated here;
 // block payload CRCs are checked on every BlockRuns decode.
 func OpenColumnar(path string) (*ColumnarFile, error) {
-	f, err := os.Open(path)
+	return openColumnar(path, (*ColumnarFile).parse)
+}
+
+// openColumnar opens path as a ColumnarFile, mmapped when the platform
+// allows and read through ReadAt otherwise, and hands it to parse; the file
+// is closed again if parse fails.
+func openColumnar(path string, parse func(*ColumnarFile) error) (*ColumnarFile, error) {
+	fh, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	st, err := f.Stat()
+	st, err := fh.Stat()
 	if err != nil {
+		fh.Close()
+		return nil, err
+	}
+	f := &ColumnarFile{ra: fh, closer: fh, size: st.Size(), path: path}
+	if data, unmap, merr := mmapFile(fh, st.Size()); merr == nil {
+		f.data, f.unmap = data, unmap
+	}
+	if err := parse(f); err != nil {
 		f.Close()
 		return nil, err
 	}
-	if data, unmap, merr := mmapFile(f, st.Size()); merr == nil {
-		cf, err := parseColumnar(data, nil, st.Size())
-		if err != nil {
-			unmap()
-			f.Close()
-			return nil, err
-		}
-		cf.unmap = unmap
-		cf.closer = f
-		cf.path = path
-		return cf, nil
-	}
-	cf, err := parseColumnar(nil, f, st.Size())
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	cf.closer = f
-	cf.path = path
-	return cf, nil
+	return f, nil
 }
 
 // SniffColumnar reports whether path's header declares the columnar
@@ -444,14 +440,22 @@ func SniffColumnar(path string) (bool, error) {
 // NewColumnarBytes opens a columnar trace held in memory (tests, fuzzing,
 // network transports).
 func NewColumnarBytes(data []byte) (*ColumnarFile, error) {
-	return parseColumnar(data, nil, int64(len(data)))
+	f := &ColumnarFile{data: data, size: int64(len(data))}
+	if err := f.parse(); err != nil {
+		return nil, err
+	}
+	return f, nil
 }
 
 // NewColumnarReaderAt opens a columnar trace through an io.ReaderAt of the
 // given size — the explicit sequential-read mode, also used as the mmap
 // fallback.
 func NewColumnarReaderAt(ra io.ReaderAt, size int64) (*ColumnarFile, error) {
-	return parseColumnar(nil, ra, size)
+	f := &ColumnarFile{ra: ra, size: size}
+	if err := f.parse(); err != nil {
+		return nil, err
+	}
+	return f, nil
 }
 
 // Close releases the mapping and the underlying file, if any.
@@ -622,59 +626,77 @@ func decodeColumnarBlock(payload []byte, dst []Run) ([]Run, error) {
 	return dst, nil
 }
 
-// parseColumnar validates header, trailer, and index, building the file
-// handle. Exactly one of data and ra is non-nil.
-func parseColumnar(data []byte, ra io.ReaderAt, size int64) (*ColumnarFile, error) {
-	f := &ColumnarFile{data: data, ra: ra, size: size}
-	if size < colHeaderSize+colTrailerSize {
-		return nil, fmt.Errorf("%w: %d bytes is too small for a columnar trace", ErrTruncated, size)
+// parse validates the header, trailer, and index of a handle that has data
+// or ra and size set, and records the block metadata.
+func (f *ColumnarFile) parse() error {
+	if f.size < colHeaderSize+colTrailerSize {
+		return fmt.Errorf("%w: %d bytes is too small for a columnar trace", ErrTruncated, f.size)
+	}
+	if err := f.parseHeader(); err != nil {
+		return err
+	}
+	return f.parseIndex()
+}
+
+// parseHeader validates the header and records the target block size.
+func (f *ColumnarFile) parseHeader() error {
+	if f.size < colHeaderSize {
+		return fmt.Errorf("%w: %d bytes is too small for a columnar header", ErrTruncated, f.size)
 	}
 	hdr, err := f.bytes(0, colHeaderSize)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if string(hdr[:8]) != Magic {
-		return nil, ErrBadMagic
+		return ErrBadMagic
 	}
 	if v := binary.LittleEndian.Uint16(hdr[8:10]); v != ColumnarVersion {
-		return nil, fmt.Errorf("%w: %d (want columnar version %d)", ErrBadVersion, v, ColumnarVersion)
+		return fmt.Errorf("%w: %d (want columnar version %d)", ErrBadVersion, v, ColumnarVersion)
 	}
 	if flags := binary.LittleEndian.Uint16(hdr[10:12]); flags != FlagColumnar {
-		return nil, fmt.Errorf("%w: unexpected columnar flags 0x%04x", ErrBadVersion, flags)
+		return fmt.Errorf("%w: unexpected columnar flags 0x%04x", ErrBadVersion, flags)
 	}
 	f.blkSize = int(binary.LittleEndian.Uint32(hdr[12:16]))
+	return nil
+}
 
-	trailer, err := f.bytes(size-colTrailerSize, colTrailerSize)
+// parseIndex validates the trailer and the footer index (its CRC included)
+// and records the block metadata and totals.
+func (f *ColumnarFile) parseIndex() error {
+	if f.size < colHeaderSize+colTrailerSize {
+		return fmt.Errorf("%w: no room for a columnar trailer", ErrTruncated)
+	}
+	trailer, err := f.bytes(f.size-colTrailerSize, colTrailerSize)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if string(trailer[24:32]) != colTailMagic {
-		return nil, fmt.Errorf("%w: columnar trailer magic missing", ErrTruncated)
+		return fmt.Errorf("%w: columnar trailer magic missing", ErrTruncated)
 	}
 	indexOff := int64(binary.LittleEndian.Uint64(trailer[0:8]))
 	totalRefs := int64(binary.LittleEndian.Uint64(trailer[8:16]))
 	blocks := int(binary.LittleEndian.Uint32(trailer[16:20]))
 	indexCRC := binary.LittleEndian.Uint32(trailer[20:24])
 	indexLen := int64(blocks) * colIndexEntrySize
-	if blocks < 0 || indexOff < colHeaderSize || indexOff+indexLen != size-colTrailerSize || totalRefs < 0 {
-		return nil, fmt.Errorf("%w: trailer geometry (index at %d, %d blocks) inconsistent with %d-byte file", ErrCorrupt, indexOff, blocks, size)
+	if blocks < 0 || indexOff < colHeaderSize || indexOff+indexLen != f.size-colTrailerSize || totalRefs < 0 {
+		return fmt.Errorf("%w: trailer geometry (index at %d, %d blocks) inconsistent with %d-byte file", ErrCorrupt, indexOff, blocks, f.size)
 	}
 	index, err := f.bytes(indexOff, int(indexLen))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if got := crc32.ChecksumIEEE(index); got != indexCRC {
-		return nil, fmt.Errorf("%w: index checksum mismatch (trailer %08x, computed %08x)", ErrCorrupt, indexCRC, got)
+		return fmt.Errorf("%w: index checksum mismatch (trailer %08x, computed %08x)", ErrCorrupt, indexCRC, got)
 	}
 	metas, refs, runs, err := parseColumnarIndex(index, blocks, indexOff)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if refs != totalRefs {
-		return nil, fmt.Errorf("%w: index refs %d != trailer refs %d", ErrCorrupt, refs, totalRefs)
+		return fmt.Errorf("%w: index refs %d != trailer refs %d", ErrCorrupt, refs, totalRefs)
 	}
 	f.metas, f.refs, f.runs = metas, refs, runs
-	return f, nil
+	return nil
 }
 
 // parseColumnarIndex decodes and structurally validates the footer index:

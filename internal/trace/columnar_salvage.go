@@ -2,9 +2,7 @@ package trace
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/crc32"
-	"os"
 )
 
 // Block-level salvage of damaged columnar traces.
@@ -45,76 +43,47 @@ func (d *ColumnarDamage) Damaged() bool {
 // ErrBadVersion / ErrTruncated); anything after it is recovered
 // best-effort. The returned file serves only the surviving blocks.
 func SalvageColumnar(path string) (*ColumnarFile, *ColumnarDamage, error) {
-	f, err := os.Open(path)
+	var dmg *ColumnarDamage
+	f, err := openColumnar(path, func(f *ColumnarFile) (err error) {
+		dmg, err = f.salvage()
+		return err
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	if data, unmap, merr := mmapFile(f, st.Size()); merr == nil {
-		cf, dmg, err := salvageColumnar(&ColumnarFile{data: data, size: st.Size()})
-		if err != nil {
-			unmap()
-			f.Close()
-			return nil, nil, err
-		}
-		cf.unmap = unmap
-		cf.closer = f
-		return cf, dmg, nil
-	}
-	cf, dmg, err := salvageColumnar(&ColumnarFile{ra: f, size: st.Size()})
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	cf.closer = f
-	return cf, dmg, nil
+	return f, dmg, nil
 }
 
 // SalvageColumnarBytes is SalvageColumnar over an in-memory file image.
 func SalvageColumnarBytes(data []byte) (*ColumnarFile, *ColumnarDamage, error) {
-	return salvageColumnar(&ColumnarFile{data: data, size: int64(len(data))})
-}
-
-// salvageColumnar recovers f.metas from a raw file handle (data or ra set,
-// size known, nothing parsed yet).
-func salvageColumnar(f *ColumnarFile) (*ColumnarFile, *ColumnarDamage, error) {
-	if f.size < colHeaderSize {
-		return nil, nil, fmt.Errorf("%w: %d bytes is too small for a columnar header", ErrTruncated, f.size)
-	}
-	hdr, err := f.bytes(0, colHeaderSize)
+	f := &ColumnarFile{data: data, size: int64(len(data))}
+	dmg, err := f.salvage()
 	if err != nil {
 		return nil, nil, err
 	}
-	if string(hdr[:8]) != Magic {
-		return nil, nil, ErrBadMagic
-	}
-	if v := binary.LittleEndian.Uint16(hdr[8:10]); v != ColumnarVersion {
-		return nil, nil, fmt.Errorf("%w: %d (want columnar version %d)", ErrBadVersion, v, ColumnarVersion)
-	}
-	if flags := binary.LittleEndian.Uint16(hdr[10:12]); flags != FlagColumnar {
-		return nil, nil, fmt.Errorf("%w: unexpected columnar flags 0x%04x", ErrBadVersion, flags)
-	}
-	f.blkSize = int(binary.LittleEndian.Uint32(hdr[12:16]))
+	return f, dmg, nil
+}
 
+// salvage is parse for a damaged file: past an intact header it takes the
+// index parseIndex accepts, or else rebuilds one by forward scan, and then
+// keeps exactly the blocks BlockRuns decodes.
+func (f *ColumnarFile) salvage() (*ColumnarDamage, error) {
+	if err := f.parseHeader(); err != nil {
+		return nil, err
+	}
 	dmg := &ColumnarDamage{}
-	metas, indexErr := salvageIndex(f)
-	if indexErr != nil {
-		dmg.IndexRebuilt = true
-		dmg.Err = indexErr
-		metas = rebuildIndex(f)
+	if err := f.parseIndex(); err != nil {
+		dmg.IndexRebuilt, dmg.Err = true, err
+		f.metas = rebuildIndex(f)
 	}
-
-	// Keep only blocks whose payload passes its CRC, decodes, and agrees
-	// with its index entry; a rebuilt index is decode-derived so its blocks
-	// always pass, making this a no-op there.
+	// Filtering in place is safe: block i is read before kept's i-th slot
+	// can be written.
 	var scratch []Run
-	kept := metas[:0]
-	for _, m := range metas {
-		if err := verifyBlock(f, m, &scratch); err != nil {
+	kept := f.metas[:0]
+	f.refs, f.runs = 0, 0
+	for i, m := range f.metas {
+		var err error
+		if scratch, err = f.BlockRuns(i, scratch); err != nil {
 			dmg.DroppedBlocks++
 			dmg.DroppedRefs += m.Refs
 			if dmg.Err == nil {
@@ -123,52 +92,11 @@ func salvageColumnar(f *ColumnarFile) (*ColumnarFile, *ColumnarDamage, error) {
 			continue
 		}
 		kept = append(kept, m)
-	}
-	f.metas = kept
-	f.refs, f.runs = 0, 0
-	for _, m := range kept {
 		f.refs += m.Refs
 		f.runs += int64(m.Runs)
 	}
-	return f, dmg, nil
-}
-
-// salvageIndex parses the trailer and footer index strictly, as OpenColumnar
-// would; any inconsistency fails the whole index so the caller rebuilds.
-func salvageIndex(f *ColumnarFile) ([]BlockMeta, error) {
-	if f.size < colHeaderSize+colTrailerSize {
-		return nil, fmt.Errorf("%w: no room for a columnar trailer", ErrTruncated)
-	}
-	trailer, err := f.bytes(f.size-colTrailerSize, colTrailerSize)
-	if err != nil {
-		return nil, err
-	}
-	if string(trailer[24:32]) != colTailMagic {
-		return nil, fmt.Errorf("%w: columnar trailer magic missing", ErrTruncated)
-	}
-	indexOff := int64(binary.LittleEndian.Uint64(trailer[0:8]))
-	totalRefs := int64(binary.LittleEndian.Uint64(trailer[8:16]))
-	blocks := int(binary.LittleEndian.Uint32(trailer[16:20]))
-	indexCRC := binary.LittleEndian.Uint32(trailer[20:24])
-	indexLen := int64(blocks) * colIndexEntrySize
-	if blocks < 0 || indexOff < colHeaderSize || indexOff+indexLen != f.size-colTrailerSize || totalRefs < 0 {
-		return nil, fmt.Errorf("%w: trailer geometry inconsistent", ErrCorrupt)
-	}
-	index, err := f.bytes(indexOff, int(indexLen))
-	if err != nil {
-		return nil, err
-	}
-	if got := crc32.ChecksumIEEE(index); got != indexCRC {
-		return nil, fmt.Errorf("%w: index checksum mismatch", ErrCorrupt)
-	}
-	metas, refs, _, err := parseColumnarIndex(index, blocks, indexOff)
-	if err != nil {
-		return nil, err
-	}
-	if refs != totalRefs {
-		return nil, fmt.Errorf("%w: index refs %d != trailer refs %d", ErrCorrupt, refs, totalRefs)
-	}
-	return metas, nil
+	f.metas = kept
+	return dmg, nil
 }
 
 // rebuildIndex reconstructs block metadata by walking frames forward from
@@ -209,27 +137,4 @@ func rebuildIndex(f *ColumnarFile) []BlockMeta {
 		off += colFrameSize + payloadLen
 	}
 	return metas
-}
-
-// verifyBlock checks one block end to end: frame length, payload CRC,
-// decode, and agreement with the index entry.
-func verifyBlock(f *ColumnarFile, m BlockMeta, scratch *[]Run) error {
-	frame, err := f.bytes(m.Offset, colFrameSize+int(m.PayloadLen))
-	if err != nil {
-		return err
-	}
-	if got := binary.LittleEndian.Uint32(frame[0:4]); got != m.PayloadLen {
-		return fmt.Errorf("%w: frame length %d != index %d", ErrCorrupt, got, m.PayloadLen)
-	}
-	payload := frame[colFrameSize:]
-	sum := crc32.ChecksumIEEE(payload)
-	if got := binary.LittleEndian.Uint32(frame[4:8]); got != sum || sum != m.CRC {
-		return fmt.Errorf("%w: block checksum mismatch", ErrCorrupt)
-	}
-	runs, err := decodeColumnarBlock(payload, *scratch)
-	*scratch = runs
-	if err != nil {
-		return err
-	}
-	return checkBlockMeta(m, runs)
 }

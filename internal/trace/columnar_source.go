@@ -62,8 +62,8 @@ func (b *RunsBlocks) block(i int) []Run {
 }
 
 // ColumnarStats summarizes a columnar file for inspection (ibstrace -file):
-// sizes, per-instruction cost, and the address-delta width histogram that
-// shows where the compression comes from.
+// sizes, per-instruction cost, the address-delta width histogram that shows
+// where the compression comes from, and the run-length statistics.
 type ColumnarStats struct {
 	// Blocks, Runs, Refs are the file's block/run/instruction counts.
 	Blocks int
@@ -76,9 +76,12 @@ type ColumnarStats struct {
 	BytesPerRef float64
 	// DeltaWidth[n] counts runs whose address-delta varint took n+1 bytes.
 	DeltaWidth [10]int64
+	// RunStats summarizes the decoded runs' lengths, as SummarizeRuns would.
+	RunStats RunStats
 }
 
-// Stats walks every block (CRC-checking as it goes) and summarizes the file.
+// Stats walks every block (CRC-checking as it goes) and summarizes the file,
+// holding one block's runs at a time.
 func (f *ColumnarFile) Stats() (ColumnarStats, error) {
 	st := ColumnarStats{
 		Blocks:    len(f.metas),
@@ -86,6 +89,7 @@ func (f *ColumnarFile) Stats() (ColumnarStats, error) {
 		Refs:      f.refs,
 		FileBytes: f.size,
 	}
+	lengths := RunLengths{}
 	var buf []Run
 	for i, m := range f.metas {
 		st.PayloadBytes += int64(m.PayloadLen)
@@ -102,8 +106,10 @@ func (f *ColumnarFile) Stats() (ColumnarStats, error) {
 			n := len(appendZigzag(vb[:0], delta))
 			st.DeltaWidth[n-1]++
 			prevEnd = r.End() / InstrBytes
+			lengths.Add(r)
 		}
 	}
+	st.RunStats = lengths.Stats()
 	if st.Refs > 0 {
 		st.BytesPerRef = float64(st.FileBytes) / float64(st.Refs)
 	}

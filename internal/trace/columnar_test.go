@@ -479,6 +479,9 @@ func TestColumnarStats(t *testing.T) {
 	if st.BytesPerRef <= 0 || st.BytesPerRef > 8 {
 		t.Fatalf("bytes/ref %.3f implausible", st.BytesPerRef)
 	}
+	if want := SummarizeRuns(runs); st.RunStats != want {
+		t.Fatalf("run statistics %+v, want SummarizeRuns' %+v", st.RunStats, want)
+	}
 }
 
 // TestColumnarBlockRunsAllocFree pins the zero-copy claim: decoding blocks
