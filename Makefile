@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race fuzz check check-sampling check-columnar check-seek chaos crash serve bench microbench vet cover tables scale extensions calibration examples clean
+.PHONY: all build test test-short race fuzz check check-sampling check-columnar check-seek chaos crash serve bench microbench vet cover tables scale extensions calibration examples loc clean
 
 all: build vet test race check
 
@@ -147,6 +147,12 @@ examples:
 	$(GO) run ./examples/fetchtuning
 	$(GO) run ./examples/tracefiles
 	$(GO) run ./examples/futurework
+
+# Go line counts, non-test and test, outside the benchmark's own module
+# and its build directory: the measure simplicity changes report.
+loc:
+	@printf 'non-test %s\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './ibsbench/*' ! -path './.bench_build/*' -exec cat {} + | wc -l)
+	@printf 'test     %s\n' $$(find . -name '*_test.go' ! -path './ibsbench/*' ! -path './.bench_build/*' -exec cat {} + | wc -l)
 
 clean:
 	$(GO) clean ./...

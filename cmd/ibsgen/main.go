@@ -19,6 +19,7 @@ import (
 	"path/filepath"
 
 	"ibsim"
+	"ibsim/internal/trace"
 )
 
 func main() {
@@ -106,30 +107,37 @@ func printInfo(path string) error {
 	if columnar {
 		return printColumnarInfo(path)
 	}
-	refs, complete, err := ibsim.SalvageTraceFile(path)
-	if !complete {
-		if len(refs) == 0 {
+	f, err := os.Open(path)
+	if err != nil {
+		return fmt.Errorf("opening trace file: %w", err)
+	}
+	defer f.Close()
+	r, err := trace.NewReader(f)
+	if err != nil {
+		return err
+	}
+	// One pass tallies the references; a damaged file is summarized up to
+	// its first bad record.
+	var c trace.Counts
+	for ref, ok := r.Next(); ok; ref, ok = r.Next() {
+		c.Observe(ref)
+	}
+	if err := r.Err(); err != nil {
+		if c.Total == 0 {
 			return err
 		}
-		// Damaged but salvageable: summarize the valid prefix, loudly.
 		fmt.Fprintf(os.Stderr, "ibsgen: WARNING: %s is damaged (%v); summarizing the salvaged %d-reference prefix\n",
-			path, err, len(refs))
+			path, err, c.Total)
 	}
-	var kinds [3]int64
-	var domains [4]int64
-	for _, r := range refs {
-		kinds[r.Kind]++
-		domains[r.Domain]++
-	}
-	total := int64(len(refs))
-	fmt.Printf("%s: %d references\n", path, total)
+	total := float64(c.Total)
+	fmt.Printf("%s: %d references\n", path, c.Total)
 	fmt.Printf("  ifetch %d (%.1f%%), dread %d (%.1f%%), dwrite %d (%.1f%%)\n",
-		kinds[0], 100*float64(kinds[0])/float64(total),
-		kinds[1], 100*float64(kinds[1])/float64(total),
-		kinds[2], 100*float64(kinds[2])/float64(total))
+		c.ByKind[0], 100*float64(c.ByKind[0])/total,
+		c.ByKind[1], 100*float64(c.ByKind[1])/total,
+		c.ByKind[2], 100*float64(c.ByKind[2])/total)
 	fmt.Printf("  user %.1f%%, kernel %.1f%%, bsd %.1f%%, x %.1f%%\n",
-		100*float64(domains[0])/float64(total), 100*float64(domains[1])/float64(total),
-		100*float64(domains[2])/float64(total), 100*float64(domains[3])/float64(total))
+		100*float64(c.ByDomain[0])/total, 100*float64(c.ByDomain[1])/total,
+		100*float64(c.ByDomain[2])/total, 100*float64(c.ByDomain[3])/total)
 	return nil
 }
 

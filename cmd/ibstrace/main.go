@@ -29,6 +29,8 @@ import (
 	"slices"
 
 	"ibsim"
+	"ibsim/internal/locality"
+	"ibsim/internal/trace"
 )
 
 // modes lists each mode, in the order one is chosen, with the other flags it
@@ -104,26 +106,13 @@ func main() {
 			fail(err)
 		}
 		if columnar {
-			if err := reportColumnar(*file); err != nil {
-				fail(err)
-			}
-			return
+			err = reportColumnar(*file)
+		} else {
+			err = reportRecord(os.Stdout, os.Stderr, *file, *line)
 		}
-		refs, complete, err := ibsim.SalvageTraceFile(*file)
-		if !complete {
-			if len(refs) == 0 {
-				fail(err)
-			}
-			// Damaged but salvageable: analyze the valid prefix, loudly.
-			fmt.Fprintf(os.Stderr, "ibstrace: WARNING: %s is damaged (%v); analyzing the salvaged %d-reference prefix\n",
-				*file, err, len(refs))
-		}
-		a, err := ibsim.AnalyzeLocality(refs, *line)
 		if err != nil {
 			fail(err)
 		}
-		fmt.Printf("== %s ==\n%s", *file, a.Report())
-		printRunStats(ibsim.SummarizeRuns(ibsim.CompactTrace(refs)))
 	case "workload":
 		if err := report(*workload, *line, *n); err != nil {
 			fail(err)
@@ -172,6 +161,46 @@ func convertFile(src, dst string) error {
 	return nil
 }
 
+// reportRecord prints the locality analysis and sequential-run statistics
+// of a record file at the given line size, reading the file once as a
+// stream of runs, so memory does not grow with a reference slice. A damaged
+// file is analyzed up to its first bad record, with a warning on stderr.
+func reportRecord(stdout, stderr io.Writer, path string, line int) error {
+	a, err := locality.New(line)
+	if err != nil {
+		return err
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return fmt.Errorf("opening trace file: %w", err)
+	}
+	defer f.Close()
+	r, err := trace.NewReader(f)
+	if err != nil {
+		return err
+	}
+	lens := trace.RunLengths{}
+	var refs []trace.Ref
+	err = r.EachRun(func(run trace.Run) error {
+		lens.Add(run)
+		refs = run.AppendRefs(refs[:0])
+		for _, ref := range refs {
+			a.Observe(ref)
+		}
+		return nil
+	})
+	if err != nil {
+		if a.Instructions() == 0 {
+			return err
+		}
+		fmt.Fprintf(stderr, "ibstrace: WARNING: %s is damaged (%v); analyzing the salvaged %d-instruction prefix\n",
+			path, err, a.Instructions())
+	}
+	fmt.Fprintf(stdout, "== %s ==\n%s", path, a.Report())
+	printRunStats(stdout, lens.Stats())
+	return nil
+}
+
 // reportColumnar prints a columnar file's block statistics: the per-block
 // index view, the compression anatomy (delta-width histogram), and the
 // sequential-run structure. Damaged files are salvaged loudly, and the
@@ -213,7 +242,7 @@ func reportColumnar(path string) error {
 	}
 	fmt.Println()
 	// The run structure determines how much the bulk replay path can win.
-	printRunStats(st.RunStats)
+	printRunStats(os.Stdout, st.RunStats)
 	return nil
 }
 
@@ -306,11 +335,11 @@ func report(name string, line int, n int64) error {
 
 // printRunStats reports the trace's sequential-run structure — the numbers
 // that determine how much the run-compacted bulk replay path can win.
-func printRunStats(st ibsim.RunStats) {
-	fmt.Printf("sequential runs:      %d (%d instructions)\n", st.Runs, st.Instructions)
-	fmt.Printf("run length:           mean %.2f, median %.1f, max %d instructions\n",
+func printRunStats(out io.Writer, st ibsim.RunStats) {
+	fmt.Fprintf(out, "sequential runs:      %d (%d instructions)\n", st.Runs, st.Instructions)
+	fmt.Fprintf(out, "run length:           mean %.2f, median %.1f, max %d instructions\n",
 		st.MeanLen, st.MedianLen, st.MaxLen)
-	fmt.Printf("compaction ratio:     %.2fx\n", st.CompactionRatio())
+	fmt.Fprintf(out, "compaction ratio:     %.2fx\n", st.CompactionRatio())
 }
 
 func fail(err error) {

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -24,6 +27,54 @@ func TestReportUnknownWorkload(t *testing.T) {
 func TestReportBadLineSize(t *testing.T) {
 	if err := report("eqntott", 24, 1000); err == nil {
 		t.Fatal("bad line size accepted")
+	}
+}
+
+// A record file is reported from one streaming pass exactly as from its
+// salvaged references in memory: the locality analysis of the salvaged
+// prefix, then the run statistics of its compaction. Damaged files, cut
+// short or with a broken checksum, also warn on stderr.
+func TestReportRecordMatchesSalvage(t *testing.T) {
+	w, err := ibsim.LoadWorkload("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	intact := filepath.Join(dir, "gcc.ibstrace")
+	if _, err := ibsim.WriteTraceFile(intact, w, 30_000); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(intact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	truncated := filepath.Join(dir, "truncated.ibstrace")
+	crc := filepath.Join(dir, "crc.ibstrace")
+	flipped := bytes.Clone(data)
+	flipped[len(flipped)-1] ^= 0x10
+	for path, b := range map[string][]byte{truncated: data[:len(data)/2+1], crc: flipped} {
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, path := range []string{intact, truncated, crc} {
+		refs, complete, _ := ibsim.SalvageTraceFile(path)
+		a, err := ibsim.AnalyzeLocality(refs, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want, got, warn bytes.Buffer
+		fmt.Fprintf(&want, "== %s ==\n%s", path, a.Report())
+		printRunStats(&want, ibsim.SummarizeRuns(ibsim.CompactTrace(refs)))
+		if err := reportRecord(&got, &warn, path, 32); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if got.String() != want.String() {
+			t.Errorf("%s: streamed report\n%s\nwant the salvaged refs' report\n%s", path, &got, &want)
+		}
+		if damaged := strings.Contains(warn.String(), "WARNING"); damaged == complete {
+			t.Errorf("%s: complete=%v but stderr %q", path, complete, &warn)
+		}
 	}
 }
 

@@ -19,10 +19,9 @@ import (
 // equivalence test and by internal/check's fanout differential).
 //
 // touchRuns is that loop, written once for every engine whose hits only
-// count. Three engines replay runs their own way: Filter fuses the
-// direct-mapped miss path, Bypass's hits can wait on words still in flight,
-// and Predict, which trains on every line change, hits included, fetches
-// one instruction at a time.
+// count. Filter fuses the direct-mapped miss path. Bypass, whose hits can
+// wait on words still in flight, and Predict, which trains on every line
+// change, hits included, replay one line segment at a time (segmentRuns).
 
 // touchRuns replays runs through e, whose L1 is l1 and whose Fetch, on an L1
 // hit, only adds one to res.Instructions. cache.TouchRun absorbs the maximal
@@ -95,29 +94,46 @@ func (v *Victim) FetchRuns(runs []trace.Run) { touchRuns(v, v.l1, &v.res, runs) 
 // FetchRuns implements Engine.
 func (m *MultiStream) FetchRuns(runs []trace.Run) { touchRuns(m, m.l1, &m.res, runs) }
 
-// FetchRuns implements Engine, one instruction at a time: the predictor
+// FetchRuns implements Engine, one line segment at a time: the predictor
 // trains on every line change, hits included, so the shared loop, which
 // absorbs all-hit prefixes across lines, cannot serve it.
-func (p *Predict) FetchRuns(runs []trace.Run) {
-	for _, r := range runs {
-		addr := r.Start
-		for i := int64(0); i < r.Len; i++ {
-			p.Fetch(addr)
-			addr += trace.InstrBytes
-		}
+func (p *Predict) FetchRuns(runs []trace.Run) { segmentRuns(p, p.lineSize, runs) }
+
+// bulkHits applies k sequential fetches within the line of the last fetch
+// in one step when they are all L1 hits: such fetches neither train the
+// predictor (the line has not changed) nor touch the buffer. It returns
+// false, with no state change, otherwise.
+func (p *Predict) bulkHits(addr uint64, k int64) bool {
+	if !p.started || addr&^(p.lineSize-1) != p.prevLine || !p.l1.Touch(addr, k) {
+		return false
 	}
+	p.res.Instructions += k
+	return true
 }
 
 // FetchRuns implements Engine. Bypass is the one engine whose hit path can
 // stall (reading a word still streaming into the bypass buffers), so it
 // walks each run's line segments and folds a segment's in-group waits into
 // a closed form instead of handing the whole prefix to the cache.
-func (b *Bypass) FetchRuns(runs []trace.Run) {
+func (b *Bypass) FetchRuns(runs []trace.Run) { segmentRuns(b, b.lineSize, runs) }
+
+// segmentRuns replays runs through e one line segment at a time: the
+// instructions of one run that fall in one lineSize-byte line. Only a
+// segment's first fetch can miss or change what the line's later fetches
+// do, so e.bulkHits takes the whole segment when its line is resident (and
+// e allows), else the first fetch takes the full Fetch path and bulkHits
+// the rest, which that fetch left resident. When Fetch's side effects evict
+// the line it filled (prefetch wrap-around in a tiny cache), the rest of
+// the segment fetches one instruction at a time.
+func segmentRuns[E interface {
+	Fetch(addr uint64)
+	bulkHits(addr uint64, k int64) bool
+}](e E, lineSize uint64, runs []trace.Run) {
 	for _, r := range runs {
 		addr, n := r.Start, r.Len
 		for n > 0 {
 			k := n
-			if lineEnd := (addr | (b.lineSize - 1)) + 1; lineEnd != 0 {
+			if lineEnd := (addr | (lineSize - 1)) + 1; lineEnd != 0 {
 				// Instructions whose addresses land in this line; lineEnd
 				// == 0 means the top line, which holds the rest of the run
 				// (runs never wrap the address space).
@@ -125,14 +141,11 @@ func (b *Bypass) FetchRuns(runs []trace.Run) {
 					k = room
 				}
 			}
-			if !b.bulkHits(addr, k) {
-				b.Fetch(addr)
-				if k > 1 && !b.bulkHits(addr+trace.InstrBytes, k-1) {
-					// Fetch's prefetches evicted the line it filled (tiny
-					// cache): fall back to per-instruction fetches for the
-					// segment.
+			if !e.bulkHits(addr, k) {
+				e.Fetch(addr)
+				if k > 1 && !e.bulkHits(addr+trace.InstrBytes, k-1) {
 					for i := int64(1); i < k; i++ {
-						b.Fetch(addr + uint64(i)*trace.InstrBytes)
+						e.Fetch(addr + uint64(i)*trace.InstrBytes)
 					}
 				}
 			}

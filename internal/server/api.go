@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"time"
 
 	"ibsim/internal/cache"
 	"ibsim/internal/fetch"
@@ -57,7 +58,8 @@ type SamplingSpec struct {
 // timeMode reports whether the spec uses time sampling.
 func (sp SamplingSpec) timeMode() bool { return sp.Window != 0 || sp.Period != 0 }
 
-// validate checks the spec's internal consistency.
+// validate checks the API's own rules: exactly one dimension, a set count
+// that is a power of two above 1, and skip only with time sampling.
 func (sp SamplingSpec) validate() error {
 	setMode := sp.Set != 0
 	switch {
@@ -69,10 +71,6 @@ func (sp SamplingSpec) validate() error {
 		return fmt.Errorf("sampling: set %d must be a power of two > 1", sp.Set)
 	case setMode && sp.Skip:
 		return fmt.Errorf("sampling: skip applies to time sampling only")
-	case sp.timeMode() && sp.Window <= 0:
-		return fmt.Errorf("sampling: window %d must be positive", sp.Window)
-	case sp.timeMode() && sp.Period < sp.Window:
-		return fmt.Errorf("sampling: period %d < window %d", sp.Period, sp.Window)
 	}
 	return nil
 }
@@ -301,6 +299,23 @@ type ExhibitResponse struct {
 	Degraded       bool    `json:"degraded"`
 	DegradedReason string  `json:"degraded_reason,omitempty"`
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
+}
+
+// result is a 200 body. The run path fills in the fields every body shares.
+type result interface {
+	finish(reason string, elapsed time.Duration)
+}
+
+func (r *SweepResponse) finish(reason string, elapsed time.Duration) {
+	r.Degraded, r.DegradedReason, r.ElapsedSeconds = reason != "", reason, elapsed.Seconds()
+}
+
+func (r *ReplayResponse) finish(reason string, elapsed time.Duration) {
+	r.Degraded, r.DegradedReason, r.ElapsedSeconds = reason != "", reason, elapsed.Seconds()
+}
+
+func (r *ExhibitResponse) finish(reason string, elapsed time.Duration) {
+	r.Degraded, r.DegradedReason, r.ElapsedSeconds = reason != "", reason, elapsed.Seconds()
 }
 
 // ErrorBody is the structured error envelope every non-2xx v1 response

@@ -4,6 +4,15 @@
 // the exhibit renderers (GET /v1/exhibit/{name}) — plus /healthz, /readyz,
 // and /metrics (expvar).
 //
+// Each request is decided once, before admission: planFor validates it,
+// leaving the sweep kernel and the replay schedule to judge their own
+// parameters, and fixes its plan — the kernel parameters, the deadline, the
+// clamped scale with the reasons for any reduction, the dedup key and the
+// admission weight. One run path then acquires the plan's trace, runs the
+// kernel and marks the answer degraded from the plan's reasons and the
+// trace's tier alone; a handler only decodes its input and builds its
+// response.
+//
 // Robustness is the design center, not an afterthought:
 //
 //   - Admission control: every simulation request is weighed by its
@@ -89,24 +98,15 @@ type Config struct {
 	// slow-loris peers (defaults 5s / 2m).
 	ReadHeaderTimeout time.Duration
 	ReadTimeout       time.Duration
-	// MaxBodyBytes bounds a request body (default 1 MiB).
-	MaxBodyBytes int64
 	// MaxInstructions caps a request's per-workload instruction budget;
 	// larger asks are clamped and marked degraded (default 8M, lowered if
 	// MaxInflightBytes cannot admit it).
 	MaxInstructions int64
-	// MaxTrials caps figure5-style repeat trials (default 10).
-	MaxTrials int
-	// MaxEngines and MaxCells bound a replay bank / sweep grid (defaults
-	// 64 / 256); beyond them the request is rejected as bad, not clamped.
-	MaxEngines int
-	MaxCells   int
 	// DegradeWindow: a request whose effective deadline is shorter than
 	// this runs at reduced fidelity — instructions clamped to
-	// DegradeInstructions, trials to 1 — and is marked degraded (defaults
-	// 250ms / 100k). Negative disables deadline-based degradation.
-	DegradeWindow       time.Duration
-	DegradeInstructions int64
+	// degradeInstructions, trials to 1 — and is marked degraded (default
+	// 250ms). Negative disables deadline-based degradation.
+	DegradeWindow time.Duration
 	// FaultHook, when non-nil, is called at named stages ("run:sweep",
 	// "run:replay", "run:exhibit") on the leader goroutine after
 	// admission. It exists for the chaos suite and tests: a hook that
@@ -116,6 +116,19 @@ type Config struct {
 	// passes a stderr logger).
 	Log *log.Logger
 }
+
+// The fixed request limits. A sweep grid or replay bank beyond its limit is
+// a bad request; trials beyond theirs are clamped, and the answer is marked
+// degraded.
+const (
+	maxBodyBytes = 1 << 20 // a request body
+	maxTrials    = 10      // an exhibit's repeat trials
+	maxEngines   = 64      // a replay bank
+	maxCells     = 256     // a sweep grid
+	// degradeInstructions is the instruction budget of a request whose
+	// deadline falls inside Config.DegradeWindow.
+	degradeInstructions = 100_000
+)
 
 // withDefaults fills unset fields.
 func (c Config) withDefaults() Config {
@@ -145,27 +158,12 @@ func (c Config) withDefaults() Config {
 	if c.ReadTimeout <= 0 {
 		c.ReadTimeout = 2 * time.Minute
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
-	}
 	if c.MaxInstructions <= 0 {
 		c.MaxInstructions = 8_000_000
 	}
 	// Admission must be able to grant the largest single request.
 	if max := c.MaxInflightBytes / synth.TraceBytes(1, true); c.MaxInstructions > max && max > 0 {
 		c.MaxInstructions = max
-	}
-	if c.MaxTrials <= 0 {
-		c.MaxTrials = 10
-	}
-	if c.MaxEngines <= 0 {
-		c.MaxEngines = 64
-	}
-	if c.MaxCells <= 0 {
-		c.MaxCells = 256
-	}
-	if c.DegradeInstructions <= 0 {
-		c.DegradeInstructions = 100_000
 	}
 	if c.DegradeWindow < 0 {
 		c.DegradeWindow = 0
@@ -294,8 +292,8 @@ func (s *Server) recoverer(next http.Handler) http.Handler {
 				}
 				s.mPanics.Add(1)
 				s.cfg.Log.Printf("panic serving %s %s: %v\n%s", r.Method, r.URL.Path, rec, debug.Stack())
-				s.writeError(w, ErrorDetail{Status: http.StatusInternalServerError, Kind: "panic",
-					Message: fmt.Sprintf("handler panicked: %v", rec)})
+				s.writeResponse(w, errResponse(ErrorDetail{Status: http.StatusInternalServerError, Kind: "panic",
+					Message: fmt.Sprintf("handler panicked: %v", rec)}))
 			}
 		}()
 		next.ServeHTTP(w, r)
@@ -303,13 +301,6 @@ func (s *Server) recoverer(next http.Handler) http.Handler {
 }
 
 // --- plumbing -----------------------------------------------------------
-
-// hook fires the configured fault hook.
-func (s *Server) hook(stage string) {
-	if s.cfg.FaultHook != nil {
-		s.cfg.FaultHook(stage)
-	}
-}
 
 // observe folds one request duration into the Retry-After estimator.
 func (s *Server) observe(d time.Duration) {
@@ -347,18 +338,6 @@ func (s *Server) retryAfterSeconds() int {
 	return int(est)
 }
 
-// timeoutFor resolves a request's effective deadline from its timeout_ms.
-func (s *Server) timeoutFor(millis int64) time.Duration {
-	if millis <= 0 {
-		return s.cfg.DefaultTimeout
-	}
-	d := time.Duration(millis) * time.Millisecond
-	if d > s.cfg.MaxTimeout {
-		return s.cfg.MaxTimeout
-	}
-	return d
-}
-
 // errorFor classifies a simulation error into the wire envelope.
 func (s *Server) errorFor(err error) *ErrorDetail {
 	var we *experiments.WorkerError
@@ -379,19 +358,8 @@ func (s *Server) errorFor(err error) *ErrorDetail {
 	}
 }
 
-// writeError emits the structured error envelope.
-func (s *Server) writeError(w http.ResponseWriter, det ErrorDetail) {
-	body, _ := json.Marshal(ErrorBody{Error: det})
-	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	if det.RetryAfterSeconds > 0 {
-		h.Set("Retry-After", fmt.Sprint(det.RetryAfterSeconds))
-	}
-	w.WriteHeader(det.Status)
-	w.Write(body)
-}
-
-// writeResponse emits a completed flight's response.
+// writeResponse emits a response: a completed flight's, or an error raised
+// before one.
 func (s *Server) writeResponse(w http.ResponseWriter, resp *response) {
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
@@ -405,54 +373,179 @@ func (s *Server) writeResponse(w http.ResponseWriter, resp *response) {
 // readJSON decodes a bounded request body, writing the 400/413 itself on
 // failure.
 func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, into any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			s.writeError(w, ErrorDetail{Status: http.StatusRequestEntityTooLarge, Kind: "bad-request",
-				Message: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
+			s.writeResponse(w, errResponse(ErrorDetail{Status: http.StatusRequestEntityTooLarge, Kind: "bad-request",
+				Message: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)}))
 			return false
 		}
-		s.writeError(w, ErrorDetail{Status: http.StatusBadRequest, Kind: "bad-request",
-			Message: "malformed JSON request: " + err.Error()})
+		s.writeResponse(w, badRequest("malformed JSON request: "+err.Error()))
 		return false
 	}
 	return true
 }
 
-// errResponse materializes an error envelope as a flight response.
+// errResponse materializes an error envelope as a response.
 func errResponse(det ErrorDetail) *response {
 	body, _ := json.Marshal(ErrorBody{Error: det})
 	return &response{status: det.Status, body: body, retryAfter: det.RetryAfterSeconds}
 }
 
+// badRequest is the 400 of a request the server will not run.
+func badRequest(msg string) *response {
+	return errResponse(ErrorDetail{Status: http.StatusBadRequest, Kind: "bad-request", Message: msg})
+}
+
 // okResponse materializes a 200 envelope.
-func okResponse(v any, degraded bool) *response {
+func okResponse(v any) *response {
 	body, err := json.Marshal(v)
 	if err != nil {
 		return errResponse(ErrorDetail{Status: http.StatusInternalServerError, Kind: "internal",
 			Message: "encoding response: " + err.Error()})
 	}
-	return &response{status: http.StatusOK, body: body, degraded: degraded}
+	return &response{status: http.StatusOK, body: body}
 }
 
-// runOutcome is what an endpoint's run function produces.
-type runOutcome struct {
-	value    any
-	degraded bool
-	err      *ErrorDetail
+// plan is how the server runs one request, decided in full before
+// admission: the validated kernel parameters, the deadline, the scale after
+// clamping with the reasons for any reduction, the dedup key and the
+// admission weight.
+type plan struct {
+	stage   string        // the fault-hook stage: "run:" and the endpoint
+	key     string        // the dedup key: the endpoint and the normalized request
+	weight  int64         // the admission weight: the trace's footprint estimate
+	timeout time.Duration // the request's deadline
+	n       int64         // instructions, after clamping
+	trials  int           // an exhibit's trials, after clamping
+	reason  string        // why n or trials were reduced; "" when neither was
+
+	// prof is the workload whose trace the run path acquires (seed picks
+	// the stream); nil for an exhibit, which reads its own traces.
+	prof *synth.Profile
+	seed uint64
+	// sampled reports that the request asked for sampling: it is served as
+	// asked from any tier, so its tier never degrades it.
+	sampled bool
+	pass    sweep.SampledPass // a sweep's kernel
+	bank    []fetch.Engine    // a replay's engines, fresh: a plan leads at most one flight
+	sample  replay.SamplePlan // a replay's schedule
 }
 
-// execute is the shared robust request path: singleflight dedup on key,
-// weighted admission, deadline, panic isolation, and structured responses.
-// run does the actual simulation under the granted context.
-func (s *Server) execute(w http.ResponseWriter, r *http.Request, stage, key string, weight int64, timeout time.Duration, run func(ctx context.Context) runOutcome) {
+// planFor decides how to run req, a decoded *SweepRequest, *ReplayRequest or
+// *ExhibitRequest. The kernels judge their own parameters; the server adds
+// only its limits and the API's own rules. req is normalized in place — the
+// scale clamped, the timeout cleared — so that requests that would do
+// identical work share one dedup key.
+func (s *Server) planFor(req any) (*plan, error) {
+	p := &plan{}
+	var (
+		endpoint, workload string
+		n, ms              *int64     // the request's instructions and timeout_ms
+		trials             = new(int) // an exhibit's trials; sweeps and replays have none
+		withRuns           = true     // the admission weight's run term; see synth.TraceBytes
+	)
+	switch req := req.(type) {
+	case *SweepRequest:
+		endpoint, workload, n, ms, withRuns = "sweep", req.Workload, &req.Instructions, &req.TimeoutMillis, false
+		p.seed, p.sampled = req.Seed, req.Sampling != nil
+		if len(req.Cells) > maxCells {
+			return nil, fmt.Errorf("cells must name 1..%d geometries, got %d", maxCells, len(req.Cells))
+		}
+		p.pass = sweep.SampledPass{LineSize: req.LineSize, Cells: make([]sweep.Cell, len(req.Cells)), CountDistinct: req.CountDistinct}
+		for i, c := range req.Cells {
+			p.pass.Cells[i] = sweep.Cell{Sets: c.Sets, Assoc: c.Assoc}
+		}
+		if sp := req.Sampling; sp != nil {
+			if err := sp.validate(); err != nil {
+				return nil, err
+			}
+			if sp.Set != 0 {
+				p.pass.SetMod, p.pass.SetMatch = sp.Set, setMatch%sp.Set
+			} else {
+				p.pass.Window, p.pass.Period, p.pass.Warm = sp.Window, sp.Period, !sp.Skip
+			}
+		}
+		if err := p.pass.Validate(); err != nil {
+			return nil, err
+		}
+	case *ReplayRequest:
+		endpoint, workload, n, ms = "replay", req.Workload, &req.Instructions, &req.TimeoutMillis
+		p.seed, p.sampled = req.Seed, req.Sampling != nil
+		if len(req.Engines) == 0 || len(req.Engines) > maxEngines {
+			return nil, fmt.Errorf("engines must name 1..%d configurations, got %d", maxEngines, len(req.Engines))
+		}
+		p.bank = make([]fetch.Engine, len(req.Engines))
+		for i, spec := range req.Engines {
+			e, err := spec.build()
+			if err != nil {
+				return nil, fmt.Errorf("engine %d: %v", i, err)
+			}
+			p.bank[i] = e
+		}
+		if sp := req.Sampling; sp != nil {
+			if err := sp.validate(); err != nil {
+				return nil, err
+			}
+			if sp.Set != 0 {
+				return nil, fmt.Errorf("sampling: set sampling is a sweep-request knob; replay banks mix line sizes and prefetchers, use time sampling (window, period)")
+			}
+			p.sample = replay.SamplePlan{Window: sp.Window, Period: sp.Period, Warm: !sp.Skip}
+			if err := p.sample.Validate(); err != nil {
+				return nil, err
+			}
+		}
+	case *ExhibitRequest:
+		endpoint, n, ms, trials = "exhibit", &req.Instructions, &req.TimeoutMillis, &req.Trials
+	default:
+		panic(fmt.Sprintf("server: no plan for a %T", req))
+	}
+	// Zero means the server default; a negative scale has no meaning and
+	// must not run silently at the default either.
+	if *n < 0 {
+		return nil, fmt.Errorf("instructions must be non-negative, got %d", *n)
+	}
+	if *ms < 0 {
+		return nil, fmt.Errorf("timeout_ms must be non-negative, got %d", *ms)
+	}
+	if endpoint != "exhibit" {
+		prof, err := synth.Lookup(workload)
+		if err != nil {
+			return nil, err
+		}
+		p.prof = &prof
+	}
+	p.stage, p.timeout = "run:"+endpoint, s.cfg.DefaultTimeout
+	if *ms > 0 {
+		p.timeout = min(time.Duration(*ms)*time.Millisecond, s.cfg.MaxTimeout)
+	}
+	p.n, p.trials, p.reason = s.clampScale(*n, *trials, p.timeout)
+	*n, *trials, *ms = p.n, p.trials, 0
+	p.key = canonicalKey(endpoint, req)
+	p.weight = synth.TraceBytes(p.n, withRuns)
+	return p, nil
+}
+
+// kernel runs a planned request's simulation over src, the plan's trace
+// (nil for an exhibit), and builds its response.
+type kernel func(ctx context.Context, p *plan, src trace.RunReader) (result, error)
+
+// execute is the shared robust request path: the plan, singleflight dedup
+// on its key, weighted admission, deadline, panic isolation, and structured
+// responses. A request that cannot be planned is a 400 before admission.
+func (s *Server) execute(w http.ResponseWriter, r *http.Request, req any, k kernel) {
+	p, err := s.planFor(req)
+	if err != nil {
+		s.writeResponse(w, badRequest(err.Error()))
+		return
+	}
 	s.mRequests.Add(1)
 	for attempt := 0; ; attempt++ {
-		resp, leader, err := s.flights.do(r.Context(), key, func() *response {
-			return s.lead(r, stage, weight, timeout, run)
+		resp, leader, err := s.flights.do(r.Context(), p.key, func() *response {
+			return s.lead(r, p, k)
 		})
 		if err != nil {
 			// Our own client gave up while we were drafting behind a
@@ -474,8 +567,8 @@ func (s *Server) execute(w http.ResponseWriter, r *http.Request, stage, key stri
 			if leader {
 				return
 			}
-			s.writeError(w, ErrorDetail{Status: http.StatusServiceUnavailable, Kind: "canceled",
-				Message: "shared execution was cancelled; retry", RetryAfterSeconds: 1})
+			s.writeResponse(w, errResponse(ErrorDetail{Status: http.StatusServiceUnavailable, Kind: "canceled",
+				Message: "shared execution was cancelled; retry", RetryAfterSeconds: 1}))
 			return
 		}
 		s.writeResponse(w, resp)
@@ -483,20 +576,20 @@ func (s *Server) execute(w http.ResponseWriter, r *http.Request, stage, key stri
 	}
 }
 
-// lead runs one flight as its leader: admission, deadline, fault hook,
-// simulation, and conversion of every failure mode — including a panic —
-// into a structured response.
-func (s *Server) lead(r *http.Request, stage string, weight int64, timeout time.Duration, run func(ctx context.Context) runOutcome) (resp *response) {
+// lead runs one flight as its leader: admission, deadline, fault hook, the
+// run, and conversion of every failure mode — including a panic — into a
+// structured response.
+func (s *Server) lead(r *http.Request, p *plan, k kernel) (resp *response) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			s.mPanics.Add(1)
-			s.cfg.Log.Printf("panic in %s: %v\n%s", stage, rec, debug.Stack())
+			s.cfg.Log.Printf("panic in %s: %v\n%s", p.stage, rec, debug.Stack())
 			resp = errResponse(ErrorDetail{Status: http.StatusInternalServerError, Kind: "panic",
 				Message: fmt.Sprintf("request handler panicked (isolated): %v", rec)})
 		}
 	}()
 
-	release, err := s.limiter.Acquire(r.Context(), weight)
+	release, err := s.limiter.Acquire(r.Context(), p.weight)
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrQueueFull):
@@ -520,22 +613,66 @@ func (s *Server) lead(r *http.Request, stage string, weight int64, timeout time.
 
 	start := time.Now()
 	defer func() { s.observe(time.Since(start)) }()
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	ctx, cancel := context.WithTimeout(r.Context(), p.timeout)
 	defer cancel()
 
-	s.hook(stage)
-	out := run(ctx)
-	if out.err != nil {
-		if out.err.Kind == "canceled" {
+	if s.cfg.FaultHook != nil {
+		s.cfg.FaultHook(p.stage)
+	}
+	res, err := s.run(ctx, p, k)
+	if err != nil {
+		det := s.errorFor(err)
+		if det.Kind == "canceled" {
 			s.mCanceled.Add(1)
 			return &response{canceled: true}
 		}
-		return errResponse(*out.err)
+		return errResponse(*det)
 	}
-	if out.degraded {
+	return okResponse(res)
+}
+
+// run is the one run path of an admitted request: it acquires the plan's
+// trace from whichever tier the store's hard budget admits, runs the kernel,
+// and marks the response degraded exactly when the plan reduced the request
+// or an exact answer was not read from the memoized runs.
+func (s *Server) run(ctx context.Context, p *plan, k kernel) (result, error) {
+	start := time.Now()
+	reason := p.reason
+	var src trace.RunReader
+	if p.prof != nil {
+		rr, tier, release, err := s.store.Acquire(ctx, *p.prof, p.seed, p.n)
+		if err != nil {
+			return nil, err
+		}
+		defer release()
+		switch tier {
+		case synth.TierColumnar:
+			s.mColumnar.Add(1)
+		case synth.TierSeek:
+			s.mSeek.Add(1)
+		}
+		if !p.sampled {
+			reason = joinReasons(reason, tierReasons[tier])
+		}
+		src = rr
+	}
+	res, err := k(ctx, p, src)
+	if err != nil {
+		return nil, err
+	}
+	if reason != "" {
 		s.mDegraded.Add(1)
 	}
-	return okResponse(out.value, out.degraded)
+	res.finish(reason, time.Since(start))
+	return res, nil
+}
+
+// tierReasons says why an exact answer the memoized runs could not serve is
+// degraded: it is still exact, but was read at disk bandwidth or
+// regenerated instead of read from RAM.
+var tierReasons = [...]string{
+	synth.TierColumnar: "trace exceeds the store's hard RAM budget; answered exactly from the on-disk columnar trace",
+	synth.TierSeek:     "trace exceeds the store's hard budget; streamed without materializing",
 }
 
 // --- trivial endpoints --------------------------------------------------
@@ -547,8 +684,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	if !s.ready.Load() {
-		s.writeError(w, ErrorDetail{Status: http.StatusServiceUnavailable, Kind: "draining",
-			Message: "server is draining or not yet serving"})
+		s.writeResponse(w, errResponse(ErrorDetail{Status: http.StatusServiceUnavailable, Kind: "draining",
+			Message: "server is draining or not yet serving"}))
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -572,86 +709,20 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !s.readJSON(w, r, &req) {
 		return
 	}
-	prof, err := synth.Lookup(req.Workload)
-	if err != nil {
-		s.writeError(w, ErrorDetail{Status: http.StatusBadRequest, Kind: "bad-request", Message: err.Error()})
-		return
-	}
-	if err := checkScale(req.Instructions, req.TimeoutMillis); err != nil {
-		s.writeError(w, ErrorDetail{Status: http.StatusBadRequest, Kind: "bad-request", Message: err.Error()})
-		return
-	}
-	if req.LineSize < trace.InstrBytes || req.LineSize&(req.LineSize-1) != 0 {
-		s.writeError(w, ErrorDetail{Status: http.StatusBadRequest, Kind: "bad-request",
-			Message: fmt.Sprintf("line_size %d must be a power of two >= the %d-byte instruction size", req.LineSize, trace.InstrBytes)})
-		return
-	}
-	if len(req.Cells) == 0 || len(req.Cells) > s.cfg.MaxCells {
-		s.writeError(w, ErrorDetail{Status: http.StatusBadRequest, Kind: "bad-request",
-			Message: fmt.Sprintf("cells must name 1..%d geometries, got %d", s.cfg.MaxCells, len(req.Cells))})
-		return
-	}
-	cells := make([]sweep.Cell, len(req.Cells))
-	for i, c := range req.Cells {
-		if c.Sets <= 0 || c.Sets&(c.Sets-1) != 0 || c.Assoc < 1 {
-			s.writeError(w, ErrorDetail{Status: http.StatusBadRequest, Kind: "bad-request",
-				Message: fmt.Sprintf("cell %d: sets must be a positive power of two and assoc >= 1", i)})
-			return
-		}
-		cells[i] = sweep.Cell{Sets: c.Sets, Assoc: c.Assoc}
-	}
-	if req.Sampling != nil {
-		if err := req.Sampling.validate(); err != nil {
-			s.writeError(w, ErrorDetail{Status: http.StatusBadRequest, Kind: "bad-request", Message: err.Error()})
-			return
-		}
-		if req.Sampling.Set > 1 {
-			for i, c := range cells {
-				if c.Sets < req.Sampling.Set {
-					s.writeError(w, ErrorDetail{Status: http.StatusBadRequest, Kind: "bad-request",
-						Message: fmt.Sprintf("sampling: cell %d has %d sets < set-sampling modulus %d (sampled lines would not cover whole sets)", i, c.Sets, req.Sampling.Set)})
-					return
-				}
-			}
-		}
-	}
-
-	timeout := s.timeoutFor(req.TimeoutMillis)
-	n, _, reason := s.clampScale(req.Instructions, 0, timeout)
-	req.Instructions, req.TimeoutMillis = n, 0 // normalize for the dedup key
-	key := canonicalKey("sweep", req)
-	weight := synth.TraceBytes(n, false)
-
-	s.execute(w, r, "run:sweep", key, weight, timeout, func(ctx context.Context) runOutcome {
-		start := time.Now()
-		sp := sweep.SampledPass{LineSize: req.LineSize, Cells: cells, CountDistinct: req.CountDistinct, Ctx: ctx}
-		if spec := req.Sampling; spec != nil {
-			if spec.Set > 1 {
-				sp.SetMod, sp.SetMatch = spec.Set, setMatch%spec.Set
-			} else {
-				sp.Window, sp.Period, sp.Warm = spec.Window, spec.Period, !spec.Skip
-			}
-		}
-		src, why, release, err := s.acquire(ctx, prof, req.Seed, n, req.Sampling == nil)
+	s.execute(w, r, &req, func(ctx context.Context, p *plan, src trace.RunReader) (result, error) {
+		p.pass.Ctx = ctx
+		sm, err := p.pass.Sweep(src)
 		if err != nil {
-			return runOutcome{err: s.errorFor(err)}
+			return nil, err
 		}
-		defer release()
-		sm, err := sp.Sweep(src)
-		if err != nil {
-			return runOutcome{err: s.errorFor(err)}
-		}
-		degraded := reason != "" || why != ""
 		resp := &SweepResponse{
-			Workload:       prof.Name,
-			Seed:           req.Seed,
-			Instructions:   n,
-			LineSize:       sm.LineSize,
-			Accesses:       sm.Accesses,
-			Distinct:       sm.Distinct,
-			Cells:          make([]CellResult, len(sm.Cells)),
-			Degraded:       degraded,
-			DegradedReason: joinReasons(reason, why),
+			Workload:     p.prof.Name,
+			Seed:         req.Seed,
+			Instructions: p.n,
+			LineSize:     sm.LineSize,
+			Accesses:     sm.Accesses,
+			Distinct:     sm.Distinct,
+			Cells:        make([]CellResult, len(sm.Cells)),
 		}
 		for i, c := range sm.Cells {
 			resp.Cells[i] = CellResult{Sets: c.Sets, Assoc: c.Assoc, SizeBytes: c.Size(sm.LineSize), Misses: sm.Misses[i]}
@@ -669,8 +740,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 				MeasuredInstructions: sm.SampledInstructions,
 			}
 		}
-		resp.ElapsedSeconds = time.Since(start).Seconds()
-		return runOutcome{value: resp, degraded: degraded}
+		return resp, nil
 	})
 }
 
@@ -686,35 +756,6 @@ func (sp SamplingSpec) mode() string {
 	return "time"
 }
 
-// tierReasons says why an exact answer the memoized runs could not serve is
-// degraded: it is still exact, but was read at disk bandwidth or
-// regenerated instead of read from RAM.
-var tierReasons = [...]string{
-	synth.TierColumnar: "trace exceeds the store's hard RAM budget; answered exactly from the on-disk columnar trace",
-	synth.TierSeek:     "trace exceeds the store's hard budget; streamed without materializing",
-}
-
-// acquire gets a request's trace from the store — whichever tier the hard
-// budget admits — and counts the tier. It returns the degradation reason
-// when exact is set and the runs did not serve it; a sampled answer is
-// served as asked from any tier, so its tier never degrades it.
-func (s *Server) acquire(ctx context.Context, prof synth.Profile, seed uint64, n int64, exact bool) (trace.RunReader, string, func(), error) {
-	src, tier, release, err := s.store.Acquire(ctx, prof, seed, n)
-	if err != nil {
-		return nil, "", nil, err
-	}
-	switch tier {
-	case synth.TierColumnar:
-		s.mColumnar.Add(1)
-	case synth.TierSeek:
-		s.mSeek.Add(1)
-	}
-	if !exact {
-		return src, "", release, nil
-	}
-	return src, tierReasons[tier], release, nil
-}
-
 // --- /v1/replay ---------------------------------------------------------
 
 func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
@@ -722,78 +763,16 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	if !s.readJSON(w, r, &req) {
 		return
 	}
-	prof, err := synth.Lookup(req.Workload)
-	if err != nil {
-		s.writeError(w, ErrorDetail{Status: http.StatusBadRequest, Kind: "bad-request", Message: err.Error()})
-		return
-	}
-	if err := checkScale(req.Instructions, req.TimeoutMillis); err != nil {
-		s.writeError(w, ErrorDetail{Status: http.StatusBadRequest, Kind: "bad-request", Message: err.Error()})
-		return
-	}
-	if len(req.Engines) == 0 || len(req.Engines) > s.cfg.MaxEngines {
-		s.writeError(w, ErrorDetail{Status: http.StatusBadRequest, Kind: "bad-request",
-			Message: fmt.Sprintf("engines must name 1..%d configurations, got %d", s.cfg.MaxEngines, len(req.Engines))})
-		return
-	}
-	// Validate the bank up front (400), but build fresh engines per
-	// execution: engines are stateful.
-	for i, spec := range req.Engines {
-		if _, err := spec.build(); err != nil {
-			s.writeError(w, ErrorDetail{Status: http.StatusBadRequest, Kind: "bad-request",
-				Message: fmt.Sprintf("engine %d: %v", i, err)})
-			return
-		}
-	}
-	if req.Sampling != nil {
-		if err := req.Sampling.validate(); err != nil {
-			s.writeError(w, ErrorDetail{Status: http.StatusBadRequest, Kind: "bad-request", Message: err.Error()})
-			return
-		}
-		if req.Sampling.Set != 0 {
-			s.writeError(w, ErrorDetail{Status: http.StatusBadRequest, Kind: "bad-request",
-				Message: "sampling: set sampling is a sweep-request knob; replay banks mix line sizes and prefetchers, use time sampling (window, period)"})
-			return
-		}
-	}
-
-	timeout := s.timeoutFor(req.TimeoutMillis)
-	n, _, reason := s.clampScale(req.Instructions, 0, timeout)
-	req.Instructions, req.TimeoutMillis = n, 0
-	key := canonicalKey("replay", req)
-	weight := synth.TraceBytes(n, true)
-
-	s.execute(w, r, "run:replay", key, weight, timeout, func(ctx context.Context) runOutcome {
-		start := time.Now()
-		engines := make([]fetch.Engine, len(req.Engines))
-		for i, spec := range req.Engines {
-			e, err := spec.build()
-			if err != nil {
-				return runOutcome{err: &ErrorDetail{Status: http.StatusBadRequest, Kind: "bad-request", Message: err.Error()}}
-			}
-			engines[i] = e
-		}
-		var plan replay.SamplePlan
-		if spec := req.Sampling; spec != nil {
-			plan = replay.SamplePlan{Window: spec.Window, Period: spec.Period, Warm: !spec.Skip}
-		}
-		src, why, release, err := s.acquire(ctx, prof, req.Seed, n, req.Sampling == nil)
+	s.execute(w, r, &req, func(ctx context.Context, p *plan, src trace.RunReader) (result, error) {
+		results, err := replay.Run(ctx, src, p.bank, p.sample)
 		if err != nil {
-			return runOutcome{err: s.errorFor(err)}
+			return nil, err
 		}
-		defer release()
-		results, err := replay.Run(ctx, src, engines, plan)
-		if err != nil {
-			return runOutcome{err: s.errorFor(err)}
-		}
-		degraded := reason != "" || why != ""
 		resp := &ReplayResponse{
-			Workload:       prof.Name,
-			Seed:           req.Seed,
-			Instructions:   n,
-			Results:        make([]EngineResult, len(results)),
-			Degraded:       degraded,
-			DegradedReason: joinReasons(reason, why),
+			Workload:     p.prof.Name,
+			Seed:         req.Seed,
+			Instructions: p.n,
+			Results:      make([]EngineResult, len(results)),
 		}
 		for i, res := range results {
 			m := res.Measured
@@ -818,8 +797,7 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 				MeasuredInstructions: est.SampledInstructions,
 			}
 		}
-		resp.ElapsedSeconds = time.Since(start).Seconds()
-		return runOutcome{value: resp, degraded: degraded}
+		return resp, nil
 	})
 }
 
@@ -828,58 +806,32 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleExhibit(w http.ResponseWriter, r *http.Request) {
 	req := ExhibitRequest{Name: r.PathValue("name")}
 	if !ibsim.IsExhibit(req.Name) {
-		s.writeError(w, ErrorDetail{Status: http.StatusNotFound, Kind: "not-found",
-			Message: fmt.Sprintf("unknown exhibit %q", req.Name)})
+		s.writeResponse(w, errResponse(ErrorDetail{Status: http.StatusNotFound, Kind: "not-found",
+			Message: fmt.Sprintf("unknown exhibit %q", req.Name)}))
 		return
 	}
 	q := r.URL.Query()
-	var err error
-	if req.Instructions, err = queryInt(q.Get("n")); err != nil {
-		s.writeError(w, ErrorDetail{Status: http.StatusBadRequest, Kind: "bad-request", Message: "n: " + err.Error()})
-		return
+	var trials, seed int64
+	for _, f := range []struct {
+		name string
+		v    *int64
+	}{{"n", &req.Instructions}, {"trials", &trials}, {"seed", &seed}, {"timeout_ms", &req.TimeoutMillis}} {
+		var err error
+		if *f.v, err = queryInt(q.Get(f.name)); err != nil {
+			s.writeResponse(w, badRequest(f.name+": "+err.Error()))
+			return
+		}
 	}
-	var trials64 int64
-	if trials64, err = queryInt(q.Get("trials")); err != nil {
-		s.writeError(w, ErrorDetail{Status: http.StatusBadRequest, Kind: "bad-request", Message: "trials: " + err.Error()})
-		return
-	}
-	req.Trials = int(trials64)
-	var seed int64
-	if seed, err = queryInt(q.Get("seed")); err != nil {
-		s.writeError(w, ErrorDetail{Status: http.StatusBadRequest, Kind: "bad-request", Message: "seed: " + err.Error()})
-		return
-	}
-	req.Seed = uint64(seed)
+	req.Trials, req.Seed = int(trials), uint64(seed)
 	req.Chart = q.Get("chart") == "1" || q.Get("chart") == "true"
-	if req.TimeoutMillis, err = queryInt(q.Get("timeout_ms")); err != nil {
-		s.writeError(w, ErrorDetail{Status: http.StatusBadRequest, Kind: "bad-request", Message: "timeout_ms: " + err.Error()})
-		return
-	}
 
-	timeout := s.timeoutFor(req.TimeoutMillis)
-	n, trials, reason := s.clampScale(req.Instructions, req.Trials, timeout)
-	req.Instructions, req.Trials, req.TimeoutMillis = n, trials, 0
-	key := canonicalKey("exhibit", req)
-	weight := synth.TraceBytes(n, true)
-
-	s.execute(w, r, "run:exhibit", key, weight, timeout, func(ctx context.Context) runOutcome {
-		start := time.Now()
-		opt := ibsim.Options{Instructions: n, Trials: trials, Seed: req.Seed, Context: ctx}
+	s.execute(w, r, &req, func(ctx context.Context, p *plan, _ trace.RunReader) (result, error) {
+		opt := ibsim.Options{Instructions: p.n, Trials: p.trials, Seed: req.Seed, Context: ctx}
 		text, err := ibsim.RenderExhibit(req.Name, opt, req.Chart)
 		if err != nil {
-			return runOutcome{err: s.errorFor(err)}
+			return nil, err
 		}
-		degraded := reason != ""
-		return runOutcome{value: &ExhibitResponse{
-			Name:           req.Name,
-			Instructions:   n,
-			Trials:         trials,
-			Seed:           req.Seed,
-			Text:           text,
-			Degraded:       degraded,
-			DegradedReason: reason,
-			ElapsedSeconds: time.Since(start).Seconds(),
-		}, degraded: degraded}
+		return &ExhibitResponse{Name: req.Name, Instructions: p.n, Trials: p.trials, Seed: req.Seed, Text: text}, nil
 	})
 }
 
@@ -897,24 +849,11 @@ func queryInt(v string) (int64, error) {
 	return n, nil
 }
 
-// checkScale rejects negative scale fields of a JSON request body. Zero
-// means the server default; a negative value has no meaning and must not
-// run silently at the default either.
-func checkScale(instructions, timeoutMillis int64) error {
-	if instructions < 0 {
-		return fmt.Errorf("instructions must be non-negative, got %d", instructions)
-	}
-	if timeoutMillis < 0 {
-		return fmt.Errorf("timeout_ms must be non-negative, got %d", timeoutMillis)
-	}
-	return nil
-}
-
 // clampScale applies the degradation policy to a request's scale knobs and
 // returns the effective instruction budget, trial count, and — when the
 // request was reduced — why. Policy: scale beyond the server maxima is
 // clamped; a deadline shorter than DegradeWindow drops the request to
-// reduced fidelity (DegradeInstructions, 1 trial) so it can answer inside
+// reduced fidelity (degradeInstructions, 1 trial) so it can answer inside
 // its budget instead of timing out.
 func (s *Server) clampScale(n int64, trials int, timeout time.Duration) (int64, int, string) {
 	var reasons []string
@@ -925,17 +864,13 @@ func (s *Server) clampScale(n int64, trials int, timeout time.Duration) (int64, 
 		n = s.cfg.MaxInstructions
 		reasons = append(reasons, fmt.Sprintf("instructions clamped to server maximum %d", n))
 	}
-	if trials > s.cfg.MaxTrials {
-		trials = s.cfg.MaxTrials
+	if trials > maxTrials {
+		trials = maxTrials
 		reasons = append(reasons, fmt.Sprintf("trials clamped to server maximum %d", trials))
 	}
 	if s.cfg.DegradeWindow > 0 && timeout < s.cfg.DegradeWindow {
-		if n > s.cfg.DegradeInstructions {
-			n = s.cfg.DegradeInstructions
-		}
-		if trials > 1 {
-			trials = 1
-		}
+		n = min(n, degradeInstructions)
+		trials = min(trials, 1)
 		reasons = append(reasons, fmt.Sprintf("deadline %v is inside the degrade window %v; reduced fidelity", timeout, s.cfg.DegradeWindow))
 	}
 	return n, trials, joinReasons(reasons...)

@@ -241,8 +241,11 @@ func TestExhibitEndpoint(t *testing.T) {
 	}
 }
 
+// Every bad request is a structured 400 decided before admission: none
+// holds admission weight or reaches the trace store.
 func TestBadRequestsAreStructured400s(t *testing.T) {
-	_, ts := testServer(t, nil)
+	store := synth.NewStore(1 << 26)
+	s, ts := testServer(t, func(c *Config) { c.Store = store })
 	cell := []CellSpec{{Sets: 64, Assoc: 1}}
 	bank := []EngineSpec{{Kind: "blocking", Size: 8192, LineSize: 32, Assoc: 1, Link: LinkSpec{Name: "economy"}}}
 	cases := []struct {
@@ -253,6 +256,14 @@ func TestBadRequestsAreStructured400s(t *testing.T) {
 		{"/v1/sweep", SweepRequest{Workload: "eqntott", LineSize: 33, Cells: cell}},
 		{"/v1/sweep", SweepRequest{Workload: "eqntott", LineSize: 32}},
 		{"/v1/sweep", SweepRequest{Workload: "eqntott", LineSize: 32, Cells: []CellSpec{{Sets: 63, Assoc: 1}}}},
+		// The sweep kernel's grid, set-sampling and schedule rules.
+		{"/v1/sweep", SweepRequest{Workload: "eqntott", LineSize: 32, Cells: []CellSpec{{Sets: 0, Assoc: 1}}}},
+		{"/v1/sweep", SweepRequest{Workload: "eqntott", LineSize: 32, Cells: []CellSpec{{Sets: 64, Assoc: 0}}}},
+		{"/v1/sweep", SweepRequest{Workload: "eqntott", LineSize: 32, Cells: []CellSpec{{Sets: 256, Assoc: 1}, {Sets: 64, Assoc: 2}},
+			Sampling: &SamplingSpec{Set: 128}}},
+		{"/v1/sweep", SweepRequest{Workload: "eqntott", LineSize: 32, Cells: cell, Sampling: &SamplingSpec{Window: 0, Period: 100}}},
+		{"/v1/sweep", SweepRequest{Workload: "eqntott", LineSize: 32, Cells: cell, Sampling: &SamplingSpec{Window: 400, Period: 100}}},
+		{"/v1/replay", ReplayRequest{Workload: "eqntott", Engines: bank, Sampling: &SamplingSpec{Window: 400, Period: 100}}},
 		// Negative scale fields never run silently at the default.
 		{"/v1/sweep", SweepRequest{Workload: "eqntott", Instructions: -1, LineSize: 32, Cells: cell}},
 		{"/v1/sweep", SweepRequest{Workload: "eqntott", LineSize: 32, Cells: cell, TimeoutMillis: -1}},
@@ -285,6 +296,9 @@ func TestBadRequestsAreStructured400s(t *testing.T) {
 		}
 		if kind := errKind(t, raw); kind != "bad-request" {
 			t.Errorf("case %d: kind = %q, want bad-request", i, kind)
+		}
+		if held, misses := s.InflightBytes(), store.Stats().Misses; held != 0 || misses != 0 {
+			t.Errorf("case %d (%s): %d bytes admitted and %d store misses after a bad request, want 0 and 0", i, c.path, held, misses)
 		}
 	}
 
@@ -658,14 +672,73 @@ func assertDraining(t *testing.T, s *Server, when string) {
 }
 
 func TestExhibitClampsTrials(t *testing.T) {
-	_, ts := testServer(t, func(c *Config) { c.MaxTrials = 2 })
+	_, ts := testServer(t, nil)
 	var got ExhibitResponse
-	url := fmt.Sprintf("%s/v1/exhibit/table2?trials=9", ts.URL)
+	url := fmt.Sprintf("%s/v1/exhibit/table2?trials=%d", ts.URL, maxTrials+1)
 	if code, raw := getJSON(t, url, &got); code != 200 {
 		t.Fatalf("exhibit = %d: %s", code, raw)
 	}
-	if !got.Degraded || got.Trials != 2 {
+	if !got.Degraded || got.Trials != maxTrials {
 		t.Fatalf("trials clamp not reported: degraded=%v trials=%d", got.Degraded, got.Trials)
+	}
+}
+
+// Degradation reasons join in a fixed order: the scale clamp, then the
+// degrade window, then the trace tier. No trace fits the store's 1-KiB hard
+// budget, so every exact answer is streamed; a sampled answer is never
+// degraded by its tier, which is how the table isolates the clamp and the
+// window.
+func TestDegradedReasonsCombine(t *testing.T) {
+	store := synth.NewStoreLimits(1<<26, 1<<10)
+	t.Cleanup(store.Purge) // after the server closes: drops the spill directory
+	_, ts := testServer(t, func(c *Config) {
+		c.Store = store
+		c.MaxInstructions = 20_000
+		c.DegradeWindow = 10 * time.Second
+	})
+	const (
+		clamp  = "instructions clamped to server maximum 20000"
+		window = "deadline 5s is inside the degrade window 10s; reduced fidelity"
+		tier   = "trace exceeds the store's hard budget; streamed without materializing"
+	)
+	sampled := &SamplingSpec{Window: 1000, Period: 4000}
+	cells := []CellSpec{{Sets: 64, Assoc: 1}}
+	bank := []EngineSpec{{Size: 8192, LineSize: 32, Assoc: 1, Link: LinkSpec{Name: "economy"}}}
+	for _, tc := range []struct {
+		name string
+		n    int64
+		ms   int64
+		spec *SamplingSpec
+		want string
+	}{
+		{"clamp", 50_000, 0, sampled, clamp},
+		{"window", 10_000, 5_000, sampled, window},
+		{"tier", 10_000, 0, nil, tier},
+		{"clamp+tier", 50_000, 0, nil, clamp + "; " + tier},
+	} {
+		var sresp SweepResponse
+		sreq := SweepRequest{Workload: "eqntott", Instructions: tc.n, LineSize: 32, Cells: cells, Sampling: tc.spec, TimeoutMillis: tc.ms}
+		if code, raw := postJSON(t, ts.URL+"/v1/sweep", sreq, &sresp); code != 200 {
+			t.Fatalf("sweep %s = %d: %s", tc.name, code, raw)
+		}
+		if !sresp.Degraded || sresp.DegradedReason != tc.want {
+			t.Errorf("sweep %s: degraded=%v reason %q, want %q", tc.name, sresp.Degraded, sresp.DegradedReason, tc.want)
+		}
+		var rresp ReplayResponse
+		rreq := ReplayRequest{Workload: "eqntott", Instructions: tc.n, Engines: bank, Sampling: tc.spec, TimeoutMillis: tc.ms}
+		if code, raw := postJSON(t, ts.URL+"/v1/replay", rreq, &rresp); code != 200 {
+			t.Fatalf("replay %s = %d: %s", tc.name, code, raw)
+		}
+		if !rresp.Degraded || rresp.DegradedReason != tc.want {
+			t.Errorf("replay %s: degraded=%v reason %q, want %q", tc.name, rresp.Degraded, rresp.DegradedReason, tc.want)
+		}
+	}
+	var eresp ExhibitResponse
+	if code, raw := getJSON(t, ts.URL+"/v1/exhibit/table2?n=10000&trials=99&timeout_ms=5000", &eresp); code != 200 {
+		t.Fatalf("exhibit = %d: %s", code, raw)
+	}
+	if want := "trials clamped to server maximum 10; " + window; !eresp.Degraded || eresp.DegradedReason != want {
+		t.Errorf("exhibit: degraded=%v reason %q, want %q", eresp.Degraded, eresp.DegradedReason, want)
 	}
 }
 

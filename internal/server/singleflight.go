@@ -35,7 +35,6 @@ type response struct {
 	body       []byte
 	retryAfter int  // seconds; 0 = no Retry-After header
 	canceled   bool // the leader's own client vanished mid-flight
-	degraded   bool
 }
 
 func newFlightGroup() *flightGroup {

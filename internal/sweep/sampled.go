@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sort"
 
 	"ibsim/internal/sampling"
 	"ibsim/internal/trace"
@@ -228,45 +229,84 @@ func (st *sampledState) poll() error {
 	return st.p.Ctx.Err()
 }
 
-// prepare validates the pass and builds its state.
-func (p SampledPass) prepare() (*sampledState, error) {
-	m, groups, seen, shift, err := prepareGrid(p.LineSize, p.Cells, p.CountDistinct)
-	if err != nil {
-		return nil, err
+// Validate checks the pass's parameters without building its state: the
+// line size, the grid, the set-sampling class and the time-sampling
+// schedule. Sweep checks them first.
+func (p SampledPass) Validate() error {
+	if p.LineSize < trace.InstrBytes {
+		return fmt.Errorf("sweep: line size %d must be >= the %d-byte instruction size", p.LineSize, trace.InstrBytes)
+	}
+	if p.LineSize&(p.LineSize-1) != 0 {
+		return fmt.Errorf("sweep: line size %d must be a positive power of two", p.LineSize)
+	}
+	if len(p.Cells) == 0 {
+		return fmt.Errorf("sweep: empty cell grid")
+	}
+	for i, c := range p.Cells {
+		if c.Sets <= 0 || c.Sets&(c.Sets-1) != 0 {
+			return fmt.Errorf("sweep: cell %d: set count %d must be a positive power of two", i, c.Sets)
+		}
+		if c.Assoc < 1 {
+			return fmt.Errorf("sweep: cell %d: associativity %d must be >= 1", i, c.Assoc)
+		}
 	}
 	if p.SetMod > 1 {
 		if p.SetMod&(p.SetMod-1) != 0 {
-			return nil, fmt.Errorf("sweep: set-sampling modulus %d must be a power of two", p.SetMod)
+			return fmt.Errorf("sweep: set-sampling modulus %d must be a power of two", p.SetMod)
 		}
 		if p.SetMatch < 0 || p.SetMatch >= p.SetMod {
-			return nil, fmt.Errorf("sweep: set-sampling match %d outside [0,%d)", p.SetMatch, p.SetMod)
+			return fmt.Errorf("sweep: set-sampling match %d outside [0,%d)", p.SetMatch, p.SetMod)
 		}
 		for i, c := range p.Cells {
 			if c.Sets < p.SetMod {
-				return nil, fmt.Errorf("sweep: cell %d has %d sets < set-sampling modulus %d (sampled lines would not cover whole sets)", i, c.Sets, p.SetMod)
+				return fmt.Errorf("sweep: cell %d has %d sets < set-sampling modulus %d (sampled lines would not cover whole sets)", i, c.Sets, p.SetMod)
 			}
 		}
 	} else if p.SetMatch != 0 {
-		return nil, fmt.Errorf("sweep: set-sampling match %d without a modulus", p.SetMatch)
+		return fmt.Errorf("sweep: set-sampling match %d without a modulus", p.SetMatch)
 	}
-	timeSample := p.Period > 0 || p.Window > 0
-	if timeSample {
-		if err := p.schedule().Validate(); err != nil {
-			return nil, err
-		}
-		// Window == Period measures everything: no windows to cluster by.
-		timeSample = p.schedule().Windowed()
+	if p.Window != 0 || p.Period != 0 {
+		return p.schedule().Validate()
 	}
+	return nil
+}
 
+// prepare validates the pass and builds its state: the result matrix, one
+// group per set count with its stacks and histograms, and the optional
+// first-touch set.
+func (p SampledPass) prepare() (*sampledState, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
 	st := &sampledState{
-		p:          p,
-		timeSample: timeSample,
-		m:          m,
-		groups:     groups,
-		seen:       seen,
-		shift:      shift,
+		p: p,
+		// Window == Period measures everything: no windows to cluster by.
+		timeSample: p.schedule().Windowed(),
+		m:          &Matrix{LineSize: p.LineSize, Cells: append([]Cell(nil), p.Cells...), Misses: make([]int64, len(p.Cells))},
 		ipl:        int64(p.LineSize / trace.InstrBytes),
 		mod:        1,
+	}
+	bySets := make(map[int]*group)
+	for i, c := range p.Cells {
+		g, ok := bySets[c.Sets]
+		if !ok {
+			g = &group{mask: uint64(c.Sets - 1)}
+			bySets[c.Sets] = g
+			st.groups = append(st.groups, g)
+		}
+		g.amax = max(g.amax, c.Assoc)
+		g.cells = append(g.cells, groupCell{assoc: c.Assoc, out: i})
+	}
+	// Coarsest set count first: with bit-selection indexing each finer set
+	// holds a subset of one coarser set's lines, so a line on top of its
+	// coarser stack is on top of every finer one too, and the kernel stops
+	// at the first group where it finds the line on top.
+	sort.Slice(st.groups, func(i, j int) bool { return st.groups[i].mask < st.groups[j].mask })
+	if p.CountDistinct {
+		st.seen = newLineSet()
+	}
+	for v := p.LineSize; v > 1; v >>= 1 {
+		st.shift++
 	}
 	for v := st.ipl; v > 1; v >>= 1 {
 		st.iplSh++
@@ -278,14 +318,14 @@ func (p SampledPass) prepare() (*sampledState, error) {
 			st.rowShift++
 		}
 	}
-	if timeSample {
+	if st.timeSample {
 		st.winClusters = make([][]sampling.Cluster, len(p.Cells))
 		st.winPrev = make([]int64, len(p.Cells))
 	} else if st.mod > 1 {
-		st.kmask = groups[len(groups)-1].mask >> st.rowShift
+		st.kmask = st.groups[len(st.groups)-1].mask >> st.rowShift
 	}
 	st.instr = make([]int64, st.kmask+1)
-	for _, g := range groups {
+	for _, g := range st.groups {
 		// One stack row per set this pass can actually touch — all of them,
 		// or the sampled congruence class (rowShift compaction) — and one
 		// histogram row per cluster.

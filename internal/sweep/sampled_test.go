@@ -228,9 +228,15 @@ func TestSampledValidation(t *testing.T) {
 		{LineSize: 32, Cells: cells, SetMatch: 3},              // match without mod
 		{LineSize: 32, Cells: cells, Period: 100},              // period without window
 		{LineSize: 32, Cells: cells, Window: 200, Period: 100}, // window > period
+		{LineSize: 32, Cells: cells, Window: -5},               // negative window without period
 		{LineSize: 32, Cells: nil},                             // empty grid
 		{LineSize: 33, Cells: cells},                           // non-power-of-two line
+		{LineSize: 32, Cells: []Cell{{Sets: 0, Assoc: 1}}},     // no sets
+		{LineSize: 32, Cells: []Cell{{Sets: 64, Assoc: 0}}},    // no ways
 	} {
+		if err := p.Validate(); err == nil {
+			t.Errorf("Validate accepted invalid pass %+v", p)
+		}
 		if _, err := p.Run(runs); err == nil {
 			t.Errorf("invalid pass %+v accepted", p)
 		}

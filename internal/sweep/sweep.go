@@ -41,8 +41,6 @@ package sweep
 
 import (
 	"context"
-	"fmt"
-	"sort"
 
 	"ibsim/internal/trace"
 )
@@ -157,60 +155,6 @@ type group struct {
 	// misses exactly those at depth >= assoc.
 	hist  []int64
 	cells []groupCell
-}
-
-// prepareGrid validates the line size and grid and builds the result matrix,
-// the per-set-count groups (stacks unallocated: the caller lays them out),
-// the optional first-touch set, and the line-size shift.
-func prepareGrid(lineSize int, cells []Cell, countDistinct bool) (*Matrix, []*group, *lineSet, uint, error) {
-	if lineSize < trace.InstrBytes {
-		return nil, nil, nil, 0, fmt.Errorf("sweep: line size %d must be >= the %d-byte instruction size", lineSize, trace.InstrBytes)
-	}
-	if lineSize&(lineSize-1) != 0 {
-		return nil, nil, nil, 0, fmt.Errorf("sweep: line size %d must be a positive power of two", lineSize)
-	}
-	if len(cells) == 0 {
-		return nil, nil, nil, 0, fmt.Errorf("sweep: empty cell grid")
-	}
-	m := &Matrix{
-		LineSize: lineSize,
-		Cells:    append([]Cell(nil), cells...),
-		Misses:   make([]int64, len(cells)),
-	}
-	bySets := make(map[int]*group)
-	var groups []*group
-	for i, c := range cells {
-		if c.Sets <= 0 || c.Sets&(c.Sets-1) != 0 {
-			return nil, nil, nil, 0, fmt.Errorf("sweep: cell %d: set count %d must be a positive power of two", i, c.Sets)
-		}
-		if c.Assoc < 1 {
-			return nil, nil, nil, 0, fmt.Errorf("sweep: cell %d: associativity %d must be >= 1", i, c.Assoc)
-		}
-		g, ok := bySets[c.Sets]
-		if !ok {
-			g = &group{mask: uint64(c.Sets - 1)}
-			bySets[c.Sets] = g
-			groups = append(groups, g)
-		}
-		if c.Assoc > g.amax {
-			g.amax = c.Assoc
-		}
-		g.cells = append(g.cells, groupCell{assoc: c.Assoc, out: i})
-	}
-	// Coarsest set count first: with bit-selection indexing each finer set
-	// holds a subset of one coarser set's lines, so a line on top of its
-	// coarser stack is on top of every finer one too, and the kernel stops
-	// at the first group where it finds the line on top.
-	sort.Slice(groups, func(i, j int) bool { return groups[i].mask < groups[j].mask })
-	var seen *lineSet
-	if countDistinct {
-		seen = newLineSet()
-	}
-	var shift uint
-	for v := lineSize; v > 1; v >>= 1 {
-		shift++
-	}
-	return m, groups, seen, shift, nil
 }
 
 // lineSet is a minimal open-addressing hash set over non-zero uint64 keys,

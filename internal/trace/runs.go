@@ -74,8 +74,10 @@ func CompactAppend(dst []Run, refs []Ref) []Run {
 
 // EachRun decodes the rest of r's stream and hands fn the runs Compact would
 // return for it, each as soon as the next instruction fetch breaks it, so
-// only the open run is held; data references are skipped. It returns fn's
-// first error, else the stream's (Err).
+// only the open run is held; data references are skipped. A stream that
+// ends in an error still hands over its open run first, so fn sees exactly
+// the runs of the references DecodeSalvage returns. It returns fn's first
+// error, else the stream's (Err).
 func (r *Reader) EachRun(fn func(Run) error) error {
 	var cur Run
 	for ref, ok := r.Next(); ok; ref, ok = r.Next() {
@@ -93,13 +95,12 @@ func (r *Reader) EachRun(fn func(Run) error) error {
 		}
 		cur = Run{Start: ref.Addr, Len: 1, Domain: ref.Domain}
 	}
-	if err := r.Err(); err != nil {
-		return err
-	}
 	if cur.Len > 0 {
-		return fn(cur)
+		if err := fn(cur); err != nil {
+			return err
+		}
 	}
-	return nil
+	return r.Err()
 }
 
 // AppendRefs expands the run back into its per-instruction fetches.

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"slices"
 	"testing"
@@ -188,7 +189,8 @@ func BenchmarkCompactAppend(b *testing.B) {
 
 // Reader.EachRun streams exactly Compact's runs: random traces with data
 // references, jumps and domain switches, and runs at the top of the
-// address space, each encoded and decoded.
+// address space, each encoded and decoded. Cut short mid-record, a stream
+// still yields the runs of exactly the references DecodeSalvage salvages.
 func TestEachRunMatchesCompact(t *testing.T) {
 	rng := xrand.New(43)
 	top := ^uint64(0) - 2*InstrBytes + 1
@@ -204,6 +206,7 @@ func TestEachRunMatchesCompact(t *testing.T) {
 		if _, err := Encode(&buf, refs); err != nil {
 			t.Fatal(err)
 		}
+		encoded := bytes.Clone(buf.Bytes())
 		r, err := NewReader(&buf)
 		if err != nil {
 			t.Fatal(err)
@@ -214,6 +217,19 @@ func TestEachRunMatchesCompact(t *testing.T) {
 		}
 		if want := Compact(refs); !reflect.DeepEqual(got, want) {
 			t.Fatalf("trace %d: EachRun %v, Compact %v", i, got, want)
+		}
+
+		cut := encoded[:len(encoded)-1]
+		salvaged, _, _ := DecodeSalvage(bytes.NewReader(cut))
+		if r, err = NewReader(bytes.NewReader(cut)); err != nil {
+			t.Fatal(err)
+		}
+		got = nil
+		if err := r.EachRun(func(run Run) error { got = append(got, run); return nil }); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("trace %d cut short: EachRun returned %v, want ErrCorrupt", i, err)
+		}
+		if want := Compact(salvaged); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trace %d cut short: EachRun %v, Compact of the salvaged prefix %v", i, got, want)
 		}
 	}
 }
