@@ -99,23 +99,23 @@ serve:
 # Benchmark-regression run: times the pinned stages at the golden scale,
 # compares their CPI/MPI against the committed goldens, and records the
 # wall-clock in BENCH_ibsim.json. Also runs the bulk-replay microbenchmarks
-# (trace compaction, per-ref vs FetchRuns replay, columnar encode/decode), the
-# Figure 5 cell on the per-reference loop vs the line-event kernel, the R2000
-# TLB over a recorded gcc stream, one Table 1/3 DECstation 3100 row, the
-# generator per instruction with and without data references, a cold
-# RunsOnly of 1M gcc instructions on a fresh store (the generate-and-compact
-# work behind both benchmark workloads' set-up), the fused
-# access of Figure 5's line events against the Touch/Access/Touch sequence
-# it replaced, the Table 8 and serve-hot replay banks over a 1M-instruction
-# workload, the serve-hot sweep grid over the same workload from references
-# (compacting on every pass) and from runs compacted once, exact and under
-# each sampling schedule ibsimd serves, and the Figure 3 grid.
+# (trace compaction, per-ref vs FetchRuns replay, columnar encode/decode),
+# 8-KB Figure 5 cells (direct-mapped on the per-reference loop; direct-mapped,
+# 2-way and 4-way on the line-event kernel), the R2000 TLB over a recorded
+# gcc stream, one Table 1/3 DECstation 3100 row, the generator per
+# instruction with and without data references, a cold RunsOnly of 1M gcc
+# instructions on a fresh store (the generate-and-compact work behind both
+# benchmark workloads' set-up), the Table 8 and serve-hot replay banks over
+# a 1M-instruction workload, the serve-hot sweep grid over the same workload
+# from references (compacting on every pass) and from runs compacted once,
+# exact and under each sampling schedule ibsimd serves, and the Figure 3
+# grid.
 # Layer-by-layer timings with noise estimates come from the benchmark's
 # ledger: bash ibsbench/run.sh --workload serve-hot --seconds 10 --trace 1.
 bench:
 	$(GO) run ./cmd/ibscheck -bench-only -n 200000
-	$(GO) test -run='^$$' -bench='CompactAppend|FetchPerRef|FetchRun|Columnar|Physical|TLBAccess|DECstationRow|GeneratorNext|StoreRunsOnlyFill|AccessN|ReplayBank|SweepServeGrid|SweepFigure3Grid' -benchmem \
-		./internal/trace ./internal/fetch ./internal/tlb ./internal/experiments ./internal/synth ./internal/cache ./internal/replay ./internal/sweep
+	$(GO) test -run='^$$' -bench='CompactAppend|FetchPerRef|FetchRun|Columnar|Physical|TLBAccess|DECstationRow|GeneratorNext|StoreRunsOnlyFill|ReplayBank|SweepServeGrid|SweepFigure3Grid' -benchmem \
+		./internal/trace ./internal/fetch ./internal/tlb ./internal/experiments ./internal/synth ./internal/replay ./internal/sweep
 
 # Go microbenchmarks (cache hot path, sweep engine, generators).
 microbench:

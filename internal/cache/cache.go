@@ -8,6 +8,13 @@
 // they are — pass virtual addresses for a virtually-indexed cache, or
 // translate through internal/vm first for a physically-indexed one (that
 // distinction is the entire subject of the paper's Figure 5).
+//
+// Cache is the general simulator: every geometry and policy, one access at
+// a time, with counters. It is also the oracle for the kernels that keep an
+// LRU cache as per-set recency stacks of line keys and no per-access state —
+// the sweep (internal/sweep), the direct-mapped content-class passes of the
+// replay (internal/fetch's Filter and Bypass) and Figure 5's cells
+// (internal/experiments) — each tested against Cache.
 package cache
 
 import (
@@ -91,9 +98,9 @@ func (c Config) String() string {
 	return fmt.Sprintf("%s/%dB/%s", size, c.LineSize, assoc)
 }
 
-// validate checks the geometry and returns a normalized copy (Assoc == 0
-// resolved to the line count).
-func (c Config) validate() (Config, error) {
+// Validate checks the geometry and returns a normalized copy (Assoc == 0
+// resolved to the line count): the configuration New would build.
+func (c Config) Validate() (Config, error) {
 	if c.Size <= 0 {
 		return c, fmt.Errorf("cache: size %d must be positive", c.Size)
 	}
@@ -178,9 +185,8 @@ type Cache struct {
 	// package benchmarks pin that).
 	assoc int
 	isLRU bool
-	// dm4 marks the dominant replay shape — direct-mapped, non-sector, LRU —
-	// for which Access, AccessN, TouchRun and Touch take a fully inlined
-	// fast path.
+	// dm4 marks the direct-mapped, non-sector, LRU shape, for which
+	// Access, TouchRun and Touch take a fully inlined fast path.
 	dm4   bool
 	ways  []way // sets × assoc, row-major; sized once at construction
 	clock uint64
@@ -191,7 +197,7 @@ type Cache struct {
 // New validates cfg and returns an empty cache. The tag store is allocated
 // once here, at its exact final size — no access ever grows or allocates.
 func New(cfg Config) (*Cache, error) {
-	cfg, err := cfg.validate()
+	cfg, err := cfg.Validate()
 	if err != nil {
 		return nil, err
 	}
@@ -357,50 +363,6 @@ func (c *Cache) accessDM4(addr uint64) bool {
 	*w = way{tag: la >> c.setShift, valid: true, stamp: c.clock}
 	c.stats.Fills++
 	return false
-}
-
-// AccessN performs n demand references to addr in one step, exactly
-// Access(addr) followed by Touch(addr, n-1): the first reference hits or
-// misses (and fills), and the other n-1 hit the line it leaves resident.
-// It returns whether the first reference hit. It probes the set once,
-// where testing the hit case first with Touch, then Access and Touch on a
-// miss, would probe it up to three times. n <= 0 changes nothing.
-func (c *Cache) AccessN(addr uint64, n int64) bool {
-	if n <= 0 {
-		return true
-	}
-	var hit bool
-	if c.dm4 {
-		// Touch's direct-mapped path sets no stamp, so neither does this.
-		hit = c.accessDM4(addr)
-	} else {
-		la := addr >> c.lineShift
-		tag := la >> c.setShift
-		base := int(la&c.setMask) * c.assoc
-		set := c.ways[base : base+c.assoc]
-		for i := range set {
-			// A tag sits in at most one way of its set, so a match whose
-			// sub-block is invalid leaves the loop for access's sub-miss.
-			if w := &set[i]; w.valid && w.tag == tag && (c.subPerLine == 0 || w.subValid&c.subBit(addr) != 0) {
-				c.clock += uint64(n)
-				c.stats.Accesses += n
-				c.stats.Hits += n
-				if c.isLRU {
-					w.stamp = c.clock
-				}
-				return true
-			}
-		}
-		var w *way
-		hit, w = c.access(addr)
-		if c.isLRU {
-			w.stamp = c.clock + uint64(n-1)
-		}
-	}
-	c.clock += uint64(n - 1)
-	c.stats.Accesses += n - 1
-	c.stats.Hits += n - 1
-	return hit
 }
 
 // Lookup checks residency and updates replacement state on a hit, but does
@@ -586,29 +548,6 @@ func (c *Cache) TouchRunDM4(start uint64, n int64) int64 {
 	c.stats.Accesses += absorbed
 	c.stats.Hits += absorbed
 	return absorbed
-}
-
-// MissFillDM4 records a demand access known to miss and fills the line, in
-// one step: Accesses and Misses grow by one, the set's resident line (if
-// any) is evicted with eviction accounting, and the new line is filled. It
-// is exactly Lookup(addr) returning false followed by FillEvict(addr) for a
-// cache where DM4 reports true and addr's line is absent; callers (the bulk
-// replay loops) guarantee both, having just probed the line via TouchRunDM4.
-// Skipping the two redundant tag probes is the point.
-func (c *Cache) MissFillDM4(addr uint64) {
-	c.stats.Accesses++
-	c.stats.Misses++
-	c.clock += 2 // one Lookup tick + one FillEvict tick
-	la := addr >> c.lineShift
-	w := &c.ways[la&c.setMask]
-	if w.valid {
-		c.stats.Evictions++
-	}
-	w.tag = la >> c.setShift
-	w.valid = true
-	w.stamp = c.clock
-	w.subValid = 0
-	c.stats.Fills++
 }
 
 // Contains reports residency without updating any state or statistics.

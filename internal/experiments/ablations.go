@@ -108,6 +108,7 @@ func AblationPagePolicy(opt Options) (*PagePolicyResult, error) {
 	rows, err := mapPhysical([]synth.Profile{p}, opt, 32, len(policies), func(ctx context.Context, p synth.Profile, sim physSim, i int) (PagePolicyRow, error) {
 		pol := policies[i]
 		var sample stats.Sample
+		run := sim(cache.Config{Size: sizeKB * 1024, LineSize: 32, Assoc: 1})
 		for trial := 0; trial < opt.Trials; trial++ {
 			if err := ctx.Err(); err != nil {
 				return PagePolicyRow{}, err
@@ -117,9 +118,7 @@ func AblationPagePolicy(opt Options) (*PagePolicyResult, error) {
 				return PagePolicyRow{}, err
 			}
 			mapper.ResetTrial(uint64(trial))
-			c := cache.MustNew(cache.Config{Size: sizeKB * 1024, LineSize: 32, Assoc: 1})
-			sim(mapper, c)
-			st := c.Stats()
+			st := run(mapper)
 			sample.Add(100 * float64(st.Misses) / float64(st.Accesses))
 		}
 		return PagePolicyRow{Policy: pol, MeanMPI: sample.Mean(), StdDev: sample.StdDev()}, nil

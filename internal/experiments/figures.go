@@ -561,9 +561,9 @@ func Figure5(opt Options) (*Figure5Result, error) {
 	points, err := mapPhysical(profiles, opt, 32, len(sizesKB)*len(assocs), func(ctx context.Context, p synth.Profile, sim physSim, i int) (Figure5Point, error) {
 		kb, a := sizesKB[i/len(assocs)], assocs[i%len(assocs)]
 		var sample stats.Sample
-		// One cache per cell, emptied for each trial: up to 1 MB of tags
-		// per allocation otherwise dominates the exhibit's garbage.
-		c := cache.MustNew(cache.Config{Size: kb * 1024, LineSize: 32, Assoc: a})
+		// One cache per cell, emptied for each trial: a fresh one per trial,
+		// up to 256 KB of line keys, would dominate the exhibit's garbage.
+		run := sim(cache.Config{Size: kb * 1024, LineSize: 32, Assoc: a})
 		for trial := 0; trial < opt.Trials; trial++ {
 			if err := ctx.Err(); err != nil {
 				return Figure5Point{}, err
@@ -574,9 +574,7 @@ func Figure5(opt Options) (*Figure5Result, error) {
 				Seed:     p.Seed*1000 + uint64(kb)*10 + uint64(a),
 			})
 			mapper.ResetTrial(uint64(trial))
-			c.Reset()
-			sim(mapper, c)
-			st := c.Stats()
+			st := run(mapper)
 			mpi := float64(st.Misses) / float64(st.Accesses)
 			sample.Add(mpi * missPenalty)
 		}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/bits"
 
@@ -23,8 +24,8 @@ import (
 // a line never straddles a page, so consecutive fetches from one virtual line
 // land on one physical line under any mapping. physTrace recompiles a
 // workload's run-compacted trace, once, into its pages and per-line events;
-// each cell then translates the pages and replays the events with one Touch
-// per line.
+// each cell then translates the pages and replays the events on per-set
+// recency stacks of line keys, one stack operation per event.
 
 // physPageSize is the page size of every physically-indexed experiment:
 // the DECstation's 4-KB pages.
@@ -122,34 +123,102 @@ func compilePhys(src trace.RunReader, pageSize, lineSize int) (*physTrace, error
 	return pt, nil
 }
 
-// replay translates pt's pages through m in first-touch order, then applies
-// every line event to c. m must be fresh or freshly reset and map pt's page
-// size; c must use pt's line size without sub-blocks. c's Stats then equal,
-// bit for bit, those of Access on every translated fetch in trace order:
-// each event is one AccessN, an Access followed by hits on the rest.
-func (pt *physTrace) replay(m *vm.Mapper, c *cache.Cache) {
-	if m.Config().PageSize != pt.pageSize || c.Config().LineSize != pt.lineSize || c.Config().SubBlock != 0 {
-		panic("experiments: physical trace replayed on a mismatched mapper or cache")
-	}
-	frames := make([]uint64, len(pt.pages))
-	for i, pg := range pt.pages {
-		frames[i] = m.Translate(pg.vpn*uint64(pt.pageSize), pg.domain)
-	}
-	for _, ev := range pt.events {
-		c.AccessN(frames[ev.page]|uint64(ev.off), int64(ev.n))
-	}
+// physCell is one cell's state, allocated once and reused by every trial:
+// its LRU cache as the sweep keeps one — per-set recency stacks of line keys
+// (the line number plus one, 0 for an empty way), most recent first, with no
+// stamps, clock or per-access counters — and the trial's frame table. A
+// stack's order is LRU's, and an absent line enters on top and pushes the
+// bottom key out, so residency and eviction match cache.Cache's LRU exactly.
+type physCell struct {
+	keys   []uint64 // sets × assoc, one stack per set
+	assoc  int
+	mask   uint64   // sets - 1
+	shift  uint     // log2 of the line size
+	frames []uint64 // the trial's frame of each page, in first-touch order
 }
 
-// physSim simulates one physically-indexed cell: every instruction fetch of
-// a workload's trace translated through m and accessed in c.
-type physSim func(m *vm.Mapper, c *cache.Cache)
+// cell returns the line-event kernel for one LRU cache of geometry cfg,
+// which must use pt's line size without sub-blocks. Its stacks are
+// allocated once and cleared for each call.
+func (pt *physTrace) cell(cfg cache.Config) func(m *vm.Mapper) cache.Stats {
+	cfg, err := cfg.Validate()
+	if err != nil || cfg.LineSize != pt.lineSize || cfg.SubBlock != 0 || cfg.Replacement != cache.LRU {
+		panic(fmt.Sprintf("experiments: physical trace of %d-byte lines replayed on %v: %v", pt.lineSize, cfg, err))
+	}
+	c := &physCell{
+		keys:   make([]uint64, cfg.Lines()),
+		assoc:  cfg.Assoc,
+		mask:   uint64(cfg.Sets() - 1),
+		shift:  uint(bits.TrailingZeros(uint(cfg.LineSize))),
+		frames: make([]uint64, len(pt.pages)),
+	}
+	return func(m *vm.Mapper) cache.Stats { return pt.replay(m, c) }
+}
 
-// perRefPhys is the reference physSim: one Translate and one Access per
-// fetch.
+// replay translates pt's pages through m in first-touch order, then applies
+// every line event to c's emptied stacks: one move-to-front of the event's
+// physical line, its first fetch, and hits on the rest. m must be fresh or
+// freshly reset and map pt's page size. The Stats returned equal, bit for
+// bit, those of cache.Cache's Access on every translated fetch in trace
+// order.
+func (pt *physTrace) replay(m *vm.Mapper, c *physCell) cache.Stats {
+	if m.Config().PageSize != pt.pageSize {
+		panic("experiments: physical trace replayed on a mismatched mapper")
+	}
+	clear(c.keys)
+	for i, pg := range pt.pages {
+		c.frames[i] = m.Translate(pg.vpn*uint64(pt.pageSize), pg.domain)
+	}
+	keys, frames, mask, shift, assoc := c.keys, c.frames, c.mask, c.shift, c.assoc
+	var st cache.Stats
+	for _, ev := range pt.events {
+		st.Accesses += int64(ev.n)
+		la := (frames[ev.page] | uint64(ev.off)) >> shift
+		key := la + 1
+		s := keys[int(la&mask)*assoc:][:assoc]
+		if s[0] == key {
+			continue
+		}
+		// Move to front: shift each key down one until la's old slot, or
+		// off the bottom when absent.
+		prev := s[0]
+		s[0] = key
+		d := 1
+		for ; d < len(s); d++ {
+			prev, s[d] = s[d], prev
+			if prev == key {
+				break
+			}
+		}
+		if d == len(s) {
+			st.Misses++
+			if prev != 0 {
+				st.Evictions++
+			}
+		}
+	}
+	st.Hits = st.Accesses - st.Misses
+	st.Fills = st.Misses
+	return st
+}
+
+// physSim simulates the physically-indexed cells of one workload's trace:
+// given an LRU cache geometry, it returns the cell's simulator, which
+// allocates its cache once and, for each call, empties it, translates every
+// instruction fetch through m and returns the cache's statistics.
+type physSim func(cfg cache.Config) func(m *vm.Mapper) cache.Stats
+
+// perRefPhys is the reference physSim: one Translate and one cache.Cache
+// Access per fetch.
 func perRefPhys(refs []trace.Ref) physSim {
-	return func(m *vm.Mapper, c *cache.Cache) {
-		for _, r := range refs {
-			c.Access(m.Translate(r.Addr, r.Domain))
+	return func(cfg cache.Config) func(m *vm.Mapper) cache.Stats {
+		c := cache.MustNew(cfg)
+		return func(m *vm.Mapper) cache.Stats {
+			c.Reset()
+			for _, r := range refs {
+				c.Access(m.Translate(r.Addr, r.Domain))
+			}
+			return c.Stats()
 		}
 	}
 }
@@ -178,7 +247,7 @@ func mapPhysical[T any](profiles []synth.Profile, opt Options, lineSize, cells i
 		if err != nil {
 			return nil, err
 		}
-		return pt.replay, nil
+		return pt.cell, nil
 	})
 	if err != nil {
 		return nil, err

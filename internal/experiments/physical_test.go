@@ -89,13 +89,12 @@ func TestPhysTraceMatchesPerReference(t *testing.T) {
 							mRef, mGot := vm.MustNewMapper(cfg), vm.MustNewMapper(cfg)
 							mRef.ResetTrial(seed)
 							mGot.ResetTrial(seed)
-							cRef, cGot := cache.MustNew(ccfg), cache.MustNew(ccfg)
-							perRefPhys(refs)(mRef, cRef)
-							pt.replay(mGot, cGot)
-							if cGot.Stats() != cRef.Stats() || mGot.Allocated() != mRef.Allocated() {
+							want := perRefPhys(refs)(ccfg)(mRef)
+							got := pt.cell(ccfg)(mGot)
+							if got != want || mGot.Allocated() != mRef.Allocated() {
 								t.Fatalf("page %d line %d assoc %d %v frames %d seed %d: line events %+v (%d pages), per-reference %+v (%d pages)",
 									pageSize, lineSize, assoc, pol, frames, seed,
-									cGot.Stats(), mGot.Allocated(), cRef.Stats(), mRef.Allocated())
+									got, mGot.Allocated(), want, mRef.Allocated())
 							}
 							cells++
 						}
@@ -214,9 +213,9 @@ func TestFigure5DeadlineStopsBetweenCells(t *testing.T) {
 
 var physSink cache.Stats
 
-// benchPhys times one Figure 5 cell (an 8-KB direct-mapped cache behind a
-// fresh random mapping) over verilog's trace.
-func benchPhys(b *testing.B, lineEvents bool) {
+// benchPhys times Figure 5 cells over verilog's trace: an 8-KB cache behind a
+// fresh random mapping, of each associativity in assocs.
+func benchPhys(b *testing.B, lineEvents bool, assocs ...int) {
 	p, err := synth.Lookup("verilog")
 	if err != nil {
 		b.Fatal(err)
@@ -233,18 +232,20 @@ func benchPhys(b *testing.B, lineEvents bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sim = pt.replay
+		sim = pt.cell
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := vm.MustNewMapper(vm.Config{PageSize: physPageSize, Policy: vm.RandomAlloc, Seed: p.Seed})
-		m.ResetTrial(uint64(i))
-		c := cache.MustNew(cache.Config{Size: 8192, LineSize: 32, Assoc: 1})
-		sim(m, c)
-		physSink = c.Stats()
+	for _, a := range assocs {
+		b.Run(fmt.Sprintf("%d-way", a), func(b *testing.B) {
+			run := sim(cache.Config{Size: 8192, LineSize: 32, Assoc: a})
+			for i := 0; i < b.N; i++ {
+				m := vm.MustNewMapper(vm.Config{PageSize: physPageSize, Policy: vm.RandomAlloc, Seed: p.Seed})
+				m.ResetTrial(uint64(i))
+				physSink = run(m)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/instr")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/instr")
 }
 
-func BenchmarkPhysicalPerRef(b *testing.B)     { benchPhys(b, false) }
-func BenchmarkPhysicalLineEvents(b *testing.B) { benchPhys(b, true) }
+func BenchmarkPhysicalPerRef(b *testing.B)     { benchPhys(b, false, 1) }
+func BenchmarkPhysicalLineEvents(b *testing.B) { benchPhys(b, true, 1, 2, 4) }

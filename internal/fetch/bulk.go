@@ -19,9 +19,10 @@ import (
 // equivalence test and by internal/check's fanout differential).
 //
 // touchRuns is that loop, written once for every engine whose hits only
-// count. Filter fuses the direct-mapped miss path. Bypass, whose hits can
-// wait on words still in flight, and Predict, which trains on every line
-// change, hits included, replay one line segment at a time (segmentRuns).
+// count. A Filter on line keys walks each run's lines itself (lineRuns).
+// Bypass, whose hits can wait on words still in flight, and Predict, which
+// trains on every line change, hits included, replay one line segment at a
+// time (segmentRuns).
 
 // touchRuns replays runs through e, whose L1 is l1 and whose Fetch, on an L1
 // hit, only adds one to res.Instructions. cache.TouchRun absorbs the maximal
@@ -59,6 +60,15 @@ func touchRuns[E interface{ Fetch(addr uint64) }](e E, l1 *cache.Cache, res *Res
 	}
 }
 
+// fetchEach issues every instruction of runs to e as a single Fetch.
+func fetchEach(e interface{ Fetch(addr uint64) }, runs []trace.Run) {
+	for _, r := range runs {
+		for i := int64(0); i < r.Len; i++ {
+			e.Fetch(r.Start + uint64(i)*trace.InstrBytes)
+		}
+	}
+}
+
 // FetchRuns implements Engine: the Filter's pass, whose misses all stall
 // the same constant. A sector cache's stall depends on the missing word, so
 // it runs the shared loop over its own Fetch.
@@ -67,7 +77,7 @@ func (b *Blocking) FetchRuns(runs []trace.Run) {
 		b.f.FetchRuns(runs)
 		return
 	}
-	touchRuns(b, b.f.l1, &b.f.res, runs)
+	touchRuns(b, b.f.l1.c, &b.f.res, runs)
 }
 
 // streamBatch bounds the runs the stream engine's Filter takes between
@@ -160,7 +170,7 @@ func segmentRuns[E interface {
 // refill group; it returns false (with no state change) when the line is not
 // resident.
 func (b *Bypass) bulkHits(addr uint64, k int64) bool {
-	if !b.l1.Touch(addr, k) {
+	if !b.l1.touch(addr, k) {
 		return false
 	}
 	b.res.Instructions += k

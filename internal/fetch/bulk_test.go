@@ -152,15 +152,6 @@ func (p *plainEngine) Fetch(addr uint64)          { p.inner.Fetch(addr) }
 func (p *plainEngine) FetchRuns(runs []trace.Run) { fetchEach(p, runs) }
 func (p *plainEngine) Result() Result             { return p.inner.Result() }
 
-// fetchEach issues every instruction of runs to e as a single Fetch.
-func fetchEach(e interface{ Fetch(addr uint64) }, runs []trace.Run) {
-	for _, r := range runs {
-		for i := int64(0); i < r.Len; i++ {
-			e.Fetch(r.Start + uint64(i)*trace.InstrBytes)
-		}
-	}
-}
-
 // An engine whose FetchRuns issues single fetches replays a compacted trace
 // exactly as per-reference Run and the wrapped engine's bulk path do.
 func TestRunCompactFallback(t *testing.T) {

@@ -1,6 +1,8 @@
 package fetch
 
 import (
+	"math/bits"
+
 	"ibsim/internal/cache"
 	"ibsim/internal/memsys"
 	"ibsim/internal/trace"
@@ -76,12 +78,12 @@ func (l *MissLog) add(index int64, line uint64) {
 	}
 }
 
-// Filter is a content class's bare L1 pass: one Lookup per fetch and, on a
+// Filter is a content class's bare L1 pass: one probe per fetch and, on a
 // miss, fills of the missing line and the lines after it. It times nothing —
 // its Result carries only Instructions and Misses — and can run its class's
 // pass in a shared replay.
 type Filter struct {
-	l1       *cache.Cache
+	l1       tags
 	lineSize uint64
 	extra    int // lines filled after the missing one
 	res      Result
@@ -89,7 +91,7 @@ type Filter struct {
 }
 
 func newFilter(cfg cache.Config, lines int) (Filter, error) {
-	l1, err := cache.New(cfg)
+	l1, err := newTags(cfg)
 	if err != nil {
 		return Filter{}, err
 	}
@@ -99,15 +101,17 @@ func newFilter(cfg cache.Config, lines int) (Filter, error) {
 // Fetch implements Engine.
 func (f *Filter) Fetch(addr uint64) {
 	f.res.Instructions++
-	if f.l1.Lookup(addr) {
-		return
+	if !f.l1.lookup(addr) {
+		f.miss(f.res.Instructions-1, addr&^(f.lineSize-1))
 	}
+}
+
+// miss counts and logs an L1 miss of the fetch at position index to line,
+// and fills line and the lines after it.
+func (f *Filter) miss(index int64, line uint64) {
 	f.res.Misses++
-	la := addr &^ (f.lineSize - 1)
-	f.log.add(f.res.Instructions-1, la)
-	for i := 0; i <= f.extra; i++ {
-		f.l1.Fill(la + uint64(i)*f.lineSize)
-	}
+	f.log.add(index, line)
+	f.l1.fill(line, 1+f.extra)
 }
 
 // Result implements Engine.
@@ -116,41 +120,112 @@ func (f *Filter) Result() Result { return f.res }
 // Class reports the pass's content class; ok is false for sector
 // geometries, whose fills depend on the missing word's offset.
 func (f *Filter) Class() (Class, bool) {
-	return Class{Geom: f.l1.Config(), Lines: 1 + f.extra}, f.l1.Config().SubBlock == 0
+	return Class{Geom: f.l1.cfg, Lines: 1 + f.extra}, f.l1.cfg.SubBlock == 0
 }
 
 // MissLog returns the pass's miss log.
 func (f *Filter) MissLog() *MissLog { return &f.log }
 
-// FetchRuns implements Engine. On direct-mapped L1s the miss path is
-// fused: TouchRunDM4 stopping short proves the next address misses, so the
-// demand fill goes through cache.MissFillDM4, skipping Fetch's redundant
-// Lookup and FillEvict probes. Other L1s take the shared loop.
+// FetchRuns implements Engine. A cache.Cache L1 takes the shared loop. On
+// line keys, a miss whose fills leave the missing line resident makes the
+// line's later fetches hits, so only a run's first fetch in each line can
+// miss and the pass probes each line of a run once. A class whose fills
+// evict the missing line (more lines per miss than sets) fetches one
+// instruction at a time.
 func (f *Filter) FetchRuns(runs []trace.Run) {
-	if !f.l1.DM4() {
-		touchRuns(f, f.l1, &f.res, runs)
-		return
+	switch {
+	case f.l1.c != nil:
+		touchRuns(f, f.l1.c, &f.res, runs)
+	case 1+f.extra > len(f.l1.keys):
+		fetchEach(f, runs)
+	default:
+		f.lineRuns(runs)
 	}
+}
+
+// lineRuns walks each run's lines, first to last, probing and filling the
+// line keys inline. A miss is logged at the run's first instruction in the
+// line: the first at or above the line's start, since runs may start at
+// any byte.
+func (f *Filter) lineRuns(runs []trace.Run) {
+	mask := uint64(len(f.l1.keys) - 1)
+	keys := f.l1.keys[:mask+1] // la&mask needs no bounds check
+	shift := f.l1.shift
 	for _, r := range runs {
-		addr, n := r.Start, r.Len
-		for n > 0 {
-			t := f.l1.TouchRunDM4(addr, n)
-			f.res.Instructions += t
-			addr += uint64(t) * trace.InstrBytes
-			if n -= t; n == 0 {
-				break
+		first := r.Start >> shift
+		last := (r.Start + uint64(r.Len-1)*trace.InstrBytes) >> shift
+		// Line numbers stay below 2^62 (lines hold an instruction), so la++
+		// cannot wrap.
+		for la := first; la <= last; la++ {
+			if keys[la&mask] != la+1 {
+				var i int64
+				if la != first {
+					i = int64((la<<shift - r.Start + trace.InstrBytes - 1) / trace.InstrBytes)
+				}
+				f.miss(f.res.Instructions+i, la<<shift)
 			}
-			la := addr &^ (f.lineSize - 1)
-			f.log.add(f.res.Instructions, la)
-			f.res.Instructions++
-			f.res.Misses++
-			f.l1.MissFillDM4(addr)
-			for i := 1; i <= f.extra; i++ {
-				f.l1.Fill(la + uint64(i)*f.lineSize)
-			}
-			addr += trace.InstrBytes
-			n--
 		}
+		f.res.Instructions += r.Len
+	}
+}
+
+// tags is the L1 tag store of a Filter or Bypass engine. A direct-mapped,
+// non-sector, LRU geometry whose lines hold an instruction keeps one line
+// key per set: the line number plus one, 0 for an empty set. It has no
+// stamps, clock or counters — a one-way set has a single replacement
+// candidate, and the engines count for themselves — as the sweep's stacks
+// have none. Any other geometry is a cache.Cache, the general simulator and
+// the keys' oracle.
+type tags struct {
+	cfg   cache.Config // normalized
+	c     *cache.Cache // nil on line keys
+	keys  []uint64     // one line key per set
+	shift uint         // log2 of the line size
+}
+
+func newTags(cfg cache.Config) (tags, error) {
+	cfg, err := cfg.Validate()
+	if err != nil {
+		return tags{}, err
+	}
+	if cfg.Assoc != 1 || cfg.SubBlock != 0 || cfg.Replacement != cache.LRU || cfg.LineSize < trace.InstrBytes {
+		c, err := cache.New(cfg)
+		return tags{cfg: cfg, c: c}, err
+	}
+	return tags{cfg: cfg, keys: make([]uint64, cfg.Sets()), shift: uint(bits.TrailingZeros(uint(cfg.LineSize)))}, nil
+}
+
+// lookup probes addr's line: a cache.Cache Lookup, so a hit refreshes the
+// line's recency.
+func (t *tags) lookup(addr uint64) bool {
+	if t.c != nil {
+		return t.c.Lookup(addr)
+	}
+	la := addr >> t.shift
+	return t.keys[la&uint64(len(t.keys)-1)] == la+1
+}
+
+// touch applies n fetches to addr's line when it is resident (cache.Touch),
+// and reports whether it was.
+func (t *tags) touch(addr uint64, n int64) bool {
+	if t.c != nil {
+		return t.c.Touch(addr, n)
+	}
+	return t.lookup(addr)
+}
+
+// fill fills the n lines from the line at byte address line, whose
+// addresses wrap at the top of the address space.
+func (t *tags) fill(line uint64, n int) {
+	size := uint64(t.cfg.LineSize)
+	for i := 0; i < n; i++ {
+		a := line + uint64(i)*size
+		if t.c != nil {
+			t.c.Fill(a)
+			continue
+		}
+		la := a >> t.shift
+		t.keys[la&uint64(len(t.keys)-1)] = la + 1
 	}
 }
 

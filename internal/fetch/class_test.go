@@ -1,7 +1,9 @@
 package fetch
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"ibsim/internal/cache"
@@ -55,6 +57,170 @@ func (s *refStream) Fetch(addr uint64) {
 
 func (s *refStream) FetchRuns(runs []trace.Run) { fetchEach(s, runs) }
 func (s *refStream) Result() Result             { return s.res }
+
+// refBlocking is Blocking(g, N) on a cache.Cache: one Lookup per fetch and,
+// on a miss, Fills of the missing line and the N lines after it, each miss
+// stalling one fill of them all. It logs every miss. It is the reference the
+// line-key pass is checked against.
+type refBlocking struct {
+	l1       *cache.Cache
+	lineSize uint64
+	lines    int
+	stall    int64
+	res      Result
+	events   []MissEvent
+}
+
+func newRefBlocking(cfg cache.Config, link memsys.Transfer, n int) *refBlocking {
+	return &refBlocking{l1: cache.MustNew(cfg), lineSize: uint64(cfg.LineSize), lines: 1 + n,
+		stall: int64(link.FillCycles(cfg.LineSize * (1 + n)))}
+}
+
+func (b *refBlocking) Fetch(addr uint64) {
+	b.res.Instructions++
+	if b.l1.Lookup(addr) {
+		return
+	}
+	b.res.Misses++
+	b.res.StallCycles += b.stall
+	la := addr &^ (b.lineSize - 1)
+	b.events = append(b.events, MissEvent{Index: b.res.Instructions - 1, Line: la})
+	for i := 0; i < b.lines; i++ {
+		b.l1.Fill(la + uint64(i)*b.lineSize)
+	}
+}
+
+func (b *refBlocking) FetchRuns(runs []trace.Run) { fetchEach(b, runs) }
+func (b *refBlocking) Result() Result             { return b.res }
+
+// refBypass is Bypass(g, N) on a cache.Cache, one fetch at a time: a hit
+// waits for its word if it is still streaming in; a miss waits for the
+// memory port, then for the missing word, and fills the missing line and
+// the N after it. It logs every miss.
+type refBypass struct {
+	l1                    *cache.Cache
+	link                  memsys.Transfer
+	lineSize              uint64
+	lines                 int
+	groupBase, groupLines uint64
+	groupStart, busyUntil int64
+	res                   Result
+	events                []MissEvent
+}
+
+func newRefBypass(cfg cache.Config, link memsys.Transfer, n int) *refBypass {
+	return &refBypass{l1: cache.MustNew(cfg), link: link, lineSize: uint64(cfg.LineSize), lines: 1 + n}
+}
+
+func (b *refBypass) Fetch(addr uint64) {
+	b.res.Instructions++
+	now := b.res.Instructions + b.res.StallCycles
+	if b.l1.Lookup(addr) {
+		if addr >= b.groupBase && addr < b.groupBase+b.groupLines*b.lineSize {
+			if arrive := b.groupStart + int64(b.link.DeliveryCycle(int(addr-b.groupBase))); arrive > now {
+				b.res.StallCycles += arrive - now
+			}
+		}
+		return
+	}
+	b.res.Misses++
+	start := max(now, b.busyUntil)
+	la := addr &^ (b.lineSize - 1)
+	b.events = append(b.events, MissEvent{Index: b.res.Instructions - 1, Line: la})
+	b.res.StallCycles += start + int64(b.link.DeliveryCycle(int(addr-la))) - now
+	b.groupBase, b.groupLines, b.groupStart = la, uint64(b.lines), start
+	b.busyUntil = start + int64(b.link.FillCycles(int(b.lineSize)*b.lines))
+	for i := 0; i < b.lines; i++ {
+		b.l1.Fill(la + uint64(i)*b.lineSize)
+	}
+}
+
+func (b *refBypass) FetchRuns(runs []trace.Run) { fetchEach(b, runs) }
+func (b *refBypass) Result() Result             { return b.res }
+
+// The direct-mapped Blocking and Bypass passes keep line keys, not a
+// cache.Cache: per instruction and run-batched, their Results and logged
+// misses must equal the cache.Cache references' on random traces, for 1 to
+// 64 sets (classes whose fills evict the missing line included), 0 to 3
+// prefetched lines, runs starting at unaligned addresses, and runs at the
+// top of the address space, aligned or not, whose prefetches wrap to line 0.
+func TestCompactPassesMatchCache(t *testing.T) {
+	rng := xrand.New(0xc0de5)
+	lineSizes := []int{4, 8, 16, 32, 64}
+	bws := []int{1, 2, 4, 8, 16, 32}
+	for sets := 1; sets <= 64; sets *= 2 {
+		for n := 0; n <= 3; n++ {
+			for _, shape := range []string{"aligned", "unaligned", "top", "unaligned top"} {
+				ls := lineSizes[rng.Intn(len(lineSizes))]
+				cfg := cache.Config{Size: sets * ls, LineSize: ls, Assoc: 1}
+				link := memsys.Transfer{Latency: 1 + rng.Intn(20), BytesPerCycle: bws[rng.Intn(len(bws))]}
+				foot := uint64(cfg.Size) * uint64(1+rng.Intn(4))
+				var refs []trace.Ref
+				switch shape {
+				case "top", "unaligned top":
+					refs = topTrace(rng.Uint64(), 3000, foot)
+					if shape == "unaligned top" {
+						for i := range refs {
+							refs[i].Addr += 2
+						}
+					}
+				default:
+					// randomRunTrace starts its runs at any byte.
+					refs = randomRunTrace(rng, 3000, foot)
+					if shape == "aligned" {
+						for i := range refs {
+							refs[i].Addr &^= trace.InstrBytes - 1
+						}
+					}
+				}
+				runs := trace.Compact(refs)
+				name := fmt.Sprintf("%s N=%d %s", cfg, n, shape)
+
+				rb, rp := newRefBlocking(cfg, link, n), newRefBypass(cfg, link, n)
+				wantB, wantP := Run(rb, refs), Run(rp, refs)
+				if wantB.Misses == 0 {
+					t.Fatalf("%s: fixture has %d misses in %d fetches", name, wantB.Misses, wantB.Instructions)
+				}
+				for _, bulk := range []bool{false, true} {
+					replay := func(e Engine, log *MissLog) []MissEvent {
+						log.On = true
+						var events []MissEvent
+						for i := 0; i < len(runs); i += 100 {
+							batch := runs[i:min(i+100, len(runs))]
+							if bulk {
+								e.FetchRuns(batch)
+							} else {
+								fetchEach(e, batch)
+							}
+							events = append(events, log.Events...)
+							log.Events = log.Events[:0]
+						}
+						return events
+					}
+					bl, err := NewBlocking(cfg, link, n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					by, err := NewBypass(cfg, link, n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if bl.f.l1.c != nil || by.l1.c != nil {
+						t.Fatalf("%s: a direct-mapped pass runs on a cache.Cache", name)
+					}
+					if got := replay(bl, bl.f.MissLog()); bl.Result() != wantB || !slices.Equal(got, rb.events) {
+						t.Fatalf("%s bulk %v: blocking %+v, %d misses logged; cache.Cache %+v, %d",
+							name, bulk, bl.Result(), len(got), wantB, len(rb.events))
+					}
+					if got := replay(by, by.MissLog()); by.Result() != wantP || !slices.Equal(got, rp.events) {
+						t.Fatalf("%s bulk %v: bypass %+v, %d misses logged; cache.Cache %+v, %d",
+							name, bulk, by.Result(), len(got), wantP, len(rp.events))
+					}
+				}
+			}
+		}
+	}
+}
 
 // topTrace is a sequential-heavy stream confined to the lowest and highest
 // span bytes of the address space, so that streams started near the top

@@ -12,6 +12,12 @@
 // determined by simulating an L2 cache backed by main memory") — use a
 // Blocking engine with the L2 geometry and the baseline memory link for
 // that, and add the two CPIinstr values for the total.
+//
+// An engine's L1 is a cache.Cache, the general simulator, except where a
+// content class's pass runs on the paper's dominant geometry: the L1 of a
+// Filter (and so of Blocking and Stream) or of a Bypass engine that is
+// direct-mapped, non-sector and LRU keeps one line key per set, with no
+// stamps, clock or counters, and is tested against cache.Cache references.
 package fetch
 
 import (
@@ -134,7 +140,7 @@ func (b *Blocking) Fetch(addr uint64) {
 	}
 	f := &b.f
 	f.res.Instructions++
-	if f.l1.Lookup(addr) {
+	if f.l1.c.Lookup(addr) {
 		return
 	}
 	f.res.Misses++
@@ -143,7 +149,7 @@ func (b *Blocking) Fetch(addr uint64) {
 	// stall covers just those bytes.
 	offset := (addr &^ (b.subBlock - 1)) & (f.lineSize - 1)
 	b.sector += int64(b.link.FillCycles(int(f.lineSize - offset)))
-	f.l1.Fill(addr)
+	f.l1.c.Fill(addr)
 }
 
 // Result implements Engine.
@@ -169,7 +175,7 @@ func (b *Blocking) Split() (c Class, pass *Filter, t Timing, ok bool) {
 // Blocking(g, N)'s; but its hits can wait on words still in flight, so it
 // leads its content class rather than following it.
 type Bypass struct {
-	l1       *cache.Cache
+	l1       tags
 	link     memsys.Transfer
 	prefetch int
 	lineSize uint64
@@ -194,11 +200,11 @@ func NewBypass(cfg cache.Config, link memsys.Transfer, n int) (*Bypass, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("fetch: negative prefetch count %d", n)
 	}
-	l1, err := cache.New(cfg)
+	l1, err := newTags(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Bypass{l1: l1, link: link, prefetch: n, lineSize: uint64(cfg.LineSize), groupLines: 0}, nil
+	return &Bypass{l1: l1, link: link, prefetch: n, lineSize: uint64(cfg.LineSize)}, nil
 }
 
 // now returns the current cycle under the CPI-1 base model.
@@ -208,7 +214,7 @@ func (b *Bypass) now() int64 { return b.res.Instructions + b.res.StallCycles }
 func (b *Bypass) Fetch(addr uint64) {
 	b.res.Instructions++
 	now := b.now()
-	if b.l1.Lookup(addr) {
+	if b.l1.lookup(addr) {
 		// The line may still be streaming into the bypass buffers: reading a
 		// word that has not arrived yet waits for it.
 		if b.groupLines > 0 {
@@ -239,9 +245,7 @@ func (b *Bypass) Fetch(addr uint64) {
 	b.groupLines = lines
 	b.groupStart = start
 	b.busyUntil = start + int64(b.link.FillCycles(int(b.lineSize)*lines))
-	for i := 0; i < lines; i++ {
-		b.l1.Fill(lineBase + uint64(i)*b.lineSize)
-	}
+	b.l1.fill(lineBase, lines)
 }
 
 // Result implements Engine.
@@ -249,7 +253,7 @@ func (b *Bypass) Result() Result { return b.res }
 
 // Class reports the engine's content class; ok is false for sector caches.
 func (b *Bypass) Class() (Class, bool) {
-	return Class{Geom: b.l1.Config(), Lines: 1 + b.prefetch}, b.l1.Config().SubBlock == 0
+	return Class{Geom: b.l1.cfg, Lines: 1 + b.prefetch}, b.l1.cfg.SubBlock == 0
 }
 
 // MissLog returns the engine's miss log: the class's misses, while On.
@@ -313,9 +317,6 @@ func (s *Stream) time() {
 
 // Result implements Engine.
 func (s *Stream) Result() Result { return s.model.Result(s.f.res.Instructions, s.f.res.Misses) }
-
-// Cache exposes the underlying L1.
-func (s *Stream) Cache() *cache.Cache { return s.f.l1 }
 
 // Split returns the engine's content class, its own L1 pass and its timing
 // model, which takes the pass's misses; see Blocking.Split.

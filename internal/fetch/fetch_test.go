@@ -214,12 +214,14 @@ func TestStreamBufferHitMovesLineToCache(t *testing.T) {
 	st, _ := NewStream(cfg, l2link, 4)
 	st.Fetch(0)  // miss; 16,32,48,64 head into the buffer
 	st.Fetch(16) // buffer hit → moved to L1
-	if !st.Cache().Contains(16) {
-		t.Fatal("buffer hit did not move line into L1")
-	}
 	res := st.Result()
 	if res.BufferHits != 1 {
 		t.Fatalf("BufferHits = %d", res.BufferHits)
+	}
+	// Fetching line 16 again is an L1 hit: neither a miss nor a buffer hit.
+	st.Fetch(20)
+	if got := st.Result(); got.Misses != res.Misses || got.BufferHits != res.BufferHits {
+		t.Fatalf("buffer hit did not move line into L1: %+v after %+v", got, res)
 	}
 }
 

@@ -34,9 +34,13 @@ type Predict struct {
 	predConf []uint8
 	predMask uint64
 
-	avail    map[uint64]int64 // buffered line → arrival cycle
-	tail     uint64           // last line in the prefetch chain (for top-up)
-	prevLine uint64           // last line fetched, for predictor training
+	// buf is the prefetch buffer: at most depth lines with their arrival
+	// cycles, in no order. A miss empties it and adds at most depth lines,
+	// and a buffer hit removes one line and adds at most one, so a linear
+	// search over a slice serves it.
+	buf      []prefetched
+	tail     uint64 // last line in the prefetch chain (for top-up)
+	prevLine uint64 // last line fetched, for predictor training
 	started  bool
 	res      Result
 	// TableHits counts buffer hits (i.e. correct predictions consumed).
@@ -70,8 +74,23 @@ func NewPredict(cfg cache.Config, link memsys.Transfer, depth, tableEntries int)
 		predNext: make([]uint64, tableEntries),
 		predConf: make([]uint8, tableEntries),
 		predMask: uint64(tableEntries - 1),
-		avail:    make(map[uint64]int64),
 	}, nil
+}
+
+// prefetched is a buffered line and the cycle it arrives.
+type prefetched struct {
+	line   uint64
+	arrive int64
+}
+
+// buffered returns line's index in the prefetch buffer, or -1.
+func (p *Predict) buffered(line uint64) int {
+	for i, b := range p.buf {
+		if b.line == line {
+			return i
+		}
+	}
+	return -1
 }
 
 func (p *Predict) now() int64 { return p.res.Instructions + p.res.StallCycles }
@@ -126,20 +145,22 @@ func (p *Predict) Fetch(addr uint64) {
 		return
 	}
 	now := p.now()
-	if arrive, ok := p.avail[la]; ok {
-		if arrive > now {
+	if i := p.buffered(la); i >= 0 {
+		if arrive := p.buf[i].arrive; arrive > now {
 			p.res.StallCycles += arrive - now
 			now = arrive
 		}
 		p.res.BufferHits++
 		p.l1.Fill(la)
-		delete(p.avail, la)
+		last := len(p.buf) - 1
+		p.buf[i] = p.buf[last]
+		p.buf = p.buf[:last]
 		// Top up: extend the chain by one predicted line, keeping the
 		// buffer rolling as long as predictions hold (the analogue of
 		// MultiStream's per-consumption prefetch).
 		next := p.predict(p.tail)
-		if _, dup := p.avail[next]; !dup && !p.l1.Contains(next) {
-			p.avail[next] = now + int64(p.link.Latency)
+		if p.buffered(next) < 0 && !p.l1.Contains(next) {
+			p.buf = append(p.buf, prefetched{line: next, arrive: now + int64(p.link.Latency)})
 			p.tail = next
 		}
 		return
@@ -150,15 +171,15 @@ func (p *Predict) Fetch(addr uint64) {
 	p.res.StallCycles += int64(p.link.FillCycles(int(p.lineSize)))
 	now = p.now()
 	p.l1.Fill(la)
-	clear(p.avail)
+	p.buf = p.buf[:0]
 	next := la
 	p.tail = la
 	for i := 1; i <= p.depth; i++ {
 		next = p.predict(next)
-		if _, dup := p.avail[next]; dup || p.l1.Contains(next) {
+		if p.buffered(next) >= 0 || p.l1.Contains(next) {
 			break // chain loops back or is already resident
 		}
-		p.avail[next] = now + int64(i)
+		p.buf = append(p.buf, prefetched{line: next, arrive: now + int64(i)})
 		p.tail = next
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"ibsim/internal/cache"
 	"ibsim/internal/memsys"
 	"ibsim/internal/trace"
+	"ibsim/internal/xrand"
 )
 
 func TestPredictValidation(t *testing.T) {
@@ -108,5 +109,95 @@ func TestPredictSanity(t *testing.T) {
 	res := Run(pr, refs)
 	if res.Instructions != 5000 || res.Misses > res.Instructions || res.StallCycles < 0 {
 		t.Fatalf("insane result: %+v", res)
+	}
+}
+
+// refPredict is Predict with its prefetch buffer in a map from line to
+// arrival cycle. It shares the engine's L1 and predictor table through the
+// embedded engine, whose own buffer it never touches, and is the reference
+// the engine's slice buffer is checked against.
+type refPredict struct {
+	*Predict
+	avail map[uint64]int64
+}
+
+func (p *refPredict) Fetch(addr uint64) {
+	p.res.Instructions++
+	la := addr &^ (p.lineSize - 1)
+	if p.started && la != p.prevLine {
+		p.train(p.prevLine, la)
+	}
+	p.started = true
+	p.prevLine = la
+	if p.l1.Lookup(addr) {
+		return
+	}
+	now := p.now()
+	if arrive, ok := p.avail[la]; ok {
+		if arrive > now {
+			p.res.StallCycles += arrive - now
+			now = arrive
+		}
+		p.res.BufferHits++
+		p.l1.Fill(la)
+		delete(p.avail, la)
+		next := p.predict(p.tail)
+		if _, dup := p.avail[next]; !dup && !p.l1.Contains(next) {
+			p.avail[next] = now + int64(p.link.Latency)
+			p.tail = next
+		}
+		return
+	}
+	p.res.Misses++
+	p.res.StallCycles += int64(p.link.FillCycles(int(p.lineSize)))
+	now = p.now()
+	p.l1.Fill(la)
+	clear(p.avail)
+	next := la
+	p.tail = la
+	for i := 1; i <= p.depth; i++ {
+		next = p.predict(next)
+		if _, dup := p.avail[next]; dup || p.l1.Contains(next) {
+			break
+		}
+		p.avail[next] = now + int64(i)
+		p.tail = next
+	}
+}
+
+func (p *refPredict) FetchRuns(runs []trace.Run) { fetchEach(p, runs) }
+
+// Predict's slice buffer must time every fetch as the map reference does,
+// per instruction and run-batched, on random traces over direct-mapped and
+// 2-way L1s of 1 to 128 sets, depths 1 to 8 and tables of 1 to 1,024
+// entries.
+func TestPredictMatchesMapReference(t *testing.T) {
+	rng := xrand.New(0x9ed1c7)
+	for trial := 0; trial < 60; trial++ {
+		ls := []int{8, 16, 32}[rng.Intn(3)]
+		assoc := 1 + rng.Intn(2)
+		cfg := cache.Config{Size: (1 << rng.Intn(8)) * ls * assoc, LineSize: ls, Assoc: assoc}
+		link := memsys.Transfer{Latency: 1 + rng.Intn(12), BytesPerCycle: ls / 2 * (1 + rng.Intn(2))}
+		depth, entries := 1+rng.Intn(8), 1<<rng.Intn(11)
+		mk := func() *Predict {
+			p, err := NewPredict(cfg, link, depth, entries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}
+		refs := randomRunTrace(rng, 4000, uint64(cfg.Size)*uint64(1+rng.Intn(4)))
+		want := Run(&refPredict{Predict: mk(), avail: map[uint64]int64{}}, refs)
+		if want.BufferHits == 0 {
+			t.Fatalf("trial %d: fixture never hits the buffer", trial)
+		}
+		if got := Run(mk(), refs); got != want {
+			t.Fatalf("trial %d (%s depth %d, %d entries): Fetch %+v, map reference %+v", trial, cfg, depth, entries, got, want)
+		}
+		bulk := mk()
+		bulk.FetchRuns(trace.Compact(refs))
+		if got := bulk.Result(); got != want {
+			t.Fatalf("trial %d (%s depth %d, %d entries): FetchRuns %+v, map reference %+v", trial, cfg, depth, entries, got, want)
+		}
 	}
 }

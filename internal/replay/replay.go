@@ -9,6 +9,8 @@
 //  1. Bulk replay. Each simulated L1 consumes the trace as sequential runs
 //     via its FetchRuns fast path (O(resident lines) per run instead of
 //     O(instructions); see internal/fetch), which is where compaction pays.
+//     A direct-mapped class pass keeps one line key per set instead of a
+//     cache.Cache and probes each line of a run once.
 //
 //  2. Content classes. Engines whose L1s perform the same operations — one
 //     geometry, the same lines filled per miss (fetch.Class) — hold the same

@@ -32,6 +32,7 @@ func TestStoreColumnarMatchesRunsOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewStore(DefaultIdleBudget)
+	t.Cleanup(s.Purge)
 	ctx := context.Background()
 	want, relRuns, err := s.RunsOnly(ctx, p, 3, 120_000)
 	if err != nil {
@@ -91,6 +92,7 @@ func TestStoreColumnarAdmitsWhatRunsReject(t *testing.T) {
 	relProbe()
 
 	s := NewStoreLimits(DefaultIdleBudget, runBudget/4)
+	t.Cleanup(s.Purge)
 	if _, _, err := s.RunsOnly(ctx, p, 7, 150_000); !errors.Is(err, ErrOverBudget) {
 		t.Fatalf("RunsOnly under quarter budget: err = %v, want ErrOverBudget", err)
 	}
@@ -105,6 +107,7 @@ func TestStoreColumnarAdmitsWhatRunsReject(t *testing.T) {
 
 	// And an impossible budget still fails typed.
 	tiny := NewStoreLimits(DefaultIdleBudget, 64)
+	t.Cleanup(tiny.Purge)
 	if _, _, err := tiny.Columnar(ctx, p, 7, 150_000); !errors.Is(err, ErrOverBudget) {
 		t.Fatalf("Columnar under 64-byte budget: err = %v, want ErrOverBudget", err)
 	}
@@ -118,6 +121,7 @@ func TestStoreColumnarEvictionDeletesFile(t *testing.T) {
 	}
 	ctx := context.Background()
 	s := NewStore(0) // idle budget 0: release evicts immediately
+	t.Cleanup(s.Purge)
 	_, release, err := s.Columnar(ctx, p, 11, 50_000)
 	if err != nil {
 		t.Fatal(err)

@@ -3,8 +3,10 @@ package synth
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"slices"
 	"sync"
 	"testing"
@@ -12,6 +14,25 @@ import (
 
 	"ibsim/internal/trace"
 )
+
+// TestMain runs the package's tests with the temp dir pointed at a private
+// directory, and fails the run if a store's spill directory is left in it:
+// a test that opens a spill must purge its store.
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "synth-test-")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	os.Setenv("TMPDIR", dir)
+	code := m.Run()
+	if left, _ := filepath.Glob(filepath.Join(dir, "ibsim-store-*")); len(left) > 0 {
+		fmt.Fprintf(os.Stderr, "FAIL: %d store spill directories left in the temp dir: %v\n", len(left), left)
+		code = 1
+	}
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
 
 func TestStoreMemoizesAndMatchesInstrTrace(t *testing.T) {
 	p, err := Lookup("gs")
@@ -188,6 +209,7 @@ func TestStoreSourceFallsBackToStreaming(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewStoreLimits(DefaultIdleBudget, 512)
+	t.Cleanup(s.Purge)
 	ctx := context.Background()
 	if _, _, err := s.RunsOnly(ctx, p, 7, 3000); !errors.Is(err, ErrOverBudget) {
 		t.Fatalf("RunsOnly over budget = %v, want ErrOverBudget", err)

@@ -50,12 +50,12 @@ func Compact(refs []Ref) []Run {
 // across traces; it allocates nothing when dst has capacity for the result.
 func CompactAppend(dst []Run, refs []Ref) []Run {
 	var cur Run
-	var next uint64 // address extending cur; 0 also flags "no current run"
+	var next uint64 // address extending cur
 	for _, r := range refs {
 		if r.Kind != IFetch {
 			continue
 		}
-		if cur.Len > 0 && r.Addr == next && r.Domain == cur.Domain && next != 0 {
+		if cur.Len > 0 && r.Addr == next && r.Domain == cur.Domain && next >= InstrBytes {
 			cur.Len++
 			next += InstrBytes
 			continue
@@ -84,7 +84,7 @@ func (r *Reader) EachRun(fn func(Run) error) error {
 		if ref.Kind != IFetch {
 			continue
 		}
-		if next := cur.End(); cur.Len > 0 && ref.Addr == next && ref.Domain == cur.Domain && next != 0 {
+		if next := cur.End(); cur.Len > 0 && ref.Addr == next && ref.Domain == cur.Domain && next >= InstrBytes {
 			cur.Len++
 			continue
 		}

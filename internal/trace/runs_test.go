@@ -70,26 +70,29 @@ func TestCompactBasic(t *testing.T) {
 }
 
 // A run never wraps the address space: the last instructions below 2^64 end
-// the run so Start+Len*InstrBytes stays representable.
+// the run so its instructions' addresses only grow, whether they are aligned
+// or start at an odd byte.
 func TestCompactAddressSpaceWrap(t *testing.T) {
-	top := ^uint64(0) - 2*InstrBytes + 1
-	refs := []Ref{
-		{Addr: top, Kind: IFetch},
-		{Addr: top + InstrBytes, Kind: IFetch},
-		{Addr: 0, Kind: IFetch}, // wrapped: must start a fresh run
-		{Addr: InstrBytes, Kind: IFetch},
-	}
-	runs := Compact(refs)
-	for _, r := range runs {
-		if r.End() <= r.Start && r.End() != 0 { // End()==0 marks a run ending exactly at the top
-			t.Fatalf("run %+v wraps the address space", r)
+	for _, off := range []uint64{0, 2} {
+		top := ^uint64(0) - 2*InstrBytes + 1 + off
+		refs := []Ref{
+			{Addr: top, Kind: IFetch},
+			{Addr: top + InstrBytes, Kind: IFetch},
+			{Addr: off, Kind: IFetch}, // wrapped: must start a fresh run
+			{Addr: off + InstrBytes, Kind: IFetch},
 		}
-		if last := r.Start + uint64(r.Len-1)*InstrBytes; last < r.Start {
-			t.Fatalf("run %+v has wrapping instructions", r)
+		runs := Compact(refs)
+		if len(runs) != 2 {
+			t.Fatalf("offset %d: %d runs %+v, want 2", off, len(runs), runs)
 		}
-	}
-	if got := Expand(runs); len(got) != len(refs) {
-		t.Fatalf("expand lost refs: %d vs %d", len(got), len(refs))
+		for _, r := range runs {
+			if last := r.Start + uint64(r.Len-1)*InstrBytes; last < r.Start {
+				t.Fatalf("offset %d: run %+v has wrapping instructions", off, r)
+			}
+		}
+		if got := Expand(runs); !reflect.DeepEqual(got, refs) {
+			t.Fatalf("offset %d: expand %+v, want %+v", off, got, refs)
+		}
 	}
 }
 
@@ -196,6 +199,7 @@ func TestEachRunMatchesCompact(t *testing.T) {
 	top := ^uint64(0) - 2*InstrBytes + 1
 	traces := [][]Ref{
 		{{Addr: top, Kind: IFetch}, {Addr: top + InstrBytes, Kind: IFetch}, {Addr: 0, Kind: IFetch}, {Addr: InstrBytes, Kind: IFetch}},
+		{{Addr: top + 2, Kind: IFetch}, {Addr: top + 2 + InstrBytes, Kind: IFetch}, {Addr: 2, Kind: IFetch}, {Addr: 2 + InstrBytes, Kind: IFetch}},
 		{{Addr: 0x40, Kind: DRead}},
 	}
 	for trial := 0; trial < 10; trial++ {
